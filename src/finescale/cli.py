@@ -154,15 +154,23 @@ def cmd_refine(args) -> int:
     coarse, fine, amap, a, aux_datasets, aux_ids, _ = _load_inputs(args)
     models_path = _require(Path(args.models or (Path(args.out) / "models.json")), "models file")
     models = json.loads(models_path.read_text())
-    aux_models = []
     by_id = {d["dataset_id"]: d for d in models["aux_models"]}
     if set(by_id) != set(aux_ids):
         raise ConfigError(
             f"model/manifest mismatch: models for {sorted(by_id)}, manifest has {sorted(aux_ids)}"
         )
-    for ds, aid in zip(aux_datasets, aux_ids):
-        aux_models.append(AuxGPModel.from_dict(by_id[aid], ds.partition.centroids, ds.values))
-    posteriors = [predict_aux(m, fine.centroids) for m in aux_models]
+    # The fitted weights are ordered by the fit-time columns, not by this manifest.
+    column_ids = models["downscale"]["column_ids"]
+    if sorted(column_ids[:-1]) != sorted(aux_ids):
+        raise ConfigError(
+            f"model/manifest mismatch: weights for {column_ids[:-1]}, manifest has {sorted(aux_ids)}"
+        )
+    datasets = dict(zip(aux_ids, aux_datasets))
+    posteriors = []
+    for aid in column_ids[:-1]:
+        ds = datasets[aid]
+        model = AuxGPModel.from_dict(by_id[aid], ds.partition.centroids, ds.values)
+        posteriors.append(predict_aux(model, fine.centroids))
     params = DownscaleParams.from_dict(models["downscale"])
     design = build_design(posteriors, n_fine=len(fine))
     refinement = predict_fine(params, a, design, posteriors, amap, fine=fine)
@@ -283,7 +291,6 @@ def _add_common(p: argparse.ArgumentParser, need_target=True) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--ridge", type=float, default=0.0)
-    p.add_argument("--jitter", type=float, default=None, help="reserved tolerance override")
     p.add_argument("--gtol", type=float, default=1e-6)
 
 

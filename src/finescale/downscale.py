@@ -16,7 +16,14 @@ import numpy as np
 from finescale.geo import AggregationMap, ArealDataset, Partition
 from finescale.gp_aux import SIGMA_FLOOR, AuxPosterior, median_pairwise_distance
 from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, sq_dists
-from finescale.numerics import bfgs_minimize, cholesky, log_det, solve
+from finescale.numerics import (
+    FactorizationError,
+    OptimizationError,
+    bfgs_minimize,
+    cholesky,
+    log_det,
+    solve,
+)
 
 
 class DownscaleFitError(RuntimeError):
@@ -116,8 +123,8 @@ def build_design(posteriors: list[AuxPosterior], n_fine: int | None = None) -> D
     return DesignMatrix(F=F, column_ids=tuple(p.dataset_id for p in posteriors) + ("bias",))
 
 
-def _lambda_jitter(params: DownscaleParams) -> float:
-    return JITTER_REL * (params.sigma**2 + params.kernel.alpha**2)
+def _lambda_jitter(sigma: float, alpha: float) -> float:
+    return JITTER_REL * (sigma**2 + alpha**2)
 
 
 def assemble_lambda(
@@ -135,7 +142,7 @@ def assemble_lambda(
     nc = H.shape[0]
     Lam = params.sigma**2 * np.eye(nc) + H @ Omega @ H.T
     Lam = 0.5 * (Lam + Lam.T)
-    factor = cholesky(Lam + _lambda_jitter(params) * np.eye(nc))
+    factor = cholesky(Lam + _lambda_jitter(params.sigma, params.kernel.alpha) * np.eye(nc))
     return LambdaAssembly(Omega=Omega, Lambda=Lam, factor=factor)
 
 
@@ -204,6 +211,78 @@ def grad_log_marginal(
     return grad
 
 
+@dataclass(frozen=True)
+class _Problem:
+    """The parameter-free parts of the second-step marginal likelihood.
+
+    Built once per fit: the observations, H, H F, the fine squared
+    distances D2 and H Sigma_s H^T for every auxiliary.
+    """
+
+    a: np.ndarray
+    H: np.ndarray
+    HF: np.ndarray
+    D2: np.ndarray
+    HSH: tuple[np.ndarray, ...]
+
+    @classmethod
+    def build(
+        cls,
+        a: np.ndarray,
+        posteriors: list[AuxPosterior],
+        fine_centroids: np.ndarray,
+        H: np.ndarray,
+        design: DesignMatrix,
+    ) -> "_Problem":
+        return cls(
+            a=a,
+            H=H,
+            HF=H @ design.F,
+            D2=sq_dists(fine_centroids, fine_centroids),
+            HSH=tuple(H @ post.cov @ H.T for post in posteriors),
+        )
+
+
+def _neg_log_marginal(prob: _Problem, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """-log_marginal and -grad_log_marginal at the packed theta.
+
+    Same formulas as assemble_lambda + log_marginal + grad_log_marginal,
+    with Lambda = sigma^2 I + H K H^T + sum_s w_s^2 H Sigma_s H^T; a call
+    forms only K, H K H^T, H (K o D2) H^T and nc x nc algebra.
+    """
+    S = len(prob.HSH)
+    w = theta[: S + 1]
+    alpha, gamma, sigma = (float(np.exp(v)) for v in theta[S + 1 :])
+    nc = prob.a.size
+    H = prob.H
+    K = alpha**2 * np.exp(-0.5 * prob.D2 / gamma**2)
+    HKH = H @ K @ H.T
+    Lam = sigma**2 * np.eye(nc) + HKH
+    for s in range(S):
+        Lam = Lam + w[s] ** 2 * prob.HSH[s]
+    Lam = 0.5 * (Lam + Lam.T)
+    factor = cholesky(Lam + _lambda_jitter(sigma, alpha) * np.eye(nc))
+    r = prob.a - prob.HF @ w
+    p = solve(factor, r)
+    Linv = solve(factor, np.eye(nc))
+    ll = float(-0.5 * r @ p - 0.5 * log_det(factor) - 0.5 * nc * np.log(2 * np.pi))
+
+    def trace_term(dLam: np.ndarray) -> float:
+        return 0.5 * (float(p @ dLam @ p) - float(np.sum(Linv * dLam)))
+
+    # trace_term(c I), without forming the identity
+    identity_term = 0.5 * (float(p @ p) - float(np.trace(Linv)))
+    grad = np.empty(S + 4)
+    for s in range(S):
+        grad[s] = float(prob.HF[:, s] @ p) + trace_term(2.0 * w[s] * prob.HSH[s])
+    grad[S] = float(prob.HF[:, S] @ p)
+    # log-space chain rule, as in grad_log_marginal
+    grad[S + 1] = trace_term(2.0 * HKH) + 2.0 * JITTER_REL * alpha**2 * identity_term
+    grad[S + 2] = trace_term(H @ (K * (prob.D2 / gamma**2)) @ H.T)
+    grad[S + 3] = 2.0 * sigma**2 * (1.0 + JITTER_REL) * identity_term
+    return -ll, -grad
+
+
 def _pack(w: np.ndarray, kernel: SEKernelParams, sigma: float) -> np.ndarray:
     return np.concatenate([w, [np.log(kernel.alpha), np.log(kernel.gamma), np.log(sigma)]])
 
@@ -239,12 +318,15 @@ def fit_downscale(
     the log hyperparameters by N(0, 0.5^2) and the weights by N(0, 0.1^2).
     An optional ridge penalty on the non-bias weights (default 0) tempers the
     overparameterized regime where |S| + 1 exceeds the coarse region count.
+    The winner is the restart with the lowest objective, the earliest one on
+    an exact tie; ``diagnostics["restart_records"]`` keeps every restart.
     """
     a_vec = a.values if isinstance(a, ArealDataset) else np.asarray(a, dtype=float)
     Xf = fine.centroids if isinstance(fine, Partition) else np.asarray(fine, dtype=float)
     H = amap_or_H.H if isinstance(amap_or_H, AggregationMap) else np.asarray(amap_or_H, float)
     design = build_design(posteriors, n_fine=Xf.shape[0])
     n_w = design.F.shape[1]
+    prob = _Problem.build(a_vec, posteriors, Xf, H, design)
 
     w0 = lstsq_warm_start(a_vec, design, H)
     r0 = a_vec - H @ (design.F @ w0)
@@ -253,18 +335,21 @@ def fit_downscale(
     sigma0 = max(0.1 * float(np.std(r0)), 10 * SIGMA_FLOOR)
     theta0 = _pack(w0, SEKernelParams(alpha0, gamma0), sigma0)
 
+    evaluations = 0
+
     def objective(theta):
-        if theta[-1] < np.log(SIGMA_FLOOR) or np.abs(theta[n_w:]).max() > 20:
+        nonlocal evaluations
+        evaluations += 1
+        if (
+            not np.all(np.isfinite(theta))
+            or theta[-1] < np.log(SIGMA_FLOOR)
+            or np.abs(theta[n_w:]).max() > 20
+        ):
             return np.inf, np.zeros_like(theta)
         try:
-            params = _unpack(theta, n_w)
-            assembly = assemble_lambda(params, posteriors, Xf, H)
-            ll = log_marginal(params, a_vec, design, assembly, H)
-            g = grad_log_marginal(params, a_vec, design, posteriors, H, Xf, assembly)
-        except Exception:
+            val, grad = _neg_log_marginal(prob, theta)
+        except FactorizationError:
             return np.inf, np.zeros_like(theta)
-        val = -ll
-        grad = -g
         if ridge > 0 and n_w > 1:
             val += ridge * float(theta[: n_w - 1] @ theta[: n_w - 1])
             grad[: n_w - 1] += 2 * ridge * theta[: n_w - 1]
@@ -279,11 +364,23 @@ def fit_downscale(
         inits.append(t)
 
     best = None
+    records = []
     for t in inits:
+        evaluations = 0
         try:
             res = bfgs_minimize(objective, t, gtol=gtol, max_iter=max_iter)
-        except Exception:
+        except (OptimizationError, FactorizationError) as exc:
+            records.append({"error": str(exc), "evaluations": evaluations})
             continue
+        records.append(
+            {
+                "objective": float(res.objective),
+                "iterations": int(res.iterations),
+                "gradient_norm": float(res.gradient_norm),
+                "converged": bool(res.converged),
+                "evaluations": evaluations,
+            }
+        )
         if best is None or res.objective < best.objective:
             best = res
     if best is None:
@@ -295,6 +392,7 @@ def fit_downscale(
         "converged": bool(best.converged),
         "restarts": restarts,
         "ridge": ridge,
+        "restart_records": records,
     }
     return DownscaleParams(
         w=params.w, kernel=params.kernel, sigma=params.sigma, diagnostics=diagnostics

@@ -193,3 +193,25 @@ def test_synth_bundle_refine_determinism(synth_dir, tmp_path):
         assert main(["refine", *common_args(synth_dir, out)]) == EXIT_OK
     assert (out1 / "refinement.csv").read_bytes() == (out2 / "refinement.csv").read_bytes()
     assert (out1 / "refinement.svg").read_bytes() == (out2 / "refinement.svg").read_bytes()
+
+
+def test_refine_binds_weights_to_column_ids_not_manifest_order(tmp_path):
+    bundle, fit_out = tmp_path / "bundle", tmp_path / "fit"
+    assert main(["synth", "--out", str(bundle), "--seed", "0"]) == EXIT_OK
+    manifest = json.loads((bundle / "aux_manifest.json").read_text())
+    (bundle / "reversed_manifest.json").write_text(json.dumps(manifest[::-1]))
+
+    def args(manifest_name, out):
+        return [
+            "--target", f"{bundle / 'coarse.geojson'},{bundle / 'target.csv'}",
+            "--fine", str(bundle / "fine.geojson"),
+            "--aux-manifest", str(bundle / manifest_name),
+            "--out", str(out), "--restarts", "2",
+        ]
+
+    assert main(["fit", *args("aux_manifest.json", fit_out)]) == EXIT_OK
+    models = str(fit_out / "models.json")
+    for name, out in (("aux_manifest.json", "same"), ("reversed_manifest.json", "reversed")):
+        assert main(["refine", *args(name, tmp_path / out), "--models", models]) == EXIT_OK
+    same = (tmp_path / "same" / "refinement.csv").read_text()
+    assert (tmp_path / "reversed" / "refinement.csv").read_text() == same

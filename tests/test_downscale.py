@@ -3,8 +3,12 @@ import pytest
 import scipy.stats
 
 from conftest import random_H, random_instance, random_posteriors
+from finescale import downscale
 from finescale.downscale import (
+    DownscaleFitError,
     DownscaleParams,
+    _neg_log_marginal,
+    _Problem,
     assemble_lambda,
     build_design,
     fit_downscale,
@@ -12,11 +16,11 @@ from finescale.downscale import (
     log_marginal,
     predict_fine,
 )
-from finescale.evaluate import grid_partition
+from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
 from finescale.geo import build_aggregation
-from finescale.gp_aux import AuxPosterior
+from finescale.gp_aux import AuxPosterior, fit_all_aux
 from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_kernel
-from finescale.numerics import grad_check
+from finescale.numerics import FactorizationError, grad_check
 
 
 def pack(params):
@@ -362,3 +366,89 @@ def test_fit_is_deterministic(rng):
     assert np.array_equal(p1.w, p2.w)
     assert p1.kernel == p2.kernel
     assert p1.sigma == p2.sigma
+
+
+def prepared_objective(a, design, posteriors, H, Xf):
+    prob = _Problem.build(a, posteriors, Xf, H, design)
+    return lambda theta: _neg_log_marginal(prob, theta)
+
+
+@pytest.mark.parametrize("S", [0, 1, 3])
+def test_prepared_objective_matches_dense_oracle(rng, S):
+    for _ in range(5):
+        nc = int(rng.integers(2, 6))
+        nf = int(rng.integers(max(nc, 4), 13))
+        params, a, design, posteriors, H, Xf = random_instance(rng, nc, nf, S)
+        val, grad = prepared_objective(a, design, posteriors, H, Xf)(pack(params))
+        dense_val, dense_grad = neg_log_marginal_objective(a, design, posteriors, H, Xf)(
+            pack(params)
+        )
+        assert val == pytest.approx(dense_val, rel=1e-10)
+        assert np.max(np.abs(grad - dense_grad) / np.maximum(1.0, np.abs(dense_grad))) <= 1e-8
+
+
+def test_prepared_gradient_matches_finite_differences(rng):
+    for _ in range(10):
+        nc = int(rng.integers(2, 6))
+        nf = int(rng.integers(max(nc, 4), 13))
+        S = int(rng.integers(0, 4))
+        params, a, design, posteriors, H, Xf = random_instance(rng, nc, nf, S)
+        assert grad_check(prepared_objective(a, design, posteriors, H, Xf), pack(params)) <= 1e-5
+
+
+def test_fit_restarts_match_dense_objective(monkeypatch):
+    # 24x20 fine / 8x5 coarse: every restart takes the same BFGS path when
+    # the prepared objective is swapped for the dense public functions
+    inst = generate_synthetic(SyntheticSpec(fine_shape=(24, 20), coarse_shape=(8, 5)), seed=0)
+    amap = build_aggregation(inst.coarse, inst.fine)
+    fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=1, dataset_ids=inst.aux_ids)
+    posteriors = [post for _, post in fitted]
+    prepared = fit_downscale(inst.a, posteriors, inst.fine, amap, restarts=3, seed=0)
+
+    design = build_design(posteriors, n_fine=len(inst.fine))
+    dense = neg_log_marginal_objective(
+        inst.a.values, design, posteriors, amap.H, inst.fine.centroids
+    )
+    monkeypatch.setattr(downscale, "_neg_log_marginal", lambda prob, theta: dense(theta))
+    oracle = fit_downscale(inst.a, posteriors, inst.fine, amap, restarts=3, seed=0)
+
+    got = prepared.diagnostics["restart_records"]
+    want = oracle.diagnostics["restart_records"]
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert g["iterations"] == w["iterations"]
+        assert g["evaluations"] == w["evaluations"]
+        assert g["objective"] == pytest.approx(w["objective"], rel=1e-8)
+
+
+def test_fit_records_every_restart(rng):
+    coarse = grid_partition(3, 2, "c")
+    fine = grid_partition(6, 4, "f")
+    amap = build_aggregation(coarse, fine)
+    posteriors = random_posteriors(rng, len(fine), 2)
+    a = rng.normal(size=len(coarse)) + 3.0
+    params = fit_downscale(a, posteriors, fine, amap, restarts=4, seed=7)
+    records = params.diagnostics["restart_records"]
+    assert len(records) == 4
+    best = min(records, key=lambda r: r["objective"])
+    assert params.diagnostics["log_marginal"] == -best["objective"]
+    assert params.diagnostics["iterations"] == best["iterations"]
+    assert all(r["evaluations"] > r["iterations"] for r in records)
+
+
+def test_fit_programming_error_propagates(monkeypatch):
+    def broken(M):
+        raise TypeError("not a factorization failure")
+
+    monkeypatch.setattr(downscale, "cholesky", broken)
+    with pytest.raises(TypeError, match="not a factorization failure"):
+        fit_downscale(np.full(9, 4.2), [], grid_partition(3, 3, "f"), np.eye(9), restarts=2)
+
+
+def test_fit_factorization_failure_on_every_restart_is_typed(monkeypatch):
+    def not_pd(M):
+        raise FactorizationError("not positive definite")
+
+    monkeypatch.setattr(downscale, "cholesky", not_pd)
+    with pytest.raises(DownscaleFitError, match="all restarts"):
+        fit_downscale(np.full(9, 4.2), [], grid_partition(3, 3, "f"), np.eye(9), restarts=2)

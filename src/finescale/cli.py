@@ -194,7 +194,7 @@ def cmd_baseline(args) -> int:
     coarse, fine, amap, a, aux_datasets, aux_ids, _ = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.method in ("lr", "sd2", "proposed"):
+    if args.method in ("lr", "sd2"):
         fitted = fit_all_aux(
             aux_datasets, fine, restarts=args.restarts, seed=args.seed, dataset_ids=aux_ids
         )
@@ -205,11 +205,9 @@ def cmd_baseline(args) -> int:
     elif args.method == "lr":
         res = lr_baseline(a, posteriors, amap)
         _write_prediction_csv(out / "lr.csv", fine.ids, res.prediction)
-    elif args.method == "sd2":
+    else:
         res = sd2_baseline(a, posteriors, amap, restarts=args.restarts, seed=args.seed)
         _write_prediction_csv(out / "sd2.csv", fine.ids, res.prediction)
-    else:
-        raise ConfigError(f"unknown method {args.method!r}; valid: gpr, lr, sd2")
     print(f"wrote {out / (args.method + '.csv')}")
     return EXIT_OK
 
@@ -310,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_base = sub.add_parser("baseline", help="run one comparison method")
     _add_common(p_base)
-    p_base.add_argument("--method", required=True, help="gpr, lr, or sd2")
+    p_base.add_argument("--method", required=True, choices=("gpr", "lr", "sd2"))
 
     p_eval = sub.add_parser("eval", help="full method comparison against a truth file")
     _add_common(p_eval)
@@ -339,7 +337,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed usage or help; 2 on a bad argument
+        return exc.code
     try:
         return COMMANDS[args.command](args)
     except (ConfigError, GeoParseError, GeoValidationError, FileNotFoundError, KeyError) as exc:

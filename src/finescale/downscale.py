@@ -14,16 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from finescale.geo import AggregationMap, ArealDataset, Partition
-from finescale.gp_aux import SIGMA_FLOOR, AuxPosterior, median_pairwise_distance
+from finescale.gp_aux import AuxPosterior, median_pairwise_distance
 from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, sq_dists
-from finescale.numerics import (
-    FactorizationError,
-    OptimizationError,
-    bfgs_minimize,
-    cholesky,
-    log_det,
-    solve,
-)
+from finescale.numerics import SIGMA_FLOOR, cholesky, log_det, multistart_minimize, solve
 
 
 class DownscaleFitError(RuntimeError):
@@ -318,8 +311,9 @@ def fit_downscale(
     the log hyperparameters by N(0, 0.5^2) and the weights by N(0, 0.1^2).
     An optional ridge penalty on the non-bias weights (default 0) tempers the
     overparameterized regime where |S| + 1 exceeds the coarse region count.
-    The winner is the restart with the lowest objective, the earliest one on
-    an exact tie; ``diagnostics["restart_records"]`` keeps every restart.
+    ``multistart_minimize`` picks the winner, the restart with the lowest
+    objective and the earliest one on an exact tie;
+    ``diagnostics["restart_records"]`` keeps every restart.
     """
     a_vec = a.values if isinstance(a, ArealDataset) else np.asarray(a, dtype=float)
     Xf = fine.centroids if isinstance(fine, Partition) else np.asarray(fine, dtype=float)
@@ -335,21 +329,8 @@ def fit_downscale(
     sigma0 = max(0.1 * float(np.std(r0)), 10 * SIGMA_FLOOR)
     theta0 = _pack(w0, SEKernelParams(alpha0, gamma0), sigma0)
 
-    evaluations = 0
-
     def objective(theta):
-        nonlocal evaluations
-        evaluations += 1
-        if (
-            not np.all(np.isfinite(theta))
-            or theta[-1] < np.log(SIGMA_FLOOR)
-            or np.abs(theta[n_w:]).max() > 20
-        ):
-            return np.inf, np.zeros_like(theta)
-        try:
-            val, grad = _neg_log_marginal(prob, theta)
-        except FactorizationError:
-            return np.inf, np.zeros_like(theta)
+        val, grad = _neg_log_marginal(prob, theta)
         if ridge > 0 and n_w > 1:
             val += ridge * float(theta[: n_w - 1] @ theta[: n_w - 1])
             grad[: n_w - 1] += 2 * ridge * theta[: n_w - 1]
@@ -363,26 +344,7 @@ def fit_downscale(
         t[n_w:] += rng.normal(0.0, 0.5, size=3)
         inits.append(t)
 
-    best = None
-    records = []
-    for t in inits:
-        evaluations = 0
-        try:
-            res = bfgs_minimize(objective, t, gtol=gtol, max_iter=max_iter)
-        except (OptimizationError, FactorizationError) as exc:
-            records.append({"error": str(exc), "evaluations": evaluations})
-            continue
-        records.append(
-            {
-                "objective": float(res.objective),
-                "iterations": int(res.iterations),
-                "gradient_norm": float(res.gradient_norm),
-                "converged": bool(res.converged),
-                "evaluations": evaluations,
-            }
-        )
-        if best is None or res.objective < best.objective:
-            best = res
+    best, records = multistart_minimize(objective, inits, gtol=gtol, max_iter=max_iter)
     if best is None:
         raise DownscaleFitError("optimizer failed on all restarts")
     params = _unpack(best.argmin, n_w)

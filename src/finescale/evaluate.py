@@ -7,7 +7,7 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from finescale.baselines import gpr_baseline, lr_baseline, sd2_baseline
 from finescale.downscale import build_design, fit_downscale, predict_fine
@@ -89,7 +89,7 @@ def paired_ttest(ape_a, ape_b) -> TTestResult:
             degenerate=True,
         )
     t = mean / (sd / np.sqrt(n))
-    p = 2.0 * float(scipy.stats.t.sf(abs(t), df=n - 1))
+    p = 2.0 * float(scipy.special.stdtr(n - 1, -abs(t)))
     return TTestResult(t=float(t), p=p, significant_05=p < 0.05, significant_01=p < 0.01)
 
 

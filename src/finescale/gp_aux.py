@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from finescale.geo import ArealDataset, Partition
 from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, sq_dists
-from finescale.numerics import bfgs_minimize, cholesky, log_det, solve
-
-SIGMA_FLOOR = 1e-6
+from finescale.numerics import (
+    SIGMA_FLOOR,
+    FactorizationError,
+    OptimizationError,
+    cholesky,
+    log_det,
+    multistart_minimize,
+    solve,
+)
 
 
 class AuxFitError(RuntimeError):
@@ -29,6 +33,7 @@ class AuxGPModel:
     offset: float  # empirical mean removed before fitting
     scale: float  # unit-variance factor used during optimization
     log_marginal: float
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -39,6 +44,7 @@ class AuxGPModel:
             "offset": float(self.offset),
             "scale": float(self.scale),
             "log_marginal": float(self.log_marginal),
+            "diagnostics": self.diagnostics,
         }
 
     @classmethod
@@ -52,6 +58,7 @@ class AuxGPModel:
             offset=d["offset"],
             scale=d["scale"],
             log_marginal=d["log_marginal"],
+            diagnostics=d.get("diagnostics", {}),
         )
 
 
@@ -84,18 +91,12 @@ def aux_log_marginal(params: SEKernelParams, sigma: float, X, y) -> float:
 
 def _nll_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, D2: np.ndarray):
     """Negative log marginal and gradient over (log alpha, log gamma, log sigma)."""
-    log_alpha, log_gamma, log_sigma = theta
-    if log_sigma < np.log(SIGMA_FLOOR) or np.abs(theta).max() > 20:
-        return np.inf, np.zeros(3)
     alpha, gamma, sigma = np.exp(theta)
     n = y.size
     K = alpha**2 * np.exp(-0.5 * D2 / gamma**2)
     jitter = JITTER_REL * alpha**2
     A = K + (sigma**2 + jitter) * np.eye(n)
-    try:
-        F = cholesky(A)
-    except Exception:
-        return np.inf, np.zeros(3)
+    F = cholesky(A)
     beta = solve(F, y)
     nll = 0.5 * y @ beta + 0.5 * log_det(F) + 0.5 * n * np.log(2 * np.pi)
     Ainv = solve(F, np.eye(n))
@@ -129,7 +130,10 @@ def fit_aux_gp(
 
     Values are centered by their empirical mean and scaled to unit variance
     before optimization; the fitted amplitude and noise are rescaled back so
-    the stored model describes the centered data in original units.
+    the stored model describes the centered data in original units. The
+    starts are the base point, a quarter length scale and ``restarts - 1``
+    random perturbations; ``diagnostics["restart_records"]`` keeps every
+    start, with objectives of the unit-variance data.
     """
     X = data.partition.centroids
     y = np.asarray(data.values, dtype=float)
@@ -157,18 +161,9 @@ def fit_aux_gp(
         base + rng.normal(0.0, 0.5, size=3) for _ in range(max(0, restarts - 1))
     ]
 
-    best = None
-    failures = []
-    for theta0 in inits:
-        try:
-            res = bfgs_minimize(lambda t: _nll_and_grad(t, X, ys, D2), theta0, gtol=gtol)
-        except Exception as exc:  # pragma: no cover - defensive
-            failures.append(str(exc))
-            continue
-        if best is None or res.objective < best.objective:
-            best = res
+    best, records = multistart_minimize(lambda t: _nll_and_grad(t, X, ys, D2), inits, gtol=gtol)
     if best is None:
-        raise AuxFitError(f"all restarts failed: {failures}")
+        raise AuxFitError(f"all restarts failed: {[r['error'] for r in records]}")
     log_alpha, log_gamma, log_sigma = best.argmin
     params = SEKernelParams(alpha=scale * float(np.exp(log_alpha)), gamma=float(np.exp(log_gamma)))
     sigma = scale * float(np.exp(log_sigma))
@@ -183,6 +178,7 @@ def fit_aux_gp(
         offset=offset,
         scale=scale,
         log_marginal=float(lm),
+        diagnostics={"restart_records": records},
     )
 
 
@@ -218,22 +214,16 @@ def fit_all_aux(
     """Fit every auxiliary GP and predict at the fine centroids.
 
     Fits are independent; each uses the same seed, so identical datasets
-    yield identical results regardless of position or execution order.
+    yield identical results regardless of position. A numerical failure is
+    re-raised as AuxFitError naming the dataset; other errors propagate.
     """
-    if not datasets:
-        return []
     ids = dataset_ids or [d.partition.name for d in datasets]
     Xf = fine.centroids
-
-    def one(k: int):
+    fitted = []
+    for data, dataset_id in zip(datasets, ids):
         try:
-            model = fit_aux_gp(datasets[k], restarts=restarts, seed=seed, dataset_id=ids[k])
-            return model, predict_aux(model, Xf)
-        except Exception as exc:
-            raise AuxFitError(f"auxiliary {ids[k]!r}: {exc}") from exc
-
-    threads = int(os.environ.get("DOWNSCALE_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(len(datasets))))
-    return [one(k) for k in range(len(datasets))]
+            model = fit_aux_gp(data, restarts=restarts, seed=seed, dataset_id=dataset_id)
+            fitted.append((model, predict_aux(model, Xf)))
+        except (AuxFitError, FactorizationError, OptimizationError) as exc:
+            raise AuxFitError(f"auxiliary {dataset_id!r}: {exc}") from exc
+    return fitted

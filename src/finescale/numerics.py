@@ -1,4 +1,4 @@
-"""Dense SPD linear algebra and an unconstrained BFGS minimizer."""
+"""Dense SPD linear algebra, an unconstrained BFGS minimizer and multi-start BFGS."""
 
 from __future__ import annotations
 
@@ -7,6 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+# Smallest noise standard deviation a fit may reach; below it the objective is +inf.
+SIGMA_FLOOR = 1e-6
 
 
 class FactorizationError(Exception):
@@ -42,7 +45,12 @@ class OptimizeResult:
     objective: float
     gradient_norm: float
     iterations: int
-    converged: bool
+    stop: str  # "gtol", "ftol", "max_iter" or "line_search"
+
+    @property
+    def converged(self) -> bool:
+        """True only when the gradient test stopped the search."""
+        return self.stop == "gtol"
 
 
 def cholesky(M: np.ndarray) -> CholeskyFactor:
@@ -91,8 +99,9 @@ def bfgs_minimize(
 
     ``f`` maps a parameter vector to ``(value, gradient)``. Stops when the
     infinity norm of the gradient falls below ``gtol``, the relative
-    objective change falls below ``ftol``, or the iteration cap is hit.
-    Line-search failure returns the best point so far with converged=False.
+    objective change falls below ``ftol``, or the iteration cap is hit;
+    ``stop`` names which. Line-search failure returns the best point so far
+    with ``stop="line_search"``. Only a ``gtol`` stop counts as converged.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -104,7 +113,7 @@ def bfgs_minimize(
     for iterations in range(max_iter + 1):
         gnorm = float(np.abs(g).max()) if n else 0.0
         if gnorm <= gtol:
-            return OptimizeResult(x, float(fx), gnorm, iterations, True)
+            return OptimizeResult(x, float(fx), gnorm, iterations, "gtol")
         if iterations == max_iter:
             break
         d = -Hinv @ g
@@ -125,7 +134,7 @@ def bfgs_minimize(
                 break
             step *= backtrack_factor
         if not accepted:
-            return OptimizeResult(x, float(fx), gnorm, iterations, False)
+            return OptimizeResult(x, float(fx), gnorm, iterations, "line_search")
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -136,9 +145,65 @@ def bfgs_minimize(
             Hinv = V @ Hinv @ V.T + rho * np.outer(s, s)
         rel_change = abs(fx - fx_new) / max(1.0, abs(fx))
         x, fx, g = x_new, fx_new, g_new
-        if rel_change <= ftol:
-            return OptimizeResult(x, float(fx), float(np.abs(g).max()), iterations + 1, True)
-    return OptimizeResult(x, float(fx), float(np.abs(g).max()), iterations, False)
+        # with the gradient also small, the next pass stops on gtol at this point
+        if rel_change <= ftol and np.abs(g).max() > gtol:
+            return OptimizeResult(x, float(fx), float(np.abs(g).max()), iterations + 1, "ftol")
+    return OptimizeResult(x, float(fx), float(np.abs(g).max()), iterations, "max_iter")
+
+
+def multistart_minimize(
+    f, starts: list[np.ndarray], gtol: float = 1e-6, max_iter: int = 500
+) -> tuple[OptimizeResult | None, list[dict]]:
+    """Minimize ``f`` with ``bfgs_minimize`` from every start point.
+
+    The last three entries of theta are (log alpha, log gamma, log sigma).
+    The objective is +inf outside the feasibility box (a non-finite theta,
+    one of those log-parameters beyond +-20, or sigma below SIGMA_FLOOR) and
+    where ``f`` raises FactorizationError. A start whose search raises
+    OptimizationError is skipped. Returns the best result, the lowest
+    objective and the earliest start on an exact tie, or None when every
+    start failed, with one record per start: its objective, iterations,
+    gradient norm, converged flag, stop reason and evaluation count, or its
+    error and evaluation count.
+    """
+    evaluations = 0
+
+    def objective(theta):
+        nonlocal evaluations
+        evaluations += 1
+        if (
+            not np.all(np.isfinite(theta))
+            or theta[-1] < np.log(SIGMA_FLOOR)
+            or np.abs(theta[-3:]).max() > 20
+        ):
+            return np.inf, np.zeros_like(theta)
+        try:
+            return f(theta)
+        except FactorizationError:
+            return np.inf, np.zeros_like(theta)
+
+    best = None
+    records = []
+    for x0 in starts:
+        evaluations = 0
+        try:
+            res = bfgs_minimize(objective, x0, gtol=gtol, max_iter=max_iter)
+        except OptimizationError as exc:
+            records.append({"error": str(exc), "evaluations": evaluations})
+            continue
+        records.append(
+            {
+                "objective": float(res.objective),
+                "iterations": int(res.iterations),
+                "gradient_norm": float(res.gradient_norm),
+                "converged": res.converged,
+                "stop": res.stop,
+                "evaluations": evaluations,
+            }
+        )
+        if best is None or res.objective < best.objective:
+            best = res
+    return best, records
 
 
 def grad_check(f, x: np.ndarray, h: float = 1e-5) -> float:

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread: the test problems are small, and with few cores
+# multi-threaded BLAS makes their dense products slower. These must be set
+# before numpy is first imported, which is here.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

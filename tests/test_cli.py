@@ -1,12 +1,27 @@
 import json
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finescale
 from finescale.cli import EXIT_CONFIG, EXIT_OK, main
 from finescale.evaluate import grid_partition
 from finescale.render import choropleth_svg, ramp_color
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone takes most of the CLI's start-up time
+    src = str(Path(finescale.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import finescale.cli; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_ramp_endpoints_distinct():
@@ -141,6 +156,7 @@ def test_baseline_unknown_method_exit_2(synth_dir, tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     assert "magic" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # rejected before any input is read
 
 
 def test_eval_writes_comparison_table(synth_dir, tmp_path, capsys):

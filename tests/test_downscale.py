@@ -434,6 +434,7 @@ def test_fit_records_every_restart(rng):
     assert params.diagnostics["log_marginal"] == -best["objective"]
     assert params.diagnostics["iterations"] == best["iterations"]
     assert all(r["evaluations"] > r["iterations"] for r in records)
+    assert all(r["converged"] == (r["stop"] == "gtol") for r in records)
 
 
 def test_fit_programming_error_propagates(monkeypatch):

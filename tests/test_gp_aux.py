@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import point_partition
+from finescale import gp_aux
 from finescale.evaluate import grid_partition
 from finescale.geo import ArealDataset
 from finescale.gp_aux import (
@@ -15,7 +16,7 @@ from finescale.gp_aux import (
     predict_aux,
 )
 from finescale.kernel import SEKernelParams, cov_matrix, sq_dists
-from finescale.numerics import grad_check
+from finescale.numerics import FactorizationError, grad_check
 
 
 def one_point_model(y=1.0, alpha=1.0, gamma=1.0, sigma=0.0):
@@ -185,6 +186,44 @@ def test_fit_all_aux_error_names_dataset():
     bad = ArealDataset(point_partition("lonely", np.array([[0.5, 0.5]])), [1.0])
     with pytest.raises(AuxFitError, match="lonely"):
         fit_all_aux([bad], fine)
+
+
+def test_fit_records_every_restart(rng):
+    X = rng.uniform(size=(15, 2))
+    y = np.sin(3 * X[:, 0]) + rng.normal(0, 0.1, 15)
+    model = fit_aux_gp(ArealDataset(point_partition("p", X), y), restarts=3, seed=0)
+    records = model.diagnostics["restart_records"]
+    assert len(records) == 4  # base, quarter length scale, 2 random starts
+    best = min(records, key=lambda r: r["objective"])
+    # objectives are of the unit-variance data; log_marginal is in original units
+    assert model.log_marginal == -best["objective"] - y.size * np.log(model.scale)
+    assert all(r["converged"] == (r["stop"] == "gtol") for r in records)
+    saved = model.to_dict()
+    assert AuxGPModel.from_dict(saved, X, y).diagnostics == model.diagnostics
+    del saved["diagnostics"]  # models.json written before the records existed
+    assert AuxGPModel.from_dict(saved, X, y).diagnostics == {}
+
+
+def _unit_dataset(rng):
+    return ArealDataset(point_partition("p", rng.uniform(size=(6, 2))), rng.normal(size=6))
+
+
+def test_fit_all_aux_programming_error_propagates(monkeypatch, rng):
+    def broken(M):
+        raise TypeError("not a factorization failure")
+
+    monkeypatch.setattr(gp_aux, "cholesky", broken)
+    with pytest.raises(TypeError, match="not a factorization failure"):
+        fit_all_aux([_unit_dataset(rng)], grid_partition(2, 2, "f"), restarts=1)
+
+
+def test_fit_all_aux_factorization_failure_on_every_restart_is_typed(monkeypatch, rng):
+    def not_pd(M):
+        raise FactorizationError("not positive definite")
+
+    monkeypatch.setattr(gp_aux, "cholesky", not_pd)
+    with pytest.raises(AuxFitError, match="'p': all restarts failed"):
+        fit_all_aux([_unit_dataset(rng)], grid_partition(2, 2, "f"), restarts=1)
 
 
 def test_granularity_uncertainty_relation():

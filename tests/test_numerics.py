@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from finescale.numerics import (
+    SIGMA_FLOOR,
     FactorizationError,
     bfgs_minimize,
     cholesky,
     grad_check,
     log_det,
+    multistart_minimize,
     solve,
 )
 
@@ -132,6 +134,87 @@ def test_bfgs_objective_monotone_over_accepted_iterates():
             best = val
             accepted.append(val)
     assert all(a > b for a, b in zip(accepted, accepted[1:]))
+
+
+def _linear_on_large_offset(x):
+    # each step moves the objective by 1 part in 1e12 while the gradient stays 1
+    return 1e12 + float(x[0]), np.array([1.0])
+
+
+def _wrong_gradient(x):
+    # the gradient points uphill, so no step along -gradient decreases f
+    return float(x @ x), -2.0 * x
+
+
+def test_bfgs_ftol_stop_with_large_gradient_is_not_converged():
+    res = bfgs_minimize(_linear_on_large_offset, np.zeros(1))
+    assert res.stop == "ftol"
+    assert not res.converged
+    assert res.gradient_norm == 1.0
+
+
+@pytest.mark.parametrize(
+    "f, x0, max_iter, stop",
+    [
+        (_quadratic, [3.0, 4.0], 500, "gtol"),
+        (_rosenbrock, [-1.2, 1.0], 3, "max_iter"),
+        (_wrong_gradient, [1.0], 500, "line_search"),
+    ],
+)
+def test_bfgs_stop_reason(f, x0, max_iter, stop):
+    res = bfgs_minimize(f, np.array(x0), max_iter=max_iter)
+    assert res.stop == stop
+    assert res.converged == (stop == "gtol")
+
+
+def _double_well(theta):
+    # minima at theta[0] = +-1; the trailing (log alpha, log gamma, log sigma) are inert
+    x = theta[0]
+    grad = np.zeros_like(theta)
+    grad[0] = 4.0 * x * (x * x - 1.0)
+    return float((x * x - 1.0) ** 2), grad
+
+
+def test_multistart_keeps_the_lowest_objective():
+    starts = [np.array([x, 0.0, 0.0, 0.0]) for x in (3.0, 1.0, 2.0)]
+    best, records = multistart_minimize(_quadratic, starts, max_iter=0)
+    assert [r["objective"] for r in records] == [9.0, 1.0, 4.0]
+    assert all(r["stop"] == "max_iter" and r["evaluations"] == 1 for r in records)
+    assert best.objective == 1.0
+    assert np.array_equal(best.argmin, starts[1])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_multistart_earliest_start_wins_an_exact_tie(sign):
+    # mirrored starts take mirrored paths to bit-identical objectives
+    starts = [np.array([2.0 * sign, 0.0, 0.0, 0.0]), np.array([-2.0 * sign, 0.0, 0.0, 0.0])]
+    first, second = (bfgs_minimize(_double_well, x0) for x0 in starts)
+    assert first.objective == second.objective
+    assert first.argmin[0] == -second.argmin[0] != 0.0
+    best, records = multistart_minimize(_double_well, starts)
+    assert records[0]["converged"] and records[0]["stop"] == "gtol"
+    assert np.array_equal(best.argmin, first.argmin)
+
+
+def test_multistart_skips_infeasible_and_unfactorizable_starts():
+    calls = []
+
+    def f(theta):
+        calls.append(theta)
+        if theta[0] > 0:
+            raise FactorizationError("not positive definite")
+        return _quadratic(theta)
+
+    starts = [
+        np.array([0.0, 0.0, 0.0, np.log(SIGMA_FLOOR) - 1.0]),  # sigma below the floor
+        np.array([0.0, 0.0, 21.0, 0.0]),  # a log-parameter beyond 20
+        np.array([np.nan, 0.0, 0.0, 0.0]),  # non-finite theta
+        np.array([1.0, 0.0, 0.0, 0.0]),  # factorization failure
+    ]
+    best, records = multistart_minimize(f, starts)
+    assert best is None
+    assert len(calls) == 1  # only the in-box start reaches f
+    assert all(r["evaluations"] == 1 and "non-finite" in r["error"] for r in records)
 
 
 def test_grad_check_exact_quadratic(rng):

@@ -30,7 +30,7 @@ from finescale.geo import (
     partition_to_geojson,
     save_dataset,
 )
-from finescale.gp_aux import AuxFitError, AuxGPModel, fit_all_aux, predict_aux
+from finescale.gp_aux import AuxFitError, AuxGPModel, data_sha256, fit_all_aux, predict_aux
 from finescale.numerics import FactorizationError, OptimizationError
 
 EXIT_OK = 0
@@ -169,6 +169,10 @@ def cmd_refine(args) -> int:
     posteriors = []
     for aid in column_ids[:-1]:
         ds = datasets[aid]
+        # models.json written before the hash existed carries none
+        fitted_sha = by_id[aid].get("diagnostics", {}).get("data_sha256")
+        if fitted_sha is not None and fitted_sha != data_sha256(ds.partition.centroids, ds.values):
+            raise ConfigError(f"auxiliary {aid!r}: data differ from the data the model was fitted to")
         model = AuxGPModel.from_dict(by_id[aid], ds.partition.centroids, ds.values)
         posteriors.append(predict_aux(model, fine.centroids))
     params = DownscaleParams.from_dict(models["downscale"])

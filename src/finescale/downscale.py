@@ -15,7 +15,7 @@ import numpy as np
 
 from finescale.geo import AggregationMap, ArealDataset, Partition
 from finescale.gp_aux import AuxPosterior, median_pairwise_distance
-from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, sq_dists
+from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
 from finescale.numerics import SIGMA_FLOOR, cholesky, log_det, multistart_minimize, solve
 
 
@@ -191,7 +191,7 @@ def grad_log_marginal(
     grad[S] = float(HF[:, S] @ p)  # bias: Lambda does not depend on w_0
 
     D2 = sq_dists(fine_centroids, fine_centroids)
-    K = alpha**2 * np.exp(-0.5 * D2 / gamma**2)
+    K = se_from_sq_dists(alpha, gamma, D2)
     jit = JITTER_REL
     I_c = np.eye(nc)
     # log-space chain rule: d/d log(theta) = theta * d/d theta
@@ -248,7 +248,7 @@ def _neg_log_marginal(prob: _Problem, theta: np.ndarray) -> tuple[float, np.ndar
     alpha, gamma, sigma = (float(np.exp(v)) for v in theta[S + 1 :])
     nc = prob.a.size
     H = prob.H
-    K = alpha**2 * np.exp(-0.5 * prob.D2 / gamma**2)
+    K = se_from_sq_dists(alpha, gamma, prob.D2)
     HKH = H @ K @ H.T
     Lam = sigma**2 * np.eye(nc) + HKH
     for s in range(S):

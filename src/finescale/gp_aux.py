@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from finescale.geo import ArealDataset, Partition
-from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, sq_dists
+from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
 from finescale.numerics import (
     SIGMA_FLOOR,
     FactorizationError,
     OptimizationError,
     cholesky,
+    inverse,
     log_det,
     multistart_minimize,
     solve,
@@ -73,41 +75,64 @@ class AuxPosterior:
         return float(np.mean(np.diag(self.cov)))
 
 
-def _gram(params: SEKernelParams, sigma: float, X: np.ndarray) -> np.ndarray:
-    K = cov_matrix(params, X, X)
-    n = X.shape[0]
-    return K + (sigma**2 + JITTER_REL * params.alpha**2) * np.eye(n)
+def _gram(alpha: float, gamma: float, sigma: float, D2: np.ndarray):
+    """K on squared distances D2 and the training covariance A = K + (sigma^2 + jitter) I."""
+    K = se_from_sq_dists(alpha, gamma, D2)
+    return K, K + (sigma**2 + JITTER_REL * alpha**2) * np.eye(D2.shape[0])
 
 
 def aux_log_marginal(params: SEKernelParams, sigma: float, X, y) -> float:
     """log N(y | 0, K + sigma^2 I) for a zero-mean GP at centroids X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    F = cholesky(_gram(params, sigma, X))
+    _, A = _gram(params.alpha, params.gamma, sigma, sq_dists(X, X))
+    F = cholesky(A)
     beta = solve(F, y)
     n = y.size
     return float(-0.5 * y @ beta - 0.5 * log_det(F) - 0.5 * n * np.log(2 * np.pi))
 
 
 def _nll_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, D2: np.ndarray):
-    """Negative log marginal and gradient over (log alpha, log gamma, log sigma)."""
+    """Negative log marginal and gradient over (log alpha, log gamma, log sigma).
+
+    With beta = A^-1 y, d log L / d theta_k = 1/2 (beta^T dA_k beta - tr(A^-1 dA_k)),
+    where dA is 2 (K + jitter I), K o D2 / gamma^2 and 2 sigma^2 I; each term
+    is a quadratic form in beta and a trace against A^-1, taken from the factor.
+    """
     alpha, gamma, sigma = np.exp(theta)
     n = y.size
-    K = alpha**2 * np.exp(-0.5 * D2 / gamma**2)
+    K, A = _gram(alpha, gamma, sigma, D2)
     jitter = JITTER_REL * alpha**2
-    A = K + (sigma**2 + jitter) * np.eye(n)
     F = cholesky(A)
     beta = solve(F, y)
     nll = 0.5 * y @ beta + 0.5 * log_det(F) + 0.5 * n * np.log(2 * np.pi)
-    Ainv = solve(F, np.eye(n))
-    M = np.outer(beta, beta) - Ainv  # d logL / dA direction
-    dA = [
-        2.0 * (K + jitter * np.eye(n)),  # d/d log alpha
-        K * (D2 / gamma**2),  # d/d log gamma
-        2.0 * sigma**2 * np.eye(n),  # d/d log sigma
-    ]
-    grad = np.array([-0.5 * np.sum(M * dAk) for dAk in dA])
-    return float(nll), grad
+    Ainv = inverse(F)
+    bb, tr = beta @ beta, np.trace(Ainv)
+    # Restarts that end on a flat ridge of the likelihood tie to the last bit,
+    # so rounding here picks the winner among them: keep the operand order.
+    E = K * D2 / gamma**2
+    dll = np.array(
+        [
+            2.0 * (beta @ K @ beta + jitter * bb - np.vdot(Ainv, K) - jitter * tr),
+            beta @ E @ beta - np.vdot(Ainv, E),
+            2.0 * sigma**2 * (bb - tr),
+        ]
+    )
+    return float(nll), -0.5 * dll
+
+
+def data_sha256(centroids, values) -> str:
+    """sha256 of training centroids and values as float64, shapes included.
+
+    ``fit_aux_gp`` records it in its diagnostics; ``finescale refine``
+    compares it with the data it loads before using the fitted model.
+    """
+    h = hashlib.sha256()
+    for arr in (centroids, values):
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
 
 
 def median_pairwise_distance(X: np.ndarray) -> float:
@@ -133,7 +158,8 @@ def fit_aux_gp(
     the stored model describes the centered data in original units. The
     starts are the base point, a quarter length scale and ``restarts - 1``
     random perturbations; ``diagnostics["restart_records"]`` keeps every
-    start, with objectives of the unit-variance data.
+    start, with objectives of the unit-variance data, and
+    ``diagnostics["data_sha256"]`` identifies the training data.
     """
     X = data.partition.centroids
     y = np.asarray(data.values, dtype=float)
@@ -178,7 +204,7 @@ def fit_aux_gp(
         offset=offset,
         scale=scale,
         log_marginal=float(lm),
-        diagnostics={"restart_records": records},
+        diagnostics={"restart_records": records, "data_sha256": data_sha256(X, y)},
     )
 
 
@@ -191,7 +217,8 @@ def predict_aux(model: AuxGPModel, test_centroids) -> AuxPosterior:
     Xt = np.atleast_2d(np.asarray(test_centroids, dtype=float))
     X = model.train_centroids
     yc = model.train_values - model.offset
-    F = cholesky(_gram(model.params, model.noise_sigma, X))
+    _, A = _gram(model.params.alpha, model.params.gamma, model.noise_sigma, sq_dists(X, X))
+    F = cholesky(A)
     Ks = cov_matrix(model.params, X, Xt)
     Kss = cov_matrix(model.params, Xt, Xt)
     mean = model.offset + Ks.T @ solve(F, yc)

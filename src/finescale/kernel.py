@@ -53,13 +53,27 @@ def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def se_from_sq_dists(alpha: float, gamma: float, D2: np.ndarray) -> np.ndarray:
+    """alpha^2 * exp(-0.5 * D2 / gamma^2), elementwise on an array of squared distances.
+
+    Every SE covariance and Gram matrix in the package is built here, so they
+    agree bit for bit. The steps run in place in the one new array; written
+    as a single expression on an argument, it would hold two temporaries.
+    """
+    K = -0.5 * D2
+    K /= gamma**2
+    np.exp(K, out=K)
+    K *= alpha**2
+    return K
+
+
 def cov_matrix(params: SEKernelParams, A, B) -> np.ndarray:
     """Covariance matrix with entry (i, j) = se_kernel(params, A[i], B[j])."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise ValueError("centroid lists must be nonempty")
-    K = params.alpha**2 * np.exp(-0.5 * sq_dists(A, B) / params.gamma**2)
+    K = se_from_sq_dists(params.alpha, params.gamma, sq_dists(A, B))
     if A.shape == B.shape and np.array_equal(A, B):
         K = 0.5 * (K + K.T)
     return K

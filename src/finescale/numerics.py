@@ -80,6 +80,17 @@ def solve(F: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve((F.L, True), b)
 
 
+def inverse(F: CholeskyFactor) -> np.ndarray:
+    """M^-1 from the factor with LAPACK dpotri (about 2n^3/3 flops), exactly symmetric."""
+    lower, info = scipy.linalg.lapack.dpotri(F.L, lower=1)
+    if info != 0:
+        raise FactorizationError(f"dpotri failed (info {info})", pivot=info if info > 0 else None)
+    upper = np.triu(lower.T)  # dpotri fills only the lower triangle
+    inv = upper + upper.T
+    np.fill_diagonal(inv, upper.diagonal())
+    return inv
+
+
 def log_det(F: CholeskyFactor) -> float:
     """log det(M) = 2 * sum(log diag(L))."""
     return 2.0 * float(np.sum(np.log(np.diag(F.L))))

@@ -231,3 +231,28 @@ def test_refine_binds_weights_to_column_ids_not_manifest_order(tmp_path):
         assert main(["refine", *args(name, tmp_path / out), "--models", models]) == EXIT_OK
     same = (tmp_path / "same" / "refinement.csv").read_text()
     assert (tmp_path / "reversed" / "refinement.csv").read_text() == same
+
+
+def test_refine_rejects_auxiliary_data_changed_since_fit(synth_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    for src in synth_dir.iterdir():
+        (bundle / src.name).write_bytes(src.read_bytes())
+    out = tmp_path / "out"
+    assert main(["fit", *common_args(bundle, out)]) == EXIT_OK
+    models_path = out / "models.json"
+    models = json.loads(models_path.read_text())
+    assert all(len(m["diagnostics"]["data_sha256"]) == 64 for m in models["aux_models"])
+
+    lines = (bundle / "aux1.csv").read_text().splitlines()
+    rid, value = lines[1].split(",")
+    lines[1] = f"{rid},{float(value) + 1.0!r}"
+    (bundle / "aux1.csv").write_text("\n".join(lines) + "\n")
+    assert main(["refine", *common_args(bundle, out)]) == EXIT_CONFIG
+    assert "'aux1'" in capsys.readouterr().err
+
+    # models.json written before the hash existed is still accepted
+    for m in models["aux_models"]:
+        del m["diagnostics"]["data_sha256"]
+    models_path.write_text(json.dumps(models))
+    assert main(["refine", *common_args(bundle, out)]) == EXIT_OK

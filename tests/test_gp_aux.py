@@ -3,20 +3,21 @@ import pytest
 
 from conftest import point_partition
 from finescale import gp_aux
-from finescale.evaluate import grid_partition
+from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
 from finescale.geo import ArealDataset
 from finescale.gp_aux import (
     AuxFitError,
     AuxGPModel,
     _nll_and_grad,
     aux_log_marginal,
+    data_sha256,
     fit_all_aux,
     fit_aux_gp,
     median_pairwise_distance,
     predict_aux,
 )
-from finescale.kernel import SEKernelParams, cov_matrix, sq_dists
-from finescale.numerics import FactorizationError, grad_check
+from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, sq_dists
+from finescale.numerics import SIGMA_FLOOR, FactorizationError, cholesky, grad_check, log_det, solve
 
 
 def one_point_model(y=1.0, alpha=1.0, gamma=1.0, sigma=0.0):
@@ -105,6 +106,68 @@ def test_objective_gradient_matches_finite_differences(rng):
         theta = rng.normal(0.0, 0.7, size=3)
         err = grad_check(lambda t: _nll_and_grad(t, X, y, D2), theta)
         assert err <= 1e-5
+
+
+def dense_nll_and_grad(theta, X, y, D2):
+    """Reference objective: A^-1 by solving against I, and each gradient entry
+    as -1/2 sum((beta beta^T - A^-1) o dA) over dense n x n derivatives dA."""
+    alpha, gamma, sigma = np.exp(theta)
+    n = y.size
+    K = alpha**2 * np.exp(-0.5 * D2 / gamma**2)
+    jitter = JITTER_REL * alpha**2
+    A = K + (sigma**2 + jitter) * np.eye(n)
+    F = cholesky(A)
+    beta = solve(F, y)
+    nll = 0.5 * y @ beta + 0.5 * log_det(F) + 0.5 * n * np.log(2 * np.pi)
+    M = np.outer(beta, beta) - solve(F, np.eye(n))
+    dA = [2.0 * (K + jitter * np.eye(n)), K * (D2 / gamma**2), 2.0 * sigma**2 * np.eye(n)]
+    return float(nll), np.array([-0.5 * np.sum(M * dAk) for dAk in dA])
+
+
+# (n, theta); theta None draws (log alpha, log gamma, log sigma) from N(0, 0.7^2).
+# Both forms carry an error of about cond(A) * eps, so the instances near the
+# sigma floor keep cond(A) below about 1e7: with unit amplitude and a short
+# length scale, or with an amplitude small enough that sigma^2 dominates the
+# diagonal. Where cond(A) nears 1e10 both differ from a 40-digit reference by
+# about 1e-7.
+OBJECTIVE_CASES = [
+    (8, None),
+    (40, None),
+    (240, None),
+    (240, [0.0, np.log(0.05), np.log(10 * SIGMA_FLOOR)]),
+    (240, [np.log(3e-3), np.log(0.1), np.log(10 * SIGMA_FLOOR)]),
+    (240, [0.0, np.log(10.0), np.log(0.1)]),  # long length scale
+]
+
+
+@pytest.mark.parametrize("n, theta", OBJECTIVE_CASES)
+def test_objective_matches_dense_oracle(rng, n, theta):
+    X = rng.uniform(size=(n, 2))
+    y = rng.normal(size=n)
+    D2 = sq_dists(X, X)
+    for _ in range(3):
+        t = rng.normal(0.0, 0.7, size=3) if theta is None else np.array(theta)
+        val, grad = _nll_and_grad(t, X, y, D2)
+        dense_val, dense_grad = dense_nll_and_grad(t, X, y, D2)
+        assert val == pytest.approx(dense_val, rel=1e-10)
+        assert np.max(np.abs(grad - dense_grad) / np.maximum(1.0, np.abs(dense_grad))) <= 1e-8
+
+
+def test_fit_winners_match_dense_objective(monkeypatch):
+    # the default synthetic auxiliaries (12 to 120 regions): every winning
+    # restart takes the same BFGS path when the dense objective is swapped in
+    inst = generate_synthetic(SyntheticSpec(), seed=0)
+    fitted = [fit_aux_gp(ds, restarts=3, seed=0) for ds in inst.aux_datasets]
+    monkeypatch.setattr(gp_aux, "_nll_and_grad", dense_nll_and_grad)
+    for ds, model in zip(inst.aux_datasets, fitted):
+        oracle = fit_aux_gp(ds, restarts=3, seed=0)
+        got = model.diagnostics["restart_records"]
+        want = oracle.diagnostics["restart_records"]
+        winner = min(range(len(want)), key=lambda k: want[k]["objective"])
+        assert min(range(len(got)), key=lambda k: got[k]["objective"]) == winner
+        assert got[winner]["iterations"] == want[winner]["iterations"]
+        assert got[winner]["evaluations"] == want[winner]["evaluations"]
+        assert model.log_marginal == pytest.approx(oracle.log_marginal, rel=1e-8)
 
 
 def test_constant_values_fit_and_predict_constant():
@@ -198,6 +261,7 @@ def test_fit_records_every_restart(rng):
     # objectives are of the unit-variance data; log_marginal is in original units
     assert model.log_marginal == -best["objective"] - y.size * np.log(model.scale)
     assert all(r["converged"] == (r["stop"] == "gtol") for r in records)
+    assert model.diagnostics["data_sha256"] == data_sha256(X, y)
     saved = model.to_dict()
     assert AuxGPModel.from_dict(saved, X, y).diagnostics == model.diagnostics
     del saved["diagnostics"]  # models.json written before the records existed

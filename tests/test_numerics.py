@@ -3,10 +3,12 @@ import pytest
 
 from finescale.numerics import (
     SIGMA_FLOOR,
+    CholeskyFactor,
     FactorizationError,
     bfgs_minimize,
     cholesky,
     grad_check,
+    inverse,
     log_det,
     multistart_minimize,
     solve,
@@ -64,6 +66,23 @@ def test_solve_residual_small(rng):
         b = rng.normal(size=n)
         x = solve(cholesky(M), b)
         assert np.linalg.norm(M @ x - b) <= 1e-8 * max(1.0, np.linalg.norm(b))
+
+
+def test_inverse_matches_solve_against_identity(rng):
+    for n in (1, 2, 7, 60, 240):
+        A = rng.normal(size=(n, n))
+        F = cholesky(A @ A.T + n * np.eye(n))
+        inv = inverse(F)
+        ref = solve(F, np.eye(n))
+        assert np.max(np.abs(inv - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert np.array_equal(inv, inv.T)
+
+
+def test_inverse_of_singular_factor_is_typed():
+    L = np.tril(np.ones((4, 4)))
+    L[2, 2] = 0.0
+    with pytest.raises(FactorizationError):
+        inverse(CholeskyFactor(L=L))
 
 
 def test_log_det_identity():

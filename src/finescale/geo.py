@@ -66,38 +66,6 @@ def polygon_area_centroid(polygons: list[list[np.ndarray]]) -> tuple[float, np.n
     return total, weighted / total
 
 
-def _point_on_segment(p, a, b, tol=1e-12) -> bool:
-    ab = b - a
-    ap = p - a
-    cross = ab[0] * ap[1] - ab[1] * ap[0]
-    scale = max(1.0, float(np.abs(ab).max()))
-    if abs(cross) > tol * scale:
-        return False
-    dot = float(ap @ ab)
-    return -tol <= dot <= float(ab @ ab) + tol
-
-
-def point_in_polygon(point: np.ndarray, polygons: list[list[np.ndarray]]) -> bool:
-    """Even-odd ray casting over all rings; boundary points count as inside."""
-    px, py = float(point[0]), float(point[1])
-    inside = False
-    for rings in polygons:
-        for ring in rings:
-            r = np.asarray(ring, dtype=float)
-            if r.shape[0] >= 2 and np.allclose(r[0], r[-1]):
-                r = r[:-1]
-            n = r.shape[0]
-            for i in range(n):
-                a, b = r[i], r[(i + 1) % n]
-                if _point_on_segment(np.array([px, py]), a, b):
-                    return True
-                if (a[1] > py) != (b[1] > py):
-                    x_cross = a[0] + (py - a[1]) / (b[1] - a[1]) * (b[0] - a[0])
-                    if px < x_cross:
-                        inside = not inside
-    return inside
-
-
 @dataclass(frozen=True)
 class Region:
     id: str
@@ -133,12 +101,6 @@ class Partition:
     @property
     def areas(self) -> np.ndarray:
         return np.array([r.area for r in self.regions])
-
-    def index_of(self, region_id: str) -> int:
-        for k, r in enumerate(self.regions):
-            if r.id == region_id:
-                return k
-        raise KeyError(region_id)
 
 
 @dataclass(frozen=True)
@@ -267,38 +229,96 @@ class AggregationMap:
             raise GeoValidationError("H rows must sum to 1 within 1e-12")
 
 
+# Reach of the boundary test for an edge ab is BOUNDARY_TOL * max(1, |ab|_inf).
+BOUNDARY_TOL = 1e-12
+
+
+def _ring_edges(polygons: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end points, each (m, 2), of the edges of every ring.
+
+    A ring's last vertex is dropped when it repeats the first (within
+    ``np.allclose``); each ring then closes from its last vertex to its first.
+    """
+    rings = []
+    for polygon in polygons:
+        for ring in polygon:
+            r = np.asarray(ring, dtype=float)
+            if r.shape[0] >= 2 and np.allclose(r[0], r[-1]):
+                r = r[:-1]
+            rings.append(r)
+    return np.concatenate(rings), np.concatenate([np.roll(r, -1, axis=0) for r in rings])
+
+
+def _points_inside(px: np.ndarray, py: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Even-odd ray casting of k points against the m edges a -> b of a
+    (multi)polygon, as k x m arrays; points on the boundary count as inside.
+
+    A point is on edge ab when, with t = BOUNDARY_TOL * max(1, |ab|_inf), its
+    perpendicular distance to the line is at most t and its projection lies
+    no more than t before a or past b. Both tests are multiplied through by
+    |ab|; for a zero-length edge, where they hold trivially, the point must
+    instead lie within t of the vertex in each coordinate.
+    """
+    ax, ay = a[:, 0], a[:, 1]
+    dx, dy = b[:, 0] - ax, b[:, 1] - ay
+    apx = px[:, None] - ax
+    apy = py[:, None] - ay
+    ab2 = dx * dx + dy * dy
+    length = np.sqrt(ab2)
+    t = BOUNDARY_TOL * np.maximum(1.0, np.maximum(np.abs(dx), np.abs(dy)))
+    reach = t * length
+    cross = dx * apy - dy * apx
+    dot = apx * dx + apy * dy
+    on = (np.abs(cross) <= reach) & (dot >= -reach) & (dot <= ab2 + reach)
+    zero = length == 0
+    if zero.any():
+        on[:, zero] = np.maximum(np.abs(apx[:, zero]), np.abs(apy[:, zero])) <= t[zero]
+    straddle = (ay > py[:, None]) != (b[:, 1] > py[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):  # dy == 0 only where not straddling
+        x_cross = ax + (py[:, None] - ay) / dy * dx
+    crossings = np.count_nonzero(straddle & (px[:, None] < x_cross), axis=1)
+    return on.any(axis=1) | (crossings % 2 == 1)
+
+
 def build_aggregation(coarse: Partition, fine: Partition) -> AggregationMap:
     """Uniform-weight H: fine region j belongs to the coarse region containing
     its centroid; boundary ties break to the lexicographically lowest coarse id.
+
+    Coarse regions are visited in id order, and each tests only the fine
+    centroids still unassigned that lie in its bounding box widened by
+    4 * BOUNDARY_TOL * max(1, max |vertex coordinate|). The widening never
+    changes an answer: the boundary test reaches at most sqrt(2) * t past an
+    edge per coordinate, with t <= 2 * BOUNDARY_TOL * max(1, max |vertex|);
+    a point above or below the box straddles no edge; and since ray crossings
+    fall within a few ulps of the vertex x range, a point left or right of it
+    crosses every straddling edge or none, an even count for closed rings.
     """
     nc, nf = len(coarse), len(fine)
-    membership = {}
-    unassigned = []
-    order = sorted(range(nc), key=lambda i: coarse.regions[i].id)
-    for j, fr in enumerate(fine.regions):
-        pt = fr.centroid.xy
-        holder = None
-        for i in order:
-            if point_in_polygon(pt, coarse.regions[i].geometry):
-                holder = i
-                break
-        if holder is None:
-            unassigned.append(fr.id)
-        else:
-            membership[fr.id] = coarse.regions[holder].id
+    centroids = fine.centroids
+    holder = np.full(nf, -1)
+    for i in sorted(range(nc), key=lambda i: coarse.regions[i].id):
+        a, b = _ring_edges(coarse.regions[i].geometry)
+        margin = 4.0 * BOUNDARY_TOL * max(1.0, float(np.abs(a).max()))
+        in_box = np.all(
+            (centroids >= a.min(axis=0) - margin) & (centroids <= a.max(axis=0) + margin),
+            axis=1,
+        )
+        candidates = np.flatnonzero((holder < 0) & in_box)
+        px, py = centroids[candidates, 0], centroids[candidates, 1]
+        holder[candidates[_points_inside(px, py, a, b)]] = i
+    unassigned = [fine.regions[j].id for j in np.flatnonzero(holder < 0)]
     if unassigned:
         raise GeoValidationError(
             f"fine regions with centroids in no coarse region: {unassigned}"
         )
-    H = np.zeros((nc, nf))
-    for j, fr in enumerate(fine.regions):
-        i = coarse.index_of(membership[fr.id])
-        H[i, j] = 1.0
-    counts = H.sum(axis=1)
-    empty = [coarse.regions[i].id for i in range(nc) if counts[i] == 0]
+    counts = np.bincount(holder, minlength=nc)
+    empty = [coarse.regions[i].id for i in np.flatnonzero(counts == 0)]
     if empty:
         raise GeoValidationError(f"coarse regions with no fine members: {empty}")
-    H = H / counts[:, None]
+    H = np.zeros((nc, nf))
+    H[holder, np.arange(nf)] = 1.0 / counts[holder]
+    coarse_ids = coarse.ids
+    membership = {fid: coarse_ids[i] for fid, i in zip(fine.ids, holder)}
     return AggregationMap(coarse=coarse, fine=fine, H=H, membership=membership)
 
 
@@ -324,11 +344,13 @@ def load_dataset(partition: Partition, path, quantity_kind: str = "intensive") -
             if rid in rows:
                 raise GeoValidationError(f"{path}: duplicate region id {rid!r}")
             rows[rid] = float(row["value"])
-    missing = [i for i in partition.ids if i not in rows]
-    extra = [i for i in rows if i not in set(partition.ids)]
+    ids = partition.ids
+    known = set(ids)
+    missing = [i for i in ids if i not in rows]
+    extra = [i for i in rows if i not in known]
     if missing or extra:
         raise GeoValidationError(f"{path}: missing ids {missing}, extra ids {extra}")
-    values = np.array([rows[i] for i in partition.ids])
+    values = np.array([rows[i] for i in ids])
     return ArealDataset(partition, values, quantity_kind)
 
 

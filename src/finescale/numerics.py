@@ -58,9 +58,11 @@ def cholesky(M: np.ndarray) -> CholeskyFactor:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    scale = np.abs(M).max()
-    if scale > 0 and np.abs(M - M.T).max() > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric within 1e-10 relative")
+    scale = max(M.max(), -M.min())  # max |M| without an n x n temporary
+    if scale > 0:
+        D = M - M.T
+        if np.abs(D, out=D).max() > 1e-10 * scale:
+            raise ValueError("matrix is not symmetric within 1e-10 relative")
     try:
         L = scipy.linalg.cholesky(M, lower=True)
     except scipy.linalg.LinAlgError as exc:

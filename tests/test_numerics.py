@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from finescale.numerics import (
     SIGMA_FLOOR,
@@ -37,6 +38,64 @@ def test_cholesky_indefinite_reports_pivot():
 def test_cholesky_rejects_asymmetric():
     with pytest.raises(Exception):
         cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def _spd(rng, n):
+    A = rng.normal(size=(n, n))
+    M = A @ A.T + n * np.eye(n)
+    return 0.5 * (M + M.T)
+
+
+@pytest.mark.parametrize("n", [2, 7, 60])
+def test_cholesky_symmetry_check_threshold(rng, n):
+    M = _spd(rng, n)
+    scale = np.abs(M).max()
+    for rel, raises in ((3e-10, True), (-3e-10, True), (3e-11, False)):
+        B = M.copy()
+        B[n - 1, 0] += rel * scale
+        if raises:
+            with pytest.raises(ValueError, match="not symmetric"):
+                cholesky(B)
+        else:
+            cholesky(B)
+    # a negative-dominated matrix: the scale is max |M|, not max M
+    B = -M
+    B[0, n - 1] += 1e-9 * scale
+    with pytest.raises(ValueError, match="not symmetric"):
+        cholesky(B)
+
+
+def _reference_cholesky_check(M):
+    """The symmetry check as first written, with two n x n temporaries."""
+    scale = np.abs(M).max()
+    if scale > 0 and np.abs(M - M.T).max() > 1e-10 * scale:
+        raise ValueError("matrix is not symmetric within 1e-10 relative")
+    return scipy.linalg.cholesky(M, lower=True)
+
+
+def _outcome(f, M):
+    try:
+        return ("ok", f(M))
+    except Exception as exc:  # the outcome under comparison is the exception itself
+        return (type(exc), str(exc))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "one_side", "both_sides", "everywhere"])
+def test_cholesky_non_finite_matches_reference_check(bad, where):
+    M = _spd(np.random.default_rng(3), 5)
+    if where == "diagonal":
+        M[2, 2] = bad
+    elif where == "one_side":
+        M[3, 1] = bad
+    elif where == "both_sides":
+        M[3, 1] = M[1, 3] = bad
+    else:
+        M[:] = bad
+    got, want = _outcome(lambda A: cholesky(A).L, M), _outcome(_reference_cholesky_check, M)
+    assert got[0] is want[0] and got[0] != "ok"
+    assert got[1] == want[1]
 
 
 def test_solve_identity(rng):

@@ -14,9 +14,8 @@ from finescale.geo import (
     aggregate,
     build_aggregation,
     load_partition,
-    to_intensive,
 )
-from finescale.kernel import SEKernelParams, cov_matrix, se_kernel
+from finescale.kernel import SEKernelParams, cov_matrix
 from finescale.gp_aux import AuxGPModel, AuxPosterior, fit_all_aux, fit_aux_gp, predict_aux
 from finescale.downscale import (
     DownscaleParams,

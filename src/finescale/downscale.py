@@ -9,13 +9,14 @@ Omega = K + sum_s w_s^2 Sigma_s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from finescale.geo import AggregationMap, ArealDataset, Partition
 from finescale.gp_aux import AuxPosterior, median_pairwise_distance
-from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
+from finescale.kernel import JITTER_REL, SEKernelParams, se_from_sq_dists, sq_dists
 from finescale.numerics import SIGMA_FLOOR, cholesky, log_det, multistart_minimize, solve
 
 
@@ -60,10 +61,11 @@ class DownscaleParams:
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
-    def to_dict(self, column_ids=None) -> dict:
-        ids = list(column_ids) if column_ids is not None else [
-            f"aux_{k}" for k in range(self.w.size - 1)
-        ] + ["bias"]
+    def to_dict(self, column_ids) -> dict:
+        """Weights keyed by design column id; one id per weight, bias last."""
+        ids = list(column_ids)
+        if len(ids) != self.w.size:
+            raise ValueError(f"{len(ids)} column ids for {self.w.size} weights")
         return {
             "w": {cid: float(v) for cid, v in zip(ids, self.w)},
             "column_ids": ids,
@@ -85,19 +87,9 @@ class DownscaleParams:
 
 
 @dataclass(frozen=True)
-class LambdaAssembly:
-    Omega: np.ndarray
-    Lambda: np.ndarray
-    factor: object  # CholeskyFactor
-
-
-@dataclass(frozen=True)
 class Refinement:
     mean: np.ndarray
     cov: np.ndarray
-    fine: Partition | None
-    params: DownscaleParams
-    diagnostics: dict = field(default_factory=dict, compare=False)
 
 
 def build_design(posteriors: list[AuxPosterior], n_fine: int | None = None) -> DesignMatrix:
@@ -116,8 +108,114 @@ def build_design(posteriors: list[AuxPosterior], n_fine: int | None = None) -> D
     return DesignMatrix(F=F, column_ids=tuple(p.dataset_id for p in posteriors) + ("bias",))
 
 
-def _lambda_jitter(sigma: float, alpha: float) -> float:
-    return JITTER_REL * (sigma**2 + alpha**2)
+@dataclass(frozen=True)
+class _Problem:
+    """The parameter-free parts of the second-step model, shared by fit and refine.
+
+    The observations a (None when only Lambda is wanted), H, the design and
+    H F, the fine centroids Xf and their squared distances D2, and
+    H Sigma_s H^T for every auxiliary.
+    """
+
+    a: np.ndarray | None
+    H: np.ndarray
+    design: DesignMatrix
+    HF: np.ndarray
+    Xf: np.ndarray
+    D2: np.ndarray
+    HSH: tuple[np.ndarray, ...]
+
+    @classmethod
+    def build(
+        cls,
+        a: ArealDataset | np.ndarray | None,
+        posteriors: list[AuxPosterior],
+        fine: Partition | np.ndarray | None,
+        amap_or_H,
+        design: DesignMatrix | None = None,
+    ) -> "_Problem":
+        """Coerce the inputs once; ``fine=None`` takes the AggregationMap's fine partition."""
+        if isinstance(a, ArealDataset):
+            a = a.values
+        elif a is not None:
+            a = np.asarray(a, dtype=float)
+        if isinstance(amap_or_H, AggregationMap):
+            H = amap_or_H.H
+            fine = amap_or_H.fine if fine is None else fine
+        else:
+            H = np.asarray(amap_or_H, dtype=float)
+        if fine is None:
+            raise ValueError("fine centroids required")
+        Xf = fine.centroids if isinstance(fine, Partition) else np.asarray(fine, dtype=float)
+        if design is None:
+            design = build_design(posteriors, n_fine=Xf.shape[0])
+        return cls(
+            a=a,
+            H=H,
+            design=design,
+            HF=H @ design.F,
+            Xf=Xf,
+            D2=sq_dists(Xf, Xf),
+            HSH=tuple(H @ post.cov @ H.T for post in posteriors),
+        )
+
+
+def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, gamma: float, sigma: float):
+    """K, H K H^T, Lambda = sigma^2 I + H K H^T + sum_s w_s^2 H Sigma_s H^T
+    and the Cholesky factor of the jittered Lambda.
+
+    The one place Lambda is formed: the fit and predict_fine both factor it.
+    """
+    nc = prob.H.shape[0]
+    K = se_from_sq_dists(alpha, gamma, prob.D2)
+    HKH = prob.H @ K @ prob.H.T
+    Lam = sigma**2 * np.eye(nc) + HKH
+    for s, HSH in enumerate(prob.HSH):
+        Lam = Lam + w[s] ** 2 * HSH
+    Lam = 0.5 * (Lam + Lam.T)
+    factor = cholesky(Lam + JITTER_REL * (sigma**2 + alpha**2) * np.eye(nc))
+    return K, HKH, Lam, factor
+
+
+def _neg_log_marginal(prob: _Problem, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """-log N(a | H F w, Lambda) and its gradient at the packed theta.
+
+    Each covariance-parameter entry of the log-likelihood gradient is
+    1/2 tr((p p^T - Lambda^-1) dLambda), p = Lambda^-1 (a - H F w); the
+    weight entries add the mean-term contribution (H F_col)^T p. A call
+    forms only K, H K H^T, H (K o D2) H^T and nc x nc algebra.
+    """
+    S = len(prob.HSH)
+    w = theta[: S + 1]
+    alpha, gamma, sigma = (float(np.exp(v)) for v in theta[S + 1 :])
+    nc = prob.H.shape[0]
+    K, HKH, _, factor = _lambda_terms(prob, w, alpha, gamma, sigma)
+    r = prob.a - prob.HF @ w
+    p = solve(factor, r)
+    Linv = solve(factor, np.eye(nc))
+    ll = float(-0.5 * r @ p - 0.5 * log_det(factor) - 0.5 * nc * np.log(2 * np.pi))
+
+    def trace_term(dLam: np.ndarray) -> float:
+        return 0.5 * (float(p @ dLam @ p) - float(np.sum(Linv * dLam)))
+
+    # trace_term(c I), without forming the identity
+    identity_term = 0.5 * (float(p @ p) - float(np.trace(Linv)))
+    grad = np.empty(S + 4)
+    for s in range(S):
+        grad[s] = float(prob.HF[:, s] @ p) + trace_term(2.0 * w[s] * prob.HSH[s])
+    grad[S] = float(prob.HF[:, S] @ p)  # bias: Lambda does not depend on w_0
+    # log-space chain rule: d/d log(theta) = theta * d/d theta
+    grad[S + 1] = trace_term(2.0 * HKH) + 2.0 * JITTER_REL * alpha**2 * identity_term
+    grad[S + 2] = trace_term(prob.H @ (K * (prob.D2 / gamma**2)) @ prob.H.T)
+    grad[S + 3] = 2.0 * sigma**2 * (1.0 + JITTER_REL) * identity_term
+    return -ll, -grad
+
+
+@dataclass(frozen=True)
+class LambdaAssembly:
+    Lambda: np.ndarray
+    factor: object  # CholeskyFactor
+    problem: _Problem
 
 
 def assemble_lambda(
@@ -126,17 +224,11 @@ def assemble_lambda(
     fine_centroids: np.ndarray,
     amap_or_H,
 ) -> LambdaAssembly:
-    """Omega = K + sum_s w_s^2 Sigma_s; Lambda = sigma^2 I + H Omega H^T."""
-    H = amap_or_H.H if isinstance(amap_or_H, AggregationMap) else np.asarray(amap_or_H, float)
-    Omega = cov_matrix(params.kernel, fine_centroids, fine_centroids)
-    for k, post in enumerate(posteriors):
-        Omega = Omega + params.w[k] ** 2 * post.cov
-    Omega = 0.5 * (Omega + Omega.T)
-    nc = H.shape[0]
-    Lam = params.sigma**2 * np.eye(nc) + H @ Omega @ H.T
-    Lam = 0.5 * (Lam + Lam.T)
-    factor = cholesky(Lam + _lambda_jitter(params.sigma, params.kernel.alpha) * np.eye(nc))
-    return LambdaAssembly(Omega=Omega, Lambda=Lam, factor=factor)
+    """Lambda = sigma^2 I + H Omega H^T, Omega = K + sum_s w_s^2 Sigma_s, as the fit forms it."""
+    prob = _Problem.build(None, posteriors, fine_centroids, amap_or_H)
+    kernel = params.kernel
+    *_, Lam, factor = _lambda_terms(prob, params.w, kernel.alpha, kernel.gamma, params.sigma)
+    return LambdaAssembly(Lambda=Lam, factor=factor, problem=prob)
 
 
 def log_marginal(
@@ -163,117 +255,15 @@ def grad_log_marginal(
     fine_centroids: np.ndarray,
     assembly: LambdaAssembly | None = None,
 ) -> np.ndarray:
-    """Analytic gradient over (w_1..w_S, w_0, log alpha, log gamma, log sigma).
-
-    Each covariance-parameter entry is 1/2 tr((p p^T - Lambda^-1) dLambda),
-    p = Lambda^-1 (a - H F w); the weight entries add the mean-term
-    contribution (H F_col)^T p.
+    """Analytic gradient over (w_1..w_S, w_0, log alpha, log gamma, log sigma),
+    the fit's objective gradient negated; reuses the assembly's problem if given.
     """
-    H = amap_or_H.H if isinstance(amap_or_H, AggregationMap) else np.asarray(amap_or_H, float)
     if assembly is None:
-        assembly = assemble_lambda(params, posteriors, fine_centroids, H)
-    a = np.asarray(a, dtype=float)
-    nc = a.size
-    alpha, gamma, sigma = params.kernel.alpha, params.kernel.gamma, params.sigma
-    r = a - H @ (design.F @ params.w)
-    p = solve(assembly.factor, r)
-    Linv = solve(assembly.factor, np.eye(nc))
-
-    def trace_term(dLam: np.ndarray) -> float:
-        return 0.5 * (float(p @ dLam @ p) - float(np.sum(Linv * dLam)))
-
-    S = len(posteriors)
-    grad = np.zeros(S + 1 + 3)
-    HF = H @ design.F
-    for s in range(S):
-        dLam_s = 2.0 * params.w[s] * (H @ posteriors[s].cov @ H.T)
-        grad[s] = float(HF[:, s] @ p) + trace_term(dLam_s)
-    grad[S] = float(HF[:, S] @ p)  # bias: Lambda does not depend on w_0
-
-    D2 = sq_dists(fine_centroids, fine_centroids)
-    K = se_from_sq_dists(alpha, gamma, D2)
-    jit = JITTER_REL
-    I_c = np.eye(nc)
-    # log-space chain rule: d/d log(theta) = theta * d/d theta
-    dLam_la = H @ (2.0 * K) @ H.T + 2.0 * jit * alpha**2 * I_c
-    dLam_lg = H @ (K * (D2 / gamma**2)) @ H.T
-    dLam_ls = 2.0 * sigma**2 * (1.0 + jit) * I_c
-    grad[S + 1] = trace_term(dLam_la)
-    grad[S + 2] = trace_term(dLam_lg)
-    grad[S + 3] = trace_term(dLam_ls)
-    return grad
-
-
-@dataclass(frozen=True)
-class _Problem:
-    """The parameter-free parts of the second-step marginal likelihood.
-
-    Built once per fit: the observations, H, H F, the fine squared
-    distances D2 and H Sigma_s H^T for every auxiliary.
-    """
-
-    a: np.ndarray
-    H: np.ndarray
-    HF: np.ndarray
-    D2: np.ndarray
-    HSH: tuple[np.ndarray, ...]
-
-    @classmethod
-    def build(
-        cls,
-        a: np.ndarray,
-        posteriors: list[AuxPosterior],
-        fine_centroids: np.ndarray,
-        H: np.ndarray,
-        design: DesignMatrix,
-    ) -> "_Problem":
-        return cls(
-            a=a,
-            H=H,
-            HF=H @ design.F,
-            D2=sq_dists(fine_centroids, fine_centroids),
-            HSH=tuple(H @ post.cov @ H.T for post in posteriors),
-        )
-
-
-def _neg_log_marginal(prob: _Problem, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """-log_marginal and -grad_log_marginal at the packed theta.
-
-    Same formulas as assemble_lambda + log_marginal + grad_log_marginal,
-    with Lambda = sigma^2 I + H K H^T + sum_s w_s^2 H Sigma_s H^T; a call
-    forms only K, H K H^T, H (K o D2) H^T and nc x nc algebra.
-    """
-    S = len(prob.HSH)
-    w = theta[: S + 1]
-    alpha, gamma, sigma = (float(np.exp(v)) for v in theta[S + 1 :])
-    nc = prob.a.size
-    H = prob.H
-    K = se_from_sq_dists(alpha, gamma, prob.D2)
-    HKH = H @ K @ H.T
-    Lam = sigma**2 * np.eye(nc) + HKH
-    for s in range(S):
-        Lam = Lam + w[s] ** 2 * prob.HSH[s]
-    Lam = 0.5 * (Lam + Lam.T)
-    factor = cholesky(Lam + _lambda_jitter(sigma, alpha) * np.eye(nc))
-    r = prob.a - prob.HF @ w
-    p = solve(factor, r)
-    Linv = solve(factor, np.eye(nc))
-    ll = float(-0.5 * r @ p - 0.5 * log_det(factor) - 0.5 * nc * np.log(2 * np.pi))
-
-    def trace_term(dLam: np.ndarray) -> float:
-        return 0.5 * (float(p @ dLam @ p) - float(np.sum(Linv * dLam)))
-
-    # trace_term(c I), without forming the identity
-    identity_term = 0.5 * (float(p @ p) - float(np.trace(Linv)))
-    grad = np.empty(S + 4)
-    for s in range(S):
-        grad[s] = float(prob.HF[:, s] @ p) + trace_term(2.0 * w[s] * prob.HSH[s])
-    grad[S] = float(prob.HF[:, S] @ p)
-    # log-space chain rule, as in grad_log_marginal
-    grad[S + 1] = trace_term(2.0 * HKH) + 2.0 * JITTER_REL * alpha**2 * identity_term
-    grad[S + 2] = trace_term(H @ (K * (prob.D2 / gamma**2)) @ H.T)
-    grad[S + 3] = 2.0 * sigma**2 * (1.0 + JITTER_REL) * identity_term
-    return -ll, -grad
+        prob = _Problem.build(None, posteriors, fine_centroids, amap_or_H)
+    else:
+        prob = assembly.problem
+    prob = replace(prob, a=np.asarray(a, dtype=float), design=design, HF=prob.H @ design.F)
+    return -_neg_log_marginal(prob, _pack(params.w, params.kernel, params.sigma))[1]
 
 
 def _pack(w: np.ndarray, kernel: SEKernelParams, sigma: float) -> np.ndarray:
@@ -303,7 +293,6 @@ def fit_downscale(
     seed: int = 0,
     ridge: float = 0.0,
     gtol: float = 1e-6,
-    max_iter: int = 500,
 ) -> DownscaleParams:
     """Maximize the integrated marginal likelihood over (w, alpha, gamma, sigma).
 
@@ -315,17 +304,14 @@ def fit_downscale(
     objective and the earliest one on an exact tie;
     ``diagnostics["restart_records"]`` keeps every restart.
     """
-    a_vec = a.values if isinstance(a, ArealDataset) else np.asarray(a, dtype=float)
-    Xf = fine.centroids if isinstance(fine, Partition) else np.asarray(fine, dtype=float)
-    H = amap_or_H.H if isinstance(amap_or_H, AggregationMap) else np.asarray(amap_or_H, float)
-    design = build_design(posteriors, n_fine=Xf.shape[0])
+    prob = _Problem.build(a, posteriors, fine, amap_or_H)
+    a_vec, H, design = prob.a, prob.H, prob.design
     n_w = design.F.shape[1]
-    prob = _Problem.build(a_vec, posteriors, Xf, H, design)
 
     w0 = lstsq_warm_start(a_vec, design, H)
     r0 = a_vec - H @ (design.F @ w0)
     alpha0 = max(float(np.std(r0)), 1e-3)
-    gamma0 = median_pairwise_distance(Xf)
+    gamma0 = median_pairwise_distance(prob.Xf)
     sigma0 = max(0.1 * float(np.std(r0)), 10 * SIGMA_FLOOR)
     theta0 = _pack(w0, SEKernelParams(alpha0, gamma0), sigma0)
 
@@ -344,7 +330,7 @@ def fit_downscale(
         t[n_w:] += rng.normal(0.0, 0.5, size=3)
         inits.append(t)
 
-    best, records = multistart_minimize(objective, inits, gtol=gtol, max_iter=max_iter)
+    best, records = multistart_minimize(objective, inits, gtol=gtol)
     if best is None:
         raise DownscaleFitError("optimizer failed on all restarts")
     params = _unpack(best.argmin, n_w)
@@ -369,32 +355,28 @@ def predict_fine(
     amap_or_H,
     fine: Partition | np.ndarray | None = None,
 ) -> Refinement:
-    """Posterior of the fine field: mean F w + Omega H^T Lambda^-1 (a - H F w),
-    covariance Omega - Omega H^T Lambda^-1 H Omega.
+    """Posterior of the fine field given a, conditioned on the Lambda the fit factors.
+
+    With Omega = K + sum_s w_s^2 Sigma_s and V = L^-1 H Omega, where
+    L L^T = Lambda: mean F w + (H Omega)^T Lambda^-1 (a - H F w), covariance
+    Omega - V^T V, formed in place of K.
     """
-    a_vec = a.values if isinstance(a, ArealDataset) else np.asarray(a, dtype=float)
-    H = amap_or_H.H if isinstance(amap_or_H, AggregationMap) else np.asarray(amap_or_H, float)
-    fine_part = fine if isinstance(fine, Partition) else None
-    if isinstance(fine, Partition):
-        Xf = fine.centroids
-    elif fine is not None:
-        Xf = np.asarray(fine, dtype=float)
-    elif isinstance(amap_or_H, AggregationMap):
-        fine_part = amap_or_H.fine
-        Xf = fine_part.centroids
-    else:
-        raise ValueError("fine centroids required")
-    assembly = assemble_lambda(params, posteriors, Xf, H)
-    m0 = design.F @ params.w
-    r = a_vec - H @ m0
-    OmHt = assembly.Omega @ H.T
-    mean = m0 + OmHt @ solve(assembly.factor, r)
-    cov = assembly.Omega - OmHt @ solve(assembly.factor, OmHt.T)
-    cov = 0.5 * (cov + cov.T)
+    prob = _Problem.build(a, posteriors, fine, amap_or_H, design)
+    w = params.w
+    cov, _, _, factor = _lambda_terms(
+        prob, w, params.kernel.alpha, params.kernel.gamma, params.sigma
+    )
+    m0 = design.F @ w
+    H, r = prob.H, prob.a - prob.H @ m0
+    del prob  # frees D2 before the nf x nf work below
+    for s, post in enumerate(posteriors):
+        cov += w[s] ** 2 * post.cov  # K becomes Omega
+    HOm = H @ cov
+    mean = m0 + HOm.T @ solve(factor, r)
+    V = scipy.linalg.solve_triangular(factor.L, HOm, lower=True)
+    cov -= V.T @ V  # V^T V is exactly symmetric, and so is cov
     d = np.diag(cov).copy()
     if d.min() < -1e-8:
         raise RuntimeError(f"predictive variance {d.min()} below clamp tolerance")
     np.fill_diagonal(cov, np.maximum(d, 0.0))
-    return Refinement(
-        mean=mean, cov=cov, fine=fine_part, params=params, diagnostics=dict(params.diagnostics)
-    )
+    return Refinement(mean=mean, cov=cov)

@@ -107,7 +107,6 @@ class Partition:
 class ArealDataset:
     partition: Partition
     values: np.ndarray
-    quantity_kind: str = "intensive"
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -117,8 +116,6 @@ class ArealDataset:
             )
         if not np.all(np.isfinite(self.values)):
             raise GeoValidationError("dataset contains non-finite values")
-        if self.quantity_kind not in ("intensive", "extensive"):
-            raise GeoValidationError(f"unknown quantity kind {self.quantity_kind!r}")
 
 
 def _geometry_rings(geom: dict) -> list[list[np.ndarray]]:
@@ -198,16 +195,6 @@ def partition_to_geojson(partition: Partition) -> dict:
             {"type": "Feature", "properties": {"id": r.id}, "geometry": geometry}
         )
     return {"type": "FeatureCollection", "name": partition.name, "features": features}
-
-
-def to_intensive(d: ArealDataset) -> ArealDataset:
-    """Divide extensive values by region areas."""
-    if d.quantity_kind != "extensive":
-        raise GeoValidationError("dataset is already intensive; refusing double division")
-    areas = d.partition.areas
-    if np.any(areas <= 0):
-        raise GeoValidationError("zero-area region prevents intensive conversion")
-    return ArealDataset(d.partition, d.values / areas, "intensive")
 
 
 @dataclass(frozen=True)
@@ -332,7 +319,7 @@ def aggregate(amap: AggregationMap, fine_values: np.ndarray) -> np.ndarray:
     return amap.H @ v
 
 
-def load_dataset(partition: Partition, path, quantity_kind: str = "intensive") -> ArealDataset:
+def load_dataset(partition: Partition, path) -> ArealDataset:
     """Read a `region_id,value` CSV matched to the partition by id."""
     rows = {}
     with open(path, newline="") as fh:
@@ -351,7 +338,7 @@ def load_dataset(partition: Partition, path, quantity_kind: str = "intensive") -
     if missing or extra:
         raise GeoValidationError(f"{path}: missing ids {missing}, extra ids {extra}")
     values = np.array([rows[i] for i in ids])
-    return ArealDataset(partition, values, quantity_kind)
+    return ArealDataset(partition, values)
 
 
 def save_dataset(dataset: ArealDataset, path) -> None:

@@ -37,14 +37,6 @@ class SEKernelParams:
         return cls(alpha=float(np.exp(log_alpha)), gamma=float(np.exp(log_gamma)))
 
 
-def se_kernel(params: SEKernelParams, x, x2) -> float:
-    """alpha^2 * exp(-||x - x2||^2 / (2 gamma^2)) for a single pair."""
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    d2 = float(np.sum((x - x2) ** 2))
-    return params.alpha**2 * float(np.exp(-0.5 * d2 / params.gamma**2))
-
-
 def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, |A| x |B|."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -68,7 +60,7 @@ def se_from_sq_dists(alpha: float, gamma: float, D2: np.ndarray) -> np.ndarray:
 
 
 def cov_matrix(params: SEKernelParams, A, B) -> np.ndarray:
-    """Covariance matrix with entry (i, j) = se_kernel(params, A[i], B[j])."""
+    """Covariance matrix with entry (i, j) = alpha^2 exp(-||A[i] - B[j]||^2 / (2 gamma^2))."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[0] == 0 or B.shape[0] == 0:

@@ -10,6 +10,12 @@ import scipy.linalg
 
 # Smallest noise standard deviation a fit may reach; below it the objective is +inf.
 SIGMA_FLOOR = 1e-6
+# bfgs_minimize: the relative objective change that stops it ("ftol"), and
+# its backtracking Armijo line search.
+FTOL = 1e-10
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 50
 
 
 class FactorizationError(Exception):
@@ -102,17 +108,13 @@ def bfgs_minimize(
     f,
     x0: np.ndarray,
     gtol: float = 1e-6,
-    ftol: float = 1e-10,
     max_iter: int = 500,
-    armijo_c: float = 1e-4,
-    backtrack_factor: float = 0.5,
-    max_backtracks: int = 50,
 ) -> OptimizeResult:
     """Full BFGS with backtracking Armijo line search.
 
     ``f`` maps a parameter vector to ``(value, gradient)``. Stops when the
     infinity norm of the gradient falls below ``gtol``, the relative
-    objective change falls below ``ftol``, or the iteration cap is hit;
+    objective change falls below ``FTOL``, or the iteration cap is hit;
     ``stop`` names which. Line-search failure returns the best point so far
     with ``stop="line_search"``. Only a ``gtol`` stop counts as converged.
     """
@@ -137,15 +139,15 @@ def bfgs_minimize(
             slope = float(g @ d)
         step = 1.0
         accepted = False
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             x_new = x + step * d
             fx_new, g_new = f(x_new)
-            if np.isfinite(fx_new) and fx_new <= fx + armijo_c * step * slope:
+            if np.isfinite(fx_new) and fx_new <= fx + ARMIJO_C * step * slope:
                 if not np.all(np.isfinite(g_new)):
                     raise OptimizationError("non-finite gradient", point=x_new)
                 accepted = True
                 break
-            step *= backtrack_factor
+            step *= BACKTRACK_FACTOR
         if not accepted:
             return OptimizeResult(x, float(fx), gnorm, iterations, "line_search")
         s = x_new - x
@@ -159,7 +161,7 @@ def bfgs_minimize(
         rel_change = abs(fx - fx_new) / max(1.0, abs(fx))
         x, fx, g = x_new, fx_new, g_new
         # with the gradient also small, the next pass stops on gtol at this point
-        if rel_change <= ftol and np.abs(g).max() > gtol:
+        if rel_change <= FTOL and np.abs(g).max() > gtol:
             return OptimizeResult(x, float(fx), float(np.abs(g).max()), iterations + 1, "ftol")
     return OptimizeResult(x, float(fx), float(np.abs(g).max()), iterations, "max_iter")
 

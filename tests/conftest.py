@@ -20,6 +20,15 @@ from finescale.gp_aux import AuxPosterior
 from finescale.kernel import SEKernelParams, cov_matrix
 
 
+def se_kernel(params: SEKernelParams, x, x2) -> float:
+    """alpha^2 * exp(-||x - x2||^2 / (2 gamma^2)) for a single pair; the scalar
+    oracle for the kernel matrices."""
+    x = np.asarray(x, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    d2 = float(np.sum((x - x2) ** 2))
+    return params.alpha**2 * float(np.exp(-0.5 * d2 / params.gamma**2))
+
+
 def square_region(rid: str, x0: float, y0: float, side: float = 1.0) -> Region:
     ring = np.array(
         [

@@ -20,7 +20,6 @@ from finescale.downscale import (
     assemble_lambda,
     build_design,
     fit_downscale,
-    grad_log_marginal,
     log_marginal,
     predict_fine,
 )
@@ -32,8 +31,8 @@ from finescale.numerics import grad_check
 from test_downscale import (
     composition_log_marginal,
     entrywise_lambda,
-    neg_log_marginal_objective,
     pack,
+    prepared_objective,
 )
 
 
@@ -84,7 +83,7 @@ def test_criterion_1_gradient_correctness():
         nf = int(rng.integers(max(nc, 4), 13))
         S = int(rng.integers(0, 4))
         params, a, design, posteriors, H, Xf = random_instance(rng, nc, nf, S)
-        f = neg_log_marginal_objective(a, design, posteriors, H, Xf)
+        f = prepared_objective(a, design, posteriors, H, Xf)
         worst = max(worst, grad_check(f, pack(params)))
     elapsed = time.monotonic() - start
     verdict(1, "gradient correctness", worst <= 1e-5 and elapsed < 10.0)

@@ -1,13 +1,16 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import random_H, random_instance, random_posteriors
+from conftest import random_H, random_instance, random_posteriors, se_kernel
 from finescale import downscale
 from finescale.downscale import (
     DownscaleFitError,
     DownscaleParams,
     _neg_log_marginal,
+    _pack,
     _Problem,
     assemble_lambda,
     build_design,
@@ -17,10 +20,10 @@ from finescale.downscale import (
     predict_fine,
 )
 from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
-from finescale.geo import build_aggregation
+from finescale.geo import AggregationMap, ArealDataset, Partition, build_aggregation
 from finescale.gp_aux import AuxPosterior, fit_all_aux
-from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_kernel
-from finescale.numerics import FactorizationError, grad_check
+from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
+from finescale.numerics import FactorizationError, cholesky, grad_check, log_det, solve
 
 
 def pack(params):
@@ -44,14 +47,119 @@ def unpack(theta, n_w):
     )
 
 
+# The dense second-step formulas, with the nf x nf Omega formed for every
+# call, kept as the oracle for the prepared problem that fit_downscale and
+# predict_fine share.
+@dataclass(frozen=True)
+class DenseAssembly:
+    Omega: np.ndarray
+    Lambda: np.ndarray
+    factor: object  # CholeskyFactor
+
+
+def dense_assemble_lambda(params, posteriors, fine_centroids, amap_or_H):
+    """Omega = K + sum_s w_s^2 Sigma_s; Lambda = sigma^2 I + H Omega H^T."""
+    H = amap_or_H.H if isinstance(amap_or_H, AggregationMap) else np.asarray(amap_or_H, float)
+    Omega = cov_matrix(params.kernel, fine_centroids, fine_centroids)
+    for k, post in enumerate(posteriors):
+        Omega = Omega + params.w[k] ** 2 * post.cov
+    Omega = 0.5 * (Omega + Omega.T)
+    nc = H.shape[0]
+    Lam = params.sigma**2 * np.eye(nc) + H @ Omega @ H.T
+    Lam = 0.5 * (Lam + Lam.T)
+    jitter = JITTER_REL * (params.sigma**2 + params.kernel.alpha**2)
+    factor = cholesky(Lam + jitter * np.eye(nc))
+    return DenseAssembly(Omega=Omega, Lambda=Lam, factor=factor)
+
+
+def dense_log_marginal(params, a, design, assembly, H):
+    """-1/2 r^T Lambda^-1 r - 1/2 log det Lambda - n/2 log 2pi, r = a - H F w."""
+    a = np.asarray(a, dtype=float)
+    r = a - H @ (design.F @ params.w)
+    p = solve(assembly.factor, r)
+    n = a.size
+    return float(-0.5 * r @ p - 0.5 * log_det(assembly.factor) - 0.5 * n * np.log(2 * np.pi))
+
+
+def dense_grad_log_marginal(params, a, design, posteriors, amap_or_H, fine_centroids, assembly=None):
+    """Analytic gradient over (w_1..w_S, w_0, log alpha, log gamma, log sigma).
+
+    Each covariance-parameter entry is 1/2 tr((p p^T - Lambda^-1) dLambda),
+    p = Lambda^-1 (a - H F w); the weight entries add the mean-term
+    contribution (H F_col)^T p.
+    """
+    H = amap_or_H.H if isinstance(amap_or_H, AggregationMap) else np.asarray(amap_or_H, float)
+    if assembly is None:
+        assembly = dense_assemble_lambda(params, posteriors, fine_centroids, H)
+    a = np.asarray(a, dtype=float)
+    nc = a.size
+    alpha, gamma, sigma = params.kernel.alpha, params.kernel.gamma, params.sigma
+    r = a - H @ (design.F @ params.w)
+    p = solve(assembly.factor, r)
+    Linv = solve(assembly.factor, np.eye(nc))
+
+    def trace_term(dLam: np.ndarray) -> float:
+        return 0.5 * (float(p @ dLam @ p) - float(np.sum(Linv * dLam)))
+
+    S = len(posteriors)
+    grad = np.zeros(S + 1 + 3)
+    HF = H @ design.F
+    for s in range(S):
+        dLam_s = 2.0 * params.w[s] * (H @ posteriors[s].cov @ H.T)
+        grad[s] = float(HF[:, s] @ p) + trace_term(dLam_s)
+    grad[S] = float(HF[:, S] @ p)  # bias: Lambda does not depend on w_0
+
+    D2 = sq_dists(fine_centroids, fine_centroids)
+    K = se_from_sq_dists(alpha, gamma, D2)
+    jit = JITTER_REL
+    I_c = np.eye(nc)
+    # log-space chain rule: d/d log(theta) = theta * d/d theta
+    dLam_la = H @ (2.0 * K) @ H.T + 2.0 * jit * alpha**2 * I_c
+    dLam_lg = H @ (K * (D2 / gamma**2)) @ H.T
+    dLam_ls = 2.0 * sigma**2 * (1.0 + jit) * I_c
+    grad[S + 1] = trace_term(dLam_la)
+    grad[S + 2] = trace_term(dLam_lg)
+    grad[S + 3] = trace_term(dLam_ls)
+    return grad
+
+
+def dense_predict_fine(params, a, design, posteriors, amap_or_H, fine=None):
+    """(mean, cov) of the fine field: mean F w + Omega H^T Lambda^-1 (a - H F w),
+    covariance Omega - Omega H^T Lambda^-1 H Omega.
+    """
+    a_vec = a.values if isinstance(a, ArealDataset) else np.asarray(a, dtype=float)
+    H = amap_or_H.H if isinstance(amap_or_H, AggregationMap) else np.asarray(amap_or_H, float)
+    if isinstance(fine, Partition):
+        Xf = fine.centroids
+    elif fine is not None:
+        Xf = np.asarray(fine, dtype=float)
+    elif isinstance(amap_or_H, AggregationMap):
+        Xf = amap_or_H.fine.centroids
+    else:
+        raise ValueError("fine centroids required")
+    assembly = dense_assemble_lambda(params, posteriors, Xf, H)
+    m0 = design.F @ params.w
+    r = a_vec - H @ m0
+    OmHt = assembly.Omega @ H.T
+    mean = m0 + OmHt @ solve(assembly.factor, r)
+    cov = assembly.Omega - OmHt @ solve(assembly.factor, OmHt.T)
+    cov = 0.5 * (cov + cov.T)
+    d = np.diag(cov).copy()
+    if d.min() < -1e-8:
+        raise RuntimeError(f"predictive variance {d.min()} below clamp tolerance")
+    np.fill_diagonal(cov, np.maximum(d, 0.0))
+    return mean, cov
+
+
 def neg_log_marginal_objective(a, design, posteriors, H, Xf):
+    """The dense oracle's -log marginal and gradient as a function of theta."""
     n_w = design.F.shape[1]
 
     def f(theta):
         params = unpack(theta, n_w)
-        assembly = assemble_lambda(params, posteriors, Xf, H)
-        val = -log_marginal(params, a, design, assembly, H)
-        grad = -grad_log_marginal(params, a, design, posteriors, H, Xf, assembly)
+        assembly = dense_assemble_lambda(params, posteriors, Xf, H)
+        val = -dense_log_marginal(params, a, design, assembly, H)
+        grad = -dense_grad_log_marginal(params, a, design, posteriors, H, Xf, assembly)
         return val, grad
 
     return f
@@ -248,8 +356,6 @@ def test_weight_gradient_sign_at_zero_weights(rng):
     assert grad_check(f, pack(params)) <= 1e-5
     assembly = assemble_lambda(params, posteriors, Xf, H)
     g = grad_log_marginal(params, a, design, posteriors, H, Xf, assembly)
-    from finescale.numerics import cholesky, solve
-
     lam_inv_a = solve(assembly.factor, a)
     for s in range(S + 1):
         assert g[s] == pytest.approx(float((H @ design.F[:, s]) @ lam_inv_a), abs=1e-10)
@@ -340,6 +446,16 @@ def test_predict_zero_weights_is_gp_interpolation(rng):
     assert np.allclose(ref.mean, direct, atol=1e-8)
 
 
+@pytest.mark.parametrize("ids", [["aux0", "bias"], ["aux0", "aux1", "aux2", "bias"]])
+def test_params_to_dict_rejects_column_ids_of_another_length(ids):
+    # zipping two ids with three weights used to drop one and file w_1 as bias
+    params = DownscaleParams(w=np.array([0.5, -1.0, 2.0]), kernel=SEKernelParams(1.0, 0.5), sigma=0.1)
+    with pytest.raises(ValueError, match="column ids for 3 weights"):
+        params.to_dict(column_ids=ids)
+    with pytest.raises(TypeError):
+        params.to_dict()
+
+
 def test_params_json_round_trip():
     params = DownscaleParams(
         w=np.array([0.5, -1.2, 3.0]),
@@ -398,7 +514,7 @@ def test_prepared_gradient_matches_finite_differences(rng):
 
 def test_fit_restarts_match_dense_objective(monkeypatch):
     # 24x20 fine / 8x5 coarse: every restart takes the same BFGS path when
-    # the prepared objective is swapped for the dense public functions
+    # the prepared objective is swapped for the dense oracle
     inst = generate_synthetic(SyntheticSpec(fine_shape=(24, 20), coarse_shape=(8, 5)), seed=0)
     amap = build_aggregation(inst.coarse, inst.fine)
     fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=1, dataset_ids=inst.aux_ids)
@@ -419,6 +535,61 @@ def test_fit_restarts_match_dense_objective(monkeypatch):
         assert g["iterations"] == w["iterations"]
         assert g["evaluations"] == w["evaluations"]
         assert g["objective"] == pytest.approx(w["objective"], rel=1e-8)
+
+
+def test_predict_factors_the_lambda_the_fit_factors(monkeypatch):
+    inst = generate_synthetic(SyntheticSpec(), seed=0)
+    fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=1, dataset_ids=inst.aux_ids)
+    posteriors = [post for _, post in fitted]
+    params = fit_downscale(inst.a, posteriors, inst.fine, inst.amap, restarts=2, seed=0)
+    theta = _pack(params.w, params.kernel, params.sigma)
+    # the objective sees the fitted floats themselves
+    assert list(np.exp(theta[-3:])) == [params.kernel.alpha, params.kernel.gamma, params.sigma]
+
+    factored = []
+    real_cholesky = downscale.cholesky
+    monkeypatch.setattr(downscale, "cholesky", lambda M: factored.append(M) or real_cholesky(M))
+    _neg_log_marginal(_Problem.build(inst.a, posteriors, inst.fine, inst.amap), theta)
+    design = build_design(posteriors, n_fine=len(inst.fine))
+    predict_fine(params, inst.a, design, posteriors, inst.amap)
+    assert len(factored) == 2
+    assert np.array_equal(factored[0], factored[1])
+
+
+def _predict_case(rng, case):
+    """(params, a, design, posteriors, amap_or_H, fine) for one predict_fine case."""
+    if case == "amap_fine":
+        amap = build_aggregation(grid_partition(3, 2, "c"), grid_partition(6, 4, "f"))
+        params, a, design, posteriors, _, _ = random_instance(rng, 6, 24, 2)
+        return params, a, design, posteriors, amap, None
+    if case == "identity_H":
+        params, a, design, posteriors, _, Xf = random_instance(rng, 9, 9, 1)
+        return params, a, design, posteriors, np.eye(9), Xf
+    nc = int(rng.integers(2, 6))
+    nf = int(rng.integers(max(nc, 4), 13))
+    S = 2 if case == "dense_H" else int(case[1:])
+    params, a, design, posteriors, H, Xf = random_instance(rng, nc, nf, S)
+    if case == "dense_H":  # every fine region in every coarse one, unequal weights
+        H = rng.uniform(0.1, 1.0, size=(nc, nf))
+        H /= H.sum(axis=1, keepdims=True)
+    return params, a, design, posteriors, H, Xf
+
+
+@pytest.mark.parametrize("case", ["S0", "S1", "S3", "dense_H", "identity_H", "amap_fine"])
+def test_predict_matches_dense_oracle(rng, case):
+    for _ in range(4):
+        args = _predict_case(rng, case)
+        ref = predict_fine(*args[:5], fine=args[5])
+        mean, cov = dense_predict_fine(*args[:5], fine=args[5])
+        assert np.max(np.abs(ref.mean - mean)) <= 1e-12 * np.max(np.abs(mean))
+        assert np.max(np.abs(ref.cov - cov)) <= 1e-10 * np.max(np.abs(cov))
+        assert np.array_equal(ref.cov, ref.cov.T)
+
+
+def test_predict_without_fine_centroids_is_rejected(rng):
+    params, a, design, posteriors, H, _ = random_instance(rng, 3, 6, 1)
+    with pytest.raises(ValueError, match="fine centroids required"):
+        predict_fine(params, a, design, posteriors, H)
 
 
 def test_fit_records_every_restart(rng):

@@ -24,7 +24,6 @@ from finescale.geo import (
     polygon_area_centroid,
     save_aggregation_csv,
     save_dataset,
-    to_intensive,
 )
 
 
@@ -123,26 +122,6 @@ def test_centroid_translation_and_area_scaling(dx, dy, c):
     assert cent_t == pytest.approx(cent0 + np.array([dx, dy]), abs=1e-8)
     area_s, _ = polygon_area_centroid([[base * c]])
     assert area_s == pytest.approx(area0 * c * c, rel=1e-9)
-
-
-def test_to_intensive_division():
-    part = Partition("p", (square_region("A", 0, 0, np.sqrt(2.0)),))
-    d = ArealDataset(part, [10.0], quantity_kind="extensive")
-    out = to_intensive(d)
-    assert out.values[0] == pytest.approx(5.0, rel=1e-12)
-    assert out.quantity_kind == "intensive"
-
-
-def test_to_intensive_rejects_intensive():
-    part = point_partition("p", np.array([[0.5, 0.5]]))
-    with pytest.raises(GeoValidationError):
-        to_intensive(ArealDataset(part, [1.0]))
-
-
-def test_to_intensive_zero_value():
-    part = Partition("p", (square_region("A", 0, 0, 2.0),))
-    out = to_intensive(ArealDataset(part, [0.0], quantity_kind="extensive"))
-    assert out.values[0] == 0.0
 
 
 # The scalar point-in-polygon test that built H one centroid and one edge at a

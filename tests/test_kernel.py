@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_kernel, sq_dists
+from conftest import se_kernel
+from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, sq_dists
 from finescale.numerics import cholesky
 
 P11 = SEKernelParams(alpha=1.0, gamma=1.0)

@@ -36,20 +36,15 @@ def gpr_baseline(
 
 
 def lr_baseline(
-    a: ArealDataset | np.ndarray,
-    posteriors: list[AuxPosterior],
-    amap_or_H,
-    n_fine: int | None = None,
+    a: ArealDataset, posteriors: list[AuxPosterior], amap: AggregationMap
 ) -> BaselineResult:
     """OLS of the coarse values on coarse-aggregated auxiliary means.
 
     Rank-deficient systems take the minimum-norm solution; the prediction is
     the fine design times the fitted weights.
     """
-    a_vec = a.values if isinstance(a, ArealDataset) else np.asarray(a, dtype=float)
-    H = amap_or_H.H if isinstance(amap_or_H, AggregationMap) else np.asarray(amap_or_H, float)
-    design = build_design(posteriors, n_fine=n_fine if n_fine is not None else H.shape[1])
-    w = lstsq_warm_start(a_vec, design, H)
+    design = build_design(posteriors, n_fine=len(amap.fine))
+    w = lstsq_warm_start(a.values, design, amap.H)
     return BaselineResult(
         method="lr",
         prediction=design.F @ w,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,21 +33,31 @@ class Location:
         return np.array([self.x1, self.x2])
 
 
-def _ring_area_centroid(ring: np.ndarray) -> tuple[float, np.ndarray]:
+def _closed_ring(ring) -> np.ndarray:
+    """The ring as a float (k+1) x 2 array of x, y whose last vertex is exactly its first.
+
+    A last vertex within ``np.allclose`` of the first (its test written out on two
+    floats) is the closing one and is replaced by the first; else the first is appended.
+    """
+    r = np.asarray(ring, dtype=float)[:, :2]
+    if len(r) >= 2:
+        (x0, y0), (xk, yk) = r[0].tolist(), r[-1].tolist()
+        if abs(x0 - xk) <= 1e-8 + 1e-5 * abs(xk) and abs(y0 - yk) <= 1e-8 + 1e-5 * abs(yk):
+            r = r[:-1]
+    if len(r) < 3:
+        raise GeoParseError(f"ring needs >= 3 distinct vertices, got {len(r)}")
+    return np.concatenate([r, r[:1]])
+
+
+def _ring_area_centroid(r: np.ndarray) -> tuple[float, np.ndarray]:
     """Signed shoelace area and area-weighted centroid of one closed ring."""
-    r = np.asarray(ring, dtype=float)
-    if r.shape[0] >= 2 and np.allclose(r[0], r[-1]):
-        r = r[:-1]
-    if r.shape[0] < 3:
-        raise GeoParseError(f"ring needs >= 3 distinct vertices, got {r.shape[0]}")
     x, y = r[:, 0], r[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
+    cross = x[:-1] * y[1:] - x[1:] * y[:-1]
     area = 0.5 * float(np.sum(cross))
     if area == 0.0:
-        return 0.0, r.mean(axis=0)
-    cx = float(np.sum((x + xn) * cross)) / (6.0 * area)
-    cy = float(np.sum((y + yn) * cross)) / (6.0 * area)
+        return 0.0, r[:-1].mean(axis=0)
+    cx = float(np.sum((x[:-1] + x[1:]) * cross)) / (6.0 * area)
+    cy = float(np.sum((y[:-1] + y[1:]) * cross)) / (6.0 * area)
     return area, np.array([cx, cy])
 
 
@@ -57,7 +67,7 @@ def polygon_area_centroid(polygons: list[list[np.ndarray]]) -> tuple[float, np.n
     weighted = np.zeros(2)
     for rings in polygons:
         for k, ring in enumerate(rings):
-            a, c = _ring_area_centroid(ring)
+            a, c = _ring_area_centroid(_closed_ring(ring))
             a = abs(a) if k == 0 else -abs(a)
             total += a
             weighted += a * c
@@ -69,9 +79,13 @@ def polygon_area_centroid(polygons: list[list[np.ndarray]]) -> tuple[float, np.n
 @dataclass(frozen=True)
 class Region:
     id: str
-    geometry: list  # list of polygons; each polygon is a list of (k, 2) rings
+    geometry: list  # list of polygons; each polygon is a list of closed (k+1, 2) rings
     centroid: Location
     area: float
+
+    def __post_init__(self):
+        closed = [[_closed_ring(ring) for ring in rings] for rings in self.geometry]
+        object.__setattr__(self, "geometry", closed)
 
 
 @dataclass(frozen=True)
@@ -118,7 +132,7 @@ class ArealDataset:
             raise GeoValidationError("dataset contains non-finite values")
 
 
-def _geometry_rings(geom: dict) -> list[list[np.ndarray]]:
+def _geometry_rings(geom: dict) -> list:
     gtype = geom.get("type")
     if gtype == "Polygon":
         polys = [geom["coordinates"]]
@@ -126,10 +140,7 @@ def _geometry_rings(geom: dict) -> list[list[np.ndarray]]:
         polys = geom["coordinates"]
     else:
         raise GeoParseError(f"unsupported geometry type {gtype!r}")
-    out = []
-    for rings in polys:
-        out.append([np.asarray(ring, dtype=float)[:, :2] for ring in rings])
-    return out
+    return polys
 
 
 def load_partition(source, name: str | None = None) -> Partition:
@@ -202,7 +213,6 @@ class AggregationMap:
     coarse: Partition
     fine: Partition
     H: np.ndarray
-    membership: dict = field(compare=False)
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
@@ -221,19 +231,9 @@ BOUNDARY_TOL = 1e-12
 
 
 def _ring_edges(polygons: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end points, each (m, 2), of the edges of every ring.
-
-    A ring's last vertex is dropped when it repeats the first (within
-    ``np.allclose``); each ring then closes from its last vertex to its first.
-    """
-    rings = []
-    for polygon in polygons:
-        for ring in polygon:
-            r = np.asarray(ring, dtype=float)
-            if r.shape[0] >= 2 and np.allclose(r[0], r[-1]):
-                r = r[:-1]
-            rings.append(r)
-    return np.concatenate(rings), np.concatenate([np.roll(r, -1, axis=0) for r in rings])
+    """Start and end points, each (m, 2), of the edges of every closed ring."""
+    rings = [ring for polygon in polygons for ring in polygon]
+    return np.concatenate([r[:-1] for r in rings]), np.concatenate([r[1:] for r in rings])
 
 
 def _points_inside(px: np.ndarray, py: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -304,9 +304,7 @@ def build_aggregation(coarse: Partition, fine: Partition) -> AggregationMap:
         raise GeoValidationError(f"coarse regions with no fine members: {empty}")
     H = np.zeros((nc, nf))
     H[holder, np.arange(nf)] = 1.0 / counts[holder]
-    coarse_ids = coarse.ids
-    membership = {fid: coarse_ids[i] for fid, i in zip(fine.ids, holder)}
-    return AggregationMap(coarse=coarse, fine=fine, H=H, membership=membership)
+    return AggregationMap(coarse=coarse, fine=fine, H=H)
 
 
 def aggregate(amap: AggregationMap, fine_values: np.ndarray) -> np.ndarray:
@@ -375,8 +373,4 @@ def load_aggregation_csv(coarse: Partition, fine: Partition, path) -> Aggregatio
     if np.any(nz_per_col != 1):
         bad = [fine.ids[j] for j in np.nonzero(nz_per_col != 1)[0]]
         raise GeoValidationError(f"{path}: columns without exactly one nonzero: {bad}")
-    membership = {}
-    for j, fid in enumerate(fine.ids):
-        i = int(np.nonzero(H[:, j] > 0)[0][0])
-        membership[fid] = coarse.ids[i]
-    return AggregationMap(coarse=coarse, fine=fine, H=H, membership=membership)
+    return AggregationMap(coarse=coarse, fine=fine, H=H)

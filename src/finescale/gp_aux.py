@@ -135,9 +135,10 @@ def data_sha256(centroids, values) -> str:
     return h.hexdigest()
 
 
-def median_pairwise_distance(X: np.ndarray) -> float:
-    D2 = sq_dists(X, X)
-    upper = D2[np.triu_indices(X.shape[0], k=1)]
+def median_pairwise_distance(D2: np.ndarray) -> float:
+    """Median distance over the pairs i < j with positive squared distance D2[i, j];
+    1 when there is no such pair."""
+    upper = D2[np.triu_indices(D2.shape[0], k=1)]
     if upper.size == 0 or np.all(upper == 0):
         return 1.0
     return float(np.sqrt(np.median(upper[upper > 0])))
@@ -177,7 +178,7 @@ def fit_aux_gp(
     base = np.log(
         [
             max(std_ys, 1e-3),  # alpha
-            median_pairwise_distance(X),  # gamma
+            median_pairwise_distance(D2),  # gamma
             max(0.1 * std_ys, 10 * SIGMA_FLOOR),  # sigma
         ]
     )

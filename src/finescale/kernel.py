@@ -41,8 +41,17 @@ def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, |A| x |B|."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    diff = A[:, None, :] - B[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"points of dimension {A.shape[1]} and {B.shape[1]}")
+    # Squared column differences summed in place: at most two |A| x |B| arrays
+    # for 2-D points, and bit for bit the sums over the (|A|, |B|, 2) differences.
+    D2 = np.subtract.outer(A[:, 0], B[:, 0])
+    D2 *= D2
+    for k in range(1, A.shape[1]):
+        d = np.subtract.outer(A[:, k], B[:, k])
+        d *= d
+        D2 += d
+    return D2
 
 
 def se_from_sq_dists(alpha: float, gamma: float, D2: np.ndarray) -> np.ndarray:
@@ -65,7 +74,4 @@ def cov_matrix(params: SEKernelParams, A, B) -> np.ndarray:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise ValueError("centroid lists must be nonempty")
-    K = se_from_sq_dists(params.alpha, params.gamma, sq_dists(A, B))
-    if A.shape == B.shape and np.array_equal(A, B):
-        K = 0.5 * (K + K.T)
-    return K
+    return se_from_sq_dists(params.alpha, params.gamma, sq_dists(A, B))

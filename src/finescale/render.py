@@ -22,12 +22,11 @@ def ramp_color(t: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def _path_d(geometry, sx, sy, tx, ty) -> str:
+def _path_d(geometry, scale, shift) -> str:
     parts = []
     for rings in geometry:
         for ring in rings:
-            r = np.asarray(ring, dtype=float)
-            pts = [f"{x * sx + tx:.4f},{y * sy + ty:.4f}" for x, y in r]
+            pts = [f"{x:.4f},{y:.4f}" for x, y in (ring * scale + shift).tolist()]
             parts.append("M" + " L".join(pts) + " Z")
     return " ".join(parts)
 
@@ -40,21 +39,16 @@ def choropleth_svg(partition: Partition, values, width: int = 640) -> str:
     lo, hi = float(values.min()), float(values.max())
     norm = np.zeros_like(values) if hi == lo else (values - lo) / (hi - lo)
 
-    xs, ys = [], []
-    for r in partition.regions:
-        for rings in r.geometry:
-            for ring in rings:
-                arr = np.asarray(ring, dtype=float)
-                xs.extend(arr[:, 0])
-                ys.extend(arr[:, 1])
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    vertices = np.concatenate(
+        [ring for r in partition.regions for rings in r.geometry for ring in rings]
+    )
+    (x0, y0), (x1, y1) = vertices.min(axis=0).tolist(), vertices.max(axis=0).tolist()
     span_x = (x1 - x0) or 1.0
     span_y = (y1 - y0) or 1.0
     height = int(round(width * span_y / span_x))
     sx = width / span_x
     sy = -height / span_y  # flip: SVG y grows downward
-    tx, ty = -x0 * sx, height - y0 * sy
+    scale, shift = np.array([sx, sy]), np.array([-x0 * sx, height - y0 * sy])
 
     svg = ET.Element(
         "svg",
@@ -72,7 +66,7 @@ def choropleth_svg(partition: Partition, values, width: int = 640) -> str:
             "path",
             {
                 "id": region.id,
-                "d": _path_d(region.geometry, sx, sy, tx, ty),
+                "d": _path_d(region.geometry, scale, shift),
                 "fill": ramp_color(float(t)),
                 "stroke": "#ffffff",
                 "stroke-width": "0.5",

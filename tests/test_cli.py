@@ -10,6 +10,7 @@ import pytest
 import finescale
 from finescale.cli import EXIT_CONFIG, EXIT_OK, main
 from finescale.evaluate import grid_partition
+from finescale.geo import build_aggregation, load_partition, save_aggregation_csv
 from finescale.render import choropleth_svg, ramp_color
 
 
@@ -256,3 +257,34 @@ def test_refine_rejects_auxiliary_data_changed_since_fit(synth_dir, tmp_path, ca
         del m["diagnostics"]["data_sha256"]
     models_path.write_text(json.dumps(models))
     assert main(["refine", *common_args(bundle, out)]) == EXIT_OK
+
+
+def test_hmatrix_of_centroid_membership_gives_the_same_outputs(synth_dir, tmp_path):
+    amap = build_aggregation(
+        load_partition(synth_dir / "coarse.geojson"), load_partition(synth_dir / "fine.geojson")
+    )
+    hmatrix = tmp_path / "H.csv"
+    save_aggregation_csv(amap, hmatrix)
+    built, given = tmp_path / "built", tmp_path / "given"
+    for out, extra in ((built, []), (given, ["--hmatrix", str(hmatrix)])):
+        assert main(["fit", *common_args(synth_dir, out), *extra]) == EXIT_OK
+        assert main(["refine", *common_args(synth_dir, out), *extra]) == EXIT_OK
+    for name in ("models.json", "refinement.csv"):
+        assert (given / name).read_bytes() == (built / name).read_bytes(), name
+
+
+def test_hmatrix_with_two_nonzeros_in_a_column_exit_2(synth_dir, tmp_path, capsys):
+    amap = build_aggregation(
+        load_partition(synth_dir / "coarse.geojson"), load_partition(synth_dir / "fine.geojson")
+    )
+    H = amap.H.copy()
+    H[:, 0] = 0.0
+    H[:2, 0] = 0.5  # the first fine region split between two coarse regions
+    lines = ["," + ",".join(amap.fine.ids)]
+    lines += [",".join([cid] + [repr(float(v)) for v in row]) for cid, row in zip(amap.coarse.ids, H)]
+    hmatrix = tmp_path / "H.csv"
+    hmatrix.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["fit", *common_args(synth_dir, out), "--hmatrix", str(hmatrix)]) == EXIT_CONFIG
+    assert amap.fine.ids[0] in capsys.readouterr().err
+    assert not (out / "models.json").exists()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import point_partition, square_region
+from finescale import geo
 from finescale.evaluate import grid_partition
 from finescale.geo import (
     AggregationMap,
@@ -124,6 +125,91 @@ def test_centroid_translation_and_area_scaling(dx, dy, c):
     assert area_s == pytest.approx(area0 * c * c, rel=1e-9)
 
 
+# The shoelace area and centroid of one ring as computed before rings were
+# closed at construction: every call dropped a last vertex within np.allclose
+# of the first and wrapped around with np.roll. Kept as the oracle for the
+# closed rings that Region holds.
+def roll_ring_area_centroid(ring: np.ndarray) -> tuple[float, np.ndarray]:
+    """Signed shoelace area and area-weighted centroid of one closed ring."""
+    r = np.asarray(ring, dtype=float)
+    if r.shape[0] >= 2 and np.allclose(r[0], r[-1]):
+        r = r[:-1]
+    if r.shape[0] < 3:
+        raise GeoParseError(f"ring needs >= 3 distinct vertices, got {r.shape[0]}")
+    x, y = r[:, 0], r[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = 0.5 * float(np.sum(cross))
+    if area == 0.0:
+        return 0.0, r.mean(axis=0)
+    cx = float(np.sum((x + xn) * cross)) / (6.0 * area)
+    cy = float(np.sum((y + yn) * cross)) / (6.0 * area)
+    return area, np.array([cx, cy])
+
+
+def assert_closed_like_oracle(ring, closed: np.ndarray) -> None:
+    """closed is ring under the ring rule, and its area and centroid are the oracle's."""
+    assert closed.dtype == float and closed.shape[1] == 2
+    assert np.array_equal(closed[-1], closed[0])
+    area, centroid = geo._ring_area_centroid(closed)
+    oracle_area, oracle_centroid = roll_ring_area_centroid(ring)
+    assert area == oracle_area
+    assert np.array_equal(centroid, oracle_centroid)
+
+
+OPEN_RING = [[0.0, 0.0], [3.0, 0.2], [2.5, 2.0], [0.4, 1.7]]
+
+
+@pytest.mark.parametrize(
+    "last, kept",
+    [(None, False), ([0.0, 0.0], False), ([1e-9, -1e-9], False), ([1e-3, 0.0], True)],
+    ids=["open", "exactly_closed", "last_1e-9_off", "last_1e-3_off"],
+)
+def test_region_closes_each_ring_once(last, kept):
+    ring = OPEN_RING + ([last] if last else [])
+    (closed,) = _region("R", [[ring]]).geometry[0]
+    assert_closed_like_oracle(ring, closed)
+    # a last vertex within allclose of the first is replaced by an exact copy of it
+    assert closed.tolist() == OPEN_RING + ([last] if kept else []) + [OPEN_RING[0]]
+
+
+@given(
+    n=st.integers(3, 9),
+    scale=st.sampled_from([1e-3, 1.0, 37.0]),
+    closing=st.sampled_from(["open", "exact", "near", "far"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_closed_ring_area_centroid_match_roll_oracle(n, scale, closing, seed):
+    ring = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2)) * scale
+    if closing != "open":
+        offset = {"exact": 0.0, "near": 1e-9, "far": 1e-3}[closing] * scale
+        ring = np.vstack([ring, ring[:1] + offset])
+    assert_closed_like_oracle(ring, geo._closed_ring(ring))
+
+
+def test_collinear_ring_takes_vertex_mean_like_oracle():
+    ring = [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [0.0, 0.0]]
+    assert_closed_like_oracle(ring, geo._closed_ring(ring))
+
+
+def test_every_ring_is_closed_at_construction():
+    loaded = load_partition(collection(feature("A", OPEN_RING), feature("L", L_SHAPE)))
+    for part in (loaded, grid_partition(3, 2, "g"), Partition("s", (square_region("S", 1, 2),))):
+        for region in part.regions:
+            for rings in region.geometry:
+                for ring in rings:
+                    assert ring.dtype == float and np.array_equal(ring[-1], ring[0])
+
+
+@pytest.mark.parametrize("ring", [[[0, 0], [1, 0], [0, 0]], [[0, 0], [1, 0]], [[2, 2]]])
+def test_ring_needs_three_distinct_vertices(ring):
+    with pytest.raises(GeoParseError, match=">= 3 distinct vertices"):
+        Region("R", [[ring]], Location(0.0, 0.0), 1.0)
+    with pytest.raises(GeoParseError, match=">= 3 distinct vertices"):
+        load_partition(collection(feature("R", ring)))
+
+
 # The scalar point-in-polygon test that built H one centroid and one edge at a
 # time, kept as the oracle for the vectorised build_aggregation.
 def _point_on_segment(p, a, b, tol=1e-12) -> bool:
@@ -159,7 +245,7 @@ def point_in_polygon(point: np.ndarray, polygons: list[list[np.ndarray]]) -> boo
 
 
 def loop_aggregation(coarse: Partition, fine: Partition) -> tuple[np.ndarray, dict]:
-    """H and membership from the scalar test, lowest coarse id first."""
+    """H and fine id -> coarse id from the scalar test, lowest coarse id first."""
     nc, nf = len(coarse), len(fine)
     order = sorted(range(nc), key=lambda i: coarse.regions[i].id)
     membership = {}
@@ -177,11 +263,18 @@ def loop_aggregation(coarse: Partition, fine: Partition) -> tuple[np.ndarray, di
     return H / counts[:, None], membership
 
 
+def holders(amap: AggregationMap) -> dict:
+    """Fine id -> coarse id, read from the one nonzero in each column of H."""
+    cols, rows = np.nonzero(amap.H.T)
+    assert np.array_equal(cols, np.arange(len(amap.fine))), "a column without exactly one nonzero"
+    return {amap.fine.ids[j]: amap.coarse.ids[i] for j, i in zip(cols, rows)}
+
+
 def assert_matches_oracle(coarse: Partition, fine: Partition) -> None:
     amap = build_aggregation(coarse, fine)
     H, membership = loop_aggregation(coarse, fine)
     assert np.array_equal(amap.H, H)
-    assert amap.membership == membership
+    assert holders(amap) == membership
 
 
 def test_aggregation_left_right_halves():
@@ -228,7 +321,7 @@ def test_boundary_tie_breaks_to_lowest_coarse_id():
     coarse = Partition("coarse", (left, right))
     fine = point_partition("f", np.array([[0.5, 0.5], [0.25, 0.5], [0.75, 0.5]]))
     amap = build_aggregation(coarse, fine)
-    assert amap.membership["f_000"] == "A_lowest"
+    assert holders(amap)["f_000"] == "A_lowest"
 
 
 def test_unassigned_fine_centroid_errors():
@@ -360,7 +453,7 @@ def test_degenerate_edge_claims_only_nearby_centroids(repeat):
     )
     fine = point_partition("f", np.array([[0.5, 0.5], [1.0, 0.0], [6.0, 3.0], [50.0, 50.0]]))
     amap = build_aggregation(coarse, fine)
-    assert amap.membership == {"f_000": "A", "f_001": "A", "f_002": "B", "f_003": "C"}
+    assert holders(amap) == {"f_000": "A", "f_001": "A", "f_002": "B", "f_003": "C"}
 
 
 def test_aggregate_constant_field(grid_amap_2x2_over_4x4):
@@ -388,9 +481,9 @@ def test_aggregation_map_invariant_validation():
     part = grid_partition(2, 1, "p")
     bad = np.array([[0.5, 0.6], [0.4, 0.5]])
     with pytest.raises(GeoValidationError):
-        AggregationMap(coarse=part, fine=part, H=bad, membership={})
+        AggregationMap(coarse=part, fine=part, H=bad)
     with pytest.raises(GeoValidationError):
-        AggregationMap(coarse=part, fine=part, H=-np.eye(2), membership={})
+        AggregationMap(coarse=part, fine=part, H=-np.eye(2))
 
 
 def test_dataset_csv_round_trip(tmp_path):
@@ -424,7 +517,7 @@ def test_aggregation_csv_round_trip(tmp_path, grid_amap_2x2_over_4x4):
     save_aggregation_csv(amap, path)
     back = load_aggregation_csv(amap.coarse, amap.fine, path)
     assert np.array_equal(back.H, amap.H)
-    assert back.membership == amap.membership
+    assert holders(back) == holders(amap)
 
 
 def test_aggregation_csv_rejects_multi_membership(tmp_path):

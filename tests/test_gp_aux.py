@@ -324,8 +324,9 @@ def test_model_json_round_trip(rng):
 
 
 def test_median_pairwise_distance_degenerate():
-    assert median_pairwise_distance(np.array([[1.0, 1.0]])) == 1.0
-    assert median_pairwise_distance(np.array([[1.0, 1.0], [1.0, 1.0]])) == 1.0
+    X1, X2 = np.array([[1.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 1.0]])
+    assert median_pairwise_distance(sq_dists(X1, X1)) == 1.0
+    assert median_pairwise_distance(sq_dists(X2, X2)) == 1.0
 
 
 def test_avg_variance_is_diagonal_mean(rng):

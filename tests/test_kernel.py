@@ -35,9 +35,13 @@ def test_single_point_matrix():
 
 
 def test_symmetry_exact(rng):
-    X = rng.uniform(size=(17, 2))
-    M = cov_matrix(P11, X, X)
-    assert np.array_equal(M, M.T)
+    # exact as built, on a grid and on random points of several sizes
+    grid = np.stack(np.meshgrid(np.arange(40) / 40, np.arange(30) / 30), axis=-1).reshape(-1, 2)
+    random = [rng.uniform(size=(17, 2)), rng.uniform(-3, 3, size=(777, 2)), rng.uniform(size=(500, 2))]
+    for X in [grid, *random]:
+        for p in (P11, SEKernelParams(alpha=1.3, gamma=0.2)):
+            M = cov_matrix(p, X, X)
+            assert np.array_equal(M, M.T)
 
 
 def test_three_collinear_equidistant_points():
@@ -109,3 +113,34 @@ def test_sq_dists_matches_direct(rng):
     D2 = sq_dists(A, B)
     direct = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
     assert np.allclose(D2, direct, atol=1e-12)
+
+
+def einsum_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, |A| x |B|.
+
+    The form that reduced the full (|A|, |B|, d) difference array; kept as
+    the oracle for sq_dists, which sums squared column differences in place.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    diff = A[:, None, :] - B[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+@pytest.mark.parametrize("n, m", [(300, 300), (257, 1200), (1, 5)])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 37.3, 1e4])
+def test_sq_dists_matches_einsum_oracle(n, m, scale):
+    rng = np.random.default_rng(n * m)
+    for d in (1, 2, 3):
+        A = rng.uniform(-1.0, 1.0, size=(n, d)) * scale
+        B = rng.uniform(-1.0, 1.0, size=(m, d)) * scale
+        D2, oracle = sq_dists(A, B), einsum_sq_dists(A, B)
+        if d <= 2:  # the package's points are x, y: bit for bit
+            assert np.array_equal(D2, oracle)
+        else:
+            assert np.all(np.abs(D2 - oracle) <= 1e-15 * oracle)
+
+
+def test_sq_dists_rejects_mismatched_dimensions():
+    with pytest.raises(ValueError, match="dimension"):
+        sq_dists(np.zeros((3, 2)), np.zeros((4, 3)))

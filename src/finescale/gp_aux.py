@@ -75,24 +75,70 @@ class AuxPosterior:
         return float(np.mean(np.diag(self.cov)))
 
 
-def _gram(alpha: float, gamma: float, sigma: float, D2: np.ndarray):
-    """K on squared distances D2 and the training covariance A = K + (sigma^2 + jitter) I."""
-    K = se_from_sq_dists(alpha, gamma, D2)
-    return K, K + (sigma**2 + JITTER_REL * alpha**2) * np.eye(D2.shape[0])
+def _gram(
+    alpha: float,
+    gamma: float,
+    sigma: float,
+    D2: np.ndarray,
+    K: np.ndarray | None = None,
+    A: np.ndarray | None = None,
+) -> np.ndarray:
+    """The training covariance A = K + (sigma^2 + jitter) I, K the SE kernel on squared distances D2.
+
+    K is written into the given array, or a new one; A into the given array,
+    or over K. The noise goes onto the diagonal in place: off it, A is K.
+    """
+    K = se_from_sq_dists(alpha, gamma, D2, out=K)
+    if A is None:
+        A = K
+    else:
+        np.copyto(A, K)
+    A.flat[:: A.shape[0] + 1] += sigma**2 + JITTER_REL * alpha**2
+    return A
 
 
 def aux_log_marginal(params: SEKernelParams, sigma: float, X, y) -> float:
     """log N(y | 0, K + sigma^2 I) for a zero-mean GP at centroids X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    _, A = _gram(params.alpha, params.gamma, sigma, sq_dists(X, X))
-    F = cholesky(A)
+    F = cholesky(_gram(params.alpha, params.gamma, sigma, sq_dists(X, X)))
     beta = solve(F, y)
     n = y.size
     return float(-0.5 * y @ beta - 0.5 * log_det(F) - 0.5 * n * np.log(2 * np.pi))
 
 
-def _nll_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, D2: np.ndarray):
+@dataclass(frozen=True)
+class _AuxProblem:
+    """One auxiliary fit's unit-variance values ys, their squared distances D2,
+    and the n x n arrays every objective call overwrites.
+
+    K holds the kernel, then E = K o D2 / gamma^2. A, in Fortran order so
+    LAPACK needs no copy, holds K + (sigma^2 + jitter) I, then its factor,
+    then the lower triangle of A^-1. Ainv holds the symmetry check's
+    difference, then the full A^-1. Without them a call allocated and freed
+    about a dozen n x n arrays, which malloc gave back to the system and
+    faulted in again on the next call.
+    """
+
+    ys: np.ndarray
+    D2: np.ndarray
+    K: np.ndarray
+    A: np.ndarray
+    Ainv: np.ndarray
+
+    @classmethod
+    def build(cls, ys: np.ndarray, D2: np.ndarray) -> "_AuxProblem":
+        n = ys.size
+        return cls(
+            ys=ys,
+            D2=D2,
+            K=np.empty((n, n)),
+            A=np.empty((n, n), order="F"),
+            Ainv=np.empty((n, n)),
+        )
+
+
+def _nll_and_grad(prob: _AuxProblem, theta: np.ndarray):
     """Negative log marginal and gradient over (log alpha, log gamma, log sigma).
 
     With beta = A^-1 y, d log L / d theta_k = 1/2 (beta^T dA_k beta - tr(A^-1 dA_k)),
@@ -100,20 +146,25 @@ def _nll_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, D2: np.ndarra
     is a quadratic form in beta and a trace against A^-1, taken from the factor.
     """
     alpha, gamma, sigma = np.exp(theta)
+    y = prob.ys
     n = y.size
-    K, A = _gram(alpha, gamma, sigma, D2)
+    K = prob.K
+    A = _gram(alpha, gamma, sigma, prob.D2, K, prob.A)
     jitter = JITTER_REL * alpha**2
-    F = cholesky(A)
+    F = cholesky(A, out=A, scratch=prob.Ainv)
     beta = solve(F, y)
     nll = 0.5 * y @ beta + 0.5 * log_det(F) + 0.5 * n * np.log(2 * np.pi)
-    Ainv = inverse(F)
+    Ainv = inverse(F, out=prob.Ainv)
     bb, tr = beta @ beta, np.trace(Ainv)
     # Restarts that end on a flat ridge of the likelihood tie to the last bit,
     # so rounding here picks the winner among them: keep the operand order.
-    E = K * D2 / gamma**2
+    dll_alpha = 2.0 * (beta @ K @ beta + jitter * bb - np.vdot(Ainv, K) - jitter * tr)
+    E = K  # K is not read again: E = K * D2 / gamma**2, in place
+    E *= prob.D2
+    E /= gamma**2
     dll = np.array(
         [
-            2.0 * (beta @ K @ beta + jitter * bb - np.vdot(Ainv, K) - jitter * tr),
+            dll_alpha,
             beta @ E @ beta - np.vdot(Ainv, E),
             2.0 * sigma**2 * (bb - tr),
         ]
@@ -188,7 +239,8 @@ def fit_aux_gp(
         base + rng.normal(0.0, 0.5, size=3) for _ in range(max(0, restarts - 1))
     ]
 
-    best, records = multistart_minimize(lambda t: _nll_and_grad(t, X, ys, D2), inits, gtol=gtol)
+    prob = _AuxProblem.build(ys, D2)
+    best, records = multistart_minimize(lambda t: _nll_and_grad(prob, t), inits, gtol=gtol)
     if best is None:
         raise AuxFitError(f"all restarts failed: {[r['error'] for r in records]}")
     log_alpha, log_gamma, log_sigma = best.argmin
@@ -218,8 +270,7 @@ def predict_aux(model: AuxGPModel, test_centroids) -> AuxPosterior:
     Xt = np.atleast_2d(np.asarray(test_centroids, dtype=float))
     X = model.train_centroids
     yc = model.train_values - model.offset
-    _, A = _gram(model.params.alpha, model.params.gamma, model.noise_sigma, sq_dists(X, X))
-    F = cholesky(A)
+    F = cholesky(_gram(model.params.alpha, model.params.gamma, model.noise_sigma, sq_dists(X, X)))
     Ks = cov_matrix(model.params, X, Xt)
     Kss = cov_matrix(model.params, Xt, Xt)
     mean = model.offset + Ks.T @ solve(F, yc)

@@ -54,14 +54,17 @@ def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return D2
 
 
-def se_from_sq_dists(alpha: float, gamma: float, D2: np.ndarray) -> np.ndarray:
+def se_from_sq_dists(
+    alpha: float, gamma: float, D2: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """alpha^2 * exp(-0.5 * D2 / gamma^2), elementwise on an array of squared distances.
 
     Every SE covariance and Gram matrix in the package is built here, so they
-    agree bit for bit. The steps run in place in the one new array; written
-    as a single expression on an argument, it would hold two temporaries.
+    agree bit for bit. The steps run in place in one array: ``out`` when given
+    (a fit's objective reuses one across calls), else a new one. Written as a
+    single expression on an argument, it would hold two temporaries.
     """
-    K = -0.5 * D2
+    K = np.multiply(-0.5, D2, out=out)
     K /= gamma**2
     np.exp(K, out=K)
     K *= alpha**2

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,24 +58,39 @@ class OptimizeResult:
         return self.stop == "gtol"
 
 
-def cholesky(M: np.ndarray) -> CholeskyFactor:
-    """Factor a symmetric positive-definite matrix; caller applies jitter."""
+def cholesky(
+    M: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> CholeskyFactor:
+    """Factor a symmetric positive-definite matrix; caller applies jitter.
+
+    The checks and the LAPACK call are those of ``scipy.linalg.cholesky(M,
+    lower=True)`` (dpotrf on a Fortran-ordered copy, upper triangle zeroed),
+    after a symmetry check. ``out``, a Fortran-ordered n x n array that may be
+    M itself, receives the factor in place of a new copy; ``scratch``, any
+    n x n array, takes the symmetry check's difference M - M^T.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     scale = max(M.max(), -M.min())  # max |M| without an n x n temporary
     if scale > 0:
-        D = M - M.T
+        D = np.subtract(M, M.T, out=scratch)
         if np.abs(D, out=D).max() > 1e-10 * scale:
             raise ValueError("matrix is not symmetric within 1e-10 relative")
-    try:
-        L = scipy.linalg.cholesky(M, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        m = re.search(r"(\d+)", str(exc))
-        pivot = int(m.group(1)) if m else None
-        raise FactorizationError(
-            f"matrix not positive definite (pivot {pivot})", pivot=pivot
-        ) from exc
+    # scale is +inf or nan exactly when M holds an inf or a nan
+    if not np.isfinite(scale):
+        raise ValueError("array must not contain infs or NaNs")
+    if out is None:
+        out = np.array(M, order="F")
+    elif not (out.flags.f_contiguous and out.dtype == np.float64 and out.shape == M.shape):
+        raise ValueError("out must be a Fortran-ordered float64 array shaped like M")
+    elif out is not M:
+        np.copyto(out, M)
+    L, info = scipy.linalg.lapack.dpotrf(out, lower=1, clean=1, overwrite_a=1)
+    if info > 0:
+        raise FactorizationError(f"matrix not positive definite (pivot {info})", pivot=info)
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal value in argument {-info}")
     return CholeskyFactor(L=L)
 
 
@@ -88,14 +102,19 @@ def solve(F: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve((F.L, True), b)
 
 
-def inverse(F: CholeskyFactor) -> np.ndarray:
-    """M^-1 from the factor with LAPACK dpotri (about 2n^3/3 flops), exactly symmetric."""
-    lower, info = scipy.linalg.lapack.dpotri(F.L, lower=1)
+def inverse(F: CholeskyFactor, out: np.ndarray | None = None) -> np.ndarray:
+    """M^-1 from the factor with LAPACK dpotri (about 2n^3/3 flops), exactly symmetric.
+
+    dpotri fills the lower triangle and leaves the upper one, zero in a factor
+    from ``cholesky``, as it was; so the sum with its transpose is M^-1 off the
+    diagonal. With ``out``, an n x n array that receives M^-1, dpotri works in
+    place on F.L, which then no longer holds the factor.
+    """
+    lower, info = scipy.linalg.lapack.dpotri(F.L, lower=1, overwrite_c=out is not None)
     if info != 0:
         raise FactorizationError(f"dpotri failed (info {info})", pivot=info if info > 0 else None)
-    upper = np.triu(lower.T)  # dpotri fills only the lower triangle
-    inv = upper + upper.T
-    np.fill_diagonal(inv, upper.diagonal())
+    inv = np.add(lower, lower.T, out=out)
+    np.fill_diagonal(inv, lower.diagonal())
     return inv
 
 

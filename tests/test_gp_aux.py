@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from finescale.geo import ArealDataset
 from finescale.gp_aux import (
     AuxFitError,
     AuxGPModel,
+    _AuxProblem,
     _nll_and_grad,
     aux_log_marginal,
     data_sha256,
@@ -16,8 +19,16 @@ from finescale.gp_aux import (
     median_pairwise_distance,
     predict_aux,
 )
-from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, sq_dists
-from finescale.numerics import SIGMA_FLOOR, FactorizationError, cholesky, grad_check, log_det, solve
+from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
+from finescale.numerics import (
+    SIGMA_FLOOR,
+    FactorizationError,
+    cholesky,
+    grad_check,
+    inverse,
+    log_det,
+    solve,
+)
 
 
 def one_point_model(y=1.0, alpha=1.0, gamma=1.0, sigma=0.0):
@@ -104,8 +115,106 @@ def test_objective_gradient_matches_finite_differences(rng):
     D2 = sq_dists(X, X)
     for _ in range(10):
         theta = rng.normal(0.0, 0.7, size=3)
-        err = grad_check(lambda t: _nll_and_grad(t, X, y, D2), theta)
+        err = grad_check(lambda t: _nll_and_grad(_AuxProblem.build(y, D2), t), theta)
         assert err <= 1e-5
+
+
+def _gram(alpha, gamma, sigma, D2):
+    """K on squared distances D2 and the training covariance A = K + (sigma^2 + jitter) I."""
+    K = se_from_sq_dists(alpha, gamma, D2)
+    return K, K + (sigma**2 + JITTER_REL * alpha**2) * np.eye(D2.shape[0])
+
+
+def unbuffered_nll_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, D2: np.ndarray):
+    """Negative log marginal and gradient over (log alpha, log gamma, log sigma).
+
+    With beta = A^-1 y, d log L / d theta_k = 1/2 (beta^T dA_k beta - tr(A^-1 dA_k)),
+    where dA is 2 (K + jitter I), K o D2 / gamma^2 and 2 sigma^2 I; each term
+    is a quadratic form in beta and a trace against A^-1, taken from the factor.
+    """
+    alpha, gamma, sigma = np.exp(theta)
+    n = y.size
+    K, A = _gram(alpha, gamma, sigma, D2)
+    jitter = JITTER_REL * alpha**2
+    F = cholesky(A)
+    beta = solve(F, y)
+    nll = 0.5 * y @ beta + 0.5 * log_det(F) + 0.5 * n * np.log(2 * np.pi)
+    Ainv = inverse(F)
+    bb, tr = beta @ beta, np.trace(Ainv)
+    # Restarts that end on a flat ridge of the likelihood tie to the last bit,
+    # so rounding here picks the winner among them: keep the operand order.
+    E = K * D2 / gamma**2
+    dll = np.array(
+        [
+            2.0 * (beta @ K @ beta + jitter * bb - np.vdot(Ainv, K) - jitter * tr),
+            beta @ E @ beta - np.vdot(Ainv, E),
+            2.0 * sigma**2 * (bb - tr),
+        ]
+    )
+    return float(nll), -0.5 * dll
+
+
+def _bits(value, grad):
+    return value.hex(), [float(g).hex() for g in grad]
+
+
+# log alpha and log sigma so small that alpha^2 and sigma^2 underflow: A = 0
+SINGULAR_THETA = np.array([-400.0, 0.0, -400.0])
+
+
+@pytest.mark.parametrize("n", [2, 5, 60, 240])
+def test_buffered_objective_equals_unbuffered_bit_for_bit(rng, n):
+    # the oracle is the objective as it was before its n x n arrays moved into
+    # per-fit buffers, kept verbatim; the buffered one must agree to the last bit
+    X = rng.uniform(size=(n, 2))
+    y = rng.normal(size=n)
+    D2 = sq_dists(X, X)
+    grid = [np.array(t) for t in np.stack(np.meshgrid(*[[-2.0, 0.0, 1.5]] * 3), -1).reshape(-1, 3)]
+    near_floor = [np.array([0.0, np.log(0.05), np.log(10 * SIGMA_FLOOR)])]
+    thetas = grid + near_floor + [rng.normal(0.0, 1.0, size=3) for _ in range(6)]
+    prob = _AuxProblem.build(y, D2)  # one buffer set for every call, as in a fit
+    # the buffers hold the previous call's arrays: every theta runs after
+    # another one, and one runs after a theta whose factorization failed
+    for t in thetas + thetas[::-1] + [SINGULAR_THETA, thetas[0]]:
+        if t is SINGULAR_THETA:
+            with pytest.raises(FactorizationError) as got:
+                _nll_and_grad(prob, t)
+            with pytest.raises(FactorizationError) as want:
+                unbuffered_nll_and_grad(t, X, y, D2)
+            assert str(got.value) == str(want.value)
+            continue
+        got, want = _nll_and_grad(prob, t), unbuffered_nll_and_grad(t, X, y, D2)
+        assert _bits(*got) == _bits(*want)
+        assert np.array_equal(got[1], want[1])
+
+
+def test_objective_allocates_no_n_by_n_array():
+    # after a warm-up call the objective works in the problem's buffers; the
+    # unbuffered form peaked at about six n x n arrays here
+    n = 300
+    rng = np.random.default_rng(1)
+    X = rng.uniform(size=(n, 2))
+    prob = _AuxProblem.build(rng.normal(size=n), sq_dists(X, X))
+    theta = np.array([0.0, np.log(0.2), np.log(0.1)])
+    _nll_and_grad(prob, theta)
+    tracemalloc.start()
+    try:
+        _nll_and_grad(prob, theta + 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+def test_gram_adds_the_noise_to_the_diagonal_only():
+    # in place or into given arrays, A equals K + (sigma^2 + jitter) I with a fresh identity
+    X = np.random.default_rng(2).uniform(size=(40, 2))
+    D2 = sq_dists(X, X)
+    K_ref, A_ref = _gram(1.3, 0.2, 0.05, D2)
+    assert np.array_equal(gp_aux._gram(1.3, 0.2, 0.05, D2), A_ref)
+    K, A = np.empty((40, 40)), np.empty((40, 40), order="F")
+    assert gp_aux._gram(1.3, 0.2, 0.05, D2, K, A) is A
+    assert np.array_equal(K, K_ref) and np.array_equal(A, A_ref)
 
 
 def dense_nll_and_grad(theta, X, y, D2):
@@ -147,20 +256,27 @@ def test_objective_matches_dense_oracle(rng, n, theta):
     D2 = sq_dists(X, X)
     for _ in range(3):
         t = rng.normal(0.0, 0.7, size=3) if theta is None else np.array(theta)
-        val, grad = _nll_and_grad(t, X, y, D2)
+        val, grad = _nll_and_grad(_AuxProblem.build(y, D2), t)
         dense_val, dense_grad = dense_nll_and_grad(t, X, y, D2)
         assert val == pytest.approx(dense_val, rel=1e-10)
         assert np.max(np.abs(grad - dense_grad) / np.maximum(1.0, np.abs(dense_grad))) <= 1e-8
 
 
 def test_fit_winners_match_dense_objective(monkeypatch):
-    # the default synthetic auxiliaries (12 to 120 regions): every winning
-    # restart takes the same BFGS path when the dense objective is swapped in
+    # the default synthetic auxiliaries (12 to 120 regions): every restart
+    # record equals the unbuffered objective's to the last bit, and every
+    # winning restart takes the same BFGS path when the dense objective is swapped in
     inst = generate_synthetic(SyntheticSpec(), seed=0)
     fitted = [fit_aux_gp(ds, restarts=3, seed=0) for ds in inst.aux_datasets]
-    monkeypatch.setattr(gp_aux, "_nll_and_grad", dense_nll_and_grad)
-    for ds, model in zip(inst.aux_datasets, fitted):
-        oracle = fit_aux_gp(ds, restarts=3, seed=0)
+
+    def fits_with(oracle):
+        monkeypatch.setattr(gp_aux, "_nll_and_grad", lambda prob, t: oracle(t, None, prob.ys, prob.D2))
+        return [fit_aux_gp(ds, restarts=3, seed=0) for ds in inst.aux_datasets]
+
+    for model, unbuffered in zip(fitted, fits_with(unbuffered_nll_and_grad)):
+        assert model.diagnostics["restart_records"] == unbuffered.diagnostics["restart_records"]
+        assert model.log_marginal == unbuffered.log_marginal
+    for model, oracle in zip(fitted, fits_with(dense_nll_and_grad)):
         got = model.diagnostics["restart_records"]
         want = oracle.diagnostics["restart_records"]
         winner = min(range(len(want)), key=lambda k: want[k]["objective"])
@@ -273,7 +389,7 @@ def _unit_dataset(rng):
 
 
 def test_fit_all_aux_programming_error_propagates(monkeypatch, rng):
-    def broken(M):
+    def broken(M, **buffers):
         raise TypeError("not a factorization failure")
 
     monkeypatch.setattr(gp_aux, "cholesky", broken)
@@ -282,7 +398,7 @@ def test_fit_all_aux_programming_error_propagates(monkeypatch, rng):
 
 
 def test_fit_all_aux_factorization_failure_on_every_restart_is_typed(monkeypatch, rng):
-    def not_pd(M):
+    def not_pd(M, **buffers):
         raise FactorizationError("not positive definite")
 
     monkeypatch.setattr(gp_aux, "cholesky", not_pd)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import se_kernel
-from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, sq_dists
+from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
 from finescale.numerics import cholesky
 
 P11 = SEKernelParams(alpha=1.0, gamma=1.0)
@@ -42,6 +42,15 @@ def test_symmetry_exact(rng):
         for p in (P11, SEKernelParams(alpha=1.3, gamma=0.2)):
             M = cov_matrix(p, X, X)
             assert np.array_equal(M, M.T)
+
+
+def test_se_into_destination_equals_new_array(rng):
+    D2 = sq_dists(*(rng.uniform(size=(2, 37, 2))))
+    want = se_from_sq_dists(1.3, 0.2, D2)
+    for order in ("C", "F"):
+        out = np.full(D2.shape, np.nan, order=order)
+        assert se_from_sq_dists(1.3, 0.2, D2, out=out) is out
+        assert np.array_equal(out, want)
 
 
 def test_three_collinear_equidistant_points():

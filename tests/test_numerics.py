@@ -18,6 +18,21 @@ from finescale.numerics import (
 M22 = np.array([[4.0, 2.0], [2.0, 3.0]])
 
 
+def _spd(rng, n):
+    A = rng.normal(size=(n, n))
+    M = A @ A.T + n * np.eye(n)
+    return 0.5 * (M + M.T)
+
+
+def _in_place(M):
+    """cholesky through its destination path: M factored in a Fortran-ordered copy of itself."""
+    B = np.array(M, order="F")
+    return cholesky(B, out=B, scratch=np.empty(B.shape))
+
+
+CHOLESKY_PATHS = (cholesky, _in_place)
+
+
 def test_cholesky_identity():
     F = cholesky(np.eye(4))
     assert np.allclose(F.L, np.eye(4), atol=1e-14)
@@ -33,6 +48,15 @@ def test_cholesky_indefinite_reports_pivot():
     with pytest.raises(FactorizationError) as exc:
         cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert exc.value.pivot == 2
+    # the pivot scipy names, through both paths
+    M = _spd(np.random.default_rng(4), 6)
+    M[3, 3] = -1.0
+    with pytest.raises(scipy.linalg.LinAlgError, match="4-th leading minor"):
+        scipy.linalg.cholesky(M, lower=True)
+    for factor in CHOLESKY_PATHS:
+        with pytest.raises(FactorizationError, match=r"\(pivot 4\)") as exc:
+            factor(M)
+        assert exc.value.pivot == 4
 
 
 def test_cholesky_rejects_asymmetric():
@@ -40,29 +64,24 @@ def test_cholesky_rejects_asymmetric():
         cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
-def _spd(rng, n):
-    A = rng.normal(size=(n, n))
-    M = A @ A.T + n * np.eye(n)
-    return 0.5 * (M + M.T)
-
-
 @pytest.mark.parametrize("n", [2, 7, 60])
 def test_cholesky_symmetry_check_threshold(rng, n):
     M = _spd(rng, n)
     scale = np.abs(M).max()
-    for rel, raises in ((3e-10, True), (-3e-10, True), (3e-11, False)):
-        B = M.copy()
-        B[n - 1, 0] += rel * scale
-        if raises:
-            with pytest.raises(ValueError, match="not symmetric"):
-                cholesky(B)
-        else:
-            cholesky(B)
-    # a negative-dominated matrix: the scale is max |M|, not max M
-    B = -M
-    B[0, n - 1] += 1e-9 * scale
-    with pytest.raises(ValueError, match="not symmetric"):
-        cholesky(B)
+    for factor in CHOLESKY_PATHS:
+        for rel, raises in ((3e-10, True), (-3e-10, True), (3e-11, False)):
+            B = M.copy()
+            B[n - 1, 0] += rel * scale
+            if raises:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    factor(B)
+            else:
+                factor(B)
+        # a negative-dominated matrix: the scale is max |M|, not max M
+        B = -M
+        B[0, n - 1] += 1e-9 * scale
+        with pytest.raises(ValueError, match="not symmetric"):
+            factor(B)
 
 
 def _reference_cholesky_check(M):
@@ -93,9 +112,32 @@ def test_cholesky_non_finite_matches_reference_check(bad, where):
         M[3, 1] = M[1, 3] = bad
     else:
         M[:] = bad
-    got, want = _outcome(lambda A: cholesky(A).L, M), _outcome(_reference_cholesky_check, M)
-    assert got[0] is want[0] and got[0] != "ok"
-    assert got[1] == want[1]
+    want = _outcome(_reference_cholesky_check, M)
+    for factor in CHOLESKY_PATHS:
+        got = _outcome(lambda A: factor(A).L, M)
+        assert got[0] is want[0] and got[0] != "ok"
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 240])
+def test_cholesky_factor_equals_scipy_bit_for_bit(rng, n):
+    M = _spd(rng, n)
+    want = scipy.linalg.cholesky(M, lower=True)
+    assert np.array_equal(cholesky(M).L, want)
+    B = np.array(M, order="F")
+    F = cholesky(B, out=B, scratch=np.empty((n, n)))
+    assert F.L is B and np.array_equal(B, want)
+    # a C-ordered M copied into a separate destination
+    out = np.empty((n, n), order="F")
+    assert cholesky(M, out=out).L is out and np.array_equal(out, want)
+
+
+def test_cholesky_rejects_a_destination_lapack_would_copy(rng):
+    M = _spd(rng, 5)
+    wrong = [np.empty((5, 5)), np.empty((5, 5), np.float32, order="F"), np.empty((4, 4), order="F")]
+    for out in wrong:
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            cholesky(M, out=out)
 
 
 def test_solve_identity(rng):
@@ -127,6 +169,17 @@ def test_solve_residual_small(rng):
         assert np.linalg.norm(M @ x - b) <= 1e-8 * max(1.0, np.linalg.norm(b))
 
 
+def triu_inverse(F):
+    """M^-1 symmetrised from dpotri's lower triangle through np.triu, the first form."""
+    lower, info = scipy.linalg.lapack.dpotri(F.L, lower=1)
+    if info != 0:
+        raise FactorizationError(f"dpotri failed (info {info})", pivot=info if info > 0 else None)
+    upper = np.triu(lower.T)  # dpotri fills only the lower triangle
+    inv = upper + upper.T
+    np.fill_diagonal(inv, upper.diagonal())
+    return inv
+
+
 def test_inverse_matches_solve_against_identity(rng):
     for n in (1, 2, 7, 60, 240):
         A = rng.normal(size=(n, n))
@@ -135,6 +188,11 @@ def test_inverse_matches_solve_against_identity(rng):
         ref = solve(F, np.eye(n))
         assert np.max(np.abs(inv - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert np.array_equal(inv, inv.T)
+        assert np.array_equal(inv, triu_inverse(F))
+        # the destination path: dpotri in place on F.L, the full inverse in out
+        out = np.full((n, n), np.nan)
+        assert inverse(CholeskyFactor(L=F.L.copy(order="F")), out=out) is out
+        assert np.array_equal(out, inv)
 
 
 def test_inverse_of_singular_factor_is_typed():
@@ -142,6 +200,8 @@ def test_inverse_of_singular_factor_is_typed():
     L[2, 2] = 0.0
     with pytest.raises(FactorizationError):
         inverse(CholeskyFactor(L=L))
+    with pytest.raises(FactorizationError):
+        inverse(CholeskyFactor(L=np.asfortranarray(L)), out=np.empty((4, 4)))
 
 
 def test_log_det_identity():

@@ -24,7 +24,5 @@ from finescale.downscale import (
     fit_downscale,
     predict_fine,
 )
-from finescale.baselines import BaselineResult, gpr_baseline, lr_baseline, sd2_baseline
-from finescale.evaluate import MetricReport, generate_synthetic, mape, paired_ttest, run_comparison
 
 __version__ = "0.1.0"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -13,7 +14,6 @@ import numpy as np
 
 import finescale
 from finescale import evaluate, render
-from finescale.baselines import gpr_baseline, lr_baseline, sd2_baseline
 from finescale.downscale import (
     DownscaleParams,
     build_design,
@@ -196,23 +196,14 @@ def cmd_refine(args) -> int:
 
 def cmd_baseline(args) -> int:
     coarse, fine, amap, a, aux_datasets, aux_ids, _ = _load_inputs(args)
+    res = evaluate.run_methods(
+        a, aux_datasets, amap, methods=(args.method,), seed=args.seed, restarts=args.restarts
+    )[args.method]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.method in ("lr", "sd2"):
-        fitted = fit_all_aux(
-            aux_datasets, fine, restarts=args.restarts, seed=args.seed, dataset_ids=aux_ids
-        )
-        posteriors = [post for _, post in fitted]
-    if args.method == "gpr":
-        res = gpr_baseline(a, fine, restarts=args.restarts, seed=args.seed)
-        _write_prediction_csv(out / "gpr.csv", fine.ids, res.prediction, res.variance)
-    elif args.method == "lr":
-        res = lr_baseline(a, posteriors, amap)
-        _write_prediction_csv(out / "lr.csv", fine.ids, res.prediction)
-    else:
-        res = sd2_baseline(a, posteriors, amap, restarts=args.restarts, seed=args.seed)
-        _write_prediction_csv(out / "sd2.csv", fine.ids, res.prediction)
-    print(f"wrote {out / (args.method + '.csv')}")
+    path = out / f"{args.method}.csv"
+    _write_prediction_csv(path, fine.ids, res.prediction, res.variance)
+    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -225,7 +216,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"unknown methods {unknown}; valid: {list(evaluate.METHODS)}")
     table = evaluate.run_comparison(
         (a, aux_datasets, amap), truth=truth, methods=methods,
-        seed=args.seed, restarts=args.restarts, ridge=args.ridge,
+        seed=args.seed, restarts=args.restarts, ridge=args.ridge, gtol=args.gtol,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -235,12 +226,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = evaluate.SyntheticSpec(
-        fine_shape=tuple(args.fine_grid),
-        coarse_shape=tuple(args.coarse_grid),
-        aux_shapes=tuple(tuple(s) for s in args.aux_grid) or ((4, 3), (8, 5), (12, 10)),
-        w=tuple(args.weights) if args.weights else (0.3, -0.8, 2.0),
-    )
+    flags = {
+        "fine_shape": args.fine_grid,
+        "coarse_shape": args.coarse_grid,
+        "aux_shapes": args.aux_grid and [tuple(shape) for shape in args.aux_grid],
+        "w": args.weights,
+    }
+    try:  # flags not given keep SyntheticSpec's defaults
+        spec = evaluate.SyntheticSpec(**{k: tuple(v) for k, v in flags.items() if v is not None})
+    except ValueError as exc:
+        raise ConfigError(f"invalid synthetic spec: {exc}") from exc
     inst = evaluate.generate_synthetic(spec, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,19 +256,7 @@ def cmd_synth(args) -> int:
             {
                 "seed": args.seed,
                 "true_w": inst.true_w.tolist(),
-                "spec": {
-                    "fine_shape": list(spec.fine_shape),
-                    "coarse_shape": list(spec.coarse_shape),
-                    "aux_shapes": [list(s) for s in spec.aux_shapes],
-                    "w": list(spec.w),
-                    "bias": spec.bias,
-                    "alpha": spec.alpha,
-                    "gamma": spec.gamma,
-                    "sigma": spec.sigma,
-                    "aux_alpha": spec.aux_alpha,
-                    "aux_gamma": spec.aux_gamma,
-                    "aux_noise": spec.aux_noise,
-                },
+                "spec": dataclasses.asdict(spec),
             },
             indent=2,
         )
@@ -321,10 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="write a synthetic instance directory")
     _add_common(p_synth, need_target=False)
-    p_synth.add_argument("--fine-grid", type=int, nargs=2, default=[12, 10])
-    p_synth.add_argument("--coarse-grid", type=int, nargs=2, default=[6, 5])
+    p_synth.add_argument("--fine-grid", type=int, nargs=2)
+    p_synth.add_argument("--coarse-grid", type=int, nargs=2)
     p_synth.add_argument(
-        "--aux-grid", type=int, nargs=2, action="append", default=[],
+        "--aux-grid", type=int, nargs=2, action="append",
         help="repeatable: one aux grid shape per use",
     )
     p_synth.add_argument("--weights", type=float, nargs="+", default=None)

@@ -7,9 +7,8 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
 
-from finescale.baselines import gpr_baseline, lr_baseline, sd2_baseline
+from finescale.baselines import BaselineResult, gpr_baseline, lr_baseline, sd2_baseline
 from finescale.downscale import build_design, fit_downscale, predict_fine
 from finescale.geo import (
     AggregationMap,
@@ -88,6 +87,9 @@ def paired_ttest(ape_a, ape_b) -> TTestResult:
             significant_01=True,
             degenerate=True,
         )
+    # imported here: scipy.special would otherwise load with every CLI command
+    import scipy.special
+
     t = mean / (sd / np.sqrt(n))
     p = 2.0 * float(scipy.special.stdtr(n - 1, -abs(t)))
     return TTestResult(t=float(t), p=p, significant_05=p < 0.05, significant_01=p < 0.01)
@@ -138,6 +140,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if len(self.w) != len(self.aux_shapes):
             raise ValueError("w length must match the number of auxiliary shapes")
+        if min(min(shape) for shape in (self.fine_shape, self.coarse_shape, *self.aux_shapes)) < 1:
+            raise ValueError("grid shapes must be positive")
         fx, fy = self.fine_shape
         cx, cy = self.coarse_shape
         if fx % cx or fy % cy:
@@ -284,34 +288,37 @@ def run_methods(
     seed: int = 0,
     restarts: int = 3,
     ridge: float = 0.0,
-) -> dict:
-    """Run each named method once; returns method -> prediction vector."""
+    gtol: float = 1e-6,
+) -> dict[str, BaselineResult]:
+    """Run each named method once; returns method -> result at the fine centroids.
+
+    The proposed method's result carries the ``predict_fine`` mean; ``ridge``
+    and ``gtol`` apply to its second-step fit only.
+    """
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; valid: {list(METHODS)}")
     fine = amap.fine
-    preds = {}
-    needs_aux = any(m in ("proposed", "lr", "sd2") for m in methods)
     posteriors = None
-    if needs_aux and aux_datasets:
+    if any(m != "gpr" for m in methods):
         fitted = fit_all_aux(aux_datasets, fine, restarts=restarts, seed=seed)
         posteriors = [post for _, post in fitted]
-    elif needs_aux:
-        posteriors = []
+    results = {}
     for m in methods:
         if m == "proposed":
             params = fit_downscale(
-                a, posteriors, fine, amap, restarts=restarts, seed=seed, ridge=ridge
+                a, posteriors, fine, amap, restarts=restarts, seed=seed, ridge=ridge, gtol=gtol
             )
             design = build_design(posteriors, n_fine=len(fine))
-            preds[m] = predict_fine(params, a, design, posteriors, amap).mean
+            mean = predict_fine(params, a, design, posteriors, amap).mean
+            results[m] = BaselineResult(method=m, prediction=mean)
         elif m == "gpr":
-            preds[m] = gpr_baseline(a, fine, restarts=restarts, seed=seed).prediction
+            results[m] = gpr_baseline(a, fine, restarts=restarts, seed=seed)
         elif m == "lr":
-            preds[m] = lr_baseline(a, posteriors, amap).prediction
-        elif m == "sd2":
-            preds[m] = sd2_baseline(a, posteriors, amap, restarts=restarts, seed=seed).prediction
-    return preds
+            results[m] = lr_baseline(a, posteriors, amap)
+        else:
+            results[m] = sd2_baseline(a, posteriors, amap, restarts=restarts, seed=seed)
+    return results
 
 
 def run_comparison(
@@ -321,12 +328,14 @@ def run_comparison(
     seed: int = 0,
     restarts: int = 3,
     ridge: float = 0.0,
+    gtol: float = 1e-6,
 ) -> ComparisonTable:
     """Evaluate the named methods against truth with pairwise t-tests.
 
-    ``bundle`` is a SyntheticInstance or an (a, aux_datasets, amap) triple;
-    stars on the first listed method summarize its significance against every
-    other method (* p<0.05, ** p<0.01 across all pairs).
+    ``bundle`` is a SyntheticInstance or an (a, aux_datasets, amap) triple.
+    Stars on the first listed method are those of its weakest pair, the one
+    with the largest p: ** when p < 0.01 against every other method, * when
+    p < 0.05 against every other method.
     """
     if isinstance(bundle, SyntheticInstance):
         a, aux, amap = bundle.a, list(bundle.aux_datasets), bundle.amap
@@ -339,23 +348,21 @@ def run_comparison(
     methods = tuple(methods)
     if not methods:
         return ComparisonTable(rows=(), pairwise={})
-    preds = run_methods(a, aux, amap, methods=methods, seed=seed, restarts=restarts, ridge=ridge)
-    reports = {m: mape(truth, preds[m]) for m in methods}
+    results = run_methods(
+        a, aux, amap, methods=methods, seed=seed, restarts=restarts, ridge=ridge, gtol=gtol
+    )
+    reports = {m: mape(truth, results[m].prediction) for m in methods}
     pairwise = {}
     for i, m1 in enumerate(methods):
         for m2 in methods[i + 1 :]:
             pairwise[(m1, m2)] = paired_ttest(
                 reports[m1].ape_per_region, reports[m2].ape_per_region
             )
-    rows = []
     ref = methods[0]
-    for m in methods:
-        stars = ""
-        if m == ref and len(methods) > 1:
-            ps = [pairwise[(ref, m2)].p for m2 in methods[1:]]
-            if all(p < 0.01 for p in ps):
-                stars = "**"
-            elif all(p < 0.05 for p in ps):
-                stars = "*"
-        rows.append(ComparisonRow(method=m, report=reports[m], stars=stars))
-    return ComparisonTable(rows=tuple(rows), pairwise=pairwise)
+    ref_tests = [pairwise[(ref, m)] for m in methods[1:]]
+    weakest = max(ref_tests, key=lambda t: t.p).stars if ref_tests else ""
+    rows = tuple(
+        ComparisonRow(method=m, report=reports[m], stars=weakest if m == ref else "")
+        for m in methods
+    )
+    return ComparisonTable(rows=rows, pairwise=pairwise)

@@ -77,4 +77,5 @@ def cov_matrix(params: SEKernelParams, A, B) -> np.ndarray:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise ValueError("centroid lists must be nonempty")
-    return se_from_sq_dists(params.alpha, params.gamma, sq_dists(A, B))
+    D2 = sq_dists(A, B)
+    return se_from_sq_dists(params.alpha, params.gamma, D2, out=D2)

@@ -99,7 +99,10 @@ def solve(F: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape[0] != F.n:
         raise ValueError(f"shape mismatch: factor is {F.n}x{F.n}, b has leading dim {b.shape[0]}")
-    return scipy.linalg.cho_solve((F.L, True), b)
+    # cholesky has proved the factor finite; b alone gets scipy's check_finite test
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return scipy.linalg.cho_solve((F.L, True), b, check_finite=False)
 
 
 def inverse(F: CholeskyFactor, out: np.ndarray | None = None) -> np.ndarray:

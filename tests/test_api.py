@@ -4,11 +4,10 @@ import finescale
 
 # The public API; a name added to or dropped from finescale/__init__.py must change this list.
 EXPORTED = [
-    "AggregationMap", "ArealDataset", "AuxGPModel", "AuxPosterior", "BaselineResult",
-    "DownscaleParams", "MetricReport", "Partition", "Refinement", "Region", "SEKernelParams",
-    "aggregate", "build_aggregation", "build_design", "cov_matrix", "fit_all_aux", "fit_aux_gp",
-    "fit_downscale", "generate_synthetic", "gpr_baseline", "load_partition", "lr_baseline",
-    "mape", "paired_ttest", "predict_aux", "predict_fine", "run_comparison", "sd2_baseline",
+    "AggregationMap", "ArealDataset", "AuxGPModel", "AuxPosterior", "DownscaleParams",
+    "Partition", "Refinement", "Region", "SEKernelParams", "aggregate", "build_aggregation",
+    "build_design", "cov_matrix", "fit_all_aux", "fit_aux_gp", "fit_downscale", "load_partition",
+    "predict_aux", "predict_fine",
 ]
 
 

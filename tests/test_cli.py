@@ -8,21 +8,23 @@ import numpy as np
 import pytest
 
 import finescale
+from finescale import evaluate
+from finescale.baselines import gpr_baseline
 from finescale.cli import EXIT_CONFIG, EXIT_OK, main
 from finescale.evaluate import grid_partition
-from finescale.geo import build_aggregation, load_partition, save_aggregation_csv
+from finescale.geo import build_aggregation, load_dataset, load_partition, save_aggregation_csv
 from finescale.render import choropleth_svg, ramp_color
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone takes most of the CLI's start-up time
+    # scipy.stats alone takes most of the CLI's start-up time; only eval's t-test needs scipy.special
     src = str(Path(finescale.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import finescale.cli; "
-        "print('scipy.stats' in sys.modules)"
+        "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_ramp_endpoints_distinct():
@@ -151,6 +153,17 @@ def test_baseline_csv_schemas(synth_dir, tmp_path):
         assert header == expected
 
 
+def test_baseline_gpr_variance_is_the_gpr_posterior_variance(synth_dir, tmp_path):
+    out = tmp_path / "base"
+    assert main(["baseline", *common_args(synth_dir, out), "--method", "gpr"]) == EXIT_OK
+    rows = [line.split(",") for line in (out / "gpr.csv").read_text().splitlines()[1:]]
+    coarse = load_partition(synth_dir / "coarse.geojson")
+    a = load_dataset(coarse, synth_dir / "target.csv")
+    want = gpr_baseline(a, load_partition(synth_dir / "fine.geojson"), restarts=2, seed=0)
+    assert [float(v) for _, _, v in rows] == want.variance.tolist()
+    assert [float(m) for _, m, _ in rows] == want.prediction.tolist()
+
+
 def test_baseline_unknown_method_exit_2(synth_dir, tmp_path, capsys):
     code = main(
         ["baseline", *common_args(synth_dir, tmp_path / "x"), "--method", "magic"]
@@ -177,6 +190,34 @@ def test_eval_writes_comparison_table(synth_dir, tmp_path, capsys):
     assert table.splitlines()[0].startswith("method,mape")
     assert len(table.splitlines()) == 3
     assert "MAPE" in capsys.readouterr().out
+
+
+def test_eval_passes_gtol_to_the_second_step_fit(synth_dir, tmp_path, monkeypatch):
+    seen = []
+    real = evaluate.fit_downscale
+
+    def recording_fit(*args, **kwargs):
+        seen.append(kwargs.get("gtol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "fit_downscale", recording_fit)
+    args = [*common_args(synth_dir, tmp_path / "eval"), "--truth", str(synth_dir / "truth.csv")]
+    assert main(["eval", *args, "--method", "proposed,lr", "--gtol", "1e-3"]) == EXIT_OK
+    assert seen == [1e-3]
+
+
+@pytest.mark.parametrize(
+    "grids",
+    [
+        ["--aux-grid", "3", "5", "--aux-grid", "6", "5"],  # two auxiliaries, three default weights
+        ["--fine-grid", "7", "5", "--coarse-grid", "3", "5"],  # 7 does not subdivide 3
+    ],
+)
+def test_synth_bad_spec_exit_2(tmp_path, capsys, grids):
+    out = tmp_path / "bundle"
+    assert main(["synth", "--out", str(out), *grids]) == EXIT_CONFIG
+    assert "invalid synthetic spec" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_aux_csv_exit_2(synth_dir, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from finescale import evaluate
+from finescale.baselines import BaselineResult
 from finescale.downscale import DownscaleParams, assemble_lambda, build_design
 from finescale.evaluate import (
     METHODS,
@@ -94,6 +96,8 @@ def test_synthetic_spec_validation():
         SyntheticSpec(w=(1.0,))  # length mismatch with aux_shapes
     with pytest.raises(ValueError):
         SyntheticSpec(fine_shape=(7, 10))  # does not subdivide the coarse grid
+    with pytest.raises(ValueError, match="positive"):
+        SyntheticSpec(coarse_shape=(0, 5))
 
 
 def test_identical_seed_bit_identical():
@@ -202,3 +206,27 @@ def test_run_comparison_full_table_structure():
     assert len(table.pairwise) == 6  # all unordered pairs
     text = table.to_text()
     assert "MAPE" in text and "proposed" in text
+
+
+@pytest.mark.parametrize(
+    "t_values, stars",
+    [((5.0, 5.0, 5.0), "**"), ((5.0, 2.5, 5.0), "*"), ((5.0, 5.0, 1.0), "")],
+)
+def test_run_comparison_stars_follow_the_weakest_pair(monkeypatch, t_values, stars):
+    # APE differences c + s*e against the first method have t = c sqrt(n) / (s sd(e)), df 19
+    n, s = 20, 0.01
+    e = np.tile([1.0, -1.0], n // 2)
+    truth = np.ones(n)
+    ape = {"proposed": np.full(n, 0.5)}
+    for m, t in zip(("gpr", "lr", "sd2"), t_values):
+        c = t * s * np.std(e, ddof=1) / np.sqrt(n)
+        ape[m] = 0.5 + c + s * e
+    monkeypatch.setattr(
+        evaluate, "run_methods",
+        lambda a, aux, amap, methods, **kw: {m: BaselineResult(m, truth + ape[m]) for m in methods},
+    )
+    table = run_comparison((None, [], None), truth=truth, methods=METHODS)
+    ps = [table.pairwise[("proposed", m)].p for m in ("gpr", "lr", "sd2")]
+    bands = [0 if p < 0.01 else 1 if p < 0.05 else 2 for p in ps]
+    assert bands == [{5.0: 0, 2.5: 1, 1.0: 2}[t] for t in t_values]
+    assert [r.stars for r in table.rows] == [stars, "", "", ""]

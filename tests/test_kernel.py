@@ -51,6 +51,10 @@ def test_se_into_destination_equals_new_array(rng):
         out = np.full(D2.shape, np.nan, order=order)
         assert se_from_sq_dists(1.3, 0.2, D2, out=out) is out
         assert np.array_equal(out, want)
+    # in place over its own input, as cov_matrix computes it
+    in_place = D2.copy()
+    assert se_from_sq_dists(1.3, 0.2, in_place, out=in_place) is in_place
+    assert np.array_equal(in_place, want)
 
 
 def test_three_collinear_equidistant_points():

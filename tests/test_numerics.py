@@ -169,6 +169,16 @@ def test_solve_residual_small(rng):
         assert np.linalg.norm(M @ x - b) <= 1e-8 * max(1.0, np.linalg.norm(b))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_non_finite_b(rng, bad):
+    F = cholesky(M22)
+    b = rng.normal(size=(2, 3))
+    assert np.array_equal(solve(F, b), scipy.linalg.cho_solve((F.L, True), b))
+    b[1, 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve(F, b)
+
+
 def triu_inverse(F):
     """M^-1 symmetrised from dpotri's lower triangle through np.triu, the first form."""
     lower, info = scipy.linalg.lapack.dpotri(F.L, lower=1)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import finescale
-from finescale import evaluate, render
+from finescale import render
 from finescale.downscale import (
     DownscaleParams,
     build_design,
@@ -42,10 +42,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _split_pair(arg: str, flag: str) -> tuple[Path, Path]:
     parts = arg.split(",")
     if len(parts) != 2:
@@ -59,68 +55,76 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def _load_manifest(path: Path) -> list[dict]:
-    entries = json.loads(_require(path, "aux manifest").read_text())
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(_require(path, what).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path}: not valid JSON: {exc}") from exc
+
+
+def _load_manifest(path: Path) -> list[tuple[str, Path, Path]]:
+    """(id, geojson, csv) per entry; ids are unique, non-empty and not the reserved "bias"."""
+    entries = _read_json(path, "aux manifest")
     if not isinstance(entries, list):
         raise ConfigError(f"{path}: manifest must be a JSON array of {{id, geojson, csv}}")
-    base = path.parent
     out = []
     for e in entries:
-        for key in ("id", "geojson", "csv"):
-            if key not in e:
-                raise ConfigError(f"{path}: manifest entry missing {key!r}: {e}")
-        out.append(
-            {
-                "id": str(e["id"]),
-                "geojson": _require(base / e["geojson"], f"aux {e['id']} geometry"),
-                "csv": _require(base / e["csv"], f"aux {e['id']} data"),
-            }
-        )
+        if not isinstance(e, dict) or not {"id", "geojson", "csv"} <= e.keys():
+            raise ConfigError(f"{path}: manifest entry needs id, geojson and csv: {e}")
+        aid = str(e["id"])
+        if aid in ("", "bias") or aid in (o[0] for o in out):
+            raise ConfigError(f"{path}: manifest id {aid!r} is empty, reserved or repeated")
+        geojson = _require(path.parent / e["geojson"], f"aux {aid} geometry")
+        out.append((aid, geojson, _require(path.parent / e["csv"], f"aux {aid} data")))
     return out
 
 
 def _load_inputs(args):
-    tgt_geo, tgt_csv = _split_pair(args.target, "--target")
-    coarse = load_partition(_require(tgt_geo, "target geometry"))
-    a = load_dataset(coarse, _require(tgt_csv, "target data"))
-    fine = load_partition(_require(Path(args.fine), "fine partition"))
-    if getattr(args, "hmatrix", None):
-        amap = load_aggregation_csv(coarse, fine, _require(Path(args.hmatrix), "H matrix"))
+    """The target, the aggregation map, the auxiliaries (each named by its
+    manifest id) and every file read."""
+    coarse_path, target_path = _split_pair(args.target, "--target")
+    paths = [coarse_path, target_path, Path(args.fine)]
+    coarse = load_partition(_require(coarse_path, "target geometry"))
+    a = load_dataset(coarse, _require(target_path, "target data"))
+    fine = load_partition(_require(paths[2], "fine partition"))
+    if args.hmatrix:
+        paths.append(_require(Path(args.hmatrix), "H matrix"))
+        amap = load_aggregation_csv(coarse, fine, paths[-1])
     else:
         amap = build_aggregation(coarse, fine)
-    aux_entries = _load_manifest(Path(args.aux_manifest)) if args.aux_manifest else []
-    aux_datasets, aux_ids = [], []
-    for e in aux_entries:
-        part = load_partition(e["geojson"], name=e["id"])
-        aux_datasets.append(load_dataset(part, e["csv"]))
-        aux_ids.append(e["id"])
-    return coarse, fine, amap, a, aux_datasets, aux_ids, aux_entries
+    aux = []
+    for aid, geojson, data in _load_manifest(Path(args.aux_manifest)) if args.aux_manifest else []:
+        aux.append(load_dataset(load_partition(geojson, name=aid), data))
+        paths += [geojson, data]
+    return a, amap, aux, paths
 
 
-def _write_manifest(args, out: Path, input_paths: list[Path]) -> None:
+def _write_json(path: Path, obj, sort_keys: bool = False) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n")
+
+
+def _write_manifest(args, out: Path, paths: list[Path]) -> None:
     manifest = {
         "version": finescale.__version__,
         "seed": args.seed,
         "restarts": args.restarts,
         "ridge": args.ridge,
         "gtol": args.gtol,
-        "inputs": {str(p): _sha256(Path(p)) for p in input_paths},
-        "command": sys.argv[1:],
+        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths},
+        "command": args.argv,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "manifest.json", manifest, sort_keys=True)
 
 
 def cmd_fit(args) -> int:
-    coarse, fine, amap, a, aux_datasets, aux_ids, aux_entries = _load_inputs(args)
-    fitted = fit_all_aux(
-        aux_datasets, fine, restarts=args.restarts, seed=args.seed, dataset_ids=aux_ids
-    )
+    a, amap, aux, paths = _load_inputs(args)
+    fitted = fit_all_aux(aux, amap.fine, restarts=args.restarts, seed=args.seed)
     posteriors = [post for _, post in fitted]
     params = fit_downscale(
-        a, posteriors, fine, amap,
+        a, posteriors, amap.fine, amap,
         restarts=args.restarts, seed=args.seed, ridge=args.ridge, gtol=args.gtol,
     )
-    design = build_design(posteriors, n_fine=len(fine))
+    design = build_design(posteriors, n_fine=len(amap.fine))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     models = {
@@ -128,50 +132,41 @@ def cmd_fit(args) -> int:
         "downscale": params.to_dict(column_ids=design.column_ids),
         "coord_transform": {"kind": "identity"},
     }
-    (out / "models.json").write_text(json.dumps(models, indent=2, sort_keys=True) + "\n")
-    inputs = [Path(p) for p in args.target.split(",")] + [Path(args.fine)]
-    for e in aux_entries:
-        inputs += [e["geojson"], e["csv"]]
-    _write_manifest(args, out, inputs)
+    _write_json(out / "models.json", models, sort_keys=True)
+    _write_manifest(args, out, paths)
     print(f"wrote {out / 'models.json'}")
     return EXIT_OK
 
 
-def _write_prediction_csv(path: Path, ids, mean, variance=None) -> None:
+def _write_csv(path: Path, header: list[str], ids, rows) -> None:
+    """The header, then one line per id: the id and its row's values."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if variance is not None:
-            writer.writerow(["region_id", "mean", "variance"])
-            for rid, m, v in zip(ids, mean, variance):
-                writer.writerow([rid, repr(float(m)), repr(float(v))])
-        else:
-            writer.writerow(["region_id", "mean"])
-            for rid, m in zip(ids, mean):
-                writer.writerow([rid, repr(float(m))])
+        writer.writerow(header)
+        writer.writerows([rid, *(repr(float(v)) for v in row)] for rid, row in zip(ids, rows))
 
 
 def cmd_refine(args) -> int:
-    coarse, fine, amap, a, aux_datasets, aux_ids, _ = _load_inputs(args)
-    models_path = _require(Path(args.models or (Path(args.out) / "models.json")), "models file")
-    models = json.loads(models_path.read_text())
+    a, amap, aux, _ = _load_inputs(args)
+    fine = amap.fine
+    models_path = Path(args.models or (Path(args.out) / "models.json"))
+    models = _read_json(models_path, "models file")
     by_id = {d["dataset_id"]: d for d in models["aux_models"]}
-    if set(by_id) != set(aux_ids):
-        raise ConfigError(
-            f"model/manifest mismatch: models for {sorted(by_id)}, manifest has {sorted(aux_ids)}"
-        )
+    datasets = {ds.partition.name: ds for ds in aux}
     # The fitted weights are ordered by the fit-time columns, not by this manifest.
     column_ids = models["downscale"]["column_ids"]
-    if sorted(column_ids[:-1]) != sorted(aux_ids):
+    if not sorted(by_id) == sorted(column_ids[:-1]) == sorted(datasets):
         raise ConfigError(
-            f"model/manifest mismatch: weights for {column_ids[:-1]}, manifest has {sorted(aux_ids)}"
+            f"model/manifest mismatch: models for {sorted(by_id)}, weights for "
+            f"{column_ids[:-1]}, manifest has {sorted(datasets)}"
         )
-    datasets = dict(zip(aux_ids, aux_datasets))
     posteriors = []
     for aid in column_ids[:-1]:
         ds = datasets[aid]
-        # models.json written before the hash existed carries none
         fitted_sha = by_id[aid].get("diagnostics", {}).get("data_sha256")
-        if fitted_sha is not None and fitted_sha != data_sha256(ds.partition.centroids, ds.values):
+        if fitted_sha is None:
+            raise ConfigError(f"auxiliary {aid!r}: {models_path} records no data_sha256")
+        if fitted_sha != data_sha256(ds.partition.centroids, ds.values):
             raise ConfigError(f"auxiliary {aid!r}: data differ from the data the model was fitted to")
         model = AuxGPModel.from_dict(by_id[aid], ds.partition.centroids, ds.values)
         posteriors.append(predict_aux(model, fine.centroids))
@@ -180,42 +175,43 @@ def cmd_refine(args) -> int:
     refinement = predict_fine(params, a, design, posteriors, amap, fine=fine)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_prediction_csv(
-        out / "refinement.csv", fine.ids, refinement.mean, np.diag(refinement.cov)
-    )
+    _write_csv(out / "refinement.csv", ["region_id", "mean", "variance"], fine.ids,
+               zip(refinement.mean, np.diag(refinement.cov)))
     if args.covariance:
-        with open(out / "refinement_cov.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([""] + fine.ids)
-            for rid, row in zip(fine.ids, refinement.cov):
-                writer.writerow([rid] + [repr(float(v)) for v in row])
+        _write_csv(out / "refinement_cov.csv", ["", *fine.ids], fine.ids, refinement.cov)
     (out / "refinement.svg").write_text(render.choropleth_svg(fine, refinement.mean))
     print(f"wrote {out / 'refinement.csv'} and {out / 'refinement.svg'}")
     return EXIT_OK
 
 
 def cmd_baseline(args) -> int:
-    coarse, fine, amap, a, aux_datasets, aux_ids, _ = _load_inputs(args)
+    from finescale import evaluate
+
+    a, amap, aux, _ = _load_inputs(args)
     res = evaluate.run_methods(
-        a, aux_datasets, amap, methods=(args.method,), seed=args.seed, restarts=args.restarts
+        a, aux, amap, methods=(args.method,), seed=args.seed, restarts=args.restarts
     )[args.method]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{args.method}.csv"
-    _write_prediction_csv(path, fine.ids, res.prediction, res.variance)
+    columns = [res.prediction] if res.variance is None else [res.prediction, res.variance]
+    _write_csv(path, ["region_id", "mean", "variance"][: len(columns) + 1], amap.fine.ids,
+               zip(*columns))
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    coarse, fine, amap, a, aux_datasets, aux_ids, _ = _load_inputs(args)
-    truth = load_dataset(fine, _require(Path(args.truth), "truth data")).values
+    from finescale import evaluate
+
+    a, amap, aux, _ = _load_inputs(args)
+    truth = load_dataset(amap.fine, _require(Path(args.truth), "truth data")).values
     methods = tuple(args.method.split(",")) if args.method else evaluate.METHODS
     unknown = [m for m in methods if m not in evaluate.METHODS]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; valid: {list(evaluate.METHODS)}")
     table = evaluate.run_comparison(
-        (a, aux_datasets, amap), truth=truth, methods=methods,
+        (a, aux, amap), truth=truth, methods=methods,
         seed=args.seed, restarts=args.restarts, ridge=args.ridge, gtol=args.gtol,
     )
     out = Path(args.out)
@@ -226,6 +222,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from finescale import evaluate
+
     flags = {
         "fine_shape": args.fine_grid,
         "coarse_shape": args.coarse_grid,
@@ -250,17 +248,10 @@ def cmd_synth(args) -> int:
         (out / f"{aid}.geojson").write_text(json.dumps(partition_to_geojson(ds.partition)))
         save_dataset(ds, out / f"{aid}.csv")
         manifest.append({"id": aid, "geojson": f"{aid}.geojson", "csv": f"{aid}.csv"})
-    (out / "aux_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    (out / "generating_params.json").write_text(
-        json.dumps(
-            {
-                "seed": args.seed,
-                "true_w": inst.true_w.tolist(),
-                "spec": dataclasses.asdict(spec),
-            },
-            indent=2,
-        )
-        + "\n"
+    _write_json(out / "aux_manifest.json", manifest)
+    _write_json(
+        out / "generating_params.json",
+        {"seed": args.seed, "true_w": inst.true_w.tolist(), "spec": dataclasses.asdict(spec)},
     )
     print(f"wrote synthetic bundle to {out}")
     return EXIT_OK
@@ -324,10 +315,12 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse printed usage or help; 2 on a bad argument
         return exc.code
+    args.argv = argv
     try:
         return COMMANDS[args.command](args)
     except (ConfigError, GeoParseError, GeoValidationError, FileNotFoundError, KeyError) as exc:

@@ -39,10 +39,6 @@ class DesignMatrix:
         if not np.all(F[:, -1] == 1.0):
             raise ValueError("last design column must be all ones")
 
-    @property
-    def n_aux(self) -> int:
-        return self.F.shape[1] - 1
-
 
 @dataclass(frozen=True)
 class DownscaleParams:
@@ -62,10 +58,12 @@ class DownscaleParams:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
     def to_dict(self, column_ids) -> dict:
-        """Weights keyed by design column id; one id per weight, bias last."""
+        """Weights keyed by design column id; one distinct id per weight, bias last."""
         ids = list(column_ids)
         if len(ids) != self.w.size:
             raise ValueError(f"{len(ids)} column ids for {self.w.size} weights")
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate column ids {ids}: a weight would be lost")
         return {
             "w": {cid: float(v) for cid, v in zip(ids, self.w)},
             "column_ids": ids,
@@ -258,15 +256,15 @@ def grad_log_marginal(
     posteriors: list[AuxPosterior],
     amap_or_H,
     fine_centroids: np.ndarray,
-    assembly: LambdaAssembly | None = None,
+    assembly: LambdaAssembly,
 ) -> np.ndarray:
     """Analytic gradient over (w_1..w_S, w_0, log alpha, log gamma, log sigma),
-    the fit's objective gradient negated; reuses the assembly's problem if given.
+    the fit's objective gradient negated, on the assembly's problem.
+
+    ``posteriors``, ``amap_or_H`` and ``fine_centroids`` are ignored (kept for
+    positional callers): all three come from ``assembly``, so build it from them.
     """
-    if assembly is None:
-        prob = _Problem.build(None, posteriors, fine_centroids, amap_or_H)
-    else:
-        prob = assembly.problem
+    prob = assembly.problem
     prob = replace(prob, a=np.asarray(a, dtype=float), design=design, HF=prob.H @ design.F)
     return -_neg_log_marginal(prob, _pack(params.w, params.kernel, params.sigma))[1]
 

@@ -150,9 +150,15 @@ def load_partition(source, name: str | None = None) -> Partition:
     follows document order. Centroids are area-weighted shoelace centroids.
     """
     if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        doc = json.loads(Path(source).read_text())
-        name = name or Path(source).stem
-    elif isinstance(source, str):
+        try:
+            return _parse_partition(Path(source).read_text(), name or Path(source).stem)
+        except (GeoParseError, GeoValidationError) as exc:
+            raise type(exc)(f"{source}: {exc}") from exc
+    return _parse_partition(source, name)
+
+
+def _parse_partition(source, name: str | None) -> Partition:
+    if isinstance(source, str):
         try:
             doc = json.loads(source)
         except json.JSONDecodeError as exc:
@@ -190,7 +196,7 @@ def load_partition(source, name: str | None = None) -> Partition:
     ):
         warnings.warn(
             "coordinates look like lon/lat degrees; distances use the raw planar values",
-            stacklevel=2,
+            stacklevel=3,
         )
     return Partition(name=name or "partition", regions=tuple(regions))
 
@@ -328,7 +334,10 @@ def load_dataset(partition: Partition, path) -> ArealDataset:
             rid = row["region_id"]
             if rid in rows:
                 raise GeoValidationError(f"{path}: duplicate region id {rid!r}")
-            rows[rid] = float(row["value"])
+            try:
+                rows[rid] = float(row["value"])
+            except (TypeError, ValueError) as exc:
+                raise GeoParseError(f"{path}: region {rid!r}: {exc}") from exc
     ids = partition.ids
     known = set(ids)
     missing = [i for i in ids if i not in rows]
@@ -368,7 +377,10 @@ def load_aggregation_csv(coarse: Partition, fine: Partition, path) -> Aggregatio
     row_ids = [r[0] for r in rows[1:]]
     if row_ids != coarse.ids:
         raise GeoValidationError(f"{path}: row ids do not match coarse partition order")
-    H = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+    try:
+        H = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+    except ValueError as exc:
+        raise GeoParseError(f"{path}: {exc}") from exc
     nz_per_col = (H > 0).sum(axis=0)
     if np.any(nz_per_col != 1):
         bad = [fine.ids[j] for j in np.nonzero(nz_per_col != 1)[0]]

@@ -28,10 +28,6 @@ class FactorizationError(Exception):
 class OptimizationError(Exception):
     """Non-finite objective or gradient encountered during optimization."""
 
-    def __init__(self, message: str, point: np.ndarray | None = None):
-        super().__init__(message)
-        self.point = point
-
 
 @dataclass(frozen=True)
 class CholeskyFactor:
@@ -144,7 +140,7 @@ def bfgs_minimize(
     n = x.size
     fx, g = f(x)
     if not (np.isfinite(fx) and np.all(np.isfinite(g))):
-        raise OptimizationError("non-finite objective or gradient at initial point", point=x)
+        raise OptimizationError("non-finite objective or gradient at initial point")
     Hinv = np.eye(n)
     iterations = 0
     for iterations in range(max_iter + 1):
@@ -166,7 +162,7 @@ def bfgs_minimize(
             fx_new, g_new = f(x_new)
             if np.isfinite(fx_new) and fx_new <= fx + ARMIJO_C * step * slope:
                 if not np.all(np.isfinite(g_new)):
-                    raise OptimizationError("non-finite gradient", point=x_new)
+                    raise OptimizationError("non-finite gradient")
                 accepted = True
                 break
             step *= BACKTRACK_FACTOR

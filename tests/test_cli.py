@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -17,14 +18,16 @@ from finescale.render import choropleth_svg, ramp_color
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone takes most of the CLI's start-up time; only eval's t-test needs scipy.special
+    # scipy.stats alone takes most of the CLI's start-up time; only eval's t-test needs
+    # scipy.special, and fit and refine use none of the comparison layer
     src = str(Path(finescale.__file__).parents[1])
+    unloaded = ("scipy.stats", "scipy.special", "finescale.evaluate", "finescale.baselines")
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import finescale.cli; "
-        "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+        f"print([m for m in {unloaded!r} if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_ramp_endpoints_distinct():
@@ -101,6 +104,21 @@ def common_args(synth_dir, out):
         "--restarts",
         "2",
     ]
+
+
+def copy_bundle(synth_dir, dest):
+    dest.mkdir()
+    for src in synth_dir.iterdir():
+        (dest / src.name).write_bytes(src.read_bytes())
+    return dest
+
+
+def write_hmatrix(synth_dir, path):
+    amap = build_aggregation(
+        load_partition(synth_dir / "coarse.geojson"), load_partition(synth_dir / "fine.geojson")
+    )
+    save_aggregation_csv(amap, path)
+    return path
 
 
 def test_synth_bundle_contents(synth_dir):
@@ -276,10 +294,7 @@ def test_refine_binds_weights_to_column_ids_not_manifest_order(tmp_path):
 
 
 def test_refine_rejects_auxiliary_data_changed_since_fit(synth_dir, tmp_path, capsys):
-    bundle = tmp_path / "bundle"
-    bundle.mkdir()
-    for src in synth_dir.iterdir():
-        (bundle / src.name).write_bytes(src.read_bytes())
+    bundle = copy_bundle(synth_dir, tmp_path / "bundle")
     out = tmp_path / "out"
     assert main(["fit", *common_args(bundle, out)]) == EXIT_OK
     models_path = out / "models.json"
@@ -293,19 +308,17 @@ def test_refine_rejects_auxiliary_data_changed_since_fit(synth_dir, tmp_path, ca
     assert main(["refine", *common_args(bundle, out)]) == EXIT_CONFIG
     assert "'aux1'" in capsys.readouterr().err
 
-    # models.json written before the hash existed is still accepted
+    # a model without the hash cannot be bound to its data
     for m in models["aux_models"]:
         del m["diagnostics"]["data_sha256"]
     models_path.write_text(json.dumps(models))
-    assert main(["refine", *common_args(bundle, out)]) == EXIT_OK
+    assert main(["refine", *common_args(bundle, out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'aux0'" in err and "data_sha256" in err
 
 
 def test_hmatrix_of_centroid_membership_gives_the_same_outputs(synth_dir, tmp_path):
-    amap = build_aggregation(
-        load_partition(synth_dir / "coarse.geojson"), load_partition(synth_dir / "fine.geojson")
-    )
-    hmatrix = tmp_path / "H.csv"
-    save_aggregation_csv(amap, hmatrix)
+    hmatrix = write_hmatrix(synth_dir, tmp_path / "H.csv")
     built, given = tmp_path / "built", tmp_path / "given"
     for out, extra in ((built, []), (given, ["--hmatrix", str(hmatrix)])):
         assert main(["fit", *common_args(synth_dir, out), *extra]) == EXIT_OK
@@ -329,3 +342,90 @@ def test_hmatrix_with_two_nonzeros_in_a_column_exit_2(synth_dir, tmp_path, capsy
     assert main(["fit", *common_args(synth_dir, out), "--hmatrix", str(hmatrix)]) == EXIT_CONFIG
     assert amap.fine.ids[0] in capsys.readouterr().err
     assert not (out / "models.json").exists()
+
+
+def truncate(path):
+    path.write_text(path.read_text()[:40])
+
+
+def drop_first_feature_id(path):
+    doc = json.loads(path.read_text())
+    del doc["features"][0]["properties"]["id"]
+    path.write_text(json.dumps(doc))
+
+
+def corrupt_first_value(path, cell):
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].split(",")[0] + "," + cell
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "command, name, corrupt",
+    [
+        ("fit", "coarse.geojson", truncate),
+        ("fit", "aux_manifest.json", truncate),
+        ("refine", "models.json", truncate),
+        ("fit", "target.csv", lambda path: corrupt_first_value(path, "notanumber")),
+        ("fit", "H.csv", lambda path: corrupt_first_value(path, "abc")),
+        ("fit", "coarse.geojson", drop_first_feature_id),
+        ("fit", "aux1.geojson", drop_first_feature_id),
+    ],
+    ids=["coarse-geojson", "aux-manifest", "models", "target-csv", "hmatrix",
+         "coarse-feature-id", "aux-feature-id"],
+)
+def test_malformed_input_file_exit_2_naming_it(synth_dir, tmp_path, capsys, command, name, corrupt):
+    bundle = copy_bundle(synth_dir, tmp_path / "bundle")
+    out = tmp_path / "out"
+    args = [*common_args(bundle, out), "--hmatrix", str(write_hmatrix(bundle, bundle / "H.csv"))]
+    if command == "refine":
+        assert main(["fit", *args]) == EXIT_OK
+        capsys.readouterr()
+        (bundle / name).write_text((out / name).read_text())
+        args += ["--models", str(bundle / name)]
+    corrupt(bundle / name)
+    assert main([command, *args]) == EXIT_CONFIG
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ids", [["aux0", "aux0"], ["", "aux1"], ["aux0", "bias"]])
+def test_manifest_ids_must_be_unique_nonempty_and_not_bias(synth_dir, tmp_path, capsys, ids):
+    # two entries named aux0 once gave one weight for the columns [aux0, aux0, bias]
+    manifest = json.loads((synth_dir / "aux_manifest.json").read_text())
+    for entry, aid in zip(manifest, ids):
+        entry["id"] = aid
+        for key in ("geojson", "csv"):
+            entry[key] = str(synth_dir / entry[key])
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    args = common_args(synth_dir, tmp_path / "out")
+    args[args.index("--aux-manifest") + 1] = str(path)
+    assert main(["fit", *args]) == EXIT_CONFIG
+    assert "manifest id" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "models.json").exists()
+
+
+def test_run_manifest_records_the_parsed_argv_and_every_input(synth_dir, tmp_path):
+    out = tmp_path / "out"
+    hmatrix = write_hmatrix(synth_dir, tmp_path / "H.csv")
+    argv = ["fit", *common_args(synth_dir, out), "--hmatrix", str(hmatrix)]
+    assert main(argv) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == argv
+    entries = json.loads((synth_dir / "aux_manifest.json").read_text())
+    read = [synth_dir / "coarse.geojson", synth_dir / "target.csv", synth_dir / "fine.geojson",
+            hmatrix, *(synth_dir / e[key] for e in entries for key in ("geojson", "csv"))]
+    assert manifest["inputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in read}
+
+
+def test_ridge_shrinks_the_auxiliary_weights_and_is_recorded(synth_dir, tmp_path):
+    norms = {}
+    for ridge in ("0", "1e3"):
+        out = tmp_path / ridge
+        assert main(["fit", *common_args(synth_dir, out), "--ridge", ridge]) == EXIT_OK
+        models = json.loads((out / "models.json").read_text())
+        w = models["downscale"]["w"]
+        norms[ridge] = np.linalg.norm([v for cid, v in w.items() if cid != "bias"])
+        assert models["downscale"]["diagnostics"]["ridge"] == float(ridge)
+        assert json.loads((out / "manifest.json").read_text())["ridge"] == float(ridge)
+    assert norms["1e3"] < norms["0"]

@@ -456,6 +456,13 @@ def test_params_to_dict_rejects_column_ids_of_another_length(ids):
         params.to_dict()
 
 
+def test_params_to_dict_rejects_duplicate_column_ids():
+    # {aux0: ..., aux0: ...} would keep one of the two weights
+    params = DownscaleParams(w=np.array([0.5, -1.0, 2.0]), kernel=SEKernelParams(1.0, 0.5), sigma=0.1)
+    with pytest.raises(ValueError, match="duplicate column ids"):
+        params.to_dict(column_ids=["aux0", "aux0", "bias"])
+
+
 def test_params_json_round_trip():
     params = DownscaleParams(
         w=np.array([0.5, -1.2, 3.0]),

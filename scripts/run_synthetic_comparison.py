@@ -42,7 +42,10 @@ def main(argv=None) -> int:
     last_table = None
     for seed in range(args.seeds):
         inst = generate_synthetic(spec, seed=seed)
-        table = run_comparison(inst, restarts=args.restarts, ridge=args.ridge, seed=0)
+        table = run_comparison(
+            inst.a, inst.aux_datasets, inst.amap, inst.z_true,
+            restarts=args.restarts, ridge=args.ridge, seed=0,
+        )
         row = " ".join(f"{r.method}={r.report.mape:.5f}" for r in table.rows)
         print(f"seed {seed:2d}: {row}")
         for r in table.rows:

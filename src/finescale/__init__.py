@@ -11,7 +11,6 @@ from finescale.geo import (
     ArealDataset,
     Partition,
     Region,
-    aggregate,
     build_aggregation,
     load_partition,
 )

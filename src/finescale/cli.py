@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -29,6 +28,7 @@ from finescale.geo import (
     load_partition,
     partition_to_geojson,
     save_dataset,
+    write_csv,
 )
 from finescale.gp_aux import AuxFitError, AuxGPModel, data_sha256, fit_all_aux, predict_aux
 from finescale.numerics import FactorizationError, OptimizationError
@@ -138,19 +138,21 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _write_csv(path: Path, header: list[str], ids, rows) -> None:
-    """The header, then one line per id: the id and its row's values."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([rid, *(repr(float(v)) for v in row)] for rid, row in zip(ids, rows))
-
-
 def cmd_refine(args) -> int:
     a, amap, aux, _ = _load_inputs(args)
     fine = amap.fine
     models_path = Path(args.models or (Path(args.out) / "models.json"))
     models = _read_json(models_path, "models file")
+    if not (
+        isinstance(models, dict)
+        and isinstance(models.get("aux_models"), list)
+        and all(isinstance(m, dict) for m in models["aux_models"])
+        and isinstance(models.get("downscale"), dict)
+    ):
+        raise ConfigError(
+            f"{models_path}: expected an object with an aux_models list of objects"
+            " and a downscale object"
+        )
     by_id = {d["dataset_id"]: d for d in models["aux_models"]}
     datasets = {ds.partition.name: ds for ds in aux}
     # The fitted weights are ordered by the fit-time columns, not by this manifest.
@@ -172,13 +174,13 @@ def cmd_refine(args) -> int:
         posteriors.append(predict_aux(model, fine.centroids))
     params = DownscaleParams.from_dict(models["downscale"])
     design = build_design(posteriors, n_fine=len(fine))
-    refinement = predict_fine(params, a, design, posteriors, amap, fine=fine)
+    refinement = predict_fine(params, a, design, posteriors, amap)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "refinement.csv", ["region_id", "mean", "variance"], fine.ids,
-               zip(refinement.mean, np.diag(refinement.cov)))
+    write_csv(out / "refinement.csv", ["region_id", "mean", "variance"], fine.ids,
+              zip(refinement.mean, np.diag(refinement.cov)))
     if args.covariance:
-        _write_csv(out / "refinement_cov.csv", ["", *fine.ids], fine.ids, refinement.cov)
+        write_csv(out / "refinement_cov.csv", ["", *fine.ids], fine.ids, refinement.cov)
     (out / "refinement.svg").write_text(render.choropleth_svg(fine, refinement.mean))
     print(f"wrote {out / 'refinement.csv'} and {out / 'refinement.svg'}")
     return EXIT_OK
@@ -195,8 +197,8 @@ def cmd_baseline(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{args.method}.csv"
     columns = [res.prediction] if res.variance is None else [res.prediction, res.variance]
-    _write_csv(path, ["region_id", "mean", "variance"][: len(columns) + 1], amap.fine.ids,
-               zip(*columns))
+    write_csv(path, ["region_id", "mean", "variance"][: len(columns) + 1], amap.fine.ids,
+              zip(*columns))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -207,13 +209,13 @@ def cmd_eval(args) -> int:
     a, amap, aux, _ = _load_inputs(args)
     truth = load_dataset(amap.fine, _require(Path(args.truth), "truth data")).values
     methods = tuple(args.method.split(",")) if args.method else evaluate.METHODS
-    unknown = [m for m in methods if m not in evaluate.METHODS]
-    if unknown:
-        raise ConfigError(f"unknown methods {unknown}; valid: {list(evaluate.METHODS)}")
-    table = evaluate.run_comparison(
-        (a, aux, amap), truth=truth, methods=methods,
-        seed=args.seed, restarts=args.restarts, ridge=args.ridge, gtol=args.gtol,
-    )
+    try:
+        table = evaluate.run_comparison(
+            a, aux, amap, truth, methods=methods,
+            seed=args.seed, restarts=args.restarts, ridge=args.ridge, gtol=args.gtol,
+        )
+    except evaluate.UnknownMethodError as exc:
+        raise ConfigError(str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "comparison.csv").write_text(table.to_csv())

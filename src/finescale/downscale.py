@@ -90,19 +90,12 @@ class Refinement:
     cov: np.ndarray
 
 
-def build_design(posteriors: list[AuxPosterior], n_fine: int | None = None) -> DesignMatrix:
+def build_design(posteriors: list[AuxPosterior], n_fine: int) -> DesignMatrix:
     """Stack posterior means column-wise and append the bias column."""
-    if not posteriors:
-        if n_fine is None:
-            raise ValueError("n_fine required when there are no posteriors")
-        return DesignMatrix(F=np.ones((n_fine, 1)), column_ids=("bias",))
-    lengths = {p.mean.shape[0] for p in posteriors}
-    if len(lengths) != 1:
-        raise ValueError(f"posterior mean lengths differ: {sorted(lengths)}")
-    n = lengths.pop()
-    if n_fine is not None and n != n_fine:
-        raise ValueError(f"posterior length {n} != fine region count {n_fine}")
-    F = np.column_stack([p.mean for p in posteriors] + [np.ones(n)])
+    lengths = sorted({p.mean.shape[0] for p in posteriors})
+    if lengths not in ([], [n_fine]):
+        raise ValueError(f"posterior mean lengths {lengths} != fine region count {n_fine}")
+    F = np.column_stack([p.mean for p in posteriors] + [np.ones(n_fine)])
     return DesignMatrix(F=F, column_ids=tuple(p.dataset_id for p in posteriors) + ("bias",))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,7 +160,6 @@ class SyntheticInstance:
     z_true: np.ndarray
     a: ArealDataset
     true_w: np.ndarray  # auxiliary weights then bias (including the offset)
-    latents_fine: np.ndarray = field(repr=False, default=None)
 
 
 def default_offset(spec: SyntheticSpec) -> float:
@@ -238,7 +237,6 @@ def generate_synthetic(
         z_true=z,
         a=ArealDataset(coarse, a_vals),
         true_w=np.concatenate([np.array(spec.w), [spec.bias + offset]]),
-        latents_fine=latents_fine,
     )
 
 
@@ -280,6 +278,10 @@ class ComparisonTable:
 METHODS = ("proposed", "gpr", "lr", "sd2")
 
 
+class UnknownMethodError(ValueError):
+    """A method name outside METHODS."""
+
+
 def run_methods(
     a: ArealDataset,
     aux_datasets: list[ArealDataset],
@@ -297,7 +299,7 @@ def run_methods(
     """
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
-        raise ValueError(f"unknown methods {unknown}; valid: {list(METHODS)}")
+        raise UnknownMethodError(f"unknown methods {unknown}; valid: {list(METHODS)}")
     fine = amap.fine
     posteriors = None
     if any(m != "gpr" for m in methods):
@@ -322,34 +324,27 @@ def run_methods(
 
 
 def run_comparison(
-    bundle,
-    truth: np.ndarray | None = None,
+    a: ArealDataset,
+    aux_datasets: list[ArealDataset],
+    amap: AggregationMap,
+    truth: np.ndarray,
     methods=METHODS,
     seed: int = 0,
     restarts: int = 3,
     ridge: float = 0.0,
     gtol: float = 1e-6,
 ) -> ComparisonTable:
-    """Evaluate the named methods against truth with pairwise t-tests.
+    """Evaluate the named methods against the fine-level truth with pairwise t-tests.
 
-    ``bundle`` is a SyntheticInstance or an (a, aux_datasets, amap) triple.
     Stars on the first listed method are those of its weakest pair, the one
     with the largest p: ** when p < 0.01 against every other method, * when
     p < 0.05 against every other method.
     """
-    if isinstance(bundle, SyntheticInstance):
-        a, aux, amap = bundle.a, list(bundle.aux_datasets), bundle.amap
-        if truth is None:
-            truth = bundle.z_true
-    else:
-        a, aux, amap = bundle
-    if truth is None:
-        raise ValueError("truth vector required for evaluation")
     methods = tuple(methods)
     if not methods:
         return ComparisonTable(rows=(), pairwise={})
     results = run_methods(
-        a, aux, amap, methods=methods, seed=seed, restarts=restarts, ridge=ridge, gtol=gtol
+        a, aux_datasets, amap, methods=methods, seed=seed, restarts=restarts, ridge=ridge, gtol=gtol
     )
     reports = {m: mape(truth, results[m].prediction) for m in methods}
     pairwise = {}

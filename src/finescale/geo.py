@@ -144,30 +144,27 @@ def _geometry_rings(geom: dict) -> list:
 
 
 def load_partition(source, name: str | None = None) -> Partition:
-    """Build a Partition from a GeoJSON FeatureCollection (path, text, or dict).
+    """Build a Partition from a GeoJSON FeatureCollection, given as a file path or a parsed dict.
 
     Each feature must carry a unique string property ``id``; region order
     follows document order. Centroids are area-weighted shoelace centroids.
+    A partition read from a file is named by its stem and its errors name the file.
     """
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        try:
-            return _parse_partition(Path(source).read_text(), name or Path(source).stem)
-        except (GeoParseError, GeoValidationError) as exc:
-            raise type(exc)(f"{source}: {exc}") from exc
-    return _parse_partition(source, name)
+    if isinstance(source, dict):
+        return _parse_partition(source, name)
+    path = Path(source)
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise GeoParseError(f"{source}: not valid JSON: {exc}") from exc
+    try:
+        return _parse_partition(doc, name or path.stem)
+    except (GeoParseError, GeoValidationError) as exc:
+        raise type(exc)(f"{source}: {exc}") from exc
 
 
-def _parse_partition(source, name: str | None) -> Partition:
-    if isinstance(source, str):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise GeoParseError(f"not valid JSON: {exc}") from exc
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        raise GeoParseError(f"unsupported source type {type(source)}")
-    if doc.get("type") != "FeatureCollection" or "features" not in doc:
+def _parse_partition(doc: dict, name: str | None) -> Partition:
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection" or "features" not in doc:
         raise GeoParseError("document is not a GeoJSON FeatureCollection")
     features = doc["features"]
     if not features:
@@ -313,16 +310,6 @@ def build_aggregation(coarse: Partition, fine: Partition) -> AggregationMap:
     return AggregationMap(coarse=coarse, fine=fine, H=H)
 
 
-def aggregate(amap: AggregationMap, fine_values: np.ndarray) -> np.ndarray:
-    """H @ fine_values."""
-    v = np.asarray(fine_values, dtype=float)
-    if v.shape[0] != amap.H.shape[1]:
-        raise GeoValidationError(
-            f"fine_values length {v.shape[0]} != {amap.H.shape[1]}"
-        )
-    return amap.H @ v
-
-
 def load_dataset(partition: Partition, path) -> ArealDataset:
     """Read a `region_id,value` CSV matched to the partition by id."""
     rows = {}
@@ -348,21 +335,21 @@ def load_dataset(partition: Partition, path) -> ArealDataset:
     return ArealDataset(partition, values)
 
 
-def save_dataset(dataset: ArealDataset, path) -> None:
+def write_csv(path, header: list[str], ids, rows) -> None:
+    """The header, then one line per id: the id and its row's values."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["region_id", "value"])
-        for rid, v in zip(dataset.partition.ids, dataset.values):
-            writer.writerow([rid, repr(float(v))])
+        writer.writerow(header)
+        writer.writerows([rid, *(repr(float(v)) for v in row)] for rid, row in zip(ids, rows))
+
+
+def save_dataset(dataset: ArealDataset, path) -> None:
+    write_csv(path, ["region_id", "value"], dataset.partition.ids, dataset.values[:, None])
 
 
 def save_aggregation_csv(amap: AggregationMap, path) -> None:
     """CSV matrix with coarse ids as row labels and fine ids as column labels."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + amap.fine.ids)
-        for i, rid in enumerate(amap.coarse.ids):
-            writer.writerow([rid] + [repr(float(v)) for v in amap.H[i]])
+    write_csv(path, ["", *amap.fine.ids], amap.coarse.ids, amap.H)
 
 
 def load_aggregation_csv(coarse: Partition, fine: Partition, path) -> AggregationMap:

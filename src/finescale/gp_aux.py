@@ -97,16 +97,6 @@ def _gram(
     return A
 
 
-def aux_log_marginal(params: SEKernelParams, sigma: float, X, y) -> float:
-    """log N(y | 0, K + sigma^2 I) for a zero-mean GP at centroids X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    F = cholesky(_gram(params.alpha, params.gamma, sigma, sq_dists(X, X)))
-    beta = solve(F, y)
-    n = y.size
-    return float(-0.5 * y @ beta - 0.5 * log_det(F) - 0.5 * n * np.log(2 * np.pi))
-
-
 @dataclass(frozen=True)
 class _AuxProblem:
     """One auxiliary fit's unit-variance values ys, their squared distances D2,
@@ -201,7 +191,6 @@ def fit_aux_gp(
     seed: int = 0,
     dataset_id: str | None = None,
     center: bool = True,
-    gtol: float = 1e-6,
 ) -> AuxGPModel:
     """Maximize log N(y | 0, K + sigma^2 I) over log-hyperparameters.
 
@@ -240,7 +229,7 @@ def fit_aux_gp(
     ]
 
     prob = _AuxProblem.build(ys, D2)
-    best, records = multistart_minimize(lambda t: _nll_and_grad(prob, t), inits, gtol=gtol)
+    best, records = multistart_minimize(lambda t: _nll_and_grad(prob, t), inits)
     if best is None:
         raise AuxFitError(f"all restarts failed: {[r['error'] for r in records]}")
     log_alpha, log_gamma, log_sigma = best.argmin

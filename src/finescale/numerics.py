@@ -238,19 +238,3 @@ def multistart_minimize(
             best = res
     return best, records
 
-
-def grad_check(f, x: np.ndarray, h: float = 1e-5) -> float:
-    """Max relative error of the analytic gradient vs central differences."""
-    x = np.asarray(x, dtype=float)
-    _, g = f(x)
-    g = np.asarray(g, dtype=float)
-    worst = 0.0
-    for k in range(x.size):
-        e = np.zeros_like(x)
-        e[k] = h
-        fp, _ = f(x + e)
-        fm, _ = f(x - e)
-        numeric = (fp - fm) / (2 * h)
-        err = abs(g[k] - numeric) / max(1.0, abs(numeric))
-        worst = max(worst, err)
-    return worst

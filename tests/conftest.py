@@ -32,6 +32,23 @@ def se_kernel(params: SEKernelParams, x, x2) -> float:
     return params.alpha**2 * float(np.exp(-0.5 * d2 / params.gamma**2))
 
 
+def grad_check(f, x: np.ndarray, h: float = 1e-5) -> float:
+    """Max relative error of the analytic gradient vs central differences."""
+    x = np.asarray(x, dtype=float)
+    _, g = f(x)
+    g = np.asarray(g, dtype=float)
+    worst = 0.0
+    for k in range(x.size):
+        e = np.zeros_like(x)
+        e[k] = h
+        fp, _ = f(x + e)
+        fm, _ = f(x - e)
+        numeric = (fp - fm) / (2 * h)
+        err = abs(g[k] - numeric) / max(1.0, abs(numeric))
+        worst = max(worst, err)
+    return worst
+
+
 def square_region(rid: str, x0: float, y0: float, side: float = 1.0) -> Region:
     ring = np.array(
         [

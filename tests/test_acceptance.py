@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import random_instance
+from conftest import grad_check, random_instance
 from finescale.baselines import gpr_baseline, lr_baseline, sd2_baseline
 from finescale.cli import EXIT_OK, main
 from finescale.downscale import (
@@ -27,7 +27,6 @@ from finescale.evaluate import SyntheticSpec, generate_synthetic, mape
 from finescale.geo import ArealDataset
 from finescale.gp_aux import AuxGPModel, fit_all_aux, predict_aux
 from finescale.kernel import SEKernelParams
-from finescale.numerics import grad_check
 from test_downscale import (
     composition_log_marginal,
     entrywise_lambda,

@@ -224,6 +224,13 @@ def test_eval_passes_gtol_to_the_second_step_fit(synth_dir, tmp_path, monkeypatc
     assert seen == [1e-3]
 
 
+def test_eval_unknown_method_exit_2(synth_dir, tmp_path, capsys):
+    args = [*common_args(synth_dir, tmp_path / "eval"), "--truth", str(synth_dir / "truth.csv")]
+    assert main(["eval", *args, "--method", "lr,magic"]) == EXIT_CONFIG
+    assert "magic" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()  # rejected before any method runs
+
+
 @pytest.mark.parametrize(
     "grids",
     [
@@ -317,6 +324,33 @@ def test_refine_rejects_auxiliary_data_changed_since_fit(synth_dir, tmp_path, ca
     assert "'aux0'" in err and "data_sha256" in err
 
 
+def read_refinement(out):
+    rows = [line.split(",") for line in (out / "refinement.csv").read_text().splitlines()[1:]]
+    return {rid: (float(mean), float(var)) for rid, mean, var in rows}
+
+
+def test_refine_binds_by_region_id_under_shuffled_partitions(synth_dir, tmp_path):
+    # refine runs no optimizer, so a fixed models.json isolates the binding of
+    # the target, H and the fine field to region ids from the feature order
+    fitted = tmp_path / "fitted"
+    assert main(["fit", *common_args(synth_dir, fitted)]) == EXIT_OK
+    shuffled = copy_bundle(synth_dir, tmp_path / "bundle")
+    rng = np.random.default_rng(3)
+    for name in ("fine.geojson", "coarse.geojson"):
+        doc = json.loads((shuffled / name).read_text())
+        doc["features"] = [doc["features"][k] for k in rng.permutation(len(doc["features"]))]
+        (shuffled / name).write_text(json.dumps(doc))
+    models = ["--models", str(fitted / "models.json")]
+    for bundle, out in ((synth_dir, tmp_path / "plain"), (shuffled, tmp_path / "perm")):
+        assert main(["refine", *common_args(bundle, out), *models]) == EXIT_OK
+    plain, perm = read_refinement(tmp_path / "plain"), read_refinement(tmp_path / "perm")
+    assert list(perm) != list(plain) and sorted(perm) == sorted(plain)
+    ids = list(plain)
+    np.testing.assert_allclose(
+        [perm[i] for i in ids], [plain[i] for i in ids], rtol=1e-10, atol=0.0
+    )
+
+
 def test_hmatrix_of_centroid_membership_gives_the_same_outputs(synth_dir, tmp_path):
     hmatrix = write_hmatrix(synth_dir, tmp_path / "H.csv")
     built, given = tmp_path / "built", tmp_path / "given"
@@ -370,9 +404,12 @@ def corrupt_first_value(path, cell):
         ("fit", "H.csv", lambda path: corrupt_first_value(path, "abc")),
         ("fit", "coarse.geojson", drop_first_feature_id),
         ("fit", "aux1.geojson", drop_first_feature_id),
+        ("refine", "models.json", lambda path: path.write_text("[1, 2]")),
+        ("refine", "models.json",
+         lambda path: path.write_text(json.dumps({"aux_models": 3, "downscale": {}}))),
     ],
     ids=["coarse-geojson", "aux-manifest", "models", "target-csv", "hmatrix",
-         "coarse-feature-id", "aux-feature-id"],
+         "coarse-feature-id", "aux-feature-id", "models-list", "models-aux-not-a-list"],
 )
 def test_malformed_input_file_exit_2_naming_it(synth_dir, tmp_path, capsys, command, name, corrupt):
     bundle = copy_bundle(synth_dir, tmp_path / "bundle")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import random_H, random_instance, random_posteriors, se_kernel
+from conftest import grad_check, random_H, random_instance, random_posteriors, se_kernel
 from finescale import downscale
 from finescale.downscale import (
     DownscaleFitError,
@@ -23,7 +23,7 @@ from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
 from finescale.geo import AggregationMap, ArealDataset, Partition, build_aggregation
 from finescale.gp_aux import AuxPosterior, fit_all_aux
 from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
-from finescale.numerics import FactorizationError, cholesky, grad_check, log_det, solve
+from finescale.numerics import FactorizationError, cholesky, log_det, solve
 
 
 def pack(params):
@@ -221,7 +221,7 @@ def test_build_design_intercept_only():
 
 def test_build_design_single_posterior():
     post = AuxPosterior(dataset_id="a", mean=np.array([1.0, 2.0]), cov=np.eye(2))
-    d = build_design([post])
+    d = build_design([post], n_fine=2)
     assert np.array_equal(d.F, [[1.0, 1.0], [2.0, 1.0]])
     assert d.column_ids == ("a", "bias")
 
@@ -230,7 +230,7 @@ def test_build_design_rejects_mismatched_lengths():
     p1 = AuxPosterior(dataset_id="a", mean=np.zeros(2), cov=np.eye(2))
     p2 = AuxPosterior(dataset_id="b", mean=np.zeros(3), cov=np.eye(3))
     with pytest.raises(ValueError):
-        build_design([p1, p2])
+        build_design([p1, p2], n_fine=2)
 
 
 def test_lambda_no_aux_identity_H():

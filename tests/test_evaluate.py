@@ -171,7 +171,9 @@ def test_run_comparison_single_method():
         fine_shape=(4, 4), coarse_shape=(2, 2), aux_shapes=((4, 4),), w=(1.0,)
     )
     inst = generate_synthetic(spec, seed=0)
-    table = run_comparison(inst, methods=("gpr",), restarts=2)
+    table = run_comparison(
+        inst.a, inst.aux_datasets, inst.amap, inst.z_true, methods=("gpr",), restarts=2
+    )
     assert len(table.rows) == 1
     assert table.rows[0].method == "gpr"
     assert table.rows[0].report.mape >= 0
@@ -183,7 +185,7 @@ def test_run_comparison_empty_methods():
         fine_shape=(4, 4), coarse_shape=(2, 2), aux_shapes=((4, 4),), w=(1.0,)
     )
     inst = generate_synthetic(spec, seed=0)
-    table = run_comparison(inst, methods=())
+    table = run_comparison(inst.a, inst.aux_datasets, inst.amap, inst.z_true, methods=())
     assert table.rows == ()
 
 
@@ -192,8 +194,8 @@ def test_run_comparison_unknown_method():
         fine_shape=(4, 4), coarse_shape=(2, 2), aux_shapes=((4, 4),), w=(1.0,)
     )
     inst = generate_synthetic(spec, seed=0)
-    with pytest.raises(ValueError, match="nope"):
-        run_comparison(inst, methods=("nope",))
+    with pytest.raises(evaluate.UnknownMethodError, match="nope"):
+        run_comparison(inst.a, inst.aux_datasets, inst.amap, inst.z_true, methods=("nope",))
 
 
 def test_run_comparison_full_table_structure():
@@ -201,7 +203,9 @@ def test_run_comparison_full_table_structure():
         fine_shape=(6, 4), coarse_shape=(3, 2), aux_shapes=((6, 4),), w=(1.5,)
     )
     inst = generate_synthetic(spec, seed=2)
-    table = run_comparison(inst, methods=METHODS, restarts=2)
+    table = run_comparison(
+        inst.a, inst.aux_datasets, inst.amap, inst.z_true, methods=METHODS, restarts=2
+    )
     assert [r.method for r in table.rows] == list(METHODS)
     assert len(table.pairwise) == 6  # all unordered pairs
     text = table.to_text()
@@ -225,7 +229,7 @@ def test_run_comparison_stars_follow_the_weakest_pair(monkeypatch, t_values, sta
         evaluate, "run_methods",
         lambda a, aux, amap, methods, **kw: {m: BaselineResult(m, truth + ape[m]) for m in methods},
     )
-    table = run_comparison((None, [], None), truth=truth, methods=METHODS)
+    table = run_comparison(None, [], None, truth, methods=METHODS)
     ps = [table.pairwise[("proposed", m)].p for m in ("gpr", "lr", "sd2")]
     bands = [0 if p < 0.01 else 1 if p < 0.05 else 2 for p in ps]
     assert bands == [{5.0: 0, 2.5: 1, 1.0: 2}[t] for t in t_values]

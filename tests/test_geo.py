@@ -16,7 +16,6 @@ from finescale.geo import (
     Location,
     Partition,
     Region,
-    aggregate,
     build_aggregation,
     load_aggregation_csv,
     load_dataset,
@@ -71,9 +70,12 @@ def test_degenerate_polygon_names_region():
         load_partition(collection(bad))
 
 
-def test_malformed_document_rejected():
-    with pytest.raises(GeoParseError):
-        load_partition("{not json")
+def test_malformed_document_rejected(tmp_path):
+    path = tmp_path / "broken.geojson"
+    for text in ("{not json", "[1, 2]"):
+        path.write_text(text)
+        with pytest.raises(GeoParseError, match="broken.geojson"):
+            load_partition(path)
     with pytest.raises(GeoParseError):
         load_partition({"type": "Point"})
 
@@ -295,7 +297,7 @@ def test_aggregation_left_right_halves():
     amap = build_aggregation(coarse, fine)
     expected = np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5]])
     assert np.allclose(amap.H, expected, atol=1e-14)
-    assert aggregate(amap, [1.0, 2.0, 3.0, 4.0]) == pytest.approx([2.0, 3.0])
+    assert amap.H @ [1.0, 2.0, 3.0, 4.0] == pytest.approx([2.0, 3.0])
 
 
 def test_identical_partitions_give_identity():
@@ -458,18 +460,13 @@ def test_degenerate_edge_claims_only_nearby_centroids(repeat):
 
 def test_aggregate_constant_field(grid_amap_2x2_over_4x4):
     amap = grid_amap_2x2_over_4x4
-    out = aggregate(amap, np.full(16, 3.25))
+    out = amap.H @ np.full(16, 3.25)
     assert np.allclose(out, 3.25, atol=1e-14)
 
 
 def test_aggregate_ones_row_sums(grid_amap_2x2_over_4x4):
-    out = aggregate(grid_amap_2x2_over_4x4, np.ones(16))
+    out = grid_amap_2x2_over_4x4.H @ np.ones(16)
     assert np.array_equal(out, np.ones(4))
-
-
-def test_aggregate_length_mismatch(grid_amap_2x2_over_4x4):
-    with pytest.raises(GeoValidationError):
-        aggregate(grid_amap_2x2_over_4x4, np.ones(5))
 
 
 def test_column_sparsity(grid_amap_2x2_over_4x4):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import grad_check
 from finescale.numerics import (
     SIGMA_FLOOR,
     CholeskyFactor,
     FactorizationError,
     bfgs_minimize,
     cholesky,
-    grad_check,
     inverse,
     log_det,
     multistart_minimize,

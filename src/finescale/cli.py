@@ -20,9 +20,9 @@ from finescale.downscale import (
     predict_fine,
 )
 from finescale.geo import (
-    GeoParseError,
-    GeoValidationError,
+    InputError,
     build_aggregation,
+    json_value,
     load_aggregation_csv,
     load_dataset,
     load_partition,
@@ -30,28 +30,24 @@ from finescale.geo import (
     save_dataset,
     write_csv,
 )
-from finescale.gp_aux import AuxFitError, AuxGPModel, data_sha256, fit_all_aux, predict_aux
-from finescale.numerics import FactorizationError, OptimizationError
+from finescale.gp_aux import AuxGPModel, data_sha256, fit_all_aux, predict_aux
+from finescale.numerics import NumericalError
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _split_pair(arg: str, flag: str) -> tuple[Path, Path]:
     parts = arg.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"{flag} expects GEOJSON,CSV (comma-separated pair), got {arg!r}")
+        raise InputError(f"{flag} expects GEOJSON,CSV (comma-separated pair), got {arg!r}")
     return Path(parts[0]), Path(parts[1])
 
 
 def _require(path: Path, what: str) -> Path:
     if not path.exists():
-        raise ConfigError(f"{what} not found: {path}")
+        raise InputError(f"{what} not found: {path}")
     return path
 
 
@@ -59,21 +55,22 @@ def _read_json(path: Path, what: str):
     try:
         return json.loads(_require(path, what).read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path}: not valid JSON: {exc}") from exc
+        raise InputError(f"{what} {path}: not valid JSON: {exc}") from exc
 
 
 def _load_manifest(path: Path) -> list[tuple[str, Path, Path]]:
     """(id, geojson, csv) per entry; ids are unique, non-empty and not the reserved "bias"."""
     entries = _read_json(path, "aux manifest")
     if not isinstance(entries, list):
-        raise ConfigError(f"{path}: manifest must be a JSON array of {{id, geojson, csv}}")
+        raise InputError(f"{path}: manifest must be a JSON array of {{id, geojson, csv}}")
     out = []
     for e in entries:
-        if not isinstance(e, dict) or not {"id", "geojson", "csv"} <= e.keys():
-            raise ConfigError(f"{path}: manifest entry needs id, geojson and csv: {e}")
+        if not (isinstance(e, dict) and {"id", "geojson", "csv"} <= e.keys()
+                and isinstance(e["geojson"], str) and isinstance(e["csv"], str)):
+            raise InputError(f"{path}: manifest entry needs an id and geojson and csv paths: {e}")
         aid = str(e["id"])
         if aid in ("", "bias") or aid in (o[0] for o in out):
-            raise ConfigError(f"{path}: manifest id {aid!r} is empty, reserved or repeated")
+            raise InputError(f"{path}: manifest id {aid!r} is empty, reserved or repeated")
         geojson = _require(path.parent / e["geojson"], f"aux {aid} geometry")
         out.append((aid, geojson, _require(path.parent / e["csv"], f"aux {aid} data")))
     return out
@@ -143,36 +140,32 @@ def cmd_refine(args) -> int:
     fine = amap.fine
     models_path = Path(args.models or (Path(args.out) / "models.json"))
     models = _read_json(models_path, "models file")
-    if not (
-        isinstance(models, dict)
-        and isinstance(models.get("aux_models"), list)
-        and all(isinstance(m, dict) for m in models["aux_models"])
-        and isinstance(models.get("downscale"), dict)
-    ):
-        raise ConfigError(
-            f"{models_path}: expected an object with an aux_models list of objects"
-            " and a downscale object"
-        )
-    by_id = {d["dataset_id"]: d for d in models["aux_models"]}
-    datasets = {ds.partition.name: ds for ds in aux}
-    # The fitted weights are ordered by the fit-time columns, not by this manifest.
-    column_ids = models["downscale"]["column_ids"]
-    if not sorted(by_id) == sorted(column_ids[:-1]) == sorted(datasets):
-        raise ConfigError(
-            f"model/manifest mismatch: models for {sorted(by_id)}, weights for "
-            f"{column_ids[:-1]}, manifest has {sorted(datasets)}"
-        )
-    posteriors = []
-    for aid in column_ids[:-1]:
-        ds = datasets[aid]
-        fitted_sha = by_id[aid].get("diagnostics", {}).get("data_sha256")
-        if fitted_sha is None:
-            raise ConfigError(f"auxiliary {aid!r}: {models_path} records no data_sha256")
-        if fitted_sha != data_sha256(ds.partition.centroids, ds.values):
-            raise ConfigError(f"auxiliary {aid!r}: data differ from the data the model was fitted to")
-        model = AuxGPModel.from_dict(by_id[aid], ds.partition.centroids, ds.values)
-        posteriors.append(predict_aux(model, fine.centroids))
-    params = DownscaleParams.from_dict(models["downscale"])
+    try:
+        by_id = {
+            json_value(m, "dataset_id", str, "aux_models entry"): m
+            for m in json_value(models, "aux_models", list, "models")
+        }
+        downscale = json_value(models, "downscale", dict, "models")
+        params = DownscaleParams.from_dict(downscale)
+        datasets = {ds.partition.name: ds for ds in aux}
+        # The fitted weights are ordered by the fit-time columns, not by this
+        # manifest; from_dict has checked the column ids.
+        column_ids = downscale["column_ids"]
+        if not sorted(by_id) == sorted(column_ids[:-1]) == sorted(datasets):
+            raise InputError(
+                f"model/manifest mismatch: models for {sorted(by_id)}, weights for "
+                f"{column_ids[:-1]}, manifest has {sorted(datasets)}"
+            )
+        posteriors = []
+        for aid in column_ids[:-1]:
+            ds = datasets[aid]
+            model = AuxGPModel.from_dict(by_id[aid], ds.partition.centroids, ds.values)
+            fitted_sha = json_value(model.diagnostics, "data_sha256", str, f"aux model {aid!r}")
+            if fitted_sha != data_sha256(ds.partition.centroids, ds.values):
+                raise InputError(f"auxiliary {aid!r}: data differ from those it was fitted to")
+            posteriors.append(predict_aux(model, fine.centroids))
+    except InputError as exc:
+        raise InputError(f"{models_path}: {exc}") from exc
     design = build_design(posteriors, n_fine=len(fine))
     refinement = predict_fine(params, a, design, posteriors, amap)
     out = Path(args.out)
@@ -209,13 +202,10 @@ def cmd_eval(args) -> int:
     a, amap, aux, _ = _load_inputs(args)
     truth = load_dataset(amap.fine, _require(Path(args.truth), "truth data")).values
     methods = tuple(args.method.split(",")) if args.method else evaluate.METHODS
-    try:
-        table = evaluate.run_comparison(
-            a, aux, amap, truth, methods=methods,
-            seed=args.seed, restarts=args.restarts, ridge=args.ridge, gtol=args.gtol,
-        )
-    except evaluate.UnknownMethodError as exc:
-        raise ConfigError(str(exc)) from exc
+    table = evaluate.run_comparison(
+        a, aux, amap, truth, methods=methods,
+        seed=args.seed, restarts=args.restarts, ridge=args.ridge, gtol=args.gtol,
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "comparison.csv").write_text(table.to_csv())
@@ -232,10 +222,8 @@ def cmd_synth(args) -> int:
         "aux_shapes": args.aux_grid and [tuple(shape) for shape in args.aux_grid],
         "w": args.weights,
     }
-    try:  # flags not given keep SyntheticSpec's defaults
-        spec = evaluate.SyntheticSpec(**{k: tuple(v) for k, v in flags.items() if v is not None})
-    except ValueError as exc:
-        raise ConfigError(f"invalid synthetic spec: {exc}") from exc
+    # flags not given keep SyntheticSpec's defaults
+    spec = evaluate.SyntheticSpec(**{k: tuple(v) for k, v in flags.items() if v is not None})
     inst = evaluate.generate_synthetic(spec, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -259,17 +247,21 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, need_target=True) -> None:
-    if need_target:
-        p.add_argument("--target", required=True, help="coarse target as GEOJSON,CSV pair")
-        p.add_argument("--fine", required=True, help="fine partition GeoJSON")
-        p.add_argument("--aux-manifest", default=None, help="JSON array of {id, geojson, csv}")
-        p.add_argument("--hmatrix", default=None, help="optional user-supplied H matrix CSV")
+def _add_inputs(p: argparse.ArgumentParser) -> None:
+    """The flags of the commands that read a target, a fine partition and auxiliaries."""
+    p.add_argument("--target", required=True, help="coarse target as GEOJSON,CSV pair")
+    p.add_argument("--fine", required=True, help="fine partition GeoJSON")
+    p.add_argument("--aux-manifest", default=None, help="JSON array of {id, geojson, csv}")
+    p.add_argument("--hmatrix", default=None, help="optional user-supplied H matrix CSV")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--ridge", type=float, default=0.0)
-    p.add_argument("--gtol", type=float, default=1e-6)
+
+
+def _add_second_step(p: argparse.ArgumentParser) -> None:
+    """The flags of the second-step fit, on the commands that run it."""
+    p.add_argument("--ridge", type=float, default=0.0, help="L2 penalty on the auxiliary weights")
+    p.add_argument("--gtol", type=float, default=1e-6, help="gradient tolerance of the fit")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,24 +271,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit auxiliary GPs and the downscaling model")
-    _add_common(p_fit)
+    _add_inputs(p_fit)
+    _add_second_step(p_fit)
 
     p_ref = sub.add_parser("refine", help="predict the fine field from fitted models")
-    _add_common(p_ref)
+    _add_inputs(p_ref)
     p_ref.add_argument("--models", default=None, help="models.json (default: OUT/models.json)")
     p_ref.add_argument("--covariance", action="store_true", help="also write full covariance CSV")
 
     p_base = sub.add_parser("baseline", help="run one comparison method")
-    _add_common(p_base)
+    _add_inputs(p_base)
     p_base.add_argument("--method", required=True, choices=("gpr", "lr", "sd2"))
 
     p_eval = sub.add_parser("eval", help="full method comparison against a truth file")
-    _add_common(p_eval)
+    _add_inputs(p_eval)
+    _add_second_step(p_eval)
     p_eval.add_argument("--truth", required=True, help="fine-partition truth CSV")
     p_eval.add_argument("--method", default=None, help="comma-separated subset of methods")
 
     p_synth = sub.add_parser("synth", help="write a synthetic instance directory")
-    _add_common(p_synth, need_target=False)
+    p_synth.add_argument("--out", required=True, help="output directory")
+    p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--fine-grid", type=int, nargs=2)
     p_synth.add_argument("--coarse-grid", type=int, nargs=2)
     p_synth.add_argument(
@@ -325,10 +320,10 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, GeoParseError, GeoValidationError, FileNotFoundError, KeyError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FactorizationError, OptimizationError, AuxFitError, ArithmeticError) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

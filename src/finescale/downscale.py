@@ -14,14 +14,28 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from finescale.geo import AggregationMap, ArealDataset, Partition
+from finescale.geo import (
+    AggregationMap,
+    ArealDataset,
+    InputError,
+    Partition,
+    json_log,
+    json_value,
+)
 from finescale.gp_aux import AuxPosterior, median_pairwise_distance
 from finescale.kernel import JITTER_REL, SEKernelParams, se_from_sq_dists, sq_dists
-from finescale.numerics import SIGMA_FLOOR, cholesky, log_det, multistart_minimize, solve
+from finescale.numerics import (
+    SIGMA_FLOOR,
+    NumericalError,
+    cholesky,
+    log_det,
+    multistart_minimize,
+    solve,
+)
 
 
-class DownscaleFitError(RuntimeError):
-    """Second-step optimization failed on every restart."""
+class DownscaleFitError(NumericalError):
+    """The second-step fit has no finite warm start, or failed on every restart."""
 
 
 @dataclass(frozen=True)
@@ -75,12 +89,30 @@ class DownscaleParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DownscaleParams":
-        w = np.array([d["w"][cid] for cid in d["column_ids"]])
+        """The parameters ``to_dict`` wrote: one weight per column id, the ids
+        distinct strings with ``bias`` last.
+
+        Raises InputError naming the first key that is missing or holds a
+        value of the wrong kind; ``diagnostics`` may be absent.
+        """
+        where = "downscale"
+        ids = json_value(d, "column_ids", list, where)
+        if not (
+            all(isinstance(cid, str) for cid in ids)
+            and len(set(ids)) == len(ids)
+            and ids[-1:] == ["bias"]
+        ):
+            raise InputError(
+                f"{where}: key 'column_ids' must be distinct strings ending in 'bias', got {ids!r}"
+            )
+        weights = json_value(d, "w", dict, where)
         return cls(
-            w=w,
-            kernel=SEKernelParams.from_log(d["log_alpha"], d["log_gamma"]),
-            sigma=float(np.exp(d["log_sigma"])),
-            diagnostics=d.get("diagnostics", {}),
+            w=np.array([json_value(weights, cid, float, f"{where} 'w'") for cid in ids]),
+            kernel=SEKernelParams.from_log(
+                json_log(d, "log_alpha", where), json_log(d, "log_gamma", where)
+            ),
+            sigma=float(np.exp(json_log(d, "log_sigma", where))),
+            diagnostics=json_value(d, "diagnostics", dict, where, default={}),
         )
 
 
@@ -298,7 +330,8 @@ def fit_downscale(
     overparameterized regime where |S| + 1 exceeds the coarse region count.
     ``multistart_minimize`` picks the winner, the restart with the lowest
     objective and the earliest one on an exact tie;
-    ``diagnostics["restart_records"]`` keeps every restart.
+    ``diagnostics["restart_records"]`` keeps every restart. Raises
+    DownscaleFitError when the warm start is not finite or every restart fails.
     """
     prob = _Problem.build(a, posteriors, fine, amap_or_H)
     a_vec, H, design = prob.a, prob.H, prob.design
@@ -306,9 +339,15 @@ def fit_downscale(
 
     w0 = lstsq_warm_start(a_vec, design, H)
     r0 = a_vec - H @ (design.F @ w0)
-    alpha0 = max(float(np.std(r0)), 1e-3)
+    with np.errstate(over="ignore"):  # an overflow leaves spread inf, refused below
+        spread = float(np.std(r0))
+    if not (np.isfinite(w0).all() and np.isfinite(spread)):
+        raise DownscaleFitError(
+            f"non-finite warm start: the least-squares residuals have standard deviation {spread}"
+        )
+    alpha0 = max(spread, 1e-3)
     gamma0 = median_pairwise_distance(prob.D2)
-    sigma0 = max(0.1 * float(np.std(r0)), 10 * SIGMA_FLOOR)
+    sigma0 = max(0.1 * spread, 10 * SIGMA_FLOOR)
     theta0 = _pack(w0, SEKernelParams(alpha0, gamma0), sigma0)
 
     def objective(theta):
@@ -373,6 +412,6 @@ def predict_fine(
     cov -= V.T @ V  # V^T V is exactly symmetric, and so is cov
     d = np.diag(cov).copy()
     if d.min() < -1e-8:
-        raise RuntimeError(f"predictive variance {d.min()} below clamp tolerance")
+        raise NumericalError(f"predictive variance {d.min()} below clamp tolerance")
     np.fill_diagonal(cov, np.maximum(d, 0.0))
     return Refinement(mean=mean, cov=cov)

@@ -13,6 +13,7 @@ from finescale.downscale import build_design, fit_downscale, predict_fine
 from finescale.geo import (
     AggregationMap,
     ArealDataset,
+    InputError,
     Location,
     Partition,
     Region,
@@ -139,13 +140,17 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if len(self.w) != len(self.aux_shapes):
-            raise ValueError("w length must match the number of auxiliary shapes")
+            raise InputError(
+                "invalid synthetic spec: w length must match the number of auxiliary shapes"
+            )
         if min(min(shape) for shape in (self.fine_shape, self.coarse_shape, *self.aux_shapes)) < 1:
-            raise ValueError("grid shapes must be positive")
+            raise InputError("invalid synthetic spec: grid shapes must be positive")
         fx, fy = self.fine_shape
         cx, cy = self.coarse_shape
         if fx % cx or fy % cy:
-            raise ValueError("fine grid must subdivide the coarse grid evenly")
+            raise InputError(
+                "invalid synthetic spec: fine grid must subdivide the coarse grid evenly"
+            )
 
 
 @dataclass(frozen=True)
@@ -278,7 +283,7 @@ class ComparisonTable:
 METHODS = ("proposed", "gpr", "lr", "sd2")
 
 
-class UnknownMethodError(ValueError):
+class UnknownMethodError(InputError):
     """A method name outside METHODS."""
 
 

@@ -1,9 +1,11 @@
-"""Partition geometry, areal datasets, and the coarse-over-fine aggregation matrix."""
+"""Partition geometry, areal datasets, the coarse-over-fine aggregation matrix,
+and the checked reads of input files."""
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,12 +13,58 @@ from pathlib import Path
 import numpy as np
 
 
-class GeoParseError(ValueError):
+class InputError(ValueError):
+    """An input from outside the program is malformed or inconsistent.
+
+    The base of the library's input errors; the CLI exits 2 on it.
+    """
+
+
+class GeoParseError(InputError):
     """Input document is not a usable geometry collection."""
 
 
-class GeoValidationError(ValueError):
+class GeoValidationError(InputError):
     """Geometry or dataset violates a structural invariant."""
+
+
+_JSON_KINDS = {float: "a finite number", str: "a string", list: "an array", dict: "an object"}
+
+# The largest |log| a parameter read from a file may have: exp(+-300) squared is
+# still a normal float, so the parameter and its square are finite and nonzero.
+LOG_PARAM_MAX = 300.0
+
+
+def json_value(record, key: str, kind: type, where: str, default=None):
+    """``record[key]`` of a parsed JSON document, checked to be a ``kind``:
+    float (a finite number, not a boolean; returned as a float), str, list or dict.
+
+    A missing key gives ``default`` when one is set. Otherwise a record that
+    is not an object, a missing key or a value of another kind raises
+    InputError naming ``where`` and the key.
+    """
+    if not isinstance(record, dict):
+        raise InputError(f"{where}: expected a JSON object")
+    if key not in record:
+        if default is not None:
+            return default
+        raise InputError(f"{where}: missing key {key!r}")
+    value = record[key]
+    if kind is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    elif isinstance(value, kind):
+        return value
+    raise InputError(f"{where}: key {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+
+
+def json_log(record, key: str, where: str) -> float:
+    """The log of a positive parameter, read as ``json_value`` reads a float and
+    within +-LOG_PARAM_MAX."""
+    value = json_value(record, key, float, where)
+    if abs(value) > LOG_PARAM_MAX:
+        raise InputError(f"{where}: key {key!r} is {value!r}, outside +-{LOG_PARAM_MAX:g}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -134,13 +182,11 @@ class ArealDataset:
 
 def _geometry_rings(geom: dict) -> list:
     gtype = geom.get("type")
-    if gtype == "Polygon":
-        polys = [geom["coordinates"]]
-    elif gtype == "MultiPolygon":
-        polys = geom["coordinates"]
-    else:
+    if gtype not in ("Polygon", "MultiPolygon"):
         raise GeoParseError(f"unsupported geometry type {gtype!r}")
-    return polys
+    if "coordinates" not in geom:
+        raise GeoParseError(f"{gtype} without coordinates")
+    return [geom["coordinates"]] if gtype == "Polygon" else geom["coordinates"]
 
 
 def load_partition(source, name: str | None = None) -> Partition:

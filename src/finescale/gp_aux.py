@@ -7,12 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from finescale.geo import ArealDataset, Partition
+from finescale.geo import ArealDataset, Partition, json_log, json_value
 from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
 from finescale.numerics import (
     SIGMA_FLOOR,
-    FactorizationError,
-    OptimizationError,
+    NumericalError,
     cholesky,
     inverse,
     log_det,
@@ -21,7 +20,7 @@ from finescale.numerics import (
 )
 
 
-class AuxFitError(RuntimeError):
+class AuxFitError(NumericalError):
     """Hyperparameter optimization failed for an auxiliary dataset."""
 
 
@@ -51,16 +50,25 @@ class AuxGPModel:
 
     @classmethod
     def from_dict(cls, d: dict, train_centroids, train_values) -> "AuxGPModel":
+        """The model ``to_dict`` wrote, on its training data.
+
+        Raises InputError naming the first key that is missing or holds a
+        value of the wrong kind; ``diagnostics`` may be absent.
+        """
+        dataset_id = json_value(d, "dataset_id", str, "aux model")
+        where = f"aux model {dataset_id!r}"
         return cls(
-            dataset_id=d["dataset_id"],
-            params=SEKernelParams.from_log(d["log_alpha"], d["log_gamma"]),
-            noise_sigma=float(np.exp(d["log_sigma"])),
+            dataset_id=dataset_id,
+            params=SEKernelParams.from_log(
+                json_log(d, "log_alpha", where), json_log(d, "log_gamma", where)
+            ),
+            noise_sigma=float(np.exp(json_log(d, "log_sigma", where))),
             train_centroids=np.asarray(train_centroids, dtype=float),
             train_values=np.asarray(train_values, dtype=float),
-            offset=d["offset"],
-            scale=d["scale"],
-            log_marginal=d["log_marginal"],
-            diagnostics=d.get("diagnostics", {}),
+            offset=json_value(d, "offset", float, where),
+            scale=json_value(d, "scale", float, where),
+            log_marginal=json_value(d, "log_marginal", float, where),
+            diagnostics=json_value(d, "diagnostics", dict, where, default={}),
         )
 
 
@@ -267,7 +275,7 @@ def predict_aux(model: AuxGPModel, test_centroids) -> AuxPosterior:
     cov = 0.5 * (cov + cov.T)
     d = np.diag(cov).copy()
     if d.min() < -1e-10:
-        raise RuntimeError(f"predictive variance {d.min()} below clamp tolerance")
+        raise NumericalError(f"predictive variance {d.min()} below clamp tolerance")
     np.fill_diagonal(cov, np.maximum(d, 0.0))
     return AuxPosterior(dataset_id=model.dataset_id, mean=mean, cov=cov)
 
@@ -282,7 +290,7 @@ def fit_all_aux(
     """Fit every auxiliary GP and predict at the fine centroids.
 
     Fits are independent; each uses the same seed, so identical datasets
-    yield identical results regardless of position. A numerical failure is
+    yield identical results regardless of position. A NumericalError is
     re-raised as AuxFitError naming the dataset; other errors propagate.
     """
     ids = dataset_ids or [d.partition.name for d in datasets]
@@ -292,6 +300,6 @@ def fit_all_aux(
         try:
             model = fit_aux_gp(data, restarts=restarts, seed=seed, dataset_id=dataset_id)
             fitted.append((model, predict_aux(model, Xf)))
-        except (AuxFitError, FactorizationError, OptimizationError) as exc:
+        except NumericalError as exc:
             raise AuxFitError(f"auxiliary {dataset_id!r}: {exc}") from exc
     return fitted

@@ -15,9 +15,17 @@ FTOL = 1e-10
 ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 50
+# bfgs_minimize's default iteration cap, the one every multistart_minimize search has.
+MAX_ITER = 500
 
 
-class FactorizationError(Exception):
+class NumericalError(Exception):
+    """A computation failed on the numbers it was given: a factorization, a
+    search or a fit. The base of the library's numerical failures; the CLI
+    exits 1 on it."""
+
+
+class FactorizationError(NumericalError):
     """Cholesky failed: the matrix is not positive definite."""
 
     def __init__(self, message: str, pivot: int | None = None):
@@ -25,7 +33,7 @@ class FactorizationError(Exception):
         self.pivot = pivot
 
 
-class OptimizationError(Exception):
+class OptimizationError(NumericalError):
     """Non-finite objective or gradient encountered during optimization."""
 
 
@@ -126,7 +134,7 @@ def bfgs_minimize(
     f,
     x0: np.ndarray,
     gtol: float = 1e-6,
-    max_iter: int = 500,
+    max_iter: int = MAX_ITER,
 ) -> OptimizeResult:
     """Full BFGS with backtracking Armijo line search.
 
@@ -185,9 +193,10 @@ def bfgs_minimize(
 
 
 def multistart_minimize(
-    f, starts: list[np.ndarray], gtol: float = 1e-6, max_iter: int = 500
+    f, starts: list[np.ndarray], gtol: float = 1e-6
 ) -> tuple[OptimizeResult | None, list[dict]]:
-    """Minimize ``f`` with ``bfgs_minimize`` from every start point.
+    """Minimize ``f`` with ``bfgs_minimize`` from every start point, for at
+    most MAX_ITER iterations each.
 
     The last three entries of theta are (log alpha, log gamma, log sigma).
     The objective is +inf outside the feasibility box (a non-finite theta,
@@ -220,7 +229,7 @@ def multistart_minimize(
     for x0 in starts:
         evaluations = 0
         try:
-            res = bfgs_minimize(objective, x0, gtol=gtol, max_iter=max_iter)
+            res = bfgs_minimize(objective, x0, gtol=gtol)
         except OptimizationError as exc:
             records.append({"error": str(exc), "evaluations": evaluations})
             continue

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 import finescale
 from finescale import evaluate
 from finescale.baselines import gpr_baseline
-from finescale.cli import EXIT_CONFIG, EXIT_OK, main
+from finescale.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from finescale.evaluate import grid_partition
 from finescale.geo import build_aggregation, load_dataset, load_partition, save_aggregation_csv
 from finescale.render import choropleth_svg, ramp_color
@@ -264,9 +265,69 @@ def test_mismatched_target_pair_exit_2(synth_dir, tmp_path, capsys):
 
 def test_refine_with_wrong_models_exit_2(synth_dir, tmp_path, capsys):
     out = tmp_path / "out"
-    out.mkdir()
-    (out / "models.json").write_text(json.dumps({"aux_models": [], "downscale": {}}))
-    assert main(["refine", *common_args(synth_dir, out)]) == EXIT_CONFIG
+    assert main(["fit", *common_args(synth_dir, out)]) == EXIT_OK
+    fitted = json.loads((out / "models.json").read_text())
+
+    # (key named on stderr, how models.json breaks)
+    cases = [
+        ("column_ids", lambda m: m.update(aux_models=[], downscale={})),
+        ("column_ids", lambda m: m["downscale"].pop("column_ids")),
+        ("aux0", lambda m: m["downscale"]["w"].update(aux0=float("nan"))),
+        ("log_alpha", lambda m: m["aux_models"][0].pop("log_alpha")),
+        ("log_gamma", lambda m: m["aux_models"][1].update(log_gamma="x")),
+        ("log_gamma", lambda m: m["aux_models"][0].update(log_gamma=800)),
+        ("dataset_id", lambda m: m["aux_models"][0].update(dataset_id=5)),
+        ("diagnostics", lambda m: m["aux_models"][0].update(diagnostics=5)),
+    ]
+    for key, corrupt in cases:
+        models = json.loads(json.dumps(fitted))
+        corrupt(models)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(models))
+        capsys.readouterr()
+        assert main(["refine", *common_args(synth_dir, out), "--models", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err and repr(key) in err, err
+
+
+def test_second_step_fit_failure_exit_1(synth_dir, tmp_path, capsys):
+    # the least-squares residuals of a target this large overflow in their spread,
+    # so the second step has no finite warm start
+    bundle = copy_bundle(synth_dir, tmp_path / "bundle")
+    lines = (bundle / "target.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    scaled = [f"{rid},{float(value) * 1e160!r}" for rid, value in rows]
+    (bundle / "target.csv").write_text("\n".join([lines[0], *scaled]) + "\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", *common_args(bundle, out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: non-finite warm start") and err.count("\n") == 1
+    assert not (out / "models.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("baseline", ["--gtol", "1e-3", "--ridge", "7"]),
+        ("refine", ["--ridge", "5", "--gtol", "3"]),
+        ("synth", ["--restarts", "9", "--ridge", "3", "--gtol", "2"]),
+    ],
+    ids=["baseline", "refine", "synth"],
+)
+def test_flags_of_another_command_exit_2(synth_dir, tmp_path, capsys, command, extra):
+    # only fit and eval run the second-step fit; synth runs no fit at all
+    out = tmp_path / "out"
+    args = {
+        "baseline": [*common_args(synth_dir, out), "--method", "lr"],
+        "refine": common_args(synth_dir, out),
+        "synth": ["--out", str(out)],
+    }[command]
+    assert main([command, *args, *extra]) == EXIT_CONFIG
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_bundle_refine_determinism(synth_dir, tmp_path):
@@ -388,6 +449,12 @@ def drop_first_feature_id(path):
     path.write_text(json.dumps(doc))
 
 
+def manifest_geojson_not_a_string(path):
+    entries = json.loads(path.read_text())
+    entries[0]["geojson"] = 5
+    path.write_text(json.dumps(entries))
+
+
 def corrupt_first_value(path, cell):
     lines = path.read_text().splitlines()
     lines[1] = lines[1].split(",")[0] + "," + cell
@@ -407,9 +474,11 @@ def corrupt_first_value(path, cell):
         ("refine", "models.json", lambda path: path.write_text("[1, 2]")),
         ("refine", "models.json",
          lambda path: path.write_text(json.dumps({"aux_models": 3, "downscale": {}}))),
+        ("fit", "aux_manifest.json", manifest_geojson_not_a_string),
     ],
     ids=["coarse-geojson", "aux-manifest", "models", "target-csv", "hmatrix",
-         "coarse-feature-id", "aux-feature-id", "models-list", "models-aux-not-a-list"],
+         "coarse-feature-id", "aux-feature-id", "models-list", "models-aux-not-a-list",
+         "aux-manifest-value-type"],
 )
 def test_malformed_input_file_exit_2_naming_it(synth_dir, tmp_path, capsys, command, name, corrupt):
     bundle = copy_bundle(synth_dir, tmp_path / "bundle")

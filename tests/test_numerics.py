@@ -323,13 +323,29 @@ def _double_well(theta):
     return float((x * x - 1.0) ** 2), grad
 
 
+def _tilted_wells(theta):
+    # a double well in x tilted so that its minimum near x = -1 is the lower
+    # one, plus a level double well in y whose minima at y = +-1 tie exactly
+    x, y = theta[:2]
+    grad = np.zeros_like(theta)
+    grad[0] = 4.0 * x * (x * x - 1.0) + 0.5
+    grad[1] = 4.0 * y * (y * y - 1.0)
+    return float((x * x - 1.0) ** 2 + 0.5 * x + (y * y - 1.0) ** 2), grad
+
+
 def test_multistart_keeps_the_lowest_objective():
-    starts = [np.array([x, 0.0, 0.0, 0.0]) for x in (3.0, 1.0, 2.0)]
-    best, records = multistart_minimize(_quadratic, starts, max_iter=0)
-    assert [r["objective"] for r in records] == [9.0, 1.0, 4.0]
-    assert all(r["stop"] == "max_iter" and r["evaluations"] == 1 for r in records)
-    assert best.objective == 1.0
-    assert np.array_equal(best.argmin, starts[1])
+    high = np.array([1.0, 1.2, 0.0, 0.0, 0.0])  # the higher x-well
+    low = np.array([-1.0, 1.2, 0.0, 0.0, 0.0])
+    mirrored = low * np.array([1.0, -1.0, 1.0, 1.0, 1.0])  # the other y-well, tied with low
+    for starts in ([high, low, mirrored], [high, mirrored, low]):
+        best, records = multistart_minimize(_tilted_wells, starts)
+        objectives = [r["objective"] for r in records]
+        assert all(r["converged"] for r in records)
+        assert objectives[0] > objectives[1] == objectives[2]
+        # the lowest objective beats the earlier start; the earlier of the tie wins
+        assert best.objective == objectives[1]
+        assert np.array_equal(best.argmin, bfgs_minimize(_tilted_wells, starts[1]).argmin)
+        assert best.argmin[0] < 0 and np.sign(best.argmin[1]) == np.sign(starts[1][1])
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -247,6 +247,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def non_negative_int(text: str) -> int:
+    """The argparse type of ``--seed``: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _add_inputs(p: argparse.ArgumentParser) -> None:
     """The flags of the commands that read a target, a fine partition and auxiliaries."""
     p.add_argument("--target", required=True, help="coarse target as GEOJSON,CSV pair")
@@ -254,7 +262,7 @@ def _add_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--aux-manifest", default=None, help="JSON array of {id, geojson, csv}")
     p.add_argument("--hmatrix", default=None, help="optional user-supplied H matrix CSV")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--restarts", type=int, default=5)
 
 
@@ -291,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="write a synthetic instance directory")
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=non_negative_int, default=0)
     p_synth.add_argument("--fine-grid", type=int, nargs=2)
     p_synth.add_argument("--coarse-grid", type=int, nargs=2)
     p_synth.add_argument(

@@ -34,6 +34,10 @@ from finescale.numerics import (
 )
 
 
+# Rows of D2 / gamma^2 formed at a time when an objective call scales K by it.
+SCALE_ROWS = 64
+
+
 class DownscaleFitError(NumericalError):
     """The second-step fit has no finite warm start, or failed on every restart."""
 
@@ -137,10 +141,12 @@ class _Problem:
 
     The observations a (None when only Lambda is wanted), H, the design and
     H F, the squared distances D2 between the fine centroids, and
-    H Sigma_s H^T for every auxiliary. E is scratch for K o D2 / gamma^2: with
-    it, an objective call frees one nf x nf array, not three, which malloc gave
-    back to the system and faulted in again on the next call (190 000 page
-    faults, 0.4 s of a 2.4 s fit at 480 fine regions).
+    H Sigma_s H^T for every auxiliary. K, when set, is the nf x nf array an
+    objective call writes K into and then turns into K o D2 / gamma^2; each
+    thread of the fit has its own. A call then allocates no nf x nf array:
+    malloc gives such arrays back to the system when they are freed, and the
+    next call faults them in again (190 000 page faults, 0.4 s of a 2.4 s fit
+    at 480 fine regions).
     """
 
     a: np.ndarray | None
@@ -149,7 +155,7 @@ class _Problem:
     HF: np.ndarray
     D2: np.ndarray
     HSH: tuple[np.ndarray, ...]
-    E: np.ndarray
+    K: np.ndarray | None = None
 
     @classmethod
     def build(
@@ -182,7 +188,6 @@ class _Problem:
             HF=H @ design.F,
             D2=sq_dists(Xf, Xf),
             HSH=tuple(H @ post.cov @ H.T for post in posteriors),
-            E=np.empty((len(Xf), len(Xf))),
         )
 
 
@@ -191,9 +196,10 @@ def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, gamma: float, sig
     and the Cholesky factor of the jittered Lambda.
 
     The one place Lambda is formed: the fit and predict_fine both factor it.
+    K is written into prob.K when set, else into a new array.
     """
     nc = prob.H.shape[0]
-    K = se_from_sq_dists(alpha, gamma, prob.D2)
+    K = se_from_sq_dists(alpha, gamma, prob.D2, out=prob.K)
     HKH = prob.H @ K @ prob.H.T
     Lam = sigma**2 * np.eye(nc) + HKH
     for s, HSH in enumerate(prob.HSH):
@@ -232,8 +238,11 @@ def _neg_log_marginal(prob: _Problem, theta: np.ndarray) -> tuple[float, np.ndar
     grad[S] = float(prob.HF[:, S] @ p)  # bias: Lambda does not depend on w_0
     # log-space chain rule: d/d log(theta) = theta * d/d theta
     grad[S + 1] = trace_term(2.0 * HKH) + 2.0 * JITTER_REL * alpha**2 * identity_term
-    E = np.divide(prob.D2, gamma**2, out=prob.E)
-    E *= K
+    # K is not read again: it becomes E = K o (D2 / gamma^2) in place, with
+    # D2 / gamma^2 formed one block of rows at a time
+    E = K
+    for i in range(0, len(E), SCALE_ROWS):
+        E[i : i + SCALE_ROWS] *= prob.D2[i : i + SCALE_ROWS] / gamma**2
     grad[S + 2] = trace_term(prob.H @ E @ prob.H.T)
     grad[S + 3] = 2.0 * sigma**2 * (1.0 + JITTER_REL) * identity_term
     return -ll, -grad
@@ -330,7 +339,9 @@ def fit_downscale(
     overparameterized regime where |S| + 1 exceeds the coarse region count.
     ``multistart_minimize`` picks the winner, the restart with the lowest
     objective and the earliest one on an exact tie;
-    ``diagnostics["restart_records"]`` keeps every restart. Raises
+    ``diagnostics["restart_records"]`` keeps every restart and
+    ``diagnostics["workers"]`` counts the threads that ran them, each with its
+    own nf x nf scratch array. Raises
     DownscaleFitError when the warm start is not finite or every restart fails.
     """
     prob = _Problem.build(a, posteriors, fine, amap_or_H)
@@ -350,12 +361,18 @@ def fit_downscale(
     sigma0 = max(0.1 * spread, 10 * SIGMA_FLOOR)
     theta0 = _pack(w0, SEKernelParams(alpha0, gamma0), sigma0)
 
-    def objective(theta):
-        val, grad = _neg_log_marginal(prob, theta)
-        if ridge > 0 and n_w > 1:
-            val += ridge * float(theta[: n_w - 1] @ theta[: n_w - 1])
-            grad[: n_w - 1] += 2 * ridge * theta[: n_w - 1]
-        return val, grad
+    def make_objective():
+        nf = len(prob.D2)
+        worker_prob = replace(prob, K=np.empty((nf, nf)))
+
+        def objective(theta):
+            val, grad = _neg_log_marginal(worker_prob, theta)
+            if ridge > 0 and n_w > 1:
+                val += ridge * float(theta[: n_w - 1] @ theta[: n_w - 1])
+                grad[: n_w - 1] += 2 * ridge * theta[: n_w - 1]
+            return val, grad
+
+        return objective
 
     rng = np.random.default_rng(seed)
     inits = [theta0]
@@ -365,7 +382,7 @@ def fit_downscale(
         t[n_w:] += rng.normal(0.0, 0.5, size=3)
         inits.append(t)
 
-    best, records = multistart_minimize(objective, inits, gtol=gtol)
+    best, records, workers = multistart_minimize(make_objective, inits, gtol=gtol)
     if best is None:
         raise DownscaleFitError("optimizer failed on all restarts")
     params = _unpack(best.argmin, n_w)
@@ -376,6 +393,7 @@ def fit_downscale(
         "restarts": restarts,
         "ridge": ridge,
         "restart_records": records,
+        "workers": workers,
     }
     return DownscaleParams(
         w=params.w, kernel=params.kernel, sigma=params.sigma, diagnostics=diagnostics

@@ -86,8 +86,15 @@ def _closed_ring(ring) -> np.ndarray:
 
     A last vertex within ``np.allclose`` of the first (its test written out on two
     floats) is the closing one and is replaced by the first; else the first is appended.
+    A ring that is not an array of positions of two or more numbers raises GeoParseError.
     """
-    r = np.asarray(ring, dtype=float)[:, :2]
+    try:
+        r = np.asarray(ring, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GeoParseError(f"ring is not an array of numeric positions: {exc}") from exc
+    if r.ndim != 2 or r.shape[1] < 2:
+        raise GeoParseError(f"ring is not an array of positions, got shape {r.shape}")
+    r = r[:, :2]
     if len(r) >= 2:
         (x0, y0), (xk, yk) = r[0].tolist(), r[-1].tolist()
         if abs(x0 - xk) <= 1e-8 + 1e-5 * abs(xk) and abs(y0 - yk) <= 1e-8 + 1e-5 * abs(yk):
@@ -181,12 +188,15 @@ class ArealDataset:
 
 
 def _geometry_rings(geom: dict) -> list:
-    gtype = geom.get("type")
+    gtype = geom.get("type") if isinstance(geom, dict) else None
     if gtype not in ("Polygon", "MultiPolygon"):
         raise GeoParseError(f"unsupported geometry type {gtype!r}")
     if "coordinates" not in geom:
         raise GeoParseError(f"{gtype} without coordinates")
-    return [geom["coordinates"]] if gtype == "Polygon" else geom["coordinates"]
+    polygons = [geom["coordinates"]] if gtype == "Polygon" else geom["coordinates"]
+    if not (isinstance(polygons, list) and all(isinstance(rings, list) for rings in polygons)):
+        raise GeoParseError(f"{gtype} coordinates are not arrays of rings")
+    return polygons
 
 
 def load_partition(source, name: str | None = None) -> Partition:
@@ -213,20 +223,21 @@ def _parse_partition(doc: dict, name: str | None) -> Partition:
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection" or "features" not in doc:
         raise GeoParseError("document is not a GeoJSON FeatureCollection")
     features = doc["features"]
-    if not features:
-        raise GeoParseError("FeatureCollection has no features")
+    if not isinstance(features, list) or not features:
+        raise GeoParseError("FeatureCollection has no array of features")
     regions = []
-    for feat in features:
-        props = feat.get("properties") or {}
-        rid = props.get("id")
+    for k, feat in enumerate(features):
+        if not (isinstance(feat, dict) and isinstance(feat.get("properties") or {}, dict)):
+            raise GeoParseError(f"feature {k} is not an object with an object of properties")
+        rid = (feat.get("properties") or {}).get("id")
         if rid is None:
             raise GeoValidationError("feature missing string property 'id'")
         rid = str(rid)
         try:
             polys = _geometry_rings(feat.get("geometry") or {})
             area, centroid = polygon_area_centroid(polys)
-        except GeoValidationError as exc:
-            raise GeoValidationError(f"region {rid!r}: {exc}") from exc
+        except (GeoParseError, GeoValidationError) as exc:
+            raise type(exc)(f"region {rid!r}: {exc}") from exc
         regions.append(
             Region(id=rid, geometry=polys, centroid=Location(*centroid), area=area)
         )
@@ -399,11 +410,19 @@ def save_aggregation_csv(amap: AggregationMap, path) -> None:
 
 
 def load_aggregation_csv(coarse: Partition, fine: Partition, path) -> AggregationMap:
-    """Read a user-supplied H (e.g. population-weighted) and validate it."""
+    """Read a user-supplied H (e.g. population-weighted) and validate it.
+
+    Blank lines are skipped; every other row must have as many fields as the header.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = [r for r in csv.reader(fh) if r]
     if not rows:
         raise GeoParseError(f"{path}: empty file")
+    for k, r in enumerate(rows[1:], start=1):
+        if len(r) != len(rows[0]):
+            raise GeoParseError(
+                f"{path}: row {k} has {len(r)} fields, the header {len(rows[0])}"
+            )
     col_ids = rows[0][1:]
     if col_ids != fine.ids:
         raise GeoValidationError(f"{path}: column ids do not match fine partition order")

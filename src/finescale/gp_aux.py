@@ -108,7 +108,8 @@ def _gram(
 @dataclass(frozen=True)
 class _AuxProblem:
     """One auxiliary fit's unit-variance values ys, their squared distances D2,
-    and the n x n arrays every objective call overwrites.
+    and the n x n arrays every objective call overwrites; a fit builds one per
+    thread of its search.
 
     K holds the kernel, then E = K o D2 / gamma^2. A, in Fortran order so
     LAPACK needs no copy, holds K + (sigma^2 + jitter) I, then its factor,
@@ -207,7 +208,8 @@ def fit_aux_gp(
     the stored model describes the centered data in original units. The
     starts are the base point, a quarter length scale and ``restarts - 1``
     random perturbations; ``diagnostics["restart_records"]`` keeps every
-    start, with objectives of the unit-variance data, and
+    start, with objectives of the unit-variance data, ``diagnostics["workers"]``
+    counts the threads that ran them, each with its own ``_AuxProblem``, and
     ``diagnostics["data_sha256"]`` identifies the training data.
     """
     X = data.partition.centroids
@@ -236,8 +238,11 @@ def fit_aux_gp(
         base + rng.normal(0.0, 0.5, size=3) for _ in range(max(0, restarts - 1))
     ]
 
-    prob = _AuxProblem.build(ys, D2)
-    best, records = multistart_minimize(lambda t: _nll_and_grad(prob, t), inits)
+    def make_objective():
+        prob = _AuxProblem.build(ys, D2)
+        return lambda t: _nll_and_grad(prob, t)
+
+    best, records, workers = multistart_minimize(make_objective, inits)
     if best is None:
         raise AuxFitError(f"all restarts failed: {[r['error'] for r in records]}")
     log_alpha, log_gamma, log_sigma = best.argmin
@@ -254,7 +259,11 @@ def fit_aux_gp(
         offset=offset,
         scale=scale,
         log_marginal=float(lm),
-        diagnostics={"restart_records": records, "data_sha256": data_sha256(X, y)},
+        diagnostics={
+            "restart_records": records,
+            "workers": workers,
+            "data_sha256": data_sha256(X, y),
+        },
     )
 
 
@@ -290,16 +299,18 @@ def fit_all_aux(
     """Fit every auxiliary GP and predict at the fine centroids.
 
     Fits are independent; each uses the same seed, so identical datasets
-    yield identical results regardless of position. A NumericalError is
-    re-raised as AuxFitError naming the dataset; other errors propagate.
+    yield identical results regardless of position. They run largest first,
+    so that the smaller fits' arrays fit in the memory the largest freed,
+    and return in input order. A NumericalError is re-raised as AuxFitError
+    naming the dataset; other errors propagate.
     """
     ids = dataset_ids or [d.partition.name for d in datasets]
     Xf = fine.centroids
-    fitted = []
-    for data, dataset_id in zip(datasets, ids):
+    fitted = [None] * len(datasets)
+    for i in sorted(range(len(datasets)), key=lambda i: -len(datasets[i].values)):
         try:
-            model = fit_aux_gp(data, restarts=restarts, seed=seed, dataset_id=dataset_id)
-            fitted.append((model, predict_aux(model, Xf)))
+            model = fit_aux_gp(datasets[i], restarts=restarts, seed=seed, dataset_id=ids[i])
+            fitted[i] = (model, predict_aux(model, Xf))
         except NumericalError as exc:
-            raise AuxFitError(f"auxiliary {dataset_id!r}: {exc}") from exc
+            raise AuxFitError(f"auxiliary {ids[i]!r}: {exc}") from exc
     return fitted

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
 
 # Smallest noise standard deviation a fit may reach; below it the objective is +inf.
 SIGMA_FLOOR = 1e-6
@@ -17,6 +22,9 @@ BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 50
 # bfgs_minimize's default iteration cap, the one every multistart_minimize search has.
 MAX_ITER = 500
+# The variables that set the threads of one BLAS call; the first set to a
+# positive integer counts, as in OpenBLAS.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class NumericalError(Exception):
@@ -62,6 +70,57 @@ class OptimizeResult:
         return self.stop == "gtol"
 
 
+# Pointers to scipy's LAPACK routines, called through ctypes: a ctypes call
+# releases the GIL, where scipy.linalg.lapack's wrappers of the same routines
+# hold it, so factorizations in separate threads run on separate cores.
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+_INT = ctypes.POINTER(ctypes.c_int)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+
+
+def _lapack(name: str, *argtypes):
+    """The routine ``name`` that scipy.linalg.cython_lapack exports, as a ctypes function."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, _capsule_name(capsule)))
+
+
+# (uplo, n, a, lda, info)
+_dpotrf = _lapack("dpotrf", ctypes.c_char_p, _INT, ctypes.c_void_p, _INT, _INT)
+_dpotri = _lapack("dpotri", ctypes.c_char_p, _INT, ctypes.c_void_p, _INT, _INT)
+# (uplo, m, n, alpha, beta, a, lda)
+_dlaset = _lapack("dlaset", ctypes.c_char_p, _INT, _INT, _DOUBLE, _DOUBLE, ctypes.c_void_p, _INT)
+
+
+def _on_lower(routine, A: np.ndarray) -> int:
+    """Run dpotrf or dpotri in place on the lower triangle of the writeable
+    Fortran-ordered float64 n x n array A; LAPACK's info."""
+    if not (
+        A.ndim == 2
+        and A.shape[0] == A.shape[1]
+        and A.flags.f_contiguous
+        and A.flags.writeable
+        and A.dtype == np.float64
+    ):
+        raise ValueError("LAPACK needs a writeable Fortran-ordered float64 square array")
+    n, info = ctypes.c_int(A.shape[0]), ctypes.c_int()
+    routine(b"L", ctypes.byref(n), A.ctypes.data, ctypes.byref(n), ctypes.byref(info))
+    return info.value
+
+
+def _zero_above_diagonal(A: np.ndarray) -> None:
+    """Zero the strict upper triangle of the Fortran-ordered float64 n x n array A,
+    as scipy's ``clean=1`` does: dlaset on the upper triangle, diagonal included,
+    of the (n-1) x (n-1) block that starts at A[0, 1]."""
+    m, lda, zero = ctypes.c_int(A.shape[0] - 1), ctypes.c_int(A.shape[0]), ctypes.c_double(0.0)
+    byref = ctypes.byref
+    _dlaset(b"U", byref(m), byref(m), byref(zero), byref(zero), A[:, 1:].ctypes.data, byref(lda))
+
+
 def cholesky(
     M: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> CholeskyFactor:
@@ -69,9 +128,10 @@ def cholesky(
 
     The checks and the LAPACK call are those of ``scipy.linalg.cholesky(M,
     lower=True)`` (dpotrf on a Fortran-ordered copy, upper triangle zeroed),
-    after a symmetry check. ``out``, a Fortran-ordered n x n array that may be
-    M itself, receives the factor in place of a new copy; ``scratch``, any
-    n x n array, takes the symmetry check's difference M - M^T.
+    after a symmetry check; dpotrf runs without the GIL. ``out``, a writeable
+    Fortran-ordered n x n array that may be M itself, receives the factor in
+    place of a new copy; ``scratch``, any n x n array, takes the symmetry
+    check's difference M - M^T.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -86,16 +146,22 @@ def cholesky(
         raise ValueError("array must not contain infs or NaNs")
     if out is None:
         out = np.array(M, order="F")
-    elif not (out.flags.f_contiguous and out.dtype == np.float64 and out.shape == M.shape):
-        raise ValueError("out must be a Fortran-ordered float64 array shaped like M")
+    elif not (
+        out.flags.f_contiguous
+        and out.flags.writeable
+        and out.dtype == np.float64
+        and out.shape == M.shape
+    ):
+        raise ValueError("out must be a writeable Fortran-ordered float64 array shaped like M")
     elif out is not M:
         np.copyto(out, M)
-    L, info = scipy.linalg.lapack.dpotrf(out, lower=1, clean=1, overwrite_a=1)
+    info = _on_lower(_dpotrf, out)
     if info > 0:
         raise FactorizationError(f"matrix not positive definite (pivot {info})", pivot=info)
     if info < 0:
         raise ValueError(f"dpotrf: illegal value in argument {-info}")
-    return CholeskyFactor(L=L)
+    _zero_above_diagonal(out)
+    return CholeskyFactor(L=out)
 
 
 def solve(F: CholeskyFactor, b: np.ndarray) -> np.ndarray:
@@ -110,18 +176,22 @@ def solve(F: CholeskyFactor, b: np.ndarray) -> np.ndarray:
 
 
 def inverse(F: CholeskyFactor, out: np.ndarray | None = None) -> np.ndarray:
-    """M^-1 from the factor with LAPACK dpotri (about 2n^3/3 flops), exactly symmetric.
+    """M^-1 from the factor with LAPACK dpotri (about 2n^3/3 flops, without the
+    GIL), exactly symmetric.
 
     dpotri fills the lower triangle and leaves the upper one, zero in a factor
     from ``cholesky``, as it was; so the sum with its transpose is M^-1 off the
     diagonal. With ``out``, an n x n array that receives M^-1, dpotri works in
     place on F.L, which then no longer holds the factor.
     """
-    lower, info = scipy.linalg.lapack.dpotri(F.L, lower=1, overwrite_c=out is not None)
+    L = F.L
+    if out is None or not (L.flags.f_contiguous and L.flags.writeable and L.dtype == np.float64):
+        L = np.array(L, dtype=float, order="F")
+    info = _on_lower(_dpotri, L)
     if info != 0:
         raise FactorizationError(f"dpotri failed (info {info})", pivot=info if info > 0 else None)
-    inv = np.add(lower, lower.T, out=out)
-    np.fill_diagonal(inv, lower.diagonal())
+    inv = np.add(L, L.T, out=out)
+    np.fill_diagonal(inv, L.diagonal())
     return inv
 
 
@@ -192,22 +262,29 @@ def bfgs_minimize(
     return OptimizeResult(x, float(fx), float(np.abs(g).max()), iterations, "max_iter")
 
 
-def multistart_minimize(
-    f, starts: list[np.ndarray], gtol: float = 1e-6
-) -> tuple[OptimizeResult | None, list[dict]]:
-    """Minimize ``f`` with ``bfgs_minimize`` from every start point, for at
-    most MAX_ITER iterations each.
+def pool_size(n_starts: int) -> int:
+    """Threads for ``n_starts`` independent searches: the cores this process may
+    run on over the threads of one BLAS call, at most ``n_starts`` and at least 1.
 
-    The last three entries of theta are (log alpha, log gamma, log sigma).
-    The objective is +inf outside the feasibility box (a non-finite theta,
-    one of those log-parameters beyond +-20, or sigma below SIGMA_FLOOR) and
-    where ``f`` raises FactorizationError. A start whose search raises
-    OptimizationError is skipped. Returns the best result, the lowest
-    objective and the earliest start on an exact tie, or None when every
-    start failed, with one record per start: its objective, iterations,
-    gradient norm, converged flag, stop reason and evaluation count, or its
-    error and evaluation count.
+    The BLAS threads are the first of BLAS_THREAD_VARIABLES set to a positive
+    integer, else every core; so a run with BLAS unpinned searches on one thread.
     """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    blas = cores
+    for name in BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(n_starts, cores // blas))
+
+
+def _search(f, x0: np.ndarray, gtol: float) -> tuple[OptimizeResult | None, dict]:
+    """One start of ``multistart_minimize``: its result, None when the search
+    raised OptimizationError, and its record."""
     evaluations = 0
 
     def objective(theta):
@@ -224,26 +301,74 @@ def multistart_minimize(
         except FactorizationError:
             return np.inf, np.zeros_like(theta)
 
-    best = None
-    records = []
-    for x0 in starts:
-        evaluations = 0
-        try:
-            res = bfgs_minimize(objective, x0, gtol=gtol)
-        except OptimizationError as exc:
-            records.append({"error": str(exc), "evaluations": evaluations})
-            continue
-        records.append(
-            {
-                "objective": float(res.objective),
-                "iterations": int(res.iterations),
-                "gradient_norm": float(res.gradient_norm),
-                "converged": res.converged,
-                "stop": res.stop,
-                "evaluations": evaluations,
-            }
-        )
-        if best is None or res.objective < best.objective:
-            best = res
-    return best, records
+    try:
+        res = bfgs_minimize(objective, x0, gtol=gtol)
+    except OptimizationError as exc:
+        return None, {"error": str(exc), "evaluations": evaluations}
+    return res, {
+        "objective": float(res.objective),
+        "iterations": int(res.iterations),
+        "gradient_norm": float(res.gradient_norm),
+        "converged": res.converged,
+        "stop": res.stop,
+        "evaluations": evaluations,
+    }
 
+
+def multistart_minimize(
+    make_objective, starts: list[np.ndarray], gtol: float = 1e-6
+) -> tuple[OptimizeResult | None, list[dict], int]:
+    """Minimize with ``bfgs_minimize`` from every start point, for at most
+    MAX_ITER iterations each, on ``pool_size(len(starts))`` threads.
+
+    ``make_objective()`` returns an objective, a function of theta; it is
+    called once per thread, before any start, and the starts a thread takes
+    share that objective and its scratch arrays. The last three entries of theta are (log alpha,
+    log gamma, log sigma). The objective is +inf outside the feasibility box
+    (a non-finite theta, one of those log-parameters beyond +-20, or sigma
+    below SIGMA_FLOOR) and where it raises FactorizationError. A start whose
+    search raises OptimizationError is skipped; any other error propagates,
+    and no start begins after it.
+
+    Returns the best result, the lowest objective and the earliest start on
+    an exact tie, or None when every start failed; one record per start, in
+    start order: its objective, iterations, gradient norm, converged flag,
+    stop reason and evaluation count, or its error and evaluation count;
+    and the number of threads.
+    """
+    workers = pool_size(len(starts))
+    outcomes = [None] * len(starts)
+    pending = iter(range(len(starts)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work(f):
+        while not stop.is_set():
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                outcomes[i] = _search(f, starts[i], gtol)
+            except BaseException:
+                stop.set()
+                raise
+
+    # made in the calling thread, so that their arrays take the memory its
+    # earlier work freed, not a new malloc arena of another thread
+    objectives = [make_objective() for _ in range(workers)]
+    # the calling thread is one of the workers
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        helpers = [pool.submit(work, f) for f in objectives[1:]]
+        try:
+            work(objectives[0])
+        finally:
+            stop.set()  # after an error or an interrupt, no queued start begins
+    for future in helpers:
+        future.result()
+
+    best = None
+    for res, _ in outcomes:
+        if res is not None and (best is None or res.objective < best.objective):
+            best = res
+    return best, [record for _, record in outcomes], workers

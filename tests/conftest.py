@@ -123,6 +123,18 @@ def random_instance(rng: np.random.Generator, n_coarse: int, n_fine: int, n_aux:
     return params, a, design, posteriors, H, Xf
 
 
+def hex_floats(obj):
+    """obj with every float, in nested dicts and lists too, as float.hex: equal
+    results compare equal only when every bit is."""
+    if isinstance(obj, dict):
+        return {k: hex_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [hex_floats(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    return obj
+
+
 def pytest_report_header(config):
     # criterion 6 reads a winner chosen by the last bit, which the BLAS thread count can tip
     threads = ", ".join(f"{v}={os.environ.get(v)}" for v in BLAS_THREAD_VARS)
@@ -134,6 +146,18 @@ def pytest_report_header(config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def search_threads(monkeypatch):
+    """set(k) gives multistart_minimize a pool of k in (1, 2) threads: two
+    cores over k = 2 BLAS threads, or one."""
+
+    def set_threads(k: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(2 // k))
+
+    return set_threads
 
 
 @pytest.fixture(scope="session")

@@ -439,6 +439,29 @@ def test_hmatrix_with_two_nonzeros_in_a_column_exit_2(synth_dir, tmp_path, capsy
     assert not (out / "models.json").exists()
 
 
+def test_hmatrix_blank_lines_are_skipped_and_a_short_row_exit_2(synth_dir, tmp_path, capsys):
+    hmatrix = write_hmatrix(synth_dir, tmp_path / "H.csv")
+    with open(hmatrix, "a") as fh:
+        fh.write("\n")
+    out = tmp_path / "out"
+    assert main(["fit", *common_args(synth_dir, out), "--hmatrix", str(hmatrix)]) == EXIT_OK
+    lines = hmatrix.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]  # one field short
+    hmatrix.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["fit", *common_args(synth_dir, out), "--hmatrix", str(hmatrix)]) == EXIT_CONFIG
+    assert "H.csv: row 2 has" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "synth"])
+def test_negative_seed_exit_2(synth_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    args = common_args(synth_dir, out) if command == "fit" else ["--out", str(out)]
+    assert main([command, *args, "--seed", "-1"]) == EXIT_CONFIG
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def truncate(path):
     path.write_text(path.read_text()[:40])
 

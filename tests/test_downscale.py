@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import grad_check, random_H, random_instance, random_posteriors, se_kernel
+from conftest import grad_check, hex_floats, random_H, random_instance, random_posteriors, se_kernel
 from finescale import downscale
 from finescale.downscale import (
     DownscaleFitError,
@@ -542,6 +542,23 @@ def test_fit_restarts_match_dense_objective(monkeypatch):
         assert g["iterations"] == w["iterations"]
         assert g["evaluations"] == w["evaluations"]
         assert g["objective"] == pytest.approx(w["objective"], rel=1e-8)
+
+
+def test_fit_is_the_same_on_one_and_two_threads(search_threads):
+    # each thread scales its own nf x nf array in place
+    inst = generate_synthetic(SyntheticSpec(fine_shape=(24, 20), coarse_shape=(8, 5)), seed=1)
+    amap = build_aggregation(inst.coarse, inst.fine)
+    fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=1, dataset_ids=inst.aux_ids)
+    posteriors = [post for _, post in fitted]
+    fits = []
+    for k in (1, 2):
+        search_threads(k)
+        params = fit_downscale(inst.a, posteriors, inst.fine, amap, restarts=3, seed=0)
+        assert params.diagnostics["workers"] == k
+        saved = params.to_dict(column_ids=inst.aux_ids + ("bias",))
+        fits.append(hex_floats([saved.pop("diagnostics")["restart_records"], saved]))
+    assert len(fits[0][0]) == 3
+    assert fits[0] == fits[1]
 
 
 def test_predict_factors_the_lambda_the_fit_factors(monkeypatch):

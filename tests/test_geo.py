@@ -80,6 +80,26 @@ def test_malformed_document_rejected(tmp_path):
         load_partition({"type": "Point"})
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (["not a feature"], "feature 0 is not an object"),
+        ([feature("A", UNIT_SQUARE), 7], "feature 1 is not an object"),
+        ([{**feature("A", UNIT_SQUARE), "properties": [1]}], "feature 0 is not an object"),
+        ([feature("A", ["ab", "cd", "ef"])], "region 'A': ring is not an array of numeric"),
+        ([feature("A", [[0, 0], [1, "x"], [1, 1]])], "region 'A': ring is not an array of numeric"),
+        ([feature("A", [0, 1, 2])], "region 'A': ring is not an array of positions"),
+        ([{**feature("A", UNIT_SQUARE), "geometry": {"type": "Polygon", "coordinates": 5}}],
+         "region 'A': Polygon coordinates are not arrays of rings"),
+    ],
+)
+def test_malformed_features_name_the_file(tmp_path, bad, message):
+    path = tmp_path / "bad.geojson"
+    path.write_text(json.dumps(collection(*bad)))
+    with pytest.raises(GeoParseError, match=f"bad.geojson: {message}"):
+        load_partition(path)
+
+
 def test_hole_reduces_area():
     outer = [[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]]
     hole = [[1, 1], [2, 1], [2, 2], [1, 2], [1, 1]]

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import grad_check, point_partition
+from conftest import grad_check, hex_floats, point_partition
 from finescale import gp_aux
 from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
 from finescale.geo import ArealDataset
@@ -390,6 +390,35 @@ def test_fit_records_every_restart(rng):
     assert AuxGPModel.from_dict(saved, X, y).diagnostics == model.diagnostics
     del saved["diagnostics"]  # models.json written before the records existed
     assert AuxGPModel.from_dict(saved, X, y).diagnostics == {}
+
+
+def test_fit_is_the_same_on_one_and_two_threads(search_threads):
+    # 120 regions, five starts: each thread runs its starts in its own buffers
+    ds = generate_synthetic(SyntheticSpec(), seed=0).aux_datasets[-1]
+    fits = []
+    for k in (1, 2):
+        search_threads(k)
+        model = fit_aux_gp(ds, restarts=4, seed=0)
+        assert model.diagnostics["workers"] == k
+        saved = model.to_dict()
+        fits.append(hex_floats([saved.pop("diagnostics")["restart_records"], saved]))
+    assert len(fits[0][0]) == 5
+    assert fits[0] == fits[1]
+
+
+def test_fit_all_aux_fits_the_largest_first(monkeypatch, rng):
+    sizes = []
+    fit = gp_aux.fit_aux_gp
+    monkeypatch.setattr(
+        gp_aux, "fit_aux_gp", lambda data, **kw: sizes.append(len(data.values)) or fit(data, **kw)
+    )
+    datasets = [
+        ArealDataset(point_partition(f"p{n}", rng.uniform(size=(n, 2))), rng.normal(size=n))
+        for n in (6, 12, 9, 12)
+    ]
+    out = fit_all_aux(datasets, grid_partition(2, 2, "f"), restarts=1, dataset_ids=list("abcd"))
+    assert sizes == [12, 12, 9, 6]
+    assert [m.dataset_id for m, _ in out] == list("abcd")
 
 
 def _unit_dataset(rng):

@@ -1,9 +1,15 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import grad_check
+from finescale import numerics
 from finescale.numerics import (
+    BLAS_THREAD_VARIABLES,
     SIGMA_FLOOR,
     CholeskyFactor,
     FactorizationError,
@@ -12,6 +18,7 @@ from finescale.numerics import (
     inverse,
     log_det,
     multistart_minimize,
+    pool_size,
     solve,
 )
 
@@ -138,6 +145,27 @@ def test_cholesky_rejects_a_destination_lapack_would_copy(rng):
     for out in wrong:
         with pytest.raises(ValueError, match="Fortran-ordered"):
             cholesky(M, out=out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 240, 480])
+def test_lapack_through_ctypes_equals_scipy_lapack(rng, n):
+    M = _spd(rng, n)
+    want_L, info = scipy.linalg.lapack.dpotrf(M, lower=1, clean=1)
+    assert info == 0
+    L = np.array(M, order="F")
+    assert numerics._on_lower(numerics._dpotrf, L) == 0
+    numerics._zero_above_diagonal(L)
+    assert np.array_equal(L, want_L)
+    want_inv, info = scipy.linalg.lapack.dpotri(want_L, lower=1)
+    assert info == 0
+    assert numerics._on_lower(numerics._dpotri, L) == 0
+    assert np.array_equal(L, want_inv)
+    # not positive definite: the same pivot
+    M[n // 2, n // 2] = -1.0
+    _, want_pivot = scipy.linalg.lapack.dpotrf(M, lower=1, clean=1)
+    with pytest.raises(FactorizationError) as exc:
+        cholesky(M)
+    assert exc.value.pivot == want_pivot == n // 2 + 1
 
 
 def test_solve_identity(rng):
@@ -338,7 +366,7 @@ def test_multistart_keeps_the_lowest_objective():
     low = np.array([-1.0, 1.2, 0.0, 0.0, 0.0])
     mirrored = low * np.array([1.0, -1.0, 1.0, 1.0, 1.0])  # the other y-well, tied with low
     for starts in ([high, low, mirrored], [high, mirrored, low]):
-        best, records = multistart_minimize(_tilted_wells, starts)
+        best, records, _ = multistart_minimize(lambda: _tilted_wells, starts)
         objectives = [r["objective"] for r in records]
         assert all(r["converged"] for r in records)
         assert objectives[0] > objectives[1] == objectives[2]
@@ -355,7 +383,7 @@ def test_multistart_earliest_start_wins_an_exact_tie(sign):
     first, second = (bfgs_minimize(_double_well, x0) for x0 in starts)
     assert first.objective == second.objective
     assert first.argmin[0] == -second.argmin[0] != 0.0
-    best, records = multistart_minimize(_double_well, starts)
+    best, records, _ = multistart_minimize(lambda: _double_well, starts)
     assert records[0]["converged"] and records[0]["stop"] == "gtol"
     assert np.array_equal(best.argmin, first.argmin)
 
@@ -375,10 +403,101 @@ def test_multistart_skips_infeasible_and_unfactorizable_starts():
         np.array([np.nan, 0.0, 0.0, 0.0]),  # non-finite theta
         np.array([1.0, 0.0, 0.0, 0.0]),  # factorization failure
     ]
-    best, records = multistart_minimize(f, starts)
+    best, records, _ = multistart_minimize(lambda: f, starts)
     assert best is None
     assert len(calls) == 1  # only the in-box start reaches f
     assert all(r["evaluations"] == 1 and "non-finite" in r["error"] for r in records)
+
+
+def test_pool_size_is_cores_over_blas_threads(monkeypatch):
+    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    assert pool_size(5) == 1  # BLAS unpinned takes every core
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    assert pool_size(5) == 2
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    assert pool_size(5) == 1  # OMP_NUM_THREADS is read before MKL_NUM_THREADS
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert pool_size(5) == 4 and pool_size(3) == 3 and pool_size(0) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not positive: the next variable counts
+    assert pool_size(5) == 1
+    monkeypatch.setenv("OMP_NUM_THREADS", "8")
+    monkeypatch.setenv("MKL_NUM_THREADS", "many")
+    assert pool_size(5) == 1
+
+
+def test_multistart_has_one_worker_when_blas_is_unpinned(monkeypatch):
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    threads = set()
+
+    def make_objective():
+        threads.add(threading.get_ident())
+        return _quadratic
+
+    starts = [np.full(4, float(k)) for k in range(4)]
+    _, records, workers = multistart_minimize(make_objective, starts)
+    assert workers == 1 and threads == {threading.get_ident()}
+    assert all(r["converged"] for r in records)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multistart_programming_error_propagates_and_drops_queued_starts(search_threads, workers):
+    search_threads(workers)
+    starts = [np.array([k + 0.25, 0.5, 0.5, 0.5]) for k in range(6)]
+    begun = []
+
+    def f(theta):
+        if theta[0] == starts[0][0]:
+            raise TypeError("not a numerical failure")
+        if any(np.array_equal(theta, x0) for x0 in starts):
+            begun.append(theta[0])
+            time.sleep(0.05)  # start 0 fails while this start runs
+        return _quadratic(theta)
+
+    with pytest.raises(TypeError, match="not a numerical failure"):
+        multistart_minimize(lambda: f, starts)
+    # nothing begins after start 0 fails, bar the start a second worker may hold
+    assert begun == [] or (workers == 2 and begun == [starts[1][0]])
+
+
+def test_multistart_stress_runs_every_start_once(monkeypatch):
+    # eight threads on a pretend eight-core machine, switching every microsecond:
+    # a start handed out twice, or a lost record, breaks the equalities below
+    starts = [np.array([k + 0.5, 1.0, 0.5, 0.5]) for k in range(64)]
+    begun, made = [], []
+
+    def f(theta):
+        if any(np.array_equal(theta, x0) for x0 in starts):
+            begun.append(theta[0])  # list.append is atomic
+        return _quadratic(theta)
+
+    want = [_search_record(f, x0) for x0 in starts]
+    begun.clear()
+    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=lambda: got.append(multistart_minimize(lambda: made.append(1) or f, starts))
+        )
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive() and len(got) == 1
+    _, records, workers = got[0]
+    assert workers == len(made) == 8  # one objective per thread
+    assert sorted(begun) == [x0[0] for x0 in starts]
+    assert records == want
+
+
+def _search_record(f, x0):
+    _, records, _ = multistart_minimize(lambda: f, [x0])
+    return records[0]
 
 
 def test_grad_check_exact_quadratic(rng):

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -255,6 +256,30 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    """The argparse type of ``--restarts``: every fit runs at least one start."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    """The argparse type of ``--ridge``: a finite penalty of 0 or more."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """The argparse type of ``--gtol``: a finite tolerance above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _add_inputs(p: argparse.ArgumentParser) -> None:
     """The flags of the commands that read a target, a fine partition and auxiliaries."""
     p.add_argument("--target", required=True, help="coarse target as GEOJSON,CSV pair")
@@ -263,13 +288,17 @@ def _add_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hmatrix", default=None, help="optional user-supplied H matrix CSV")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--restarts", type=positive_int, default=5)
 
 
 def _add_second_step(p: argparse.ArgumentParser) -> None:
     """The flags of the second-step fit, on the commands that run it."""
-    p.add_argument("--ridge", type=float, default=0.0, help="L2 penalty on the auxiliary weights")
-    p.add_argument("--gtol", type=float, default=1e-6, help="gradient tolerance of the fit")
+    p.add_argument(
+        "--ridge", type=non_negative_float, default=0.0, help="L2 penalty on the auxiliary weights"
+    )
+    p.add_argument(
+        "--gtol", type=positive_float, default=1e-6, help="gradient tolerance of the fit"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

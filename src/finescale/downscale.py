@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from finescale.geo import (
     AggregationMap,
@@ -31,6 +30,7 @@ from finescale.numerics import (
     log_det,
     multistart_minimize,
     solve,
+    solve_lower,
 )
 
 
@@ -426,7 +426,7 @@ def predict_fine(
         cov += w[s] ** 2 * post.cov  # K becomes Omega
     HOm = H @ cov
     mean = m0 + HOm.T @ solve(factor, r)
-    V = scipy.linalg.solve_triangular(factor.L, HOm, lower=True)
+    V = solve_lower(factor, HOm)
     cov -= V.T @ V  # V^T V is exactly symmetric, and so is cov
     d = np.diag(cov).copy()
     if d.min() < -1e-8:

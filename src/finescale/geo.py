@@ -280,6 +280,9 @@ class AggregationMap:
         nc, nf = len(self.coarse), len(self.fine)
         if H.shape != (nc, nf):
             raise GeoValidationError(f"H shape {H.shape} != ({nc}, {nf})")
+        # a NaN passes both tests below: it is neither negative nor a row sum off 1
+        if not np.isfinite(H).all():
+            raise GeoValidationError("H has non-finite entries")
         if np.any(H < 0):
             raise GeoValidationError("H has negative entries")
         if np.abs(H.sum(axis=1) - 1.0).max() > 1e-12:
@@ -437,4 +440,7 @@ def load_aggregation_csv(coarse: Partition, fine: Partition, path) -> Aggregatio
     if np.any(nz_per_col != 1):
         bad = [fine.ids[j] for j in np.nonzero(nz_per_col != 1)[0]]
         raise GeoValidationError(f"{path}: columns without exactly one nonzero: {bad}")
-    return AggregationMap(coarse=coarse, fine=fine, H=H)
+    try:
+        return AggregationMap(coarse=coarse, fine=fine, H=H)
+    except GeoValidationError as exc:
+        raise GeoValidationError(f"{path}: {exc}") from exc

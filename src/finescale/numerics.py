@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.cython_lapack
 
 # Smallest noise standard deviation a fit may reach; below it the objective is +inf.
 SIGMA_FLOOR = 1e-6
@@ -70,23 +70,45 @@ class OptimizeResult:
         return self.stop == "gtol"
 
 
-# Pointers to scipy's LAPACK routines, called through ctypes: a ctypes call
-# releases the GIL, where scipy.linalg.lapack's wrappers of the same routines
-# hold it, so factorizations in separate threads run on separate cores.
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi)
-)
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
+# scipy's LAPACK, called through ctypes. The dynamic linker loads scipy's
+# cython_lapack extension file, and with it the LAPACK that scipy links (in
+# wheels, scipy.libs/libscipy_openblas), without importing any scipy module:
+# importing scipy.linalg costs about 0.2 s and 20 MB, most of it scipy's
+# array-API layer. A ctypes call also releases the GIL, where scipy's wrappers
+# of the same routines hold it, so LAPACK calls in separate threads run on
+# separate cores.
 _INT = ctypes.POINTER(ctypes.c_int)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
 
 
+def _scipy_lapack() -> ctypes.CDLL:
+    """scipy's linalg/cython_lapack extension file, loaded as a shared library."""
+    spec = importlib.util.find_spec("scipy")  # runs no scipy code
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("finescale needs scipy, whose LAPACK it calls; scipy was not found")
+    # the first suffix is this interpreter's own, the one scipy's build uses
+    name = "cython_lapack" + importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = os.path.join(spec.submodule_search_locations[0], "linalg", name)
+    try:
+        return ctypes.CDLL(path)
+    except OSError as exc:
+        raise ImportError(f"cannot load scipy's LAPACK from {path}: {exc}") from exc
+
+
+_LIB = _scipy_lapack()
+
+
 def _lapack(name: str, *argtypes):
-    """The routine ``name`` that scipy.linalg.cython_lapack exports, as a ctypes function."""
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
-    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, _capsule_name(capsule)))
+    """The LAPACK routine ``name`` as a ctypes function: the symbol
+    ``scipy_<name>_`` of a scipy wheel's OpenBLAS, else ``<name>_`` of a system
+    LAPACK. Its arguments are those scipy.linalg.cython_lapack passes it."""
+    prototype = ctypes.CFUNCTYPE(None, *argtypes)
+    for symbol in (f"scipy_{name}_", f"{name}_"):
+        try:
+            return prototype((symbol, _LIB))
+        except AttributeError:
+            continue
+    raise ImportError(f"scipy's LAPACK has no routine {name}")
 
 
 # (uplo, n, a, lda, info)
@@ -94,6 +116,15 @@ _dpotrf = _lapack("dpotrf", ctypes.c_char_p, _INT, ctypes.c_void_p, _INT, _INT)
 _dpotri = _lapack("dpotri", ctypes.c_char_p, _INT, ctypes.c_void_p, _INT, _INT)
 # (uplo, m, n, alpha, beta, a, lda)
 _dlaset = _lapack("dlaset", ctypes.c_char_p, _INT, _INT, _DOUBLE, _DOUBLE, ctypes.c_void_p, _INT)
+# (uplo, n, nrhs, a, lda, b, ldb, info)
+_dpotrs = _lapack(
+    "dpotrs", ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT
+)
+# (uplo, trans, diag, n, nrhs, a, lda, b, ldb, info)
+_dtrtrs = _lapack(
+    "dtrtrs", ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p,
+    _INT, _INT, ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT,
+)
 
 
 def _on_lower(routine, A: np.ndarray) -> int:
@@ -164,15 +195,52 @@ def cholesky(
     return CholeskyFactor(L=out)
 
 
-def solve(F: CholeskyFactor, b: np.ndarray) -> np.ndarray:
-    """M^-1 b via two triangular solves; b may be a vector or matrix."""
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != F.n:
-        raise ValueError(f"shape mismatch: factor is {F.n}x{F.n}, b has leading dim {b.shape[0]}")
+def _triangular_solve(
+    routine, F: CholeskyFactor, b: np.ndarray, *flags: bytes
+) -> tuple[np.ndarray, int]:
+    """Run the dpotrs or dtrtrs call ``routine(*flags, n, nrhs, L, lda, x, ldb, info)``
+    on a fresh Fortran-ordered float64 copy x of the vector or matrix b, the
+    array f2py hands LAPACK; x and LAPACK's info."""
+    x = np.array(b, dtype=float, order="F")
+    if x.ndim not in (1, 2) or x.shape[0] != F.n:
+        raise ValueError(f"shape mismatch: factor is {F.n}x{F.n}, b has shape {x.shape}")
     # cholesky has proved the factor finite; b alone gets scipy's check_finite test
-    if not np.isfinite(b).all():
+    if not np.isfinite(x).all():
         raise ValueError("array must not contain infs or NaNs")
-    return scipy.linalg.cho_solve((F.L, True), b, check_finite=False)
+    L = np.asarray(F.L, dtype=float, order="F")
+    if L.shape != (F.n, F.n):
+        raise ValueError(f"the factor must be square, got shape {L.shape}")
+    n, info = ctypes.c_int(F.n), ctypes.c_int()
+    nrhs = ctypes.c_int(x.shape[1] if x.ndim == 2 else 1)
+    byref = ctypes.byref
+    routine(
+        *flags, byref(n), byref(nrhs), L.ctypes.data, byref(n), x.ctypes.data, byref(n), byref(info)
+    )
+    return x, info.value
+
+
+def solve(F: CholeskyFactor, b: np.ndarray) -> np.ndarray:
+    """M^-1 b with LAPACK dpotrs (two triangular solves, without the GIL); b may
+    be a vector or a matrix. The checks and the call are those of
+    ``scipy.linalg.cho_solve((F.L, True), b)``, so the answer is the same to the bit."""
+    x, info = _triangular_solve(_dpotrs, F, b, b"L")
+    if info != 0:
+        raise ValueError(f"dpotrs: illegal value in argument {-info}")
+    return x
+
+
+def solve_lower(F: CholeskyFactor, b: np.ndarray) -> np.ndarray:
+    """L^-1 b with LAPACK dtrtrs (without the GIL) after the checks of ``solve``;
+    b may be a vector or a matrix. The call is the one
+    ``scipy.linalg.solve_triangular(F.L, b, lower=True)`` makes on a
+    Fortran-ordered factor, so the answer is the same to the bit; a singular
+    factor raises NumericalError where scipy raises LinAlgError."""
+    x, info = _triangular_solve(_dtrtrs, F, b, b"L", b"N", b"N")
+    if info > 0:
+        raise NumericalError(f"dtrtrs: the factor is singular (zero diagonal entry {info})")
+    if info < 0:
+        raise ValueError(f"dtrtrs: illegal value in argument {-info}")
+    return x
 
 
 def inverse(F: CholeskyFactor, out: np.ndarray | None = None) -> np.ndarray:

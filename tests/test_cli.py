@@ -19,13 +19,14 @@ from finescale.render import choropleth_svg, ramp_color
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone takes most of the CLI's start-up time; only eval's t-test needs
-    # scipy.special, and fit and refine use none of the comparison layer
+    # importing any scipy module costs start-up time: numerics opens scipy's LAPACK
+    # through ctypes, only eval's t-test needs scipy.special, and fit and refine use
+    # none of the comparison layer
     src = str(Path(finescale.__file__).parents[1])
-    unloaded = ("scipy.stats", "scipy.special", "finescale.evaluate", "finescale.baselines")
+    unloaded = ("finescale.evaluate", "finescale.baselines")
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import finescale.cli; "
-        f"print([m for m in {unloaded!r} if m in sys.modules])"
+        f"print([m for m in sys.modules if m in {unloaded!r} or m.split('.')[0] == 'scipy'])"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -451,6 +452,40 @@ def test_hmatrix_blank_lines_are_skipped_and_a_short_row_exit_2(synth_dir, tmp_p
     capsys.readouterr()
     assert main(["fit", *common_args(synth_dir, out), "--hmatrix", str(hmatrix)]) == EXIT_CONFIG
     assert "H.csv: row 2 has" in capsys.readouterr().err
+
+
+def test_hmatrix_with_a_nan_entry_exit_2(synth_dir, tmp_path, capsys):
+    hmatrix = write_hmatrix(synth_dir, tmp_path / "H.csv")
+    lines = hmatrix.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[fields.index("0.0")] = "nan"
+    lines[1] = ",".join(fields)
+    hmatrix.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["fit", *common_args(synth_dir, out), "--hmatrix", str(hmatrix)]) == EXIT_CONFIG
+    assert "H.csv: H has non-finite entries" in capsys.readouterr().err
+    assert not (out / "models.json").exists()
+
+
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("--restarts", "0", "must be a positive integer"),
+        ("--restarts", "-3", "must be a positive integer"),
+        ("--restarts", "1.5", "invalid positive_int value"),
+        ("--ridge", "-1", "must be a finite number >= 0"),
+        ("--ridge", "nan", "must be a finite number >= 0"),
+        ("--ridge", "inf", "must be a finite number >= 0"),
+        ("--gtol", "-1", "must be a finite number > 0"),
+        ("--gtol", "0", "must be a finite number > 0"),
+        ("--gtol", "nan", "must be a finite number > 0"),
+    ],
+)
+def test_numeric_flag_out_of_range_exit_2(synth_dir, tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    assert main(["fit", *common_args(synth_dir, out), f"{flag}={value}"]) == EXIT_CONFIG
+    assert f"{flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "synth"])

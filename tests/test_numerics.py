@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from finescale.numerics import (
     multistart_minimize,
     pool_size,
     solve,
+    solve_lower,
 )
 
 M22 = np.array([[4.0, 2.0], [2.0, 3.0]])
@@ -168,6 +170,19 @@ def test_lapack_through_ctypes_equals_scipy_lapack(rng, n):
     assert exc.value.pivot == want_pivot == n // 2 + 1
 
 
+def test_missing_scipy_or_routine_is_an_import_error(monkeypatch, tmp_path):
+    with pytest.raises(ImportError, match="no routine dnosuch"):
+        numerics._lapack("dnosuch")
+    monkeypatch.setattr(numerics.importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy was not found"):
+        numerics._scipy_lapack()
+    # a scipy directory without the extension file
+    spec = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(numerics.importlib.util, "find_spec", lambda name: spec)
+    with pytest.raises(ImportError, match="cannot load scipy's LAPACK from .*cython_lapack"):
+        numerics._scipy_lapack()
+
+
 def test_solve_identity(rng):
     b = rng.normal(size=5)
     assert np.allclose(solve(cholesky(np.eye(5)), b), b, atol=1e-14)
@@ -205,6 +220,57 @@ def test_solve_rejects_non_finite_b(rng, bad):
     b[1, 2] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve(F, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 240, 480])
+def test_solves_through_ctypes_equal_scipy_bit_for_bit(rng, n):
+    F = cholesky(_spd(rng, n))
+    rhs = {
+        "vector": rng.normal(size=n),
+        "C-ordered": rng.normal(size=(n, 3)),
+        "F-ordered": np.asfortranarray(rng.normal(size=(n, 4))),
+        "one column": rng.normal(size=(n, 1)),
+    }
+    for kind, b in rhs.items():
+        before = b.copy()
+        for got, want in (
+            (solve(F, b), scipy.linalg.cho_solve((F.L, True), b)),
+            (solve_lower(F, b), scipy.linalg.solve_triangular(F.L, b, lower=True)),
+        ):
+            assert got.shape == want.shape, kind
+            assert got.flags.f_contiguous == want.flags.f_contiguous, kind
+            assert np.array_equal(got, want), kind
+        assert np.array_equal(b, before), kind  # b itself is never overwritten
+
+
+@pytest.mark.parametrize("routine", [solve, solve_lower])
+def test_solves_reject_a_right_hand_side_of_the_wrong_shape(rng, routine):
+    F = cholesky(_spd(rng, 3))
+    for b in (np.ones(2), np.ones((4, 3)), np.ones((3, 2, 2)), np.array(1.0)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            routine(F, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_lower_rejects_non_finite_b(rng, bad):
+    b = rng.normal(size=3)
+    b[1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_lower(cholesky(_spd(rng, 3)), b)
+
+
+@pytest.mark.parametrize(("routine", "argument"), [(solve, 5), (solve_lower, 7)])
+def test_solves_raise_lapack_illegal_argument(routine, argument):
+    # a 0 x 0 factor gives lda = 0, below LAPACK's minimum of 1
+    empty = CholeskyFactor(L=np.zeros((0, 0), order="F"))
+    with pytest.raises(ValueError, match=f"illegal value in argument {argument}$"):
+        routine(empty, np.zeros(0))
+
+
+def test_solve_lower_of_a_singular_factor_is_a_numerical_error():
+    L = np.asfortranarray(np.diag([1.0, 0.0, 2.0]))
+    with pytest.raises(numerics.NumericalError, match="singular"):
+        solve_lower(CholeskyFactor(L=L), np.ones(3))
 
 
 def triu_inverse(F):

@@ -15,10 +15,8 @@ from finescale.kernel import SEKernelParams
 
 @dataclass(frozen=True)
 class BaselineResult:
-    method: str
     prediction: np.ndarray
     variance: np.ndarray | None = None
-    fitted: dict | None = None
 
 
 def gpr_baseline(
@@ -27,12 +25,7 @@ def gpr_baseline(
     """Plain GP interpolation of the coarse data at the fine centroids."""
     model = fit_aux_gp(a, restarts=restarts, seed=seed, dataset_id="gpr_target")
     post = predict_aux(model, fine.centroids)
-    return BaselineResult(
-        method="gpr",
-        prediction=post.mean,
-        variance=np.diag(post.cov).copy(),
-        fitted=model.to_dict(),
-    )
+    return BaselineResult(prediction=post.mean, variance=np.diag(post.cov).copy())
 
 
 def lr_baseline(
@@ -45,11 +38,7 @@ def lr_baseline(
     """
     design = build_design(posteriors, n_fine=len(amap.fine))
     w = lstsq_warm_start(a.values, design, amap.H)
-    return BaselineResult(
-        method="lr",
-        prediction=design.F @ w,
-        fitted={"w": {cid: float(v) for cid, v in zip(design.column_ids, w)}},
-    )
+    return BaselineResult(prediction=design.F @ w)
 
 
 def sd2_baseline(
@@ -88,5 +77,4 @@ def sd2_baseline(
             res_data, restarts=restarts, seed=seed, dataset_id="sd2_residual", center=False
         )
     kriged = predict_aux(model, fine_X).mean
-    fitted = {"w": dict(lr.fitted["w"]), "residual_gp": model.to_dict()}
-    return BaselineResult(method="sd2", prediction=lr.prediction + kriged, fitted=fitted)
+    return BaselineResult(prediction=lr.prediction + kriged)

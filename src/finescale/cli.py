@@ -264,6 +264,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    """The argparse type of ``synth --weights``: any finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def non_negative_float(text: str) -> float:
     """The argparse type of ``--ridge``: a finite penalty of 0 or more."""
     value = float(text)
@@ -335,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--aux-grid", type=int, nargs=2, action="append",
         help="repeatable: one aux grid shape per use",
     )
-    p_synth.add_argument("--weights", type=float, nargs="+", default=None)
+    p_synth.add_argument("--weights", type=finite_float, nargs="+", default=None)
     return parser
 
 

@@ -166,7 +166,11 @@ class _Problem:
         amap_or_H,
         design: DesignMatrix | None = None,
     ) -> "_Problem":
-        """Coerce the inputs once; ``fine=None`` takes the AggregationMap's fine partition."""
+        """Coerce the inputs once; ``fine=None`` takes the AggregationMap's fine partition.
+
+        A fine Partition must list the AggregationMap's fine ids in its order,
+        and the fine locations must have one row per column of H.
+        """
         if isinstance(a, ArealDataset):
             a = a.values
         elif a is not None:
@@ -174,11 +178,20 @@ class _Problem:
         if isinstance(amap_or_H, AggregationMap):
             H = amap_or_H.H
             fine = amap_or_H.fine if fine is None else fine
+            if isinstance(fine, Partition) and fine.ids != amap_or_H.fine.ids:
+                raise ValueError(
+                    f"fine partition {fine.name!r} does not list the ids of the aggregation "
+                    f"map's fine partition {amap_or_H.fine.name!r} in the same order"
+                )
         else:
             H = np.asarray(amap_or_H, dtype=float)
         if fine is None:
             raise ValueError("fine centroids required")
         Xf = fine.centroids if isinstance(fine, Partition) else np.asarray(fine, dtype=float)
+        if Xf.ndim != 2 or Xf.shape[0] != H.shape[1]:
+            raise ValueError(
+                f"fine locations of shape {Xf.shape} for an H with {H.shape[1]} columns"
+            )
         if design is None:
             design = build_design(posteriors, n_fine=Xf.shape[0])
         return cls(

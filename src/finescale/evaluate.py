@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,6 @@ from finescale.geo import (
     AggregationMap,
     ArealDataset,
     InputError,
-    Location,
     Partition,
     Region,
     build_aggregation,
@@ -59,13 +59,10 @@ def mape(truth, pred) -> MetricReport:
 class TTestResult:
     t: float
     p: float
-    significant_05: bool
-    significant_01: bool
-    degenerate: bool = False
 
     @property
     def stars(self) -> str:
-        return "**" if self.significant_01 else ("*" if self.significant_05 else "")
+        return "**" if self.p < 0.01 else ("*" if self.p < 0.05 else "")
 
 
 def paired_ttest(ape_a, ape_b) -> TTestResult:
@@ -80,20 +77,14 @@ def paired_ttest(ape_a, ape_b) -> TTestResult:
     mean = float(np.mean(d))
     if sd == 0.0:
         if mean == 0.0:
-            return TTestResult(t=0.0, p=1.0, significant_05=False, significant_01=False)
-        return TTestResult(
-            t=np.inf if mean > 0 else -np.inf,
-            p=0.0,
-            significant_05=True,
-            significant_01=True,
-            degenerate=True,
-        )
+            return TTestResult(t=0.0, p=1.0)
+        return TTestResult(t=np.inf if mean > 0 else -np.inf, p=0.0)
     # imported here: scipy.special would otherwise load with every CLI command
     import scipy.special
 
     t = mean / (sd / np.sqrt(n))
     p = 2.0 * float(scipy.special.stdtr(n - 1, -abs(t)))
-    return TTestResult(t=float(t), p=p, significant_05=p < 0.05, significant_01=p < 0.01)
+    return TTestResult(t=float(t), p=p)
 
 
 def grid_partition(nx: int, ny: int, name: str) -> Partition:
@@ -101,23 +92,16 @@ def grid_partition(nx: int, ny: int, name: str) -> Partition:
     if nx < 1 or ny < 1:
         raise ValueError(f"invalid grid shape ({nx}, {ny})")
     dx, dy = 1.0 / nx, 1.0 / ny
-    regions = []
+    regions, centres = [], []
     for iy in range(ny):
         for ix in range(nx):
             x0, y0 = ix * dx, iy * dy
             ring = np.array(
                 [[x0, y0], [x0 + dx, y0], [x0 + dx, y0 + dy], [x0, y0 + dy], [x0, y0]]
             )
-            cid = f"{name}_{iy:03d}_{ix:03d}"
-            regions.append(
-                Region(
-                    id=cid,
-                    geometry=[[ring]],
-                    centroid=Location(x0 + dx / 2, y0 + dy / 2),
-                    area=dx * dy,
-                )
-            )
-    return Partition(name=name, regions=tuple(regions))
+            regions.append(Region(id=f"{name}_{iy:03d}_{ix:03d}", geometry=[[ring]]))
+            centres.append((x0 + dx / 2, y0 + dy / 2))
+    return Partition(name=name, regions=tuple(regions), centroids=centres)
 
 
 @dataclass(frozen=True)
@@ -155,8 +139,6 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class SyntheticInstance:
-    spec: SyntheticSpec
-    seed: int
     fine: Partition
     coarse: Partition
     amap: AggregationMap
@@ -181,8 +163,14 @@ def generate_synthetic(
     posterior given those observations. The target is the weighted fine
     latents plus a GP residual; the coarse data add aggregation noise.
     Bit-reproducible by seed; ``aux_seed`` pins the auxiliary observations
-    separately so the target chain can be resampled conditionally.
+    separately so the target chain can be resampled conditionally. Weights
+    or an offset that are not finite raise InputError.
     """
+    offset = default_offset(spec) if spec.offset is None else spec.offset
+    if not all(math.isfinite(v) for v in (*spec.w, offset)):
+        raise InputError(
+            f"invalid synthetic spec: weights {list(spec.w)} and offset {offset} must be finite"
+        )
     aux_rng = np.random.default_rng(
         np.random.SeedSequence([seed, 0]) if aux_seed is None else aux_seed
     )
@@ -225,15 +213,12 @@ def generate_synthetic(
         latents_fine[k] = f_bar + np.linalg.cholesky(Sigma) @ rng.standard_normal(nf)
         aux_datasets.append(ArealDataset(part, y_s))
 
-    offset = default_offset(spec) if spec.offset is None else spec.offset
     target_kernel = SEKernelParams(spec.alpha, spec.gamma)
     Kz = cov_matrix(target_kernel, Xf, Xf) + 1e-10 * spec.alpha**2 * np.eye(nf)
     z_mean = latents_fine.T @ np.array(spec.w) + spec.bias + offset
     z = z_mean + np.linalg.cholesky(Kz) @ rng.standard_normal(nf)
     a_vals = amap.H @ z + spec.sigma * rng.standard_normal(len(coarse))
     return SyntheticInstance(
-        spec=spec,
-        seed=seed,
         fine=fine,
         coarse=coarse,
         amap=amap,
@@ -318,7 +303,7 @@ def run_methods(
             )
             design = build_design(posteriors, n_fine=len(fine))
             mean = predict_fine(params, a, design, posteriors, amap).mean
-            results[m] = BaselineResult(method=m, prediction=mean)
+            results[m] = BaselineResult(prediction=mean)
         elif m == "gpr":
             results[m] = gpr_baseline(a, fine, restarts=restarts, seed=seed)
         elif m == "lr":

@@ -67,26 +67,13 @@ def json_log(record, key: str, where: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Location:
-    x1: float
-    x2: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x1) and np.isfinite(self.x2)):
-            raise GeoValidationError(f"non-finite coordinates ({self.x1}, {self.x2})")
-
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.x1, self.x2])
-
-
 def _closed_ring(ring) -> np.ndarray:
     """The ring as a float (k+1) x 2 array of x, y whose last vertex is exactly its first.
 
     A last vertex within ``np.allclose`` of the first (its test written out on two
     floats) is the closing one and is replaced by the first; else the first is appended.
-    A ring that is not an array of positions of two or more numbers raises GeoParseError.
+    A ring that is not an array of positions of two or more finite numbers raises
+    GeoParseError.
     """
     try:
         r = np.asarray(ring, dtype=float)
@@ -95,6 +82,8 @@ def _closed_ring(ring) -> np.ndarray:
     if r.ndim != 2 or r.shape[1] < 2:
         raise GeoParseError(f"ring is not an array of positions, got shape {r.shape}")
     r = r[:, :2]
+    if not np.isfinite(r).all():
+        raise GeoParseError("ring has a non-finite coordinate")
     if len(r) >= 2:
         (x0, y0), (xk, yk) = r[0].tolist(), r[-1].tolist()
         if abs(x0 - xk) <= 1e-8 + 1e-5 * abs(xk) and abs(y0 - yk) <= 1e-8 + 1e-5 * abs(yk):
@@ -135,8 +124,6 @@ def polygon_area_centroid(polygons: list[list[np.ndarray]]) -> tuple[float, np.n
 class Region:
     id: str
     geometry: list  # list of polygons; each polygon is a list of closed (k+1, 2) rings
-    centroid: Location
-    area: float
 
     def __post_init__(self):
         closed = [[_closed_ring(ring) for ring in rings] for rings in self.geometry]
@@ -145,12 +132,25 @@ class Region:
 
 @dataclass(frozen=True)
 class Partition:
+    """Named regions and their locations: row k of the read-only float
+    (n, 2) ``centroids`` is where region k is."""
+
     name: str
     regions: tuple[Region, ...]
+    centroids: np.ndarray
 
     def __post_init__(self):
         if len(self.regions) < 1:
             raise GeoValidationError("partition needs at least one region")
+        centroids = np.array(self.centroids, dtype=float)
+        if centroids.shape != (len(self.regions), 2):
+            raise GeoValidationError(
+                f"centroids of shape {centroids.shape} for {len(self.regions)} regions"
+            )
+        if not np.isfinite(centroids).all():
+            raise GeoValidationError("non-finite centroids")
+        centroids.flags.writeable = False
+        object.__setattr__(self, "centroids", centroids)
         ids = [r.id for r in self.regions]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -162,14 +162,6 @@ class Partition:
     @property
     def ids(self) -> list[str]:
         return [r.id for r in self.regions]
-
-    @property
-    def centroids(self) -> np.ndarray:
-        return np.array([[r.centroid.x1, r.centroid.x2] for r in self.regions])
-
-    @property
-    def areas(self) -> np.ndarray:
-        return np.array([r.area for r in self.regions])
 
 
 @dataclass(frozen=True)
@@ -225,7 +217,7 @@ def _parse_partition(doc: dict, name: str | None) -> Partition:
     features = doc["features"]
     if not isinstance(features, list) or not features:
         raise GeoParseError("FeatureCollection has no array of features")
-    regions = []
+    regions, centroids = [], []
     for k, feat in enumerate(features):
         if not (isinstance(feat, dict) and isinstance(feat.get("properties") or {}, dict)):
             raise GeoParseError(f"feature {k} is not an object with an object of properties")
@@ -235,13 +227,12 @@ def _parse_partition(doc: dict, name: str | None) -> Partition:
         rid = str(rid)
         try:
             polys = _geometry_rings(feat.get("geometry") or {})
-            area, centroid = polygon_area_centroid(polys)
+            centroids.append(polygon_area_centroid(polys)[1])
         except (GeoParseError, GeoValidationError) as exc:
             raise type(exc)(f"region {rid!r}: {exc}") from exc
-        regions.append(
-            Region(id=rid, geometry=polys, centroid=Location(*centroid), area=area)
-        )
-    cs = np.array([[r.centroid.x1, r.centroid.x2] for r in regions])
+        regions.append(Region(id=rid, geometry=polys))
+    part = Partition(name=name or "partition", regions=tuple(regions), centroids=centroids)
+    cs = part.centroids
     # crude lon/lat sniff: geographic magnitudes inside the valid degree box
     if (
         np.all(np.abs(cs[:, 0]) <= 180)
@@ -252,7 +243,7 @@ def _parse_partition(doc: dict, name: str | None) -> Partition:
             "coordinates look like lon/lat degrees; distances use the raw planar values",
             stacklevel=3,
         )
-    return Partition(name=name or "partition", regions=tuple(regions))
+    return part
 
 
 def partition_to_geojson(partition: Partition) -> dict:
@@ -405,11 +396,6 @@ def write_csv(path, header: list[str], ids, rows) -> None:
 
 def save_dataset(dataset: ArealDataset, path) -> None:
     write_csv(path, ["region_id", "value"], dataset.partition.ids, dataset.values[:, None])
-
-
-def save_aggregation_csv(amap: AggregationMap, path) -> None:
-    """CSV matrix with coarse ids as row labels and fine ids as column labels."""
-    write_csv(path, ["", *amap.fine.ids], amap.coarse.ids, amap.H)
 
 
 def load_aggregation_csv(coarse: Partition, fine: Partition, path) -> AggregationMap:

@@ -28,10 +28,6 @@ class SEKernelParams:
         if not (self.gamma > 0 and np.isfinite(self.gamma)):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
-    @property
-    def log_params(self) -> np.ndarray:
-        return np.array([np.log(self.alpha), np.log(self.gamma)])
-
     @classmethod
     def from_log(cls, log_alpha: float, log_gamma: float) -> "SEKernelParams":
         return cls(alpha=float(np.exp(log_alpha)), gamma=float(np.exp(log_gamma)))

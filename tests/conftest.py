@@ -18,7 +18,14 @@ import pytest
 
 from finescale.downscale import DownscaleParams, build_design
 from finescale.evaluate import grid_partition
-from finescale.geo import Location, Partition, Region, build_aggregation
+from finescale.geo import (
+    AggregationMap,
+    Partition,
+    Region,
+    build_aggregation,
+    polygon_area_centroid,
+    write_csv,
+)
 from finescale.gp_aux import AuxPosterior
 from finescale.kernel import SEKernelParams, cov_matrix
 
@@ -59,21 +66,28 @@ def square_region(rid: str, x0: float, y0: float, side: float = 1.0) -> Region:
             [x0, y0],
         ]
     )
-    return Region(
-        id=rid,
-        geometry=[[ring]],
-        centroid=Location(x0 + side / 2, y0 + side / 2),
-        area=side * side,
-    )
+    return Region(id=rid, geometry=[[ring]])
+
+
+def partition_of(name: str, regions) -> Partition:
+    """The regions as a Partition, each located at its shoelace centroid as
+    load_partition locates it."""
+    regions = tuple(regions)
+    return Partition(name, regions, [polygon_area_centroid(r.geometry)[1] for r in regions])
 
 
 def point_partition(name: str, centers: np.ndarray, side: float = 0.01) -> Partition:
     """Tiny disjoint square cells centered on the given points."""
+    corners = np.atleast_2d(centers) - side / 2
     regions = [
-        square_region(f"{name}_{k:03d}", cx - side / 2, cy - side / 2, side)
-        for k, (cx, cy) in enumerate(np.atleast_2d(centers))
+        square_region(f"{name}_{k:03d}", x0, y0, side) for k, (x0, y0) in enumerate(corners)
     ]
-    return Partition(name=name, regions=tuple(regions))
+    return Partition(name=name, regions=tuple(regions), centroids=corners + side / 2)
+
+
+def save_aggregation_csv(amap: AggregationMap, path) -> None:
+    """H as the CSV matrix ``--hmatrix`` reads: coarse ids label the rows, fine ids the columns."""
+    write_csv(path, ["", *amap.fine.ids], amap.coarse.ids, amap.H)
 
 
 def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

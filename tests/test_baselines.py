@@ -3,6 +3,7 @@ import pytest
 
 from conftest import point_partition
 from finescale.baselines import gpr_baseline, lr_baseline, sd2_baseline
+from finescale.downscale import build_design, lstsq_warm_start
 from finescale.evaluate import grid_partition
 from finescale.geo import ArealDataset, build_aggregation
 from finescale.gp_aux import AuxGPModel, AuxPosterior, predict_aux
@@ -55,9 +56,10 @@ def test_lr_perfectly_explanatory_auxiliary(smooth_setup):
     # so force exact agreement at the coarse level
     a_exact = ArealDataset(coarse, amap.H @ post.mean)
     res = lr_baseline(a_exact, [post], amap)
-    fitted = res.fitted["w"]
-    assert fitted["aux"] == pytest.approx(1.0, abs=1e-8)
-    assert fitted["bias"] == pytest.approx(0.0, abs=1e-8)
+    design = build_design([post], n_fine=len(fine))
+    w = lstsq_warm_start(a_exact.values, design, amap.H)
+    assert np.array_equal(res.prediction, design.F @ w)
+    assert w == pytest.approx([1.0, 0.0], abs=1e-8)  # aux, bias
     assert np.max(np.abs(res.prediction - post.mean)) <= 1e-8
 
 
@@ -87,7 +89,8 @@ def test_lr_least_squares_optimality(smooth_setup):
     res = lr_baseline(a, posts, amap)
     best = np.linalg.norm(a.values - amap.H @ res.prediction)
     F = np.column_stack([posts[0].mean, posts[1].mean, np.ones(len(fine))])
-    w_hat = np.array([res.fitted["w"][k] for k in ("a1", "a2", "bias")])
+    w_hat = lstsq_warm_start(a.values, build_design(posts, n_fine=len(fine)), amap.H)
+    assert np.array_equal(res.prediction, F @ w_hat)
     for _ in range(50):
         w_probe = w_hat + rng.normal(0, 0.1, size=3)
         probe = np.linalg.norm(a.values - amap.H @ (F @ w_probe))

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import finescale
+from conftest import save_aggregation_csv
 from finescale import evaluate
 from finescale.baselines import gpr_baseline
 from finescale.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from finescale.evaluate import grid_partition
-from finescale.geo import build_aggregation, load_dataset, load_partition, save_aggregation_csv
+from finescale.geo import build_aggregation, load_dataset, load_partition
 from finescale.render import choropleth_svg, ramp_color
 
 
@@ -465,6 +466,45 @@ def test_hmatrix_with_a_nan_entry_exit_2(synth_dir, tmp_path, capsys):
     assert main(["fit", *common_args(synth_dir, out), "--hmatrix", str(hmatrix)]) == EXIT_CONFIG
     assert "H.csv: H has non-finite entries" in capsys.readouterr().err
     assert not (out / "models.json").exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_fine_vertex_not_finite_exit_2_naming_the_region(synth_dir, tmp_path, capsys, literal):
+    bundle = copy_bundle(synth_dir, tmp_path / "bundle")
+    doc = json.loads((bundle / "fine.geojson").read_text())
+    feature = doc["features"][2]
+    feature["geometry"]["coordinates"][0][1][0] = float(literal)
+    (bundle / "fine.geojson").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", *common_args(bundle, out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    rid = feature["properties"]["id"]
+    assert f"fine.geojson: region {rid!r}: ring has a non-finite coordinate" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("weights", "message"),
+    [
+        (["nan", "1", "2"], "argument --weights: must be a finite number, got nan"),
+        (["inf", "1", "2"], "argument --weights: must be a finite number, got inf"),
+        (["1e308", "1", "2"], "invalid synthetic spec: weights [1e+308, 1.0, 2.0] and offset inf"),
+    ],
+    ids=["nan", "inf", "1e308"],
+)
+def test_synth_weights_not_finite_exit_2(tmp_path, capsys, weights, message):
+    # the third case is finite, but the offset derived from it overflows
+    out = tmp_path / "bundle"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", "--out", str(out), "--weights", *weights]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Warning" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

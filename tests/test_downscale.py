@@ -616,6 +616,29 @@ def test_predict_without_fine_centroids_is_rejected(rng):
         predict_fine(params, a, design, posteriors, H)
 
 
+def test_fine_locations_that_disagree_with_H_are_rejected(rng):
+    # a fine partition in another order than the map's was once fitted and
+    # refined with each centroid beside another region's column of H
+    amap = build_aggregation(grid_partition(2, 2, "c"), grid_partition(4, 2, "f"))
+    fine = amap.fine
+    order = np.roll(np.arange(len(fine)), 1)
+    permuted = Partition("permuted", tuple(fine.regions[k] for k in order), fine.centroids[order])
+    posteriors = random_posteriors(rng, len(fine), 1)
+    design = build_design(posteriors, n_fine=len(fine))
+    params = DownscaleParams(w=np.array([0.5, 1.0]), kernel=SEKernelParams(1.0, 0.3), sigma=0.2)
+    a = rng.normal(size=len(amap.coarse))
+    with pytest.raises(ValueError, match="fine partition 'permuted' .* fine partition 'f'"):
+        fit_downscale(a, posteriors, permuted, amap, restarts=1)
+    with pytest.raises(ValueError, match="fine partition 'permuted' .* fine partition 'f'"):
+        predict_fine(params, a, design, posteriors, amap, fine=permuted)
+    short = fine.centroids[:-1]
+    for amap_or_H in (amap, amap.H):
+        with pytest.raises(ValueError, match=r"shape \(7, 2\) for an H with 8 columns"):
+            fit_downscale(a, posteriors, short, amap_or_H, restarts=1)
+        with pytest.raises(ValueError, match=r"shape \(7, 2\) for an H with 8 columns"):
+            predict_fine(params, a, design, posteriors, amap_or_H, fine=short)
+
+
 def test_fit_records_every_restart(rng):
     coarse = grid_partition(3, 2, "c")
     fine = grid_partition(6, 4, "f")

@@ -1,11 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import point_partition, square_region
+from conftest import partition_of, point_partition, save_aggregation_csv, square_region
 from finescale import geo
 from finescale.evaluate import grid_partition
 from finescale.geo import (
@@ -13,7 +14,6 @@ from finescale.geo import (
     ArealDataset,
     GeoParseError,
     GeoValidationError,
-    Location,
     Partition,
     Region,
     build_aggregation,
@@ -22,7 +22,6 @@ from finescale.geo import (
     load_partition,
     partition_to_geojson,
     polygon_area_centroid,
-    save_aggregation_csv,
     save_dataset,
 )
 
@@ -44,18 +43,30 @@ L_SHAPE = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2], [0, 0]]
 
 def test_unit_square_centroid_and_area():
     part = load_partition(collection(feature("A", UNIT_SQUARE)))
-    r = part.regions[0]
-    assert r.centroid.xy == pytest.approx([0.5, 0.5], abs=1e-14)
-    assert r.area == pytest.approx(1.0, abs=1e-14)
+    assert part.centroids[0] == pytest.approx([0.5, 0.5], abs=1e-14)
+    area, centroid = polygon_area_centroid(part.regions[0].geometry)
+    assert area == pytest.approx(1.0, abs=1e-14)
+    assert np.array_equal(centroid, part.centroids[0])
 
 
 def test_l_shape_centroid_and_area():
     part = load_partition(collection(feature("L", L_SHAPE)))
-    r = part.regions[0]
     # decomposition oracle: [0,2]x[0,1] (area 2, centroid (1, 1/2)) union
     # [0,1]x[1,2] (area 1, centroid (1/2, 3/2)) -> (2*1 + 0.5)/3 = 5/6 per axis
-    assert r.centroid.xy == pytest.approx([5.0 / 6.0, 5.0 / 6.0], abs=1e-12)
-    assert r.area == pytest.approx(3.0, abs=1e-12)
+    assert part.centroids[0] == pytest.approx([5.0 / 6.0, 5.0 / 6.0], abs=1e-12)
+    assert polygon_area_centroid(part.regions[0].geometry)[0] == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "centroids, message",
+    [([[0.5, 0.5]], r"shape \(1, 2\) for 2 regions"), ([[0.5, 0.5, 0.0]] * 2, r"shape \(2, 3\)"),
+     ([[0.5, 0.5], [np.nan, 0.5]], "non-finite centroids")],
+    ids=["one-row", "three-columns", "nan"],
+)
+def test_partition_checks_its_centroids(centroids, message):
+    regions = (square_region("A", 0, 0), square_region("B", 1, 0))
+    with pytest.raises(GeoValidationError, match=message):
+        Partition("p", regions, centroids)
 
 
 def test_duplicate_ids_rejected():
@@ -100,6 +111,22 @@ def test_malformed_features_name_the_file(tmp_path, bad, message):
         load_partition(path)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_non_finite_vertex_names_the_region(tmp_path, literal):
+    # json reads both literals as floats; the ring check refuses them before
+    # any area arithmetic, which would warn on an infinite vertex
+    path = tmp_path / "x.geojson"
+    ring = [[1, 0], [2, 0], [2, float(literal)], [1, 1]]
+    path.write_text(json.dumps(collection(feature("A", UNIT_SQUARE), feature("B", ring))))
+    assert literal in path.read_text()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            GeoParseError, match="x.geojson: region 'B': ring has a non-finite coordinate"
+        ):
+            load_partition(path)
+
+
 def test_hole_reduces_area():
     outer = [[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]]
     hole = [[1, 1], [2, 1], [2, 2], [1, 2], [1, 1]]
@@ -109,7 +136,7 @@ def test_hole_reduces_area():
         "geometry": {"type": "Polygon", "coordinates": [outer, hole]},
     }
     part = load_partition(collection(doc))
-    assert part.regions[0].area == pytest.approx(15.0, abs=1e-12)
+    assert polygon_area_centroid(part.regions[0].geometry)[0] == pytest.approx(15.0, abs=1e-12)
 
 
 def test_load_partition_deterministic():
@@ -217,7 +244,7 @@ def test_collinear_ring_takes_vertex_mean_like_oracle():
 
 def test_every_ring_is_closed_at_construction():
     loaded = load_partition(collection(feature("A", OPEN_RING), feature("L", L_SHAPE)))
-    for part in (loaded, grid_partition(3, 2, "g"), Partition("s", (square_region("S", 1, 2),))):
+    for part in (loaded, grid_partition(3, 2, "g"), partition_of("s", [square_region("S", 1, 2)])):
         for region in part.regions:
             for rings in region.geometry:
                 for ring in rings:
@@ -227,7 +254,7 @@ def test_every_ring_is_closed_at_construction():
 @pytest.mark.parametrize("ring", [[[0, 0], [1, 0], [0, 0]], [[0, 0], [1, 0]], [[2, 2]]])
 def test_ring_needs_three_distinct_vertices(ring):
     with pytest.raises(GeoParseError, match=">= 3 distinct vertices"):
-        Region("R", [[ring]], Location(0.0, 0.0), 1.0)
+        Region("R", [[ring]])
     with pytest.raises(GeoParseError, match=">= 3 distinct vertices"):
         load_partition(collection(feature("R", ring)))
 
@@ -271,9 +298,9 @@ def loop_aggregation(coarse: Partition, fine: Partition) -> tuple[np.ndarray, di
     nc, nf = len(coarse), len(fine)
     order = sorted(range(nc), key=lambda i: coarse.regions[i].id)
     membership = {}
-    for fr in fine.regions:
+    for fr, centroid in zip(fine.regions, fine.centroids):
         for i in order:
-            if point_in_polygon(fr.centroid.xy, coarse.regions[i].geometry):
+            if point_in_polygon(centroid, coarse.regions[i].geometry):
                 membership[fr.id] = coarse.regions[i].id
                 break
     assert len(membership) == nf, "oracle: a fine centroid lies in no coarse region"
@@ -301,18 +328,12 @@ def assert_matches_oracle(coarse: Partition, fine: Partition) -> None:
 
 def test_aggregation_left_right_halves():
     left = Region(
-        "A",
-        [[np.array([[0, 0], [0.5, 0], [0.5, 1], [0, 1], [0, 0]], float)]],
-        Location(0.25, 0.5),
-        0.5,
+        "A", [[np.array([[0, 0], [0.5, 0], [0.5, 1], [0, 1], [0, 0]], float)]]
     )
     right = Region(
-        "B",
-        [[np.array([[0.5, 0], [1, 0], [1, 1], [0.5, 1], [0.5, 0]], float)]],
-        Location(0.75, 0.5),
-        0.5,
+        "B", [[np.array([[0.5, 0], [1, 0], [1, 1], [0.5, 1], [0.5, 0]], float)]]
     )
-    coarse = Partition("coarse", (left, right))
+    coarse = partition_of("coarse", (left, right))
     fine = grid_partition(2, 2, "fine")  # columns: (x0y0, x1y0, x0y1, x1y1)
     amap = build_aggregation(coarse, fine)
     expected = np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5]])
@@ -329,18 +350,12 @@ def test_identical_partitions_give_identity():
 def test_boundary_tie_breaks_to_lowest_coarse_id():
     # two coarse halves; one fine cell centered exactly on the split line
     left = Region(
-        "B_right_named_later",
-        [[np.array([[0, 0], [0.5, 0], [0.5, 1], [0, 1], [0, 0]], float)]],
-        Location(0.25, 0.5),
-        0.5,
+        "B_right_named_later", [[np.array([[0, 0], [0.5, 0], [0.5, 1], [0, 1], [0, 0]], float)]]
     )
     right = Region(
-        "A_lowest",
-        [[np.array([[0.5, 0], [1, 0], [1, 1], [0.5, 1], [0.5, 0]], float)]],
-        Location(0.75, 0.5),
-        0.5,
+        "A_lowest", [[np.array([[0.5, 0], [1, 0], [1, 1], [0.5, 1], [0.5, 0]], float)]]
     )
-    coarse = Partition("coarse", (left, right))
+    coarse = partition_of("coarse", (left, right))
     fine = point_partition("f", np.array([[0.5, 0.5], [0.25, 0.5], [0.75, 0.5]]))
     amap = build_aggregation(coarse, fine)
     assert holders(amap)["f_000"] == "A_lowest"
@@ -354,9 +369,7 @@ def test_unassigned_fine_centroid_errors():
 
 
 def test_empty_coarse_region_errors():
-    coarse = Partition(
-        "c", (square_region("A", 0, 0, 1.0), square_region("B", 10, 10, 1.0))
-    )
+    coarse = partition_of("c", (square_region("A", 0, 0, 1.0), square_region("B", 10, 10, 1.0)))
     fine = point_partition("f", np.array([[0.3, 0.3], [0.7, 0.7]]))
     with pytest.raises(GeoValidationError, match="B"):
         build_aggregation(coarse, fine)
@@ -364,9 +377,7 @@ def test_empty_coarse_region_errors():
 
 def _region(rid, polygons):
     """Region from polygons given as lists of rings of (x, y) vertex lists."""
-    geometry = [[np.array(ring, dtype=float) for ring in rings] for rings in polygons]
-    area, centroid = polygon_area_centroid(geometry)
-    return Region(rid, geometry, Location(*centroid), area)
+    return Region(rid, [[np.array(ring, dtype=float) for ring in rings] for rings in polygons])
 
 
 def _rect(x0, y0, x1, y1):
@@ -444,7 +455,7 @@ def tiled_partitions(draw):
     points = [np.asarray(p) * scale + offset * scale for p in inner]
     points += [np.asarray(p) / 2.0 * scale + offset * scale for p in half]
     points += [vertices[i] for i in picks]
-    return Partition("coarse", tuple(regions)), point_partition("f", np.array(points))
+    return partition_of("coarse", regions), point_partition("f", np.array(points))
 
 
 @given(tiled_partitions())
@@ -470,7 +481,7 @@ def test_degenerate_edge_claims_only_nearby_centroids(repeat):
     # A's ring repeats its vertex (1, 0), exactly or 1e-13 apart; the zero or
     # near-zero edge must not put far-away centroids on A's boundary
     ring = [[0, 0], [1, 0], repeat, [1, 1], [0, 1], [0, 0]]
-    coarse = Partition(
+    coarse = partition_of(
         "c", (_region("A", [[ring]]), square_region("B", 5.5, 2.5), square_region("C", 49.5, 49.5))
     )
     fine = point_partition("f", np.array([[0.5, 0.5], [1.0, 0.0], [6.0, 3.0], [50.0, 50.0]]))

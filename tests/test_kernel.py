@@ -115,7 +115,7 @@ def test_invalid_params_rejected():
 
 def test_log_param_round_trip():
     p = SEKernelParams(alpha=0.7, gamma=2.5)
-    q = SEKernelParams.from_log(*p.log_params)
+    q = SEKernelParams.from_log(np.log(p.alpha), np.log(p.gamma))
     assert q.alpha == pytest.approx(p.alpha, rel=1e-14)
     assert q.gamma == pytest.approx(p.gamma, rel=1e-14)
 

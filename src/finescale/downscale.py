@@ -25,6 +25,7 @@ from finescale.gp_aux import AuxPosterior, median_pairwise_distance
 from finescale.kernel import JITTER_REL, SEKernelParams, se_from_sq_dists, sq_dists
 from finescale.numerics import (
     SIGMA_FLOOR,
+    Lease,
     NumericalError,
     cholesky,
     log_det,
@@ -140,10 +141,11 @@ class _Problem:
     """The parameter-free parts of the second-step model, shared by fit and refine.
 
     The observations a (None when only Lambda is wanted), H, the design and
-    H F, the squared distances D2 between the fine centroids, and
+    H F, the fine locations Xf and their squared distances D2, and
     H Sigma_s H^T for every auxiliary. K, when set, is the nf x nf array an
-    objective call writes K into and then turns into K o D2 / gamma^2; each
-    thread of the fit has its own. A call then allocates no nf x nf array:
+    objective call writes K into and its gradient turns into K o D2 / gamma^2;
+    each thread of the fit has its own, and its own lease, which says which
+    objective call's state K holds. A call then allocates no nf x nf array:
     malloc gives such arrays back to the system when they are freed, and the
     next call faults them in again (190 000 page faults, 0.4 s of a 2.4 s fit
     at 480 fine regions).
@@ -153,9 +155,11 @@ class _Problem:
     H: np.ndarray
     design: DesignMatrix
     HF: np.ndarray
+    Xf: np.ndarray
     D2: np.ndarray
     HSH: tuple[np.ndarray, ...]
     K: np.ndarray | None = None
+    lease: Lease = field(default_factory=Lease)
 
     @classmethod
     def build(
@@ -166,32 +170,12 @@ class _Problem:
         amap_or_H,
         design: DesignMatrix | None = None,
     ) -> "_Problem":
-        """Coerce the inputs once; ``fine=None`` takes the AggregationMap's fine partition.
-
-        A fine Partition must list the AggregationMap's fine ids in its order,
-        and the fine locations must have one row per column of H.
-        """
+        """Coerce the inputs once, with ``_aggregation`` checking H and the fine locations."""
         if isinstance(a, ArealDataset):
             a = a.values
         elif a is not None:
             a = np.asarray(a, dtype=float)
-        if isinstance(amap_or_H, AggregationMap):
-            H = amap_or_H.H
-            fine = amap_or_H.fine if fine is None else fine
-            if isinstance(fine, Partition) and fine.ids != amap_or_H.fine.ids:
-                raise ValueError(
-                    f"fine partition {fine.name!r} does not list the ids of the aggregation "
-                    f"map's fine partition {amap_or_H.fine.name!r} in the same order"
-                )
-        else:
-            H = np.asarray(amap_or_H, dtype=float)
-        if fine is None:
-            raise ValueError("fine centroids required")
-        Xf = fine.centroids if isinstance(fine, Partition) else np.asarray(fine, dtype=float)
-        if Xf.ndim != 2 or Xf.shape[0] != H.shape[1]:
-            raise ValueError(
-                f"fine locations of shape {Xf.shape} for an H with {H.shape[1]} columns"
-            )
+        H, Xf = _aggregation(amap_or_H, fine)
         if design is None:
             design = build_design(posteriors, n_fine=Xf.shape[0])
         return cls(
@@ -199,9 +183,32 @@ class _Problem:
             H=H,
             design=design,
             HF=H @ design.F,
+            Xf=Xf,
             D2=sq_dists(Xf, Xf),
             HSH=tuple(H @ post.cov @ H.T for post in posteriors),
         )
+
+
+def _aggregation(amap_or_H, fine: Partition | np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """H and the fine locations, one row per column of H; ``fine=None`` takes
+    the AggregationMap's fine partition, and a fine Partition beside an
+    AggregationMap must list its fine ids in the same order."""
+    if isinstance(amap_or_H, AggregationMap):
+        H = amap_or_H.H
+        fine = amap_or_H.fine if fine is None else fine
+        if isinstance(fine, Partition) and fine.ids != amap_or_H.fine.ids:
+            raise ValueError(
+                f"fine partition {fine.name!r} does not list the ids of the aggregation "
+                f"map's fine partition {amap_or_H.fine.name!r} in the same order"
+            )
+    else:
+        H = np.asarray(amap_or_H, dtype=float)
+    if fine is None:
+        raise ValueError("fine centroids required")
+    Xf = fine.centroids if isinstance(fine, Partition) else np.asarray(fine, dtype=float)
+    if Xf.ndim != 2 or Xf.shape[0] != H.shape[1]:
+        raise ValueError(f"fine locations of shape {Xf.shape} for an H with {H.shape[1]} columns")
+    return H, Xf
 
 
 def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, gamma: float, sigma: float):
@@ -222,8 +229,9 @@ def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, gamma: float, sig
     return K, HKH, Lam, factor
 
 
-def _neg_log_marginal(prob: _Problem, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """-log N(a | H F w, Lambda) and its gradient at the packed theta.
+def _neg_log_marginal(prob: _Problem, theta: np.ndarray):
+    """-log N(a | H F w, Lambda) at the packed theta, and the function that
+    computes its gradient from the factor, p and K the call leaves.
 
     Each covariance-parameter entry of the log-likelihood gradient is
     1/2 tr((p p^T - Lambda^-1) dLambda), p = Lambda^-1 (a - H F w); the
@@ -234,31 +242,37 @@ def _neg_log_marginal(prob: _Problem, theta: np.ndarray) -> tuple[float, np.ndar
     w = theta[: S + 1]
     alpha, gamma, sigma = (float(np.exp(v)) for v in theta[S + 1 :])
     nc = prob.H.shape[0]
+    check = prob.lease.take()
     K, HKH, _, factor = _lambda_terms(prob, w, alpha, gamma, sigma)
     r = prob.a - prob.HF @ w
     p = solve(factor, r)
-    Linv = solve(factor, np.eye(nc))
     ll = float(-0.5 * r @ p - 0.5 * log_det(factor) - 0.5 * nc * np.log(2 * np.pi))
 
-    def trace_term(dLam: np.ndarray) -> float:
-        return 0.5 * (float(p @ dLam @ p) - float(np.sum(Linv * dLam)))
+    def gradient() -> np.ndarray:
+        check()
+        Linv = solve(factor, np.eye(nc))
 
-    # trace_term(c I), without forming the identity
-    identity_term = 0.5 * (float(p @ p) - float(np.trace(Linv)))
-    grad = np.empty(S + 4)
-    for s in range(S):
-        grad[s] = float(prob.HF[:, s] @ p) + trace_term(2.0 * w[s] * prob.HSH[s])
-    grad[S] = float(prob.HF[:, S] @ p)  # bias: Lambda does not depend on w_0
-    # log-space chain rule: d/d log(theta) = theta * d/d theta
-    grad[S + 1] = trace_term(2.0 * HKH) + 2.0 * JITTER_REL * alpha**2 * identity_term
-    # K is not read again: it becomes E = K o (D2 / gamma^2) in place, with
-    # D2 / gamma^2 formed one block of rows at a time
-    E = K
-    for i in range(0, len(E), SCALE_ROWS):
-        E[i : i + SCALE_ROWS] *= prob.D2[i : i + SCALE_ROWS] / gamma**2
-    grad[S + 2] = trace_term(prob.H @ E @ prob.H.T)
-    grad[S + 3] = 2.0 * sigma**2 * (1.0 + JITTER_REL) * identity_term
-    return -ll, -grad
+        def trace_term(dLam: np.ndarray) -> float:
+            return 0.5 * (float(p @ dLam @ p) - float(np.sum(Linv * dLam)))
+
+        # trace_term(c I), without forming the identity
+        identity_term = 0.5 * (float(p @ p) - float(np.trace(Linv)))
+        grad = np.empty(S + 4)
+        for s in range(S):
+            grad[s] = float(prob.HF[:, s] @ p) + trace_term(2.0 * w[s] * prob.HSH[s])
+        grad[S] = float(prob.HF[:, S] @ p)  # bias: Lambda does not depend on w_0
+        # log-space chain rule: d/d log(theta) = theta * d/d theta
+        grad[S + 1] = trace_term(2.0 * HKH) + 2.0 * JITTER_REL * alpha**2 * identity_term
+        # K is not read again: it becomes E = K o (D2 / gamma^2) in place, with
+        # D2 / gamma^2 formed one block of rows at a time
+        E = K
+        for i in range(0, len(E), SCALE_ROWS):
+            E[i : i + SCALE_ROWS] *= prob.D2[i : i + SCALE_ROWS] / gamma**2
+        grad[S + 2] = trace_term(prob.H @ E @ prob.H.T)
+        grad[S + 3] = 2.0 * sigma**2 * (1.0 + JITTER_REL) * identity_term
+        return -grad
+
+    return -ll, gradient
 
 
 @dataclass(frozen=True)
@@ -308,12 +322,23 @@ def grad_log_marginal(
     """Analytic gradient over (w_1..w_S, w_0, log alpha, log gamma, log sigma),
     the fit's objective gradient negated, on the assembly's problem.
 
-    ``posteriors``, ``amap_or_H`` and ``fine_centroids`` are ignored (kept for
-    positional callers): all three come from ``assembly``, so build it from them.
+    ``posteriors``, ``amap_or_H`` and ``fine_centroids`` must be those the
+    assembly was built from: H, the fine locations and the number of
+    posteriors are checked against it, and a disagreement raises ValueError.
     """
     prob = assembly.problem
-    prob = replace(prob, a=np.asarray(a, dtype=float), design=design, HF=prob.H @ design.F)
-    return -_neg_log_marginal(prob, _pack(params.w, params.kernel, params.sigma))[1]
+    H, Xf = _aggregation(amap_or_H, fine_centroids)
+    if not (np.array_equal(H, prob.H) and np.array_equal(Xf, prob.Xf)):
+        raise ValueError("amap_or_H and fine_centroids must be those the assembly was built from")
+    if len(posteriors) != len(prob.HSH):
+        raise ValueError(
+            f"{len(posteriors)} posteriors for an assembly built from {len(prob.HSH)}"
+        )
+    prob = replace(
+        prob, a=np.asarray(a, dtype=float), design=design, HF=prob.H @ design.F, lease=Lease()
+    )
+    _, gradient = _neg_log_marginal(prob, _pack(params.w, params.kernel, params.sigma))
+    return -gradient()
 
 
 def _pack(w: np.ndarray, kernel: SEKernelParams, sigma: float) -> np.ndarray:
@@ -376,14 +401,20 @@ def fit_downscale(
 
     def make_objective():
         nf = len(prob.D2)
-        worker_prob = replace(prob, K=np.empty((nf, nf)))
+        worker_prob = replace(prob, K=np.empty((nf, nf)), lease=Lease())
+        if not (ridge > 0 and n_w > 1):
+            return lambda theta: _neg_log_marginal(worker_prob, theta)
 
         def objective(theta):
-            val, grad = _neg_log_marginal(worker_prob, theta)
-            if ridge > 0 and n_w > 1:
-                val += ridge * float(theta[: n_w - 1] @ theta[: n_w - 1])
-                grad[: n_w - 1] += 2 * ridge * theta[: n_w - 1]
-            return val, grad
+            val, gradient = _neg_log_marginal(worker_prob, theta)
+            v = theta[: n_w - 1]
+
+            def ridged() -> np.ndarray:
+                grad = gradient()
+                grad[: n_w - 1] += 2 * ridge * v
+                return grad
+
+            return val + ridge * float(v @ v), ridged
 
         return objective
 
@@ -395,7 +426,7 @@ def fit_downscale(
         t[n_w:] += rng.normal(0.0, 0.5, size=3)
         inits.append(t)
 
-    best, records, workers = multistart_minimize(make_objective, inits, gtol=gtol)
+    [(best, records)], workers = multistart_minimize([(make_objective, inits)], gtol=gtol)
     if best is None:
         raise DownscaleFitError("optimizer failed on all restarts")
     params = _unpack(best.argmin, n_w)

@@ -107,11 +107,16 @@ def _ring_area_centroid(r: np.ndarray) -> tuple[float, np.ndarray]:
 
 def polygon_area_centroid(polygons: list[list[np.ndarray]]) -> tuple[float, np.ndarray]:
     """Net area and centroid of a (multi)polygon; rings after the first are holes."""
+    return _net_area_centroid([[_closed_ring(ring) for ring in rings] for rings in polygons])
+
+
+def _net_area_centroid(polygons: list[list[np.ndarray]]) -> tuple[float, np.ndarray]:
+    """``polygon_area_centroid`` of polygons whose rings are closed already."""
     total = 0.0
     weighted = np.zeros(2)
     for rings in polygons:
         for k, ring in enumerate(rings):
-            a, c = _ring_area_centroid(_closed_ring(ring))
+            a, c = _ring_area_centroid(ring)
             a = abs(a) if k == 0 else -abs(a)
             total += a
             weighted += a * c
@@ -226,11 +231,11 @@ def _parse_partition(doc: dict, name: str | None) -> Partition:
             raise GeoValidationError("feature missing string property 'id'")
         rid = str(rid)
         try:
-            polys = _geometry_rings(feat.get("geometry") or {})
-            centroids.append(polygon_area_centroid(polys)[1])
+            region = Region(id=rid, geometry=_geometry_rings(feat.get("geometry") or {}))
+            centroids.append(_net_area_centroid(region.geometry)[1])
         except (GeoParseError, GeoValidationError) as exc:
             raise type(exc)(f"region {rid!r}: {exc}") from exc
-        regions.append(Region(id=rid, geometry=polys))
+        regions.append(region)
     part = Partition(name=name or "partition", regions=tuple(regions), centroids=centroids)
     cs = part.centroids
     # crude lon/lat sniff: geographic magnitudes inside the valid degree box

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,6 +12,7 @@ from finescale.geo import ArealDataset, Partition, json_log, json_value
 from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
 from finescale.numerics import (
     SIGMA_FLOOR,
+    Lease,
     NumericalError,
     cholesky,
     inverse,
@@ -108,8 +110,8 @@ def _gram(
 @dataclass(frozen=True)
 class _AuxProblem:
     """One auxiliary fit's unit-variance values ys, their squared distances D2,
-    and the n x n arrays every objective call overwrites; a fit builds one per
-    thread of its search.
+    and the n x n arrays every objective call overwrites, with the lease that
+    says which call's state they hold; a fit builds one per thread of its search.
 
     K holds the kernel, then E = K o D2 / gamma^2. A, in Fortran order so
     LAPACK needs no copy, holds K + (sigma^2 + jitter) I, then its factor,
@@ -124,6 +126,7 @@ class _AuxProblem:
     K: np.ndarray
     A: np.ndarray
     Ainv: np.ndarray
+    lease: Lease
 
     @classmethod
     def build(cls, ys: np.ndarray, D2: np.ndarray) -> "_AuxProblem":
@@ -134,11 +137,14 @@ class _AuxProblem:
             K=np.empty((n, n)),
             A=np.empty((n, n), order="F"),
             Ainv=np.empty((n, n)),
+            lease=Lease(),
         )
 
 
 def _nll_and_grad(prob: _AuxProblem, theta: np.ndarray):
-    """Negative log marginal and gradient over (log alpha, log gamma, log sigma).
+    """Negative log marginal over (log alpha, log gamma, log sigma), and the
+    function that computes its gradient from the factor, beta and K the call
+    leaves in prob's arrays.
 
     With beta = A^-1 y, d log L / d theta_k = 1/2 (beta^T dA_k beta - tr(A^-1 dA_k)),
     where dA is 2 (K + jitter I), K o D2 / gamma^2 and 2 sigma^2 I; each term
@@ -148,27 +154,33 @@ def _nll_and_grad(prob: _AuxProblem, theta: np.ndarray):
     y = prob.ys
     n = y.size
     K = prob.K
+    check = prob.lease.take()
     A = _gram(alpha, gamma, sigma, prob.D2, K, prob.A)
-    jitter = JITTER_REL * alpha**2
     F = cholesky(A, out=A, scratch=prob.Ainv)
     beta = solve(F, y)
     nll = 0.5 * y @ beta + 0.5 * log_det(F) + 0.5 * n * np.log(2 * np.pi)
-    Ainv = inverse(F, out=prob.Ainv)
-    bb, tr = beta @ beta, np.trace(Ainv)
-    # Restarts that end on a flat ridge of the likelihood tie to the last bit,
-    # so rounding here picks the winner among them: keep the operand order.
-    dll_alpha = 2.0 * (beta @ K @ beta + jitter * bb - np.vdot(Ainv, K) - jitter * tr)
-    E = K  # K is not read again: E = K * D2 / gamma**2, in place
-    E *= prob.D2
-    E /= gamma**2
-    dll = np.array(
-        [
-            dll_alpha,
-            beta @ E @ beta - np.vdot(Ainv, E),
-            2.0 * sigma**2 * (bb - tr),
-        ]
-    )
-    return float(nll), -0.5 * dll
+
+    def gradient() -> np.ndarray:
+        check()
+        jitter = JITTER_REL * alpha**2
+        Ainv = inverse(F, out=prob.Ainv)
+        bb, tr = beta @ beta, np.trace(Ainv)
+        # Restarts that end on a flat ridge of the likelihood tie to the last bit,
+        # so rounding here picks the winner among them: keep the operand order.
+        dll_alpha = 2.0 * (beta @ K @ beta + jitter * bb - np.vdot(Ainv, K) - jitter * tr)
+        E = K  # K is not read again: E = K * D2 / gamma**2, in place
+        E *= prob.D2
+        E /= gamma**2
+        dll = np.array(
+            [
+                dll_alpha,
+                beta @ E @ beta - np.vdot(Ainv, E),
+                2.0 * sigma**2 * (bb - tr),
+            ]
+        )
+        return -0.5 * dll
+
+    return float(nll), gradient
 
 
 def data_sha256(centroids, values) -> str:
@@ -194,6 +206,83 @@ def median_pairwise_distance(D2: np.ndarray) -> float:
     return float(np.sqrt(np.median(upper[upper > 0])))
 
 
+@dataclass(frozen=True)
+class _AuxFit:
+    """One auxiliary fit up to its search: the training data, the offset and
+    scale that make its values the unit-variance ys, their squared distances
+    D2 and the start points."""
+
+    X: np.ndarray
+    y: np.ndarray
+    offset: float
+    scale: float
+    ys: np.ndarray
+    D2: np.ndarray
+    starts: list[np.ndarray]
+
+    @classmethod
+    def prepare(
+        cls, data: ArealDataset, restarts: int, seed: int, center: bool = True
+    ) -> "_AuxFit":
+        X = data.partition.centroids
+        y = np.asarray(data.values, dtype=float)
+        if y.size < 2:
+            raise AuxFitError("need at least 2 regions to fit a GP")
+        offset = float(np.mean(y)) if center else 0.0
+        yc = y - offset
+        scale = float(np.std(yc))
+        if scale == 0.0:
+            scale = 1.0
+        ys = yc / scale
+        D2 = sq_dists(X, X)
+
+        std_ys = float(np.std(ys))
+        base = np.log(
+            [
+                max(std_ys, 1e-3),  # alpha
+                median_pairwise_distance(D2),  # gamma
+                max(0.1 * std_ys, 10 * SIGMA_FLOOR),  # sigma
+            ]
+        )
+        rng = np.random.default_rng(seed)
+        short = base + np.array([0.0, -np.log(4.0), 0.0])  # quarter length scale
+        starts = [base, short] + [
+            base + rng.normal(0.0, 0.5, size=3) for _ in range(max(0, restarts - 1))
+        ]
+        return cls(X=X, y=y, offset=offset, scale=scale, ys=ys, D2=D2, starts=starts)
+
+    def make_objective(self):
+        prob = _AuxProblem.build(self.ys, self.D2)
+        return lambda t: _nll_and_grad(prob, t)
+
+    def model(self, best, records: list[dict], workers: int, dataset_id: str) -> AuxGPModel:
+        """The model of the search's best result, or AuxFitError when every start failed."""
+        if best is None:
+            raise AuxFitError(f"all restarts failed: {[r['error'] for r in records]}")
+        log_alpha, log_gamma, log_sigma = best.argmin
+        scale = self.scale
+        params = SEKernelParams(
+            alpha=scale * float(np.exp(log_alpha)), gamma=float(np.exp(log_gamma))
+        )
+        # log-marginal of the centered data in original units
+        lm = -best.objective - self.y.size * np.log(scale)
+        return AuxGPModel(
+            dataset_id=dataset_id,
+            params=params,
+            noise_sigma=scale * float(np.exp(log_sigma)),
+            train_centroids=self.X,
+            train_values=self.y,
+            offset=self.offset,
+            scale=scale,
+            log_marginal=float(lm),
+            diagnostics={
+                "restart_records": records,
+                "workers": workers,
+                "data_sha256": data_sha256(self.X, self.y),
+            },
+        )
+
+
 def fit_aux_gp(
     data: ArealDataset,
     restarts: int = 5,
@@ -212,59 +301,9 @@ def fit_aux_gp(
     counts the threads that ran them, each with its own ``_AuxProblem``, and
     ``diagnostics["data_sha256"]`` identifies the training data.
     """
-    X = data.partition.centroids
-    y = np.asarray(data.values, dtype=float)
-    if y.size < 2:
-        raise AuxFitError("need at least 2 regions to fit a GP")
-    offset = float(np.mean(y)) if center else 0.0
-    yc = y - offset
-    scale = float(np.std(yc))
-    if scale == 0.0:
-        scale = 1.0
-    ys = yc / scale
-    D2 = sq_dists(X, X)
-
-    std_ys = float(np.std(ys))
-    base = np.log(
-        [
-            max(std_ys, 1e-3),  # alpha
-            median_pairwise_distance(D2),  # gamma
-            max(0.1 * std_ys, 10 * SIGMA_FLOOR),  # sigma
-        ]
-    )
-    rng = np.random.default_rng(seed)
-    short = base + np.array([0.0, -np.log(4.0), 0.0])  # quarter length scale
-    inits = [base, short] + [
-        base + rng.normal(0.0, 0.5, size=3) for _ in range(max(0, restarts - 1))
-    ]
-
-    def make_objective():
-        prob = _AuxProblem.build(ys, D2)
-        return lambda t: _nll_and_grad(prob, t)
-
-    best, records, workers = multistart_minimize(make_objective, inits)
-    if best is None:
-        raise AuxFitError(f"all restarts failed: {[r['error'] for r in records]}")
-    log_alpha, log_gamma, log_sigma = best.argmin
-    params = SEKernelParams(alpha=scale * float(np.exp(log_alpha)), gamma=float(np.exp(log_gamma)))
-    sigma = scale * float(np.exp(log_sigma))
-    # log-marginal of the centered data in original units
-    lm = -best.objective - y.size * np.log(scale)
-    return AuxGPModel(
-        dataset_id=dataset_id or data.partition.name,
-        params=params,
-        noise_sigma=sigma,
-        train_centroids=X,
-        train_values=y,
-        offset=offset,
-        scale=scale,
-        log_marginal=float(lm),
-        diagnostics={
-            "restart_records": records,
-            "workers": workers,
-            "data_sha256": data_sha256(X, y),
-        },
-    )
+    fit = _AuxFit.prepare(data, restarts, seed, center)
+    [(best, records)], workers = multistart_minimize([(fit.make_objective, fit.starts)])
+    return fit.model(best, records, workers, dataset_id or data.partition.name)
 
 
 def predict_aux(model: AuxGPModel, test_centroids) -> AuxPosterior:
@@ -289,6 +328,15 @@ def predict_aux(model: AuxGPModel, test_centroids) -> AuxPosterior:
     return AuxPosterior(dataset_id=model.dataset_id, mean=mean, cov=cov)
 
 
+@contextmanager
+def _naming(dataset_id: str):
+    """Re-raise a NumericalError as AuxFitError naming the auxiliary dataset."""
+    try:
+        yield
+    except NumericalError as exc:
+        raise AuxFitError(f"auxiliary {dataset_id!r}: {exc}") from exc
+
+
 def fit_all_aux(
     datasets: list[ArealDataset],
     fine: Partition,
@@ -299,18 +347,26 @@ def fit_all_aux(
     """Fit every auxiliary GP and predict at the fine centroids.
 
     Fits are independent; each uses the same seed, so identical datasets
-    yield identical results regardless of position. They run largest first,
-    so that the smaller fits' arrays fit in the memory the largest freed,
-    and return in input order. A NumericalError is re-raised as AuxFitError
-    naming the dataset; other errors propagate.
+    yield identical results regardless of position. Every fit's starts run
+    in one ``multistart_minimize`` pool, largest fit first, so that no
+    thread idles while another finishes a fit; ``diagnostics["workers"]`` of
+    each model counts that pool's threads. The fits return in input order.
+    A NumericalError is re-raised as AuxFitError naming the dataset; other
+    errors propagate.
     """
     ids = dataset_ids or [d.partition.name for d in datasets]
+    order = sorted(range(len(datasets)), key=lambda i: -len(datasets[i].values))
+    fits = {}
+    for i in order:
+        with _naming(ids[i]):
+            fits[i] = _AuxFit.prepare(datasets[i], restarts, seed)
+    results, workers = multistart_minimize(
+        [(fits[i].make_objective, fits[i].starts) for i in order]
+    )
     Xf = fine.centroids
     fitted = [None] * len(datasets)
-    for i in sorted(range(len(datasets)), key=lambda i: -len(datasets[i].values)):
-        try:
-            model = fit_aux_gp(datasets[i], restarts=restarts, seed=seed, dataset_id=ids[i])
+    for i, (best, records) in zip(order, results):
+        with _naming(ids[i]):
+            model = fits.pop(i).model(best, records, workers, ids[i])
             fitted[i] = (model, predict_aux(model, Xf))
-        except NumericalError as exc:
-            raise AuxFitError(f"auxiliary {ids[i]!r}: {exc}") from exc
     return fitted

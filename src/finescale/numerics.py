@@ -1,4 +1,10 @@
-"""Dense SPD linear algebra, an unconstrained BFGS minimizer and multi-start BFGS."""
+"""Dense SPD linear algebra, an unconstrained BFGS minimizer and multi-start BFGS.
+
+An objective, in every minimizer here, maps theta to ``(value, gradient)``:
+the value at theta and a function of no arguments that computes the gradient
+there from the scratch state the call left. The minimizer asks for the
+gradient only at points it keeps.
+"""
 
 from __future__ import annotations
 
@@ -43,6 +49,38 @@ class FactorizationError(NumericalError):
 
 class OptimizationError(NumericalError):
     """Non-finite objective or gradient encountered during optimization."""
+
+
+class StaleGradientError(RuntimeError):
+    """A gradient function ran after a later objective call on its scratch
+    arrays, or a second time: the arrays no longer hold its point."""
+
+
+class Lease:
+    """Which objective call's state a set of scratch arrays holds.
+
+    An objective call takes the arrays with ``take()``, which returns the
+    check its gradient function runs first. The check raises
+    StaleGradientError once a later call has taken the arrays, and ends the
+    lease, since the gradient overwrites the state it reads.
+    """
+
+    __slots__ = ("_holder",)
+
+    def __init__(self):
+        self._holder = None
+
+    def take(self):
+        holder = self._holder = object()
+
+        def check():
+            if self._holder is not holder:
+                raise StaleGradientError(
+                    "gradient of an objective call whose scratch arrays were taken since"
+                )
+            self._holder = None
+
+        return check
 
 
 @dataclass(frozen=True)
@@ -268,6 +306,23 @@ def log_det(F: CholeskyFactor) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(F.L))))
 
 
+def _evaluate(f, x: np.ndarray):
+    """``f(x)``, the value and the gradient function, with +inf and no gradient
+    function where ``f`` raised FactorizationError."""
+    try:
+        return f(x)
+    except FactorizationError:
+        return np.inf, None
+
+
+def _gradient(gradient) -> np.ndarray | None:
+    """``gradient()``, or None where it raised FactorizationError."""
+    try:
+        return gradient()
+    except FactorizationError:
+        return None
+
+
 def bfgs_minimize(
     f,
     x0: np.ndarray,
@@ -276,16 +331,23 @@ def bfgs_minimize(
 ) -> OptimizeResult:
     """Full BFGS with backtracking Armijo line search.
 
-    ``f`` maps a parameter vector to ``(value, gradient)``. Stops when the
-    infinity norm of the gradient falls below ``gtol``, the relative
-    objective change falls below ``FTOL``, or the iteration cap is hit;
-    ``stop`` names which. Line-search failure returns the best point so far
-    with ``stop="line_search"``. Only a ``gtol`` stop counts as converged.
+    ``f`` maps a parameter vector to ``(value, gradient)``, where ``gradient``
+    is a function of no arguments that returns the gradient at that vector
+    from the state the call of ``f`` left. It is called only at the start
+    point and at the points the line search accepts, never after the next
+    call of ``f``, so a point the line search rejects costs only its value.
+    A FactorizationError from ``f`` or from ``gradient`` makes the point +inf.
+
+    Stops when the infinity norm of the gradient falls below ``gtol``, the
+    relative objective change falls below ``FTOL``, or the iteration cap is
+    hit; ``stop`` names which. Line-search failure returns the best point so
+    far with ``stop="line_search"``. Only a ``gtol`` stop counts as converged.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    fx, g = f(x)
-    if not (np.isfinite(fx) and np.all(np.isfinite(g))):
+    fx, gradient = _evaluate(f, x)
+    g = _gradient(gradient) if np.isfinite(fx) else None
+    if g is None or not np.all(np.isfinite(g)):
         raise OptimizationError("non-finite objective or gradient at initial point")
     Hinv = np.eye(n)
     iterations = 0
@@ -302,17 +364,18 @@ def bfgs_minimize(
             d = -g
             slope = float(g @ d)
         step = 1.0
-        accepted = False
+        g_new = None
         for _ in range(MAX_BACKTRACKS):
             x_new = x + step * d
-            fx_new, g_new = f(x_new)
+            fx_new, gradient = _evaluate(f, x_new)
             if np.isfinite(fx_new) and fx_new <= fx + ARMIJO_C * step * slope:
-                if not np.all(np.isfinite(g_new)):
-                    raise OptimizationError("non-finite gradient")
-                accepted = True
-                break
+                g_new = _gradient(gradient)
+                if g_new is not None:
+                    if not np.all(np.isfinite(g_new)):
+                        raise OptimizationError("non-finite gradient")
+                    break
             step *= BACKTRACK_FACTOR
-        if not accepted:
+        if g_new is None:
             return OptimizeResult(x, float(fx), gnorm, iterations, "line_search")
         s = x_new - x
         y = g_new - g
@@ -353,90 +416,110 @@ def pool_size(n_starts: int) -> int:
 def _search(f, x0: np.ndarray, gtol: float) -> tuple[OptimizeResult | None, dict]:
     """One start of ``multistart_minimize``: its result, None when the search
     raised OptimizationError, and its record."""
-    evaluations = 0
+    evaluations = feasible = gradients = 0
 
     def objective(theta):
-        nonlocal evaluations
+        nonlocal evaluations, feasible
         evaluations += 1
         if (
             not np.all(np.isfinite(theta))
             or theta[-1] < np.log(SIGMA_FLOOR)
             or np.abs(theta[-3:]).max() > 20
         ):
-            return np.inf, np.zeros_like(theta)
-        try:
-            return f(theta)
-        except FactorizationError:
-            return np.inf, np.zeros_like(theta)
+            return np.inf, None
+        value, gradient = f(theta)
+        feasible += 1
+
+        def counted():
+            nonlocal gradients
+            g = gradient()
+            gradients += 1
+            return g
+
+        return value, counted
 
     try:
         res = bfgs_minimize(objective, x0, gtol=gtol)
+        record = {
+            "objective": float(res.objective),
+            "iterations": int(res.iterations),
+            "gradient_norm": float(res.gradient_norm),
+            "converged": res.converged,
+            "stop": res.stop,
+        }
     except OptimizationError as exc:
-        return None, {"error": str(exc), "evaluations": evaluations}
-    return res, {
-        "objective": float(res.objective),
-        "iterations": int(res.iterations),
-        "gradient_norm": float(res.gradient_norm),
-        "converged": res.converged,
-        "stop": res.stop,
-        "evaluations": evaluations,
-    }
+        res, record = None, {"error": str(exc)}
+    record.update(evaluations=evaluations, feasible=feasible, gradients=gradients)
+    return res, record
 
 
 def multistart_minimize(
-    make_objective, starts: list[np.ndarray], gtol: float = 1e-6
-) -> tuple[OptimizeResult | None, list[dict], int]:
-    """Minimize with ``bfgs_minimize`` from every start point, for at most
-    MAX_ITER iterations each, on ``pool_size(len(starts))`` threads.
+    jobs: list[tuple], gtol: float = 1e-6
+) -> tuple[list[tuple[OptimizeResult | None, list[dict]]], int]:
+    """Minimize with ``bfgs_minimize`` from every start point of every job, for
+    at most MAX_ITER iterations each, on one pool of ``pool_size`` threads.
 
-    ``make_objective()`` returns an objective, a function of theta; it is
-    called once per thread, before any start, and the starts a thread takes
-    share that objective and its scratch arrays. The last three entries of theta are (log alpha,
-    log gamma, log sigma). The objective is +inf outside the feasibility box
-    (a non-finite theta, one of those log-parameters beyond +-20, or sigma
-    below SIGMA_FLOOR) and where it raises FactorizationError. A start whose
-    search raises OptimizationError is skipped; any other error propagates,
-    and no start begins after it.
+    A job is ``(make_objective, starts)``. The threads take the (job, start)
+    pairs in order: the first job's starts, then the next job's.
+    ``make_objective()`` returns an objective, a function of theta in
+    ``bfgs_minimize``'s protocol; a thread calls it when it takes its first
+    start of a job, runs that job's starts it takes on that objective and its
+    scratch arrays, and drops them when it moves on.
+    The last three entries of theta are (log alpha, log gamma, log sigma).
+    The objective is +inf outside the feasibility box (a non-finite theta,
+    one of those log-parameters beyond +-20, or sigma below SIGMA_FLOOR) and
+    where it or its gradient raises FactorizationError. A start whose search
+    raises OptimizationError is skipped; any other error propagates, and no
+    start of any job begins after it.
 
-    Returns the best result, the lowest objective and the earliest start on
-    an exact tie, or None when every start failed; one record per start, in
-    start order: its objective, iterations, gradient norm, converged flag,
-    stop reason and evaluation count, or its error and evaluation count;
-    and the number of threads.
+    Returns one (best, records) per job and the number of threads. The best
+    result has the lowest objective and the earliest start on an exact tie,
+    or is None when every start failed. The records, one per start in start
+    order, hold its objective, iterations, gradient norm, converged flag and
+    stop reason, or its error; and its counts of calls: ``evaluations`` of
+    the objective, ``feasible`` ones inside the box that computed a value,
+    and ``gradients`` computed.
     """
-    workers = pool_size(len(starts))
-    outcomes = [None] * len(starts)
-    pending = iter(range(len(starts)))
+    tasks = [(j, i) for j, (_, starts) in enumerate(jobs) for i in range(len(starts))]
+    workers = pool_size(len(tasks))
+    outcomes = [[None] * len(starts) for _, starts in jobs]
+    pending = iter(tasks)
     lock = threading.Lock()
     stop = threading.Event()
 
-    def work(f):
+    def work():
+        job = f = None
         while not stop.is_set():
             with lock:
-                i = next(pending, None)
-            if i is None:
+                task = next(pending, None)
+            if task is None:
                 return
+            j, i = task
+            make_objective, starts = jobs[j]
             try:
-                outcomes[i] = _search(f, starts[i], gtol)
+                if j != job:
+                    f = None  # the last job's scratch goes before the next one's is made
+                    job, f = j, make_objective()
+                outcomes[j][i] = _search(f, starts[i], gtol)
             except BaseException:
                 stop.set()
                 raise
 
-    # made in the calling thread, so that their arrays take the memory its
-    # earlier work freed, not a new malloc arena of another thread
-    objectives = [make_objective() for _ in range(workers)]
     # the calling thread is one of the workers
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        helpers = [pool.submit(work, f) for f in objectives[1:]]
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
         try:
-            work(objectives[0])
+            work()
         finally:
             stop.set()  # after an error or an interrupt, no queued start begins
     for future in helpers:
         future.result()
 
-    best = None
-    for res, _ in outcomes:
-        if res is not None and (best is None or res.objective < best.objective):
-            best = res
-    return best, [record for _, record in outcomes], workers
+    results = []
+    for job_outcomes in outcomes:
+        best = None
+        for res, _ in job_outcomes:
+            if res is not None and (best is None or res.objective < best.objective):
+                best = res
+        results.append((best, [record for _, record in job_outcomes]))
+    return results, workers

@@ -40,10 +40,11 @@ def se_kernel(params: SEKernelParams, x, x2) -> float:
 
 
 def grad_check(f, x: np.ndarray, h: float = 1e-5) -> float:
-    """Max relative error of the analytic gradient vs central differences."""
+    """Max relative error of the analytic gradient vs central differences;
+    ``f`` maps x to its value and its gradient function."""
     x = np.asarray(x, dtype=float)
-    _, g = f(x)
-    g = np.asarray(g, dtype=float)
+    _, gradient = f(x)
+    g = np.asarray(gradient(), dtype=float)
     worst = 0.0
     for k in range(x.size):
         e = np.zeros_like(x)

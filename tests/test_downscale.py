@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,14 @@ from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
 from finescale.geo import AggregationMap, ArealDataset, Partition, build_aggregation
 from finescale.gp_aux import AuxPosterior, fit_all_aux
 from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
-from finescale.numerics import FactorizationError, cholesky, log_det, solve
+from finescale.numerics import (
+    FactorizationError,
+    Lease,
+    StaleGradientError,
+    cholesky,
+    log_det,
+    solve,
+)
 
 
 def pack(params):
@@ -152,7 +159,7 @@ def dense_predict_fine(params, a, design, posteriors, amap_or_H, fine=None):
 
 
 def neg_log_marginal_objective(a, design, posteriors, H, Xf):
-    """The dense oracle's -log marginal and gradient as a function of theta."""
+    """The dense oracle's -log marginal and gradient function as a function of theta."""
     n_w = design.F.shape[1]
 
     def f(theta):
@@ -160,7 +167,7 @@ def neg_log_marginal_objective(a, design, posteriors, H, Xf):
         assembly = dense_assemble_lambda(params, posteriors, Xf, H)
         val = -dense_log_marginal(params, a, design, assembly, H)
         grad = -dense_grad_log_marginal(params, a, design, posteriors, H, Xf, assembly)
-        return val, grad
+        return val, lambda: grad
 
     return f
 
@@ -502,10 +509,12 @@ def test_prepared_objective_matches_dense_oracle(rng, S):
         nc = int(rng.integers(2, 6))
         nf = int(rng.integers(max(nc, 4), 13))
         params, a, design, posteriors, H, Xf = random_instance(rng, nc, nf, S)
-        val, grad = prepared_objective(a, design, posteriors, H, Xf)(pack(params))
-        dense_val, dense_grad = neg_log_marginal_objective(a, design, posteriors, H, Xf)(
+        val, gradient = prepared_objective(a, design, posteriors, H, Xf)(pack(params))
+        grad = gradient()
+        dense_val, dense_gradient = neg_log_marginal_objective(a, design, posteriors, H, Xf)(
             pack(params)
         )
+        dense_grad = dense_gradient()
         assert val == pytest.approx(dense_val, rel=1e-10)
         assert np.max(np.abs(grad - dense_grad) / np.maximum(1.0, np.abs(dense_grad))) <= 1e-8
 
@@ -517,6 +526,38 @@ def test_prepared_gradient_matches_finite_differences(rng):
         S = int(rng.integers(0, 4))
         params, a, design, posteriors, H, Xf = random_instance(rng, nc, nf, S)
         assert grad_check(prepared_objective(a, design, posteriors, H, Xf), pack(params)) <= 1e-5
+
+
+def test_gradient_of_an_earlier_call_raises(rng):
+    # a fit thread's problem: K is its own scratch array, overwritten by every call
+    params, a, design, posteriors, H, Xf = random_instance(rng, 4, 10, 2)
+    prob = _Problem.build(a, posteriors, Xf, H, design)
+    prob = replace(prob, K=np.empty((10, 10)), lease=Lease())
+    t1 = pack(params)
+    t2 = t1 + 0.1
+    _, first = _neg_log_marginal(prob, t1)
+    _, second = _neg_log_marginal(prob, t2)
+    with pytest.raises(StaleGradientError):
+        first()
+    want = prepared_objective(a, design, posteriors, H, Xf)(t2)[1]()
+    assert np.array_equal(second(), want)
+    with pytest.raises(StaleGradientError):
+        second()  # the first call turned K into K o D2 / gamma^2
+
+
+def test_grad_log_marginal_refuses_inputs_the_assembly_was_not_built_from(rng):
+    params, a, design, posteriors, H, Xf = random_instance(rng, 4, 10, 2)
+    assembly = assemble_lambda(params, posteriors, Xf, H)
+    want = grad_log_marginal(params, a, design, posteriors, H, Xf, assembly)
+    _, gradient = prepared_objective(a, design, posteriors, H, Xf)(pack(params))
+    assert np.array_equal(want, -gradient())
+    other_H = H[::-1]
+    moved = Xf + np.array([0.0, 1e-9])
+    for bad_H, bad_Xf in ((other_H, Xf), (H, moved), (H, Xf[:-1])):
+        with pytest.raises(ValueError):
+            grad_log_marginal(params, a, design, posteriors, bad_H, bad_Xf, assembly)
+    with pytest.raises(ValueError, match="1 posteriors for an assembly built from 2"):
+        grad_log_marginal(params, a, design, posteriors[:1], H, Xf, assembly)
 
 
 def test_fit_restarts_match_dense_objective(monkeypatch):
@@ -653,6 +694,9 @@ def test_fit_records_every_restart(rng):
     assert params.diagnostics["iterations"] == best["iterations"]
     assert all(r["evaluations"] > r["iterations"] for r in records)
     assert all(r["converged"] == (r["stop"] == "gtol") for r in records)
+    # one gradient at the start and one per accepted step
+    assert all(r["gradients"] == r["iterations"] + 1 for r in records)
+    assert all(r["evaluations"] >= r["feasible"] >= r["gradients"] for r in records)
 
 
 def test_fit_programming_error_propagates(monkeypatch):

@@ -251,6 +251,31 @@ def test_every_ring_is_closed_at_construction():
                     assert ring.dtype == float and np.array_equal(ring[-1], ring[0])
 
 
+def test_load_closes_each_ring_once(monkeypatch):
+    calls = []
+    close = geo._closed_ring
+    monkeypatch.setattr(geo, "_closed_ring", lambda ring: calls.append(1) or close(ring))
+    hole = [[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]]
+    multi = {
+        "type": "Feature",
+        "properties": {"id": "M"},
+        "geometry": {
+            "type": "MultiPolygon",
+            "coordinates": [[[[4, 0], [5, 0], [5, 1], [4, 0]]], [[[6, 0], [7, 0], [7, 1], [6, 0]]]],
+        },
+    }
+    with_hole = feature("H", [[0, 0], [2, 0], [2, 2], [0, 2]])
+    with_hole["geometry"]["coordinates"].append(hole)
+    doc = collection(feature("A", OPEN_RING), feature("L", L_SHAPE), with_hole, multi)
+    part = load_partition(doc)
+    assert len(calls) == 6  # A, L, H's outer ring and hole, M's two polygons
+    # the centroids are those of polygon_area_centroid on the raw rings
+    want = [
+        polygon_area_centroid(geo._geometry_rings(f["geometry"]))[1] for f in doc["features"]
+    ]
+    assert np.array_equal(part.centroids, np.array(want))
+
+
 @pytest.mark.parametrize("ring", [[[0, 0], [1, 0], [0, 0]], [[0, 0], [1, 0]], [[2, 2]]])
 def test_ring_needs_three_distinct_vertices(ring):
     with pytest.raises(GeoParseError, match=">= 3 distinct vertices"):

@@ -22,6 +22,7 @@ from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_
 from finescale.numerics import (
     SIGMA_FLOOR,
     FactorizationError,
+    StaleGradientError,
     cholesky,
     inverse,
     log_det,
@@ -134,7 +135,7 @@ def _gram(alpha, gamma, sigma, D2):
 
 
 def unbuffered_nll_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, D2: np.ndarray):
-    """Negative log marginal and gradient over (log alpha, log gamma, log sigma).
+    """Negative log marginal and gradient function over (log alpha, log gamma, log sigma).
 
     With beta = A^-1 y, d log L / d theta_k = 1/2 (beta^T dA_k beta - tr(A^-1 dA_k)),
     where dA is 2 (K + jitter I), K o D2 / gamma^2 and 2 sigma^2 I; each term
@@ -159,7 +160,7 @@ def unbuffered_nll_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, D2:
             2.0 * sigma**2 * (bb - tr),
         ]
     )
-    return float(nll), -0.5 * dll
+    return float(nll), lambda: -0.5 * dll
 
 
 def _bits(value, grad):
@@ -191,9 +192,33 @@ def test_buffered_objective_equals_unbuffered_bit_for_bit(rng, n):
                 unbuffered_nll_and_grad(t, X, y, D2)
             assert str(got.value) == str(want.value)
             continue
-        got, want = _nll_and_grad(prob, t), unbuffered_nll_and_grad(t, X, y, D2)
+        value, gradient = _nll_and_grad(prob, t)
+        want_value, want_gradient = unbuffered_nll_and_grad(t, X, y, D2)
+        got, want = (value, gradient()), (want_value, want_gradient())
         assert _bits(*got) == _bits(*want)
         assert np.array_equal(got[1], want[1])
+
+
+def test_gradient_of_an_earlier_call_raises(rng):
+    X = rng.uniform(size=(30, 2))
+    y = rng.normal(size=30)
+    D2 = sq_dists(X, X)
+    prob = _AuxProblem.build(y, D2)
+    t1, t2 = np.array([0.0, -1.0, -2.0]), np.array([0.3, -1.2, -1.5])
+    _, first = _nll_and_grad(prob, t1)
+    _, second = _nll_and_grad(prob, t2)
+    with pytest.raises(StaleGradientError):
+        first()
+    want = _nll_and_grad(_AuxProblem.build(y, D2), t2)[1]()
+    assert np.array_equal(second(), want)
+    with pytest.raises(StaleGradientError):
+        second()  # the first call turned K into E and the factor into A^-1
+    # a call whose factorization fails still takes the arrays from the last one
+    _, third = _nll_and_grad(prob, t1)
+    with pytest.raises(FactorizationError):
+        _nll_and_grad(prob, SINGULAR_THETA)
+    with pytest.raises(StaleGradientError):
+        third()
 
 
 def test_objective_allocates_no_n_by_n_array():
@@ -204,10 +229,10 @@ def test_objective_allocates_no_n_by_n_array():
     X = rng.uniform(size=(n, 2))
     prob = _AuxProblem.build(rng.normal(size=n), sq_dists(X, X))
     theta = np.array([0.0, np.log(0.2), np.log(0.1)])
-    _nll_and_grad(prob, theta)
+    _nll_and_grad(prob, theta)[1]()
     tracemalloc.start()
     try:
-        _nll_and_grad(prob, theta + 0.1)
+        _nll_and_grad(prob, theta + 0.1)[1]()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -226,8 +251,9 @@ def test_gram_adds_the_noise_to_the_diagonal_only():
 
 
 def dense_nll_and_grad(theta, X, y, D2):
-    """Reference objective: A^-1 by solving against I, and each gradient entry
-    as -1/2 sum((beta beta^T - A^-1) o dA) over dense n x n derivatives dA."""
+    """Reference objective and gradient function: A^-1 by solving against I, and
+    each gradient entry as -1/2 sum((beta beta^T - A^-1) o dA) over dense n x n
+    derivatives dA."""
     alpha, gamma, sigma = np.exp(theta)
     n = y.size
     K = alpha**2 * np.exp(-0.5 * D2 / gamma**2)
@@ -238,7 +264,8 @@ def dense_nll_and_grad(theta, X, y, D2):
     nll = 0.5 * y @ beta + 0.5 * log_det(F) + 0.5 * n * np.log(2 * np.pi)
     M = np.outer(beta, beta) - solve(F, np.eye(n))
     dA = [2.0 * (K + jitter * np.eye(n)), K * (D2 / gamma**2), 2.0 * sigma**2 * np.eye(n)]
-    return float(nll), np.array([-0.5 * np.sum(M * dAk) for dAk in dA])
+    grad = np.array([-0.5 * np.sum(M * dAk) for dAk in dA])
+    return float(nll), lambda: grad
 
 
 # (n, theta); theta None draws (log alpha, log gamma, log sigma) from N(0, 0.7^2).
@@ -264,8 +291,10 @@ def test_objective_matches_dense_oracle(rng, n, theta):
     D2 = sq_dists(X, X)
     for _ in range(3):
         t = rng.normal(0.0, 0.7, size=3) if theta is None else np.array(theta)
-        val, grad = _nll_and_grad(_AuxProblem.build(y, D2), t)
-        dense_val, dense_grad = dense_nll_and_grad(t, X, y, D2)
+        val, gradient = _nll_and_grad(_AuxProblem.build(y, D2), t)
+        grad = gradient()
+        dense_val, dense_gradient = dense_nll_and_grad(t, X, y, D2)
+        dense_grad = dense_gradient()
         assert val == pytest.approx(dense_val, rel=1e-10)
         assert np.max(np.abs(grad - dense_grad) / np.maximum(1.0, np.abs(dense_grad))) <= 1e-8
 
@@ -385,6 +414,9 @@ def test_fit_records_every_restart(rng):
     # objectives are of the unit-variance data; log_marginal is in original units
     assert model.log_marginal == -best["objective"] - y.size * np.log(model.scale)
     assert all(r["converged"] == (r["stop"] == "gtol") for r in records)
+    # one gradient at the start and one per accepted step
+    assert all(r["gradients"] == r["iterations"] + 1 for r in records)
+    assert all(r["evaluations"] >= r["feasible"] >= r["gradients"] for r in records)
     assert model.diagnostics["data_sha256"] == data_sha256(X, y)
     saved = model.to_dict()
     assert AuxGPModel.from_dict(saved, X, y).diagnostics == model.diagnostics
@@ -406,18 +438,39 @@ def test_fit_is_the_same_on_one_and_two_threads(search_threads):
     assert fits[0] == fits[1]
 
 
-def test_fit_all_aux_fits_the_largest_first(monkeypatch, rng):
-    sizes = []
-    fit = gp_aux.fit_aux_gp
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fit_all_aux_pool_equals_one_fit_per_auxiliary(search_threads, threads):
+    # the default synthetic auxiliaries (12 to 120 regions) in one pool: every
+    # model, record and posterior equals that of its own fit_aux_gp to the bit
+    search_threads(threads)
+    inst = generate_synthetic(SyntheticSpec(), seed=0)
+    pooled = fit_all_aux(inst.aux_datasets, inst.fine, restarts=2, dataset_ids=inst.aux_ids)
+    for ds, aid, (model, post) in zip(inst.aux_datasets, inst.aux_ids, pooled):
+        alone = fit_aux_gp(ds, restarts=2, seed=0, dataset_id=aid)
+        assert model.diagnostics["workers"] == alone.diagnostics["workers"] == threads
+        assert hex_floats(model.to_dict()) == hex_floats(alone.to_dict())
+        want = predict_aux(alone, inst.fine.centroids)
+        assert hex_floats([post.mean, post.cov]) == hex_floats([want.mean, want.cov])
+
+
+def test_fit_all_aux_fits_the_largest_first(monkeypatch, rng, search_threads):
+    # one thread takes the jobs in the order fit_all_aux passes them, and makes
+    # a job's scratch arrays when it takes that job's first start
+    search_threads(1)
+    built = []
+    build = gp_aux._AuxProblem.build
     monkeypatch.setattr(
-        gp_aux, "fit_aux_gp", lambda data, **kw: sizes.append(len(data.values)) or fit(data, **kw)
+        gp_aux._AuxProblem, "build", lambda ys, D2: built.append(D2) or build(ys, D2)
     )
     datasets = [
         ArealDataset(point_partition(f"p{n}", rng.uniform(size=(n, 2))), rng.normal(size=n))
         for n in (6, 12, 9, 12)
     ]
     out = fit_all_aux(datasets, grid_partition(2, 2, "f"), restarts=1, dataset_ids=list("abcd"))
-    assert sizes == [12, 12, 9, 6]
+    # largest first; the two 12-region fits in input order
+    distances = [sq_dists(d.partition.centroids, d.partition.centroids) for d in datasets]
+    order = [[np.array_equal(D2, d) for d in distances].index(True) for D2 in built]
+    assert order == [1, 3, 2, 0]
     assert [m.dataset_id for m, _ in out] == list("abcd")
 
 

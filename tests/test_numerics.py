@@ -321,7 +321,7 @@ def test_log_det_hand_case():
 
 
 def _quadratic(x):
-    return float(x @ x), 2.0 * x
+    return float(x @ x), lambda: 2.0 * x
 
 
 def test_bfgs_quadratic_bowl():
@@ -336,7 +336,7 @@ def _rosenbrock(x):
     grad = np.array(
         [-2.0 * (1 - a) - 400.0 * a * (b - a**2), 200.0 * (b - a**2)]
     )
-    return float(val), grad
+    return float(val), lambda: grad
 
 
 def test_bfgs_rosenbrock():
@@ -363,9 +363,9 @@ def test_bfgs_objective_monotone_over_accepted_iterates():
     history = []
 
     def f(x):
-        val, grad = _rosenbrock(x)
+        val, gradient = _rosenbrock(x)
         history.append((x.copy(), val))
-        return val, grad
+        return val, gradient
 
     bfgs_minimize(f, np.array([-1.2, 1.0]))
     # reconstruct the accepted sequence: objective at each improvement point
@@ -380,12 +380,12 @@ def test_bfgs_objective_monotone_over_accepted_iterates():
 
 def _linear_on_large_offset(x):
     # each step moves the objective by 1 part in 1e12 while the gradient stays 1
-    return 1e12 + float(x[0]), np.array([1.0])
+    return 1e12 + float(x[0]), lambda: np.array([1.0])
 
 
 def _wrong_gradient(x):
     # the gradient points uphill, so no step along -gradient decreases f
-    return float(x @ x), -2.0 * x
+    return float(x @ x), lambda: -2.0 * x
 
 
 def test_bfgs_ftol_stop_with_large_gradient_is_not_converged():
@@ -409,12 +409,84 @@ def test_bfgs_stop_reason(f, x0, max_iter, stop):
     assert res.converged == (stop == "gtol")
 
 
+def test_bfgs_asks_for_the_gradient_only_where_it_keeps_the_point():
+    asked, called = [], []
+    x0 = np.array([-1.2, 1.0])
+
+    def f(x):
+        called.append(x.copy())
+        val, gradient = _rosenbrock(x)
+        return val, lambda: asked.append(x.copy()) or gradient()
+
+    res = bfgs_minimize(f, x0)
+    # the start and the point of every accepted step
+    assert len(asked) == res.iterations + 1
+    assert np.array_equal(asked[0], x0) and np.array_equal(asked[-1], res.argmin)
+    assert len(called) > len(asked)  # the line search tried points it then rejected
+
+
+def _bowl_with_a_wall(theta):
+    # a bowl centred at x = 3 whose gradient cannot be computed beyond x = 1.7
+    x = theta - np.array([3.0] + [0.0] * (theta.size - 1))
+
+    def gradient():
+        if theta[0] > 1.7:
+            raise FactorizationError("dpotri failed (info 1)", pivot=1)
+        return 2.0 * x
+
+    return float(x @ x), gradient
+
+
+def _bowl_with_an_infinite_wall(theta):
+    value, gradient = _bowl_with_a_wall(theta)
+    return (np.inf if theta[0] > 1.7 else value), gradient
+
+
+def test_factorization_error_from_the_gradient_counts_the_point_as_infinite():
+    # the line search halves its step past the wall exactly as if the value were +inf there
+    x0 = np.array([0.0, 0.4])
+    got = bfgs_minimize(_bowl_with_a_wall, x0)
+    want = bfgs_minimize(_bowl_with_an_infinite_wall, x0)
+    assert (got.iterations, got.stop, got.objective) == (want.iterations, want.stop, want.objective)
+    assert np.array_equal(got.argmin, want.argmin)
+    assert got.argmin[0] <= 1.7 and got.iterations > 1
+    # at the start point it is a failed search
+    with pytest.raises(numerics.OptimizationError, match="at initial point"):
+        bfgs_minimize(_bowl_with_a_wall, np.array([2.0, 0.0]))
+
+
+def test_restart_records_count_values_and_gradients():
+    starts = [np.array([0.0, 0.4, 0.0, 0.0]), np.array([-1.0, 1.0, 0.5, 0.5])]
+    _, records, _ = _minimize(lambda: _bowl_with_a_wall, starts)
+    # the search behind each record, with the wall as +inf
+    for record, x0 in zip(records, starts):
+        res = bfgs_minimize(_bowl_with_an_infinite_wall, x0)
+        assert record["iterations"] == res.iterations and record["objective"] == res.objective
+        # one gradient at the start and one per accepted step; every call was in the box
+        assert record["gradients"] == record["iterations"] + 1
+        assert record["feasible"] == record["evaluations"] > record["gradients"]
+    _, (record,), _ = _minimize(lambda: _bowl_with_a_wall, [np.array([2.0, 0.0, 0.0, 0.0])])
+    assert "at initial point" in record["error"]
+    assert (record["evaluations"], record["feasible"], record["gradients"]) == (1, 1, 0)
+
+
+def test_lease_gradient_checks_raise_once_stale():
+    lease = numerics.Lease()
+    first = lease.take()
+    second = lease.take()
+    with pytest.raises(numerics.StaleGradientError):
+        first()
+    second()
+    with pytest.raises(numerics.StaleGradientError):
+        second()  # the gradient has overwritten the state it read
+
+
 def _double_well(theta):
     # minima at theta[0] = +-1; the trailing (log alpha, log gamma, log sigma) are inert
     x = theta[0]
     grad = np.zeros_like(theta)
     grad[0] = 4.0 * x * (x * x - 1.0)
-    return float((x * x - 1.0) ** 2), grad
+    return float((x * x - 1.0) ** 2), lambda: grad
 
 
 def _tilted_wells(theta):
@@ -424,7 +496,13 @@ def _tilted_wells(theta):
     grad = np.zeros_like(theta)
     grad[0] = 4.0 * x * (x * x - 1.0) + 0.5
     grad[1] = 4.0 * y * (y * y - 1.0)
-    return float((x * x - 1.0) ** 2 + 0.5 * x + (y * y - 1.0) ** 2), grad
+    return float((x * x - 1.0) ** 2 + 0.5 * x + (y * y - 1.0) ** 2), lambda: grad
+
+
+def _minimize(make_objective, starts):
+    """multistart_minimize on the one job (make_objective, starts): best, records, workers."""
+    [(best, records)], workers = multistart_minimize([(make_objective, starts)])
+    return best, records, workers
 
 
 def test_multistart_keeps_the_lowest_objective():
@@ -432,7 +510,7 @@ def test_multistart_keeps_the_lowest_objective():
     low = np.array([-1.0, 1.2, 0.0, 0.0, 0.0])
     mirrored = low * np.array([1.0, -1.0, 1.0, 1.0, 1.0])  # the other y-well, tied with low
     for starts in ([high, low, mirrored], [high, mirrored, low]):
-        best, records, _ = multistart_minimize(lambda: _tilted_wells, starts)
+        best, records, _ = _minimize(lambda: _tilted_wells, starts)
         objectives = [r["objective"] for r in records]
         assert all(r["converged"] for r in records)
         assert objectives[0] > objectives[1] == objectives[2]
@@ -449,7 +527,7 @@ def test_multistart_earliest_start_wins_an_exact_tie(sign):
     first, second = (bfgs_minimize(_double_well, x0) for x0 in starts)
     assert first.objective == second.objective
     assert first.argmin[0] == -second.argmin[0] != 0.0
-    best, records, _ = multistart_minimize(lambda: _double_well, starts)
+    best, records, _ = _minimize(lambda: _double_well, starts)
     assert records[0]["converged"] and records[0]["stop"] == "gtol"
     assert np.array_equal(best.argmin, first.argmin)
 
@@ -469,10 +547,12 @@ def test_multistart_skips_infeasible_and_unfactorizable_starts():
         np.array([np.nan, 0.0, 0.0, 0.0]),  # non-finite theta
         np.array([1.0, 0.0, 0.0, 0.0]),  # factorization failure
     ]
-    best, records, _ = multistart_minimize(lambda: f, starts)
+    best, records, _ = _minimize(lambda: f, starts)
     assert best is None
     assert len(calls) == 1  # only the in-box start reaches f
     assert all(r["evaluations"] == 1 and "non-finite" in r["error"] for r in records)
+    # no start computed a value or a gradient
+    assert all(r["feasible"] == r["gradients"] == 0 for r in records)
 
 
 def test_pool_size_is_cores_over_blas_threads(monkeypatch):
@@ -503,7 +583,7 @@ def test_multistart_has_one_worker_when_blas_is_unpinned(monkeypatch):
         return _quadratic
 
     starts = [np.full(4, float(k)) for k in range(4)]
-    _, records, workers = multistart_minimize(make_objective, starts)
+    _, records, workers = _minimize(make_objective, starts)
     assert workers == 1 and threads == {threading.get_ident()}
     assert all(r["converged"] for r in records)
 
@@ -522,47 +602,75 @@ def test_multistart_programming_error_propagates_and_drops_queued_starts(search_
             time.sleep(0.05)  # start 0 fails while this start runs
         return _quadratic(theta)
 
-    with pytest.raises(TypeError, match="not a numerical failure"):
-        multistart_minimize(lambda: f, starts)
-    # nothing begins after start 0 fails, bar the start a second worker may hold
-    assert begun == [] or (workers == 2 and begun == [starts[1][0]])
+    # the six starts as one job, or as three jobs whose first fails: either
+    # way no queued start of any job begins after the failure
+    for sizes in ((6,), (1, 2, 3)):
+        begun.clear()
+        bounds = np.cumsum((0,) + sizes)
+        jobs = [(lambda: f, starts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        with pytest.raises(TypeError, match="not a numerical failure"):
+            multistart_minimize(jobs)
+        # nothing begins after start 0 fails, bar the start a second worker may hold
+        assert begun == [] or (workers == 2 and begun == [starts[1][0]])
 
 
 def test_multistart_stress_runs_every_start_once(monkeypatch):
+    # 64 starts as one job and as three
+    for sizes in ((64,), (30, 1, 33)):
+        _stress(monkeypatch, sizes)
+
+
+def _stress(monkeypatch, sizes):
     # eight threads on a pretend eight-core machine, switching every microsecond:
-    # a start handed out twice, or a lost record, breaks the equalities below
+    # a start handed out twice, a lost record, or a job's objective made twice
+    # on one thread breaks the equalities below
     starts = [np.array([k + 0.5, 1.0, 0.5, 0.5]) for k in range(64)]
+    bounds = np.cumsum((0,) + sizes)
+    job_starts = [starts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     begun, made = [], []
 
     def f(theta):
         if any(np.array_equal(theta, x0) for x0 in starts):
-            begun.append(theta[0])  # list.append is atomic
+            begun.append((theta[0], threading.get_ident()))  # list.append is atomic
         return _quadratic(theta)
 
-    want = [_search_record(f, x0) for x0 in starts]
+    def maker(j):
+        def make_objective():
+            made.append((j, threading.get_ident()))
+            return f
+
+        return make_objective
+
+    want = [[_search_record(f, x0) for x0 in js] for js in job_starts]
     begun.clear()
+    made.clear()
     monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    jobs = [(maker(j), js) for j, js in enumerate(job_starts)]
     got = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runner = threading.Thread(
-            target=lambda: got.append(multistart_minimize(lambda: made.append(1) or f, starts))
-        )
+        runner = threading.Thread(target=lambda: got.append(multistart_minimize(jobs)))
         runner.start()
         runner.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive() and len(got) == 1
-    _, records, workers = got[0]
-    assert workers == len(made) == 8  # one objective per thread
-    assert sorted(begun) == [x0[0] for x0 in starts]
-    assert records == want
+    results, workers = got[0]
+    assert workers == 8
+    assert sorted(x for x, _ in begun) == [x0[0] for x0 in starts]
+    assert [records for _, records in results] == want
+    # one objective per job and thread that ran its starts, made in job order
+    job_of = {x0[0]: j for j, js in enumerate(job_starts) for x0 in js}
+    assert sorted(made) == sorted({(job_of[x], thread) for x, thread in begun})
+    for thread in {thread for _, thread in made}:
+        order = [j for j, t in made if t == thread]
+        assert order == sorted(order)
 
 
 def _search_record(f, x0):
-    _, records, _ = multistart_minimize(lambda: f, [x0])
+    _, records, _ = _minimize(lambda: f, [x0])
     return records[0]
 
 
@@ -573,8 +681,8 @@ def test_grad_check_exact_quadratic(rng):
 
 def test_grad_check_flags_wrong_gradient(rng):
     def wrong(x):
-        val, grad = _quadratic(x)
-        return val, 2.0 * grad
+        val, gradient = _quadratic(x)
+        return val, lambda: 2.0 * gradient()
 
     # at x = 0.25: analytic (doubled) = 1, numeric = 0.5, denominator
     # max(1, |numeric|) = 1, so the reported error is 0.5

@@ -25,7 +25,6 @@ from finescale.gp_aux import AuxPosterior, median_pairwise_distance
 from finescale.kernel import JITTER_REL, SEKernelParams, se_from_sq_dists, sq_dists
 from finescale.numerics import (
     SIGMA_FLOOR,
-    Lease,
     NumericalError,
     cholesky,
     log_det,
@@ -144,8 +143,7 @@ class _Problem:
     H F, the fine locations Xf and their squared distances D2, and
     H Sigma_s H^T for every auxiliary. K, when set, is the nf x nf array an
     objective call writes K into and its gradient turns into K o D2 / gamma^2;
-    each thread of the fit has its own, and its own lease, which says which
-    objective call's state K holds. A call then allocates no nf x nf array:
+    each thread of the fit has its own. A call then allocates no nf x nf array:
     malloc gives such arrays back to the system when they are freed, and the
     next call faults them in again (190 000 page faults, 0.4 s of a 2.4 s fit
     at 480 fine regions).
@@ -159,7 +157,6 @@ class _Problem:
     D2: np.ndarray
     HSH: tuple[np.ndarray, ...]
     K: np.ndarray | None = None
-    lease: Lease = field(default_factory=Lease)
 
     @classmethod
     def build(
@@ -229,9 +226,9 @@ def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, gamma: float, sig
     return K, HKH, Lam, factor
 
 
-def _neg_log_marginal(prob: _Problem, theta: np.ndarray):
-    """-log N(a | H F w, Lambda) at the packed theta, and the function that
-    computes its gradient from the factor, p and K the call leaves.
+def _neg_log_marginal(prob: _Problem, theta: np.ndarray, accept):
+    """-log N(a | H F w, Lambda) at the packed theta, and its gradient where
+    ``accept`` of that value is true, else None.
 
     Each covariance-parameter entry of the log-likelihood gradient is
     1/2 tr((p p^T - Lambda^-1) dLambda), p = Lambda^-1 (a - H F w); the
@@ -242,37 +239,33 @@ def _neg_log_marginal(prob: _Problem, theta: np.ndarray):
     w = theta[: S + 1]
     alpha, gamma, sigma = (float(np.exp(v)) for v in theta[S + 1 :])
     nc = prob.H.shape[0]
-    check = prob.lease.take()
     K, HKH, _, factor = _lambda_terms(prob, w, alpha, gamma, sigma)
     r = prob.a - prob.HF @ w
     p = solve(factor, r)
     ll = float(-0.5 * r @ p - 0.5 * log_det(factor) - 0.5 * nc * np.log(2 * np.pi))
+    if not accept(-ll):
+        return -ll, None
+    Linv = solve(factor, np.eye(nc))
 
-    def gradient() -> np.ndarray:
-        check()
-        Linv = solve(factor, np.eye(nc))
+    def trace_term(dLam: np.ndarray) -> float:
+        return 0.5 * (float(p @ dLam @ p) - float(np.sum(Linv * dLam)))
 
-        def trace_term(dLam: np.ndarray) -> float:
-            return 0.5 * (float(p @ dLam @ p) - float(np.sum(Linv * dLam)))
-
-        # trace_term(c I), without forming the identity
-        identity_term = 0.5 * (float(p @ p) - float(np.trace(Linv)))
-        grad = np.empty(S + 4)
-        for s in range(S):
-            grad[s] = float(prob.HF[:, s] @ p) + trace_term(2.0 * w[s] * prob.HSH[s])
-        grad[S] = float(prob.HF[:, S] @ p)  # bias: Lambda does not depend on w_0
-        # log-space chain rule: d/d log(theta) = theta * d/d theta
-        grad[S + 1] = trace_term(2.0 * HKH) + 2.0 * JITTER_REL * alpha**2 * identity_term
-        # K is not read again: it becomes E = K o (D2 / gamma^2) in place, with
-        # D2 / gamma^2 formed one block of rows at a time
-        E = K
-        for i in range(0, len(E), SCALE_ROWS):
-            E[i : i + SCALE_ROWS] *= prob.D2[i : i + SCALE_ROWS] / gamma**2
-        grad[S + 2] = trace_term(prob.H @ E @ prob.H.T)
-        grad[S + 3] = 2.0 * sigma**2 * (1.0 + JITTER_REL) * identity_term
-        return -grad
-
-    return -ll, gradient
+    # trace_term(c I), without forming the identity
+    identity_term = 0.5 * (float(p @ p) - float(np.trace(Linv)))
+    grad = np.empty(S + 4)
+    for s in range(S):
+        grad[s] = float(prob.HF[:, s] @ p) + trace_term(2.0 * w[s] * prob.HSH[s])
+    grad[S] = float(prob.HF[:, S] @ p)  # bias: Lambda does not depend on w_0
+    # log-space chain rule: d/d log(theta) = theta * d/d theta
+    grad[S + 1] = trace_term(2.0 * HKH) + 2.0 * JITTER_REL * alpha**2 * identity_term
+    # K is not read again: it becomes E = K o (D2 / gamma^2) in place, with
+    # D2 / gamma^2 formed one block of rows at a time
+    E = K
+    for i in range(0, len(E), SCALE_ROWS):
+        E[i : i + SCALE_ROWS] *= prob.D2[i : i + SCALE_ROWS] / gamma**2
+    grad[S + 2] = trace_term(prob.H @ E @ prob.H.T)
+    grad[S + 3] = 2.0 * sigma**2 * (1.0 + JITTER_REL) * identity_term
+    return -ll, -grad
 
 
 @dataclass(frozen=True)
@@ -334,11 +327,9 @@ def grad_log_marginal(
         raise ValueError(
             f"{len(posteriors)} posteriors for an assembly built from {len(prob.HSH)}"
         )
-    prob = replace(
-        prob, a=np.asarray(a, dtype=float), design=design, HF=prob.H @ design.F, lease=Lease()
-    )
-    _, gradient = _neg_log_marginal(prob, _pack(params.w, params.kernel, params.sigma))
-    return -gradient()
+    prob = replace(prob, a=np.asarray(a, dtype=float), design=design, HF=prob.H @ design.F)
+    theta = _pack(params.w, params.kernel, params.sigma)
+    return -_neg_log_marginal(prob, theta, lambda value: True)[1]
 
 
 def _pack(w: np.ndarray, kernel: SEKernelParams, sigma: float) -> np.ndarray:
@@ -401,20 +392,17 @@ def fit_downscale(
 
     def make_objective():
         nf = len(prob.D2)
-        worker_prob = replace(prob, K=np.empty((nf, nf)), lease=Lease())
+        worker_prob = replace(prob, K=np.empty((nf, nf)))
         if not (ridge > 0 and n_w > 1):
-            return lambda theta: _neg_log_marginal(worker_prob, theta)
+            return lambda theta, accept: _neg_log_marginal(worker_prob, theta, accept)
 
-        def objective(theta):
-            val, gradient = _neg_log_marginal(worker_prob, theta)
+        def objective(theta, accept):
             v = theta[: n_w - 1]
-
-            def ridged() -> np.ndarray:
-                grad = gradient()
+            penalty = ridge * float(v @ v)
+            val, grad = _neg_log_marginal(worker_prob, theta, lambda value: accept(value + penalty))
+            if grad is not None:
                 grad[: n_w - 1] += 2 * ridge * v
-                return grad
-
-            return val + ridge * float(v @ v), ridged
+            return val + penalty, grad
 
         return objective
 

@@ -106,12 +106,8 @@ def _ring_area_centroid(r: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def polygon_area_centroid(polygons: list[list[np.ndarray]]) -> tuple[float, np.ndarray]:
-    """Net area and centroid of a (multi)polygon; rings after the first are holes."""
-    return _net_area_centroid([[_closed_ring(ring) for ring in rings] for rings in polygons])
-
-
-def _net_area_centroid(polygons: list[list[np.ndarray]]) -> tuple[float, np.ndarray]:
-    """``polygon_area_centroid`` of polygons whose rings are closed already."""
+    """Net area and centroid of a (multi)polygon of closed rings, as ``Region.geometry``
+    holds them; rings after the first are holes."""
     total = 0.0
     weighted = np.zeros(2)
     for rings in polygons:
@@ -232,7 +228,7 @@ def _parse_partition(doc: dict, name: str | None) -> Partition:
         rid = str(rid)
         try:
             region = Region(id=rid, geometry=_geometry_rings(feat.get("geometry") or {}))
-            centroids.append(_net_area_centroid(region.geometry)[1])
+            centroids.append(polygon_area_centroid(region.geometry)[1])
         except (GeoParseError, GeoValidationError) as exc:
             raise type(exc)(f"region {rid!r}: {exc}") from exc
         regions.append(region)

@@ -12,7 +12,6 @@ from finescale.geo import ArealDataset, Partition, json_log, json_value
 from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
 from finescale.numerics import (
     SIGMA_FLOOR,
-    Lease,
     NumericalError,
     cholesky,
     inverse,
@@ -110,8 +109,8 @@ def _gram(
 @dataclass(frozen=True)
 class _AuxProblem:
     """One auxiliary fit's unit-variance values ys, their squared distances D2,
-    and the n x n arrays every objective call overwrites, with the lease that
-    says which call's state they hold; a fit builds one per thread of its search.
+    and the n x n arrays every objective call overwrites; a fit builds one per
+    thread of its search.
 
     K holds the kernel, then E = K o D2 / gamma^2. A, in Fortran order so
     LAPACK needs no copy, holds K + (sigma^2 + jitter) I, then its factor,
@@ -126,7 +125,6 @@ class _AuxProblem:
     K: np.ndarray
     A: np.ndarray
     Ainv: np.ndarray
-    lease: Lease
 
     @classmethod
     def build(cls, ys: np.ndarray, D2: np.ndarray) -> "_AuxProblem":
@@ -137,50 +135,45 @@ class _AuxProblem:
             K=np.empty((n, n)),
             A=np.empty((n, n), order="F"),
             Ainv=np.empty((n, n)),
-            lease=Lease(),
         )
 
 
-def _nll_and_grad(prob: _AuxProblem, theta: np.ndarray):
-    """Negative log marginal over (log alpha, log gamma, log sigma), and the
-    function that computes its gradient from the factor, beta and K the call
-    leaves in prob's arrays.
+def _nll_and_grad(prob: _AuxProblem, theta: np.ndarray, accept):
+    """Negative log marginal over (log alpha, log gamma, log sigma), and its
+    gradient where ``accept(nll)`` is true, else None.
 
     With beta = A^-1 y, d log L / d theta_k = 1/2 (beta^T dA_k beta - tr(A^-1 dA_k)),
     where dA is 2 (K + jitter I), K o D2 / gamma^2 and 2 sigma^2 I; each term
-    is a quadratic form in beta and a trace against A^-1, taken from the factor.
+    is a quadratic form in beta and a trace against A^-1, which dpotri forms
+    in place of the factor.
     """
     alpha, gamma, sigma = np.exp(theta)
     y = prob.ys
     n = y.size
     K = prob.K
-    check = prob.lease.take()
     A = _gram(alpha, gamma, sigma, prob.D2, K, prob.A)
     F = cholesky(A, out=A, scratch=prob.Ainv)
     beta = solve(F, y)
-    nll = 0.5 * y @ beta + 0.5 * log_det(F) + 0.5 * n * np.log(2 * np.pi)
-
-    def gradient() -> np.ndarray:
-        check()
-        jitter = JITTER_REL * alpha**2
-        Ainv = inverse(F, out=prob.Ainv)
-        bb, tr = beta @ beta, np.trace(Ainv)
-        # Restarts that end on a flat ridge of the likelihood tie to the last bit,
-        # so rounding here picks the winner among them: keep the operand order.
-        dll_alpha = 2.0 * (beta @ K @ beta + jitter * bb - np.vdot(Ainv, K) - jitter * tr)
-        E = K  # K is not read again: E = K * D2 / gamma**2, in place
-        E *= prob.D2
-        E /= gamma**2
-        dll = np.array(
-            [
-                dll_alpha,
-                beta @ E @ beta - np.vdot(Ainv, E),
-                2.0 * sigma**2 * (bb - tr),
-            ]
-        )
-        return -0.5 * dll
-
-    return float(nll), gradient
+    nll = float(0.5 * y @ beta + 0.5 * log_det(F) + 0.5 * n * np.log(2 * np.pi))
+    if not accept(nll):
+        return nll, None
+    jitter = JITTER_REL * alpha**2
+    Ainv = inverse(F, out=prob.Ainv)
+    bb, tr = beta @ beta, np.trace(Ainv)
+    # Restarts that end on a flat ridge of the likelihood tie to the last bit,
+    # so rounding here picks the winner among them: keep the operand order.
+    dll_alpha = 2.0 * (beta @ K @ beta + jitter * bb - np.vdot(Ainv, K) - jitter * tr)
+    E = K  # K is not read again: E = K * D2 / gamma**2, in place
+    E *= prob.D2
+    E /= gamma**2
+    dll = np.array(
+        [
+            dll_alpha,
+            beta @ E @ beta - np.vdot(Ainv, E),
+            2.0 * sigma**2 * (bb - tr),
+        ]
+    )
+    return nll, -0.5 * dll
 
 
 def data_sha256(centroids, values) -> str:
@@ -253,7 +246,7 @@ class _AuxFit:
 
     def make_objective(self):
         prob = _AuxProblem.build(self.ys, self.D2)
-        return lambda t: _nll_and_grad(prob, t)
+        return lambda t, accept: _nll_and_grad(prob, t, accept)
 
     def model(self, best, records: list[dict], workers: int, dataset_id: str) -> AuxGPModel:
         """The model of the search's best result, or AuxFitError when every start failed."""

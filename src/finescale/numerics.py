@@ -1,9 +1,10 @@
 """Dense SPD linear algebra, an unconstrained BFGS minimizer and multi-start BFGS.
 
-An objective, in every minimizer here, maps theta to ``(value, gradient)``:
-the value at theta and a function of no arguments that computes the gradient
-there from the scratch state the call left. The minimizer asks for the
-gradient only at points it keeps.
+An objective, in every minimizer here, is ``f(theta, accept) -> (value,
+gradient)``: it computes the value at theta and, only when ``accept(value)``
+is true, the gradient there in the same call; else the gradient is None. The
+minimizer's test accepts only the points it keeps, so a point it rejects
+costs only its value.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ FTOL = 1e-10
 ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 50
-# bfgs_minimize's default iteration cap, the one every multistart_minimize search has.
+# bfgs_minimize's iteration cap.
 MAX_ITER = 500
 # The variables that set the threads of one BLAS call; the first set to a
 # positive integer counts, as in OpenBLAS.
@@ -49,38 +50,6 @@ class FactorizationError(NumericalError):
 
 class OptimizationError(NumericalError):
     """Non-finite objective or gradient encountered during optimization."""
-
-
-class StaleGradientError(RuntimeError):
-    """A gradient function ran after a later objective call on its scratch
-    arrays, or a second time: the arrays no longer hold its point."""
-
-
-class Lease:
-    """Which objective call's state a set of scratch arrays holds.
-
-    An objective call takes the arrays with ``take()``, which returns the
-    check its gradient function runs first. The check raises
-    StaleGradientError once a later call has taken the arrays, and ends the
-    lease, since the gradient overwrites the state it reads.
-    """
-
-    __slots__ = ("_holder",)
-
-    def __init__(self):
-        self._holder = None
-
-    def take(self):
-        holder = self._holder = object()
-
-        def check():
-            if self._holder is not holder:
-                raise StaleGradientError(
-                    "gradient of an objective call whose scratch arrays were taken since"
-                )
-            self._holder = None
-
-        return check
 
 
 @dataclass(frozen=True)
@@ -306,37 +275,23 @@ def log_det(F: CholeskyFactor) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(F.L))))
 
 
-def _evaluate(f, x: np.ndarray):
-    """``f(x)``, the value and the gradient function, with +inf and no gradient
-    function where ``f`` raised FactorizationError."""
+def _evaluate(f, x: np.ndarray, accept):
+    """``f(x, accept)``, the value and the gradient or None, with +inf and no
+    gradient where ``f`` raised FactorizationError, in its value or its gradient."""
     try:
-        return f(x)
+        return f(x, accept)
     except FactorizationError:
         return np.inf, None
 
 
-def _gradient(gradient) -> np.ndarray | None:
-    """``gradient()``, or None where it raised FactorizationError."""
-    try:
-        return gradient()
-    except FactorizationError:
-        return None
+def bfgs_minimize(f, x0: np.ndarray, gtol: float = 1e-6) -> OptimizeResult:
+    """Full BFGS with backtracking Armijo line search, for at most MAX_ITER iterations.
 
-
-def bfgs_minimize(
-    f,
-    x0: np.ndarray,
-    gtol: float = 1e-6,
-    max_iter: int = MAX_ITER,
-) -> OptimizeResult:
-    """Full BFGS with backtracking Armijo line search.
-
-    ``f`` maps a parameter vector to ``(value, gradient)``, where ``gradient``
-    is a function of no arguments that returns the gradient at that vector
-    from the state the call of ``f`` left. It is called only at the start
-    point and at the points the line search accepts, never after the next
-    call of ``f``, so a point the line search rejects costs only its value.
-    A FactorizationError from ``f`` or from ``gradient`` makes the point +inf.
+    ``f(x, accept)`` returns ``(value, gradient)``, with the gradient computed
+    in the same call only where ``accept(value)`` is true and None elsewhere.
+    The test accepts a finite value at the start point, and on the line the
+    points that pass the Armijo test, so a point the line search rejects
+    costs only its value. A FactorizationError from ``f`` makes the point +inf.
 
     Stops when the infinity norm of the gradient falls below ``gtol``, the
     relative objective change falls below ``FTOL``, or the iteration cap is
@@ -345,17 +300,16 @@ def bfgs_minimize(
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    fx, gradient = _evaluate(f, x)
-    g = _gradient(gradient) if np.isfinite(fx) else None
+    fx, g = _evaluate(f, x, np.isfinite)
     if g is None or not np.all(np.isfinite(g)):
         raise OptimizationError("non-finite objective or gradient at initial point")
     Hinv = np.eye(n)
     iterations = 0
-    for iterations in range(max_iter + 1):
+    for iterations in range(MAX_ITER + 1):
         gnorm = float(np.abs(g).max()) if n else 0.0
         if gnorm <= gtol:
             return OptimizeResult(x, float(fx), gnorm, iterations, "gtol")
-        if iterations == max_iter:
+        if iterations == MAX_ITER:
             break
         d = -Hinv @ g
         slope = float(g @ d)
@@ -364,16 +318,15 @@ def bfgs_minimize(
             d = -g
             slope = float(g @ d)
         step = 1.0
-        g_new = None
         for _ in range(MAX_BACKTRACKS):
             x_new = x + step * d
-            fx_new, gradient = _evaluate(f, x_new)
-            if np.isfinite(fx_new) and fx_new <= fx + ARMIJO_C * step * slope:
-                g_new = _gradient(gradient)
-                if g_new is not None:
-                    if not np.all(np.isfinite(g_new)):
-                        raise OptimizationError("non-finite gradient")
-                    break
+            fx_new, g_new = _evaluate(
+                f, x_new, lambda v: np.isfinite(v) and v <= fx + ARMIJO_C * step * slope
+            )
+            if g_new is not None:
+                if not np.all(np.isfinite(g_new)):
+                    raise OptimizationError("non-finite gradient")
+                break
             step *= BACKTRACK_FACTOR
         if g_new is None:
             return OptimizeResult(x, float(fx), gnorm, iterations, "line_search")
@@ -418,8 +371,8 @@ def _search(f, x0: np.ndarray, gtol: float) -> tuple[OptimizeResult | None, dict
     raised OptimizationError, and its record."""
     evaluations = feasible = gradients = 0
 
-    def objective(theta):
-        nonlocal evaluations, feasible
+    def objective(theta, accept):
+        nonlocal evaluations, gradients
         evaluations += 1
         if (
             not np.all(np.isfinite(theta))
@@ -427,16 +380,16 @@ def _search(f, x0: np.ndarray, gtol: float) -> tuple[OptimizeResult | None, dict
             or np.abs(theta[-3:]).max() > 20
         ):
             return np.inf, None
-        value, gradient = f(theta)
-        feasible += 1
 
-        def counted():
-            nonlocal gradients
-            g = gradient()
+        def counted(value) -> bool:
+            nonlocal feasible
+            feasible += 1
+            return accept(value)
+
+        value, gradient = f(theta, counted)
+        if gradient is not None:
             gradients += 1
-            return g
-
-        return value, counted
+        return value, gradient
 
     try:
         res = bfgs_minimize(objective, x0, gtol=gtol)
@@ -468,9 +421,9 @@ def multistart_minimize(
     The last three entries of theta are (log alpha, log gamma, log sigma).
     The objective is +inf outside the feasibility box (a non-finite theta,
     one of those log-parameters beyond +-20, or sigma below SIGMA_FLOOR) and
-    where it or its gradient raises FactorizationError. A start whose search
-    raises OptimizationError is skipped; any other error propagates, and no
-    start of any job begins after it.
+    where it raises FactorizationError, in its value or its gradient. A start
+    whose search raises OptimizationError is skipped; any other error
+    propagates, and no start of any job begins after it.
 
     Returns one (best, records) per job and the number of threads. The best
     result has the lowest objective and the earliest start on an exact tie,

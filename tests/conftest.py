@@ -39,18 +39,25 @@ def se_kernel(params: SEKernelParams, x, x2) -> float:
     return params.alpha**2 * float(np.exp(-0.5 * d2 / params.gamma**2))
 
 
+def always(value) -> bool:
+    """An acceptance test that accepts every value: the objective computes its gradient."""
+    return True
+
+
 def grad_check(f, x: np.ndarray, h: float = 1e-5) -> float:
     """Max relative error of the analytic gradient vs central differences;
-    ``f`` maps x to its value and its gradient function."""
+    ``f(x, accept)`` is an objective in ``bfgs_minimize``'s protocol. The
+    difference points are called with a test that rejects, so they compute
+    values only."""
     x = np.asarray(x, dtype=float)
-    _, gradient = f(x)
-    g = np.asarray(gradient(), dtype=float)
+    _, g = f(x, always)
+    g = np.asarray(g, dtype=float)
     worst = 0.0
     for k in range(x.size):
         e = np.zeros_like(x)
         e[k] = h
-        fp, _ = f(x + e)
-        fm, _ = f(x - e)
+        fp, _ = f(x + e, lambda value: False)
+        fm, _ = f(x - e, lambda value: False)
         numeric = (fp - fm) / (2 * h)
         err = abs(g[k] - numeric) / max(1.0, abs(numeric))
         worst = max(worst, err)

@@ -1,10 +1,20 @@
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import grad_check, hex_floats, random_H, random_instance, random_posteriors, se_kernel
+from conftest import (
+    always,
+    grad_check,
+    hex_floats,
+    random_H,
+    random_instance,
+    random_posteriors,
+    se_kernel,
+)
 from finescale import downscale
 from finescale.downscale import (
     DownscaleFitError,
@@ -25,8 +35,6 @@ from finescale.gp_aux import AuxPosterior, fit_all_aux
 from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
 from finescale.numerics import (
     FactorizationError,
-    Lease,
-    StaleGradientError,
     cholesky,
     log_det,
     solve,
@@ -159,15 +167,16 @@ def dense_predict_fine(params, a, design, posteriors, amap_or_H, fine=None):
 
 
 def neg_log_marginal_objective(a, design, posteriors, H, Xf):
-    """The dense oracle's -log marginal and gradient function as a function of theta."""
+    """The dense oracle's -log marginal, and its gradient where ``accept`` of
+    the value holds, as an objective of (theta, accept)."""
     n_w = design.F.shape[1]
 
-    def f(theta):
+    def f(theta, accept):
         params = unpack(theta, n_w)
         assembly = dense_assemble_lambda(params, posteriors, Xf, H)
         val = -dense_log_marginal(params, a, design, assembly, H)
         grad = -dense_grad_log_marginal(params, a, design, posteriors, H, Xf, assembly)
-        return val, lambda: grad
+        return val, (grad if accept(val) else None)
 
     return f
 
@@ -500,7 +509,7 @@ def test_fit_is_deterministic(rng):
 
 def prepared_objective(a, design, posteriors, H, Xf):
     prob = _Problem.build(a, posteriors, Xf, H, design)
-    return lambda theta: _neg_log_marginal(prob, theta)
+    return lambda theta, accept: _neg_log_marginal(prob, theta, accept)
 
 
 @pytest.mark.parametrize("S", [0, 1, 3])
@@ -509,12 +518,10 @@ def test_prepared_objective_matches_dense_oracle(rng, S):
         nc = int(rng.integers(2, 6))
         nf = int(rng.integers(max(nc, 4), 13))
         params, a, design, posteriors, H, Xf = random_instance(rng, nc, nf, S)
-        val, gradient = prepared_objective(a, design, posteriors, H, Xf)(pack(params))
-        grad = gradient()
-        dense_val, dense_gradient = neg_log_marginal_objective(a, design, posteriors, H, Xf)(
-            pack(params)
+        val, grad = prepared_objective(a, design, posteriors, H, Xf)(pack(params), always)
+        dense_val, dense_grad = neg_log_marginal_objective(a, design, posteriors, H, Xf)(
+            pack(params), always
         )
-        dense_grad = dense_gradient()
         assert val == pytest.approx(dense_val, rel=1e-10)
         assert np.max(np.abs(grad - dense_grad) / np.maximum(1.0, np.abs(dense_grad))) <= 1e-8
 
@@ -528,29 +535,83 @@ def test_prepared_gradient_matches_finite_differences(rng):
         assert grad_check(prepared_objective(a, design, posteriors, H, Xf), pack(params)) <= 1e-5
 
 
-def test_gradient_of_an_earlier_call_raises(rng):
-    # a fit thread's problem: K is its own scratch array, overwritten by every call
-    params, a, design, posteriors, H, Xf = random_instance(rng, 4, 10, 2)
-    prob = _Problem.build(a, posteriors, Xf, H, design)
-    prob = replace(prob, K=np.empty((10, 10)), lease=Lease())
-    t1 = pack(params)
-    t2 = t1 + 0.1
-    _, first = _neg_log_marginal(prob, t1)
-    _, second = _neg_log_marginal(prob, t2)
-    with pytest.raises(StaleGradientError):
-        first()
-    want = prepared_objective(a, design, posteriors, H, Xf)(t2)[1]()
-    assert np.array_equal(second(), want)
-    with pytest.raises(StaleGradientError):
-        second()  # the first call turned K into K o D2 / gamma^2
+class _Captured(Exception):
+    """Raised in place of fit_downscale's search, once its jobs are captured."""
+
+
+def fit_objective(monkeypatch, *args, **kwargs):
+    """A fresh objective of the one job fit_downscale hands its search, and its starts."""
+    jobs = []
+
+    def capture(js, gtol):
+        jobs.extend(js)
+        raise _Captured
+
+    with monkeypatch.context() as m, pytest.raises(_Captured):
+        m.setattr(downscale, "multistart_minimize", capture)
+        fit_downscale(*args, **kwargs)
+    [(make_objective, starts)] = jobs
+    return make_objective(), starts
+
+
+def test_objective_computes_the_gradient_only_where_accept_holds(rng, monkeypatch):
+    coarse, fine = grid_partition(3, 2, "c"), grid_partition(6, 4, "f")
+    amap = build_aggregation(coarse, fine)
+    posteriors = random_posteriors(rng, len(fine), 2)
+    a = rng.normal(size=len(coarse)) + 3.0
+    plain, starts = fit_objective(monkeypatch, a, posteriors, fine, amap, restarts=3)
+    ridged, _ = fit_objective(monkeypatch, a, posteriors, fine, amap, restarts=3, ridge=0.5)
+    for theta in starts:
+        values = {}
+        for name, f in (("plain", plain), ("ridged", ridged)):
+            seen = []
+            rejected, grad = f(theta, lambda value: seen.append(value) or False)
+            assert grad is None
+            value, grad = f(theta, lambda value: seen.append(value) or True)
+            assert np.all(np.isfinite(grad))
+            # one test per call, of the very value the call returns
+            assert [float(v).hex() for v in seen] == [value.hex()] * 2
+            assert rejected.hex() == value.hex()
+            values[name] = value
+        # the ridged objective's test reads the penalized value
+        v = theta[:2]
+        assert values["ridged"] == values["plain"] + 0.5 * float(v @ v) != values["plain"]
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_objective_is_invariant_under_permutation(data):
+    # fine regions (H columns, Xf rows, posterior entries), coarse rows and
+    # auxiliaries in another order: the same value, and the gradient
+    # permuted as the weights are
+    nc = data.draw(st.integers(2, 6))
+    nf = data.draw(st.integers(max(nc, 4), 13))
+    S = data.draw(st.integers(0, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    params, a, design, posteriors, H, Xf = random_instance(rng, nc, nf, S)
+    fine = np.array(data.draw(st.permutations(range(nf))))
+    rows = np.array(data.draw(st.permutations(range(nc))))
+    aux = data.draw(st.permutations(range(S)))
+    moved = [
+        AuxPosterior(p.dataset_id, p.mean[fine], p.cov[np.ix_(fine, fine)])
+        for p in (posteriors[s] for s in aux)
+    ]
+    theta = pack(params)
+    order = np.concatenate([np.array(aux, dtype=int), np.arange(S, S + 4)])
+    value, grad = prepared_objective(a, design, posteriors, H, Xf)(theta, always)
+    moved_value, moved_grad = prepared_objective(
+        a[rows], build_design(moved, n_fine=nf), moved, H[np.ix_(rows, fine)], Xf[fine]
+    )(theta[order], always)
+    assert abs(moved_value - value) <= 1e-10 * abs(value)
+    assert np.all(np.abs(moved_grad - grad[order]) <= 1e-10 * np.abs(grad).max())
 
 
 def test_grad_log_marginal_refuses_inputs_the_assembly_was_not_built_from(rng):
     params, a, design, posteriors, H, Xf = random_instance(rng, 4, 10, 2)
     assembly = assemble_lambda(params, posteriors, Xf, H)
     want = grad_log_marginal(params, a, design, posteriors, H, Xf, assembly)
-    _, gradient = prepared_objective(a, design, posteriors, H, Xf)(pack(params))
-    assert np.array_equal(want, -gradient())
+    _, grad = prepared_objective(a, design, posteriors, H, Xf)(pack(params), always)
+    assert np.array_equal(want, -grad)
     other_H = H[::-1]
     moved = Xf + np.array([0.0, 1e-9])
     for bad_H, bad_Xf in ((other_H, Xf), (H, moved), (H, Xf[:-1])):
@@ -573,7 +634,7 @@ def test_fit_restarts_match_dense_objective(monkeypatch):
     dense = neg_log_marginal_objective(
         inst.a.values, design, posteriors, amap.H, inst.fine.centroids
     )
-    monkeypatch.setattr(downscale, "_neg_log_marginal", lambda prob, theta: dense(theta))
+    monkeypatch.setattr(downscale, "_neg_log_marginal", lambda prob, *args: dense(*args))
     oracle = fit_downscale(inst.a, posteriors, inst.fine, amap, restarts=3, seed=0)
 
     got = prepared.diagnostics["restart_records"]
@@ -614,7 +675,8 @@ def test_predict_factors_the_lambda_the_fit_factors(monkeypatch):
     factored = []
     real_cholesky = downscale.cholesky
     monkeypatch.setattr(downscale, "cholesky", lambda M: factored.append(M) or real_cholesky(M))
-    _neg_log_marginal(_Problem.build(inst.a, posteriors, inst.fine, inst.amap), theta)
+    prob = _Problem.build(inst.a, posteriors, inst.fine, inst.amap)
+    _neg_log_marginal(prob, theta, lambda value: False)
     design = build_design(posteriors, n_fine=len(inst.fine))
     predict_fine(params, inst.a, design, posteriors, inst.amap)
     assert len(factored) == 2

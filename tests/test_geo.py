@@ -167,10 +167,14 @@ def test_unit_square_no_lonlat_warning(recwarn):
 @settings(max_examples=50, deadline=None)
 def test_centroid_translation_and_area_scaling(dx, dy, c):
     base = np.array(L_SHAPE, dtype=float)
-    area0, cent0 = polygon_area_centroid([[base]])
-    area_t, cent_t = polygon_area_centroid([[base + np.array([dx, dy])]])
+
+    def area_centroid(ring):
+        return polygon_area_centroid(Region("L", [[ring]]).geometry)
+
+    area0, cent0 = area_centroid(base)
+    area_t, cent_t = area_centroid(base + np.array([dx, dy]))
     assert cent_t == pytest.approx(cent0 + np.array([dx, dy]), abs=1e-8)
-    area_s, _ = polygon_area_centroid([[base * c]])
+    area_s, _ = area_centroid(base * c)
     assert area_s == pytest.approx(area0 * c * c, rel=1e-9)
 
 
@@ -269,9 +273,10 @@ def test_load_closes_each_ring_once(monkeypatch):
     doc = collection(feature("A", OPEN_RING), feature("L", L_SHAPE), with_hole, multi)
     part = load_partition(doc)
     assert len(calls) == 6  # A, L, H's outer ring and hole, M's two polygons
-    # the centroids are those of polygon_area_centroid on the raw rings
+    # the centroids are those of polygon_area_centroid on the rings Region closes
     want = [
-        polygon_area_centroid(geo._geometry_rings(f["geometry"]))[1] for f in doc["features"]
+        polygon_area_centroid(Region("R", geo._geometry_rings(f["geometry"])).geometry)[1]
+        for f in doc["features"]
     ]
     assert np.array_equal(part.centroids, np.array(want))
 

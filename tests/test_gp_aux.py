@@ -2,14 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import grad_check, hex_floats, point_partition
+from conftest import always, grad_check, hex_floats, point_partition
 from finescale import gp_aux
 from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
 from finescale.geo import ArealDataset
 from finescale.gp_aux import (
     AuxFitError,
     AuxGPModel,
+    _AuxFit,
     _AuxProblem,
     _nll_and_grad,
     data_sha256,
@@ -22,7 +25,6 @@ from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_
 from finescale.numerics import (
     SIGMA_FLOOR,
     FactorizationError,
-    StaleGradientError,
     cholesky,
     inverse,
     log_det,
@@ -124,7 +126,8 @@ def test_objective_gradient_matches_finite_differences(rng):
     D2 = sq_dists(X, X)
     for _ in range(10):
         theta = rng.normal(0.0, 0.7, size=3)
-        err = grad_check(lambda t: _nll_and_grad(_AuxProblem.build(y, D2), t), theta)
+        prob = _AuxProblem.build(y, D2)
+        err = grad_check(lambda t, accept: _nll_and_grad(prob, t, accept), theta)
         assert err <= 1e-5
 
 
@@ -134,8 +137,11 @@ def _gram(alpha, gamma, sigma, D2):
     return K, K + (sigma**2 + JITTER_REL * alpha**2) * np.eye(D2.shape[0])
 
 
-def unbuffered_nll_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, D2: np.ndarray):
-    """Negative log marginal and gradient function over (log alpha, log gamma, log sigma).
+def unbuffered_nll_and_grad(
+    theta: np.ndarray, X: np.ndarray, y: np.ndarray, D2: np.ndarray, accept
+):
+    """Negative log marginal over (log alpha, log gamma, log sigma), and its
+    gradient where ``accept`` of it holds, else None; it computes both either way.
 
     With beta = A^-1 y, d log L / d theta_k = 1/2 (beta^T dA_k beta - tr(A^-1 dA_k)),
     where dA is 2 (K + jitter I), K o D2 / gamma^2 and 2 sigma^2 I; each term
@@ -160,7 +166,8 @@ def unbuffered_nll_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, D2:
             2.0 * sigma**2 * (bb - tr),
         ]
     )
-    return float(nll), lambda: -0.5 * dll
+    nll = float(nll)
+    return nll, (-0.5 * dll if accept(nll) else None)
 
 
 def _bits(value, grad):
@@ -187,38 +194,49 @@ def test_buffered_objective_equals_unbuffered_bit_for_bit(rng, n):
     for t in thetas + thetas[::-1] + [SINGULAR_THETA, thetas[0]]:
         if t is SINGULAR_THETA:
             with pytest.raises(FactorizationError) as got:
-                _nll_and_grad(prob, t)
+                _nll_and_grad(prob, t, always)
             with pytest.raises(FactorizationError) as want:
-                unbuffered_nll_and_grad(t, X, y, D2)
+                unbuffered_nll_and_grad(t, X, y, D2, always)
             assert str(got.value) == str(want.value)
             continue
-        value, gradient = _nll_and_grad(prob, t)
-        want_value, want_gradient = unbuffered_nll_and_grad(t, X, y, D2)
-        got, want = (value, gradient()), (want_value, want_gradient())
+        got = _nll_and_grad(prob, t, always)
+        want = unbuffered_nll_and_grad(t, X, y, D2, always)
         assert _bits(*got) == _bits(*want)
         assert np.array_equal(got[1], want[1])
 
 
-def test_gradient_of_an_earlier_call_raises(rng):
+def test_objective_computes_the_gradient_only_where_accept_holds(rng):
     X = rng.uniform(size=(30, 2))
-    y = rng.normal(size=30)
-    D2 = sq_dists(X, X)
-    prob = _AuxProblem.build(y, D2)
-    t1, t2 = np.array([0.0, -1.0, -2.0]), np.array([0.3, -1.2, -1.5])
-    _, first = _nll_and_grad(prob, t1)
-    _, second = _nll_and_grad(prob, t2)
-    with pytest.raises(StaleGradientError):
-        first()
-    want = _nll_and_grad(_AuxProblem.build(y, D2), t2)[1]()
-    assert np.array_equal(second(), want)
-    with pytest.raises(StaleGradientError):
-        second()  # the first call turned K into E and the factor into A^-1
-    # a call whose factorization fails still takes the arrays from the last one
-    _, third = _nll_and_grad(prob, t1)
-    with pytest.raises(FactorizationError):
-        _nll_and_grad(prob, SINGULAR_THETA)
-    with pytest.raises(StaleGradientError):
-        third()
+    fit = _AuxFit.prepare(ArealDataset(point_partition("p", X), rng.normal(size=30)), 3, 0)
+    f = fit.make_objective()
+    for theta in fit.starts:
+        seen = []
+        rejected, grad = f(theta, lambda value: seen.append(value) or False)
+        assert grad is None
+        value, grad = f(theta, lambda value: seen.append(value) or True)
+        assert np.all(np.isfinite(grad))
+        # one test per call, of the very value the call returns
+        assert [float(v).hex() for v in seen] == [value.hex()] * 2
+        assert rejected.hex() == value.hex()
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_objective_is_invariant_under_permutation(data):
+    # the training regions in another order: the same value and gradient
+    n = data.draw(st.integers(2, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(size=(n, 2))
+    y = rng.normal(size=n)
+    theta = rng.normal(0.0, 0.7, size=3)
+    order = np.array(data.draw(st.permutations(range(n))))
+    value, grad = _nll_and_grad(_AuxProblem.build(y, sq_dists(X, X)), theta, always)
+    moved = X[order]
+    moved_value, moved_grad = _nll_and_grad(
+        _AuxProblem.build(y[order], sq_dists(moved, moved)), theta, always
+    )
+    assert abs(moved_value - value) <= 1e-10 * abs(value)
+    assert np.all(np.abs(moved_grad - grad) <= 1e-10 * np.abs(grad).max())
 
 
 def test_objective_allocates_no_n_by_n_array():
@@ -229,10 +247,10 @@ def test_objective_allocates_no_n_by_n_array():
     X = rng.uniform(size=(n, 2))
     prob = _AuxProblem.build(rng.normal(size=n), sq_dists(X, X))
     theta = np.array([0.0, np.log(0.2), np.log(0.1)])
-    _nll_and_grad(prob, theta)[1]()
+    _nll_and_grad(prob, theta, always)
     tracemalloc.start()
     try:
-        _nll_and_grad(prob, theta + 0.1)[1]()
+        _nll_and_grad(prob, theta + 0.1, always)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -250,10 +268,10 @@ def test_gram_adds_the_noise_to_the_diagonal_only():
     assert np.array_equal(K, K_ref) and np.array_equal(A, A_ref)
 
 
-def dense_nll_and_grad(theta, X, y, D2):
-    """Reference objective and gradient function: A^-1 by solving against I, and
-    each gradient entry as -1/2 sum((beta beta^T - A^-1) o dA) over dense n x n
-    derivatives dA."""
+def dense_nll_and_grad(theta, X, y, D2, accept):
+    """Reference objective, with its gradient where ``accept`` of the value
+    holds: A^-1 by solving against I, and each gradient entry as
+    -1/2 sum((beta beta^T - A^-1) o dA) over dense n x n derivatives dA."""
     alpha, gamma, sigma = np.exp(theta)
     n = y.size
     K = alpha**2 * np.exp(-0.5 * D2 / gamma**2)
@@ -265,7 +283,8 @@ def dense_nll_and_grad(theta, X, y, D2):
     M = np.outer(beta, beta) - solve(F, np.eye(n))
     dA = [2.0 * (K + jitter * np.eye(n)), K * (D2 / gamma**2), 2.0 * sigma**2 * np.eye(n)]
     grad = np.array([-0.5 * np.sum(M * dAk) for dAk in dA])
-    return float(nll), lambda: grad
+    nll = float(nll)
+    return nll, (grad if accept(nll) else None)
 
 
 # (n, theta); theta None draws (log alpha, log gamma, log sigma) from N(0, 0.7^2).
@@ -291,10 +310,8 @@ def test_objective_matches_dense_oracle(rng, n, theta):
     D2 = sq_dists(X, X)
     for _ in range(3):
         t = rng.normal(0.0, 0.7, size=3) if theta is None else np.array(theta)
-        val, gradient = _nll_and_grad(_AuxProblem.build(y, D2), t)
-        grad = gradient()
-        dense_val, dense_gradient = dense_nll_and_grad(t, X, y, D2)
-        dense_grad = dense_gradient()
+        val, grad = _nll_and_grad(_AuxProblem.build(y, D2), t, always)
+        dense_val, dense_grad = dense_nll_and_grad(t, X, y, D2, always)
         assert val == pytest.approx(dense_val, rel=1e-10)
         assert np.max(np.abs(grad - dense_grad) / np.maximum(1.0, np.abs(dense_grad))) <= 1e-8
 
@@ -307,7 +324,10 @@ def test_fit_winners_match_dense_objective(monkeypatch):
     fitted = [fit_aux_gp(ds, restarts=3, seed=0) for ds in inst.aux_datasets]
 
     def fits_with(oracle):
-        monkeypatch.setattr(gp_aux, "_nll_and_grad", lambda prob, t: oracle(t, None, prob.ys, prob.D2))
+        def objective(prob, t, accept):
+            return oracle(t, None, prob.ys, prob.D2, accept)
+
+        monkeypatch.setattr(gp_aux, "_nll_and_grad", objective)
         return [fit_aux_gp(ds, restarts=3, seed=0) for ds in inst.aux_datasets]
 
     for model, unbuffered in zip(fitted, fits_with(unbuffered_nll_and_grad)):

@@ -320,8 +320,11 @@ def test_log_det_hand_case():
     assert log_det(cholesky(M22)) == pytest.approx(np.log(8.0), abs=1e-12)
 
 
-def _quadratic(x):
-    return float(x @ x), lambda: 2.0 * x
+# The objectives below follow bfgs_minimize's protocol: f(x, accept) returns
+# the value and, only where accept(value) holds, the gradient; else None.
+def _quadratic(x, accept):
+    value = float(x @ x)
+    return value, (2.0 * x if accept(value) else None)
 
 
 def test_bfgs_quadratic_bowl():
@@ -330,13 +333,12 @@ def test_bfgs_quadratic_bowl():
     assert np.allclose(res.argmin, 0.0, atol=1e-6)
 
 
-def _rosenbrock(x):
+def _rosenbrock(x, accept):
     a, b = x
-    val = (1 - a) ** 2 + 100.0 * (b - a**2) ** 2
-    grad = np.array(
-        [-2.0 * (1 - a) - 400.0 * a * (b - a**2), 200.0 * (b - a**2)]
-    )
-    return float(val), lambda: grad
+    val = float((1 - a) ** 2 + 100.0 * (b - a**2) ** 2)
+    if not accept(val):
+        return val, None
+    return val, np.array([-2.0 * (1 - a) - 400.0 * a * (b - a**2), 200.0 * (b - a**2)])
 
 
 def test_bfgs_rosenbrock():
@@ -362,10 +364,10 @@ def test_bfgs_deterministic():
 def test_bfgs_objective_monotone_over_accepted_iterates():
     history = []
 
-    def f(x):
-        val, gradient = _rosenbrock(x)
+    def f(x, accept):
+        val, grad = _rosenbrock(x, accept)
         history.append((x.copy(), val))
-        return val, gradient
+        return val, grad
 
     bfgs_minimize(f, np.array([-1.2, 1.0]))
     # reconstruct the accepted sequence: objective at each improvement point
@@ -378,14 +380,16 @@ def test_bfgs_objective_monotone_over_accepted_iterates():
     assert all(a > b for a, b in zip(accepted, accepted[1:]))
 
 
-def _linear_on_large_offset(x):
+def _linear_on_large_offset(x, accept):
     # each step moves the objective by 1 part in 1e12 while the gradient stays 1
-    return 1e12 + float(x[0]), lambda: np.array([1.0])
+    value = 1e12 + float(x[0])
+    return value, (np.array([1.0]) if accept(value) else None)
 
 
-def _wrong_gradient(x):
+def _wrong_gradient(x, accept):
     # the gradient points uphill, so no step along -gradient decreases f
-    return float(x @ x), lambda: -2.0 * x
+    value = float(x @ x)
+    return value, (-2.0 * x if accept(value) else None)
 
 
 def test_bfgs_ftol_stop_with_large_gradient_is_not_converged():
@@ -403,43 +407,50 @@ def test_bfgs_ftol_stop_with_large_gradient_is_not_converged():
         (_wrong_gradient, [1.0], 500, "line_search"),
     ],
 )
-def test_bfgs_stop_reason(f, x0, max_iter, stop):
-    res = bfgs_minimize(f, np.array(x0), max_iter=max_iter)
+def test_bfgs_stop_reason(monkeypatch, f, x0, max_iter, stop):
+    monkeypatch.setattr(numerics, "MAX_ITER", max_iter)
+    res = bfgs_minimize(f, np.array(x0))
     assert res.stop == stop
     assert res.converged == (stop == "gtol")
 
 
 def test_bfgs_asks_for_the_gradient_only_where_it_keeps_the_point():
-    asked, called = [], []
+    kept, called = [], []
     x0 = np.array([-1.2, 1.0])
 
-    def f(x):
+    def f(x, accept):
         called.append(x.copy())
-        val, gradient = _rosenbrock(x)
-        return val, lambda: asked.append(x.copy()) or gradient()
+
+        def recorded(value):
+            if accept(value):
+                kept.append(x.copy())
+                return True
+            return False
+
+        return _rosenbrock(x, recorded)
 
     res = bfgs_minimize(f, x0)
-    # the start and the point of every accepted step
-    assert len(asked) == res.iterations + 1
-    assert np.array_equal(asked[0], x0) and np.array_equal(asked[-1], res.argmin)
-    assert len(called) > len(asked)  # the line search tried points it then rejected
+    # accept is true at the start and at the point of every accepted step, and nowhere else
+    assert len(kept) == res.iterations + 1
+    assert np.array_equal(kept[0], x0) and np.array_equal(kept[-1], res.argmin)
+    assert len(called) > len(kept)  # the line search tried points it then rejected
 
 
-def _bowl_with_a_wall(theta):
+def _bowl_with_a_wall(theta, accept):
     # a bowl centred at x = 3 whose gradient cannot be computed beyond x = 1.7
     x = theta - np.array([3.0] + [0.0] * (theta.size - 1))
+    value = float(x @ x)
+    if not accept(value):
+        return value, None
+    if theta[0] > 1.7:
+        raise FactorizationError("dpotri failed (info 1)", pivot=1)
+    return value, 2.0 * x
 
-    def gradient():
-        if theta[0] > 1.7:
-            raise FactorizationError("dpotri failed (info 1)", pivot=1)
-        return 2.0 * x
 
-    return float(x @ x), gradient
-
-
-def _bowl_with_an_infinite_wall(theta):
-    value, gradient = _bowl_with_a_wall(theta)
-    return (np.inf if theta[0] > 1.7 else value), gradient
+def _bowl_with_an_infinite_wall(theta, accept):
+    if theta[0] > 1.7:
+        return np.inf, None
+    return _bowl_with_a_wall(theta, accept)
 
 
 def test_factorization_error_from_the_gradient_counts_the_point_as_infinite():
@@ -470,33 +481,28 @@ def test_restart_records_count_values_and_gradients():
     assert (record["evaluations"], record["feasible"], record["gradients"]) == (1, 1, 0)
 
 
-def test_lease_gradient_checks_raise_once_stale():
-    lease = numerics.Lease()
-    first = lease.take()
-    second = lease.take()
-    with pytest.raises(numerics.StaleGradientError):
-        first()
-    second()
-    with pytest.raises(numerics.StaleGradientError):
-        second()  # the gradient has overwritten the state it read
-
-
-def _double_well(theta):
+def _double_well(theta, accept):
     # minima at theta[0] = +-1; the trailing (log alpha, log gamma, log sigma) are inert
     x = theta[0]
+    value = float((x * x - 1.0) ** 2)
+    if not accept(value):
+        return value, None
     grad = np.zeros_like(theta)
     grad[0] = 4.0 * x * (x * x - 1.0)
-    return float((x * x - 1.0) ** 2), lambda: grad
+    return value, grad
 
 
-def _tilted_wells(theta):
+def _tilted_wells(theta, accept):
     # a double well in x tilted so that its minimum near x = -1 is the lower
     # one, plus a level double well in y whose minima at y = +-1 tie exactly
     x, y = theta[:2]
+    value = float((x * x - 1.0) ** 2 + 0.5 * x + (y * y - 1.0) ** 2)
+    if not accept(value):
+        return value, None
     grad = np.zeros_like(theta)
     grad[0] = 4.0 * x * (x * x - 1.0) + 0.5
     grad[1] = 4.0 * y * (y * y - 1.0)
-    return float((x * x - 1.0) ** 2 + 0.5 * x + (y * y - 1.0) ** 2), lambda: grad
+    return value, grad
 
 
 def _minimize(make_objective, starts):
@@ -535,11 +541,11 @@ def test_multistart_earliest_start_wins_an_exact_tie(sign):
 def test_multistart_skips_infeasible_and_unfactorizable_starts():
     calls = []
 
-    def f(theta):
+    def f(theta, accept):
         calls.append(theta)
         if theta[0] > 0:
             raise FactorizationError("not positive definite")
-        return _quadratic(theta)
+        return _quadratic(theta, accept)
 
     starts = [
         np.array([0.0, 0.0, 0.0, np.log(SIGMA_FLOOR) - 1.0]),  # sigma below the floor
@@ -594,13 +600,13 @@ def test_multistart_programming_error_propagates_and_drops_queued_starts(search_
     starts = [np.array([k + 0.25, 0.5, 0.5, 0.5]) for k in range(6)]
     begun = []
 
-    def f(theta):
+    def f(theta, accept):
         if theta[0] == starts[0][0]:
             raise TypeError("not a numerical failure")
         if any(np.array_equal(theta, x0) for x0 in starts):
             begun.append(theta[0])
             time.sleep(0.05)  # start 0 fails while this start runs
-        return _quadratic(theta)
+        return _quadratic(theta, accept)
 
     # the six starts as one job, or as three jobs whose first fails: either
     # way no queued start of any job begins after the failure
@@ -629,10 +635,10 @@ def _stress(monkeypatch, sizes):
     job_starts = [starts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     begun, made = [], []
 
-    def f(theta):
+    def f(theta, accept):
         if any(np.array_equal(theta, x0) for x0 in starts):
             begun.append((theta[0], threading.get_ident()))  # list.append is atomic
-        return _quadratic(theta)
+        return _quadratic(theta, accept)
 
     def maker(j):
         def make_objective():
@@ -680,9 +686,9 @@ def test_grad_check_exact_quadratic(rng):
 
 
 def test_grad_check_flags_wrong_gradient(rng):
-    def wrong(x):
-        val, gradient = _quadratic(x)
-        return val, lambda: 2.0 * gradient()
+    def wrong(x, accept):
+        val, grad = _quadratic(x, accept)
+        return val, (None if grad is None else 2.0 * grad)
 
     # at x = 0.25: analytic (doubled) = 1, numeric = 0.5, denominator
     # max(1, |numeric|) = 1, so the reported error is 0.5

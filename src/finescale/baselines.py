@@ -25,7 +25,7 @@ def gpr_baseline(
     """Plain GP interpolation of the coarse data at the fine centroids."""
     model = fit_aux_gp(a, restarts=restarts, seed=seed, dataset_id="gpr_target")
     post = predict_aux(model, fine.centroids)
-    return BaselineResult(prediction=post.mean, variance=np.diag(post.cov).copy())
+    return BaselineResult(prediction=post.mean, variance=post.var)
 
 
 def lr_baseline(

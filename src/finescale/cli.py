@@ -10,8 +10,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import finescale
 from finescale import render
 from finescale.downscale import (
@@ -172,7 +170,7 @@ def cmd_refine(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "refinement.csv", ["region_id", "mean", "variance"], fine.ids,
-              zip(refinement.mean, np.diag(refinement.cov)))
+              zip(refinement.mean, refinement.var))
     if args.covariance:
         write_csv(out / "refinement_cov.csv", ["", *fine.ids], fine.ids, refinement.cov)
     (out / "refinement.svg").write_text(render.choropleth_svg(fine, refinement.mean))

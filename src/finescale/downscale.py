@@ -22,7 +22,15 @@ from finescale.geo import (
     json_value,
 )
 from finescale.gp_aux import AuxPosterior, median_pairwise_distance
-from finescale.kernel import JITTER_REL, SEKernelParams, se_from_sq_dists, sq_dists
+from finescale.kernel import (
+    JITTER_REL,
+    SEKernelParams,
+    cov_matrix,
+    kernel_times,
+    rows_times,
+    se_from_sq_dists,
+    sq_dists,
+)
 from finescale.numerics import (
     SIGMA_FLOOR,
     NumericalError,
@@ -122,8 +130,28 @@ class DownscaleParams:
 
 @dataclass(frozen=True)
 class Refinement:
+    """The posterior of the fine field: its mean and variance, and what its
+    covariance Omega - V^T V is formed from when ``cov`` is read, V being
+    L^-1 H Omega (nc x nf)."""
+
     mean: np.ndarray
-    cov: np.ndarray
+    var: np.ndarray
+    V: np.ndarray
+    params: DownscaleParams
+    Xf: np.ndarray
+    posteriors: tuple[AuxPosterior, ...]
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The covariance as a dense nf x nf array, exactly symmetric, with
+        diagonal ``var``; formed on every read."""
+        w = self.params.w
+        cov = cov_matrix(self.params.kernel, self.Xf, self.Xf)
+        for s, post in enumerate(self.posteriors):
+            cov += w[s] ** 2 * post.cov
+        cov -= self.V.T @ self.V
+        np.fill_diagonal(cov, self.var)
+        return cov
 
 
 def build_design(posteriors: list[AuxPosterior], n_fine: int) -> DesignMatrix:
@@ -140,13 +168,14 @@ class _Problem:
     """The parameter-free parts of the second-step model, shared by fit and refine.
 
     The observations a (None when only Lambda is wanted), H, the design and
-    H F, the fine locations Xf and their squared distances D2, and
-    H Sigma_s H^T for every auxiliary. K, when set, is the nf x nf array an
-    objective call writes K into and its gradient turns into K o D2 / gamma^2;
-    each thread of the fit has its own. A call then allocates no nf x nf array:
-    malloc gives such arrays back to the system when they are freed, and the
-    next call faults them in again (190 000 page faults, 0.4 s of a 2.4 s fit
-    at 480 fine regions).
+    H F, the fine locations Xf, and Sigma_s H^T (nf x nc) and H Sigma_s H^T
+    for every auxiliary. The fit's objective also reads D2, the squared
+    distances of the fine locations, and K, the nf x nf array a call writes
+    K into and its gradient turns into K o D2 / gamma^2; each thread of the
+    fit has its own. A call then allocates no nf x nf array: malloc gives
+    such arrays back to the system when they are freed, and the next call
+    faults them in again (190 000 page faults, 0.4 s of a 2.4 s fit at 480
+    fine regions). The refine sets neither, and holds no nf x nf array.
     """
 
     a: np.ndarray | None
@@ -154,8 +183,9 @@ class _Problem:
     design: DesignMatrix
     HF: np.ndarray
     Xf: np.ndarray
-    D2: np.ndarray
+    SHt: tuple[np.ndarray, ...]
     HSH: tuple[np.ndarray, ...]
+    D2: np.ndarray | None = None
     K: np.ndarray | None = None
 
     @classmethod
@@ -166,8 +196,10 @@ class _Problem:
         fine: Partition | np.ndarray | None,
         amap_or_H,
         design: DesignMatrix | None = None,
+        dists: bool = False,
     ) -> "_Problem":
-        """Coerce the inputs once, with ``_aggregation`` checking H and the fine locations."""
+        """Coerce the inputs once, with ``_aggregation`` checking H and the
+        fine locations; ``dists`` sets D2 for an objective."""
         if isinstance(a, ArealDataset):
             a = a.values
         elif a is not None:
@@ -175,14 +207,16 @@ class _Problem:
         H, Xf = _aggregation(amap_or_H, fine)
         if design is None:
             design = build_design(posteriors, n_fine=Xf.shape[0])
+        SHt = tuple(post.cov_times(H.T) for post in posteriors)
         return cls(
             a=a,
             H=H,
             design=design,
             HF=H @ design.F,
             Xf=Xf,
-            D2=sq_dists(Xf, Xf),
-            HSH=tuple(H @ post.cov @ H.T for post in posteriors),
+            SHt=SHt,
+            HSH=tuple(H @ S for S in SHt),
+            D2=sq_dists(Xf, Xf) if dists else None,
         )
 
 
@@ -208,22 +242,23 @@ def _aggregation(amap_or_H, fine: Partition | np.ndarray | None) -> tuple[np.nda
     return H, Xf
 
 
-def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, gamma: float, sigma: float):
-    """K, H K H^T, Lambda = sigma^2 I + H K H^T + sum_s w_s^2 H Sigma_s H^T
-    and the Cholesky factor of the jittered Lambda.
+def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, sigma: float, KHt: np.ndarray):
+    """H K H^T, Lambda = sigma^2 I + H K H^T + sum_s w_s^2 H Sigma_s H^T and
+    the Cholesky factor of the jittered Lambda, from K H^T.
 
     The one place Lambda is formed: the fit and predict_fine both factor it.
-    K is written into prob.K when set, else into a new array.
+    The fit forms K H^T from row blocks of its whole K, the refine from the
+    same row blocks formed one at a time (``kernel.rows_times``), so both
+    factor the same Lambda to the bit.
     """
     nc = prob.H.shape[0]
-    K = se_from_sq_dists(alpha, gamma, prob.D2, out=prob.K)
-    HKH = prob.H @ K @ prob.H.T
+    HKH = prob.H @ KHt
     Lam = sigma**2 * np.eye(nc) + HKH
     for s, HSH in enumerate(prob.HSH):
         Lam = Lam + w[s] ** 2 * HSH
     Lam = 0.5 * (Lam + Lam.T)
     factor = cholesky(Lam + JITTER_REL * (sigma**2 + alpha**2) * np.eye(nc))
-    return K, HKH, Lam, factor
+    return HKH, Lam, factor
 
 
 def _neg_log_marginal(prob: _Problem, theta: np.ndarray, accept):
@@ -238,8 +273,10 @@ def _neg_log_marginal(prob: _Problem, theta: np.ndarray, accept):
     S = len(prob.HSH)
     w = theta[: S + 1]
     alpha, gamma, sigma = (float(np.exp(v)) for v in theta[S + 1 :])
-    nc = prob.H.shape[0]
-    K, HKH, _, factor = _lambda_terms(prob, w, alpha, gamma, sigma)
+    nc, nf = prob.H.shape
+    K = se_from_sq_dists(alpha, gamma, prob.D2, out=prob.K)
+    KHt = rows_times(lambda i, j: K[i:j], nf, prob.H.T)
+    HKH, _, factor = _lambda_terms(prob, w, alpha, sigma, KHt)
     r = prob.a - prob.HF @ w
     p = solve(factor, r)
     ll = float(-0.5 * r @ p - 0.5 * log_det(factor) - 0.5 * nc * np.log(2 * np.pi))
@@ -284,7 +321,8 @@ def assemble_lambda(
     """Lambda = sigma^2 I + H Omega H^T, Omega = K + sum_s w_s^2 Sigma_s, as the fit forms it."""
     prob = _Problem.build(None, posteriors, fine_centroids, amap_or_H)
     kernel = params.kernel
-    *_, Lam, factor = _lambda_terms(prob, params.w, kernel.alpha, kernel.gamma, params.sigma)
+    KHt = kernel_times(kernel, prob.Xf, prob.H.T)
+    _, Lam, factor = _lambda_terms(prob, params.w, kernel.alpha, params.sigma, KHt)
     return LambdaAssembly(Lambda=Lam, factor=factor, problem=prob)
 
 
@@ -327,7 +365,9 @@ def grad_log_marginal(
         raise ValueError(
             f"{len(posteriors)} posteriors for an assembly built from {len(prob.HSH)}"
         )
-    prob = replace(prob, a=np.asarray(a, dtype=float), design=design, HF=prob.H @ design.F)
+    prob = replace(
+        prob, a=np.asarray(a, dtype=float), design=design, HF=prob.H @ design.F, D2=sq_dists(Xf, Xf)
+    )
     theta = _pack(params.w, params.kernel, params.sigma)
     return -_neg_log_marginal(prob, theta, lambda value: True)[1]
 
@@ -373,7 +413,7 @@ def fit_downscale(
     own nf x nf scratch array. Raises
     DownscaleFitError when the warm start is not finite or every restart fails.
     """
-    prob = _Problem.build(a, posteriors, fine, amap_or_H)
+    prob = _Problem.build(a, posteriors, fine, amap_or_H, dists=True)
     a_vec, H, design = prob.a, prob.H, prob.design
     n_w = design.F.shape[1]
 
@@ -443,25 +483,26 @@ def predict_fine(
     """Posterior of the fine field given a, conditioned on the Lambda the fit factors.
 
     With Omega = K + sum_s w_s^2 Sigma_s and V = L^-1 H Omega, where
-    L L^T = Lambda: mean F w + (H Omega)^T Lambda^-1 (a - H F w), covariance
-    Omega - V^T V, formed in place of K.
+    L L^T = Lambda: mean F w + (H Omega)^T Lambda^-1 (a - H F w), variance
+    diag Omega - colsum(V o V). Only Omega H^T is formed, from row blocks of
+    K and each Sigma_s H^T, so no nf x nf array is; ``Refinement.cov`` forms
+    the covariance Omega - V^T V when it is read.
     """
     prob = _Problem.build(a, posteriors, fine, amap_or_H, design)
-    w = params.w
-    cov, _, _, factor = _lambda_terms(
-        prob, w, params.kernel.alpha, params.kernel.gamma, params.sigma
-    )
-    m0 = design.F @ w
-    H, r = prob.H, prob.a - prob.H @ m0
-    del prob  # frees D2 before the nf x nf work below
+    w, kernel = params.w, params.kernel
+    OmHt = kernel_times(kernel, prob.Xf, prob.H.T)
+    _, _, factor = _lambda_terms(prob, w, kernel.alpha, params.sigma, OmHt)
+    var = np.full(len(prob.Xf), kernel.alpha**2)  # the diagonal of K
     for s, post in enumerate(posteriors):
-        cov += w[s] ** 2 * post.cov  # K becomes Omega
-    HOm = H @ cov
-    mean = m0 + HOm.T @ solve(factor, r)
-    V = solve_lower(factor, HOm)
-    cov -= V.T @ V  # V^T V is exactly symmetric, and so is cov
-    d = np.diag(cov).copy()
-    if d.min() < -1e-8:
-        raise NumericalError(f"predictive variance {d.min()} below clamp tolerance")
-    np.fill_diagonal(cov, np.maximum(d, 0.0))
-    return Refinement(mean=mean, cov=cov)
+        OmHt += w[s] ** 2 * prob.SHt[s]  # K H^T becomes Omega H^T
+        var += w[s] ** 2 * post.var
+    m0 = design.F @ w
+    mean = m0 + OmHt @ solve(factor, prob.a - prob.H @ m0)
+    V = solve_lower(factor, OmHt.T)
+    var -= np.einsum("ij,ij->j", V, V)
+    if var.min() < -1e-8:
+        raise NumericalError(f"predictive variance {var.min()} below clamp tolerance")
+    np.maximum(var, 0.0, out=var)
+    return Refinement(
+        mean=mean, var=var, V=V, params=params, Xf=prob.Xf, posteriors=tuple(posteriors)
+    )

@@ -9,7 +9,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from finescale.geo import ArealDataset, Partition, json_log, json_value
-from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
+from finescale.kernel import (
+    JITTER_REL,
+    SEKernelParams,
+    cov_matrix,
+    kernel_times,
+    se_from_sq_dists,
+    sq_dists,
+)
 from finescale.numerics import (
     SIGMA_FLOOR,
     NumericalError,
@@ -18,6 +25,7 @@ from finescale.numerics import (
     log_det,
     multistart_minimize,
     solve,
+    solve_lower,
 )
 
 
@@ -75,13 +83,37 @@ class AuxGPModel:
 
 @dataclass(frozen=True)
 class AuxPosterior:
+    """An auxiliary GP's posterior at the locations Xf, held without an nf x nf array.
+
+    With L L^T = K(X, X) + sigma^2 I on the n training points and
+    W = L^-1 K(X, Xf) (n x nf), the covariance is
+    Sigma = k(Xf, Xf) - W^T W; var is its diagonal, clamped at zero.
+    """
+
     dataset_id: str
     mean: np.ndarray
-    cov: np.ndarray
+    var: np.ndarray
+    W: np.ndarray
+    kernel: SEKernelParams
+    Xf: np.ndarray
 
     @property
     def avg_variance(self) -> float:
-        return float(np.mean(np.diag(self.cov)))
+        return float(np.mean(self.var))
+
+    def cov_times(self, M: np.ndarray) -> np.ndarray:
+        """Sigma M = k(Xf, Xf) M - W^T (W M), in O(nf (n + m)) memory for an nf x m M."""
+        SM = kernel_times(self.kernel, self.Xf, M)
+        SM -= self.W.T @ (self.W @ M)
+        return SM
+
+    @property
+    def cov(self) -> np.ndarray:
+        """Sigma as a dense nf x nf array, exactly symmetric, formed on every read."""
+        cov = cov_matrix(self.kernel, self.Xf, self.Xf)
+        cov -= self.W.T @ self.W
+        np.fill_diagonal(cov, self.var)
+        return cov
 
 
 def _gram(
@@ -300,25 +332,26 @@ def fit_aux_gp(
 
 
 def predict_aux(model: AuxGPModel, test_centroids) -> AuxPosterior:
-    """Predictive mean and covariance at the test centroids.
+    """Predictive posterior at the test centroids.
 
+    With L L^T = K + sigma^2 I and W = L^-1 K*:
     mean = offset + K*^T (K + sigma^2 I)^-1 (y - offset)
-    cov  = K** - K*^T (K + sigma^2 I)^-1 K*
+    var  = diag K** - colsum(W o W), clamped at zero
     """
     Xt = np.atleast_2d(np.asarray(test_centroids, dtype=float))
     X = model.train_centroids
     yc = model.train_values - model.offset
     F = cholesky(_gram(model.params.alpha, model.params.gamma, model.noise_sigma, sq_dists(X, X)))
     Ks = cov_matrix(model.params, X, Xt)
-    Kss = cov_matrix(model.params, Xt, Xt)
     mean = model.offset + Ks.T @ solve(F, yc)
-    cov = Kss - Ks.T @ solve(F, Ks)
-    cov = 0.5 * (cov + cov.T)
-    d = np.diag(cov).copy()
-    if d.min() < -1e-10:
-        raise NumericalError(f"predictive variance {d.min()} below clamp tolerance")
-    np.fill_diagonal(cov, np.maximum(d, 0.0))
-    return AuxPosterior(dataset_id=model.dataset_id, mean=mean, cov=cov)
+    W = solve_lower(F, Ks)
+    var = model.params.alpha**2 - np.einsum("ij,ij->j", W, W)
+    if var.min() < -1e-10:
+        raise NumericalError(f"predictive variance {var.min()} below clamp tolerance")
+    np.maximum(var, 0.0, out=var)
+    return AuxPosterior(
+        dataset_id=model.dataset_id, mean=mean, var=var, W=W, kernel=model.params, Xf=Xt
+    )
 
 
 @contextmanager

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 
@@ -26,8 +27,8 @@ from finescale.geo import (
     polygon_area_centroid,
     write_csv,
 )
-from finescale.gp_aux import AuxPosterior
-from finescale.kernel import SEKernelParams, cov_matrix
+from finescale.gp_aux import AuxGPModel, AuxPosterior, predict_aux
+from finescale.kernel import SEKernelParams
 
 
 def se_kernel(params: SEKernelParams, x, x2) -> float:
@@ -98,21 +99,43 @@ def save_aggregation_csv(amap: AggregationMap, path) -> None:
     write_csv(path, ["", *amap.fine.ids], amap.coarse.ids, amap.H)
 
 
-def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    A = rng.normal(size=(n, n))
-    M = scale * (A @ A.T) / n + 1e-6 * np.eye(n)
-    return 0.5 * (M + M.T)
-
-
-def random_posteriors(rng: np.random.Generator, n_fine: int, n_aux: int):
-    return [
-        AuxPosterior(
+def random_posteriors(rng: np.random.Generator, Xf: np.ndarray, n_aux: int):
+    """Posteriors at the locations Xf, each of a GP with a random kernel and
+    noise given random values at 2 to 8 random points of the unit square."""
+    posteriors = []
+    for s in range(n_aux):
+        n = int(rng.integers(2, 9))
+        model = AuxGPModel(
             dataset_id=f"aux{s}",
-            mean=rng.normal(size=n_fine),
-            cov=random_psd(rng, n_fine, scale=0.5),
+            params=SEKernelParams(float(rng.uniform(0.5, 1.2)), float(rng.uniform(0.1, 0.5))),
+            noise_sigma=float(rng.uniform(0.05, 0.5)),
+            train_centroids=rng.uniform(0.0, 1.0, size=(n, 2)),
+            train_values=rng.normal(size=n),
+            offset=0.0,
+            scale=1.0,
+            log_marginal=float("nan"),
         )
-        for s in range(n_aux)
-    ]
+        posteriors.append(predict_aux(model, Xf))
+    return posteriors
+
+
+def posterior_with_mean(dataset_id: str, mean, Xf=None) -> AuxPosterior:
+    """A posterior with the given mean and every covariance entry below 1e-10:
+    that at Xf (default: the origin, once per entry of the mean) of a GP of
+    amplitude 1e-5 given one value, with the mean replaced."""
+    mean = np.asarray(mean, dtype=float)
+    model = AuxGPModel(
+        dataset_id=dataset_id,
+        params=SEKernelParams(1e-5, 1.0),
+        noise_sigma=1e-5,
+        train_centroids=np.zeros((1, 2)),
+        train_values=np.zeros(1),
+        offset=0.0,
+        scale=1.0,
+        log_marginal=float("nan"),
+    )
+    post = predict_aux(model, np.zeros((mean.size, 2)) if Xf is None else Xf)
+    return dataclasses.replace(post, mean=mean)
 
 
 def random_H(rng: np.random.Generator, n_coarse: int, n_fine: int) -> np.ndarray:
@@ -131,7 +154,7 @@ def random_H(rng: np.random.Generator, n_coarse: int, n_fine: int) -> np.ndarray
 def random_instance(rng: np.random.Generator, n_coarse: int, n_fine: int, n_aux: int):
     """Random coherent (params, a, design, posteriors, H, Xf) tuple."""
     Xf = rng.uniform(0.0, 1.0, size=(n_fine, 2))
-    posteriors = random_posteriors(rng, n_fine, n_aux)
+    posteriors = random_posteriors(rng, Xf, n_aux)
     H = random_H(rng, n_coarse, n_fine)
     params = DownscaleParams(
         w=rng.normal(size=n_aux + 1),

@@ -24,10 +24,10 @@ RECORD_FIELDS = {
         "dataset_id", "params", "noise_sigma", "train_centroids", "train_values", "offset",
         "scale", "log_marginal", "diagnostics",
     ],
-    "AuxPosterior": ["dataset_id", "mean", "cov"],
+    "AuxPosterior": ["dataset_id", "mean", "var", "W", "kernel", "Xf"],
     "DownscaleParams": ["w", "kernel", "sigma", "diagnostics"],
     "Partition": ["name", "regions", "centroids"],
-    "Refinement": ["mean", "cov"],
+    "Refinement": ["mean", "var", "V", "params", "Xf", "posteriors"],
     "Region": ["id", "geometry"],
     "SEKernelParams": ["alpha", "gamma"],
 }

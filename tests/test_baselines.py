@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import point_partition
+from conftest import point_partition, posterior_with_mean
 from finescale.baselines import gpr_baseline, lr_baseline, sd2_baseline
 from finescale.downscale import build_design, lstsq_warm_start
 from finescale.evaluate import grid_partition
 from finescale.geo import ArealDataset, build_aggregation
-from finescale.gp_aux import AuxGPModel, AuxPosterior, predict_aux
+from finescale.gp_aux import AuxGPModel, predict_aux
 from finescale.kernel import SEKernelParams
 
 
@@ -44,14 +44,9 @@ def test_gpr_remote_centroid_reverts_to_mean(smooth_setup):
     assert res.prediction[0] == pytest.approx(float(np.mean(a.values)), abs=1e-6)
 
 
-def make_posterior(dataset_id, mean, var=0.0):
-    n = mean.shape[0]
-    return AuxPosterior(dataset_id=dataset_id, mean=mean, cov=var * np.eye(n))
-
-
 def test_lr_perfectly_explanatory_auxiliary(smooth_setup):
     coarse, fine, amap, a, f = smooth_setup
-    post = make_posterior("aux", f(fine.centroids))
+    post = posterior_with_mean("aux", f(fine.centroids))
     # auxiliary aggregates close to a itself; grid averaging introduces a gap,
     # so force exact agreement at the coarse level
     a_exact = ArealDataset(coarse, amap.H @ post.mean)
@@ -71,7 +66,7 @@ def test_lr_zero_auxiliaries_predicts_coarse_mean(smooth_setup):
 
 def test_lr_duplicated_columns_same_fitted_values(smooth_setup):
     coarse, fine, amap, a, f = smooth_setup
-    post = make_posterior("aux", f(fine.centroids) ** 1.3)
+    post = posterior_with_mean("aux", f(fine.centroids) ** 1.3)
     single = lr_baseline(a, [post], amap)
     double = lr_baseline(a, [post, post], amap)
     fit1 = amap.H @ single.prediction
@@ -83,8 +78,8 @@ def test_lr_least_squares_optimality(smooth_setup):
     coarse, fine, amap, a, f = smooth_setup
     rng = np.random.default_rng(5)
     posts = [
-        make_posterior("a1", f(fine.centroids)),
-        make_posterior("a2", rng.normal(size=len(fine))),
+        posterior_with_mean("a1", f(fine.centroids)),
+        posterior_with_mean("a2", rng.normal(size=len(fine))),
     ]
     res = lr_baseline(a, posts, amap)
     best = np.linalg.norm(a.values - amap.H @ res.prediction)
@@ -99,7 +94,7 @@ def test_lr_least_squares_optimality(smooth_setup):
 
 def test_sd2_equals_lr_plus_kriged_residual(smooth_setup):
     coarse, fine, amap, a, f = smooth_setup
-    post = make_posterior("aux", f(fine.centroids) + 0.1)
+    post = posterior_with_mean("aux", f(fine.centroids) + 0.1)
     lr = lr_baseline(a, [post], amap)
     kernel, sigma = SEKernelParams(0.5, 0.3), 0.05
     res = sd2_baseline(a, [post], amap, residual_params=(kernel, sigma))
@@ -120,7 +115,7 @@ def test_sd2_equals_lr_plus_kriged_residual(smooth_setup):
 
 def test_sd2_zero_residuals_gives_regression_surface(smooth_setup):
     coarse, fine, amap, _, f = smooth_setup
-    post = make_posterior("aux", f(fine.centroids))
+    post = posterior_with_mean("aux", f(fine.centroids))
     a_exact = ArealDataset(coarse, amap.H @ post.mean)  # residuals identically 0
     res = sd2_baseline(a_exact, [post], amap, residual_params=(SEKernelParams(0.5, 0.3), 0.01))
     lr = lr_baseline(a_exact, [post], amap)
@@ -138,7 +133,7 @@ def test_sd2_no_auxiliaries_is_mean_plus_kriging(smooth_setup):
 
 def test_sd2_aggregation_gap_shrinks_with_residual_noise(smooth_setup):
     coarse, fine, amap, a, f = smooth_setup
-    post = make_posterior("aux", f(fine.centroids) ** 1.2)
+    post = posterior_with_mean("aux", f(fine.centroids) ** 1.2)
     kernel = SEKernelParams(0.5, 0.3)
     gaps = []
     for sigma in (1e-2, 1e-4, 1e-6):
@@ -149,7 +144,7 @@ def test_sd2_aggregation_gap_shrinks_with_residual_noise(smooth_setup):
 
 def test_baselines_deterministic(smooth_setup):
     coarse, fine, amap, a, f = smooth_setup
-    post = make_posterior("aux", f(fine.centroids))
+    post = posterior_with_mean("aux", f(fine.centroids))
     for fn in (
         lambda: gpr_baseline(a, fine, restarts=2, seed=3).prediction,
         lambda: lr_baseline(a, [post], amap).prediction,

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import subprocess
@@ -11,11 +12,14 @@ import pytest
 
 import finescale
 from conftest import save_aggregation_csv
+from test_downscale import dense_predict_fine
 from finescale import evaluate
 from finescale.baselines import gpr_baseline
 from finescale.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from finescale.downscale import DownscaleParams, build_design
 from finescale.evaluate import grid_partition
 from finescale.geo import build_aggregation, load_dataset, load_partition
+from finescale.gp_aux import AuxGPModel, predict_aux
 from finescale.render import choropleth_svg, ramp_color
 
 
@@ -412,6 +416,41 @@ def test_refine_binds_by_region_id_under_shuffled_partitions(synth_dir, tmp_path
     np.testing.assert_allclose(
         [perm[i] for i in ids], [plain[i] for i in ids], rtol=1e-10, atol=0.0
     )
+
+
+def test_refine_covariance_matches_the_dense_oracle(synth_dir, tmp_path):
+    # refinement_cov.csv comes from Refinement.cov, formed when read, and the
+    # variance column of refinement.csv from predict_fine's diagonal
+    out = tmp_path / "run"
+    assert main(["fit", *common_args(synth_dir, out)]) == EXIT_OK
+    assert main(["refine", *common_args(synth_dir, out), "--covariance"]) == EXIT_OK
+    coarse = load_partition(synth_dir / "coarse.geojson")
+    fine = load_partition(synth_dir / "fine.geojson")
+    with open(out / "refinement_cov.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["", *fine.ids] and [r[0] for r in rows[1:]] == list(fine.ids)
+    cov = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+    variance = np.array([var for _, var in read_refinement(out).values()])
+
+    models = json.loads((out / "models.json").read_text())
+    by_id = {m["dataset_id"]: m for m in models["aux_models"]}
+    entries = {e["id"]: e for e in json.loads((synth_dir / "aux_manifest.json").read_text())}
+    posteriors = []
+    for aid in models["downscale"]["column_ids"][:-1]:
+        part = load_partition(synth_dir / entries[aid]["geojson"], name=aid)
+        ds = load_dataset(part, synth_dir / entries[aid]["csv"])
+        model = AuxGPModel.from_dict(by_id[aid], part.centroids, ds.values)
+        posteriors.append(predict_aux(model, fine.centroids))
+    _, want = dense_predict_fine(
+        DownscaleParams.from_dict(models["downscale"]),
+        load_dataset(coarse, synth_dir / "target.csv"),
+        build_design(posteriors, n_fine=len(fine)),
+        posteriors,
+        build_aggregation(coarse, fine),
+    )
+    assert np.max(np.abs(cov - want)) <= 1e-10 * np.max(np.abs(want))
+    assert np.array_equal(cov, cov.T)
+    assert np.all(np.abs(np.diag(cov) - variance) <= 1e-12 * variance)
 
 
 def test_hmatrix_of_centroid_membership_gives_the_same_outputs(synth_dir, tmp_path):

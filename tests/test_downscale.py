@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,15 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BLAS_THREAD_VARS,
     always,
     grad_check,
     hex_floats,
+    posterior_with_mean,
     random_H,
     random_instance,
     random_posteriors,
     se_kernel,
 )
-from finescale import downscale
+from finescale import downscale, kernel
 from finescale.downscale import (
     DownscaleFitError,
     DownscaleParams,
@@ -31,7 +38,7 @@ from finescale.downscale import (
 )
 from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
 from finescale.geo import AggregationMap, ArealDataset, Partition, build_aggregation
-from finescale.gp_aux import AuxPosterior, fit_all_aux
+from finescale.gp_aux import AuxPosterior, fit_all_aux, predict_aux
 from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
 from finescale.numerics import (
     FactorizationError,
@@ -236,15 +243,15 @@ def test_build_design_intercept_only():
 
 
 def test_build_design_single_posterior():
-    post = AuxPosterior(dataset_id="a", mean=np.array([1.0, 2.0]), cov=np.eye(2))
+    post = posterior_with_mean("a", [1.0, 2.0])
     d = build_design([post], n_fine=2)
     assert np.array_equal(d.F, [[1.0, 1.0], [2.0, 1.0]])
     assert d.column_ids == ("a", "bias")
 
 
 def test_build_design_rejects_mismatched_lengths():
-    p1 = AuxPosterior(dataset_id="a", mean=np.zeros(2), cov=np.eye(2))
-    p2 = AuxPosterior(dataset_id="b", mean=np.zeros(3), cov=np.eye(3))
+    p1 = posterior_with_mean("a", np.zeros(2))
+    p2 = posterior_with_mean("b", np.zeros(3))
     with pytest.raises(ValueError):
         build_design([p1, p2], n_fine=2)
 
@@ -261,7 +268,7 @@ def test_lambda_no_aux_identity_H():
 def test_lambda_independent_of_posteriors_when_weights_zero(rng):
     Xf = rng.uniform(size=(6, 2))
     H = random_H(rng, 3, 6)
-    posteriors = random_posteriors(rng, 6, 2)
+    posteriors = random_posteriors(rng, Xf, 2)
     params = DownscaleParams(
         w=np.array([0.0, 0.0, 1.5]), kernel=SEKernelParams(1.0, 0.5), sigma=0.3
     )
@@ -390,11 +397,7 @@ def test_fit_duplicate_posterior_same_fitted_mean(rng):
     amap = build_aggregation(coarse, fine)
     # near-zero posterior covariance: duplicated columns then only split the
     # mean weight, so both fits share the same coarse-level regression surface
-    post = AuxPosterior(
-        dataset_id="a",
-        mean=np.sin(3 * fine.centroids[:, 0]),
-        cov=1e-10 * np.eye(len(fine)),
-    )
+    post = posterior_with_mean("a", np.sin(3 * fine.centroids[:, 0]), fine.centroids)
     a = amap.H @ (2.0 * post.mean + 1.0) + 0.01 * rng.standard_normal(len(coarse))
     p1 = fit_downscale(a, [post], fine, amap, restarts=3, seed=0)
     p2 = fit_downscale(a, [post, post], fine, amap, restarts=3, seed=0)
@@ -409,7 +412,7 @@ def test_predict_exact_observation_limit(rng):
     # H = I with tiny noise reproduces the observations
     nf = 8
     Xf = rng.uniform(size=(nf, 2))
-    posteriors = random_posteriors(rng, nf, 1)
+    posteriors = random_posteriors(rng, Xf, 1)
     params = DownscaleParams(
         w=np.array([0.5, 1.0]), kernel=SEKernelParams(1.0, 0.4), sigma=1e-8
     )
@@ -417,7 +420,7 @@ def test_predict_exact_observation_limit(rng):
     a = rng.normal(size=nf)
     ref = predict_fine(params, a, design, posteriors, np.eye(nf), fine=Xf)
     assert np.max(np.abs(ref.mean - a)) <= 1e-4
-    assert np.max(np.diag(ref.cov)) <= 1e-4
+    assert np.max(ref.var) <= 1e-4
 
 
 def test_predict_zero_residual_returns_regression_surface(rng):
@@ -498,7 +501,7 @@ def test_fit_is_deterministic(rng):
     coarse = grid_partition(3, 2, "c")
     fine = grid_partition(6, 4, "f")
     amap = build_aggregation(coarse, fine)
-    posteriors = random_posteriors(rng, len(fine), 2)
+    posteriors = random_posteriors(rng, fine.centroids, 2)
     a = rng.normal(size=len(coarse)) + 3.0
     p1 = fit_downscale(a, posteriors, fine, amap, restarts=3, seed=7)
     p2 = fit_downscale(a, posteriors, fine, amap, restarts=3, seed=7)
@@ -508,7 +511,7 @@ def test_fit_is_deterministic(rng):
 
 
 def prepared_objective(a, design, posteriors, H, Xf):
-    prob = _Problem.build(a, posteriors, Xf, H, design)
+    prob = _Problem.build(a, posteriors, Xf, H, design, dists=True)
     return lambda theta, accept: _neg_log_marginal(prob, theta, accept)
 
 
@@ -557,7 +560,7 @@ def fit_objective(monkeypatch, *args, **kwargs):
 def test_objective_computes_the_gradient_only_where_accept_holds(rng, monkeypatch):
     coarse, fine = grid_partition(3, 2, "c"), grid_partition(6, 4, "f")
     amap = build_aggregation(coarse, fine)
-    posteriors = random_posteriors(rng, len(fine), 2)
+    posteriors = random_posteriors(rng, fine.centroids, 2)
     a = rng.normal(size=len(coarse)) + 3.0
     plain, starts = fit_objective(monkeypatch, a, posteriors, fine, amap, restarts=3)
     ridged, _ = fit_objective(monkeypatch, a, posteriors, fine, amap, restarts=3, ridge=0.5)
@@ -593,7 +596,7 @@ def test_objective_is_invariant_under_permutation(data):
     rows = np.array(data.draw(st.permutations(range(nc))))
     aux = data.draw(st.permutations(range(S)))
     moved = [
-        AuxPosterior(p.dataset_id, p.mean[fine], p.cov[np.ix_(fine, fine)])
+        AuxPosterior(p.dataset_id, p.mean[fine], p.var[fine], p.W[:, fine], p.kernel, p.Xf[fine])
         for p in (posteriors[s] for s in aux)
     ]
     theta = pack(params)
@@ -663,7 +666,27 @@ def test_fit_is_the_same_on_one_and_two_threads(search_threads):
     assert fits[0] == fits[1]
 
 
-def test_predict_factors_the_lambda_the_fit_factors(monkeypatch):
+def factored_lambdas(theta, a, posteriors, fine, H) -> list[np.ndarray]:
+    """The matrices the fit's objective and predict_fine hand to cholesky, in
+    that order, at the packed theta."""
+    factored = []
+    real_cholesky = downscale.cholesky
+    downscale.cholesky = lambda M: factored.append(M) or real_cholesky(M)
+    try:
+        prob = _Problem.build(a, posteriors, fine, H, dists=True)
+        _neg_log_marginal(prob, theta, lambda value: False)
+        design = build_design(posteriors, n_fine=len(fine))
+        n_w = design.F.shape[1]
+        params = DownscaleParams(
+            w=theta[:n_w], kernel=SEKernelParams.from_log(*theta[n_w:-1]), sigma=np.exp(theta[-1])
+        )
+        predict_fine(params, a, design, posteriors, H, fine=fine)
+    finally:
+        downscale.cholesky = real_cholesky
+    return factored
+
+
+def test_predict_factors_the_lambda_the_fit_factors():
     inst = generate_synthetic(SyntheticSpec(), seed=0)
     fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=1, dataset_ids=inst.aux_ids)
     posteriors = [post for _, post in fitted]
@@ -671,16 +694,41 @@ def test_predict_factors_the_lambda_the_fit_factors(monkeypatch):
     theta = _pack(params.w, params.kernel, params.sigma)
     # the objective sees the fitted floats themselves
     assert list(np.exp(theta[-3:])) == [params.kernel.alpha, params.kernel.gamma, params.sigma]
+    fit_lambda, refine_lambda = factored_lambdas(theta, inst.a, posteriors, inst.fine, inst.amap.H)
+    assert np.array_equal(fit_lambda, refine_lambda)
 
-    factored = []
-    real_cholesky = downscale.cholesky
-    monkeypatch.setattr(downscale, "cholesky", lambda M: factored.append(M) or real_cholesky(M))
-    prob = _Problem.build(inst.a, posteriors, inst.fine, inst.amap)
-    _neg_log_marginal(prob, theta, lambda value: False)
-    design = build_design(posteriors, n_fine=len(inst.fine))
-    predict_fine(params, inst.a, design, posteriors, inst.amap)
-    assert len(factored) == 2
-    assert np.array_equal(factored[0], factored[1])
+
+def lambdas_agree_at_refine_scale() -> dict[str, bool]:
+    """At 1200 fine x 48 coarse regions, whether the fit and predict_fine
+    factor the same Lambda to the bit, with the H of the grids and with a
+    dense row-stochastic H (one ``--hmatrix`` may give)."""
+    spec = SyntheticSpec(fine_shape=(40, 30), coarse_shape=(8, 6))
+    inst = generate_synthetic(spec, seed=0)
+    fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=1, dataset_ids=inst.aux_ids)
+    posteriors = [post for _, post in fitted]
+    theta = _pack(inst.true_w, SEKernelParams(spec.alpha, spec.gamma), spec.sigma)
+    dense = np.random.default_rng(0).uniform(0.1, 1.0, size=inst.amap.H.shape)
+    dense /= dense.sum(axis=1, keepdims=True)
+    agree = {}
+    for name, H in (("grid", inst.amap.H), ("dense", dense)):
+        fit_lambda, refine_lambda = factored_lambdas(theta, inst.a, posteriors, inst.fine, H)
+        agree[name] = bool(np.array_equal(fit_lambda, refine_lambda))
+    return agree
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_predict_factors_the_lambda_the_fit_factors_at_refine_scale(threads):
+    # a fresh interpreter, so that BLAS starts with this many threads
+    tests = str(Path(__file__).parent)
+    code = (
+        f"import sys; sys.path[:0] = [{tests!r}, {str(Path(downscale.__file__).parents[1])!r}]; "
+        "from test_downscale import lambdas_agree_at_refine_scale as check; print(check())"
+    )
+    env = {**os.environ, **{var: str(threads) for var in BLAS_THREAD_VARS}}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "{'grid': True, 'dense': True}"
 
 
 def _predict_case(rng, case):
@@ -709,8 +757,40 @@ def test_predict_matches_dense_oracle(rng, case):
         ref = predict_fine(*args[:5], fine=args[5])
         mean, cov = dense_predict_fine(*args[:5], fine=args[5])
         assert np.max(np.abs(ref.mean - mean)) <= 1e-12 * np.max(np.abs(mean))
+        assert np.max(np.abs(ref.var - np.diag(cov))) <= 1e-10 * np.max(np.abs(cov))
         assert np.max(np.abs(ref.cov - cov)) <= 1e-10 * np.max(np.abs(cov))
         assert np.array_equal(ref.cov, ref.cov.T)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_predict_is_invariant_under_permutation(data):
+    # the fine regions (H columns, Xf rows, posterior entries) in another
+    # order, over kernel row blocks of 1 to 64 rows, so that the order moves
+    # the regions between blocks: mean, variance and covariance permuted,
+    # nothing else changed
+    nc = data.draw(st.integers(2, 8))
+    nf = data.draw(st.integers(nc, 150))
+    S = data.draw(st.integers(0, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    block_rows = data.draw(st.integers(1, 64))
+    params, a, design, posteriors, H, Xf = random_instance(rng, nc, nf, S)
+    fine = np.array(data.draw(st.permutations(range(nf))))
+    moved = [
+        AuxPosterior(p.dataset_id, p.mean[fine], p.var[fine], p.W[:, fine], p.kernel, p.Xf[fine])
+        for p in posteriors
+    ]
+    default_rows, kernel.KERNEL_ROWS = kernel.KERNEL_ROWS, block_rows
+    try:
+        ref = predict_fine(params, a, design, posteriors, H, fine=Xf)
+        got = predict_fine(
+            params, a, build_design(moved, n_fine=nf), moved, H[:, fine], fine=Xf[fine]
+        )
+    finally:
+        kernel.KERNEL_ROWS = default_rows
+    for want, have in ((ref.mean[fine], got.mean), (ref.var[fine], got.var),
+                       (ref.cov[np.ix_(fine, fine)], got.cov)):
+        assert np.all(np.abs(have - want) <= 1e-10 * np.abs(want).max())
 
 
 def test_predict_without_fine_centroids_is_rejected(rng):
@@ -726,7 +806,7 @@ def test_fine_locations_that_disagree_with_H_are_rejected(rng):
     fine = amap.fine
     order = np.roll(np.arange(len(fine)), 1)
     permuted = Partition("permuted", tuple(fine.regions[k] for k in order), fine.centroids[order])
-    posteriors = random_posteriors(rng, len(fine), 1)
+    posteriors = random_posteriors(rng, fine.centroids, 1)
     design = build_design(posteriors, n_fine=len(fine))
     params = DownscaleParams(w=np.array([0.5, 1.0]), kernel=SEKernelParams(1.0, 0.3), sigma=0.2)
     a = rng.normal(size=len(amap.coarse))
@@ -746,7 +826,7 @@ def test_fit_records_every_restart(rng):
     coarse = grid_partition(3, 2, "c")
     fine = grid_partition(6, 4, "f")
     amap = build_aggregation(coarse, fine)
-    posteriors = random_posteriors(rng, len(fine), 2)
+    posteriors = random_posteriors(rng, fine.centroids, 2)
     a = rng.normal(size=len(coarse)) + 3.0
     params = fit_downscale(a, posteriors, fine, amap, restarts=4, seed=7)
     records = params.diagnostics["restart_records"]
@@ -777,3 +857,29 @@ def test_fit_factorization_failure_on_every_restart_is_typed(monkeypatch):
     monkeypatch.setattr(downscale, "cholesky", not_pd)
     with pytest.raises(DownscaleFitError, match="all restarts"):
         fit_downscale(np.full(9, 4.2), [], grid_partition(3, 3, "f"), np.eye(9), restarts=2)
+
+
+def test_refine_holds_no_nf_by_nf_array():
+    # 1200 fine x 48 coarse regions, three auxiliaries: the posteriors and
+    # the refinement stay below one 1200 x 1200 float64 array (11.5 MB) until
+    # the dense covariance is read
+    spec = SyntheticSpec(fine_shape=(40, 30), coarse_shape=(8, 6))
+    inst = generate_synthetic(spec, seed=0)
+    models = [m for m, _ in fit_all_aux(inst.aux_datasets, inst.fine, restarts=1)]
+    params = DownscaleParams(
+        w=inst.true_w, kernel=SEKernelParams(spec.alpha, spec.gamma), sigma=spec.sigma
+    )
+    nf = len(inst.fine)
+    tracemalloc.start()
+    try:
+        posteriors = [predict_aux(model, inst.fine.centroids) for model in models]
+        design = build_design(posteriors, n_fine=nf)
+        ref = predict_fine(params, inst.a, design, posteriors, inst.amap)
+        _, refined_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        cov = ref.cov
+        _, cov_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert refined_peak < nf * nf * 8 < cov_peak
+    assert np.array_equal(np.diag(cov), ref.var)

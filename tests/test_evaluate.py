@@ -15,8 +15,8 @@ from finescale.evaluate import (
     run_comparison,
 )
 from finescale.geo import polygon_area_centroid
-from finescale.gp_aux import AuxPosterior
-from finescale.kernel import SEKernelParams, cov_matrix
+from finescale.gp_aux import AuxGPModel, predict_aux
+from finescale.kernel import SEKernelParams
 
 
 def test_mape_hand_cases():
@@ -151,11 +151,17 @@ def test_generator_covariance_matches_closed_form():
     # closed form needs the true-parameter auxiliary posterior at fine points
     Xs = inst0.aux_datasets[0].partition.centroids
     Xf = inst0.fine.centroids
-    aux_kernel = SEKernelParams(spec.aux_alpha, spec.aux_gamma)
-    A = cov_matrix(aux_kernel, Xs, Xs) + spec.aux_noise**2 * np.eye(4)
-    Ks = cov_matrix(aux_kernel, Xs, Xf)
-    Sigma = cov_matrix(aux_kernel, Xf, Xf) - Ks.T @ np.linalg.solve(A, Ks)
-    post = AuxPosterior(dataset_id="aux0", mean=np.zeros(4), cov=Sigma)
+    true_model = AuxGPModel(
+        dataset_id="aux0",
+        params=SEKernelParams(spec.aux_alpha, spec.aux_gamma),
+        noise_sigma=spec.aux_noise,
+        train_centroids=Xs,
+        train_values=np.zeros(len(Xs)),
+        offset=0.0,
+        scale=1.0,
+        log_marginal=float("nan"),
+    )
+    post = predict_aux(true_model, Xf)
     params = DownscaleParams(
         w=np.array([spec.w[0], 0.0]),
         kernel=SEKernelParams(spec.alpha, spec.gamma),

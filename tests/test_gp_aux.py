@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import always, grad_check, hex_floats, point_partition
+from conftest import always, grad_check, hex_floats, point_partition, random_posteriors
 from finescale import gp_aux
 from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
 from finescale.geo import ArealDataset
@@ -68,7 +68,7 @@ def test_one_point_posterior_closed_form():
     model = one_point_model()
     post = predict_aux(model, [[1.0, 0.0]])
     assert post.mean[0] == pytest.approx(np.exp(-0.5), abs=1e-6)
-    assert post.cov[0, 0] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-6)
+    assert post.var[0] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-6)
 
 
 def test_interpolation_at_training_point():
@@ -87,7 +87,7 @@ def test_interpolation_at_training_point():
     )
     post = predict_aux(model, X)
     assert np.max(np.abs(post.mean - y)) <= 1e-4
-    assert np.max(np.diag(post.cov)) <= 1e-4
+    assert np.max(post.var) <= 1e-4
 
 
 def test_prior_reversion_far_from_data():
@@ -95,7 +95,7 @@ def test_prior_reversion_far_from_data():
     object.__setattr__(model, "offset", 2.0)
     post = predict_aux(model, [[50.0, 50.0]])
     assert post.mean[0] == pytest.approx(2.0, abs=1e-8)  # reverts to the offset
-    assert post.cov[0, 0] == pytest.approx(0.7**2, rel=1e-6)
+    assert post.var[0] == pytest.approx(0.7**2, rel=1e-6)
 
 
 def test_variance_bounded_by_amplitude(rng):
@@ -103,7 +103,7 @@ def test_variance_bounded_by_amplitude(rng):
     y = np.sin(4 * X[:, 0]) + rng.normal(0, 0.1, 15)
     model = fit_aux_gp(ArealDataset(point_partition("p", X), y), restarts=3, seed=0)
     post = predict_aux(model, rng.uniform(-1, 2, size=(40, 2)))
-    d = np.diag(post.cov)
+    d = post.var
     assert np.all(d >= 0)
     assert np.all(d <= model.params.alpha**2 + 1e-8)
 
@@ -401,7 +401,7 @@ def test_fit_all_aux_identical_datasets_identical_results(rng):
     (m1, p1), (m2, p2) = fit_all_aux([d, d], fine, restarts=3, seed=0)
     assert m1.to_dict() == {**m2.to_dict(), "dataset_id": m1.dataset_id}
     assert np.array_equal(p1.mean, p2.mean)
-    assert np.array_equal(p1.cov, p2.cov)
+    assert np.array_equal(p1.var, p2.var) and np.array_equal(p1.W, p2.W)
 
 
 def test_fit_all_aux_output_order_and_ids(rng):
@@ -470,7 +470,7 @@ def test_fit_all_aux_pool_equals_one_fit_per_auxiliary(search_threads, threads):
         assert model.diagnostics["workers"] == alone.diagnostics["workers"] == threads
         assert hex_floats(model.to_dict()) == hex_floats(alone.to_dict())
         want = predict_aux(alone, inst.fine.centroids)
-        assert hex_floats([post.mean, post.cov]) == hex_floats([want.mean, want.cov])
+        assert hex_floats([post.mean, post.var, post.W]) == hex_floats([want.mean, want.var, want.W])
 
 
 def test_fit_all_aux_fits_the_largest_first(monkeypatch, rng, search_threads):
@@ -555,9 +555,26 @@ def test_median_pairwise_distance_degenerate():
     assert median_pairwise_distance(sq_dists(X2, X2)) == 1.0
 
 
-def test_avg_variance_is_diagonal_mean(rng):
-    from finescale.gp_aux import AuxPosterior
+def test_posterior_matches_the_dense_covariance(rng):
+    # Sigma = K** - K*^T A^-1 K*, formed densely, against var, cov and cov_times
+    X = rng.uniform(size=(9, 2))
+    model = fit_aux_gp(ArealDataset(point_partition("p", X), rng.normal(size=9)), restarts=2)
+    Xt = rng.uniform(-0.5, 1.5, size=(70, 2))
+    post = predict_aux(model, Xt)
+    A = cov_matrix(model.params, X, X)
+    A += (model.noise_sigma**2 + JITTER_REL * model.params.alpha**2) * np.eye(9)
+    Ks = cov_matrix(model.params, X, Xt)
+    dense = cov_matrix(model.params, Xt, Xt) - Ks.T @ np.linalg.solve(A, Ks)
+    scale = model.params.alpha**2
+    assert np.max(np.abs(post.var - np.diag(dense))) <= 1e-12 * scale
+    cov = post.cov
+    assert np.array_equal(cov, cov.T) and np.array_equal(np.diag(cov), post.var)
+    assert np.max(np.abs(cov - dense)) <= 1e-12 * scale
+    M = rng.normal(size=(70, 3))
+    assert np.max(np.abs(post.cov_times(M) - dense @ M)) <= 1e-12 * scale * np.abs(M).sum(0).max()
 
-    cov = np.diag([1.0, 2.0, 3.0])
-    post = AuxPosterior(dataset_id="x", mean=np.zeros(3), cov=cov)
-    assert post.avg_variance == pytest.approx(2.0)
+
+def test_avg_variance_is_diagonal_mean(rng):
+    [post] = random_posteriors(rng, rng.uniform(size=(5, 2)), 1)
+    assert post.avg_variance == pytest.approx(float(np.mean(post.var)), rel=1e-15)
+    assert post.avg_variance == pytest.approx(float(np.mean(np.diag(post.cov))), rel=1e-15)

@@ -26,7 +26,7 @@ from finescale.kernel import (
     JITTER_REL,
     SEKernelParams,
     cov_matrix,
-    kernel_times,
+    kernels_times,
     rows_times,
     se_from_sq_dists,
     sq_dists,
@@ -169,13 +169,15 @@ class _Problem:
 
     The observations a (None when only Lambda is wanted), H, the design and
     H F, the fine locations Xf, and Sigma_s H^T (nf x nc) and H Sigma_s H^T
-    for every auxiliary. The fit's objective also reads D2, the squared
-    distances of the fine locations, and K, the nf x nf array a call writes
-    K into and its gradient turns into K o D2 / gamma^2; each thread of the
-    fit has its own. A call then allocates no nf x nf array: malloc gives
-    such arrays back to the system when they are freed, and the next call
-    faults them in again (190 000 page faults, 0.4 s of a 2.4 s fit at 480
-    fine regions). The refine sets neither, and holds no nf x nf array.
+    for every auxiliary. The refine also reads KHt, K H^T of the target
+    kernel it was built with, which it turns into Omega H^T in place. The
+    fit's objective reads D2, the squared distances of the fine locations,
+    and K, the nf x nf array a call writes K into and its gradient turns
+    into K o D2 / gamma^2; each thread of the fit has its own. A call then
+    allocates no nf x nf array: malloc gives such arrays back to the system
+    when they are freed, and the next call faults them in again (190 000
+    page faults, 0.4 s of a 2.4 s fit at 480 fine regions). The refine sets
+    neither, and holds no nf x nf array.
     """
 
     a: np.ndarray | None
@@ -185,6 +187,7 @@ class _Problem:
     Xf: np.ndarray
     SHt: tuple[np.ndarray, ...]
     HSH: tuple[np.ndarray, ...]
+    KHt: np.ndarray | None = None
     D2: np.ndarray | None = None
     K: np.ndarray | None = None
 
@@ -197,17 +200,32 @@ class _Problem:
         amap_or_H,
         design: DesignMatrix | None = None,
         dists: bool = False,
+        kernel: SEKernelParams | None = None,
     ) -> "_Problem":
         """Coerce the inputs once, with ``_aggregation`` checking H and the
-        fine locations; ``dists`` sets D2 for an objective."""
+        fine locations; ``dists`` sets D2 for an objective, and ``kernel``
+        sets KHt.
+
+        Every posterior must be at the fine locations, else ValueError: then
+        one pass of ``kernels_times`` forms each auxiliary's k(Xf, Xf) H^T and
+        K H^T from the same distance blocks.
+        """
         if isinstance(a, ArealDataset):
             a = a.values
         elif a is not None:
             a = np.asarray(a, dtype=float)
         H, Xf = _aggregation(amap_or_H, fine)
+        for post in posteriors:
+            if not np.array_equal(post.Xf, Xf):
+                raise ValueError(
+                    f"posterior {post.dataset_id!r} is not at the fine locations: "
+                    "predict it at the fine centroids"
+                )
         if design is None:
             design = build_design(posteriors, n_fine=Xf.shape[0])
-        SHt = tuple(post.cov_times(H.T) for post in posteriors)
+        kernels = [post.kernel for post in posteriors] + ([kernel] if kernel else [])
+        KMs = kernels_times(kernels, Xf, H.T)
+        SHt = tuple(post.cov_times(H.T, KM) for post, KM in zip(posteriors, KMs))
         return cls(
             a=a,
             H=H,
@@ -216,6 +234,7 @@ class _Problem:
             Xf=Xf,
             SHt=SHt,
             HSH=tuple(H @ S for S in SHt),
+            KHt=KMs[-1] if kernel else None,
             D2=sq_dists(Xf, Xf) if dists else None,
         )
 
@@ -247,9 +266,9 @@ def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, sigma: float, KHt
     the Cholesky factor of the jittered Lambda, from K H^T.
 
     The one place Lambda is formed: the fit and predict_fine both factor it.
-    The fit forms K H^T from row blocks of its whole K, the refine from the
-    same row blocks formed one at a time (``kernel.rows_times``), so both
-    factor the same Lambda to the bit.
+    The fit forms K H^T from row blocks of its whole K (``kernel.rows_times``),
+    the refine from the same row blocks formed one at a time
+    (``kernel.kernels_times``), so both factor the same Lambda to the bit.
     """
     nc = prob.H.shape[0]
     HKH = prob.H @ KHt
@@ -273,9 +292,9 @@ def _neg_log_marginal(prob: _Problem, theta: np.ndarray, accept):
     S = len(prob.HSH)
     w = theta[: S + 1]
     alpha, gamma, sigma = (float(np.exp(v)) for v in theta[S + 1 :])
-    nc, nf = prob.H.shape
+    nc = prob.H.shape[0]
     K = se_from_sq_dists(alpha, gamma, prob.D2, out=prob.K)
-    KHt = rows_times(lambda i, j: K[i:j], nf, prob.H.T)
+    KHt = rows_times(K, prob.H.T)
     HKH, _, factor = _lambda_terms(prob, w, alpha, sigma, KHt)
     r = prob.a - prob.HF @ w
     p = solve(factor, r)
@@ -319,10 +338,9 @@ def assemble_lambda(
     amap_or_H,
 ) -> LambdaAssembly:
     """Lambda = sigma^2 I + H Omega H^T, Omega = K + sum_s w_s^2 Sigma_s, as the fit forms it."""
-    prob = _Problem.build(None, posteriors, fine_centroids, amap_or_H)
     kernel = params.kernel
-    KHt = kernel_times(kernel, prob.Xf, prob.H.T)
-    _, Lam, factor = _lambda_terms(prob, params.w, kernel.alpha, params.sigma, KHt)
+    prob = _Problem.build(None, posteriors, fine_centroids, amap_or_H, kernel=kernel)
+    _, Lam, factor = _lambda_terms(prob, params.w, kernel.alpha, params.sigma, prob.KHt)
     return LambdaAssembly(Lambda=Lam, factor=factor, problem=prob)
 
 
@@ -484,13 +502,15 @@ def predict_fine(
 
     With Omega = K + sum_s w_s^2 Sigma_s and V = L^-1 H Omega, where
     L L^T = Lambda: mean F w + (H Omega)^T Lambda^-1 (a - H F w), variance
-    diag Omega - colsum(V o V). Only Omega H^T is formed, from row blocks of
-    K and each Sigma_s H^T, so no nf x nf array is; ``Refinement.cov`` forms
-    the covariance Omega - V^T V when it is read.
+    diag Omega - colsum(V o V). Only Omega H^T is formed, from K H^T and
+    each Sigma_s H^T, which one pass over row blocks of the fine distances
+    gives, so no nf x nf array is; ``Refinement.cov`` forms the covariance
+    Omega - V^T V when it is read. The posteriors must be at the fine
+    locations.
     """
-    prob = _Problem.build(a, posteriors, fine, amap_or_H, design)
     w, kernel = params.w, params.kernel
-    OmHt = kernel_times(kernel, prob.Xf, prob.H.T)
+    prob = _Problem.build(a, posteriors, fine, amap_or_H, design, kernel=kernel)
+    OmHt = prob.KHt
     _, _, factor = _lambda_terms(prob, w, kernel.alpha, params.sigma, OmHt)
     var = np.full(len(prob.Xf), kernel.alpha**2)  # the diagonal of K
     for s, post in enumerate(posteriors):

@@ -13,7 +13,6 @@ from finescale.kernel import (
     JITTER_REL,
     SEKernelParams,
     cov_matrix,
-    kernel_times,
     se_from_sq_dists,
     sq_dists,
 )
@@ -101,11 +100,12 @@ class AuxPosterior:
     def avg_variance(self) -> float:
         return float(np.mean(self.var))
 
-    def cov_times(self, M: np.ndarray) -> np.ndarray:
-        """Sigma M = k(Xf, Xf) M - W^T (W M), in O(nf (n + m)) memory for an nf x m M."""
-        SM = kernel_times(self.kernel, self.Xf, M)
-        SM -= self.W.T @ (self.W @ M)
-        return SM
+    def cov_times(self, M: np.ndarray, KM: np.ndarray) -> np.ndarray:
+        """Sigma M = k(Xf, Xf) M - W^T (W M) for an nf x m M, from KM = k(Xf, Xf) M
+        as ``kernel.kernels_times`` forms it, in O(nf (n + m)) memory; KM becomes
+        Sigma M in place."""
+        KM -= self.W.T @ (self.W @ M)
+        return KM
 
     @property
     def cov(self) -> np.ndarray:

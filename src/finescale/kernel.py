@@ -82,21 +82,38 @@ def cov_matrix(params: SEKernelParams, A, B) -> np.ndarray:
     return se_from_sq_dists(params.alpha, params.gamma, D2, out=D2)
 
 
-def rows_times(rows, n: int, M: np.ndarray) -> np.ndarray:
-    """The product with M of the n-row matrix whose rows i:j ``rows(i, j)``
-    returns, taken KERNEL_ROWS rows at a time.
+def rows_times(K: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """K M, taken KERNEL_ROWS rows of K at a time.
 
-    The fit, which holds its whole kernel, and the refine, which forms the
-    same rows block by block, both form K H^T here, so they hand BLAS the
-    same blocks and get the same bits: a single product and its row blocks
+    The fit, which holds its whole kernel, forms K H^T here, and
+    ``kernels_times`` hands BLAS the same row blocks, formed one at a time,
+    so fit and refine get the same bits: a single product and its row blocks
     need not round alike.
     """
-    out = np.empty((n, M.shape[1]))
-    for i in range(0, n, KERNEL_ROWS):
-        np.matmul(rows(i, i + KERNEL_ROWS), M, out=out[i : i + KERNEL_ROWS])
+    out = np.empty((len(K), M.shape[1]))
+    for i in range(0, len(K), KERNEL_ROWS):
+        np.matmul(K[i : i + KERNEL_ROWS], M, out=out[i : i + KERNEL_ROWS])
     return out
 
 
-def kernel_times(params: SEKernelParams, X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """k(X, X) M, with no |X| x |X| array: the kernel is formed KERNEL_ROWS rows at a time."""
-    return rows_times(lambda i, j: cov_matrix(params, X[i:j], X), len(X), M)
+def kernels_times(kernels: list[SEKernelParams], X: np.ndarray, M: np.ndarray) -> list[np.ndarray]:
+    """k(X, X) M for each kernel, with no |X| x |X| array.
+
+    Each block of KERNEL_ROWS rows gets its squared distances once, and every
+    kernel is formed from them into one block buffer and multiplied by M.
+    Blocks and products are those of ``rows_times`` on the whole kernel, bit
+    for bit. Both blocks are freed before the next block's distances are
+    formed, so no more than two are held at once.
+    """
+    if not kernels:
+        return []
+    n = len(X)
+    outs = [np.empty((n, M.shape[1])) for _ in kernels]
+    for i in range(0, n, KERNEL_ROWS):
+        D2 = sq_dists(X[i : i + KERNEL_ROWS], X)
+        K = np.empty_like(D2)
+        for params, out in zip(kernels, outs):
+            se_from_sq_dists(params.alpha, params.gamma, D2, out=K)
+            np.matmul(K, M, out=out[i : i + KERNEL_ROWS])
+        del D2, K
+    return outs

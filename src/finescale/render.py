@@ -22,26 +22,26 @@ def ramp_color(t: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def _path_d(geometry, scale, shift) -> str:
-    parts = []
-    for rings in geometry:
-        for ring in rings:
-            pts = [f"{x:.4f},{y:.4f}" for x, y in (ring * scale + shift).tolist()]
-            parts.append("M" + " L".join(pts) + " Z")
-    return " ".join(parts)
-
-
 def choropleth_svg(partition: Partition, values, width: int = 640) -> str:
-    """Render polygons filled on a min-max-normalized sequential ramp."""
+    """Render polygons filled on a min-max-normalized sequential ramp.
+
+    The ramp steps and the vertex transform are array passes over every
+    region; ``ramp_color`` runs once per distinct step.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape[0] != len(partition):
         raise ValueError("one value per region required")
     lo, hi = float(values.min()), float(values.max())
-    norm = np.zeros_like(values) if hi == lo else (values - lo) / (hi - lo)
+    with np.errstate(invalid="ignore", over="ignore"):  # refused below
+        norm = np.zeros_like(values) if hi == lo else (values - lo) / (hi - lo)
+    if not np.isfinite(norm).all():
+        raise ValueError("values must be finite, and their range too")
+    # ramp_color's step, which s / N_RAMP_STEPS gives back exactly
+    steps = np.minimum((np.clip(norm, 0.0, 1.0) * N_RAMP_STEPS).astype(int), N_RAMP_STEPS - 1)
+    fills = {step: ramp_color(step / N_RAMP_STEPS) for step in set(steps.tolist())}
 
-    vertices = np.concatenate(
-        [ring for r in partition.regions for rings in r.geometry for ring in rings]
-    )
+    rings = [ring for r in partition.regions for rings in r.geometry for ring in rings]
+    vertices = np.concatenate(rings)
     (x0, y0), (x1, y1) = vertices.min(axis=0).tolist(), vertices.max(axis=0).tolist()
     span_x = (x1 - x0) or 1.0
     span_y = (y1 - y0) or 1.0
@@ -49,6 +49,9 @@ def choropleth_svg(partition: Partition, values, width: int = 640) -> str:
     sx = width / span_x
     sy = -height / span_y  # flip: SVG y grows downward
     scale, shift = np.array([sx, sy]), np.array([-x0 * sx, height - y0 * sy])
+    points = [f"{x:.4f},{y:.4f}" for x, y in (vertices * scale + shift).tolist()]
+    ends = np.cumsum([len(ring) for ring in rings]).tolist()
+    ring_d = ["M" + " L".join(points[i:j]) + " Z" for i, j in zip([0, *ends[:-1]], ends)]
 
     svg = ET.Element(
         "svg",
@@ -60,16 +63,19 @@ def choropleth_svg(partition: Partition, values, width: int = 640) -> str:
             "viewBox": f"0 0 {width} {height}",
         },
     )
-    for region, t in zip(partition.regions, norm):
+    first = 0
+    for region, step in zip(partition.regions, steps.tolist()):
+        last = first + sum(len(rings) for rings in region.geometry)
         ET.SubElement(
             svg,
             "path",
             {
                 "id": region.id,
-                "d": _path_d(region.geometry, scale, shift),
-                "fill": ramp_color(float(t)),
+                "d": " ".join(ring_d[first:last]),
+                "fill": fills[step],
                 "stroke": "#ffffff",
                 "stroke-width": "0.5",
             },
         )
+        first = last
     return ET.tostring(svg, encoding="unicode", xml_declaration=True)

@@ -21,10 +21,10 @@ from finescale.downscale import DownscaleParams, build_design
 from finescale.evaluate import grid_partition
 from finescale.geo import (
     AggregationMap,
+    GeoValidationError,
     Partition,
     Region,
     build_aggregation,
-    polygon_area_centroid,
     write_csv,
 )
 from finescale.gp_aux import AuxGPModel, AuxPosterior, predict_aux
@@ -63,6 +63,36 @@ def grad_check(f, x: np.ndarray, h: float = 1e-5) -> float:
         err = abs(g[k] - numeric) / max(1.0, abs(numeric))
         worst = max(worst, err)
     return worst
+
+
+# The per-ring, per-region shoelace centroid that load_partition computed
+# for one region at a time, kept as the oracle for its array passes.
+def ring_area_centroid(r: np.ndarray) -> tuple[float, np.ndarray]:
+    """Signed shoelace area and area-weighted centroid of one closed ring."""
+    x, y = r[:, 0], r[:, 1]
+    cross = x[:-1] * y[1:] - x[1:] * y[:-1]
+    area = 0.5 * float(np.sum(cross))
+    if area == 0.0:
+        return 0.0, r[:-1].mean(axis=0)
+    cx = float(np.sum((x[:-1] + x[1:]) * cross)) / (6.0 * area)
+    cy = float(np.sum((y[:-1] + y[1:]) * cross)) / (6.0 * area)
+    return area, np.array([cx, cy])
+
+
+def polygon_area_centroid(polygons: list[list[np.ndarray]]) -> tuple[float, np.ndarray]:
+    """Net area and centroid of a (multi)polygon of closed rings, as ``Region.geometry``
+    holds them; rings after the first are holes."""
+    total = 0.0
+    weighted = np.zeros(2)
+    for rings in polygons:
+        for k, ring in enumerate(rings):
+            a, c = ring_area_centroid(ring)
+            a = abs(a) if k == 0 else -abs(a)
+            total += a
+            weighted += a * c
+    if total <= 0:
+        raise GeoValidationError("degenerate polygon with nonpositive net area")
+    return total, weighted / total
 
 
 def square_region(rid: str, x0: float, y0: float, side: float = 1.0) -> Region:

@@ -67,6 +67,84 @@ def test_svg_binary_values_hit_ramp_endpoints():
     assert set(fills) == {ramp_color(0.0), ramp_color(1.0)}
 
 
+# The renderer that made one ramp_color call and one transform per region and
+# ring, kept as the oracle for the array passes of choropleth_svg.
+def loop_choropleth_svg(partition, values, width: int = 640) -> str:
+    values = np.asarray(values, dtype=float)
+    lo, hi = float(values.min()), float(values.max())
+    norm = np.zeros_like(values) if hi == lo else (values - lo) / (hi - lo)
+    vertices = np.concatenate(
+        [ring for r in partition.regions for rings in r.geometry for ring in rings]
+    )
+    (x0, y0), (x1, y1) = vertices.min(axis=0).tolist(), vertices.max(axis=0).tolist()
+    span_x = (x1 - x0) or 1.0
+    span_y = (y1 - y0) or 1.0
+    height = int(round(width * span_y / span_x))
+    sx = width / span_x
+    sy = -height / span_y
+    scale, shift = np.array([sx, sy]), np.array([-x0 * sx, height - y0 * sy])
+
+    def path_d(geometry) -> str:
+        parts = []
+        for rings in geometry:
+            for ring in rings:
+                pts = [f"{x:.4f},{y:.4f}" for x, y in (ring * scale + shift).tolist()]
+                parts.append("M" + " L".join(pts) + " Z")
+        return " ".join(parts)
+
+    svg = ET.Element("svg", {
+        "xmlns": "http://www.w3.org/2000/svg", "version": "1.1", "width": str(width),
+        "height": str(height), "viewBox": f"0 0 {width} {height}",
+    })
+    for region, t in zip(partition.regions, norm):
+        ET.SubElement(svg, "path", {
+            "id": region.id, "d": path_d(region.geometry), "fill": ramp_color(float(t)),
+            "stroke": "#ffffff", "stroke-width": "0.5",
+        })
+    return ET.tostring(svg, encoding="unicode", xml_declaration=True)
+
+
+def holes_and_multipolygons() -> finescale.Partition:
+    hole = [[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]]
+    square = [[0, 0], [2, 0], [2, 2], [0, 2]]
+    doc = {"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {"id": "H"},
+         "geometry": {"type": "Polygon", "coordinates": [square, hole]}},
+        {"type": "Feature", "properties": {"id": "M"},
+         "geometry": {"type": "MultiPolygon", "coordinates": [
+             [[[4, 0], [5, 0], [5, 1], [4, 0]]],
+             [[[6, 0], [8, 0], [8, 2], [6, 2]], [[x + 6, y] for x, y in hole]]]}},
+        {"type": "Feature", "properties": {"id": "S"},
+         "geometry": {"type": "Polygon", "coordinates": [[[0, 3], [3, 3], [3, 4.5], [0, 4]]]}},
+    ]}
+    return load_partition(doc)
+
+
+def test_svg_is_the_per_region_renderer_byte_for_byte(monkeypatch):
+    import finescale.render as render
+
+    rng = np.random.default_rng(0)
+    grid = grid_partition(40, 30, "g")
+    cases = [
+        (grid, rng.normal(size=1200)),
+        (grid, np.round(rng.normal(size=1200), 1)),  # repeated values
+        (holes_and_multipolygons(), np.array([2.0, -1.0, 0.25])),
+        (holes_and_multipolygons(), np.full(3, 7.0)),
+    ]
+    for part, values in cases:
+        calls = []
+        real = render.ramp_color
+        monkeypatch.setattr(render, "ramp_color", lambda t: calls.append(t) or real(t))
+        svg = choropleth_svg(part, values)
+        monkeypatch.setattr(render, "ramp_color", real)
+        assert svg == loop_choropleth_svg(part, values)
+        fills = {e.get("fill") for e in ET.fromstring(svg).iter() if e.tag.endswith("path")}
+        assert len(calls) == len(fills) <= 256  # one call per distinct step
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            choropleth_svg(grid, np.where(np.arange(1200) == 7, bad, 0.0))
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("bundle")

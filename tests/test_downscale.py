@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -733,10 +734,11 @@ def test_predict_factors_the_lambda_the_fit_factors_at_refine_scale(threads):
 
 def _predict_case(rng, case):
     """(params, a, design, posteriors, amap_or_H, fine) for one predict_fine case."""
-    if case == "amap_fine":
+    if case == "amap_fine":  # the posteriors at the map's fine centroids
         amap = build_aggregation(grid_partition(3, 2, "c"), grid_partition(6, 4, "f"))
-        params, a, design, posteriors, _, _ = random_instance(rng, 6, 24, 2)
-        return params, a, design, posteriors, amap, None
+        params, a, _, _, _, _ = random_instance(rng, 6, 24, 2)
+        posteriors = random_posteriors(rng, amap.fine.centroids, 2)
+        return params, a, build_design(posteriors, n_fine=24), posteriors, amap, None
     if case == "identity_H":
         params, a, design, posteriors, _, Xf = random_instance(rng, 9, 9, 1)
         return params, a, design, posteriors, np.eye(9), Xf
@@ -822,6 +824,20 @@ def test_fine_locations_that_disagree_with_H_are_rejected(rng):
             predict_fine(params, a, design, posteriors, amap_or_H, fine=short)
 
 
+def test_posterior_not_at_the_fine_locations_is_refused(rng):
+    # such a posterior once mixed its Sigma_s and design rows, taken at other
+    # places, into the refinement
+    params, a, design, posteriors, H, Xf = random_instance(rng, 3, 8, 2)
+    elsewhere = random_posteriors(rng, Xf[::-1], 1)[0]
+    moved = [posteriors[0], dataclasses.replace(elsewhere, dataset_id="moved")]
+    with pytest.raises(ValueError, match="posterior 'moved' is not at the fine locations"):
+        fit_downscale(a, moved, Xf, H, restarts=1)
+    with pytest.raises(ValueError, match="posterior 'moved' is not at the fine locations"):
+        predict_fine(params, a, design, moved, H, fine=Xf)
+    with pytest.raises(ValueError, match="posterior 'moved' is not at the fine locations"):
+        assemble_lambda(params, moved, Xf, H)
+
+
 def test_fit_records_every_restart(rng):
     coarse = grid_partition(3, 2, "c")
     fine = grid_partition(6, 4, "f")
@@ -861,8 +877,8 @@ def test_fit_factorization_failure_on_every_restart_is_typed(monkeypatch):
 
 def test_refine_holds_no_nf_by_nf_array():
     # 1200 fine x 48 coarse regions, three auxiliaries: the posteriors and
-    # the refinement stay below one 1200 x 1200 float64 array (11.5 MB) until
-    # the dense covariance is read
+    # the refinement stay below 9 MB, under one 1200 x 1200 float64 array
+    # (11.5 MB), until the dense covariance is read
     spec = SyntheticSpec(fine_shape=(40, 30), coarse_shape=(8, 6))
     inst = generate_synthetic(spec, seed=0)
     models = [m for m, _ in fit_all_aux(inst.aux_datasets, inst.fine, restarts=1)]
@@ -881,5 +897,5 @@ def test_refine_holds_no_nf_by_nf_array():
         _, cov_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert refined_peak < nf * nf * 8 < cov_peak
+    assert refined_peak < 9e6 < nf * nf * 8 < cov_peak
     assert np.array_equal(np.diag(cov), ref.var)

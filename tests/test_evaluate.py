@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import polygon_area_centroid
 from finescale import evaluate
 from finescale.baselines import BaselineResult
 from finescale.downscale import DownscaleParams, assemble_lambda, build_design
@@ -14,7 +15,6 @@ from finescale.evaluate import (
     paired_ttest,
     run_comparison,
 )
-from finescale.geo import polygon_area_centroid
 from finescale.gp_aux import AuxGPModel, predict_aux
 from finescale.kernel import SEKernelParams
 

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import partition_of, point_partition, save_aggregation_csv, square_region
+from conftest import (
+    partition_of,
+    point_partition,
+    polygon_area_centroid,
+    save_aggregation_csv,
+    square_region,
+)
 from finescale import geo
 from finescale.evaluate import grid_partition
 from finescale.geo import (
@@ -21,7 +27,6 @@ from finescale.geo import (
     load_dataset,
     load_partition,
     partition_to_geojson,
-    polygon_area_centroid,
     save_dataset,
 )
 
@@ -204,7 +209,7 @@ def assert_closed_like_oracle(ring, closed: np.ndarray) -> None:
     """closed is ring under the ring rule, and its area and centroid are the oracle's."""
     assert closed.dtype == float and closed.shape[1] == 2
     assert np.array_equal(closed[-1], closed[0])
-    area, centroid = geo._ring_area_centroid(closed)
+    (area,), (centroid,) = geo._ring_areas_centroids(closed[None])
     oracle_area, oracle_centroid = roll_ring_area_centroid(ring)
     assert area == oracle_area
     assert np.array_equal(centroid, oracle_centroid)
@@ -287,6 +292,101 @@ def test_ring_needs_three_distinct_vertices(ring):
         Region("R", [[ring]])
     with pytest.raises(GeoParseError, match=">= 3 distinct vertices"):
         load_partition(collection(feature("R", ring)))
+
+
+def star_ring(rng, center, radius: float, n: int) -> np.ndarray:
+    """n vertices at spread angles and radii 0.6 to 1 times radius, in either turning sense."""
+    angles = 2 * np.pi * (np.arange(n) + rng.uniform(0.0, 0.8, size=n)) / n
+    r = radius * rng.uniform(0.6, 1.0, size=n)
+    ring = center + np.column_stack([r * np.cos(angles), r * np.sin(angles)])
+    return ring if rng.random() < 0.5 else ring[::-1]
+
+
+def collinear_ring(rng, center, n: int) -> np.ndarray:
+    """n distinct integer points on one line: every cross product, so the area, is exactly 0."""
+    step = rng.integers(1, 4, size=2) * rng.choice([-1, 1], size=2)
+    t = np.sort(rng.choice(np.arange(-20, 21), size=n, replace=False))
+    return np.round(center) + t[:, None] * step
+
+
+# A region of each kind; "degenerate" has only a zero-area ring.
+REGION_KINDS = ["polygon", "holes", "multi", "collinear_hole", "collinear_part", "degenerate"]
+
+
+@st.composite
+def partition_documents(draw, degenerate: bool = True):
+    """A FeatureCollection of 1 to 12 regions of the kinds in REGION_KINDS,
+    with rings of 3 to 64 vertices, at an offset of up to 1e6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1e3, 1e6])) * rng.uniform(-1.0, 1.0, size=2)
+    kinds = REGION_KINDS if degenerate else REGION_KINDS[:-1]
+    features = []
+    for k in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(kinds))
+        sizes = draw(st.lists(st.integers(3, 64), min_size=3, max_size=3))
+        center = offset + 10.0 * np.array([k % 4, k // 4])
+        radius = rng.uniform(0.5, 3.0)
+        outer = star_ring(rng, center, radius, sizes[0])
+        polygons = [[outer]]
+        if kind == "holes":
+            polygons[0] += [star_ring(rng, center, 0.15 * radius, n) for n in sizes[1:]]
+        elif kind == "multi":
+            polygons += [[star_ring(rng, center + 4.0, 0.5, n)] for n in sizes[1:]]
+        elif kind == "collinear_hole":
+            polygons[0].append(collinear_ring(rng, center, min(sizes[1], 41)))
+        elif kind == "collinear_part":
+            polygons.append([collinear_ring(rng, center + 4.0, min(sizes[1], 41))])
+        elif kind == "degenerate":
+            polygons = [[collinear_ring(rng, center, min(sizes[1], 41))]]
+        # closed exactly, so that no last vertex is taken for the closing one
+        coords = [[np.vstack([ring, ring[:1]]).tolist() for ring in rings] for rings in polygons]
+        geometry = (
+            {"type": "Polygon", "coordinates": coords[0]}
+            if len(coords) == 1
+            else {"type": "MultiPolygon", "coordinates": coords}
+        )
+        features.append({"type": "Feature", "properties": {"id": f"r{k}"}, "geometry": geometry})
+    return collection(*features)
+
+
+@given(doc=partition_documents())
+@settings(max_examples=150, deadline=None)
+def test_load_partition_centroids_are_the_per_region_oracle_bit_for_bit(doc):
+    # the rings are grouped by length, so a region's rings are worked out of
+    # order and beside other regions' rings: every centroid keeps its bits,
+    # and the first degenerate region in document order is the one named
+    want, first_bad = [], None
+    for f in doc["features"]:
+        region = Region(f["properties"]["id"], geo._geometry_rings(f["geometry"]))
+        try:
+            want.append(polygon_area_centroid(region.geometry)[1])
+        except GeoValidationError:
+            first_bad = first_bad or region.id
+    if first_bad is not None:
+        with pytest.raises(GeoValidationError, match=f"region '{first_bad}': degenerate"):
+            load_partition(doc)
+        return
+    part = load_partition(doc)
+    assert np.array_equal(part.centroids, np.array(want))
+
+
+@given(doc=partition_documents(degenerate=False), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_shuffled_features_permute_the_centroids_bit_for_bit(doc, data):
+    order = data.draw(st.permutations(range(len(doc["features"]))))
+    shuffled = collection(*(doc["features"][k] for k in order))
+    part, moved = load_partition(doc), load_partition(shuffled)
+    assert moved.ids == [part.ids[k] for k in order]
+    assert np.array_equal(moved.centroids, part.centroids[list(order)])
+
+
+def test_a_degenerate_region_before_a_malformed_one_is_named_first():
+    bad = feature("BAD", [[0, 0], [1, 1], [2, 2], [0, 0]])
+    malformed = feature("M", [[0, 0], [1, 0]])
+    with pytest.raises(GeoValidationError, match="'BAD': degenerate"):
+        load_partition(collection(feature("A", UNIT_SQUARE), bad, malformed))
+    with pytest.raises(GeoParseError, match="'M'"):
+        load_partition(collection(malformed, bad))
 
 
 # The scalar point-in-polygon test that built H one centroid and one edge at a

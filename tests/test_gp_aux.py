@@ -21,7 +21,14 @@ from finescale.gp_aux import (
     median_pairwise_distance,
     predict_aux,
 )
-from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
+from finescale.kernel import (
+    JITTER_REL,
+    SEKernelParams,
+    cov_matrix,
+    kernels_times,
+    se_from_sq_dists,
+    sq_dists,
+)
 from finescale.numerics import (
     SIGMA_FLOOR,
     FactorizationError,
@@ -571,7 +578,9 @@ def test_posterior_matches_the_dense_covariance(rng):
     assert np.array_equal(cov, cov.T) and np.array_equal(np.diag(cov), post.var)
     assert np.max(np.abs(cov - dense)) <= 1e-12 * scale
     M = rng.normal(size=(70, 3))
-    assert np.max(np.abs(post.cov_times(M) - dense @ M)) <= 1e-12 * scale * np.abs(M).sum(0).max()
+    [KM] = kernels_times([model.params], Xt, M)
+    SM = post.cov_times(M, KM)
+    assert np.max(np.abs(SM - dense @ M)) <= 1e-12 * scale * np.abs(M).sum(0).max()
 
 
 def test_avg_variance_is_diagonal_mean(rng):

@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import se_kernel
-from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
+from conftest import random_H, se_kernel
+from finescale import kernel
+from finescale.kernel import (
+    JITTER_REL,
+    SEKernelParams,
+    cov_matrix,
+    kernels_times,
+    rows_times,
+    se_from_sq_dists,
+    sq_dists,
+)
 from finescale.numerics import cholesky
 
 P11 = SEKernelParams(alpha=1.0, gamma=1.0)
@@ -157,3 +166,34 @@ def test_sq_dists_matches_einsum_oracle(n, m, scale):
 def test_sq_dists_rejects_mismatched_dimensions():
     with pytest.raises(ValueError, match="dimension"):
         sq_dists(np.zeros((3, 2)), np.zeros((4, 3)))
+
+
+def single_kernel_times(params: SEKernelParams, X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """k(X, X) M with each KERNEL_ROWS-row block of the kernel formed by
+    cov_matrix on its own: the one-kernel pass that kernels_times replaced,
+    kept as its oracle."""
+    rows = kernel.KERNEL_ROWS
+    out = np.empty((len(X), M.shape[1]))
+    for i in range(0, len(X), rows):
+        np.matmul(cov_matrix(params, X[i : i + rows], X), M, out=out[i : i + rows])
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64, 256])
+def test_kernels_times_is_one_single_kernel_pass_per_kernel(rows, monkeypatch):
+    # 601 points: a multiple of none of the blocks but 1; H^T as the refine
+    # passes it, a transposed view, and a C-ordered M
+    monkeypatch.setattr(kernel, "KERNEL_ROWS", rows)
+    rng = np.random.default_rng(rows)
+    X = rng.uniform(-2.0, 2.0, size=(601, 2))
+    kernels = [SEKernelParams(float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.05, 1.0)))
+               for _ in range(3)]
+    kernels.append(kernels[0])
+    for M in (random_H(rng, 13, 601).T, rng.normal(size=(601, 5))):
+        got = kernels_times(kernels, X, M)
+        assert len(got) == len(kernels)
+        for params, KM in zip(kernels, got):
+            assert np.array_equal(KM, single_kernel_times(params, X, M))
+            # and the fit's product on its whole kernel
+            assert np.array_equal(KM, rows_times(cov_matrix(params, X, X), M))
+    assert kernels_times([], X, M) == []

@@ -30,7 +30,7 @@ from finescale.geo import (
     write_csv,
 )
 from finescale.gp_aux import AuxGPModel, data_sha256, fit_all_aux, predict_aux
-from finescale.numerics import NumericalError
+from finescale.numerics import NumericalError, pin_unset_blas
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -246,44 +246,29 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def non_negative_int(text: str) -> int:
-    """The argparse type of ``--seed``: numpy's generators take no negative seed."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+def _checked(convert, ok, requirement: str, name: str):
+    """The argparse type ``name``: ``convert(text)``, refused unless ``ok`` of it holds."""
+
+    def checked(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    checked.__name__ = name  # argparse names it when convert fails
+    return checked
 
 
-def positive_int(text: str) -> int:
-    """The argparse type of ``--restarts``: every fit runs at least one start."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
-def finite_float(text: str) -> float:
-    """The argparse type of ``synth --weights``: any finite number."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
-
-
-def non_negative_float(text: str) -> float:
-    """The argparse type of ``--ridge``: a finite penalty of 0 or more."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-    return value
-
-
-def positive_float(text: str) -> float:
-    """The argparse type of ``--gtol``: a finite tolerance above 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
-    return value
+# --seed (numpy's generators take no negative seed) and --restarts (a fit runs a start)
+non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer", "non_negative_int")
+positive_int = _checked(int, lambda v: v >= 1, "a positive integer", "positive_int")
+finite_float = _checked(float, math.isfinite, "a finite number", "finite_float")
+non_negative_float = _checked(
+    float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0", "non_negative_float"
+)
+positive_float = _checked(
+    float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0", "positive_float"
+)
 
 
 def _add_inputs(p: argparse.ArgumentParser) -> None:
@@ -361,6 +346,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse printed usage or help; 2 on a bad argument
         return exc.code
     args.argv = argv
+    pin_unset_blas()  # BLAS unpinned is slower, and its bits differ
     try:
         return COMMANDS[args.command](args)
     except (InputError, FileNotFoundError) as exc:

@@ -10,6 +10,7 @@ Omega = K + sum_s w_s^2 Sigma_s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +36,8 @@ from finescale.numerics import (
     SIGMA_FLOOR,
     NumericalError,
     cholesky,
-    log_det,
+    clamp_variance,
+    gaussian_nll,
     multistart_minimize,
     solve,
     solve_lower,
@@ -176,8 +178,8 @@ class _Problem:
     into K o D2 / gamma^2; each thread of the fit has its own. A call then
     allocates no nf x nf array: malloc gives such arrays back to the system
     when they are freed, and the next call faults them in again (190 000
-    page faults, 0.4 s of a 2.4 s fit at 480 fine regions). The refine sets
-    neither, and holds no nf x nf array.
+    page faults, 0.4 s of a 2.4 s fit at 480 fine regions). The fit also
+    sets its ridge penalty. The refine sets none, and holds no nf x nf array.
     """
 
     a: np.ndarray | None
@@ -190,6 +192,7 @@ class _Problem:
     KHt: np.ndarray | None = None
     D2: np.ndarray | None = None
     K: np.ndarray | None = None
+    ridge: float = 0.0
 
     @classmethod
     def build(
@@ -281,8 +284,9 @@ def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, sigma: float, KHt
 
 
 def _neg_log_marginal(prob: _Problem, theta: np.ndarray, accept):
-    """-log N(a | H F w, Lambda) at the packed theta, and its gradient where
-    ``accept`` of that value is true, else None.
+    """-log N(a | H F w, Lambda) at the packed theta, plus the ridge penalty
+    ridge * |w_1..w_S|^2 when ``prob.ridge`` is positive, and its gradient
+    where ``accept`` of that value is true, else None.
 
     Each covariance-parameter entry of the log-likelihood gradient is
     1/2 tr((p p^T - Lambda^-1) dLambda), p = Lambda^-1 (a - H F w); the
@@ -296,11 +300,11 @@ def _neg_log_marginal(prob: _Problem, theta: np.ndarray, accept):
     K = se_from_sq_dists(alpha, gamma, prob.D2, out=prob.K)
     KHt = rows_times(K, prob.H.T)
     HKH, _, factor = _lambda_terms(prob, w, alpha, sigma, KHt)
-    r = prob.a - prob.HF @ w
-    p = solve(factor, r)
-    ll = float(-0.5 * r @ p - 0.5 * log_det(factor) - 0.5 * nc * np.log(2 * np.pi))
-    if not accept(-ll):
-        return -ll, None
+    nll, p = gaussian_nll(factor, prob.a - prob.HF @ w)
+    if prob.ridge > 0:
+        nll += prob.ridge * float(w[:S] @ w[:S])
+    if not accept(nll):
+        return nll, None
     Linv = solve(factor, np.eye(nc))
 
     def trace_term(dLam: np.ndarray) -> float:
@@ -321,7 +325,10 @@ def _neg_log_marginal(prob: _Problem, theta: np.ndarray, accept):
         E[i : i + SCALE_ROWS] *= prob.D2[i : i + SCALE_ROWS] / gamma**2
     grad[S + 2] = trace_term(prob.H @ E @ prob.H.T)
     grad[S + 3] = 2.0 * sigma**2 * (1.0 + JITTER_REL) * identity_term
-    return -ll, -grad
+    grad = -grad
+    if prob.ridge > 0:
+        grad[:S] += 2 * prob.ridge * w[:S]
+    return nll, grad
 
 
 @dataclass(frozen=True)
@@ -351,12 +358,11 @@ def log_marginal(
     assembly: LambdaAssembly,
     H: np.ndarray,
 ) -> float:
-    """-1/2 r^T Lambda^-1 r - 1/2 log det Lambda - n/2 log 2pi, r = a - H F w."""
-    a = np.asarray(a, dtype=float)
-    r = a - H @ (design.F @ params.w)
-    p = solve(assembly.factor, r)
-    n = a.size
-    return float(-0.5 * r @ p - 0.5 * log_det(assembly.factor) - 0.5 * n * np.log(2 * np.pi))
+    """log N(a | H F w, Lambda) on the assembly's Lambda and H; another H raises ValueError."""
+    if not np.array_equal(np.asarray(H, dtype=float), assembly.problem.H):
+        raise ValueError("H must be the one the assembly was built from")
+    r = np.asarray(a, dtype=float) - H @ (design.F @ params.w)
+    return -gaussian_nll(assembly.factor, r)[0]
 
 
 def grad_log_marginal(
@@ -450,19 +456,7 @@ def fit_downscale(
 
     def make_objective():
         nf = len(prob.D2)
-        worker_prob = replace(prob, K=np.empty((nf, nf)))
-        if not (ridge > 0 and n_w > 1):
-            return lambda theta, accept: _neg_log_marginal(worker_prob, theta, accept)
-
-        def objective(theta, accept):
-            v = theta[: n_w - 1]
-            penalty = ridge * float(v @ v)
-            val, grad = _neg_log_marginal(worker_prob, theta, lambda value: accept(value + penalty))
-            if grad is not None:
-                grad[: n_w - 1] += 2 * ridge * v
-            return val + penalty, grad
-
-        return objective
+        return partial(_neg_log_marginal, replace(prob, K=np.empty((nf, nf)), ridge=ridge))
 
     rng = np.random.default_rng(seed)
     inits = [theta0]
@@ -520,9 +514,7 @@ def predict_fine(
     mean = m0 + OmHt @ solve(factor, prob.a - prob.H @ m0)
     V = solve_lower(factor, OmHt.T)
     var -= np.einsum("ij,ij->j", V, V)
-    if var.min() < -1e-8:
-        raise NumericalError(f"predictive variance {var.min()} below clamp tolerance")
-    np.maximum(var, 0.0, out=var)
+    clamp_variance(var, 1e-8)
     return Refinement(
         mean=mean, var=var, V=V, params=params, Xf=prob.Xf, posteriors=tuple(posteriors)
     )

@@ -20,8 +20,9 @@ from finescale.numerics import (
     SIGMA_FLOOR,
     NumericalError,
     cholesky,
+    clamp_variance,
+    gaussian_nll,
     inverse,
-    log_det,
     multistart_minimize,
     solve,
     solve_lower,
@@ -180,13 +181,10 @@ def _nll_and_grad(prob: _AuxProblem, theta: np.ndarray, accept):
     in place of the factor.
     """
     alpha, gamma, sigma = np.exp(theta)
-    y = prob.ys
-    n = y.size
     K = prob.K
     A = _gram(alpha, gamma, sigma, prob.D2, K, prob.A)
     F = cholesky(A, out=A, scratch=prob.Ainv)
-    beta = solve(F, y)
-    nll = float(0.5 * y @ beta + 0.5 * log_det(F) + 0.5 * n * np.log(2 * np.pi))
+    nll, beta = gaussian_nll(F, prob.ys)
     if not accept(nll):
         return nll, None
     jitter = JITTER_REL * alpha**2
@@ -345,10 +343,7 @@ def predict_aux(model: AuxGPModel, test_centroids) -> AuxPosterior:
     Ks = cov_matrix(model.params, X, Xt)
     mean = model.offset + Ks.T @ solve(F, yc)
     W = solve_lower(F, Ks)
-    var = model.params.alpha**2 - np.einsum("ij,ij->j", W, W)
-    if var.min() < -1e-10:
-        raise NumericalError(f"predictive variance {var.min()} below clamp tolerance")
-    np.maximum(var, 0.0, out=var)
+    var = clamp_variance(model.params.alpha**2 - np.einsum("ij,ij->j", W, W), 1e-10)
     return AuxPosterior(
         dataset_id=model.dataset_id, mean=mean, var=var, W=W, kernel=model.params, Xf=Xt
     )

@@ -29,8 +29,8 @@ BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 50
 # bfgs_minimize's iteration cap.
 MAX_ITER = 500
-# The variables that set the threads of one BLAS call; the first set to a
-# positive integer counts, as in OpenBLAS.
+# The variables that set the threads of one BLAS call when BLAS loads; the
+# first set to a positive integer counts, as in OpenBLAS.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -134,16 +134,15 @@ _dtrtrs = _lapack(
 )
 
 
+def _in_place_ok(A: np.ndarray) -> bool:
+    """Whether LAPACK can work in place on A: a writeable Fortran-ordered float64 array."""
+    return A.flags.f_contiguous and A.flags.writeable and A.dtype == np.float64
+
+
 def _on_lower(routine, A: np.ndarray) -> int:
     """Run dpotrf or dpotri in place on the lower triangle of the writeable
     Fortran-ordered float64 n x n array A; LAPACK's info."""
-    if not (
-        A.ndim == 2
-        and A.shape[0] == A.shape[1]
-        and A.flags.f_contiguous
-        and A.flags.writeable
-        and A.dtype == np.float64
-    ):
+    if not (A.ndim == 2 and A.shape[0] == A.shape[1] and _in_place_ok(A)):
         raise ValueError("LAPACK needs a writeable Fortran-ordered float64 square array")
     n, info = ctypes.c_int(A.shape[0]), ctypes.c_int()
     routine(b"L", ctypes.byref(n), A.ctypes.data, ctypes.byref(n), ctypes.byref(info))
@@ -184,12 +183,7 @@ def cholesky(
         raise ValueError("array must not contain infs or NaNs")
     if out is None:
         out = np.array(M, order="F")
-    elif not (
-        out.flags.f_contiguous
-        and out.flags.writeable
-        and out.dtype == np.float64
-        and out.shape == M.shape
-    ):
+    elif not (_in_place_ok(out) and out.shape == M.shape):
         raise ValueError("out must be a writeable Fortran-ordered float64 array shaped like M")
     elif out is not M:
         np.copyto(out, M)
@@ -260,7 +254,7 @@ def inverse(F: CholeskyFactor, out: np.ndarray | None = None) -> np.ndarray:
     place on F.L, which then no longer holds the factor.
     """
     L = F.L
-    if out is None or not (L.flags.f_contiguous and L.flags.writeable and L.dtype == np.float64):
+    if out is None or not _in_place_ok(L):
         L = np.array(L, dtype=float, order="F")
     info = _on_lower(_dpotri, L)
     if info != 0:
@@ -275,13 +269,18 @@ def log_det(F: CholeskyFactor) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(F.L))))
 
 
-def _evaluate(f, x: np.ndarray, accept):
-    """``f(x, accept)``, the value and the gradient or None, with +inf and no
-    gradient where ``f`` raised FactorizationError, in its value or its gradient."""
-    try:
-        return f(x, accept)
-    except FactorizationError:
-        return np.inf, None
+def gaussian_nll(F: CholeskyFactor, r: np.ndarray) -> tuple[float, np.ndarray]:
+    """-log N(r | 0, M) from the factor F of M, and p = M^-1 r. Rounding here can
+    pick the winner among restarts tied on a flat ridge: keep the operand order."""
+    p = solve(F, r)
+    return float(0.5 * r @ p + 0.5 * log_det(F) + 0.5 * r.size * np.log(2 * np.pi)), p
+
+
+def clamp_variance(var: np.ndarray, tol: float) -> np.ndarray:
+    """var with its negative entries (rounding error) zeroed in place; NumericalError below -tol."""
+    if var.min() < -tol:
+        raise NumericalError(f"predictive variance {var.min()} below clamp tolerance")
+    return np.maximum(var, 0.0, out=var)
 
 
 def bfgs_minimize(f, x0: np.ndarray, gtol: float = 1e-6) -> OptimizeResult:
@@ -291,7 +290,7 @@ def bfgs_minimize(f, x0: np.ndarray, gtol: float = 1e-6) -> OptimizeResult:
     in the same call only where ``accept(value)`` is true and None elsewhere.
     The test accepts a finite value at the start point, and on the line the
     points that pass the Armijo test, so a point the line search rejects
-    costs only its value. A FactorizationError from ``f`` makes the point +inf.
+    costs only its value.
 
     Stops when the infinity norm of the gradient falls below ``gtol``, the
     relative objective change falls below ``FTOL``, or the iteration cap is
@@ -300,7 +299,7 @@ def bfgs_minimize(f, x0: np.ndarray, gtol: float = 1e-6) -> OptimizeResult:
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    fx, g = _evaluate(f, x, np.isfinite)
+    fx, g = f(x, np.isfinite)
     if g is None or not np.all(np.isfinite(g)):
         raise OptimizationError("non-finite objective or gradient at initial point")
     Hinv = np.eye(n)
@@ -320,9 +319,7 @@ def bfgs_minimize(f, x0: np.ndarray, gtol: float = 1e-6) -> OptimizeResult:
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
             x_new = x + step * d
-            fx_new, g_new = _evaluate(
-                f, x_new, lambda v: np.isfinite(v) and v <= fx + ARMIJO_C * step * slope
-            )
+            fx_new, g_new = f(x_new, lambda v: np.isfinite(v) and v <= fx + ARMIJO_C * step * slope)
             if g_new is not None:
                 if not np.all(np.isfinite(g_new)):
                     raise OptimizationError("non-finite gradient")
@@ -346,23 +343,47 @@ def bfgs_minimize(f, x0: np.ndarray, gtol: float = 1e-6) -> OptimizeResult:
     return OptimizeResult(x, float(fx), float(np.abs(g).max()), iterations, "max_iter")
 
 
+def _openblas_pools() -> tuple:
+    """(get, set) of the thread count of numpy's OpenBLAS and of scipy's, which the
+    LAPACK calls above use; empty where one lacks them (a system BLAS, or MKL)."""
+    pools = []
+    for lib, end in ((ctypes.CDLL(np.linalg._umath_linalg.__file__), "64_"), (_LIB, "")):
+        name = "scipy_openblas_{}_num_threads" + end
+        try:
+            get = ctypes.CFUNCTYPE(ctypes.c_int)((name.format("get"), lib))
+            set_ = ctypes.CFUNCTYPE(None, ctypes.c_int)((name.format("set"), lib))
+        except AttributeError:
+            return ()
+        pools.append((get, set_))
+    return tuple(pools)
+
+
+_POOLS = _openblas_pools()
+
+
+def pin_unset_blas() -> None:
+    """One thread in both OpenBLAS pools for the rest of the process, unless a BLAS
+    variable is set."""
+    if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+        for _, set_ in _POOLS:
+            set_(1)
+
+
 def pool_size(n_starts: int) -> int:
     """Threads for ``n_starts`` independent searches: the cores this process may
-    run on over the threads of one BLAS call, at most ``n_starts`` and at least 1.
-
-    The BLAS threads are the first of BLAS_THREAD_VARIABLES set to a positive
-    integer, else every core; so a run with BLAS unpinned searches on one thread.
-    """
+    run on over the threads of one BLAS call (the larger OpenBLAS pool), at
+    most ``n_starts`` and at least 1. Without the pools' functions, the BLAS
+    threads are the first of BLAS_THREAD_VARIABLES set to a positive integer,
+    else every core."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    blas = cores
-    for name in BLAS_THREAD_VARIABLES:
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            blas = int(value)
-            break
+    if _POOLS:
+        blas = max(get() for get, _ in _POOLS)
+    else:
+        values = (os.environ.get(name, "").strip() for name in BLAS_THREAD_VARIABLES)
+        blas = next((int(v) for v in values if v.isdigit() and int(v) > 0), cores)
     return max(1, min(n_starts, cores // blas))
 
 
@@ -386,7 +407,10 @@ def _search(f, x0: np.ndarray, gtol: float) -> tuple[OptimizeResult | None, dict
             feasible += 1
             return accept(value)
 
-        value, gradient = f(theta, counted)
+        try:
+            value, gradient = f(theta, counted)
+        except FactorizationError:
+            return np.inf, None
         if gradient is not None:
             gradients += 1
         return value, gradient

@@ -17,6 +17,7 @@ for _var in BLAS_THREAD_VARS:
 import numpy as np
 import pytest
 
+from finescale import numerics
 from finescale.downscale import DownscaleParams, build_design
 from finescale.evaluate import grid_partition
 from finescale.geo import (
@@ -226,11 +227,11 @@ def rng():
 @pytest.fixture
 def search_threads(monkeypatch):
     """set(k) gives multistart_minimize a pool of k in (1, 2) threads: two
-    cores over k = 2 BLAS threads, or one."""
+    cores over an OpenBLAS pool that reports 2 // k threads."""
 
     def set_threads(k: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(2 // k))
+        monkeypatch.setattr(numerics, "_POOLS", ((lambda: 2 // k, None),))
 
     return set_threads
 

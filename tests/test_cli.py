@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import finescale
-from conftest import save_aggregation_csv
+from conftest import BLAS_THREAD_VARS, save_aggregation_csv
 from test_downscale import dense_predict_fine
 from finescale import evaluate
 from finescale.baselines import gpr_baseline
@@ -652,6 +653,25 @@ def test_negative_seed_exit_2(synth_dir, tmp_path, capsys, command):
     assert main([command, *args, "--seed", "-1"]) == EXIT_CONFIG
     assert "--seed: must be a non-negative integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fit_and_refine_with_blas_unpinned_write_the_bytes_of_a_pinned_run(synth_dir, tmp_path):
+    # with no BLAS variable set, a command runs both OpenBLAS pools on one
+    # thread: the fit has as many threads as a pinned one, and the same bits
+    src = str(Path(finescale.__file__).parents[1])
+    unpinned = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    unpinned["PYTHONPATH"] = src
+    written = []
+    for env in ({**unpinned, **dict.fromkeys(BLAS_THREAD_VARS, "1")}, unpinned):
+        out = tmp_path / str(len(written))
+        for command in ("fit", "refine"):
+            subprocess.run(
+                [sys.executable, "-m", "finescale.cli", command, *common_args(synth_dir, out)],
+                env=env, capture_output=True, check=True,
+            )
+        names = ("models.json", "refinement.csv", "refinement.svg")
+        written.append([(out / name).read_bytes() for name in names])
+    assert written[0] == written[1]
 
 
 def truncate(path):

@@ -625,6 +625,15 @@ def test_grad_log_marginal_refuses_inputs_the_assembly_was_not_built_from(rng):
         grad_log_marginal(params, a, design, posteriors[:1], H, Xf, assembly)
 
 
+def test_log_marginal_refuses_an_h_the_assembly_was_not_built_from(rng):
+    params, a, design, posteriors, H, Xf = random_instance(rng, 4, 10, 2)
+    assembly = assemble_lambda(params, posteriors, Xf, H)
+    value, _ = prepared_objective(a, design, posteriors, H, Xf)(pack(params), lambda v: False)
+    assert log_marginal(params, a, design, assembly, H) == -value
+    with pytest.raises(ValueError, match="the one the assembly was built from"):
+        log_marginal(params, a, design, assembly, H[::-1])
+
+
 def test_fit_restarts_match_dense_objective(monkeypatch):
     # 24x20 fine / 8x5 coarse: every restart takes the same BFGS path when
     # the prepared objective is swapped for the dense oracle

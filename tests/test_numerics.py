@@ -16,6 +16,7 @@ from finescale.numerics import (
     FactorizationError,
     bfgs_minimize,
     cholesky,
+    gaussian_nll,
     inverse,
     log_det,
     multistart_minimize,
@@ -308,6 +309,18 @@ def test_inverse_of_singular_factor_is_typed():
         inverse(CholeskyFactor(L=np.asfortranarray(L)), out=np.empty((4, 4)))
 
 
+def test_gaussian_nll_is_both_inline_forms_bit_for_bit(rng):
+    # the auxiliary fit's -log density and the negated log-likelihood of the second step
+    for n in range(1, 61):
+        F = cholesky(_spd(rng, n))
+        r = rng.normal(size=n)
+        nll, p = gaussian_nll(F, r)
+        assert np.array_equal(p, solve(F, r))
+        aux = float(0.5 * r @ p + 0.5 * log_det(F) + 0.5 * n * np.log(2 * np.pi))
+        ll = float(-0.5 * r @ p - 0.5 * log_det(F) - 0.5 * n * np.log(2 * np.pi))
+        assert nll.hex() == aux.hex() == (-ll).hex()
+
+
 def test_log_det_identity():
     assert log_det(cholesky(np.eye(7))) == pytest.approx(0.0, abs=1e-14)
 
@@ -456,14 +469,17 @@ def _bowl_with_an_infinite_wall(theta, accept):
 def test_factorization_error_from_the_gradient_counts_the_point_as_infinite():
     # the line search halves its step past the wall exactly as if the value were +inf there
     x0 = np.array([0.0, 0.4])
-    got = bfgs_minimize(_bowl_with_a_wall, x0)
-    want = bfgs_minimize(_bowl_with_an_infinite_wall, x0)
+    got, _, _ = _minimize(lambda: _bowl_with_a_wall, [x0])
+    want, _, _ = _minimize(lambda: _bowl_with_an_infinite_wall, [x0])
     assert (got.iterations, got.stop, got.objective) == (want.iterations, want.stop, want.objective)
     assert np.array_equal(got.argmin, want.argmin)
     assert got.argmin[0] <= 1.7 and got.iterations > 1
-    # at the start point it is a failed search
-    with pytest.raises(numerics.OptimizationError, match="at initial point"):
-        bfgs_minimize(_bowl_with_a_wall, np.array([2.0, 0.0]))
+    # at the start point it is a failed start
+    best, (record,), _ = _minimize(lambda: _bowl_with_a_wall, [np.array([2.0, 0.0])])
+    assert best is None and "at initial point" in record["error"]
+    # multistart_minimize's search makes the point +inf; bfgs_minimize lets the error out
+    with pytest.raises(FactorizationError, match="dpotri failed"):
+        bfgs_minimize(_bowl_with_a_wall, x0)
 
 
 def test_restart_records_count_values_and_gradients():
@@ -563,8 +579,15 @@ def test_multistart_skips_infeasible_and_unfactorizable_starts():
 
 def test_pool_size_is_cores_over_blas_threads(monkeypatch):
     monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    # the OpenBLAS pools count, the larger of them, not the environment
     for name in BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv(name, "4")
+    monkeypatch.setattr(numerics, "_POOLS", ((lambda: 1, None), (lambda: 2, None)))
+    assert pool_size(5) == 2
+    # without the pools' functions (a system BLAS, or MKL), the environment rule
+    monkeypatch.setattr(numerics, "_POOLS", ())
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name)
     assert pool_size(5) == 1  # BLAS unpinned takes every core
     monkeypatch.setenv("MKL_NUM_THREADS", "2")
     assert pool_size(5) == 2
@@ -580,8 +603,9 @@ def test_pool_size_is_cores_over_blas_threads(monkeypatch):
 
 
 def test_multistart_has_one_worker_when_blas_is_unpinned(monkeypatch):
-    for name in BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
+    # unpinned, each OpenBLAS pool runs on every core
+    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(numerics, "_POOLS", ((lambda: 4, None), (lambda: 4, None)))
     threads = set()
 
     def make_objective():
@@ -651,7 +675,7 @@ def _stress(monkeypatch, sizes):
     begun.clear()
     made.clear()
     monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(8)))
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(numerics, "_POOLS", ((lambda: 1, None),))
     jobs = [(maker(j), js) for j, js in enumerate(job_starts)]
     got = []
     interval = sys.getswitchinterval()

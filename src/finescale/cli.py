@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from finescale.geo import (
     write_csv,
 )
 from finescale.gp_aux import AuxGPModel, data_sha256, fit_all_aux, predict_aux
-from finescale.numerics import NumericalError, pin_unset_blas
+from finescale.numerics import BLAS_THREAD_VARIABLES, NumericalError, one_blas_thread
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -346,9 +348,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse printed usage or help; 2 on a bad argument
         return exc.code
     args.argv = argv
-    pin_unset_blas()  # BLAS unpinned is slower, and its bits differ
+    # the fits pin BLAS themselves; unless a variable says otherwise, the rest too
+    pin = not any(name in os.environ for name in BLAS_THREAD_VARIABLES)
     try:
-        return COMMANDS[args.command](args)
+        with one_blas_thread() if pin else contextlib.nullcontext():
+            return COMMANDS[args.command](args)
     except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,7 +22,7 @@ from finescale.geo import (
     json_log,
     json_value,
 )
-from finescale.gp_aux import AuxPosterior, median_pairwise_distance
+from finescale.gp_aux import AuxPosterior, random_starts, warm_start
 from finescale.kernel import (
     JITTER_REL,
     SEKernelParams,
@@ -33,12 +33,12 @@ from finescale.kernel import (
     sq_dists,
 )
 from finescale.numerics import (
-    SIGMA_FLOOR,
     NumericalError,
     cholesky,
     clamp_variance,
     gaussian_nll,
     multistart_minimize,
+    one_blas_thread,
     solve,
     solve_lower,
 )
@@ -400,20 +400,13 @@ def _pack(w: np.ndarray, kernel: SEKernelParams, sigma: float) -> np.ndarray:
     return np.concatenate([w, [np.log(kernel.alpha), np.log(kernel.gamma), np.log(sigma)]])
 
 
-def _unpack(theta: np.ndarray, n_w: int) -> DownscaleParams:
-    w = theta[:n_w]
-    la, lg, ls = theta[n_w:]
-    return DownscaleParams(
-        w=w, kernel=SEKernelParams.from_log(la, lg), sigma=float(np.exp(ls))
-    )
-
-
 def lstsq_warm_start(a: np.ndarray, design: DesignMatrix, H: np.ndarray) -> np.ndarray:
     """Minimum-norm least squares of a on the coarse-aggregated design."""
     w, *_ = np.linalg.lstsq(H @ design.F, np.asarray(a, dtype=float), rcond=None)
     return w
 
 
+@one_blas_thread()
 def fit_downscale(
     a: ArealDataset | np.ndarray,
     posteriors: list[AuxPosterior],
@@ -434,7 +427,9 @@ def fit_downscale(
     objective and the earliest one on an exact tie;
     ``diagnostics["restart_records"]`` keeps every restart and
     ``diagnostics["workers"]`` counts the threads that ran them, each with its
-    own nf x nf scratch array. Raises
+    own nf x nf scratch array. ``diagnostics["log_marginal"]`` is
+    log N(a | H F w, Lambda) at the winner, without the ridge penalty the
+    search minimized. The fit runs inside ``numerics.one_blas_thread``. Raises
     DownscaleFitError when the warm start is not finite or every restart fails.
     """
     prob = _Problem.build(a, posteriors, fine, amap_or_H, dists=True)
@@ -449,29 +444,22 @@ def fit_downscale(
         raise DownscaleFitError(
             f"non-finite warm start: the least-squares residuals have standard deviation {spread}"
         )
-    alpha0 = max(spread, 1e-3)
-    gamma0 = median_pairwise_distance(prob.D2)
-    sigma0 = max(0.1 * spread, 10 * SIGMA_FLOOR)
-    theta0 = _pack(w0, SEKernelParams(alpha0, gamma0), sigma0)
+    theta0 = np.concatenate([w0, warm_start(spread, prob.D2)])
+    starts = [theta0] + random_starts(theta0, np.repeat([0.1, 0.5], [n_w, 3]), restarts, seed)
 
     def make_objective():
-        nf = len(prob.D2)
-        return partial(_neg_log_marginal, replace(prob, K=np.empty((nf, nf)), ridge=ridge))
+        return partial(_neg_log_marginal, replace(prob, K=np.empty_like(prob.D2), ridge=ridge))
 
-    rng = np.random.default_rng(seed)
-    inits = [theta0]
-    for _ in range(max(0, restarts - 1)):
-        t = theta0.copy()
-        t[:n_w] += rng.normal(0.0, 0.1, size=n_w)
-        t[n_w:] += rng.normal(0.0, 0.5, size=3)
-        inits.append(t)
-
-    [(best, records)], workers = multistart_minimize([(make_objective, inits)], gtol=gtol)
+    [(best, records)], workers = multistart_minimize([(make_objective, starts)], gtol=gtol)
     if best is None:
         raise DownscaleFitError("optimizer failed on all restarts")
-    params = _unpack(best.argmin, n_w)
+    nll = best.objective
+    if ridge > 0:  # the winner's value without the penalty: prob's ridge is 0
+        unpenalized = replace(prob, K=np.empty_like(prob.D2))
+        nll = _neg_log_marginal(unpenalized, best.argmin, lambda value: False)[0]
+    log_alpha, log_gamma, log_sigma = best.argmin[n_w:]
     diagnostics = {
-        "log_marginal": float(-best.objective),
+        "log_marginal": float(-nll),
         "iterations": int(best.iterations),
         "converged": bool(best.converged),
         "restarts": restarts,
@@ -480,7 +468,10 @@ def fit_downscale(
         "workers": workers,
     }
     return DownscaleParams(
-        w=params.w, kernel=params.kernel, sigma=params.sigma, diagnostics=diagnostics
+        w=best.argmin[:n_w],
+        kernel=SEKernelParams.from_log(log_alpha, log_gamma),
+        sigma=float(np.exp(log_sigma)),
+        diagnostics=diagnostics,
     )
 
 

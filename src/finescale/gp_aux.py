@@ -24,6 +24,7 @@ from finescale.numerics import (
     gaussian_nll,
     inverse,
     multistart_minimize,
+    one_blas_thread,
     solve,
     solve_lower,
 )
@@ -229,6 +230,20 @@ def median_pairwise_distance(D2: np.ndarray) -> float:
     return float(np.sqrt(np.median(upper[upper > 0])))
 
 
+def warm_start(spread: float, D2: np.ndarray) -> np.ndarray:
+    """The first start of both fits, (log alpha, log gamma, log sigma) for values
+    of standard deviation ``spread`` at points of squared distances D2."""
+    alpha, sigma = max(spread, 1e-3), max(0.1 * spread, 10 * SIGMA_FLOOR)
+    return np.log([alpha, median_pairwise_distance(D2), sigma])
+
+
+def random_starts(base: np.ndarray, sd, restarts: int, seed: int) -> list[np.ndarray]:
+    """The ``restarts - 1`` random starts of both fits: base + N(0, sd^2) entrywise,
+    drawn from a generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    return [base + rng.normal(0.0, sd, size=base.size) for _ in range(max(0, restarts - 1))]
+
+
 @dataclass(frozen=True)
 class _AuxFit:
     """One auxiliary fit up to its search: the training data, the offset and
@@ -259,19 +274,9 @@ class _AuxFit:
         ys = yc / scale
         D2 = sq_dists(X, X)
 
-        std_ys = float(np.std(ys))
-        base = np.log(
-            [
-                max(std_ys, 1e-3),  # alpha
-                median_pairwise_distance(D2),  # gamma
-                max(0.1 * std_ys, 10 * SIGMA_FLOOR),  # sigma
-            ]
-        )
-        rng = np.random.default_rng(seed)
+        base = warm_start(float(np.std(ys)), D2)
         short = base + np.array([0.0, -np.log(4.0), 0.0])  # quarter length scale
-        starts = [base, short] + [
-            base + rng.normal(0.0, 0.5, size=3) for _ in range(max(0, restarts - 1))
-        ]
+        starts = [base, short] + random_starts(base, 0.5, restarts, seed)
         return cls(X=X, y=y, offset=offset, scale=scale, ys=ys, D2=D2, starts=starts)
 
     def make_objective(self):
@@ -306,6 +311,7 @@ class _AuxFit:
         )
 
 
+@one_blas_thread()
 def fit_aux_gp(
     data: ArealDataset,
     restarts: int = 5,
@@ -322,7 +328,8 @@ def fit_aux_gp(
     random perturbations; ``diagnostics["restart_records"]`` keeps every
     start, with objectives of the unit-variance data, ``diagnostics["workers"]``
     counts the threads that ran them, each with its own ``_AuxProblem``, and
-    ``diagnostics["data_sha256"]`` identifies the training data.
+    ``diagnostics["data_sha256"]`` identifies the training data. The fit runs
+    inside ``numerics.one_blas_thread``.
     """
     fit = _AuxFit.prepare(data, restarts, seed, center)
     [(best, records)], workers = multistart_minimize([(fit.make_objective, fit.starts)])
@@ -358,6 +365,7 @@ def _naming(dataset_id: str):
         raise AuxFitError(f"auxiliary {dataset_id!r}: {exc}") from exc
 
 
+@one_blas_thread()
 def fit_all_aux(
     datasets: list[ArealDataset],
     fine: Partition,
@@ -373,7 +381,7 @@ def fit_all_aux(
     thread idles while another finishes a fit; ``diagnostics["workers"]`` of
     each model counts that pool's threads. The fits return in input order.
     A NumericalError is re-raised as AuxFitError naming the dataset; other
-    errors propagate.
+    errors propagate. Fits and predictions run inside ``numerics.one_blas_thread``.
     """
     ids = dataset_ids or [d.partition.name for d in datasets]
     order = sorted(range(len(datasets)), key=lambda i: -len(datasets[i].values))

@@ -15,6 +15,7 @@ import importlib.util
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,14 +360,24 @@ def _openblas_pools() -> tuple:
 
 
 _POOLS = _openblas_pools()
+_PINNED = threading.RLock()
 
 
-def pin_unset_blas() -> None:
-    """One thread in both OpenBLAS pools for the rest of the process, unless a BLAS
-    variable is set."""
-    if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+@contextmanager
+def one_blas_thread():
+    """One thread in both OpenBLAS pools inside, and on exit the counts they had
+    on entry; also a decorator. The pools are the process's, so a scope entered
+    from another thread waits for this one to end; the same thread may nest
+    scopes. Without the pools' functions (a system BLAS, or MKL) it does nothing."""
+    with _PINNED:
+        found = [get() for get, _ in _POOLS]
         for _, set_ in _POOLS:
             set_(1)
+        try:
+            yield
+        finally:
+            for (_, set_), n in zip(_POOLS, found):
+                set_(n)
 
 
 def pool_size(n_starts: int) -> int:

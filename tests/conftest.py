@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 # One BLAS thread: the test problems are small, and with few cores
 # multi-threaded BLAS makes their dense products slower. These must be set
@@ -19,7 +21,7 @@ import pytest
 
 from finescale import numerics
 from finescale.downscale import DownscaleParams, build_design
-from finescale.evaluate import grid_partition
+from finescale.evaluate import SyntheticSpec, grid_partition
 from finescale.geo import (
     AggregationMap,
     GeoValidationError,
@@ -30,6 +32,18 @@ from finescale.geo import (
 )
 from finescale.gp_aux import AuxGPModel, AuxPosterior, predict_aux
 from finescale.kernel import SEKernelParams
+
+
+# Two auxiliaries of one shared field, 5 and 100 regions: acceptance criterion 6.
+CRITERION_6_SPEC = SyntheticSpec(
+    aux_shapes=((5, 1), (10, 10)),
+    w=(1.0, 1.0),
+    twin_latent=True,
+    alpha=0.4,
+    gamma=0.12,
+    aux_gamma=0.2,
+    aux_noise=0.05,
+)
 
 
 def se_kernel(params: SEKernelParams, x, x2) -> float:
@@ -211,8 +225,29 @@ def hex_floats(obj):
     return obj
 
 
+def pool_counts() -> list[int]:
+    """The thread counts of the OpenBLAS pools, numpy's and scipy's."""
+    return [get() for get, _ in numerics._POOLS]
+
+
+def in_fresh_interpreter(module: str, function: str, env: dict) -> str:
+    """The stdout of ``print(function())``, the function taken from the test
+    module, in a new interpreter with the environment env. numpy is imported
+    first, so BLAS starts with env's thread variables, not the ones this
+    file sets for a module that imports it."""
+    paths = [str(Path(__file__).parent), str(Path(numerics.__file__).parents[1])]
+    code = (
+        f"import numpy, sys; sys.path[:0] = {paths!r}; "
+        f"from {module} import {function}; print({function}())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return out.stdout.strip()
+
+
 def pytest_report_header(config):
-    # criterion 6 reads a winner chosen by the last bit, which the BLAS thread count can tip
+    # the fits run on one BLAS thread whatever these say; the rest of the suite follows them
     threads = ", ".join(f"{v}={os.environ.get(v)}" for v in BLAS_THREAD_VARS)
     if NUMPY_IMPORTED_FIRST:
         threads += " (numpy was imported before these were set; BLAS may not use them)"
@@ -226,14 +261,27 @@ def rng():
 
 @pytest.fixture
 def search_threads(monkeypatch):
-    """set(k) gives multistart_minimize a pool of k in (1, 2) threads: two
-    cores over an OpenBLAS pool that reports 2 // k threads."""
+    """set(k) gives a fit's search a pool of k threads: k cores, each over the
+    one BLAS thread a fit pins in the real OpenBLAS pools."""
 
     def set_threads(k: int) -> None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(numerics, "_POOLS", ((lambda: 2 // k, None),))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
 
     return set_threads
+
+
+@pytest.fixture
+def pools_at_two():
+    """Both OpenBLAS pools at two threads for the test, and back at their counts
+    after it; skipped without the pools' functions (a system BLAS, or MKL)."""
+    if not numerics._POOLS:
+        pytest.skip("needs OpenBLAS's thread-count functions")
+    entry = pool_counts()
+    for _, set_ in numerics._POOLS:
+        set_(2)
+    yield
+    for (_, set_), n in zip(numerics._POOLS, entry):
+        set_(n)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import grad_check, random_instance
+from conftest import CRITERION_6_SPEC, grad_check, random_instance
 from finescale.baselines import gpr_baseline, lr_baseline, sd2_baseline
 from finescale.cli import EXIT_OK, main
 from finescale.downscale import (
@@ -149,15 +149,7 @@ def test_criterion_5_synthetic_recovery(recovery_runs):
 
 
 def test_criterion_6_granularity_uncertainty():
-    spec = SyntheticSpec(
-        aux_shapes=((5, 1), (10, 10)),  # 5 vs 100 regions of one shared field
-        w=(1.0, 1.0),
-        twin_latent=True,
-        alpha=0.4,
-        gamma=0.12,
-        aux_gamma=0.2,
-        aux_noise=0.05,
-    )
+    spec = CRITERION_6_SPEC  # 5 vs 100 regions of one shared field
     var_wins = 0
     w_coarse, w_fine = [], []
     for seed in range(20):

@@ -1,10 +1,8 @@
 import dataclasses
+import json
 import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +15,8 @@ from conftest import (
     always,
     grad_check,
     hex_floats,
+    in_fresh_interpreter,
+    pool_counts,
     posterior_with_mean,
     random_H,
     random_instance,
@@ -45,6 +45,7 @@ from finescale.numerics import (
     FactorizationError,
     cholesky,
     log_det,
+    one_blas_thread,
     solve,
 )
 
@@ -729,16 +730,53 @@ def lambdas_agree_at_refine_scale() -> dict[str, bool]:
 @pytest.mark.parametrize("threads", [1, 2])
 def test_predict_factors_the_lambda_the_fit_factors_at_refine_scale(threads):
     # a fresh interpreter, so that BLAS starts with this many threads
-    tests = str(Path(__file__).parent)
-    code = (
-        f"import sys; sys.path[:0] = [{tests!r}, {str(Path(downscale.__file__).parents[1])!r}]; "
-        "from test_downscale import lambdas_agree_at_refine_scale as check; print(check())"
-    )
-    env = {**os.environ, **{var: str(threads) for var in BLAS_THREAD_VARS}}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == "{'grid': True, 'dense': True}"
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, str(threads))}
+    out = in_fresh_interpreter("test_downscale", "lambdas_agree_at_refine_scale", env)
+    assert out == "{'grid': True, 'dense': True}"
+
+
+def both_steps_fitted() -> str:
+    """fit_all_aux and fit_downscale on the default synthetic spec (seed 0):
+    the models, every float as hex, and the OpenBLAS pools' thread counts
+    before and after."""
+    before = pool_counts()
+    with one_blas_thread():  # the same data at every thread count
+        inst = generate_synthetic(SyntheticSpec(), seed=0)
+    fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=2, dataset_ids=inst.aux_ids)
+    params = fit_downscale(inst.a, [post for _, post in fitted], inst.fine, inst.amap, restarts=2)
+    models = [model.to_dict() for model, _ in fitted]
+    models.append(params.to_dict(column_ids=inst.aux_ids + ("bias",)))
+    return json.dumps({"models": hex_floats(models), "pools": [before, pool_counts()]})
+
+
+def test_fits_with_blas_unpinned_give_the_bits_of_a_pinned_run_and_put_the_pools_back():
+    # with no variable exported, OpenBLAS starts on every core; the fits run
+    # on one BLAS thread anyway, and leave the pools as they found them
+    unpinned = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    pinned = {**unpinned, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
+    runs = [
+        json.loads(in_fresh_interpreter("test_downscale", "both_steps_fitted", env))
+        for env in (pinned, unpinned)
+    ]
+    assert runs[0]["models"] == runs[1]["models"]  # workers included
+    for run in runs:
+        before, after = run["pools"]
+        assert after == before
+
+
+def test_log_marginal_under_ridge_is_the_log_marginal_likelihood():
+    inst = generate_synthetic(SyntheticSpec(), seed=0)
+    fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=1, dataset_ids=inst.aux_ids)
+    posteriors = [post for _, post in fitted]
+    params = fit_downscale(inst.a, posteriors, inst.fine, inst.amap, restarts=2, ridge=0.5)
+    design = build_design(posteriors, n_fine=len(inst.fine))
+    assembly = assemble_lambda(params, posteriors, inst.fine.centroids, inst.amap)
+    want = log_marginal(params, inst.a.values, design, assembly, inst.amap.H)
+    assert params.diagnostics["log_marginal"] == pytest.approx(want, rel=1e-12, abs=0)
+    # the records keep the penalized objective the search minimized
+    w = params.w[:-1]
+    best = min(r["objective"] for r in params.diagnostics["restart_records"])
+    assert best == pytest.approx(-want + 0.5 * float(w @ w), rel=1e-12, abs=0)
 
 
 def _predict_case(rng, case):

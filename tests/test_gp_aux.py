@@ -1,3 +1,6 @@
+import json
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import always, grad_check, hex_floats, point_partition, random_posteriors
+from conftest import (
+    BLAS_THREAD_VARS,
+    CRITERION_6_SPEC,
+    always,
+    grad_check,
+    hex_floats,
+    in_fresh_interpreter,
+    point_partition,
+    pool_counts,
+    random_posteriors,
+)
 from finescale import gp_aux
 from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
 from finescale.geo import ArealDataset
@@ -35,6 +48,7 @@ from finescale.numerics import (
     cholesky,
     inverse,
     log_det,
+    one_blas_thread,
     solve,
 )
 
@@ -463,6 +477,62 @@ def test_fit_is_the_same_on_one_and_two_threads(search_threads):
         fits.append(hex_floats([saved.pop("diagnostics")["restart_records"], saved]))
     assert len(fits[0][0]) == 5
     assert fits[0] == fits[1]
+
+
+def twin_auxiliaries_fitted() -> str:
+    """The models of criterion 6's auxiliaries (seed 0), every float as hex."""
+    with one_blas_thread():  # the same data at every thread count
+        inst = generate_synthetic(CRITERION_6_SPEC, seed=0)
+    fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=5, seed=0)
+    return json.dumps(hex_floats([model.to_dict() for model, _ in fitted]))
+
+
+def test_fits_are_the_same_whatever_blas_threads_the_environment_sets():
+    # fresh interpreters, so that BLAS starts with 1 and with 2 threads; on the
+    # 5-region auxiliary restarts tie to one ulp, so the thread count picked
+    # the winner before the fits pinned BLAS themselves
+    runs = [
+        in_fresh_interpreter(
+            "test_gp_aux", "twin_auxiliaries_fitted",
+            {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, str(threads))},
+        )
+        for threads in (1, 2)
+    ]
+    assert runs[0] == runs[1]  # workers included
+
+
+def test_fits_from_two_threads_take_turns_and_put_the_pools_back(monkeypatch, pools_at_two):
+    ds = generate_synthetic(SyntheticSpec(), seed=0).aux_datasets[-1]
+    want = hex_floats(fit_aux_gp(ds, restarts=2, seed=0).to_dict())
+    assert pool_counts() == [2, 2]
+    search = gp_aux.multistart_minimize
+    events = []
+
+    def watched(*args, **kwargs):
+        events.append(("begin", threading.get_ident(), pool_counts()))
+        out = search(*args, **kwargs)
+        events.append(("end", threading.get_ident(), pool_counts()))
+        return out
+
+    monkeypatch.setattr(gp_aux, "multistart_minimize", watched)
+    barrier = threading.Barrier(2)
+    got = {}
+
+    def fit():
+        barrier.wait()
+        got[threading.get_ident()] = hex_floats(fit_aux_gp(ds, restarts=2, seed=0).to_dict())
+
+    callers = [threading.Thread(target=fit) for _ in range(2)]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout=120)
+    assert list(got.values()) == [want, want]
+    # one fit's search ends before the other's begins, each on one BLAS thread
+    (b0, t0, p0), (e0, t1, p1), (b1, t2, p2), (e1, t3, p3) = events
+    assert (b0, e0, b1, e1) == ("begin", "end", "begin", "end")
+    assert t0 == t1 != t2 == t3 and p0 == p1 == p2 == p3 == [1, 1]
+    assert pool_counts() == [2, 2]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import grad_check
+from conftest import grad_check, pool_counts
 from finescale import numerics
 from finescale.numerics import (
     BLAS_THREAD_VARIABLES,
@@ -20,6 +20,7 @@ from finescale.numerics import (
     inverse,
     log_det,
     multistart_minimize,
+    one_blas_thread,
     pool_size,
     solve,
     solve_lower,
@@ -600,6 +601,18 @@ def test_pool_size_is_cores_over_blas_threads(monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "8")
     monkeypatch.setenv("MKL_NUM_THREADS", "many")
     assert pool_size(5) == 1
+
+
+def test_one_blas_thread_pins_both_pools_and_puts_back_what_it_found(pools_at_two):
+    with one_blas_thread():
+        assert pool_counts() == [1, 1]
+        with one_blas_thread():  # a fit's scope inside the CLI's
+            assert pool_counts() == [1, 1]
+        assert pool_counts() == [1, 1]
+    assert pool_counts() == [2, 2]
+    with pytest.raises(ZeroDivisionError), one_blas_thread():
+        1 / 0
+    assert pool_counts() == [2, 2]
 
 
 def test_multistart_has_one_worker_when_blas_is_unpinned(monkeypatch):

@@ -475,6 +475,7 @@ def fit_downscale(
     )
 
 
+@one_blas_thread()
 def predict_fine(
     params: DownscaleParams,
     a: ArealDataset | np.ndarray,
@@ -491,7 +492,7 @@ def predict_fine(
     each Sigma_s H^T, which one pass over row blocks of the fine distances
     gives, so no nf x nf array is; ``Refinement.cov`` forms the covariance
     Omega - V^T V when it is read. The posteriors must be at the fine
-    locations.
+    locations. It runs inside ``numerics.one_blas_thread``.
     """
     w, kernel = params.w, params.kernel
     prob = _Problem.build(a, posteriors, fine, amap_or_H, design, kernel=kernel)

@@ -21,6 +21,7 @@ from finescale.geo import (
 )
 from finescale.gp_aux import fit_all_aux
 from finescale.kernel import SEKernelParams, cov_matrix
+from finescale.numerics import one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,7 @@ def default_offset(spec: SyntheticSpec) -> float:
     return 5.0 * (spec.alpha + spec.aux_alpha * sum(abs(v) for v in spec.w) + abs(spec.bias))
 
 
+@one_blas_thread()
 def generate_synthetic(
     spec: SyntheticSpec, seed: int = 0, aux_seed: int | None = None
 ) -> SyntheticInstance:
@@ -163,8 +165,10 @@ def generate_synthetic(
     posterior given those observations. The target is the weighted fine
     latents plus a GP residual; the coarse data add aggregation noise.
     Bit-reproducible by seed; ``aux_seed`` pins the auxiliary observations
-    separately so the target chain can be resampled conditionally. Weights
-    or an offset that are not finite raise InputError.
+    separately so the target chain can be resampled conditionally, and the
+    same at every BLAS thread count: it runs inside
+    ``numerics.one_blas_thread``. Weights or an offset that are not finite
+    raise InputError.
     """
     offset = default_offset(spec) if spec.offset is None else spec.offset
     if not all(math.isfinite(v) for v in (*spec.w, offset)):

@@ -336,12 +336,15 @@ def fit_aux_gp(
     return fit.model(best, records, workers, dataset_id or data.partition.name)
 
 
+@one_blas_thread()
 def predict_aux(model: AuxGPModel, test_centroids) -> AuxPosterior:
     """Predictive posterior at the test centroids.
 
     With L L^T = K + sigma^2 I and W = L^-1 K*:
     mean = offset + K*^T (K + sigma^2 I)^-1 (y - offset)
     var  = diag K** - colsum(W o W), clamped at zero
+
+    It runs inside ``numerics.one_blas_thread``.
     """
     Xt = np.atleast_2d(np.asarray(test_centroids, dtype=float))
     X = model.train_centroids

@@ -64,10 +64,18 @@ def se_from_sq_dists(
     agree bit for bit. The steps run in place in one array: ``out`` when given
     (a fit's objective reuses one across calls), else a new one. Written as a
     single expression on an argument, it would hold two temporaries.
+
+    Below an exponent of -708 numpy's exp leaves its fast path, and below
+    -745.13 it returns +0.0; where any exponent is below -708, exp runs only
+    on those at or above -750 and the rest become +0.0, the bits exp gives.
     """
     K = np.multiply(-0.5, D2, out=out)
     K /= gamma**2
-    np.exp(K, out=K)
+    if K.min() < -708.0:
+        np.exp(K, out=K, where=K >= -750.0)
+        np.maximum(K, 0.0, out=K)
+    else:
+        np.exp(K, out=K)
     K *= alpha**2
     return K
 

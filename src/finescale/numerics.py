@@ -55,9 +55,11 @@ class OptimizationError(NumericalError):
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T equal to the factored matrix."""
+    """Lower-triangular factor L with L @ L.T equal to the factored matrix;
+    ``diagonal`` when ``cholesky`` found every entry of L off its diagonal zero."""
 
     L: np.ndarray
+    diagonal: bool = False
 
     @property
     def n(self) -> int:
@@ -169,7 +171,8 @@ def cholesky(
     after a symmetry check; dpotrf runs without the GIL. ``out``, a writeable
     Fortran-ordered n x n array that may be M itself, receives the factor in
     place of a new copy; ``scratch``, any n x n array, takes the symmetry
-    check's difference M - M^T.
+    check's difference M - M^T. A positive diagonal matrix gets diag(sqrt d),
+    dpotrf's bits, without the call.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -182,10 +185,19 @@ def cholesky(
     # scale is +inf or nan exactly when M holds an inf or a nan
     if not np.isfinite(scale):
         raise ValueError("array must not contain infs or NaNs")
+    if out is not None and not (_in_place_ok(out) and out.shape == M.shape):
+        raise ValueError("out must be a writeable Fortran-ordered float64 array shaped like M")
+    d = M.diagonal()
+    # only a positive diagonal is nonzero, as bits: dpotrf's pivots would be
+    # sqrt(d - 0) and its other entries +0.0, but it keeps a -0.0 below the diagonal
+    if d.min() > 0 and np.count_nonzero(M.view(np.int64)) == d.size:
+        d = np.sqrt(d)  # read before out, which may be M, is zeroed
+        out = np.empty(M.shape, order="F") if out is None else out
+        out.fill(0.0)
+        np.fill_diagonal(out, d)
+        return CholeskyFactor(L=out, diagonal=True)
     if out is None:
         out = np.array(M, order="F")
-    elif not (_in_place_ok(out) and out.shape == M.shape):
-        raise ValueError("out must be a writeable Fortran-ordered float64 array shaped like M")
     elif out is not M:
         np.copyto(out, M)
     info = _on_lower(_dpotrf, out)
@@ -255,6 +267,12 @@ def inverse(F: CholeskyFactor, out: np.ndarray | None = None) -> np.ndarray:
     place on F.L, which then no longer holds the factor.
     """
     L = F.L
+    if F.diagonal:  # dpotri's bits: dtrtri's 1/l, squared by dlauum
+        r = 1.0 / L.diagonal()
+        inv = np.empty(L.shape) if out is None else out
+        inv.fill(0.0)
+        np.fill_diagonal(inv, r * r)
+        return inv
     if out is None or not _in_place_ok(L):
         L = np.array(L, dtype=float, order="F")
     info = _on_lower(_dpotri, L)

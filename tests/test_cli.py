@@ -658,8 +658,8 @@ def test_negative_seed_exit_2(synth_dir, tmp_path, capsys, command):
 def test_fit_and_refine_with_blas_unpinned_write_the_bytes_of_a_pinned_run(synth_dir, tmp_path):
     # with no BLAS variable set, a command runs both OpenBLAS pools on one
     # thread: the fit has as many threads as a pinned one, and the same bits.
-    # With the variables at 2 the fits still pin themselves, so models.json
-    # is the same too; refine, outside the fits, follows the variables.
+    # With the variables at 2 the fits and refine's predict_aux and
+    # predict_fine still pin themselves, so every output is the same too.
     src = str(Path(finescale.__file__).parents[1])
     unpinned = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     unpinned["PYTHONPATH"] = src
@@ -674,8 +674,7 @@ def test_fit_and_refine_with_blas_unpinned_write_the_bytes_of_a_pinned_run(synth
             )
         names = ("models.json", "refinement.csv", "refinement.svg")
         written.append([(out / name).read_bytes() for name in names])
-    assert written[0] == written[1]
-    assert written[2][0] == written[0][0]
+    assert written[0] == written[1] == written[2]
 
 
 def truncate(path):

@@ -23,7 +23,7 @@ from conftest import (
     random_posteriors,
     se_kernel,
 )
-from finescale import downscale, kernel
+from finescale import downscale, gp_aux, kernel
 from finescale.downscale import (
     DownscaleFitError,
     DownscaleParams,
@@ -39,7 +39,7 @@ from finescale.downscale import (
 )
 from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
 from finescale.geo import AggregationMap, ArealDataset, Partition, build_aggregation
-from finescale.gp_aux import AuxPosterior, fit_all_aux, predict_aux
+from finescale.gp_aux import AuxGPModel, AuxPosterior, fit_all_aux, predict_aux
 from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
 from finescale.numerics import (
     FactorizationError,
@@ -684,8 +684,9 @@ def factored_lambdas(theta, a, posteriors, fine, H) -> list[np.ndarray]:
     real_cholesky = downscale.cholesky
     downscale.cholesky = lambda M: factored.append(M) or real_cholesky(M)
     try:
-        prob = _Problem.build(a, posteriors, fine, H, dists=True)
-        _neg_log_marginal(prob, theta, lambda value: False)
+        with one_blas_thread():  # as fit_downscale runs them; predict_fine pins itself
+            prob = _Problem.build(a, posteriors, fine, H, dists=True)
+            _neg_log_marginal(prob, theta, lambda value: False)
         design = build_design(posteriors, n_fine=len(fine))
         n_w = design.F.shape[1]
         params = DownscaleParams(
@@ -740,8 +741,7 @@ def both_steps_fitted() -> str:
     the models, every float as hex, and the OpenBLAS pools' thread counts
     before and after."""
     before = pool_counts()
-    with one_blas_thread():  # the same data at every thread count
-        inst = generate_synthetic(SyntheticSpec(), seed=0)
+    inst = generate_synthetic(SyntheticSpec(), seed=0)
     fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=2, dataset_ids=inst.aux_ids)
     params = fit_downscale(inst.a, [post for _, post in fitted], inst.fine, inst.amap, restarts=2)
     models = [model.to_dict() for model, _ in fitted]
@@ -762,6 +762,29 @@ def test_fits_with_blas_unpinned_give_the_bits_of_a_pinned_run_and_put_the_pools
     for run in runs:
         before, after = run["pools"]
         assert after == before
+
+
+def test_refine_predictions_run_on_one_blas_thread_and_put_the_pools_back(
+    monkeypatch, rng, pools_at_two
+):
+    # predict_aux and predict_fine pin BLAS as the fits do, so what refine
+    # writes does not follow the environment either
+    params, a, design, posteriors, H, Xf = random_instance(rng, 4, 12, 2)
+    model = AuxGPModel(
+        dataset_id="aux", params=SEKernelParams(1.0, 0.3), noise_sigma=0.1,
+        train_centroids=Xf[:6], train_values=rng.normal(size=6),
+        offset=0.0, scale=1.0, log_marginal=0.0,
+    )
+    seen = []
+    for module in (gp_aux, downscale):
+        solve_lower = module.solve_lower
+        monkeypatch.setattr(
+            module, "solve_lower", lambda F, b, f=solve_lower: seen.append(pool_counts()) or f(F, b)
+        )
+    predict_aux(model, Xf)
+    predict_fine(params, a, design, posteriors, H, Xf)
+    assert seen == [[1, 1], [1, 1]]
+    assert pool_counts() == [2, 2]
 
 
 def test_log_marginal_under_ridge_is_the_log_marginal_likelihood():

@@ -1,7 +1,10 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
-from conftest import polygon_area_centroid
+from conftest import BLAS_THREAD_VARS, in_fresh_interpreter, polygon_area_centroid
 from finescale import evaluate
 from finescale.baselines import BaselineResult
 from finescale.downscale import DownscaleParams, assemble_lambda, build_design
@@ -108,6 +111,23 @@ def test_identical_seed_bit_identical():
     assert np.array_equal(i1.a.values, i2.a.values)
     for d1, d2 in zip(i1.aux_datasets, i2.aux_datasets):
         assert np.array_equal(d1.values, d2.values)
+
+
+def synthetic_instance_sha256() -> str:
+    """sha256 of the arrays of the default spec's seed-0 instance."""
+    inst = generate_synthetic(SyntheticSpec(), seed=0)
+    h = hashlib.sha256()
+    for arr in (inst.z_true, inst.a.values, *(d.values for d in inst.aux_datasets)):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def test_a_seed_gives_one_instance_at_every_blas_thread_count():
+    # fresh interpreters, so that BLAS starts with 1 thread, 2, and every core
+    unpinned = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    envs = [{**unpinned, **dict.fromkeys(BLAS_THREAD_VARS, n)} for n in ("1", "2")] + [unpinned]
+    runs = [in_fresh_interpreter("test_evaluate", "synthetic_instance_sha256", env) for env in envs]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_coarse_equals_fine_gives_identity_H():

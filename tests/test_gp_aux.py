@@ -19,7 +19,7 @@ from conftest import (
     pool_counts,
     random_posteriors,
 )
-from finescale import gp_aux
+from finescale import gp_aux, numerics
 from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
 from finescale.geo import ArealDataset
 from finescale.gp_aux import (
@@ -44,11 +44,11 @@ from finescale.kernel import (
 )
 from finescale.numerics import (
     SIGMA_FLOOR,
+    CholeskyFactor,
     FactorizationError,
     cholesky,
     inverse,
     log_det,
-    one_blas_thread,
     solve,
 )
 
@@ -481,8 +481,7 @@ def test_fit_is_the_same_on_one_and_two_threads(search_threads):
 
 def twin_auxiliaries_fitted() -> str:
     """The models of criterion 6's auxiliaries (seed 0), every float as hex."""
-    with one_blas_thread():  # the same data at every thread count
-        inst = generate_synthetic(CRITERION_6_SPEC, seed=0)
+    inst = generate_synthetic(CRITERION_6_SPEC, seed=0)
     fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=5, seed=0)
     return json.dumps(hex_floats([model.to_dict() for model, _ in fitted]))
 
@@ -499,6 +498,68 @@ def test_fits_are_the_same_whatever_blas_threads_the_environment_sets():
         for threads in (1, 2)
     ]
     assert runs[0] == runs[1]  # workers included
+
+
+def lapack_cholesky(M, out=None, scratch=None):
+    """``cholesky`` without its path for diagonal matrices: dpotrf on every
+    matrix, in a new array, and a factor that ``inverse`` hands to dpotri."""
+    L = np.array(M, order="F")
+    info = numerics._on_lower(numerics._dpotrf, L)
+    if info > 0:
+        raise FactorizationError(f"matrix not positive definite (pivot {info})", pivot=info)
+    numerics._zero_above_diagonal(L)
+    return CholeskyFactor(L=L)
+
+
+AUX_HEAVY_SPEC = SyntheticSpec(
+    fine_shape=(20, 12),
+    coarse_shape=(5, 4),
+    aux_shapes=((16, 12), (20, 15), (24, 16), (24, 20)),
+    w=(0.3, -0.8, 2.0, 0.5),
+)
+
+
+@pytest.mark.parametrize("spec, restarts", [(CRITERION_6_SPEC, 5), (AUX_HEAVY_SPEC, 3)])
+def test_diagonal_grams_skip_lapack_and_leave_every_fit_and_posterior_as_it_was(
+    monkeypatch, spec, restarts
+):
+    # most Grams these fits factor are diagonal: their restarts slide to a pure nugget
+    inst = generate_synthetic(spec, seed=0)
+    fits = []
+    for factor in (cholesky, lapack_cholesky):
+        monkeypatch.setattr(gp_aux, "cholesky", factor)
+        fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=restarts, seed=0)
+        fits.append(
+            [
+                (hex_floats(model.to_dict()), [a.tobytes() for a in (post.mean, post.var, post.W)])
+                for model, post in fitted
+            ]
+        )
+    assert fits[0] == fits[1]
+
+
+def test_a_pure_nugget_fit_factors_and_inverts_no_diagonal_gram_with_lapack(monkeypatch):
+    # white noise at 8 x 8 grid centres: the fitted kernel is zero between regions
+    part = grid_partition(8, 8, "noise")
+    data = ArealDataset(part, np.random.default_rng(0).normal(size=64))
+    diagonal_factors, lapack_on_diagonal = [], []
+    on_lower = numerics._on_lower
+
+    def watched_cholesky(M, out=None, scratch=None):
+        F = cholesky(M, out=out, scratch=scratch)
+        diagonal_factors.append(F.diagonal)
+        return F
+
+    def watched_on_lower(routine, A):  # dpotrf's and dpotri's one way in
+        lapack_on_diagonal.append(np.array_equal(A, np.diag(A.diagonal())))
+        return on_lower(routine, A)
+
+    monkeypatch.setattr(gp_aux, "cholesky", watched_cholesky)
+    monkeypatch.setattr(numerics, "_on_lower", watched_on_lower)
+    model = fit_aux_gp(data, restarts=3, seed=0)
+    assert np.count_nonzero(cov_matrix(model.params, part.centroids, part.centroids)) == 64
+    assert sum(diagonal_factors) > len(diagonal_factors) / 2
+    assert lapack_on_diagonal and not any(lapack_on_diagonal)
 
 
 def test_fits_from_two_threads_take_turns_and_put_the_pools_back(monkeypatch, pools_at_two):

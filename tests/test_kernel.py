@@ -66,6 +66,34 @@ def test_se_into_destination_equals_new_array(rng):
     assert np.array_equal(in_place, want)
 
 
+def four_steps(alpha, gamma, D2):
+    """alpha^2 * exp(-0.5 * D2 / gamma^2) in se_from_sq_dists' steps, exp on every entry."""
+    K = np.multiply(-0.5, D2)
+    K /= gamma**2
+    np.exp(K, out=K)
+    K *= alpha**2
+    return K
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.37])
+def test_se_of_underflowed_exponents_has_the_bits_of_exp_on_every_entry(rng, gamma):
+    # exponents across exp's subnormal band, below -750, at its edges, and
+    # from infinite squared distances
+    exponents = np.concatenate([
+        rng.uniform(-760.0, -700.0, 20000),
+        rng.uniform(-1e6, -750.0, 1000),
+        [0.0, -1.0, -708.0, -708.4, -745.1, -745.2, -750.0, -750.000001, -np.inf, np.inf],
+    ])
+    D2 = (-2.0 * gamma**2 * exponents).reshape(-1, 10)
+    want = four_steps(1.3, gamma, D2)
+    assert np.count_nonzero(want) and np.isinf(want).any() and (want < 1e-308).any()
+    for dest in (None, np.full(D2.shape, np.nan, order="F")):
+        assert se_from_sq_dists(1.3, gamma, D2, out=dest).tobytes() == want.tobytes()
+    in_place = D2.copy()
+    se_from_sq_dists(1.3, gamma, in_place, out=in_place)
+    assert in_place.tobytes() == want.tobytes()
+
+
 def test_three_collinear_equidistant_points():
     X = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
     M = cov_matrix(P11, X, X)

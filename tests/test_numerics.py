@@ -172,6 +172,48 @@ def test_lapack_through_ctypes_equals_scipy_lapack(rng, n):
     assert exc.value.pivot == want_pivot == n // 2 + 1
 
 
+def _same_bits(a, b) -> bool:
+    """Equal shapes and bits: unlike ==, -0.0 and +0.0 differ."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 256, 257, 480])
+def test_diagonal_factor_and_inverse_are_lapacks_bits_without_lapack(rng, monkeypatch, n):
+    # across OpenBLAS's blocking sizes and magnitudes 1e-300 to 1e300
+    M = np.diag(10.0 ** rng.uniform(-300, 300, n))
+    want_L = np.array(M, order="F")
+    assert numerics._on_lower(numerics._dpotrf, want_L) == 0
+    numerics._zero_above_diagonal(want_L)
+    want_inv = inverse(CholeskyFactor(L=want_L.copy(order="F")))  # a factor by hand: dpotri
+    monkeypatch.setattr(numerics, "_on_lower", None)  # a LAPACK call would fail
+    for factor in CHOLESKY_PATHS:
+        F = factor(M)
+        assert F.diagonal and _same_bits(F.L, want_L)
+        assert _same_bits(inverse(F), want_inv)
+        out = np.full((n, n), np.nan)
+        assert inverse(F, out=out) is out and _same_bits(out, want_inv)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_a_diagonal_with_a_non_positive_entry_raises_dpotrfs_pivot(bad):
+    M = np.diag([2.0, 3.0, bad, 5.0])
+    for factor in CHOLESKY_PATHS:
+        with pytest.raises(FactorizationError) as exc:
+            factor(M)
+        assert exc.value.pivot == 3
+
+
+@pytest.mark.parametrize("entry", [-0.0, 5e-324])
+def test_a_signed_zero_or_subnormal_off_the_diagonal_goes_to_dpotrf(entry):
+    M = np.diag([4.0, 9.0, 16.0])
+    M[2, 0] = M[0, 2] = entry
+    want, info = scipy.linalg.lapack.dpotrf(M, lower=1, clean=1)
+    assert info == 0 and np.signbit(want[2, 0]) == np.signbit(entry)
+    for factor in CHOLESKY_PATHS:
+        F = factor(M)
+        assert not F.diagonal and _same_bits(F.L, want)
+
+
 def test_missing_scipy_or_routine_is_an_import_error(monkeypatch, tmp_path):
     with pytest.raises(ImportError, match="no routine dnosuch"):
         numerics._lapack("dnosuch")
@@ -308,6 +350,9 @@ def test_inverse_of_singular_factor_is_typed():
         inverse(CholeskyFactor(L=L))
     with pytest.raises(FactorizationError):
         inverse(CholeskyFactor(L=np.asfortranarray(L)), out=np.empty((4, 4)))
+    # a factor built by hand is never taken for diagonal: dpotri runs and fails
+    with pytest.raises(FactorizationError):
+        inverse(CholeskyFactor(L=np.diag([1.0, 0.0, 2.0])))
 
 
 def test_gaussian_nll_is_both_inline_forms_bit_for_bit(rng):

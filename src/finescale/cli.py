@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -32,7 +30,7 @@ from finescale.geo import (
     write_csv,
 )
 from finescale.gp_aux import AuxGPModel, data_sha256, fit_all_aux, predict_aux
-from finescale.numerics import BLAS_THREAD_VARIABLES, NumericalError, one_blas_thread
+from finescale.numerics import NumericalError
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -46,16 +44,10 @@ def _split_pair(arg: str, flag: str) -> tuple[Path, Path]:
     return Path(parts[0]), Path(parts[1])
 
 
-def _require(path: Path, what: str) -> Path:
-    if not path.exists():
-        raise InputError(f"{what} not found: {path}")
-    return path
-
-
 def _read_json(path: Path, what: str):
     try:
-        return json.loads(_require(path, what).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{what} {path}: not valid JSON: {exc}") from exc
 
 
@@ -72,8 +64,7 @@ def _load_manifest(path: Path) -> list[tuple[str, Path, Path]]:
         aid = str(e["id"])
         if aid in ("", "bias") or aid in (o[0] for o in out):
             raise InputError(f"{path}: manifest id {aid!r} is empty, reserved or repeated")
-        geojson = _require(path.parent / e["geojson"], f"aux {aid} geometry")
-        out.append((aid, geojson, _require(path.parent / e["csv"], f"aux {aid} data")))
+        out.append((aid, path.parent / e["geojson"], path.parent / e["csv"]))
     return out
 
 
@@ -82,11 +73,11 @@ def _load_inputs(args):
     manifest id) and every file read."""
     coarse_path, target_path = _split_pair(args.target, "--target")
     paths = [coarse_path, target_path, Path(args.fine)]
-    coarse = load_partition(_require(coarse_path, "target geometry"))
-    a = load_dataset(coarse, _require(target_path, "target data"))
-    fine = load_partition(_require(paths[2], "fine partition"))
+    coarse = load_partition(coarse_path)
+    a = load_dataset(coarse, target_path)
+    fine = load_partition(paths[2])
     if args.hmatrix:
-        paths.append(_require(Path(args.hmatrix), "H matrix"))
+        paths.append(Path(args.hmatrix))
         amap = load_aggregation_csv(coarse, fine, paths[-1])
     else:
         amap = build_aggregation(coarse, fine)
@@ -201,7 +192,7 @@ def cmd_eval(args) -> int:
     from finescale import evaluate
 
     a, amap, aux, _ = _load_inputs(args)
-    truth = load_dataset(amap.fine, _require(Path(args.truth), "truth data")).values
+    truth = load_dataset(amap.fine, Path(args.truth)).values
     methods = tuple(args.method.split(",")) if args.method else evaluate.METHODS
     table = evaluate.run_comparison(
         a, aux, amap, truth, methods=methods,
@@ -273,15 +264,19 @@ positive_float = _checked(
 )
 
 
-def _add_inputs(p: argparse.ArgumentParser) -> None:
-    """The flags of the commands that read a target, a fine partition and auxiliaries."""
+def _add_inputs(p: argparse.ArgumentParser, fits: bool = True) -> None:
+    """The flags of the commands that read a target, a fine partition and
+    auxiliaries; a command that ``fits`` nothing accepts --seed and --restarts."""
     p.add_argument("--target", required=True, help="coarse target as GEOJSON,CSV pair")
     p.add_argument("--fine", required=True, help="fine partition GeoJSON")
     p.add_argument("--aux-manifest", default=None, help="JSON array of {id, geojson, csv}")
     p.add_argument("--hmatrix", default=None, help="optional user-supplied H matrix CSV")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--restarts", type=positive_int, default=5)
+    unread = "accepted and not read"
+    p.add_argument("--seed", type=non_negative_int, default=0,
+                   help="seed of the fits' random starts" if fits else unread)
+    p.add_argument("--restarts", type=positive_int, default=5, metavar="N", help=(
+        "N + 1 starts per GP fit on one dataset, N in the second step" if fits else unread))
 
 
 def _add_second_step(p: argparse.ArgumentParser) -> None:
@@ -305,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_second_step(p_fit)
 
     p_ref = sub.add_parser("refine", help="predict the fine field from fitted models")
-    _add_inputs(p_ref)
+    _add_inputs(p_ref, fits=False)
     p_ref.add_argument("--models", default=None, help="models.json (default: OUT/models.json)")
     p_ref.add_argument("--covariance", action="store_true", help="also write full covariance CSV")
 
@@ -321,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="write a synthetic instance directory")
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--seed", type=non_negative_int, default=0)
+    p_synth.add_argument("--seed", type=non_negative_int, default=0, help="seed of the instance")
     p_synth.add_argument("--fine-grid", type=int, nargs=2)
     p_synth.add_argument("--coarse-grid", type=int, nargs=2)
     p_synth.add_argument(
@@ -348,12 +343,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse printed usage or help; 2 on a bad argument
         return exc.code
     args.argv = argv
-    # the fits pin BLAS themselves; unless a variable says otherwise, the rest too
-    pin = not any(name in os.environ for name in BLAS_THREAD_VARIABLES)
     try:
-        with one_blas_thread() if pin else contextlib.nullcontext():
-            return COMMANDS[args.command](args)
-    except (InputError, FileNotFoundError) as exc:
+        return COMMANDS[args.command](args)
+    except (InputError, OSError) as exc:  # an OSError names its file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -241,7 +241,7 @@ def load_partition(source, name: str | None = None) -> Partition:
     path = Path(source)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise GeoParseError(f"{source}: not valid JSON: {exc}") from exc
     try:
         return _parse_partition(doc, name or path.stem)
@@ -411,18 +411,22 @@ def build_aggregation(coarse: Partition, fine: Partition) -> AggregationMap:
 def load_dataset(partition: Partition, path) -> ArealDataset:
     """Read a `region_id,value` CSV matched to the partition by id."""
     rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "region_id" not in reader.fieldnames or "value" not in reader.fieldnames:
-            raise GeoParseError(f"{path}: expected header 'region_id,value'")
-        for row in reader:
-            rid = row["region_id"]
-            if rid in rows:
-                raise GeoValidationError(f"{path}: duplicate region id {rid!r}")
-            try:
-                rows[rid] = float(row["value"])
-            except (TypeError, ValueError) as exc:
-                raise GeoParseError(f"{path}: region {rid!r}: {exc}") from exc
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames
+            if header is None or "region_id" not in header or "value" not in header:
+                raise GeoParseError(f"{path}: expected header 'region_id,value'")
+            for row in reader:
+                rid = row["region_id"]
+                if rid in rows:
+                    raise GeoValidationError(f"{path}: duplicate region id {rid!r}")
+                try:
+                    rows[rid] = float(row["value"])
+                except (TypeError, ValueError) as exc:
+                    raise GeoParseError(f"{path}: region {rid!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GeoParseError(f"{path}: not a text CSV: {exc}") from exc
     ids = partition.ids
     known = set(ids)
     missing = [i for i in ids if i not in rows]
@@ -450,8 +454,11 @@ def load_aggregation_csv(coarse: Partition, fine: Partition, path) -> Aggregatio
 
     Blank lines are skipped; every other row must have as many fields as the header.
     """
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+    try:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r]
+    except UnicodeDecodeError as exc:
+        raise GeoParseError(f"{path}: not a text CSV: {exc}") from exc
     if not rows:
         raise GeoParseError(f"{path}: empty file")
     for k, r in enumerate(rows[1:], start=1):

@@ -311,7 +311,6 @@ class _AuxFit:
         )
 
 
-@one_blas_thread()
 def fit_aux_gp(
     data: ArealDataset,
     restarts: int = 5,
@@ -328,8 +327,7 @@ def fit_aux_gp(
     random perturbations; ``diagnostics["restart_records"]`` keeps every
     start, with objectives of the unit-variance data, ``diagnostics["workers"]``
     counts the threads that ran them, each with its own ``_AuxProblem``, and
-    ``diagnostics["data_sha256"]`` identifies the training data. The fit runs
-    inside ``numerics.one_blas_thread``.
+    ``diagnostics["data_sha256"]`` identifies the training data.
     """
     fit = _AuxFit.prepare(data, restarts, seed, center)
     [(best, records)], workers = multistart_minimize([(fit.make_objective, fit.starts)])
@@ -368,7 +366,6 @@ def _naming(dataset_id: str):
         raise AuxFitError(f"auxiliary {dataset_id!r}: {exc}") from exc
 
 
-@one_blas_thread()
 def fit_all_aux(
     datasets: list[ArealDataset],
     fine: Partition,
@@ -384,7 +381,7 @@ def fit_all_aux(
     thread idles while another finishes a fit; ``diagnostics["workers"]`` of
     each model counts that pool's threads. The fits return in input order.
     A NumericalError is re-raised as AuxFitError naming the dataset; other
-    errors propagate. Fits and predictions run inside ``numerics.one_blas_thread``.
+    errors propagate.
     """
     ids = dataset_ids or [d.partition.name for d in datasets]
     order = sorted(range(len(datasets)), key=lambda i: -len(datasets[i].values))

@@ -399,20 +399,17 @@ def one_blas_thread():
 
 
 def pool_size(n_starts: int) -> int:
-    """Threads for ``n_starts`` independent searches: the cores this process may
-    run on over the threads of one BLAS call (the larger OpenBLAS pool), at
-    most ``n_starts`` and at least 1. Without the pools' functions, the BLAS
-    threads are the first of BLAS_THREAD_VARIABLES set to a positive integer,
-    else every core."""
+    """Threads for ``n_starts`` independent searches, at most ``n_starts`` and at
+    least 1: one per core this process may run on, each search on the one BLAS
+    thread ``multistart_minimize`` pins. Without the pools' functions (a system
+    BLAS, or MKL), which nothing pins, the cores over the BLAS threads: the first
+    of BLAS_THREAD_VARIABLES set to a positive integer, else every core."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    if _POOLS:
-        blas = max(get() for get, _ in _POOLS)
-    else:
-        values = (os.environ.get(name, "").strip() for name in BLAS_THREAD_VARIABLES)
-        blas = next((int(v) for v in values if v.isdigit() and int(v) > 0), cores)
+    values = (os.environ.get(name, "").strip() for name in BLAS_THREAD_VARIABLES)
+    blas = 1 if _POOLS else next((int(v) for v in values if v.isdigit() and int(v) > 0), cores)
     return max(1, min(n_starts, cores // blas))
 
 
@@ -459,11 +456,12 @@ def _search(f, x0: np.ndarray, gtol: float) -> tuple[OptimizeResult | None, dict
     return res, record
 
 
+@one_blas_thread()
 def multistart_minimize(
     jobs: list[tuple], gtol: float = 1e-6
 ) -> tuple[list[tuple[OptimizeResult | None, list[dict]]], int]:
     """Minimize with ``bfgs_minimize`` from every start point of every job, for
-    at most MAX_ITER iterations each, on one pool of ``pool_size`` threads.
+    at most MAX_ITER iterations each, on ``pool_size`` threads of one BLAS thread each.
 
     A job is ``(make_objective, starts)``. The threads take the (job, start)
     pairs in order: the first job's starts, then the next job's.

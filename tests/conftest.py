@@ -247,7 +247,8 @@ def in_fresh_interpreter(module: str, function: str, env: dict) -> str:
 
 
 def pytest_report_header(config):
-    # the fits run on one BLAS thread whatever these say; the rest of the suite follows them
+    # every search runs on one BLAS thread whatever these say, and so do fit_downscale,
+    # predict_aux, predict_fine and generate_synthetic; the rest of the suite follows them
     threads = ", ".join(f"{v}={os.environ.get(v)}" for v in BLAS_THREAD_VARS)
     if NUMPY_IMPORTED_FIRST:
         threads += " (numpy was imported before these were set; BLAS may not use them)"
@@ -262,7 +263,7 @@ def rng():
 @pytest.fixture
 def search_threads(monkeypatch):
     """set(k) gives a fit's search a pool of k threads: k cores, each over the
-    one BLAS thread a fit pins in the real OpenBLAS pools."""
+    one BLAS thread multistart_minimize pins in the real OpenBLAS pools."""
 
     def set_threads(k: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)

@@ -20,7 +20,8 @@ from finescale.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from finescale.downscale import DownscaleParams, build_design
 from finescale.evaluate import grid_partition
 from finescale.geo import build_aggregation, load_dataset, load_partition
-from finescale.gp_aux import AuxGPModel, predict_aux
+from finescale.gp_aux import AuxGPModel, fit_aux_gp, predict_aux
+from finescale.kernel import SEKernelParams
 from finescale.render import choropleth_svg, ramp_color
 
 
@@ -655,25 +656,72 @@ def test_negative_seed_exit_2(synth_dir, tmp_path, capsys, command):
     assert not out.exists()
 
 
+def cli_in_fresh_interpreter(argv: list[str], threads: str | None) -> None:
+    """Run the CLI in a new interpreter, so that BLAS starts with the three thread
+    variables at ``threads``, or with none of them set when it is None."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(finescale.__file__).parents[1])
+    if threads:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+    subprocess.run(
+        [sys.executable, "-m", "finescale.cli", *argv], env=env, capture_output=True, check=True
+    )
+
+
 def test_fit_and_refine_with_blas_unpinned_write_the_bytes_of_a_pinned_run(synth_dir, tmp_path):
-    # with no BLAS variable set, a command runs both OpenBLAS pools on one
-    # thread: the fit has as many threads as a pinned one, and the same bits.
-    # With the variables at 2 the fits and refine's predict_aux and
-    # predict_fine still pin themselves, so every output is the same too.
-    src = str(Path(finescale.__file__).parents[1])
-    unpinned = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    unpinned["PYTHONPATH"] = src
+    # each search runs on one BLAS thread, and fit_downscale and refine's
+    # predict_aux and predict_fine pin themselves: the fit has as many threads
+    # at 1, unset (every core) and 2, and every output the same bits
     written = []
     for threads in ("1", None, "2"):
-        env = {**unpinned, **dict.fromkeys(BLAS_THREAD_VARS, threads)} if threads else unpinned
         out = tmp_path / str(len(written))
         for command in ("fit", "refine"):
-            subprocess.run(
-                [sys.executable, "-m", "finescale.cli", command, *common_args(synth_dir, out)],
-                env=env, capture_output=True, check=True,
-            )
+            cli_in_fresh_interpreter([command, *common_args(synth_dir, out)], threads)
         names = ("models.json", "refinement.csv", "refinement.svg")
         written.append([(out / name).read_bytes() for name in names])
+    assert written[0] == written[1] == written[2]
+
+
+def write_generating_models(bundle: Path) -> None:
+    """models.json as the benchmark writes it for refine: the auxiliary fits and
+    the parameters that generated the bundle, with no second-step fit."""
+    gen = json.loads((bundle / "generating_params.json").read_text())
+    aux = [
+        (e["id"], load_dataset(load_partition(bundle / e["geojson"], e["id"]), bundle / e["csv"]))
+        for e in json.loads((bundle / "aux_manifest.json").read_text())
+    ]
+    spec = gen["spec"]
+    params = DownscaleParams(
+        w=gen["true_w"],
+        kernel=SEKernelParams(alpha=spec["alpha"], gamma=spec["gamma"]),
+        sigma=spec["sigma"],
+    )
+    models = {
+        "aux_models": [fit_aux_gp(ds, restarts=1, dataset_id=aid).to_dict() for aid, ds in aux],
+        "downscale": params.to_dict(column_ids=[aid for aid, _ in aux] + ["bias"]),
+        "coord_transform": {"kind": "identity"},
+    }
+    (bundle / "models.json").write_text(json.dumps(models, indent=2, sort_keys=True) + "\n")
+
+
+def test_refine_and_lr_at_1200_fine_regions_write_the_same_bytes_at_any_blas_threads(tmp_path):
+    # at 40 x 30 fine regions the bits of refine's products follow BLAS's thread
+    # count (at 24 x 20 they do not), so only predict_fine and predict_aux
+    # pinning themselves keep refinement.csv and the covariance the same
+    bundle = tmp_path / "bundle"
+    grids = ["--fine-grid", "40", "30", "--coarse-grid", "8", "6"]
+    assert main(["synth", "--out", str(bundle), "--seed", "3", *grids]) == EXIT_OK
+    write_generating_models(bundle)
+    names = ("refinement.csv", "refinement_cov.csv", "refinement.svg", "lr.csv")
+    written = []
+    for threads in ("1", None, "2"):
+        out = tmp_path / str(len(written))
+        args = [*common_args(bundle, out), "--restarts", "1"]
+        cli_in_fresh_interpreter(["refine", *args, "--models", str(bundle / "models.json"),
+                                  "--covariance"], threads)
+        cli_in_fresh_interpreter(["baseline", *args, "--method", "lr"], threads)
+        written.append([hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names])
+        (out / "refinement_cov.csv").unlink()  # 32 MB
     assert written[0] == written[1] == written[2]
 
 
@@ -699,6 +747,15 @@ def corrupt_first_value(path, cell):
     path.write_text("\n".join(lines) + "\n")
 
 
+def not_text(path):
+    path.write_bytes(b"\xff" + path.read_bytes())  # 0xff begins no UTF-8 character
+
+
+def directory(path):
+    path.unlink()
+    path.mkdir()
+
+
 @pytest.mark.parametrize(
     "command, name, corrupt",
     [
@@ -713,10 +770,18 @@ def corrupt_first_value(path, cell):
         ("refine", "models.json",
          lambda path: path.write_text(json.dumps({"aux_models": 3, "downscale": {}}))),
         ("fit", "aux_manifest.json", manifest_geojson_not_a_string),
+        ("fit", "coarse.geojson", not_text),
+        ("fit", "target.csv", not_text),
+        ("fit", "H.csv", not_text),
+        ("fit", "aux_manifest.json", not_text),
+        ("fit", "coarse.geojson", directory),
+        ("refine", "models.json", directory),
     ],
     ids=["coarse-geojson", "aux-manifest", "models", "target-csv", "hmatrix",
          "coarse-feature-id", "aux-feature-id", "models-list", "models-aux-not-a-list",
-         "aux-manifest-value-type"],
+         "aux-manifest-value-type", "coarse-geojson-not-text", "target-csv-not-text",
+         "hmatrix-not-text", "aux-manifest-not-text", "coarse-geojson-a-directory",
+         "models-a-directory"],
 )
 def test_malformed_input_file_exit_2_naming_it(synth_dir, tmp_path, capsys, command, name, corrupt):
     bundle = copy_bundle(synth_dir, tmp_path / "bundle")
@@ -729,7 +794,16 @@ def test_malformed_input_file_exit_2_naming_it(synth_dir, tmp_path, capsys, comm
         args += ["--models", str(bundle / name)]
     corrupt(bundle / name)
     assert main([command, *args]) == EXIT_CONFIG
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+
+
+def test_synth_out_a_file_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("a file")
+    assert main(["synth", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
 
 
 @pytest.mark.parametrize("ids", [["aux0", "aux0"], ["", "aux1"], ["aux0", "bias"]])

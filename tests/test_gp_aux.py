@@ -566,16 +566,23 @@ def test_fits_from_two_threads_take_turns_and_put_the_pools_back(monkeypatch, po
     ds = generate_synthetic(SyntheticSpec(), seed=0).aux_datasets[-1]
     want = hex_floats(fit_aux_gp(ds, restarts=2, seed=0).to_dict())
     assert pool_counts() == [2, 2]
-    search = gp_aux.multistart_minimize
+    # inside multistart_minimize's pin: pool_size marks where a caller's search
+    # begins, and _search runs its starts
+    size, search = numerics.pool_size, numerics._search
     events = []
 
-    def watched(*args, **kwargs):
-        events.append(("begin", threading.get_ident(), pool_counts()))
-        out = search(*args, **kwargs)
-        events.append(("end", threading.get_ident(), pool_counts()))
+    def watched_size(n):
+        events.append(("search", threading.get_ident(), pool_counts()))
+        return size(n)
+
+    def watched_search(*args):
+        events.append(("start", None, pool_counts()))
+        out = search(*args)
+        events.append(("end", None, pool_counts()))
         return out
 
-    monkeypatch.setattr(gp_aux, "multistart_minimize", watched)
+    monkeypatch.setattr(numerics, "pool_size", watched_size)
+    monkeypatch.setattr(numerics, "_search", watched_search)
     barrier = threading.Barrier(2)
     got = {}
 
@@ -589,10 +596,13 @@ def test_fits_from_two_threads_take_turns_and_put_the_pools_back(monkeypatch, po
     for caller in callers:
         caller.join(timeout=120)
     assert list(got.values()) == [want, want]
-    # one fit's search ends before the other's begins, each on one BLAS thread
-    (b0, t0, p0), (e0, t1, p1), (b1, t2, p2), (e1, t3, p3) = events
-    assert (b0, e0, b1, e1) == ("begin", "end", "begin", "end")
-    assert t0 == t1 != t2 == t3 and p0 == p1 == p2 == p3 == [1, 1]
+    # each search's three starts begin and end before the other caller's
+    # search begins, and every start runs on one BLAS thread
+    kinds = [kind for kind, _, _ in events]
+    starts = ["end"] * 3 + ["start"] * 3
+    assert kinds[0] == kinds[7] == "search" and sorted(kinds[1:7]) == sorted(kinds[8:]) == starts
+    assert {events[0][1], events[7][1]} == set(got)
+    assert all(counts == [1, 1] for _, _, counts in events)
     assert pool_counts() == [2, 2]
 
 

@@ -625,11 +625,12 @@ def test_multistart_skips_infeasible_and_unfactorizable_starts():
 
 def test_pool_size_is_cores_over_blas_threads(monkeypatch):
     monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    # the OpenBLAS pools count, the larger of them, not the environment
+    # with the OpenBLAS pools, a search runs on the one BLAS thread
+    # multistart_minimize pins: one per core, whatever the pools and the environment say
     for name in BLAS_THREAD_VARIABLES:
         monkeypatch.setenv(name, "4")
-    monkeypatch.setattr(numerics, "_POOLS", ((lambda: 1, None), (lambda: 2, None)))
-    assert pool_size(5) == 2
+    monkeypatch.setattr(numerics, "_POOLS", ((lambda: 4, None), (lambda: 2, None)))
+    assert pool_size(5) == 4 and pool_size(3) == 3 and pool_size(0) == 1
     # without the pools' functions (a system BLAS, or MKL), the environment rule
     monkeypatch.setattr(numerics, "_POOLS", ())
     for name in BLAS_THREAD_VARIABLES:
@@ -651,7 +652,7 @@ def test_pool_size_is_cores_over_blas_threads(monkeypatch):
 def test_one_blas_thread_pins_both_pools_and_puts_back_what_it_found(pools_at_two):
     with one_blas_thread():
         assert pool_counts() == [1, 1]
-        with one_blas_thread():  # a fit's scope inside the CLI's
+        with one_blas_thread():  # a search's scope inside fit_downscale's
             assert pool_counts() == [1, 1]
         assert pool_counts() == [1, 1]
     assert pool_counts() == [2, 2]
@@ -660,20 +661,22 @@ def test_one_blas_thread_pins_both_pools_and_puts_back_what_it_found(pools_at_tw
     assert pool_counts() == [2, 2]
 
 
-def test_multistart_has_one_worker_when_blas_is_unpinned(monkeypatch):
-    # unpinned, each OpenBLAS pool runs on every core
-    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    monkeypatch.setattr(numerics, "_POOLS", ((lambda: 4, None), (lambda: 4, None)))
-    threads = set()
+def test_multistart_runs_a_search_per_core_on_one_blas_thread_and_puts_the_pools_back(
+    pools_at_two, search_threads
+):
+    # with both OpenBLAS pools at two threads, a caller's search still pins them
+    search_threads(4)
+    seen = []
 
-    def make_objective():
-        threads.add(threading.get_ident())
-        return _quadratic
+    def f(theta, accept):
+        seen.append(pool_counts())  # list.append is atomic
+        return _quadratic(theta, accept)
 
     starts = [np.full(4, float(k)) for k in range(4)]
-    _, records, workers = _minimize(make_objective, starts)
-    assert workers == 1 and threads == {threading.get_ident()}
+    _, records, workers = _minimize(lambda: f, starts)
+    assert workers == 4 and seen and all(counts == [1, 1] for counts in seen)
     assert all(r["converged"] for r in records)
+    assert pool_counts() == [2, 2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -733,7 +736,7 @@ def _stress(monkeypatch, sizes):
     begun.clear()
     made.clear()
     monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(8)))
-    monkeypatch.setattr(numerics, "_POOLS", ((lambda: 1, None),))
+    monkeypatch.setattr(numerics, "_POOLS", ((lambda: 1, lambda n: None),))
     jobs = [(maker(j), js) for j, js in enumerate(job_starts)]
     got = []
     interval = sys.getswitchinterval()

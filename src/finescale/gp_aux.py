@@ -20,9 +20,10 @@ from finescale.numerics import (
     SIGMA_FLOOR,
     NumericalError,
     cholesky,
+    cholesky_in_place,
     clamp_variance,
     gaussian_nll,
-    inverse,
+    inverse_in_place,
     multistart_minimize,
     one_blas_thread,
     solve,
@@ -128,14 +129,16 @@ def _gram(
 ) -> np.ndarray:
     """The training covariance A = K + (sigma^2 + jitter) I, K the SE kernel on squared distances D2.
 
-    K is written into the given array, or a new one; A into the given array,
-    or over K. The noise goes onto the diagonal in place: off it, A is K.
+    K is written into the given array, or a new one; A over K, or into the
+    given array through A.T, which holds K's values since D2, and so K, is
+    exactly symmetric: into a Fortran-ordered A that copy is contiguous. The
+    noise goes onto the diagonal in place: off it, A is K.
     """
     K = se_from_sq_dists(alpha, gamma, D2, out=K)
     if A is None:
         A = K
     else:
-        np.copyto(A, K)
+        np.copyto(A.T, K)
     A.flat[:: A.shape[0] + 1] += sigma**2 + JITTER_REL * alpha**2
     return A
 
@@ -143,33 +146,30 @@ def _gram(
 @dataclass(frozen=True)
 class _AuxProblem:
     """One auxiliary fit's unit-variance values ys, their squared distances D2,
-    and the n x n arrays every objective call overwrites; a fit builds one per
-    thread of its search.
+    and the two n x n arrays every objective call overwrites; a fit builds one
+    per thread of its search.
 
     K holds the kernel, then E = K o D2 / gamma^2. A, in Fortran order so
     LAPACK needs no copy, holds K + (sigma^2 + jitter) I, then its factor,
-    then the lower triangle of A^-1. Ainv holds the symmetry check's
-    difference, then the full A^-1. Without them a call allocated and freed
-    about a dozen n x n arrays, which malloc gave back to the system and
-    faulted in again on the next call.
+    then the full A^-1, read through the C-ordered view A.T. Without them a
+    call allocated and freed about a dozen n x n arrays, which malloc gave
+    back to the system and faulted in again on the next call. D2 must be
+    exactly symmetric, which is checked here, once: then so is every A, and
+    the objective factors it without a symmetry check.
     """
 
     ys: np.ndarray
     D2: np.ndarray
     K: np.ndarray
     A: np.ndarray
-    Ainv: np.ndarray
+
+    def __post_init__(self):
+        _check_symmetric(self.D2)
 
     @classmethod
     def build(cls, ys: np.ndarray, D2: np.ndarray) -> "_AuxProblem":
         n = ys.size
-        return cls(
-            ys=ys,
-            D2=D2,
-            K=np.empty((n, n)),
-            A=np.empty((n, n), order="F"),
-            Ainv=np.empty((n, n)),
-        )
+        return cls(ys=ys, D2=D2, K=np.empty((n, n)), A=np.empty((n, n), order="F"))
 
 
 def _nll_and_grad(prob: _AuxProblem, theta: np.ndarray, accept):
@@ -183,13 +183,12 @@ def _nll_and_grad(prob: _AuxProblem, theta: np.ndarray, accept):
     """
     alpha, gamma, sigma = np.exp(theta)
     K = prob.K
-    A = _gram(alpha, gamma, sigma, prob.D2, K, prob.A)
-    F = cholesky(A, out=A, scratch=prob.Ainv)
+    F = cholesky_in_place(_gram(alpha, gamma, sigma, prob.D2, K, prob.A))
     nll, beta = gaussian_nll(F, prob.ys)
     if not accept(nll):
         return nll, None
     jitter = JITTER_REL * alpha**2
-    Ainv = inverse(F, out=prob.Ainv)
+    Ainv = inverse_in_place(F)
     bb, tr = beta @ beta, np.trace(Ainv)
     # Restarts that end on a flat ridge of the likelihood tie to the last bit,
     # so rounding here picks the winner among them: keep the operand order.
@@ -205,6 +204,12 @@ def _nll_and_grad(prob: _AuxProblem, theta: np.ndarray, accept):
         ]
     )
     return nll, -0.5 * dll
+
+
+def _check_symmetric(D2: np.ndarray) -> None:
+    """ValueError unless the squared distances D2 equal their transpose exactly."""
+    if not np.array_equal(D2, D2.T):
+        raise ValueError("the squared distances of an auxiliary fit must be exactly symmetric")
 
 
 def data_sha256(centroids, values) -> str:
@@ -248,7 +253,7 @@ def random_starts(base: np.ndarray, sd, restarts: int, seed: int) -> list[np.nda
 class _AuxFit:
     """One auxiliary fit up to its search: the training data, the offset and
     scale that make its values the unit-variance ys, their squared distances
-    D2 and the start points."""
+    D2, refused unless exactly symmetric, and the start points."""
 
     X: np.ndarray
     y: np.ndarray
@@ -257,6 +262,9 @@ class _AuxFit:
     ys: np.ndarray
     D2: np.ndarray
     starts: list[np.ndarray]
+
+    def __post_init__(self):
+        _check_symmetric(self.D2)
 
     @classmethod
     def prepare(

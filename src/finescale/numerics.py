@@ -161,52 +161,59 @@ def _zero_above_diagonal(A: np.ndarray) -> None:
     _dlaset(b"U", byref(m), byref(m), byref(zero), byref(zero), A[:, 1:].ctypes.data, byref(lda))
 
 
-def cholesky(
-    M: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> CholeskyFactor:
+def cholesky(M: np.ndarray, out: np.ndarray | None = None) -> CholeskyFactor:
     """Factor a symmetric positive-definite matrix; caller applies jitter.
 
     The checks and the LAPACK call are those of ``scipy.linalg.cholesky(M,
     lower=True)`` (dpotrf on a Fortran-ordered copy, upper triangle zeroed),
     after a symmetry check; dpotrf runs without the GIL. ``out``, a writeable
     Fortran-ordered n x n array that may be M itself, receives the factor in
-    place of a new copy; ``scratch``, any n x n array, takes the symmetry
-    check's difference M - M^T. A positive diagonal matrix gets diag(sqrt d),
-    dpotrf's bits, without the call.
+    place of a new copy. A positive diagonal matrix gets diag(sqrt d),
+    dpotrf's bits, without the call. The factoring is ``cholesky_in_place``'s.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     scale = max(M.max(), -M.min())  # max |M| without an n x n temporary
     if scale > 0:
-        D = np.subtract(M, M.T, out=scratch)
+        D = M - M.T
         if np.abs(D, out=D).max() > 1e-10 * scale:
             raise ValueError("matrix is not symmetric within 1e-10 relative")
-    # scale is +inf or nan exactly when M holds an inf or a nan
-    if not np.isfinite(scale):
-        raise ValueError("array must not contain infs or NaNs")
-    if out is not None and not (_in_place_ok(out) and out.shape == M.shape):
-        raise ValueError("out must be a writeable Fortran-ordered float64 array shaped like M")
-    d = M.diagonal()
-    # only a positive diagonal is nonzero, as bits: dpotrf's pivots would be
-    # sqrt(d - 0) and its other entries +0.0, but it keeps a -0.0 below the diagonal
-    if d.min() > 0 and np.count_nonzero(M.view(np.int64)) == d.size:
-        d = np.sqrt(d)  # read before out, which may be M, is zeroed
-        out = np.empty(M.shape, order="F") if out is None else out
-        out.fill(0.0)
-        np.fill_diagonal(out, d)
-        return CholeskyFactor(L=out, diagonal=True)
     if out is None:
         out = np.array(M, order="F")
+    elif not (_in_place_ok(out) and out.shape == M.shape):
+        raise ValueError("out must be a writeable Fortran-ordered float64 array shaped like M")
     elif out is not M:
         np.copyto(out, M)
-    info = _on_lower(_dpotrf, out)
+    return cholesky_in_place(out)
+
+
+def cholesky_in_place(A: np.ndarray) -> CholeskyFactor:
+    """Factor in place the writeable Fortran-ordered float64 n x n array A,
+    which its caller has built exactly symmetric: ``cholesky`` without its
+    symmetry check, with its finiteness check, path for a diagonal matrix and
+    bits. A holds the factor, its upper triangle zeroed.
+    """
+    if not (A.ndim == 2 and A.shape[0] == A.shape[1] and _in_place_ok(A)):
+        raise ValueError("A must be a writeable Fortran-ordered float64 square array")
+    # +inf or nan exactly when A holds an inf or a nan
+    if not np.isfinite(max(A.max(), -A.min())):
+        raise ValueError("array must not contain infs or NaNs")
+    d = A.diagonal()
+    # only a positive diagonal is nonzero, as bits: dpotrf's pivots would be
+    # sqrt(d - 0) and its other entries +0.0, but it keeps a -0.0 below the diagonal
+    if d.min() > 0 and np.count_nonzero(A.view(np.int64)) == d.size:
+        d = np.sqrt(d)  # read before A is zeroed
+        A.fill(0.0)
+        np.fill_diagonal(A, d)
+        return CholeskyFactor(L=A, diagonal=True)
+    info = _on_lower(_dpotrf, A)
     if info > 0:
         raise FactorizationError(f"matrix not positive definite (pivot {info})", pivot=info)
     if info < 0:
         raise ValueError(f"dpotrf: illegal value in argument {-info}")
-    _zero_above_diagonal(out)
-    return CholeskyFactor(L=out)
+    _zero_above_diagonal(A)
+    return CholeskyFactor(L=A)
 
 
 def _triangular_solve(
@@ -257,30 +264,72 @@ def solve_lower(F: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def inverse(F: CholeskyFactor, out: np.ndarray | None = None) -> np.ndarray:
-    """M^-1 from the factor with LAPACK dpotri (about 2n^3/3 flops, without the
-    GIL), exactly symmetric.
-
-    dpotri fills the lower triangle and leaves the upper one, zero in a factor
-    from ``cholesky``, as it was; so the sum with its transpose is M^-1 off the
-    diagonal. With ``out``, an n x n array that receives M^-1, dpotri works in
-    place on F.L, which then no longer holds the factor.
-    """
-    L = F.L
-    if F.diagonal:  # dpotri's bits: dtrtri's 1/l, squared by dlauum
-        r = 1.0 / L.diagonal()
-        inv = np.empty(L.shape) if out is None else out
-        inv.fill(0.0)
-        np.fill_diagonal(inv, r * r)
-        return inv
-    if out is None or not _in_place_ok(L):
-        L = np.array(L, dtype=float, order="F")
+def _potri(L: np.ndarray) -> None:
+    """dpotri in place on the lower triangle of the Fortran-ordered factor L."""
     info = _on_lower(_dpotri, L)
     if info != 0:
         raise FactorizationError(f"dpotri failed (info {info})", pivot=info if info > 0 else None)
-    inv = np.add(L, L.T, out=out)
+
+
+def inverse(F: CholeskyFactor) -> np.ndarray:
+    """M^-1 from the factor with LAPACK dpotri (about 2n^3/3 flops, without the
+    GIL), exactly symmetric, in a new array; F keeps its factor.
+
+    dpotri fills the lower triangle of a copy of F.L and leaves the upper one,
+    zero in a factor from ``cholesky``, as it was; so the sum with its
+    transpose is M^-1 off the diagonal.
+    """
+    if F.diagonal:  # dpotri's bits: dtrtri's 1/l, squared by dlauum
+        r = 1.0 / F.L.diagonal()
+        inv = np.zeros(F.L.shape)
+        np.fill_diagonal(inv, r * r)
+        return inv
+    L = np.array(F.L, dtype=float, order="F")
+    _potri(L)
+    inv = L + L.T
     np.fill_diagonal(inv, L.diagonal())
     return inv
+
+
+# Side of the square tiles in which inverse_in_place mirrors dpotri's lower
+# triangle, so that a tile's strided reads stay in cache; two tiles off the
+# diagonal span disjoint memory, so numpy copies one into the other without a
+# temporary. At n = 1200, on one core of a 2-core x86-64 VM, the mirror took
+# 2.1 ms at 64 and 32, 2.2 ms at 128, and inverse's sum with the transpose 4.6 ms.
+MIRROR_TILE = 64
+_ABOVE_DIAGONAL = np.triu(np.ones((MIRROR_TILE, MIRROR_TILE), dtype=bool), 1)
+
+
+def inverse_in_place(F: CholeskyFactor) -> np.ndarray:
+    """``inverse(F)`` to the bit, written in the memory of F.L, a writeable
+    Fortran-ordered array that then no longer holds the factor; returned as
+    the C-ordered view F.L.T, which reads that memory in order.
+
+    dpotri fills the lower triangle. Adding 0.0 turns a -0.0 there into +0.0,
+    as ``inverse``'s sum with the zero upper triangle does; then the upper
+    triangle becomes its mirror, tile by tile, and the diagonal keeps
+    dpotri's bits.
+    """
+    L = F.L
+    if not (L.ndim == 2 and L.shape[0] == L.shape[1] and _in_place_ok(L)):
+        raise ValueError("the factor must be a writeable Fortran-ordered float64 square array")
+    if F.diagonal:
+        r = 1.0 / L.diagonal()
+        L.fill(0.0)
+        np.fill_diagonal(L, r * r)
+        return L.T
+    _potri(L)
+    d = L.diagonal().copy()
+    L += 0.0
+    n, t = L.shape[0], MIRROR_TILE
+    for j in range(0, n, t):
+        tile = L[j : j + t, j : j + t]
+        m = tile.shape[0]
+        np.copyto(tile, tile.T, where=_ABOVE_DIAGONAL[:m, :m])
+        for i in range(j + t, n, t):
+            L[j : j + t, i : i + t] = L[i : i + t, j : j + t].T
+    np.fill_diagonal(L, d)
+    return L.T
 
 
 def log_det(F: CholeskyFactor) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import threading
@@ -43,10 +44,12 @@ from finescale.kernel import (
     sq_dists,
 )
 from finescale.numerics import (
+    MIRROR_TILE,
     SIGMA_FLOOR,
     CholeskyFactor,
     FactorizationError,
     cholesky,
+    cholesky_in_place,
     inverse,
     log_det,
     solve,
@@ -197,9 +200,12 @@ def _bits(value, grad):
 
 # log alpha and log sigma so small that alpha^2 and sigma^2 underflow: A = 0
 SINGULAR_THETA = np.array([-400.0, 0.0, -400.0])
+# a length scale so short that the kernel underflows between distinct points:
+# a pure nugget, whose diagonal Gram is factored and inverted without LAPACK
+NUGGET_THETA = np.array([0.0, -12.0, np.log(0.3)])
 
 
-@pytest.mark.parametrize("n", [2, 5, 60, 240])
+@pytest.mark.parametrize("n", [2, 5, 60, MIRROR_TILE + 1, 240])
 def test_buffered_objective_equals_unbuffered_bit_for_bit(rng, n):
     # the oracle is the objective as it was before its n x n arrays moved into
     # per-fit buffers, kept verbatim; the buffered one must agree to the last bit
@@ -208,7 +214,10 @@ def test_buffered_objective_equals_unbuffered_bit_for_bit(rng, n):
     D2 = sq_dists(X, X)
     grid = [np.array(t) for t in np.stack(np.meshgrid(*[[-2.0, 0.0, 1.5]] * 3), -1).reshape(-1, 3)]
     near_floor = [np.array([0.0, np.log(0.05), np.log(10 * SIGMA_FLOOR)])]
-    thetas = grid + near_floor + [rng.normal(0.0, 1.0, size=3) for _ in range(6)]
+    thetas = grid + near_floor + [NUGGET_THETA] + [rng.normal(0.0, 1.0, size=3) for _ in range(6)]
+    # both inverse paths: dpotri's at log gamma = 0, the diagonal one at the nugget
+    assert not cholesky(gp_aux._gram(*np.exp(thetas[0]), D2)).diagonal
+    assert cholesky(gp_aux._gram(*np.exp(NUGGET_THETA), D2)).diagonal
     prob = _AuxProblem.build(y, D2)  # one buffer set for every call, as in a fit
     # the buffers hold the previous call's arrays: every theta runs after
     # another one, and one runs after a theta whose factorization failed
@@ -276,6 +285,35 @@ def test_objective_allocates_no_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+def test_an_objective_holds_two_n_by_n_arrays():
+    # K and the Fortran-ordered A, which takes the factor and then A^-1: no third
+    n = 300
+    rng = np.random.default_rng(5)
+    X = rng.uniform(size=(n, 2))
+    fit = _AuxFit.prepare(ArealDataset(point_partition("p", X), rng.normal(size=n)), 1, 0)
+    tracemalloc.start()
+    try:
+        f = fit.make_objective()
+        f(fit.starts[0], always)  # warm-up
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2 * n * n * 8 <= held < 2.5 * n * n * 8
+
+
+def test_squared_distances_not_exactly_symmetric_are_refused_when_built(rng):
+    X = rng.uniform(size=(6, 2))
+    D2 = sq_dists(X, X)
+    bad = D2.copy()
+    bad[4, 1] = np.nextafter(bad[4, 1], np.inf)  # one ulp
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        _AuxProblem.build(rng.normal(size=6), bad)
+    fit = _AuxFit.prepare(ArealDataset(point_partition("p", X), rng.normal(size=6)), 2, 0)
+    assert fit.D2 is not bad and np.array_equal(fit.D2, D2)
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        dataclasses.replace(fit, D2=bad)
 
 
 def test_gram_adds_the_noise_to_the_diagonal_only():
@@ -500,15 +538,19 @@ def test_fits_are_the_same_whatever_blas_threads_the_environment_sets():
     assert runs[0] == runs[1]  # workers included
 
 
-def lapack_cholesky(M, out=None, scratch=None):
-    """``cholesky`` without its path for diagonal matrices: dpotrf on every
-    matrix, in a new array, and a factor that ``inverse`` hands to dpotri."""
-    L = np.array(M, order="F")
-    info = numerics._on_lower(numerics._dpotrf, L)
+def lapack_cholesky_in_place(A):
+    """``cholesky_in_place`` without its path for diagonal matrices: dpotrf on
+    every matrix, and a factor that ``inverse_in_place`` hands to dpotri."""
+    info = numerics._on_lower(numerics._dpotrf, A)
     if info > 0:
         raise FactorizationError(f"matrix not positive definite (pivot {info})", pivot=info)
-    numerics._zero_above_diagonal(L)
-    return CholeskyFactor(L=L)
+    numerics._zero_above_diagonal(A)
+    return CholeskyFactor(L=A)
+
+
+def lapack_cholesky(M):
+    """``cholesky`` without its path for diagonal matrices, in a new array."""
+    return lapack_cholesky_in_place(np.array(M, order="F"))
 
 
 AUX_HEAVY_SPEC = SyntheticSpec(
@@ -526,8 +568,11 @@ def test_diagonal_grams_skip_lapack_and_leave_every_fit_and_posterior_as_it_was(
     # most Grams these fits factor are diagonal: their restarts slide to a pure nugget
     inst = generate_synthetic(spec, seed=0)
     fits = []
-    for factor in (cholesky, lapack_cholesky):
+    # the objective factors with cholesky_in_place, predict_aux with cholesky
+    paths = ((cholesky, cholesky_in_place), (lapack_cholesky, lapack_cholesky_in_place))
+    for factor, in_place in paths:
         monkeypatch.setattr(gp_aux, "cholesky", factor)
+        monkeypatch.setattr(gp_aux, "cholesky_in_place", in_place)
         fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=restarts, seed=0)
         fits.append(
             [
@@ -545,8 +590,8 @@ def test_a_pure_nugget_fit_factors_and_inverts_no_diagonal_gram_with_lapack(monk
     diagonal_factors, lapack_on_diagonal = [], []
     on_lower = numerics._on_lower
 
-    def watched_cholesky(M, out=None, scratch=None):
-        F = cholesky(M, out=out, scratch=scratch)
+    def watched_cholesky_in_place(A):  # the objective's factorization
+        F = cholesky_in_place(A)
         diagonal_factors.append(F.diagonal)
         return F
 
@@ -554,7 +599,7 @@ def test_a_pure_nugget_fit_factors_and_inverts_no_diagonal_gram_with_lapack(monk
         lapack_on_diagonal.append(np.array_equal(A, np.diag(A.diagonal())))
         return on_lower(routine, A)
 
-    monkeypatch.setattr(gp_aux, "cholesky", watched_cholesky)
+    monkeypatch.setattr(gp_aux, "cholesky_in_place", watched_cholesky_in_place)
     monkeypatch.setattr(numerics, "_on_lower", watched_on_lower)
     model = fit_aux_gp(data, restarts=3, seed=0)
     assert np.count_nonzero(cov_matrix(model.params, part.centroids, part.centroids)) == 64
@@ -647,19 +692,19 @@ def _unit_dataset(rng):
 
 
 def test_fit_all_aux_programming_error_propagates(monkeypatch, rng):
-    def broken(M, **buffers):
+    def broken(A):
         raise TypeError("not a factorization failure")
 
-    monkeypatch.setattr(gp_aux, "cholesky", broken)
+    monkeypatch.setattr(gp_aux, "cholesky_in_place", broken)
     with pytest.raises(TypeError, match="not a factorization failure"):
         fit_all_aux([_unit_dataset(rng)], grid_partition(2, 2, "f"), restarts=1)
 
 
 def test_fit_all_aux_factorization_failure_on_every_restart_is_typed(monkeypatch, rng):
-    def not_pd(M, **buffers):
+    def not_pd(A):
         raise FactorizationError("not positive definite")
 
-    monkeypatch.setattr(gp_aux, "cholesky", not_pd)
+    monkeypatch.setattr(gp_aux, "cholesky_in_place", not_pd)
     with pytest.raises(AuxFitError, match="'p': all restarts failed"):
         fit_all_aux([_unit_dataset(rng)], grid_partition(2, 2, "f"), restarts=1)
 

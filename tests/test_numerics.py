@@ -16,8 +16,10 @@ from finescale.numerics import (
     FactorizationError,
     bfgs_minimize,
     cholesky,
+    cholesky_in_place,
     gaussian_nll,
     inverse,
+    inverse_in_place,
     log_det,
     multistart_minimize,
     one_blas_thread,
@@ -38,7 +40,7 @@ def _spd(rng, n):
 def _in_place(M):
     """cholesky through its destination path: M factored in a Fortran-ordered copy of itself."""
     B = np.array(M, order="F")
-    return cholesky(B, out=B, scratch=np.empty(B.shape))
+    return cholesky(B, out=B)
 
 
 CHOLESKY_PATHS = (cholesky, _in_place)
@@ -136,7 +138,7 @@ def test_cholesky_factor_equals_scipy_bit_for_bit(rng, n):
     want = scipy.linalg.cholesky(M, lower=True)
     assert np.array_equal(cholesky(M).L, want)
     B = np.array(M, order="F")
-    F = cholesky(B, out=B, scratch=np.empty((n, n)))
+    F = cholesky(B, out=B)
     assert F.L is B and np.array_equal(B, want)
     # a C-ordered M copied into a separate destination
     out = np.empty((n, n), order="F")
@@ -190,8 +192,8 @@ def test_diagonal_factor_and_inverse_are_lapacks_bits_without_lapack(rng, monkey
         F = factor(M)
         assert F.diagonal and _same_bits(F.L, want_L)
         assert _same_bits(inverse(F), want_inv)
-        out = np.full((n, n), np.nan)
-        assert inverse(F, out=out) is out and _same_bits(out, want_inv)
+        got = inverse_in_place(F)
+        assert np.shares_memory(got, F.L) and _same_bits(got, want_inv)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0])
@@ -329,7 +331,7 @@ def triu_inverse(F):
 
 
 def test_inverse_matches_solve_against_identity(rng):
-    for n in (1, 2, 7, 60, 240):
+    for n in (1, 2, 7, 60, 64, 65, 240):
         A = rng.normal(size=(n, n))
         F = cholesky(A @ A.T + n * np.eye(n))
         inv = inverse(F)
@@ -337,10 +339,10 @@ def test_inverse_matches_solve_against_identity(rng):
         assert np.max(np.abs(inv - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert np.array_equal(inv, inv.T)
         assert np.array_equal(inv, triu_inverse(F))
-        # the destination path: dpotri in place on F.L, the full inverse in out
-        out = np.full((n, n), np.nan)
-        assert inverse(CholeskyFactor(L=F.L.copy(order="F")), out=out) is out
-        assert np.array_equal(out, inv)
+        # in place: dpotri on F.L, the full inverse in its memory, read as F.L.T
+        L = F.L.copy(order="F")
+        got = inverse_in_place(CholeskyFactor(L=L))
+        assert np.shares_memory(got, L) and got.flags.c_contiguous and _same_bits(got, inv)
 
 
 def test_inverse_of_singular_factor_is_typed():
@@ -349,10 +351,56 @@ def test_inverse_of_singular_factor_is_typed():
     with pytest.raises(FactorizationError):
         inverse(CholeskyFactor(L=L))
     with pytest.raises(FactorizationError):
-        inverse(CholeskyFactor(L=np.asfortranarray(L)), out=np.empty((4, 4)))
+        inverse_in_place(CholeskyFactor(L=np.asfortranarray(L)))
     # a factor built by hand is never taken for diagonal: dpotri runs and fails
     with pytest.raises(FactorizationError):
         inverse(CholeskyFactor(L=np.diag([1.0, 0.0, 2.0])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 128, 129, 200])
+def test_the_mirror_gives_the_bits_of_the_sum_with_the_transpose(rng, monkeypatch, n):
+    # dpotri's output stood in for by random lower triangles holding -0.0, +0.0,
+    # nan and infs: below the diagonal a -0.0 becomes +0.0, on it nothing changes
+    monkeypatch.setattr(numerics, "_potri", lambda L: None)
+    for _ in range(3):
+        lower = rng.normal(size=(n, n))
+        pick = rng.random((n, n))
+        lower[pick < 0.2] = -0.0
+        lower[(pick >= 0.2) & (pick < 0.3)] = 0.0
+        lower[(pick >= 0.3) & (pick < 0.32)] = np.nan
+        lower[(pick >= 0.32) & (pick < 0.34)] = -np.inf
+        every_other = np.arange(0, n, 2)
+        lower[every_other, every_other] = -0.0
+        L = np.asfortranarray(np.tril(lower))
+        want = L + L.T
+        np.fill_diagonal(want, L.diagonal())
+        got = inverse_in_place(CholeskyFactor(L=L))
+        assert got.base is L and _same_bits(got, want)
+
+
+def test_cholesky_in_place_is_cholesky_without_its_symmetry_check(rng):
+    M = _spd(rng, 70)
+    A = np.array(M, order="F")
+    F = cholesky_in_place(A)
+    assert F.L is A and _same_bits(A, cholesky(M).L)
+    # it factors the lower triangle it is given; the caller proves the symmetry
+    B = np.array(M, order="F")
+    B[0, 69] += 1.0
+    assert _same_bits(cholesky_in_place(B).L, A)
+    for wrong in (np.array(M), np.array(M, order="F", dtype=np.float32), np.ones((3, 4), order="F")):
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            cholesky_in_place(wrong)
+    B = np.array(M, order="F")
+    B[5, 5] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        cholesky_in_place(B)
+
+
+def test_inverse_in_place_refuses_a_factor_it_cannot_overwrite(rng):
+    F = cholesky(_spd(rng, 5))
+    for L in (np.ascontiguousarray(F.L), F.L.astype(np.float32, order="F")):
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            inverse_in_place(CholeskyFactor(L=L))
 
 
 def test_gaussian_nll_is_both_inline_forms_bit_for_bit(rng):

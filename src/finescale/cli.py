@@ -193,6 +193,10 @@ def cmd_eval(args) -> int:
 
     a, amap, aux, _ = _load_inputs(args)
     truth = load_dataset(amap.fine, Path(args.truth)).values
+    # MAPE divides by the truth: refuse a zero before any fit runs
+    zero = next((rid for rid, v in zip(amap.fine.ids, truth) if v == 0), None)
+    if zero is not None:
+        raise InputError(f"{args.truth}: truth is 0 at region {zero!r}, and MAPE divides by it")
     methods = tuple(args.method.split(",")) if args.method else evaluate.METHODS
     table = evaluate.run_comparison(
         a, aux, amap, truth, methods=methods,

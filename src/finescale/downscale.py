@@ -34,7 +34,7 @@ from finescale.kernel import (
 )
 from finescale.numerics import (
     NumericalError,
-    cholesky,
+    cholesky_in_place,
     clamp_variance,
     gaussian_nll,
     multistart_minimize,
@@ -211,7 +211,9 @@ class _Problem:
 
         Every posterior must be at the fine locations, else ValueError: then
         one pass of ``kernels_times`` forms each auxiliary's k(Xf, Xf) H^T and
-        K H^T from the same distance blocks.
+        K H^T from the same distance blocks. A given design must be the
+        posteriors' own, ``build_design(posteriors, nf)``, column ids and
+        columns alike, else ValueError.
         """
         if isinstance(a, ArealDataset):
             a = a.values
@@ -224,16 +226,21 @@ class _Problem:
                     f"posterior {post.dataset_id!r} is not at the fine locations: "
                     "predict it at the fine centroids"
                 )
-        if design is None:
-            design = build_design(posteriors, n_fine=Xf.shape[0])
+        own = build_design(posteriors, n_fine=Xf.shape[0])
+        if design is not None and not (
+            design.column_ids == own.column_ids and np.array_equal(design.F, own.F)
+        ):
+            raise ValueError(
+                f"design {design.column_ids} is not the posteriors' own, build_design(posteriors, nf)"
+            )
         kernels = [post.kernel for post in posteriors] + ([kernel] if kernel else [])
         KMs = kernels_times(kernels, Xf, H.T)
         SHt = tuple(post.cov_times(H.T, KM) for post, KM in zip(posteriors, KMs))
         return cls(
             a=a,
             H=H,
-            design=design,
-            HF=H @ design.F,
+            design=own,
+            HF=H @ own.F,
             Xf=Xf,
             SHt=SHt,
             HSH=tuple(H @ S for S in SHt),
@@ -278,8 +285,9 @@ def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, sigma: float, KHt
     Lam = sigma**2 * np.eye(nc) + HKH
     for s, HSH in enumerate(prob.HSH):
         Lam = Lam + w[s] ** 2 * HSH
-    Lam = 0.5 * (Lam + Lam.T)
-    factor = cholesky(Lam + JITTER_REL * (sigma**2 + alpha**2) * np.eye(nc))
+    Lam = 0.5 * (Lam + Lam.T)  # exactly symmetric: IEEE addition commutes
+    # a new C-ordered array, factored in its own memory as its transpose
+    factor = cholesky_in_place((Lam + JITTER_REL * (sigma**2 + alpha**2) * np.eye(nc)).T)
     return HKH, Lam, factor
 
 
@@ -492,7 +500,8 @@ def predict_fine(
     each Sigma_s H^T, which one pass over row blocks of the fine distances
     gives, so no nf x nf array is; ``Refinement.cov`` forms the covariance
     Omega - V^T V when it is read. The posteriors must be at the fine
-    locations. It runs inside ``numerics.one_blas_thread``.
+    locations, and ``design`` must be ``build_design(posteriors, nf)``, else
+    ValueError. It runs inside ``numerics.one_blas_thread``.
     """
     w, kernel = params.w, params.kernel
     prob = _Problem.build(a, posteriors, fine, amap_or_H, design, kernel=kernel)

@@ -19,7 +19,6 @@ from finescale.kernel import (
 from finescale.numerics import (
     SIGMA_FLOOR,
     NumericalError,
-    cholesky,
     cholesky_in_place,
     clamp_variance,
     gaussian_nll,
@@ -119,20 +118,29 @@ class AuxPosterior:
         return cov
 
 
+def _train_sq_dists(X: np.ndarray) -> np.ndarray:
+    """The squared distances D2 of training centroids X, refused unless exactly
+    symmetric: then so is every Gram on them, as ``cholesky_in_place`` needs."""
+    D2 = sq_dists(X, X)
+    if not np.array_equal(D2, D2.T):
+        raise ValueError("the squared distances of an auxiliary fit must be exactly symmetric")
+    return D2
+
+
 def _gram(
     alpha: float,
     gamma: float,
     sigma: float,
     D2: np.ndarray,
-    K: np.ndarray | None = None,
+    K: np.ndarray,
     A: np.ndarray | None = None,
 ) -> np.ndarray:
     """The training covariance A = K + (sigma^2 + jitter) I, K the SE kernel on squared distances D2.
 
-    K is written into the given array, or a new one; A over K, or into the
-    given array through A.T, which holds K's values since D2, and so K, is
-    exactly symmetric: into a Fortran-ordered A that copy is contiguous. The
-    noise goes onto the diagonal in place: off it, A is K.
+    K is written into the given array, which may be D2 itself; A over K, or
+    into the given array through A.T, which holds K's values since D2, and so
+    K, is exactly symmetric: into a Fortran-ordered A that copy is contiguous.
+    The noise goes onto the diagonal in place: off it, A is K.
     """
     K = se_from_sq_dists(alpha, gamma, D2, out=K)
     if A is None:
@@ -153,18 +161,14 @@ class _AuxProblem:
     LAPACK needs no copy, holds K + (sigma^2 + jitter) I, then its factor,
     then the full A^-1, read through the C-ordered view A.T. Without them a
     call allocated and freed about a dozen n x n arrays, which malloc gave
-    back to the system and faulted in again on the next call. D2 must be
-    exactly symmetric, which is checked here, once: then so is every A, and
-    the objective factors it without a symmetry check.
+    back to the system and faulted in again on the next call. D2 comes
+    from ``_train_sq_dists``, so every A is exactly symmetric.
     """
 
     ys: np.ndarray
     D2: np.ndarray
     K: np.ndarray
     A: np.ndarray
-
-    def __post_init__(self):
-        _check_symmetric(self.D2)
 
     @classmethod
     def build(cls, ys: np.ndarray, D2: np.ndarray) -> "_AuxProblem":
@@ -204,12 +208,6 @@ def _nll_and_grad(prob: _AuxProblem, theta: np.ndarray, accept):
         ]
     )
     return nll, -0.5 * dll
-
-
-def _check_symmetric(D2: np.ndarray) -> None:
-    """ValueError unless the squared distances D2 equal their transpose exactly."""
-    if not np.array_equal(D2, D2.T):
-        raise ValueError("the squared distances of an auxiliary fit must be exactly symmetric")
 
 
 def data_sha256(centroids, values) -> str:
@@ -253,7 +251,7 @@ def random_starts(base: np.ndarray, sd, restarts: int, seed: int) -> list[np.nda
 class _AuxFit:
     """One auxiliary fit up to its search: the training data, the offset and
     scale that make its values the unit-variance ys, their squared distances
-    D2, refused unless exactly symmetric, and the start points."""
+    D2 from ``_train_sq_dists``, and the start points."""
 
     X: np.ndarray
     y: np.ndarray
@@ -262,9 +260,6 @@ class _AuxFit:
     ys: np.ndarray
     D2: np.ndarray
     starts: list[np.ndarray]
-
-    def __post_init__(self):
-        _check_symmetric(self.D2)
 
     @classmethod
     def prepare(
@@ -280,7 +275,7 @@ class _AuxFit:
         if scale == 0.0:
             scale = 1.0
         ys = yc / scale
-        D2 = sq_dists(X, X)
+        D2 = _train_sq_dists(X)
 
         base = warm_start(float(np.std(ys)), D2)
         short = base + np.array([0.0, -np.log(4.0), 0.0])  # quarter length scale
@@ -350,12 +345,15 @@ def predict_aux(model: AuxGPModel, test_centroids) -> AuxPosterior:
     mean = offset + K*^T (K + sigma^2 I)^-1 (y - offset)
     var  = diag K** - colsum(W o W), clamped at zero
 
-    It runs inside ``numerics.one_blas_thread``.
+    K + sigma^2 I is formed and factored in the memory of the training
+    distances. It runs inside ``numerics.one_blas_thread``.
     """
     Xt = np.atleast_2d(np.asarray(test_centroids, dtype=float))
     X = model.train_centroids
     yc = model.train_values - model.offset
-    F = cholesky(_gram(model.params.alpha, model.params.gamma, model.noise_sigma, sq_dists(X, X)))
+    D2 = _train_sq_dists(X)
+    A = _gram(model.params.alpha, model.params.gamma, model.noise_sigma, D2, D2)
+    F = cholesky_in_place(A.T)
     Ks = cov_matrix(model.params, X, Xt)
     mean = model.offset + Ks.T @ solve(F, yc)
     W = solve_lower(F, Ks)

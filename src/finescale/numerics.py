@@ -56,7 +56,8 @@ class OptimizationError(NumericalError):
 @dataclass(frozen=True)
 class CholeskyFactor:
     """Lower-triangular factor L with L @ L.T equal to the factored matrix;
-    ``diagonal`` when ``cholesky`` found every entry of L off its diagonal zero."""
+    ``diagonal`` when ``cholesky_in_place`` found every entry of L off its
+    diagonal zero."""
 
     L: np.ndarray
     diagonal: bool = False
@@ -137,16 +138,17 @@ _dtrtrs = _lapack(
 )
 
 
-def _in_place_ok(A: np.ndarray) -> bool:
-    """Whether LAPACK can work in place on A: a writeable Fortran-ordered float64 array."""
-    return A.flags.f_contiguous and A.flags.writeable and A.dtype == np.float64
+def _check_in_place(A: np.ndarray, name: str) -> None:
+    """ValueError unless LAPACK can work in place on A, which the message calls
+    ``name``: a writeable Fortran-ordered float64 square array."""
+    square = A.ndim == 2 and A.shape[0] == A.shape[1]
+    if not (square and A.flags.f_contiguous and A.flags.writeable and A.dtype == np.float64):
+        raise ValueError(f"{name} must be a writeable Fortran-ordered float64 square array")
 
 
 def _on_lower(routine, A: np.ndarray) -> int:
-    """Run dpotrf or dpotri in place on the lower triangle of the writeable
-    Fortran-ordered float64 n x n array A; LAPACK's info."""
-    if not (A.ndim == 2 and A.shape[0] == A.shape[1] and _in_place_ok(A)):
-        raise ValueError("LAPACK needs a writeable Fortran-ordered float64 square array")
+    """Run dpotrf or dpotri in place on the lower triangle of A, which has
+    passed ``_check_in_place``; LAPACK's info."""
     n, info = ctypes.c_int(A.shape[0]), ctypes.c_int()
     routine(b"L", ctypes.byref(n), A.ctypes.data, ctypes.byref(n), ctypes.byref(info))
     return info.value
@@ -161,41 +163,19 @@ def _zero_above_diagonal(A: np.ndarray) -> None:
     _dlaset(b"U", byref(m), byref(m), byref(zero), byref(zero), A[:, 1:].ctypes.data, byref(lda))
 
 
-def cholesky(M: np.ndarray, out: np.ndarray | None = None) -> CholeskyFactor:
-    """Factor a symmetric positive-definite matrix; caller applies jitter.
-
-    The checks and the LAPACK call are those of ``scipy.linalg.cholesky(M,
-    lower=True)`` (dpotrf on a Fortran-ordered copy, upper triangle zeroed),
-    after a symmetry check; dpotrf runs without the GIL. ``out``, a writeable
-    Fortran-ordered n x n array that may be M itself, receives the factor in
-    place of a new copy. A positive diagonal matrix gets diag(sqrt d),
-    dpotrf's bits, without the call. The factoring is ``cholesky_in_place``'s.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    scale = max(M.max(), -M.min())  # max |M| without an n x n temporary
-    if scale > 0:
-        D = M - M.T
-        if np.abs(D, out=D).max() > 1e-10 * scale:
-            raise ValueError("matrix is not symmetric within 1e-10 relative")
-    if out is None:
-        out = np.array(M, order="F")
-    elif not (_in_place_ok(out) and out.shape == M.shape):
-        raise ValueError("out must be a writeable Fortran-ordered float64 array shaped like M")
-    elif out is not M:
-        np.copyto(out, M)
-    return cholesky_in_place(out)
-
-
 def cholesky_in_place(A: np.ndarray) -> CholeskyFactor:
-    """Factor in place the writeable Fortran-ordered float64 n x n array A,
-    which its caller has built exactly symmetric: ``cholesky`` without its
-    symmetry check, with its finiteness check, path for a diagonal matrix and
-    bits. A holds the factor, its upper triangle zeroed.
+    """The package's one factorization: A, a writeable Fortran-ordered float64
+    SPD n x n array (the caller applies jitter), becomes its factor, upper
+    triangle zeroed. dpotrf reads only the lower triangle, so the caller
+    builds A exactly symmetric; nothing checks it. An exactly symmetric
+    C-ordered M is factored in its own memory as M.T, which is Fortran-ordered.
+
+    The finiteness check and the LAPACK call are those of
+    ``scipy.linalg.cholesky(A, lower=True)``, so are the bits; dpotrf runs
+    without the GIL. A positive diagonal gets diag(sqrt d), dpotrf's bits,
+    without the call.
     """
-    if not (A.ndim == 2 and A.shape[0] == A.shape[1] and _in_place_ok(A)):
-        raise ValueError("A must be a writeable Fortran-ordered float64 square array")
+    _check_in_place(A, "A")
     # +inf or nan exactly when A holds an inf or a nan
     if not np.isfinite(max(A.max(), -A.min())):
         raise ValueError("array must not contain infs or NaNs")
@@ -225,7 +205,7 @@ def _triangular_solve(
     x = np.array(b, dtype=float, order="F")
     if x.ndim not in (1, 2) or x.shape[0] != F.n:
         raise ValueError(f"shape mismatch: factor is {F.n}x{F.n}, b has shape {x.shape}")
-    # cholesky has proved the factor finite; b alone gets scipy's check_finite test
+    # cholesky_in_place has proved the factor finite; b alone gets scipy's check_finite test
     if not np.isfinite(x).all():
         raise ValueError("array must not contain infs or NaNs")
     L = np.asarray(F.L, dtype=float, order="F")
@@ -276,7 +256,7 @@ def inverse(F: CholeskyFactor) -> np.ndarray:
     GIL), exactly symmetric, in a new array; F keeps its factor.
 
     dpotri fills the lower triangle of a copy of F.L and leaves the upper one,
-    zero in a factor from ``cholesky``, as it was; so the sum with its
+    zero in a factor from ``cholesky_in_place``, as it was; so the sum with its
     transpose is M^-1 off the diagonal.
     """
     if F.diagonal:  # dpotri's bits: dtrtri's 1/l, squared by dlauum
@@ -285,6 +265,7 @@ def inverse(F: CholeskyFactor) -> np.ndarray:
         np.fill_diagonal(inv, r * r)
         return inv
     L = np.array(F.L, dtype=float, order="F")
+    _check_in_place(L, "the factor")
     _potri(L)
     inv = L + L.T
     np.fill_diagonal(inv, L.diagonal())
@@ -311,8 +292,7 @@ def inverse_in_place(F: CholeskyFactor) -> np.ndarray:
     dpotri's bits.
     """
     L = F.L
-    if not (L.ndim == 2 and L.shape[0] == L.shape[1] and _in_place_ok(L)):
-        raise ValueError("the factor must be a writeable Fortran-ordered float64 square array")
+    _check_in_place(L, "the factor")
     if F.diagonal:
         r = 1.0 / L.diagonal()
         L.fill(0.0)

@@ -32,6 +32,7 @@ from finescale.geo import (
 )
 from finescale.gp_aux import AuxGPModel, AuxPosterior, predict_aux
 from finescale.kernel import SEKernelParams
+from finescale.numerics import CholeskyFactor, cholesky_in_place
 
 
 # Two auxiliaries of one shared field, 5 and 100 regions: acceptance criterion 6.
@@ -53,6 +54,12 @@ def se_kernel(params: SEKernelParams, x, x2) -> float:
     x2 = np.asarray(x2, dtype=float)
     d2 = float(np.sum((x - x2) ** 2))
     return params.alpha**2 * float(np.exp(-0.5 * d2 / params.gamma**2))
+
+
+def factor_copy(M) -> CholeskyFactor:
+    """The Cholesky factor of M, an exactly symmetric positive-definite
+    matrix, in a new Fortran-ordered float64 copy: M keeps its values."""
+    return cholesky_in_place(np.array(M, dtype=float, order="F"))
 
 
 def always(value) -> bool:

@@ -318,6 +318,27 @@ def test_eval_unknown_method_exit_2(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "eval").exists()  # rejected before any method runs
 
 
+def test_eval_zero_truth_exit_2_before_any_fit(synth_dir, tmp_path, capsys, monkeypatch):
+    # MAPE divides by the truth: a 0 is refused before the fits, without a traceback
+    with open(synth_dir / "truth.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][1] = "0"
+    truth = tmp_path / "truth.csv"
+    with open(truth, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(evaluate, "run_methods", no_fit)
+    args = [*common_args(synth_dir, tmp_path / "eval"), "--truth", str(truth)]
+    assert main(["eval", *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert str(truth) in err[0] and repr(rows[3][0]) in err[0]
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize(
     "grids",
     [

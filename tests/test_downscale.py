@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     BLAS_THREAD_VARS,
     always,
+    factor_copy,
     grad_check,
     hex_floats,
     in_fresh_interpreter,
@@ -25,6 +26,7 @@ from conftest import (
 )
 from finescale import downscale, gp_aux, kernel
 from finescale.downscale import (
+    DesignMatrix,
     DownscaleFitError,
     DownscaleParams,
     _neg_log_marginal,
@@ -43,7 +45,7 @@ from finescale.gp_aux import AuxGPModel, AuxPosterior, fit_all_aux, predict_aux
 from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
 from finescale.numerics import (
     FactorizationError,
-    cholesky,
+    cholesky_in_place,
     log_det,
     one_blas_thread,
     solve,
@@ -92,7 +94,7 @@ def dense_assemble_lambda(params, posteriors, fine_centroids, amap_or_H):
     Lam = params.sigma**2 * np.eye(nc) + H @ Omega @ H.T
     Lam = 0.5 * (Lam + Lam.T)
     jitter = JITTER_REL * (params.sigma**2 + params.kernel.alpha**2)
-    factor = cholesky(Lam + jitter * np.eye(nc))
+    factor = factor_copy(Lam + jitter * np.eye(nc))
     return DenseAssembly(Omega=Omega, Lambda=Lam, factor=factor)
 
 
@@ -678,11 +680,10 @@ def test_fit_is_the_same_on_one_and_two_threads(search_threads):
 
 
 def factored_lambdas(theta, a, posteriors, fine, H) -> list[np.ndarray]:
-    """The matrices the fit's objective and predict_fine hand to cholesky, in
-    that order, at the packed theta."""
+    """Copies of the matrices the fit's objective and predict_fine hand to
+    cholesky_in_place, which factors them in place, in that order, at the packed theta."""
     factored = []
-    real_cholesky = downscale.cholesky
-    downscale.cholesky = lambda M: factored.append(M) or real_cholesky(M)
+    downscale.cholesky_in_place = lambda A: factored.append(A.copy()) or cholesky_in_place(A)
     try:
         with one_blas_thread():  # as fit_downscale runs them; predict_fine pins itself
             prob = _Problem.build(a, posteriors, fine, H, dists=True)
@@ -694,7 +695,7 @@ def factored_lambdas(theta, a, posteriors, fine, H) -> list[np.ndarray]:
         )
         predict_fine(params, a, design, posteriors, H, fine=fine)
     finally:
-        downscale.cholesky = real_cholesky
+        downscale.cholesky_in_place = cholesky_in_place
     return factored
 
 
@@ -708,6 +709,43 @@ def test_predict_factors_the_lambda_the_fit_factors():
     assert list(np.exp(theta[-3:])) == [params.kernel.alpha, params.kernel.gamma, params.sigma]
     fit_lambda, refine_lambda = factored_lambdas(theta, inst.a, posteriors, inst.fine, inst.amap.H)
     assert np.array_equal(fit_lambda, refine_lambda)
+
+
+def test_every_matrix_handed_to_cholesky_in_place_is_exactly_symmetric(monkeypatch):
+    # dpotrf reads one triangle and nothing checks the other, so each Gram of
+    # the auxiliary fits and of predict_aux, and each Lambda of the fit and of
+    # predict_fine, must equal its transpose bit for bit; also under a dense
+    # row-stochastic H, one that --hmatrix may give
+    seen = {gp_aux: [], downscale: []}
+    for module, calls in seen.items():
+
+        def watched(A, calls=calls):
+            calls.append(A.tobytes() == A.T.tobytes())
+            return cholesky_in_place(A)
+
+        monkeypatch.setattr(module, "cholesky_in_place", watched)
+    inst = generate_synthetic(SyntheticSpec(fine_shape=(12, 10), coarse_shape=(4, 5)), seed=0)
+    fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=1, dataset_ids=inst.aux_ids)
+    posteriors = [post for _, post in fitted]
+    design = build_design(posteriors, n_fine=len(inst.fine))
+    dense = np.random.default_rng(0).uniform(0.1, 1.0, size=inst.amap.H.shape)
+    dense /= dense.sum(axis=1, keepdims=True)
+    for H in (inst.amap.H, dense):
+        params = fit_downscale(inst.a, posteriors, inst.fine, H, restarts=2, seed=0)
+        predict_fine(params, inst.a, design, posteriors, H, fine=inst.fine)
+    assert all(calls and all(calls) for calls in seen.values())
+
+
+def test_predict_fine_refuses_a_design_not_its_posteriors_own(rng):
+    # a design of other columns would move the refined mean without an error
+    params, a, design, posteriors, H, Xf = random_instance(rng, 4, 12, 2)
+    predict_fine(params, a, design, posteriors, H, fine=Xf)
+    reordered = build_design(posteriors[::-1], n_fine=12)
+    F = design.F.copy()
+    F[5, 0] += 1.0
+    for other in (reordered, DesignMatrix(F=F, column_ids=design.column_ids)):
+        with pytest.raises(ValueError, match="not the posteriors' own"):
+            predict_fine(params, a, other, posteriors, H, fine=Xf)
 
 
 def lambdas_agree_at_refine_scale() -> dict[str, bool]:
@@ -931,7 +969,7 @@ def test_fit_programming_error_propagates(monkeypatch):
     def broken(M):
         raise TypeError("not a factorization failure")
 
-    monkeypatch.setattr(downscale, "cholesky", broken)
+    monkeypatch.setattr(downscale, "cholesky_in_place", broken)
     with pytest.raises(TypeError, match="not a factorization failure"):
         fit_downscale(np.full(9, 4.2), [], grid_partition(3, 3, "f"), np.eye(9), restarts=2)
 
@@ -940,7 +978,7 @@ def test_fit_factorization_failure_on_every_restart_is_typed(monkeypatch):
     def not_pd(M):
         raise FactorizationError("not positive definite")
 
-    monkeypatch.setattr(downscale, "cholesky", not_pd)
+    monkeypatch.setattr(downscale, "cholesky_in_place", not_pd)
     with pytest.raises(DownscaleFitError, match="all restarts"):
         fit_downscale(np.full(9, 4.2), [], grid_partition(3, 3, "f"), np.eye(9), restarts=2)
 

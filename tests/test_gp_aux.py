@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import threading
@@ -13,6 +12,7 @@ from conftest import (
     BLAS_THREAD_VARS,
     CRITERION_6_SPEC,
     always,
+    factor_copy,
     grad_check,
     hex_floats,
     in_fresh_interpreter,
@@ -48,11 +48,11 @@ from finescale.numerics import (
     SIGMA_FLOOR,
     CholeskyFactor,
     FactorizationError,
-    cholesky,
     cholesky_in_place,
     inverse,
     log_det,
     solve,
+    solve_lower,
 )
 
 
@@ -60,7 +60,7 @@ def aux_log_marginal(params: SEKernelParams, sigma: float, X, y) -> float:
     """log N(y | 0, K + sigma^2 I) for a zero-mean GP at centroids X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    F = cholesky(gp_aux._gram(params.alpha, params.gamma, sigma, sq_dists(X, X)))
+    F = factor_copy(_gram(params.alpha, params.gamma, sigma, sq_dists(X, X))[1])
     beta = solve(F, y)
     n = y.size
     return float(-0.5 * y @ beta - 0.5 * log_det(F) - 0.5 * n * np.log(2 * np.pi))
@@ -144,6 +144,41 @@ def test_predict_is_shrunk_training_values(rng):
     assert np.allclose(post.mean, direct, atol=1e-8)
 
 
+def copied_predict_aux(model: AuxGPModel, Xt: np.ndarray) -> tuple[np.ndarray, ...]:
+    """predict_aux's mean, var and W with its Gram A in a new array, factored in
+    the Fortran-ordered copy np.array(A, order="F"), as predict_aux once did."""
+    X = model.train_centroids
+    D2 = sq_dists(X, X)
+    A = gp_aux._gram(model.params.alpha, model.params.gamma, model.noise_sigma, D2, D2.copy())
+    F = cholesky_in_place(np.array(A, order="F"))
+    Ks = cov_matrix(model.params, X, Xt)
+    mean = model.offset + Ks.T @ solve(F, model.train_values - model.offset)
+    W = solve_lower(F, Ks)
+    var = np.maximum(model.params.alpha**2 - np.einsum("ij,ij->j", W, W), 0.0)
+    return mean, var, W
+
+
+def test_predict_aux_factoring_its_gram_in_place_keeps_the_bits_of_a_copy():
+    # 480 regions: predict_aux factors A through A.T, in the memory of the distances
+    rng = np.random.default_rng(11)
+    X = grid_partition(24, 20, "aux").centroids
+    model = AuxGPModel(
+        dataset_id="aux",
+        params=SEKernelParams(1.3, 0.12),
+        noise_sigma=0.08,
+        train_centroids=X,
+        train_values=rng.normal(size=len(X)) + 0.4,
+        offset=0.4,
+        scale=1.0,
+        log_marginal=float("nan"),
+    )
+    Xt = rng.uniform(size=(300, 2))
+    post = predict_aux(model, Xt)
+    with numerics.one_blas_thread():  # as predict_aux runs
+        want = copied_predict_aux(model, Xt)
+    assert [a.tobytes() for a in (post.mean, post.var, post.W)] == [a.tobytes() for a in want]
+
+
 def test_objective_gradient_matches_finite_differences(rng):
     X = rng.uniform(size=(8, 2))
     y = rng.normal(size=8)
@@ -175,7 +210,7 @@ def unbuffered_nll_and_grad(
     n = y.size
     K, A = _gram(alpha, gamma, sigma, D2)
     jitter = JITTER_REL * alpha**2
-    F = cholesky(A)
+    F = factor_copy(A)
     beta = solve(F, y)
     nll = 0.5 * y @ beta + 0.5 * log_det(F) + 0.5 * n * np.log(2 * np.pi)
     Ainv = inverse(F)
@@ -216,8 +251,8 @@ def test_buffered_objective_equals_unbuffered_bit_for_bit(rng, n):
     near_floor = [np.array([0.0, np.log(0.05), np.log(10 * SIGMA_FLOOR)])]
     thetas = grid + near_floor + [NUGGET_THETA] + [rng.normal(0.0, 1.0, size=3) for _ in range(6)]
     # both inverse paths: dpotri's at log gamma = 0, the diagonal one at the nugget
-    assert not cholesky(gp_aux._gram(*np.exp(thetas[0]), D2)).diagonal
-    assert cholesky(gp_aux._gram(*np.exp(NUGGET_THETA), D2)).diagonal
+    assert not factor_copy(_gram(*np.exp(thetas[0]), D2)[1]).diagonal
+    assert factor_copy(_gram(*np.exp(NUGGET_THETA), D2)[1]).diagonal
     prob = _AuxProblem.build(y, D2)  # one buffer set for every call, as in a fit
     # the buffers hold the previous call's arrays: every theta runs after
     # another one, and one runs after a theta whose factorization failed
@@ -303,25 +338,39 @@ def test_an_objective_holds_two_n_by_n_arrays():
     assert 2 * n * n * 8 <= held < 2.5 * n * n * 8
 
 
-def test_squared_distances_not_exactly_symmetric_are_refused_when_built(rng):
+def test_squared_distances_not_exactly_symmetric_are_refused_when_built(rng, monkeypatch):
+    # every Gram the fit and predict_aux factor is built on _train_sq_dists's D2
     X = rng.uniform(size=(6, 2))
+    data = ArealDataset(point_partition("p", X), rng.normal(size=6))
     D2 = sq_dists(X, X)
-    bad = D2.copy()
-    bad[4, 1] = np.nextafter(bad[4, 1], np.inf)  # one ulp
-    with pytest.raises(ValueError, match="exactly symmetric"):
-        _AuxProblem.build(rng.normal(size=6), bad)
-    fit = _AuxFit.prepare(ArealDataset(point_partition("p", X), rng.normal(size=6)), 2, 0)
-    assert fit.D2 is not bad and np.array_equal(fit.D2, D2)
-    with pytest.raises(ValueError, match="exactly symmetric"):
-        dataclasses.replace(fit, D2=bad)
+    assert np.array_equal(gp_aux._train_sq_dists(X), D2)
+    fit = _AuxFit.prepare(data, 2, 0)
+    assert np.array_equal(fit.D2, D2)
+    model = fit_aux_gp(data, restarts=1)
+
+    def one_ulp_off(A, B):
+        bad = sq_dists(A, B)
+        bad[4, 1] = np.nextafter(bad[4, 1], np.inf)
+        return bad
+
+    monkeypatch.setattr(gp_aux, "sq_dists", one_ulp_off)
+    for build in (
+        lambda: gp_aux._train_sq_dists(X),
+        lambda: _AuxFit.prepare(data, 2, 0),
+        lambda: predict_aux(model, X),
+    ):
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            build()
 
 
 def test_gram_adds_the_noise_to_the_diagonal_only():
-    # in place or into given arrays, A equals K + (sigma^2 + jitter) I with a fresh identity
+    # over D2 or into given arrays, A equals K + (sigma^2 + jitter) I with a fresh identity
     X = np.random.default_rng(2).uniform(size=(40, 2))
     D2 = sq_dists(X, X)
     K_ref, A_ref = _gram(1.3, 0.2, 0.05, D2)
-    assert np.array_equal(gp_aux._gram(1.3, 0.2, 0.05, D2), A_ref)
+    over = D2.copy()
+    assert gp_aux._gram(1.3, 0.2, 0.05, over, over) is over
+    assert np.array_equal(over, A_ref)
     K, A = np.empty((40, 40)), np.empty((40, 40), order="F")
     assert gp_aux._gram(1.3, 0.2, 0.05, D2, K, A) is A
     assert np.array_equal(K, K_ref) and np.array_equal(A, A_ref)
@@ -336,7 +385,7 @@ def dense_nll_and_grad(theta, X, y, D2, accept):
     K = alpha**2 * np.exp(-0.5 * D2 / gamma**2)
     jitter = JITTER_REL * alpha**2
     A = K + (sigma**2 + jitter) * np.eye(n)
-    F = cholesky(A)
+    F = factor_copy(A)
     beta = solve(F, y)
     nll = 0.5 * y @ beta + 0.5 * log_det(F) + 0.5 * n * np.log(2 * np.pi)
     M = np.outer(beta, beta) - solve(F, np.eye(n))
@@ -548,11 +597,6 @@ def lapack_cholesky_in_place(A):
     return CholeskyFactor(L=A)
 
 
-def lapack_cholesky(M):
-    """``cholesky`` without its path for diagonal matrices, in a new array."""
-    return lapack_cholesky_in_place(np.array(M, order="F"))
-
-
 AUX_HEAVY_SPEC = SyntheticSpec(
     fine_shape=(20, 12),
     coarse_shape=(5, 4),
@@ -568,10 +612,8 @@ def test_diagonal_grams_skip_lapack_and_leave_every_fit_and_posterior_as_it_was(
     # most Grams these fits factor are diagonal: their restarts slide to a pure nugget
     inst = generate_synthetic(spec, seed=0)
     fits = []
-    # the objective factors with cholesky_in_place, predict_aux with cholesky
-    paths = ((cholesky, cholesky_in_place), (lapack_cholesky, lapack_cholesky_in_place))
-    for factor, in_place in paths:
-        monkeypatch.setattr(gp_aux, "cholesky", factor)
+    # the objective and predict_aux both factor with cholesky_in_place
+    for in_place in (cholesky_in_place, lapack_cholesky_in_place):
         monkeypatch.setattr(gp_aux, "cholesky_in_place", in_place)
         fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=restarts, seed=0)
         fits.append(

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_H, se_kernel
+from conftest import factor_copy, random_H, se_kernel
 from finescale import kernel
 from finescale.kernel import (
     JITTER_REL,
@@ -14,7 +14,6 @@ from finescale.kernel import (
     se_from_sq_dists,
     sq_dists,
 )
-from finescale.numerics import cholesky
 
 P11 = SEKernelParams(alpha=1.0, gamma=1.0)
 
@@ -110,7 +109,7 @@ def test_jittered_gram_is_positive_definite(rng):
         X[0] = X[1]  # duplicate point stresses the factorization
         p = SEKernelParams(alpha=float(rng.uniform(0.1, 3.0)), gamma=float(rng.uniform(0.05, 2.0)))
         M = cov_matrix(p, X, X) + JITTER_REL * p.alpha**2 * np.eye(n)
-        cholesky(M)  # raises on failure
+        factor_copy(M)  # raises on failure
 
 
 @given(
@@ -189,6 +188,27 @@ def test_sq_dists_matches_einsum_oracle(n, m, scale):
             assert np.array_equal(D2, oracle)
         else:
             assert np.all(np.abs(D2 - oracle) <= 1e-15 * oracle)
+
+
+@given(
+    points=st.lists(
+        st.lists(
+            st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False), min_size=2, max_size=2
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+@example(points=[[1e300, -1e300], [-1e300, 1e300], [0.0, 5e-324], [1.0, -0.0]])
+@settings(max_examples=200, deadline=None)
+def test_sq_dists_of_a_point_set_with_itself_equals_its_transpose_bit_for_bit(points):
+    # the symmetry every Gram of the package rests on, which cholesky_in_place
+    # does not check: (a - b)^2 and (b - a)^2 round alike, and so do their
+    # sums, also where they overflow to inf
+    X = np.array(points)
+    with np.errstate(over="ignore"):
+        D2 = sq_dists(X, X)
+    assert D2.tobytes() == D2.T.tobytes()
 
 
 def test_sq_dists_rejects_mismatched_dimensions():

@@ -133,19 +133,19 @@ def cmd_refine(args) -> int:
     models_path = Path(args.models or (Path(args.out) / "models.json"))
     models = _read_json(models_path, "models file")
     try:
-        by_id = {
-            json_value(m, "dataset_id", str, "aux_models entry"): m
-            for m in json_value(models, "aux_models", list, "models")
-        }
+        entries = json_value(models, "aux_models", list, "models")
+        model_ids = [json_value(m, "dataset_id", str, "aux_models entry") for m in entries]
+        by_id = dict(zip(model_ids, entries))
         downscale = json_value(models, "downscale", dict, "models")
         params = DownscaleParams.from_dict(downscale)
         datasets = {ds.partition.name: ds for ds in aux}
         # The fitted weights are ordered by the fit-time columns, not by this
-        # manifest; from_dict has checked the column ids.
+        # manifest; from_dict has checked that the column ids are distinct, so
+        # a repeated model id fails this comparison.
         column_ids = downscale["column_ids"]
-        if not sorted(by_id) == sorted(column_ids[:-1]) == sorted(datasets):
+        if not sorted(model_ids) == sorted(column_ids[:-1]) == sorted(datasets):
             raise InputError(
-                f"model/manifest mismatch: models for {sorted(by_id)}, weights for "
+                f"model/manifest mismatch: models for {sorted(model_ids)}, weights for "
                 f"{column_ids[:-1]}, manifest has {sorted(datasets)}"
             )
         posteriors = []

@@ -106,8 +106,9 @@ class DownscaleParams:
         """The parameters ``to_dict`` wrote: one weight per column id, the ids
         distinct strings with ``bias`` last.
 
-        Raises InputError naming the first key that is missing or holds a
-        value of the wrong kind; ``diagnostics`` may be absent.
+        Raises InputError naming the first key that is missing, holds a value
+        of the wrong kind or, in ``w``, is no column id; ``diagnostics`` may
+        be absent.
         """
         where = "downscale"
         ids = json_value(d, "column_ids", list, where)
@@ -120,6 +121,9 @@ class DownscaleParams:
                 f"{where}: key 'column_ids' must be distinct strings ending in 'bias', got {ids!r}"
             )
         weights = json_value(d, "w", dict, where)
+        extra = sorted(set(weights) - set(ids))
+        if extra:
+            raise InputError(f"{where} 'w': key {extra[0]!r} is no column id")
         return cls(
             w=np.array([json_value(weights, cid, float, f"{where} 'w'") for cid in ids]),
             kernel=SEKernelParams.from_log(
@@ -201,74 +205,85 @@ class _Problem:
         posteriors: list[AuxPosterior],
         fine: Partition | np.ndarray | None,
         amap_or_H,
-        design: DesignMatrix | None = None,
-        dists: bool = False,
         kernel: SEKernelParams | None = None,
     ) -> "_Problem":
-        """Coerce the inputs once, with ``_aggregation`` checking H and the
-        fine locations; ``dists`` sets D2 for an objective, and ``kernel``
-        sets KHt.
+        """The problem of the inputs ``_inputs`` coerces; ``kernel`` sets KHt.
 
         Every posterior must be at the fine locations, else ValueError: then
         one pass of ``kernels_times`` forms each auxiliary's k(Xf, Xf) H^T and
-        K H^T from the same distance blocks. A given design must be the
-        posteriors' own, ``build_design(posteriors, nf)``, column ids and
-        columns alike, else ValueError.
+        K H^T from the same distance blocks.
         """
-        if isinstance(a, ArealDataset):
-            a = a.values
-        elif a is not None:
-            a = np.asarray(a, dtype=float)
-        H, Xf = _aggregation(amap_or_H, fine)
+        a, H, Xf = _inputs(a, amap_or_H, fine)
         for post in posteriors:
             if not np.array_equal(post.Xf, Xf):
                 raise ValueError(
                     f"posterior {post.dataset_id!r} is not at the fine locations: "
                     "predict it at the fine centroids"
                 )
-        own = build_design(posteriors, n_fine=Xf.shape[0])
-        if design is not None and not (
-            design.column_ids == own.column_ids and np.array_equal(design.F, own.F)
-        ):
-            raise ValueError(
-                f"design {design.column_ids} is not the posteriors' own, build_design(posteriors, nf)"
-            )
+        design = build_design(posteriors, n_fine=Xf.shape[0])
         kernels = [post.kernel for post in posteriors] + ([kernel] if kernel else [])
         KMs = kernels_times(kernels, Xf, H.T)
         SHt = tuple(post.cov_times(H.T, KM) for post, KM in zip(posteriors, KMs))
         return cls(
             a=a,
             H=H,
-            design=own,
-            HF=H @ own.F,
+            design=design,
+            HF=H @ design.F,
             Xf=Xf,
             SHt=SHt,
             HSH=tuple(H @ S for S in SHt),
             KHt=KMs[-1] if kernel else None,
-            D2=sq_dists(Xf, Xf) if dists else None,
         )
 
-
-def _aggregation(amap_or_H, fine: Partition | np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """H and the fine locations, one row per column of H; ``fine=None`` takes
-    the AggregationMap's fine partition, and a fine Partition beside an
-    AggregationMap must list its fine ids in the same order."""
-    if isinstance(amap_or_H, AggregationMap):
-        H = amap_or_H.H
-        fine = amap_or_H.fine if fine is None else fine
-        if isinstance(fine, Partition) and fine.ids != amap_or_H.fine.ids:
+    def check_handed_back(self, design: DesignMatrix, H=None, Xf=None, n_posteriors=None):
+        """Raise ValueError unless the design is the posteriors' own,
+        ``build_design(posteriors, nf)``, and H, the fine locations and the
+        number of posteriors, where given, are those this problem was built from."""
+        own = self.design
+        if design.column_ids != own.column_ids or not np.array_equal(design.F, own.F):
+            raise ValueError(f"design {design.column_ids} is not the posteriors' own")
+        if H is not None and not np.array_equal(H, self.H):
+            raise ValueError("H is not the one the assembly was built from")
+        if Xf is not None and not np.array_equal(Xf, self.Xf):
+            raise ValueError("fine locations are not the ones the assembly was built from")
+        if n_posteriors not in (None, len(self.HSH)):
             raise ValueError(
-                f"fine partition {fine.name!r} does not list the ids of the aggregation "
-                f"map's fine partition {amap_or_H.fine.name!r} in the same order"
+                f"{n_posteriors} posteriors for an assembly built from {len(self.HSH)}"
             )
-    else:
-        H = np.asarray(amap_or_H, dtype=float)
+
+
+def _inputs(
+    a: ArealDataset | np.ndarray | None, amap_or_H, fine: Partition | np.ndarray | None
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """The observations a (an ArealDataset's values; None stays None), H and
+    the fine locations (``fine=None`` takes an AggregationMap's fine
+    partition). ValueError unless a is one finite value per row of H, the
+    fine locations are one row per column and, beside an AggregationMap, its
+    fine centroids, and a fine Partition or target ArealDataset lists the
+    map's ids in its order."""
+    amap = amap_or_H if isinstance(amap_or_H, AggregationMap) else None
+    H = amap.H if amap else np.asarray(amap_or_H, dtype=float)
+    fine = amap.fine if amap and fine is None else fine
     if fine is None:
         raise ValueError("fine centroids required")
     Xf = fine.centroids if isinstance(fine, Partition) else np.asarray(fine, dtype=float)
     if Xf.ndim != 2 or Xf.shape[0] != H.shape[1]:
         raise ValueError(f"fine locations of shape {Xf.shape} for an H with {H.shape[1]} columns")
-    return H, Xf
+    if amap and isinstance(fine, Partition) and fine.ids != amap.fine.ids:
+        raise ValueError(f"fine partition {fine.name!r} does not list the ids of the map's fine "
+                         f"partition {amap.fine.name!r} in its order")
+    if amap and not np.array_equal(Xf, amap.fine.centroids):
+        raise ValueError(f"fine locations are not the map's fine centroids, {amap.fine.name!r}'s")
+    if isinstance(a, ArealDataset):
+        if amap and a.partition.ids != amap.coarse.ids:
+            raise ValueError(f"target partition {a.partition.name!r} does not list the ids of the "
+                             f"map's coarse partition {amap.coarse.name!r} in its order")
+        a = a.values
+    if a is not None:
+        a = np.asarray(a, dtype=float)
+        if a.shape != H.shape[:1] or not np.isfinite(a).all():
+            raise ValueError(f"a of shape {a.shape} for an H with {H.shape[0]} rows, or not finite")
+    return a, H, Xf
 
 
 def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, sigma: float, KHt: np.ndarray):
@@ -366,10 +381,11 @@ def log_marginal(
     assembly: LambdaAssembly,
     H: np.ndarray,
 ) -> float:
-    """log N(a | H F w, Lambda) on the assembly's Lambda and H; another H raises ValueError."""
-    if not np.array_equal(np.asarray(H, dtype=float), assembly.problem.H):
-        raise ValueError("H must be the one the assembly was built from")
-    r = np.asarray(a, dtype=float) - H @ (design.F @ params.w)
+    """log N(a | H F w, Lambda) on the assembly's Lambda, H and design; others raise ValueError."""
+    prob = assembly.problem
+    a, H, _ = _inputs(a, H, prob.Xf)
+    prob.check_handed_back(design, H)
+    r = a - H @ (design.F @ params.w)
     return -gaussian_nll(assembly.factor, r)[0]
 
 
@@ -385,21 +401,13 @@ def grad_log_marginal(
     """Analytic gradient over (w_1..w_S, w_0, log alpha, log gamma, log sigma),
     the fit's objective gradient negated, on the assembly's problem.
 
-    ``posteriors``, ``amap_or_H`` and ``fine_centroids`` must be those the
-    assembly was built from: H, the fine locations and the number of
-    posteriors are checked against it, and a disagreement raises ValueError.
+    The design, H, the fine locations and the number of posteriors must be
+    those the assembly was built from, else ValueError.
     """
     prob = assembly.problem
-    H, Xf = _aggregation(amap_or_H, fine_centroids)
-    if not (np.array_equal(H, prob.H) and np.array_equal(Xf, prob.Xf)):
-        raise ValueError("amap_or_H and fine_centroids must be those the assembly was built from")
-    if len(posteriors) != len(prob.HSH):
-        raise ValueError(
-            f"{len(posteriors)} posteriors for an assembly built from {len(prob.HSH)}"
-        )
-    prob = replace(
-        prob, a=np.asarray(a, dtype=float), design=design, HF=prob.H @ design.F, D2=sq_dists(Xf, Xf)
-    )
+    a, H, Xf = _inputs(a, amap_or_H, fine_centroids)
+    prob.check_handed_back(design, H, Xf, len(posteriors))
+    prob = replace(prob, a=a, D2=sq_dists(Xf, Xf))
     theta = _pack(params.w, params.kernel, params.sigma)
     return -_neg_log_marginal(prob, theta, lambda value: True)[1]
 
@@ -440,7 +448,8 @@ def fit_downscale(
     search minimized. The fit runs inside ``numerics.one_blas_thread``. Raises
     DownscaleFitError when the warm start is not finite or every restart fails.
     """
-    prob = _Problem.build(a, posteriors, fine, amap_or_H, dists=True)
+    prob = _Problem.build(a, posteriors, fine, amap_or_H)
+    prob = replace(prob, D2=sq_dists(prob.Xf, prob.Xf))
     a_vec, H, design = prob.a, prob.H, prob.design
     n_w = design.F.shape[1]
 
@@ -504,7 +513,8 @@ def predict_fine(
     ValueError. It runs inside ``numerics.one_blas_thread``.
     """
     w, kernel = params.w, params.kernel
-    prob = _Problem.build(a, posteriors, fine, amap_or_H, design, kernel=kernel)
+    prob = _Problem.build(a, posteriors, fine, amap_or_H, kernel=kernel)
+    prob.check_handed_back(design)
     OmHt = prob.KHt
     _, _, factor = _lambda_terms(prob, w, kernel.alpha, params.sigma, OmHt)
     var = np.full(len(prob.Xf), kernel.alpha**2)  # the diagonal of K

@@ -387,8 +387,11 @@ def fit_all_aux(
     thread idles while another finishes a fit; ``diagnostics["workers"]`` of
     each model counts that pool's threads. The fits return in input order.
     A NumericalError is re-raised as AuxFitError naming the dataset; other
-    errors propagate.
+    errors propagate. Given ``dataset_ids`` must be one distinct id per
+    dataset, else ValueError; the default is the partition names.
     """
+    if dataset_ids is not None and not len(set(dataset_ids)) == len(dataset_ids) == len(datasets):
+        raise ValueError(f"{list(dataset_ids)} for {len(datasets)} datasets: one distinct id each")
     ids = dataset_ids or [d.partition.name for d in datasets]
     order = sorted(range(len(datasets)), key=lambda i: -len(datasets[i].values))
     fits = {}

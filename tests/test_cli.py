@@ -398,6 +398,31 @@ def test_refine_with_wrong_models_exit_2(synth_dir, tmp_path, capsys):
         assert str(path) in err and repr(key) in err, err
 
 
+def test_refine_refuses_a_repeated_aux_model_or_a_weight_of_no_column_exit_2(
+    synth_dir, tmp_path, capsys
+):
+    # both were once taken silently: the last aux0 entry won, and the stray
+    # weight was ignored
+    out = tmp_path / "out"
+    assert main(["fit", *common_args(synth_dir, out)]) == EXIT_OK
+    fitted = json.loads((out / "models.json").read_text())
+    aux0 = next(m for m in fitted["aux_models"] if m["dataset_id"] == "aux0")
+    cases = [
+        ("aux0", lambda m: m["aux_models"].append({**aux0, "log_gamma": aux0["log_gamma"] + 0.5})),
+        ("aux9", lambda m: m["downscale"]["w"].update(aux9=5.0)),
+    ]
+    for key, corrupt in cases:
+        models = json.loads(json.dumps(fitted))
+        corrupt(models)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(models))
+        capsys.readouterr()
+        assert main(["refine", *common_args(synth_dir, out), "--models", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err and repr(key) in err, err
+
+
 def test_second_step_fit_failure_exit_1(synth_dir, tmp_path, capsys):
     # the least-squares residuals of a target this large overflow in their spread,
     # so the second step has no finite warm start

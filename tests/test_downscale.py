@@ -17,6 +17,7 @@ from conftest import (
     grad_check,
     hex_floats,
     in_fresh_interpreter,
+    point_partition,
     pool_counts,
     posterior_with_mean,
     random_H,
@@ -46,6 +47,7 @@ from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_
 from finescale.numerics import (
     FactorizationError,
     cholesky_in_place,
+    gaussian_nll,
     log_det,
     one_blas_thread,
     solve,
@@ -515,7 +517,9 @@ def test_fit_is_deterministic(rng):
 
 
 def prepared_objective(a, design, posteriors, H, Xf):
-    prob = _Problem.build(a, posteriors, Xf, H, design, dists=True)
+    prob = _Problem.build(a, posteriors, Xf, H)
+    prob.check_handed_back(design)
+    prob = dataclasses.replace(prob, D2=sq_dists(Xf, Xf))
     return lambda theta, accept: _neg_log_marginal(prob, theta, accept)
 
 
@@ -686,7 +690,8 @@ def factored_lambdas(theta, a, posteriors, fine, H) -> list[np.ndarray]:
     downscale.cholesky_in_place = lambda A: factored.append(A.copy()) or cholesky_in_place(A)
     try:
         with one_blas_thread():  # as fit_downscale runs them; predict_fine pins itself
-            prob = _Problem.build(a, posteriors, fine, H, dists=True)
+            prob = _Problem.build(a, posteriors, fine, H)
+            prob = dataclasses.replace(prob, D2=sq_dists(prob.Xf, prob.Xf))
             _neg_log_marginal(prob, theta, lambda value: False)
         design = build_design(posteriors, n_fine=len(fine))
         n_w = design.F.shape[1]
@@ -944,6 +949,138 @@ def test_posterior_not_at_the_fine_locations_is_refused(rng):
         predict_fine(params, a, design, moved, H, fine=Xf)
     with pytest.raises(ValueError, match="posterior 'moved' is not at the fine locations"):
         assemble_lambda(params, moved, Xf, H)
+
+
+@pytest.fixture(scope="module")
+def synthetic_second_step():
+    """``SyntheticSpec()`` at seed 0, its auxiliary fits, and its generating
+    second-step parameters."""
+    spec = SyntheticSpec()
+    inst = generate_synthetic(spec, seed=0)
+    fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=1, dataset_ids=inst.aux_ids)
+    kernel = SEKernelParams(spec.alpha, spec.gamma)
+    return inst, fitted, DownscaleParams(w=inst.true_w, kernel=kernel, sigma=spec.sigma)
+
+
+def test_a_that_is_not_one_finite_value_per_coarse_region_is_refused(synthetic_second_step):
+    # a.values[:1] beside the 30 coarse regions was broadcast by predict_fine,
+    # moving the refined mean by up to 4.92, and ended the fit in a LinAlgError
+    inst, fitted, params = synthetic_second_step
+    posteriors = [post for _, post in fitted]
+    design = build_design(posteriors, n_fine=len(inst.fine))
+    nan_first = np.where(np.arange(30) == 0, np.nan, inst.a.values)
+    for a, shape in ((inst.a.values[:1], r"\(1,\)"), (nan_first, r"\(30,\)")):
+        match = f"a of shape {shape} for an H with 30 rows"
+        with pytest.raises(ValueError, match=match):
+            fit_downscale(a, posteriors, inst.fine, inst.amap, restarts=1)
+        with pytest.raises(ValueError, match=match):
+            predict_fine(params, a, design, posteriors, inst.amap)
+
+
+def test_target_not_on_the_maps_coarse_regions_in_order_is_refused(synthetic_second_step):
+    # the target on the coarse regions listed in reverse was fitted to a
+    # log-marginal of -134.19, not -8.78, and refined off by up to 5.18
+    inst, fitted, params = synthetic_second_step
+    posteriors = [post for _, post in fitted]
+    design = build_design(posteriors, n_fine=len(inst.fine))
+    coarse = inst.coarse
+    backwards = Partition("reversed", coarse.regions[::-1], coarse.centroids[::-1])
+    target = ArealDataset(backwards, inst.a.values[::-1])
+    match = f"target partition 'reversed' .* coarse partition {coarse.name!r}"
+    with pytest.raises(ValueError, match=match):
+        fit_downscale(target, posteriors, inst.fine, inst.amap, restarts=1)
+    with pytest.raises(ValueError, match=match):
+        predict_fine(params, target, design, posteriors, inst.amap)
+
+
+def test_fine_centroids_that_are_not_the_maps_are_refused(synthetic_second_step):
+    # the reversed fine centroids beside the map, as an array or as a partition
+    # of the map's fine ids, with the posteriors predicted there, were fitted
+    # to a log-marginal of -134.19
+    inst, fitted, params = synthetic_second_step
+    backwards = inst.fine.centroids[::-1]
+    moved = Partition("moved", inst.fine.regions, backwards)
+    posteriors = [predict_aux(model, backwards) for model, _ in fitted]
+    design = build_design(posteriors, n_fine=len(inst.fine))
+    match = f"not the map's fine centroids, {inst.fine.name!r}'s"
+    for fine in (backwards, moved):
+        with pytest.raises(ValueError, match=match):
+            fit_downscale(inst.a, posteriors, fine, inst.amap, restarts=1)
+        with pytest.raises(ValueError, match=match):
+            predict_fine(params, inst.a, design, posteriors, inst.amap, fine=fine)
+        with pytest.raises(ValueError, match=match):
+            assemble_lambda(params, posteriors, fine, inst.amap)
+
+
+def test_log_marginal_and_its_gradient_refuse_a_design_not_the_assemblys(synthetic_second_step):
+    # log_marginal answered -500.94 on the design of the posteriors reversed
+    inst, fitted, params = synthetic_second_step
+    posteriors = [post for _, post in fitted]
+    Xf, H, a = inst.fine.centroids, inst.amap.H, inst.a.values
+    assembly = assemble_lambda(params, posteriors, Xf, H)
+    foreign = build_design(posteriors[::-1], n_fine=len(inst.fine))
+    with pytest.raises(ValueError, match="not the posteriors' own"):
+        log_marginal(params, a, foreign, assembly, H)
+    with pytest.raises(ValueError, match="not the posteriors' own"):
+        grad_log_marginal(params, a, foreign, posteriors, H, Xf, assembly)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_second_step_answers_matching_inputs_and_refuses_each_mismatch(data):
+    nc = data.draw(st.integers(2, 6))
+    nf = data.draw(st.integers(max(nc, 4), 13))
+    S = data.draw(st.integers(2, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    params, a, design, posteriors, H, Xf = random_instance(rng, nc, nf, S)
+    coarse = point_partition("c", rng.uniform(0.0, 1.0, size=(nc, 2)))
+    amap = AggregationMap(coarse, Partition("f", point_partition("f", Xf).regions, Xf), H)
+    assembly = assemble_lambda(params, posteriors, Xf, H)
+
+    # matching inputs, in each form they may take: the bits of the log-density
+    # of the residual on the assembly's factor, of the objective's gradient,
+    # and of one refinement
+    want = -gaussian_nll(assembly.factor, a - H @ (design.F @ params.w))[0]
+    assert log_marginal(params, a, design, assembly, H) == want
+    _, grad = prepared_objective(a, design, posteriors, H, Xf)(pack(params), always)
+    for amap_or_H in (H, amap):
+        got = grad_log_marginal(params, a, design, posteriors, amap_or_H, Xf, assembly)
+        assert np.array_equal(got, -grad)
+    ref = predict_fine(params, a, design, posteriors, H, fine=Xf)
+    for target, amap_or_H, fine in ((ArealDataset(coarse, a), amap, None), (a, amap, Xf)):
+        got = predict_fine(params, target, design, posteriors, amap_or_H, fine=fine)
+        assert np.array_equal(got.mean, ref.mean) and np.array_equal(got.var, ref.var)
+
+    # each single mismatch
+    rows, cols = np.roll(np.arange(nc), 1), np.roll(np.arange(nf), 1)
+    permuted = Partition("permuted", tuple(coarse.regions[k] for k in rows), coarse.centroids[rows])
+    foreign = build_design(posteriors[1:] + posteriors[:1], n_fine=nf)
+    refused = [
+        ("a of shape", lambda a=a[:-1]: log_marginal(params, a, design, assembly, H)),
+        ("a of shape", lambda a=np.append(a, 0.0): grad_log_marginal(
+            params, a, design, posteriors, H, Xf, assembly)),
+        ("a of shape", lambda a=a[:-1]: predict_fine(params, a, design, posteriors, H, fine=Xf)),
+        ("target partition 'permuted'", lambda: predict_fine(
+            params, ArealDataset(permuted, a[rows]), design, posteriors, amap)),
+        ("target partition 'permuted'", lambda: grad_log_marginal(
+            params, ArealDataset(permuted, a[rows]), design, posteriors, amap, Xf, assembly)),
+        ("not the map's fine centroids", lambda: predict_fine(
+            params, a, design, posteriors, amap, fine=Xf[cols])),
+        ("not the map's fine centroids", lambda: grad_log_marginal(
+            params, a, design, posteriors, amap, Xf[cols], assembly)),
+        ("not the posteriors' own", lambda: log_marginal(params, a, foreign, assembly, H)),
+        ("not the posteriors' own", lambda: grad_log_marginal(
+            params, a, foreign, posteriors, H, Xf, assembly)),
+        ("not the posteriors' own", lambda: predict_fine(
+            params, a, foreign, posteriors, H, fine=Xf)),
+        (f"{S - 1} posteriors for an assembly built from {S}", lambda: grad_log_marginal(
+            params, a, design, posteriors[:-1], H, Xf, assembly)),
+        ("not the posteriors' own", lambda: predict_fine(
+            params, a, design, posteriors[:-1], H, fine=Xf)),
+    ]
+    for match, call in refused:
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_fit_records_every_restart(rng):

@@ -525,6 +525,21 @@ def test_fit_all_aux_output_order_and_ids(rng):
     assert all(p.mean.shape == (9,) for _, p in out)
 
 
+@pytest.mark.parametrize(
+    "ids", [["aux0", "aux1"], ["aux0", "aux1", "aux2", "aux3"], ["x", "x", "y"], []],
+    ids=["fewer", "more", "repeated", "empty"],
+)
+def test_fit_all_aux_refuses_ids_that_are_not_one_distinct_id_per_dataset(rng, ids):
+    # two ids once raised an IndexError, four dropped the last silently, and a
+    # repeated id gave a design with two columns of one name, refused only after the fit
+    datasets = [
+        ArealDataset(point_partition(f"p{k}", rng.uniform(size=(6, 2))), rng.normal(size=6))
+        for k in range(3)
+    ]
+    with pytest.raises(ValueError, match="for 3 datasets: one distinct id each"):
+        fit_all_aux(datasets, grid_partition(2, 2, "f"), restarts=1, dataset_ids=ids)
+
+
 def test_fit_all_aux_error_names_dataset():
     fine = grid_partition(2, 2, "f")
     bad = ArealDataset(point_partition("lonely", np.array([[0.5, 0.5]])), [1.0])

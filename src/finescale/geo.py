@@ -8,6 +8,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -67,13 +68,15 @@ def json_log(record, key: str, where: str) -> float:
     return value
 
 
-def _closed_ring(ring) -> np.ndarray:
-    """The ring as a float (k+1) x 2 array of x, y whose last vertex is exactly its first.
+# Coordinate types that numpy would read as numbers but a ring may not hold.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
 
-    A last vertex within ``np.allclose`` of the first (its test written out on two
-    floats) is the closing one and is replaced by the first; else the first is appended.
-    A ring that is not an array of positions of two or more finite numbers raises
-    GeoParseError.
+
+def _ring_array(ring) -> np.ndarray:
+    """The ring as a float (k, d) array of k positions of d >= 2 numbers.
+
+    A ring that numpy cannot read so, or that holds a string or a boolean
+    coordinate, raises GeoParseError saying why.
     """
     try:
         r = np.asarray(ring, dtype=float)
@@ -81,16 +84,100 @@ def _closed_ring(ring) -> np.ndarray:
         raise GeoParseError(f"ring is not an array of numeric positions: {exc}") from exc
     if r.ndim != 2 or r.shape[1] < 2:
         raise GeoParseError(f"ring is not an array of positions, got shape {r.shape}")
-    r = r[:, :2]
-    if not np.isfinite(r).all():
-        raise GeoParseError("ring has a non-finite coordinate")
-    if len(r) >= 2:
-        (x0, y0), (xk, yk) = r[0].tolist(), r[-1].tolist()
-        if abs(x0 - xk) <= 1e-8 + 1e-5 * abs(xk) and abs(y0 - yk) <= 1e-8 + 1e-5 * abs(yk):
-            r = r[:-1]
-    if len(r) < 3:
-        raise GeoParseError(f"ring needs >= 3 distinct vertices, got {len(r)}")
-    return np.concatenate([r, r[:1]])
+    for value in chain.from_iterable(ring):
+        if isinstance(value, _NOT_NUMBERS):
+            raise GeoParseError(
+                f"ring is not an array of numeric positions: coordinate {value!r} "
+                f"is a {type(value).__name__}"
+            )
+    return r
+
+
+def _group_array(group: list) -> np.ndarray | None:
+    """The rings of one length k and position size d as one float (m, k, d)
+    array, or None where ``_ring_array`` would refuse one of them."""
+    try:
+        R = np.array(group, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if R.ndim != 3 or R.shape[2] < 2:
+        return None
+    types = set(map(type, chain.from_iterable(chain.from_iterable(group))))
+    if any(issubclass(t, _NOT_NUMBERS) for t in types):
+        return None
+    return R
+
+
+def _closed_rings(rings: list) -> list:
+    """Each ring as a float (k+1) x 2 array of x, y whose last vertex is
+    exactly its first, or the GeoParseError that refuses it.
+
+    A last vertex within ``np.allclose`` of the first (its test written out
+    elementwise) is the closing one and is replaced by the first; else the
+    first is appended. A ring that is not an array of positions of two or
+    more finite numbers, none a string or a boolean, with three or more
+    distinct vertices is refused.
+
+    Rings of one length and position size are read and closed in one array
+    pass. A group that numpy cannot read as one array of numbers is read
+    ring by ring, which names what is wrong with each ring, and its other
+    rings are closed together as before.
+    """
+    closed = [None] * len(rings)
+    groups = {}
+    for j, ring in enumerate(rings):
+        try:
+            key = len(ring), len(ring[0])
+        except (TypeError, KeyError, IndexError):
+            key = j  # in a group of its own
+        groups.setdefault(key, []).append(j)
+    for at in groups.values():
+        group = [rings[j] for j in at]
+        R = _group_array(group)
+        if R is None:
+            arrays = []
+            for j, ring in zip(at, group):
+                try:
+                    arrays.append(_ring_array(ring))
+                except GeoParseError as exc:
+                    closed[j] = exc
+            if not arrays:
+                continue
+            at = [j for j in at if closed[j] is None]
+            R = np.stack(arrays)
+        R = R[:, :, :2]
+        m, k = R.shape[:2]
+        finite = np.isfinite(R).all(axis=(1, 2))
+        first, last = R[:, 0], R[:, -1]
+        with np.errstate(invalid="ignore"):  # inf - inf, in rings refused as non-finite
+            ends = (np.abs(first - last) <= 1e-8 + 1e-5 * np.abs(last)).all(axis=1)
+        ends &= k >= 2
+        # C[i, :k] is ring i closed on its last vertex, C[i] ring i with its first appended
+        C = np.empty((m, k + 1, 2))
+        C[:, :k] = R
+        C[:, k] = first
+        C[ends, k - 1] = first[ends]
+        for i, (j, is_finite, closes) in enumerate(zip(at, finite.tolist(), ends.tolist())):
+            if not is_finite:
+                closed[j] = GeoParseError("ring has a non-finite coordinate")
+            elif k - closes < 3:
+                closed[j] = GeoParseError(f"ring needs >= 3 distinct vertices, got {k - closes}")
+            else:
+                closed[j] = C[i, :k] if closes else C[i]
+    return closed
+
+
+def _closed_geometries(geometries: list) -> list:
+    """Each geometry, a list of polygons of rings, with its rings closed by
+    ``_closed_rings`` in one call for all, or the GeoParseError of its first
+    refused ring."""
+    closed = iter(_closed_rings([ring for g in geometries for rings in g for ring in rings]))
+    out = []
+    for geometry in geometries:
+        polygons = [[next(closed) for _ in rings] for rings in geometry]
+        refused = [r for rings in polygons for r in rings if isinstance(r, GeoParseError)]
+        out.append(refused[0] if refused else polygons)
+    return out
 
 
 def _ring_areas_centroids(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,8 +251,18 @@ class Region:
     geometry: list  # list of polygons; each polygon is a list of closed (k+1, 2) rings
 
     def __post_init__(self):
-        closed = [[_closed_ring(ring) for ring in rings] for rings in self.geometry]
+        [closed] = _closed_geometries([self.geometry])
+        if isinstance(closed, GeoParseError):
+            raise closed
         object.__setattr__(self, "geometry", closed)
+
+    @classmethod
+    def _of_closed(cls, rid: str, geometry: list) -> "Region":
+        """The Region of a geometry that ``_closed_geometries`` has closed."""
+        region = object.__new__(cls)
+        object.__setattr__(region, "id", rid)
+        object.__setattr__(region, "geometry", geometry)
+        return region
 
 
 @dataclass(frozen=True)
@@ -249,8 +346,9 @@ def load_partition(source, name: str | None = None) -> Partition:
         raise type(exc)(f"{source}: {exc}") from exc
 
 
-def _feature_region(k: int, feat) -> Region:
-    """The Region of feature k of a FeatureCollection; its errors name it."""
+def _feature_geometry(k: int, feat) -> tuple[str, list]:
+    """The id and the polygons of rings of feature k of a FeatureCollection;
+    its errors name it."""
     if not (isinstance(feat, dict) and isinstance(feat.get("properties") or {}, dict)):
         raise GeoParseError(f"feature {k} is not an object with an object of properties")
     rid = (feat.get("properties") or {}).get("id")
@@ -258,24 +356,38 @@ def _feature_region(k: int, feat) -> Region:
         raise GeoValidationError("feature missing string property 'id'")
     rid = str(rid)
     try:
-        return Region(id=rid, geometry=_geometry_rings(feat.get("geometry") or {}))
-    except (GeoParseError, GeoValidationError) as exc:
-        raise type(exc)(f"region {rid!r}: {exc}") from exc
+        return rid, _geometry_rings(feat.get("geometry") or {})
+    except GeoParseError as exc:
+        raise GeoParseError(f"region {rid!r}: {exc}") from exc
 
 
 def _parse_partition(doc: dict, name: str | None) -> Partition:
+    """The Partition of a FeatureCollection. Every ring is closed by one
+    ``_closed_geometries`` call; the error named is the first in document
+    order, after any degenerate region before it."""
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection" or "features" not in doc:
         raise GeoParseError("document is not a GeoJSON FeatureCollection")
     features = doc["features"]
     if not isinstance(features, list) or not features:
         raise GeoParseError("FeatureCollection has no array of features")
-    regions = []
+    ids, geometries, error = [], [], None
     for k, feat in enumerate(features):
         try:
-            regions.append(_feature_region(k, feat))
-        except InputError:
-            _centroids(regions)  # a degenerate region before it is the first error
-            raise
+            rid, geometry = _feature_geometry(k, feat)
+        except InputError as exc:
+            error = exc
+            break
+        ids.append(rid)
+        geometries.append(geometry)
+    regions = []
+    for rid, geometry in zip(ids, _closed_geometries(geometries)):
+        if isinstance(geometry, GeoParseError):
+            error = GeoParseError(f"region {rid!r}: {geometry}")
+            break
+        regions.append(Region._of_closed(rid, geometry))
+    if error is not None:
+        _centroids(regions)  # a degenerate region before it is the first error
+        raise error
     part = Partition(
         name=name or "partition", regions=tuple(regions), centroids=_centroids(regions)
     )

@@ -60,24 +60,31 @@ def se_from_sq_dists(
 ) -> np.ndarray:
     """alpha^2 * exp(-0.5 * D2 / gamma^2), elementwise on an array of squared distances.
 
-    Every SE covariance and Gram matrix in the package is built here, so they
-    agree bit for bit. The steps run in place in one array: ``out`` when given
-    (a fit's objective reuses one across calls), else a new one. Written as a
+    Every SE covariance and Gram matrix in the package is built here or by
+    ``kernels_times`` through the same ``_se_from_exponent``, so they agree
+    bit for bit. The steps run in place in one array: ``out`` when given (a
+    fit's objective reuses one across calls), else a new one. Written as a
     single expression on an argument, it would hold two temporaries.
+    """
+    K = np.multiply(-0.5, D2, out=out)
+    K /= gamma**2
+    return _se_from_exponent(alpha, K, K.min() < -708.0)
+
+
+def _se_from_exponent(alpha: float, E: np.ndarray, underflows: bool) -> np.ndarray:
+    """alpha^2 * exp(E), in place in E; ``underflows`` says whether any exponent is below -708.
 
     Below an exponent of -708 numpy's exp leaves its fast path, and below
     -745.13 it returns +0.0; where any exponent is below -708, exp runs only
     on those at or above -750 and the rest become +0.0, the bits exp gives.
     """
-    K = np.multiply(-0.5, D2, out=out)
-    K /= gamma**2
-    if K.min() < -708.0:
-        np.exp(K, out=K, where=K >= -750.0)
-        np.maximum(K, 0.0, out=K)
+    if underflows:
+        np.exp(E, out=E, where=E >= -750.0)
+        np.maximum(E, 0.0, out=E)
     else:
-        np.exp(K, out=K)
-    K *= alpha**2
-    return K
+        np.exp(E, out=E)
+    E *= alpha**2
+    return E
 
 
 def cov_matrix(params: SEKernelParams, A, B) -> np.ndarray:
@@ -107,21 +114,36 @@ def rows_times(K: np.ndarray, M: np.ndarray) -> np.ndarray:
 def kernels_times(kernels: list[SEKernelParams], X: np.ndarray, M: np.ndarray) -> list[np.ndarray]:
     """k(X, X) M for each kernel, with no |X| x |X| array.
 
-    Each block of KERNEL_ROWS rows gets its squared distances once, and every
-    kernel is formed from them into one block buffer and multiplied by M.
-    Blocks and products are those of ``rows_times`` on the whole kernel, bit
-    for bit. Both blocks are freed before the next block's distances are
-    formed, so no more than two are held at once.
+    The pass holds two KERNEL_ROWS x |X| buffers. For each block of rows the
+    first gets -0.5 times the squared distances, formed as ``sq_dists`` forms
+    them with the second as its scratch, and their minimum. Each kernel's
+    exponents are then that block divided by gamma^2 into the second buffer,
+    which ``_se_from_exponent`` turns into the kernel block multiplied by M.
+    Division by a positive number keeps the order of its rounded results, so
+    the block's minimum over gamma^2 is the minimum exponent
+    ``se_from_sq_dists`` tests. Blocks and products are those of
+    ``rows_times`` on the whole kernel, bit for bit.
     """
     if not kernels:
         return []
+    X = np.asarray(X, dtype=float)
     n = len(X)
     outs = [np.empty((n, M.shape[1])) for _ in kernels]
+    half_d2, buffer = np.empty((2, min(KERNEL_ROWS, n), n))
     for i in range(0, n, KERNEL_ROWS):
-        D2 = sq_dists(X[i : i + KERNEL_ROWS], X)
-        K = np.empty_like(D2)
+        block = X[i : i + KERNEL_ROWS]
+        A, E = half_d2[: len(block)], buffer[: len(block)]
+        np.subtract.outer(block[:, 0], X[:, 0], out=A)
+        A *= A
+        for k in range(1, X.shape[1]):
+            np.subtract.outer(block[:, k], X[:, k], out=E)
+            E *= E
+            A += E
+        A *= -0.5
+        lowest = A.min()
         for params, out in zip(kernels, outs):
-            se_from_sq_dists(params.alpha, params.gamma, D2, out=K)
-            np.matmul(K, M, out=out[i : i + KERNEL_ROWS])
-        del D2, K
+            gamma2 = params.gamma**2
+            np.divide(A, gamma2, out=E)
+            _se_from_exponent(params.alpha, E, lowest / gamma2 < -708.0)
+            np.matmul(E, M, out=out[i : i + KERNEL_ROWS])
     return outs

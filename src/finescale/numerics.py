@@ -14,7 +14,6 @@ import importlib.machinery
 import importlib.util
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -513,6 +512,9 @@ def multistart_minimize(
     the objective, ``feasible`` ones inside the box that computed a value,
     and ``gradients`` computed.
     """
+    # imported here: concurrent.futures loads logging, which refine never needs
+    from concurrent.futures import ThreadPoolExecutor
+
     tasks = [(j, i) for j, (_, starts) in enumerate(jobs) for i in range(len(starts))]
     workers = pool_size(len(tasks))
     outcomes = [[None] * len(starts) for _, starts in jobs]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-
 import numpy as np
 
 from finescale.geo import Partition
@@ -12,6 +10,18 @@ N_RAMP_STEPS = 256
 # single-hue blue ramp endpoints (light -> dark)
 _LIGHT = np.array([239, 243, 255])
 _DARK = np.array([8, 48, 107])
+# ElementTree's attribute escapes, in the order it applies them
+_ATTRIBUTE_ESCAPES = (
+    ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+    ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"),
+)
+
+
+def _attribute(text: str) -> str:
+    """text escaped as ElementTree escapes an attribute value."""
+    for char, entity in _ATTRIBUTE_ESCAPES:
+        text = text.replace(char, entity)
+    return text
 
 
 def ramp_color(t: float) -> str:
@@ -26,7 +36,8 @@ def choropleth_svg(partition: Partition, values, width: int = 640) -> str:
     """Render polygons filled on a min-max-normalized sequential ramp.
 
     The ramp steps and the vertex transform are array passes over every
-    region; ``ramp_color`` runs once per distinct step.
+    region; ``ramp_color`` runs once per distinct step. The document is
+    joined as text, the bytes ElementTree writes for the same elements.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[0] != len(partition):
@@ -53,29 +64,18 @@ def choropleth_svg(partition: Partition, values, width: int = 640) -> str:
     ends = np.cumsum([len(ring) for ring in rings]).tolist()
     ring_d = ["M" + " L".join(points[i:j]) + " Z" for i, j in zip([0, *ends[:-1]], ends)]
 
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "version": "1.1",
-            "width": str(width),
-            "height": str(height),
-            "viewBox": f"0 0 {width} {height}",
-        },
+    head = (
+        "<?xml version='1.0' encoding='utf-8'?>\n"
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">'
     )
-    first = 0
+    paths, first = [head], 0
     for region, step in zip(partition.regions, steps.tolist()):
         last = first + sum(len(rings) for rings in region.geometry)
-        ET.SubElement(
-            svg,
-            "path",
-            {
-                "id": region.id,
-                "d": " ".join(ring_d[first:last]),
-                "fill": fills[step],
-                "stroke": "#ffffff",
-                "stroke-width": "0.5",
-            },
+        paths.append(
+            f'<path id="{_attribute(region.id)}" d="{" ".join(ring_d[first:last])}" '
+            f'fill="{fills[step]}" stroke="#ffffff" stroke-width="0.5" />'
         )
         first = last
-    return ET.tostring(svg, encoding="unicode", xml_declaration=True)
+    paths.append("</svg>")
+    return "".join(paths)

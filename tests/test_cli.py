@@ -19,7 +19,7 @@ from finescale.baselines import gpr_baseline
 from finescale.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from finescale.downscale import DownscaleParams, build_design
 from finescale.evaluate import grid_partition
-from finescale.geo import build_aggregation, load_dataset, load_partition
+from finescale.geo import Region, build_aggregation, load_dataset, load_partition
 from finescale.gp_aux import AuxGPModel, fit_aux_gp, predict_aux
 from finescale.kernel import SEKernelParams
 from finescale.render import choropleth_svg, ramp_color
@@ -28,9 +28,13 @@ from finescale.render import choropleth_svg, ramp_color
 def test_cli_import_leaves_scipy_stats_unloaded():
     # importing any scipy module costs start-up time: numerics opens scipy's LAPACK
     # through ctypes, only eval's t-test needs scipy.special, and fit and refine use
-    # none of the comparison layer
+    # none of the comparison layer; only a search's threads need concurrent.futures,
+    # which loads logging, and the SVG is written without ElementTree
     src = str(Path(finescale.__file__).parents[1])
-    unloaded = ("finescale.evaluate", "finescale.baselines")
+    unloaded = (
+        "finescale.evaluate", "finescale.baselines",
+        "concurrent.futures", "logging", "xml.etree.ElementTree",
+    )
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import finescale.cli; "
         f"print([m for m in sys.modules if m in {unloaded!r} or m.split('.')[0] == 'scipy'])"
@@ -145,6 +149,17 @@ def test_svg_is_the_per_region_renderer_byte_for_byte(monkeypatch):
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             choropleth_svg(grid, np.where(np.arange(1200) == 7, bad, 0.0))
+
+
+def test_svg_escapes_region_ids_as_elementtree_does():
+    grid = grid_partition(3, 3, "g")
+    ids = ["a&b", "<x>", 'say "hi"', "cr\rlf\n", "tab\tend", "é漢字", "&amp;", "it's", "]]>"]
+    regions = tuple(Region(rid, r.geometry) for rid, r in zip(ids, grid.regions))
+    part = finescale.Partition("odd", regions, grid.centroids)
+    svg = choropleth_svg(part, np.arange(9, dtype=float))
+    assert svg == loop_choropleth_svg(part, np.arange(9, dtype=float))
+    paths = [e for e in ET.fromstring(svg).iter() if e.tag.endswith("path")]
+    assert [p.get("id") for p in paths] == ids
 
 
 @pytest.fixture(scope="module")
@@ -648,6 +663,23 @@ def test_fine_vertex_not_finite_exit_2_naming_the_region(synth_dir, tmp_path, ca
     rid = feature["properties"]["id"]
     assert f"fine.geojson: region {rid!r}: ring has a non-finite coordinate" in err
     assert "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, shown", [("0.5", "'0.5' is a str"), (True, "True is a bool")])
+def test_fine_coordinate_string_or_boolean_exit_2_naming_the_region(
+    synth_dir, tmp_path, capsys, value, shown
+):
+    bundle = copy_bundle(synth_dir, tmp_path / "bundle")
+    doc = json.loads((bundle / "fine.geojson").read_text())
+    feature = doc["features"][2]
+    feature["geometry"]["coordinates"][0][1][0] = value
+    (bundle / "fine.geojson").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["fit", *common_args(bundle, out)]) == EXIT_CONFIG
+    rid = feature["properties"]["id"]
+    message = f"region {rid!r}: ring is not an array of numeric positions: coordinate {shown}"
+    assert f"fine.geojson: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

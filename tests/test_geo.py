@@ -205,6 +205,14 @@ def roll_ring_area_centroid(ring: np.ndarray) -> tuple[float, np.ndarray]:
     return area, np.array([cx, cy])
 
 
+def closed_ring(ring) -> np.ndarray:
+    """ring closed by geo._closed_rings, or its GeoParseError raised."""
+    [closed] = geo._closed_rings([ring])
+    if isinstance(closed, GeoParseError):
+        raise closed
+    return closed
+
+
 def assert_closed_like_oracle(ring, closed: np.ndarray) -> None:
     """closed is ring under the ring rule, and its area and centroid are the oracle's."""
     assert closed.dtype == float and closed.shape[1] == 2
@@ -243,12 +251,12 @@ def test_closed_ring_area_centroid_match_roll_oracle(n, scale, closing, seed):
     if closing != "open":
         offset = {"exact": 0.0, "near": 1e-9, "far": 1e-3}[closing] * scale
         ring = np.vstack([ring, ring[:1] + offset])
-    assert_closed_like_oracle(ring, geo._closed_ring(ring))
+    assert_closed_like_oracle(ring, closed_ring(ring))
 
 
 def test_collinear_ring_takes_vertex_mean_like_oracle():
     ring = [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [0.0, 0.0]]
-    assert_closed_like_oracle(ring, geo._closed_ring(ring))
+    assert_closed_like_oracle(ring, closed_ring(ring))
 
 
 def test_every_ring_is_closed_at_construction():
@@ -262,8 +270,8 @@ def test_every_ring_is_closed_at_construction():
 
 def test_load_closes_each_ring_once(monkeypatch):
     calls = []
-    close = geo._closed_ring
-    monkeypatch.setattr(geo, "_closed_ring", lambda ring: calls.append(1) or close(ring))
+    close = geo._closed_rings
+    monkeypatch.setattr(geo, "_closed_rings", lambda rings: calls.append(len(rings)) or close(rings))
     hole = [[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]]
     multi = {
         "type": "Feature",
@@ -277,7 +285,8 @@ def test_load_closes_each_ring_once(monkeypatch):
     with_hole["geometry"]["coordinates"].append(hole)
     doc = collection(feature("A", OPEN_RING), feature("L", L_SHAPE), with_hole, multi)
     part = load_partition(doc)
-    assert len(calls) == 6  # A, L, H's outer ring and hole, M's two polygons
+    # one call for the document, on A, L, H's outer ring and hole, M's two polygons
+    assert calls == [6]
     # the centroids are those of polygon_area_centroid on the rings Region closes
     want = [
         polygon_area_centroid(Region("R", geo._geometry_rings(f["geometry"])).geometry)[1]
@@ -387,6 +396,174 @@ def test_a_degenerate_region_before_a_malformed_one_is_named_first():
         load_partition(collection(feature("A", UNIT_SQUARE), bad, malformed))
     with pytest.raises(GeoParseError, match="'M'"):
         load_partition(collection(malformed, bad))
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [("0.5", "'0.5' is a str"), (True, "True is a bool"), (False, "False is a bool")],
+)
+def test_string_and_boolean_coordinates_are_refused(tmp_path, value, shown):
+    # numpy would read all three as numbers; B is read with A, of its length
+    ring = [[0, 0], [1, 0], [1, value], [0, 1], [0, 0]]
+    message = f"region 'B': ring is not an array of numeric positions: coordinate {shown}"
+    path = tmp_path / "x.geojson"
+    path.write_text(json.dumps(collection(feature("A", UNIT_SQUARE), feature("B", ring))))
+    with pytest.raises(GeoParseError, match=f"x.geojson: {message}"):
+        load_partition(path)
+    # also as a third coordinate, and in a Region built directly
+    z_ring = [[x, y, 0] for x, y in UNIT_SQUARE]
+    z_ring[1][2] = value
+    with pytest.raises(GeoParseError, match=message.replace("'B'", "'Z'")):
+        load_partition(collection(feature("A", UNIT_SQUARE), feature("Z", z_ring)))
+    with pytest.raises(GeoParseError, match=f"coordinate {shown}"):
+        Region("R", [[ring]])
+
+
+# The per-ring closer that load_partition and Region called once per ring
+# before rings were closed per length group, kept as the oracle for
+# geo._closed_rings.
+def scalar_closed_ring(ring) -> np.ndarray:
+    try:
+        r = np.asarray(ring, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GeoParseError(f"ring is not an array of numeric positions: {exc}") from exc
+    if r.ndim != 2 or r.shape[1] < 2:
+        raise GeoParseError(f"ring is not an array of positions, got shape {r.shape}")
+    r = r[:, :2]
+    if not np.isfinite(r).all():
+        raise GeoParseError("ring has a non-finite coordinate")
+    if len(r) >= 2:
+        (x0, y0), (xk, yk) = r[0].tolist(), r[-1].tolist()
+        if abs(x0 - xk) <= 1e-8 + 1e-5 * abs(xk) and abs(y0 - yk) <= 1e-8 + 1e-5 * abs(yk):
+            r = r[:-1]
+    if len(r) < 3:
+        raise GeoParseError(f"ring needs >= 3 distinct vertices, got {len(r)}")
+    return np.concatenate([r, r[:1]])
+
+
+def feature_by_feature(doc: dict):
+    """(closed geometries, centroids) of the regions of doc, or the error,
+    as the parser that closed one ring and one region at a time gave them."""
+    geometries, error = [], None
+    for k, feat in enumerate(doc["features"]):
+        try:
+            rid, polygons = geo._feature_geometry(k, feat)
+            try:
+                geometries.append(
+                    (rid, [[scalar_closed_ring(ring) for ring in rings] for rings in polygons])
+                )
+            except GeoParseError as exc:
+                raise GeoParseError(f"region {rid!r}: {exc}") from exc
+        except (GeoParseError, GeoValidationError) as exc:
+            error = exc
+            break
+    centroids = []
+    for rid, geometry in geometries:
+        try:
+            centroids.append(polygon_area_centroid(geometry)[1])
+        except GeoValidationError as exc:
+            return GeoValidationError(f"region {rid!r}: {exc}")
+    return error or ([g for _, g in geometries], np.array(centroids))
+
+
+MALFORMED_RINGS = {
+    "two_distinct": [[0, 0], [1, 0], [0, 0]],
+    "one_vertex": [[2, 2]],
+    "nan": [[0, 0], [1, 0], [1, float("nan")], [0, 1]],
+    "inf_ends": [[float("inf"), 0], [1, 0], [1, 1], [float("inf"), 0]],
+    "word": [[0, 0], [1, "x"], [1, 1]],
+    "flat": [0, 1, 2],
+    "one_number_positions": [[0], [1], [2]],
+    "ragged": [[0, 0], [1, 0, 5], [1, 1]],
+    "nested": [[[0, 0]], [[1, 0]], [[1, 1]]],
+    "empty": [],
+    "number": 5,
+}
+MALFORMED_FEATURES = {
+    "not_an_object": 7,
+    "no_id": {"type": "Feature", "properties": {}, "geometry": {"type": "Polygon"}},
+    "point": {"type": "Feature", "properties": {"id": "P"}, "geometry": {"type": "Point"}},
+}
+
+
+@st.composite
+def ring_documents(draw):
+    """A FeatureCollection of 1 to 10 regions whose rings mix 3 to 7 vertices;
+    open, exactly, nearly and not quite closed ends; 2 or 3 coordinates per
+    position, a third one sometimes not finite; integer and float coordinates;
+    holes, MultiPolygon parts and collinear rings. Up to 3 rings or features
+    may be replaced by malformed ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = []
+    for k in range(draw(st.integers(1, 10))):
+        center = 10.0 * np.array([k % 4, k // 4])
+        polygons = []
+        for part in range(draw(st.integers(1, 2))):
+            rings = []
+            for hole in range(draw(st.integers(1, 3))):
+                n = draw(st.integers(3, 7))
+                radius = 2.0 if hole == 0 else 0.3
+                if draw(st.integers(0, 9)) == 0:
+                    ring = collinear_ring(rng, center, n)
+                else:
+                    ring = star_ring(rng, center + 4.0 * part, radius, n)
+                    if draw(st.booleans()):
+                        ring = np.round(ring)  # integer coordinates, maybe repeated
+                closing = draw(st.sampled_from(["open", "exact", "near", "far"]))
+                if closing != "open":
+                    offset = {"exact": 0.0, "near": 1e-9, "far": 1e-3}[closing]
+                    ring = np.vstack([ring, ring[:1] + offset])
+                positions = ring.tolist()
+                if draw(st.booleans()):
+                    z = draw(st.sampled_from([0, 1.5, float("nan"), float("inf")]))
+                    positions = [[x, y, z] for x, y in positions]
+                if not any(isinstance(v, float) for p in positions for v in p):
+                    positions = [[int(v) for v in p] for p in positions]
+                rings.append(positions)
+            polygons.append(rings)
+        geometry = (
+            {"type": "Polygon", "coordinates": polygons[0]}
+            if len(polygons) == 1
+            else {"type": "MultiPolygon", "coordinates": polygons}
+        )
+        features.append({"type": "Feature", "properties": {"id": f"r{k}"}, "geometry": geometry})
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(features) - 1))
+        if draw(st.integers(0, 3)) == 0:
+            features[k] = MALFORMED_FEATURES[draw(st.sampled_from(sorted(MALFORMED_FEATURES)))]
+        elif isinstance(features[k], dict) and "coordinates" in features[k]["geometry"]:
+            geometry = features[k]["geometry"]
+            polygons = geometry["coordinates"]
+            rings = polygons if geometry["type"] == "Polygon" else polygons[-1]
+            rings[draw(st.integers(0, len(rings) - 1))] = MALFORMED_RINGS[
+                draw(st.sampled_from(sorted(MALFORMED_RINGS)))
+            ]
+    return collection(*features)
+
+
+@given(doc=ring_documents())
+@settings(max_examples=200, deadline=None)
+def test_rings_closed_per_length_are_the_per_ring_oracle_bit_for_bit(doc):
+    # rings of every region are closed in one call, grouped by length and
+    # position size: each ring and centroid keeps the per-ring closer's bits,
+    # and a malformed document its first error, type and message
+    want = feature_by_feature(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no floating-point warning
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as raised:
+                load_partition(doc)
+            assert str(raised.value) == str(want)
+            return
+        part = load_partition(doc)
+    geometries, centroids = want
+    assert np.array_equal(part.centroids, centroids)
+    for region, geometry in zip(part.regions, geometries):
+        assert [len(rings) for rings in region.geometry] == [len(rings) for rings in geometry]
+        for rings, oracle_rings in zip(region.geometry, geometry):
+            for ring, oracle in zip(rings, oracle_rings):
+                assert ring.dtype == float and ring.flags.c_contiguous
+                assert ring.shape == oracle.shape and ring.tobytes() == oracle.tobytes()
 
 
 # The scalar point-in-polygon test that built H one centroid and one edge at a

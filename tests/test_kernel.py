@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -230,18 +232,67 @@ def single_kernel_times(params: SEKernelParams, X: np.ndarray, M: np.ndarray) ->
 @pytest.mark.parametrize("rows", [1, 7, 64, 256])
 def test_kernels_times_is_one_single_kernel_pass_per_kernel(rows, monkeypatch):
     # 601 points: a multiple of none of the blocks but 1; H^T as the refine
-    # passes it, a transposed view, and a C-ordered M
+    # passes it, a transposed view, and a C-ordered M. Points in 1, 2 and 3
+    # dimensions, and 5 points, fewer than every block but 1
     monkeypatch.setattr(kernel, "KERNEL_ROWS", rows)
     rng = np.random.default_rng(rows)
-    X = rng.uniform(-2.0, 2.0, size=(601, 2))
     kernels = [SEKernelParams(float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.05, 1.0)))
                for _ in range(3)]
     kernels.append(kernels[0])
-    for M in (random_H(rng, 13, 601).T, rng.normal(size=(601, 5))):
-        got = kernels_times(kernels, X, M)
-        assert len(got) == len(kernels)
-        for params, KM in zip(kernels, got):
-            assert np.array_equal(KM, single_kernel_times(params, X, M))
-            # and the fit's product on its whole kernel
-            assert np.array_equal(KM, rows_times(cov_matrix(params, X, X), M))
+    for n, dim in [(601, 2), (601, 1), (601, 3), (5, 2)]:
+        X = rng.uniform(-2.0, 2.0, size=(n, dim))
+        for M in (random_H(rng, min(13, n), n).T, rng.normal(size=(n, 5))):
+            got = kernels_times(kernels, X, M)
+            assert len(got) == len(kernels)
+            for params, KM in zip(kernels, got):
+                assert np.array_equal(KM, single_kernel_times(params, X, M))
+                # and the fit's product on its whole kernel
+                assert np.array_equal(KM, rows_times(cov_matrix(params, X, X), M))
     assert kernels_times([], X, M) == []
+
+
+def test_kernels_times_takes_the_underflow_branch_block_by_block(monkeypatch):
+    # 300 points on a line, 1.5 times the distance at which an exponent
+    # passes -708: blocks of rows near the middle see no exponent below it,
+    # blocks near the ends do
+    monkeypatch.setattr(kernel, "KERNEL_ROWS", 32)
+    rng = np.random.default_rng(5)
+    params = SEKernelParams(1.3, 0.05)
+    reach = np.sqrt(2 * 708.0) * params.gamma
+    t = np.sort(rng.uniform(0.0, 1.5 * reach, 300))
+    X = np.column_stack([t, 0.25 * t])
+    X *= 1.5 * reach / np.sqrt(sq_dists(X[:1], X[-1:])[0, 0])
+    lowest = [
+        (-0.5 * sq_dists(X[i : i + 32], X) / params.gamma**2).min() for i in range(0, 300, 32)
+    ]
+    assert min(lowest) < -708.0 < max(lowest)
+    M = rng.normal(size=(300, 4))
+    branches = []
+    se = kernel._se_from_exponent
+    monkeypatch.setattr(
+        kernel, "_se_from_exponent", lambda a, E, under: branches.append(under) or se(a, E, under)
+    )
+    [KM] = kernels_times([params], X, M)
+    assert branches == [low < -708.0 for low in lowest]
+    assert np.array_equal(KM, single_kernel_times(params, X, M))
+    assert np.array_equal(KM, rows_times(cov_matrix(params, X, X), M))
+
+
+def test_kernels_times_holds_two_block_buffers():
+    # past the outputs, the pass's peak is two KERNEL_ROWS x n buffers and
+    # ufunc scratch far smaller than a third
+    rng = np.random.default_rng(2)
+    n, m = 700, 6
+    X = rng.uniform(-1.0, 1.0, size=(n, 2))
+    M = rng.normal(size=(n, m))
+    kernels = [SEKernelParams(1.0, g) for g in (0.02, 0.3, 2.0)]
+    block = kernel.KERNEL_ROWS * n * 8
+    tracemalloc.start()
+    try:
+        outs = kernels_times(kernels, X, M)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= len(kernels) * n * m * 8
+    assert 2 * block <= peak - held < 2 * block + block // 4
+    assert len(outs) == len(kernels)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -29,7 +28,7 @@ from finescale.geo import (
     save_dataset,
     write_csv,
 )
-from finescale.gp_aux import AuxGPModel, data_sha256, fit_all_aux, predict_aux
+from finescale.gp_aux import AuxGPModel, data_sha256, fit_all_aux, predict_aux, sha256
 from finescale.numerics import NumericalError
 
 EXIT_OK = 0
@@ -99,7 +98,7 @@ def _write_manifest(args, out: Path, paths: list[Path]) -> None:
         "restarts": args.restarts,
         "ridge": args.ridge,
         "gtol": args.gtol,
-        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths},
+        "inputs": {str(p): sha256(p.read_bytes()).hexdigest() for p in paths},
         "command": args.argv,
     }
     _write_json(out / "manifest.json", manifest, sort_keys=True)

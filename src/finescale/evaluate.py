@@ -17,6 +17,7 @@ from finescale.geo import (
     InputError,
     Partition,
     Region,
+    _closed_geometries,
     build_aggregation,
 )
 from finescale.gp_aux import fit_all_aux
@@ -93,16 +94,17 @@ def grid_partition(nx: int, ny: int, name: str) -> Partition:
     if nx < 1 or ny < 1:
         raise ValueError(f"invalid grid shape ({nx}, {ny})")
     dx, dy = 1.0 / nx, 1.0 / ny
-    regions, centres = [], []
+    ids, geometries, centres = [], [], []
     for iy in range(ny):
         for ix in range(nx):
             x0, y0 = ix * dx, iy * dy
-            ring = np.array(
-                [[x0, y0], [x0 + dx, y0], [x0 + dx, y0 + dy], [x0, y0 + dy], [x0, y0]]
-            )
-            regions.append(Region(id=f"{name}_{iy:03d}_{ix:03d}", geometry=[[ring]]))
+            ring = [[x0, y0], [x0 + dx, y0], [x0 + dx, y0 + dy], [x0, y0 + dy], [x0, y0]]
+            ids.append(f"{name}_{iy:03d}_{ix:03d}")
+            geometries.append([[ring]])
             centres.append((x0 + dx / 2, y0 + dy / 2))
-    return Partition(name=name, regions=tuple(regions), centroids=centres)
+    # one _closed_geometries call for all cells: a Region built directly pays its fixed cost
+    regions = tuple(map(Region._of_closed, ids, _closed_geometries(geometries)))
+    return Partition(name=name, regions=regions, centroids=centres)
 
 
 @dataclass(frozen=True)

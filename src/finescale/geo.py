@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -52,7 +52,12 @@ def json_value(record, key: str, kind: type, where: str, default=None):
         raise InputError(f"{where}: missing key {key!r}")
     value = record[key]
     if kind is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+        # NaN, the infinities and an int too large for a float all fail the bound
+        if (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+        ):
             return float(value)
     elif isinstance(value, kind):
         return value
@@ -80,7 +85,7 @@ def _ring_array(ring) -> np.ndarray:
     """
     try:
         r = np.asarray(ring, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float
         raise GeoParseError(f"ring is not an array of numeric positions: {exc}") from exc
     if r.ndim != 2 or r.shape[1] < 2:
         raise GeoParseError(f"ring is not an array of positions, got shape {r.shape}")
@@ -98,7 +103,7 @@ def _group_array(group: list) -> np.ndarray | None:
     array, or None where ``_ring_array`` would refuse one of them."""
     try:
         R = np.array(group, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
     if R.ndim != 3 or R.shape[2] < 2:
         return None

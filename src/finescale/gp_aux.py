@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -28,6 +27,14 @@ from finescale.numerics import (
     solve,
     solve_lower,
 )
+
+try:  # hashlib loads OpenSSL's libcrypto; CPython's own module has the same digest
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class AuxFitError(NumericalError):
@@ -216,7 +223,7 @@ def data_sha256(centroids, values) -> str:
     ``fit_aux_gp`` records it in its diagnostics; ``finescale refine``
     compares it with the data it loads before using the fitted model.
     """
-    h = hashlib.sha256()
+    h = sha256()
     for arr in (centroids, values):
         arr = np.ascontiguousarray(arr, dtype="<f8")
         h.update(repr(arr.shape).encode())
@@ -226,11 +233,30 @@ def data_sha256(centroids, values) -> str:
 
 def median_pairwise_distance(D2: np.ndarray) -> float:
     """Median distance over the pairs i < j with positive squared distance D2[i, j];
-    1 when there is no such pair."""
-    upper = D2[np.triu_indices(D2.shape[0], k=1)]
-    if upper.size == 0 or np.all(upper == 0):
+    1 when there is no such pair.
+
+    The upper triangle is gathered row by row into one array and the median
+    is selected in it in place, with ``np.median``'s bits: the middle entry,
+    or the mean (a + b) / 2 of the two middle ones. ``np.median`` would
+    import numpy.ma, and index arrays would hold more than D2's bytes.
+    """
+    n = D2.shape[0]
+    upper = np.empty(n * (n - 1) // 2)
+    end = 0
+    for i in range(n - 1):
+        upper[end : end + n - 1 - i] = D2[i, i + 1 :]
+        end += n - 1 - i
+    # squared distances are >= 0, so the zeros come first in sorted order
+    zeros = np.count_nonzero(upper == 0)
+    positive = upper.size - zeros
+    if positive == 0:
         return 1.0
-    return float(np.sqrt(np.median(upper[upper > 0])))
+    k = zeros + (positive - 1) // 2
+    upper.partition(k)
+    median = upper[k]
+    if positive % 2 == 0:
+        median = (median + upper[k + 1 :].min()) / 2
+    return float(np.sqrt(median))
 
 
 def warm_start(spread: float, D2: np.ndarray) -> np.ndarray:

@@ -512,9 +512,6 @@ def multistart_minimize(
     the objective, ``feasible`` ones inside the box that computed a value,
     and ``gradients`` computed.
     """
-    # imported here: concurrent.futures loads logging, which refine never needs
-    from concurrent.futures import ThreadPoolExecutor
-
     tasks = [(j, i) for j, (_, starts) in enumerate(jobs) for i in range(len(starts))]
     workers = pool_size(len(tasks))
     outcomes = [[None] * len(starts) for _, starts in jobs]
@@ -540,15 +537,27 @@ def multistart_minimize(
                 stop.set()
                 raise
 
-    # the calling thread is one of the workers
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        helpers = [pool.submit(work) for _ in range(workers - 1)]
+    errors = [None] * (workers - 1)
+
+    def helper(h):
         try:
             work()
-        finally:
-            stop.set()  # after an error or an interrupt, no queued start begins
-    for future in helpers:
-        future.result()
+        except BaseException as exc:
+            errors[h] = exc
+
+    # the calling thread is one of the workers
+    helpers = [threading.Thread(target=helper, args=(h,)) for h in range(workers - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        stop.set()  # after an error or an interrupt, no queued start begins
+        for thread in helpers:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
     results = []
     for job_outcomes in outcomes:

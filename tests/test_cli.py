@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -28,8 +29,9 @@ from finescale.render import choropleth_svg, ramp_color
 def test_cli_import_leaves_scipy_stats_unloaded():
     # importing any scipy module costs start-up time: numerics opens scipy's LAPACK
     # through ctypes, only eval's t-test needs scipy.special, and fit and refine use
-    # none of the comparison layer; only a search's threads need concurrent.futures,
-    # which loads logging, and the SVG is written without ElementTree
+    # none of the comparison layer; a search's threads are plain threading.Threads,
+    # so nothing loads concurrent.futures or its logging, and the SVG is written
+    # without ElementTree
     src = str(Path(finescale.__file__).parents[1])
     unloaded = (
         "finescale.evaluate", "finescale.baselines",
@@ -41,6 +43,29 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_fit_and_refine_load_only_what_they_run(synth_dir, tmp_path):
+    # relative to what `import numpy` loads: refine loads no OpenSSL (hashlib's
+    # _hashlib), and fit neither numpy.ma (np.median) nor concurrent.futures and
+    # its logging. fit still loads OpenSSL through numpy.random's secrets.
+    src = str(Path(finescale.__file__).parents[1])
+    out = tmp_path / "out"
+    for command, unloaded in (
+        ("fit", {"numpy.ma", "concurrent.futures", "logging"}),
+        ("refine", {"_hashlib"}),
+    ):
+        argv = [command, *common_args(synth_dir, out)]
+        if command == "refine":
+            argv += ["--models", str(out / "models.json")]
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import numpy; before = set(sys.modules); "
+            f"from finescale.cli import main; assert main({argv!r}) == 0; "
+            "print(sorted(set(sys.modules) - before))"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        added = set(ast.literal_eval(run.stdout.splitlines()[-1]))
+        assert "finescale.cli" in added and not added & unloaded, added & unloaded
 
 
 def test_ramp_endpoints_distinct():
@@ -395,6 +420,7 @@ def test_refine_with_wrong_models_exit_2(synth_dir, tmp_path, capsys):
         ("column_ids", lambda m: m.update(aux_models=[], downscale={})),
         ("column_ids", lambda m: m["downscale"].pop("column_ids")),
         ("aux0", lambda m: m["downscale"]["w"].update(aux0=float("nan"))),
+        ("aux0", lambda m: m["downscale"]["w"].update(aux0=10**400)),  # no float holds it
         ("log_alpha", lambda m: m["aux_models"][0].pop("log_alpha")),
         ("log_gamma", lambda m: m["aux_models"][1].update(log_gamma="x")),
         ("log_gamma", lambda m: m["aux_models"][0].update(log_gamma=800)),
@@ -680,6 +706,23 @@ def test_fine_coordinate_string_or_boolean_exit_2_naming_the_region(
     rid = feature["properties"]["id"]
     message = f"region {rid!r}: ring is not an array of numeric positions: coordinate {shown}"
     assert f"fine.geojson: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fine_coordinate_too_large_for_a_float_exit_2_naming_the_region(
+    synth_dir, tmp_path, capsys
+):
+    bundle = copy_bundle(synth_dir, tmp_path / "bundle")
+    doc = json.loads((bundle / "fine.geojson").read_text())
+    feature = doc["features"][2]
+    feature["geometry"]["coordinates"][0][1][0] = 10**400
+    (bundle / "fine.geojson").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for command in ("fit", "refine"):
+        assert main([command, *common_args(bundle, out)]) == EXIT_CONFIG
+        rid = feature["properties"]["id"]
+        message = f"region {rid!r}: ring is not an array of numeric positions: int too large"
+        assert f"fine.geojson: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

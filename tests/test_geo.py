@@ -20,9 +20,11 @@ from finescale.geo import (
     ArealDataset,
     GeoParseError,
     GeoValidationError,
+    InputError,
     Partition,
     Region,
     build_aggregation,
+    json_value,
     load_aggregation_csv,
     load_dataset,
     load_partition,
@@ -417,6 +419,60 @@ def test_string_and_boolean_coordinates_are_refused(tmp_path, value, shown):
         load_partition(collection(feature("A", UNIT_SQUARE), feature("Z", z_ring)))
     with pytest.raises(GeoParseError, match=f"coordinate {shown}"):
         Region("R", [[ring]])
+
+
+@pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+def test_an_integer_coordinate_too_large_for_a_float_is_refused(tmp_path, big):
+    # numpy raised OverflowError on it, which escaped as a traceback
+    ring = [[0, 0], [1, 0], [1, big], [0, 1], [0, 0]]
+    message = "region 'B': ring is not an array of numeric positions: int too large"
+    path = tmp_path / "x.geojson"
+    path.write_text(json.dumps(collection(feature("A", UNIT_SQUARE), feature("B", ring))))
+    with pytest.raises(GeoParseError, match=f"x.geojson: {message}"):
+        load_partition(path)
+    # alone in its length group, and in a Region built directly
+    with pytest.raises(GeoParseError, match=message):
+        load_partition(collection(feature("A", UNIT_SQUARE[:-1]), feature("B", ring)))
+    with pytest.raises(GeoParseError, match="int too large"):
+        Region("R", [[ring]])
+
+
+@pytest.mark.parametrize(
+    "value",
+    [10**400, -(10**400), float("inf"), float("nan"), True, "1"],
+    ids=["10**400", "-10**400", "inf", "nan", "True", "str"],
+)
+def test_json_value_refuses_what_is_not_a_finite_float(value):
+    with pytest.raises(InputError, match="models.json: key 'w' must be a finite number"):
+        json_value({"w": value}, "w", float, "models.json")
+
+
+def test_json_value_reads_the_largest_finite_numbers():
+    big = int(np.finfo(float).max)
+    assert json_value({"w": big}, "w", float, "m") == np.finfo(float).max
+    assert json_value({"w": -big}, "w", float, "m") == -np.finfo(float).max
+    assert json_value({"w": 3}, "w", float, "m") == 3.0
+
+
+def test_grid_partition_is_its_cells_built_one_region_at_a_time():
+    # grid_partition closes every cell's ring in one call: the rings, ids and
+    # centroids of building each cell's Region on its own, bit for bit
+    nx, ny = 4, 3
+    part = grid_partition(nx, ny, "g")
+    dx, dy = 1.0 / nx, 1.0 / ny
+    k = 0
+    for iy in range(ny):
+        for ix in range(nx):
+            x0, y0 = ix * dx, iy * dy
+            ring = [[x0, y0], [x0 + dx, y0], [x0 + dx, y0 + dy], [x0, y0 + dy], [x0, y0]]
+            want = Region(id=f"g_{iy:03d}_{ix:03d}", geometry=[[np.array(ring)]])
+            got = part.regions[k]
+            assert got.id == want.id
+            [[got_ring]], [[want_ring]] = got.geometry, want.geometry
+            assert got_ring.tobytes() == want_ring.tobytes() and got_ring.shape == (5, 2)
+            assert part.centroids[k].tolist() == [x0 + dx / 2, y0 + dy / 2]
+            k += 1
+    assert len(part) == k
 
 
 # The per-ring closer that load_partition and Region called once per ring

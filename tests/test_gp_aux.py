@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import threading
@@ -803,6 +804,66 @@ def test_median_pairwise_distance_degenerate():
     X1, X2 = np.array([[1.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 1.0]])
     assert median_pairwise_distance(sq_dists(X1, X1)) == 1.0
     assert median_pairwise_distance(sq_dists(X2, X2)) == 1.0
+    X5 = np.full((5, 2), 0.3)
+    assert triu_median_pairwise_distance(sq_dists(X5, X5)) == 1.0
+    assert median_pairwise_distance(sq_dists(X5, X5)) == 1.0
+
+
+# The warm start's median before it was selected in place, through index
+# arrays and np.median, kept as the oracle for median_pairwise_distance.
+def triu_median_pairwise_distance(D2: np.ndarray) -> float:
+    upper = D2[np.triu_indices(D2.shape[0], k=1)]
+    if upper.size == 0 or np.all(upper == 0):
+        return 1.0
+    return float(np.sqrt(np.median(upper[upper > 0])))
+
+
+def test_median_pairwise_distance_is_the_triu_median_bit_for_bit(rng):
+    # odd and even counts of positive pairs, repeated points (zero distances)
+    # and many equal distances on a coarse grid, at scales 1e-5 to 1e4
+    parities = set()
+    for _ in range(600):
+        n = int(rng.integers(1, 30))
+        X = rng.normal(size=(n, 2)) * 10.0 ** int(rng.integers(-5, 5))
+        if rng.random() < 0.5:
+            X = X[rng.integers(0, n, size=n)]
+        if rng.random() < 0.3:
+            X = np.round(X, 1)
+        D2 = sq_dists(X, X)
+        parities.add(int(np.count_nonzero(np.triu(D2, 1) > 0)) % 2)
+        assert median_pairwise_distance(D2).hex() == triu_median_pairwise_distance(D2).hex()
+    assert parities == {0, 1}
+
+
+def test_median_pairwise_distance_holds_half_of_d2s_bytes(rng):
+    # the upper triangle, n(n-1)/2 floats, and one boolean mask of it at a time;
+    # the index arrays and copies held 1.5 times D2's bytes
+    X = rng.uniform(size=(1200, 2))
+    D2 = sq_dists(X, X)
+    tracemalloc.start()
+    try:
+        got = median_pairwise_distance(D2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * D2.nbytes
+    assert got == triu_median_pairwise_distance(D2)
+
+
+def test_sha256_is_hashlibs_digest(rng):
+    # gp_aux takes sha256 from CPython's own module, not OpenSSL's
+    data = rng.bytes(1 << 16)
+    h = gp_aux.sha256()
+    h.update(data[:1000])
+    h.update(data[1000:])
+    assert h.hexdigest() == hashlib.sha256(data).hexdigest()
+    assert gp_aux.sha256(b"").hexdigest() == hashlib.sha256(b"").hexdigest()
+    X, y = rng.uniform(size=(7, 2)), rng.normal(size=7)
+    want = hashlib.sha256()
+    for arr in (X, y):
+        want.update(repr(arr.shape).encode())
+        want.update(arr.astype("<f8").tobytes())
+    assert data_sha256(X, y) == want.hexdigest()
 
 
 def test_posterior_matches_the_dense_covariance(rng):

@@ -721,6 +721,29 @@ def test_multistart_programming_error_propagates_and_drops_queued_starts(search_
         assert begun == [] or (workers == 2 and begun == [starts[1][0]])
 
 
+def test_multistart_reraises_a_helper_threads_error_as_the_same_object(search_threads):
+    # the calling thread holds its start until a helper thread has failed on
+    # the other, so the error is the helper's; it is raised as it was raised
+    search_threads(2)
+    error = KeyError("raised on a helper thread")
+    failed = threading.Event()
+    helpers = []
+
+    def f(theta, accept):
+        if threading.current_thread() is not threading.main_thread():
+            helpers.append(threading.current_thread())
+            failed.set()
+            raise error
+        failed.wait(120)
+        return _quadratic(theta, accept)
+
+    starts = [np.array([0.25, 0.5, 0.5, 0.5]), np.array([1.25, 0.5, 0.5, 0.5])]
+    with pytest.raises(KeyError) as raised:
+        _minimize(lambda: f, starts)
+    assert failed.is_set() and raised.value is error
+    assert not any(thread.is_alive() for thread in helpers)  # joined before the raise
+
+
 def test_multistart_stress_runs_every_start_once(monkeypatch):
     # 64 starts as one job and as three
     for sizes in ((64,), (30, 1, 33)):

@@ -161,8 +161,8 @@ def _gram(
 @dataclass(frozen=True)
 class _AuxProblem:
     """One auxiliary fit's unit-variance values ys, their squared distances D2,
-    and the two n x n arrays every objective call overwrites; a fit builds one
-    per thread of its search.
+    and the two n x n arrays every objective call overwrites; a fit on the
+    dense objective builds one per thread of its search.
 
     K holds the kernel, then E = K o D2 / gamma^2. A, in Fortran order so
     LAPACK needs no copy, holds K + (sigma^2 + jitter) I, then its factor,
@@ -276,16 +276,20 @@ def random_starts(base: np.ndarray, sd, restarts: int, seed: int) -> list[np.nda
 @dataclass(frozen=True)
 class _AuxFit:
     """One auxiliary fit up to its search: the training data, the offset and
-    scale that make its values the unit-variance ys, their squared distances
-    D2 from ``_train_sq_dists``, and the start points."""
+    scale that make its values the unit-variance ys, and the start points.
+    At least ``lattice.MIN_POINTS`` centroids on a lattice, ``lattice.detect``'s,
+    give it a ``lattice.LatticeProblem`` and ys in the lattice's row-major
+    order; any others keep ys in their order and their squared distances D2 from
+    ``_train_sq_dists`` for the dense objective."""
 
     X: np.ndarray
     y: np.ndarray
     offset: float
     scale: float
     ys: np.ndarray
-    D2: np.ndarray
     starts: list[np.ndarray]
+    D2: np.ndarray | None = None
+    lattice: object | None = None  # a lattice.LatticeProblem
 
     @classmethod
     def prepare(
@@ -295,8 +299,14 @@ class _AuxFit:
         y = np.asarray(data.values, dtype=float)
         if y.size < 2:
             raise AuxFitError("need at least 2 regions to fit a GP")
-        offset = float(np.mean(y)) if center else 0.0
-        yc = y - offset
+        from finescale import lattice  # compiled by the fits alone
+
+        grid = lattice.detect(X) if len(X) >= lattice.MIN_POINTS else None
+        # a lattice fit reads its values in row-major order, so the order of its
+        # regions moves no bit of it; regions given in that order keep theirs
+        yr = y if grid is None else y[grid.order]
+        offset = float(np.mean(yr)) if center else 0.0
+        yc = yr - offset
         scale = float(np.std(yc))
         if scale == 0.0:
             scale = 1.0
@@ -306,9 +316,15 @@ class _AuxFit:
         base = warm_start(float(np.std(ys)), D2)
         short = base + np.array([0.0, -np.log(4.0), 0.0])  # quarter length scale
         starts = [base, short] + random_starts(base, 0.5, restarts, seed)
-        return cls(X=X, y=y, offset=offset, scale=scale, ys=ys, D2=D2, starts=starts)
+        fit = dict(X=X, y=y, offset=offset, scale=scale, ys=ys, starts=starts)
+        if grid is None:
+            return cls(**fit, D2=D2)
+        # the warm start was all a lattice fit needed of D2: its search holds no n x n array
+        return cls(**fit, lattice=lattice.LatticeProblem.build(grid, ys))
 
     def make_objective(self):
+        if self.lattice is not None:
+            return self.lattice.nll_and_grad
         prob = _AuxProblem.build(self.ys, self.D2)
         return lambda t, accept: _nll_and_grad(prob, t, accept)
 
@@ -336,6 +352,7 @@ class _AuxFit:
                 "restart_records": records,
                 "workers": workers,
                 "data_sha256": data_sha256(self.X, self.y),
+                "gram": {"path": "dense"} if self.lattice is None else self.lattice.diagnostics,
             },
         )
 
@@ -355,8 +372,16 @@ def fit_aux_gp(
     starts are the base point, a quarter length scale and ``restarts - 1``
     random perturbations; ``diagnostics["restart_records"]`` keeps every
     start, with objectives of the unit-variance data, ``diagnostics["workers"]``
-    counts the threads that ran them, each with its own ``_AuxProblem``, and
-    ``diagnostics["data_sha256"]`` identifies the training data.
+    counts the threads that ran them, and ``diagnostics["data_sha256"]``
+    identifies the training data.
+
+    At least ``lattice.MIN_POINTS`` centroids that lie within
+    ``lattice.SNAP_REL`` of a cell's spacing of a product set gx x gy, with at
+    least two values on each axis, are searched
+    on the Kronecker objective of ``finescale.lattice``, which forms no n x n
+    array; any others on the dense one, each thread with its own
+    ``_AuxProblem``. ``diagnostics["gram"]`` records which: ``{"path":
+    "lattice", "shape": [nx, ny], "max_snap": ...}`` or ``{"path": "dense"}``.
     """
     fit = _AuxFit.prepare(data, restarts, seed, center)
     [(best, records)], workers = multistart_minimize([(fit.make_objective, fit.starts)])

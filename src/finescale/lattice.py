@@ -1,0 +1,168 @@
+"""An auxiliary fit's objective where its centroids form a lattice.
+
+On a product set gx x gy, ordered row-major with y the slow index, the SE
+kernel separates: K = alpha^2 K_Y (x) K_X, where K_X = exp(-dx^2 / 2 gamma^2)
+on gx and K_Y likewise on gy. With K_X = Q_X diag(lx) Q_X^T and K_Y the same,
+the Gram K + c I, c = sigma^2 + jitter, is (Q_Y (x) Q_X) diag(D) (Q_Y (x) Q_X)^T
+with D = alpha^2 ly (x) lx + c. So the objective and its gradient take two
+small symmetric eigendecompositions per call and form no n x n array
+(Saatci, PhD thesis, Cambridge 2011). Only ``gp_aux``'s fit imports this
+module; ``predict_aux`` factors the dense Gram.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from finescale.kernel import JITTER_REL, se_from_sq_dists, sq_dists
+from finescale.numerics import FactorizationError, eigh_in_place
+
+# A coordinate within SNAP_REL times its axis's smallest grid spacing of a
+# grid value snaps to it. Centroids read from GeoJSON sit off their grid where
+# the shoelace formula leaves them: up to 2.4e-11 of a cell on an 80 x 60 grid
+# and 1.8e-10 on a 160 x 120 one.
+SNAP_REL = 1e-9
+# A fit takes the Kronecker objective from this many points on. Below it the
+# two eigendecompositions cost no less than one Cholesky of the n x n Gram (per
+# call on one core of a 2-core VM: 0.072 against 0.069 ms dense at 4 x 3 and
+# 0.099 against 0.082 ms at 6 x 4, then 0.078 against 0.085 ms at 6 x 5 and
+# 0.080 against 0.097 ms at 8 x 5), and a small auxiliary whose restarts tie
+# to the last bit keeps the dense path's winner.
+MIN_POINTS = 32
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """Points on the product set gx x gy, both ascending: ``order`` lists the
+    points in row-major order, y the slow index, and ``max_snap`` is the
+    largest distance by which a coordinate moved onto its grid value."""
+
+    gx: np.ndarray
+    gy: np.ndarray
+    order: np.ndarray
+    max_snap: float
+
+
+def _snap_axis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The grid values of the coordinates v, ascending, each coordinate's index
+    among them, and the largest snap; None unless v takes at least two values
+    and each coordinate is within SNAP_REL of the smallest spacing of its value.
+
+    In sorted order a new value starts at every gap above SNAP_REL times the
+    largest gap; a value is the middle coordinate of its run, so a coordinate
+    that is on the grid keeps its bits.
+    """
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    gaps = np.diff(s)
+    if not gaps.size or not gaps.max() > 0:
+        return None
+    runs = np.concatenate(([0], np.cumsum(gaps > SNAP_REL * gaps.max())))
+    counts = np.bincount(runs)
+    grid = s[np.cumsum(counts) - counts + (counts - 1) // 2]
+    snap = float(np.abs(s - grid[runs]).max())
+    if not snap <= SNAP_REL * np.diff(grid).min():  # also false on a nan
+        return None
+    index = np.empty_like(runs)
+    index[order] = runs
+    return grid, index, snap
+
+
+def detect(X) -> Lattice | None:
+    """The lattice the 2-D points X lie on, or None: unless every axis has at
+    least two grid values and the points fill the product set once each."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 2:
+        return None
+    axes = [_snap_axis(X[:, k]) for k in (0, 1)]
+    if None in axes:
+        return None
+    (gx, ix, snap_x), (gy, iy, snap_y) = axes
+    n = len(X)
+    if gx.size * gy.size != n:
+        return None
+    cells = iy * gx.size + ix
+    if np.bincount(cells, minlength=n).max() != 1:  # a point twice, so a cell empty
+        return None
+    order = np.empty(n, dtype=np.intp)
+    order[cells] = np.arange(n)
+    return Lattice(gx=gx, gy=gy, order=order, max_snap=max(snap_x, snap_y))
+
+
+@dataclass(frozen=True)
+class LatticeProblem:
+    """One lattice fit's unit-variance values as the ny x nx array Y, in
+    row-major order, the squared differences of each axis's grid values, and
+    the fit's ``diagnostics["gram"]``. Calls share it: each forms its own
+    arrays, all of them ny x nx or smaller."""
+
+    Y: np.ndarray
+    dx2: np.ndarray
+    dy2: np.ndarray
+    diagnostics: dict
+
+    @classmethod
+    def build(cls, lattice: Lattice, values: np.ndarray) -> "LatticeProblem":
+        """The problem of the values at the lattice's points, in row-major order."""
+        nx, ny = lattice.gx.size, lattice.gy.size
+        return cls(
+            Y=values.reshape(ny, nx),
+            dx2=sq_dists(lattice.gx[:, None], lattice.gx[:, None]),
+            dy2=sq_dists(lattice.gy[:, None], lattice.gy[:, None]),
+            diagnostics={"path": "lattice", "shape": [nx, ny], "max_snap": lattice.max_snap},
+        )
+
+    def nll_and_grad(self, theta: np.ndarray, accept):
+        """``gp_aux._nll_and_grad`` on the lattice: the negative log marginal over
+        (log alpha, log gamma, log sigma), and its gradient where ``accept(nll)``
+        is true, else None.
+
+        In the eigenbasis y is Y~ = Q_Y^T Y Q_X and beta = A^-1 y is B = Y~ / D.
+        Every quadratic form in beta and trace against A^-1 is then a sum over
+        ny x nx arrays: K's derivative in log gamma is
+        alpha^2 (K_Y (x) E_X + E_Y (x) K_X), which the eigenbasis turns into
+        alpha^2 (diag ly (x) M_X + M_Y (x) diag lx). FactorizationError where D
+        is not positive and finite, as dpotrf fails on a Gram it cannot factor.
+        """
+        alpha, gamma, sigma = np.exp(theta)
+        lx, Qx, Mx = _axis(gamma, self.dx2)
+        ly, Qy, My = _axis(gamma, self.dy2)
+        a2, jitter = alpha**2, JITTER_REL * alpha**2
+        lam = np.multiply.outer(ly, lx)
+        D = a2 * lam + (sigma**2 + jitter)
+        if not (D.min() > 0 and np.isfinite(D.max())):
+            raise FactorizationError("the lattice Gram is not positive definite")
+        Yt = Qy.T @ self.Y @ Qx
+        B = Yt / D
+        nll = float(
+            0.5 * np.vdot(Yt, B) + 0.5 * np.log(D).sum() + 0.5 * D.size * np.log(2 * np.pi)
+        )
+        if not accept(nll):
+            return nll, None
+        inv_d = 1.0 / D
+        bb, tr = np.vdot(B, B), inv_d.sum()
+        # beta^T K beta and tr(A^-1 K), each over alpha^2
+        kb, k_tr = np.vdot(lam, B * B), np.vdot(lam, inv_d)
+        quadratic = np.vdot(ly[:, None] * (B @ Mx), B) + np.vdot((My @ B) * lx, B)
+        trace = ly @ inv_d @ Mx.diagonal() + My.diagonal() @ inv_d @ lx
+        dll = np.array(
+            [
+                2.0 * (a2 * kb + jitter * bb - a2 * k_tr - jitter * tr),
+                a2 * (quadratic - trace),
+                2.0 * sigma**2 * (bb - tr),
+            ]
+        )
+        return nll, -0.5 * dll
+
+
+def _axis(gamma: float, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues l and eigenvectors Q of one axis's unit-amplitude kernel on
+    squared differences d2, and M = Q^T E Q with E = K o d2 / gamma^2."""
+    K = se_from_sq_dists(1.0, gamma, d2)
+    E = K * d2
+    E /= gamma**2
+    Q = K.T  # K is exactly symmetric, and K.T is Fortran-ordered, as dsyev needs
+    lam = eigh_in_place(Q)
+    return lam, Q, Q.T @ E @ Q

@@ -1,4 +1,5 @@
-"""Dense SPD linear algebra, an unconstrained BFGS minimizer and multi-start BFGS.
+"""Dense SPD linear algebra, a symmetric eigendecomposition, an unconstrained
+BFGS minimizer and multi-start BFGS.
 
 An objective, in every minimizer here, is ``f(theta, accept) -> (value,
 gradient)``: it computes the value at theta and, only when ``accept(value)``
@@ -41,7 +42,8 @@ class NumericalError(Exception):
 
 
 class FactorizationError(NumericalError):
-    """Cholesky failed: the matrix is not positive definite."""
+    """A factorization failed: Cholesky on a matrix that is not positive
+    definite, or an eigendecomposition that did not converge."""
 
     def __init__(self, message: str, pivot: int | None = None):
         super().__init__(message)
@@ -134,6 +136,11 @@ _dpotrs = _lapack(
 _dtrtrs = _lapack(
     "dtrtrs", ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p,
     _INT, _INT, ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT,
+)
+# (jobz, uplo, n, a, lda, w, work, lwork, info)
+_dsyev = _lapack(
+    "dsyev", ctypes.c_char_p, ctypes.c_char_p,
+    _INT, ctypes.c_void_p, _INT, ctypes.c_void_p, ctypes.c_void_p, _INT, _INT,
 )
 
 
@@ -250,49 +257,28 @@ def _potri(L: np.ndarray) -> None:
         raise FactorizationError(f"dpotri failed (info {info})", pivot=info if info > 0 else None)
 
 
-def inverse(F: CholeskyFactor) -> np.ndarray:
-    """M^-1 from the factor with LAPACK dpotri (about 2n^3/3 flops, without the
-    GIL), exactly symmetric, in a new array; F keeps its factor.
-
-    dpotri fills the lower triangle of a copy of F.L and leaves the upper one,
-    zero in a factor from ``cholesky_in_place``, as it was; so the sum with its
-    transpose is M^-1 off the diagonal.
-    """
-    if F.diagonal:  # dpotri's bits: dtrtri's 1/l, squared by dlauum
-        r = 1.0 / F.L.diagonal()
-        inv = np.zeros(F.L.shape)
-        np.fill_diagonal(inv, r * r)
-        return inv
-    L = np.array(F.L, dtype=float, order="F")
-    _check_in_place(L, "the factor")
-    _potri(L)
-    inv = L + L.T
-    np.fill_diagonal(inv, L.diagonal())
-    return inv
-
-
 # Side of the square tiles in which inverse_in_place mirrors dpotri's lower
 # triangle, so that a tile's strided reads stay in cache; two tiles off the
 # diagonal span disjoint memory, so numpy copies one into the other without a
 # temporary. At n = 1200, on one core of a 2-core x86-64 VM, the mirror took
-# 2.1 ms at 64 and 32, 2.2 ms at 128, and inverse's sum with the transpose 4.6 ms.
+# 2.1 ms at 64 and 32, 2.2 ms at 128, and a sum with the transpose 4.6 ms.
 MIRROR_TILE = 64
 _ABOVE_DIAGONAL = np.triu(np.ones((MIRROR_TILE, MIRROR_TILE), dtype=bool), 1)
 
 
 def inverse_in_place(F: CholeskyFactor) -> np.ndarray:
-    """``inverse(F)`` to the bit, written in the memory of F.L, a writeable
+    """M^-1 from the factor with LAPACK dpotri (about 2n^3/3 flops, without the
+    GIL), exactly symmetric, written in the memory of F.L, a writeable
     Fortran-ordered array that then no longer holds the factor; returned as
     the C-ordered view F.L.T, which reads that memory in order.
 
     dpotri fills the lower triangle. Adding 0.0 turns a -0.0 there into +0.0,
-    as ``inverse``'s sum with the zero upper triangle does; then the upper
-    triangle becomes its mirror, tile by tile, and the diagonal keeps
-    dpotri's bits.
+    as a sum with the zero upper triangle would; then the upper triangle
+    becomes its mirror, tile by tile, and the diagonal keeps dpotri's bits.
     """
     L = F.L
     _check_in_place(L, "the factor")
-    if F.diagonal:
+    if F.diagonal:  # dpotri's bits: dtrtri's 1/l, squared by dlauum
         r = 1.0 / L.diagonal()
         L.fill(0.0)
         np.fill_diagonal(L, r * r)
@@ -309,6 +295,29 @@ def inverse_in_place(F: CholeskyFactor) -> np.ndarray:
             L[j : j + t, i : i + t] = L[i : i + t, j : j + t].T
     np.fill_diagonal(L, d)
     return L.T
+
+
+def eigh_in_place(A: np.ndarray) -> np.ndarray:
+    """The eigenvalues, ascending, of the symmetric A, a writeable Fortran-ordered
+    float64 n x n array of finite values; A becomes the orthonormal eigenvectors,
+    one per column. LAPACK dsyev reads the lower triangle and runs without the
+    GIL; FactorizationError when it does not converge."""
+    _check_in_place(A, "A")
+    if not np.isfinite(max(A.max(), -A.min())):
+        raise ValueError("array must not contain infs or NaNs")
+    n = A.shape[0]
+    w, work = np.empty(n), np.empty(max(1, 3 * n - 1))
+    size, lwork, info = ctypes.c_int(n), ctypes.c_int(work.size), ctypes.c_int()
+    byref = ctypes.byref
+    _dsyev(
+        b"V", b"L", byref(size), A.ctypes.data, byref(size),
+        w.ctypes.data, work.ctypes.data, byref(lwork), byref(info),
+    )
+    if info.value > 0:
+        raise FactorizationError(f"dsyev did not converge (info {info.value})")
+    if info.value < 0:
+        raise ValueError(f"dsyev: illegal value in argument {-info.value}")
+    return w
 
 
 def log_det(F: CholeskyFactor) -> float:

@@ -62,6 +62,29 @@ def factor_copy(M) -> CholeskyFactor:
     return cholesky_in_place(np.array(M, dtype=float, order="F"))
 
 
+# The out-of-place inverse, which no library code needs: the oracle for the
+# bits of numerics.inverse_in_place.
+def inverse(F: CholeskyFactor) -> np.ndarray:
+    """M^-1 from the factor with LAPACK dpotri, exactly symmetric, in a new
+    array; F keeps its factor.
+
+    dpotri fills the lower triangle of a copy of F.L and leaves the upper one,
+    zero in a factor from ``cholesky_in_place``, as it was; so the sum with its
+    transpose is M^-1 off the diagonal.
+    """
+    if F.diagonal:  # dpotri's bits: dtrtri's 1/l, squared by dlauum
+        r = 1.0 / F.L.diagonal()
+        inv = np.zeros(F.L.shape)
+        np.fill_diagonal(inv, r * r)
+        return inv
+    L = np.array(F.L, dtype=float, order="F")
+    numerics._check_in_place(L, "the factor")
+    numerics._potri(L)
+    inv = L + L.T
+    np.fill_diagonal(inv, L.diagonal())
+    return inv
+
+
 def always(value) -> bool:
     """An acceptance test that accepts every value: the objective computes its gradient."""
     return True

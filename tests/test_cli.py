@@ -15,7 +15,7 @@ import pytest
 import finescale
 from conftest import BLAS_THREAD_VARS, save_aggregation_csv
 from test_downscale import dense_predict_fine
-from finescale import evaluate
+from finescale import evaluate, lattice
 from finescale.baselines import gpr_baseline
 from finescale.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from finescale.downscale import DownscaleParams, build_design
@@ -47,13 +47,14 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 def test_fit_and_refine_load_only_what_they_run(synth_dir, tmp_path):
     # relative to what `import numpy` loads: refine loads no OpenSSL (hashlib's
-    # _hashlib), and fit neither numpy.ma (np.median) nor concurrent.futures and
-    # its logging. fit still loads OpenSSL through numpy.random's secrets.
+    # _hashlib) and none of the fits' lattice path, and fit neither numpy.ma
+    # (np.median, np.unique) nor concurrent.futures and its logging. fit still
+    # loads OpenSSL through numpy.random's secrets.
     src = str(Path(finescale.__file__).parents[1])
     out = tmp_path / "out"
     for command, unloaded in (
         ("fit", {"numpy.ma", "concurrent.futures", "logging"}),
-        ("refine", {"_hashlib"}),
+        ("refine", {"_hashlib", "finescale.lattice"}),
     ):
         argv = [command, *common_args(synth_dir, out)]
         if command == "refine":
@@ -277,6 +278,37 @@ def test_fit_then_refine_round_trip(synth_dir, tmp_path):
     assert len(csv_text.splitlines()) == 31  # header + 30 fine regions
     assert (out / "refinement_cov.csv").exists()
     ET.fromstring((out / "refinement.svg").read_text())
+
+
+@pytest.mark.parametrize(
+    "aux_grids, grams",
+    [
+        ((), [None, [8, 5], [12, 10]]),
+        (((8, 5), (5, 1)), [[8, 5], None]),
+    ],
+    ids=["default-auxiliaries", "one-row-auxiliary"],
+)
+def test_models_json_records_the_gram_each_auxiliary_fit_searched(tmp_path, aux_grids, grams):
+    # grids loaded from GeoJSON sit off their lattice by rounding, within the
+    # snap tolerance: they take the lattice path, and a 1-row grid and the 4 x 3
+    # one, below lattice.MIN_POINTS, the dense one
+    bundle, out = tmp_path / "bundle", tmp_path / "out"
+    argv = ["synth", "--out", str(bundle), "--seed", "1", "--fine-grid", "6", "5",
+            "--coarse-grid", "3", "5"]
+    for shape in aux_grids:
+        argv += ["--aux-grid", *map(str, shape)]
+    if aux_grids:
+        argv += ["--weights", "1.0", "-0.5"]
+    assert main(argv) == EXIT_OK
+    assert main(["fit", *common_args(bundle, out)]) == EXIT_OK
+    models = json.loads((out / "models.json").read_text())["aux_models"]
+    for model, shape in zip(models, grams, strict=True):
+        gram = model["diagnostics"]["gram"]
+        if shape is None:
+            assert gram == {"path": "dense"}
+            continue
+        assert gram["path"] == "lattice" and gram["shape"] == shape
+        assert 0.0 <= gram["max_snap"] <= lattice.SNAP_REL / min(shape)
 
 
 def test_fit_determinism_byte_identical(synth_dir, tmp_path):

@@ -17,11 +17,12 @@ from conftest import (
     grad_check,
     hex_floats,
     in_fresh_interpreter,
+    inverse,
     point_partition,
     pool_counts,
     random_posteriors,
 )
-from finescale import gp_aux, numerics
+from finescale import gp_aux, lattice, numerics
 from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
 from finescale.geo import ArealDataset
 from finescale.gp_aux import (
@@ -50,7 +51,6 @@ from finescale.numerics import (
     CholeskyFactor,
     FactorizationError,
     cholesky_in_place,
-    inverse,
     log_det,
     solve,
     solve_lower,
@@ -425,23 +425,62 @@ def test_objective_matches_dense_oracle(rng, n, theta):
         assert np.max(np.abs(grad - dense_grad) / np.maximum(1.0, np.abs(dense_grad))) <= 1e-8
 
 
-def test_fit_winners_match_dense_objective(monkeypatch):
-    # the default synthetic auxiliaries (12 to 120 regions): every restart
-    # record equals the unbuffered objective's to the last bit, and every
-    # winning restart takes the same BFGS path when the dense objective is swapped in
+def on_grid(oracle):
+    """The dense objective ``oracle`` in LatticeProblem.nll_and_grad's place: the
+    values in row-major order, with the squared distances of the lattice's points."""
+
+    def objective(prob, t, accept):
+        n = prob.Y.size
+        D2 = (prob.dy2[:, None, :, None] + prob.dx2[None, :, None, :]).reshape(n, n)
+        return oracle(t, None, prob.Y.ravel(), D2, accept)
+
+    return objective
+
+
+def check_fit_winners_match_dense_objective(monkeypatch, path: str):
+    """The default synthetic auxiliaries (12 to 120 regions). Forced onto the
+    dense path, every restart record equals the unbuffered objective's to the
+    last bit. On the lattice path, which the 8 x 5 and 12 x 10 take, every
+    record is the Kronecker objective at a point its search evaluated, and a
+    fresh problem gives it again to the last bit. Either way every winning
+    restart takes the same BFGS path when the dense objective is swapped in."""
+    nll_and_grad = lattice.LatticeProblem.nll_and_grad
+    calls = []
+
+    def recorded(prob, t, accept):
+        value, grad = nll_and_grad(prob, t, accept)
+        calls.append((prob, t.copy(), value))
+        return value, grad
+
+    if path == "dense":
+        monkeypatch.setattr(lattice, "detect", lambda X: None)
+    monkeypatch.setattr(lattice.LatticeProblem, "nll_and_grad", recorded)
     inst = generate_synthetic(SyntheticSpec(), seed=0)
     fitted = [fit_aux_gp(ds, restarts=3, seed=0) for ds in inst.aux_datasets]
+    paths = [model.diagnostics["gram"]["path"] for model in fitted]
+    assert paths == (["dense"] * 3 if path == "dense" else ["dense", "lattice", "lattice"])
+
+    problems = list({id(prob): prob for prob, _, _ in calls}.values())  # one per lattice fit
+    lattices = [model for model in fitted if model.diagnostics["gram"]["path"] == "lattice"]
+    for model, prob in zip(lattices, problems, strict=True):
+        at = {value: t for p, t, value in calls if p is prob}
+        fresh = lattice.LatticeProblem(prob.Y.copy(), prob.dx2.copy(), prob.dy2.copy(), {})
+        for record in model.diagnostics["restart_records"]:
+            value = record["objective"]
+            assert nll_and_grad(fresh, at[value], always)[0] == value
 
     def fits_with(oracle):
         def objective(prob, t, accept):
             return oracle(t, None, prob.ys, prob.D2, accept)
 
         monkeypatch.setattr(gp_aux, "_nll_and_grad", objective)
+        monkeypatch.setattr(lattice.LatticeProblem, "nll_and_grad", on_grid(oracle))
         return [fit_aux_gp(ds, restarts=3, seed=0) for ds in inst.aux_datasets]
 
     for model, unbuffered in zip(fitted, fits_with(unbuffered_nll_and_grad)):
-        assert model.diagnostics["restart_records"] == unbuffered.diagnostics["restart_records"]
-        assert model.log_marginal == unbuffered.log_marginal
+        if model.diagnostics["gram"]["path"] == "dense":
+            assert model.diagnostics["restart_records"] == unbuffered.diagnostics["restart_records"]
+            assert model.log_marginal == unbuffered.log_marginal
     for model, oracle in zip(fitted, fits_with(dense_nll_and_grad)):
         got = model.diagnostics["restart_records"]
         want = oracle.diagnostics["restart_records"]
@@ -450,6 +489,14 @@ def test_fit_winners_match_dense_objective(monkeypatch):
         assert got[winner]["iterations"] == want[winner]["iterations"]
         assert got[winner]["evaluations"] == want[winner]["evaluations"]
         assert model.log_marginal == pytest.approx(oracle.log_marginal, rel=1e-8)
+
+
+def test_fit_winners_match_dense_objective(monkeypatch):
+    check_fit_winners_match_dense_objective(monkeypatch, "dense")
+
+
+def test_lattice_fit_winners_match_dense_objective(monkeypatch):
+    check_fit_winners_match_dense_objective(monkeypatch, "lattice")
 
 
 def test_constant_values_fit_and_predict_constant():
@@ -625,7 +672,9 @@ AUX_HEAVY_SPEC = SyntheticSpec(
 def test_diagonal_grams_skip_lapack_and_leave_every_fit_and_posterior_as_it_was(
     monkeypatch, spec, restarts
 ):
-    # most Grams these fits factor are diagonal: their restarts slide to a pure nugget
+    # most Grams these fits factor are diagonal: their restarts slide to a pure
+    # nugget; the lattices among the auxiliaries are kept on the dense path
+    monkeypatch.setattr(lattice, "detect", lambda X: None)
     inst = generate_synthetic(spec, seed=0)
     fits = []
     # the objective and predict_aux both factor with cholesky_in_place
@@ -641,9 +690,20 @@ def test_diagonal_grams_skip_lapack_and_leave_every_fit_and_posterior_as_it_was(
     assert fits[0] == fits[1]
 
 
+def jittered_grid(nx: int, ny: int, name: str, seed: int = 0):
+    """An nx x ny grid whose centroids a seeded jitter of up to a tenth of a
+    cell moves off the lattice: a partition that takes the dense objective."""
+    part = grid_partition(nx, ny, name)
+    jitter = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(len(part), 2))
+    X = part.centroids + jitter / [nx, ny]
+    assert lattice.detect(X) is None
+    return point_partition(name, X)
+
+
 def test_a_pure_nugget_fit_factors_and_inverts_no_diagonal_gram_with_lapack(monkeypatch):
-    # white noise at 8 x 8 grid centres: the fitted kernel is zero between regions
-    part = grid_partition(8, 8, "noise")
+    # white noise at 64 jittered cell centres: the fitted kernel is zero between
+    # regions, and the dense objective factors the diagonal Grams without LAPACK
+    part = jittered_grid(8, 8, "noise")
     data = ArealDataset(part, np.random.default_rng(0).normal(size=64))
     diagonal_factors, lapack_on_diagonal = [], []
     on_lower = numerics._on_lower
@@ -660,9 +720,163 @@ def test_a_pure_nugget_fit_factors_and_inverts_no_diagonal_gram_with_lapack(monk
     monkeypatch.setattr(gp_aux, "cholesky_in_place", watched_cholesky_in_place)
     monkeypatch.setattr(numerics, "_on_lower", watched_on_lower)
     model = fit_aux_gp(data, restarts=3, seed=0)
+    assert model.diagnostics["gram"] == {"path": "dense"}
     assert np.count_nonzero(cov_matrix(model.params, part.centroids, part.centroids)) == 64
     assert sum(diagonal_factors) > len(diagonal_factors) / 2
     assert lapack_on_diagonal and not any(lapack_on_diagonal)
+
+
+def test_a_pure_nugget_fit_on_a_lattice_ends_at_the_dense_fits_objective(monkeypatch):
+    # white noise at 8 x 8 grid centres: the Kronecker objective, whose factors
+    # tend to I at the nugget, ends where the dense one does
+    part = grid_partition(8, 8, "noise")
+    data = ArealDataset(part, np.random.default_rng(0).normal(size=64))
+    model = fit_aux_gp(data, restarts=3, seed=0)
+    assert model.diagnostics["gram"]["path"] == "lattice"
+    assert np.count_nonzero(cov_matrix(model.params, part.centroids, part.centroids)) == 64
+    monkeypatch.setattr(lattice, "detect", lambda X: None)
+    dense = fit_aux_gp(data, restarts=3, seed=0)
+    assert dense.diagnostics["gram"] == {"path": "dense"}
+    assert model.log_marginal == pytest.approx(dense.log_marginal, rel=1e-8, abs=0)
+
+
+def snapped(lat: lattice.Lattice, n: int) -> np.ndarray:
+    """The n points of the lattice lat in their input order, each on its grid values."""
+    cells = np.empty(n, dtype=np.intp)
+    cells[lat.order] = np.arange(n)
+    return np.column_stack([lat.gx[cells % lat.gx.size], lat.gy[cells // lat.gx.size]])
+
+
+def off_grid(rng, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """The product set gx x gy in a shuffled order, each coordinate moved by up
+    to half the snap tolerance: two on one grid value differ by at most it."""
+    X = np.array([(x, y) for y in gy for x in gx])
+    X = X[rng.permutation(len(X))]
+    tol = lattice.SNAP_REL * np.array([np.diff(gx).min(), np.diff(gy).min()])
+    return X + rng.uniform(-0.5, 0.5, size=X.shape) * tol
+
+
+LATTICE_SHAPES = [
+    (2, 2), (3, 2), (2, 5), (5, 5), (4, 3), (8, 5), (12, 10), (16, 12), (20, 24), (24, 20)
+]
+
+
+@pytest.mark.parametrize("nx, ny", LATTICE_SHAPES)
+def test_the_kronecker_objective_is_the_dense_one(rng, nx, ny):
+    # cell centres and uneven spacings, shuffled and moved off the grid by up to
+    # the snap tolerance: the Kronecker objective against _nll_and_grad on the
+    # points it snapped to, from the nugget limit to a long length scale
+    centres = ((np.arange(nx) + 0.5) / nx, (np.arange(ny) + 0.5) / ny)
+    uneven = (np.sort(rng.uniform(size=nx)), np.sort(rng.uniform(size=ny)))
+    for gx, gy in (centres, uneven):
+        X = off_grid(rng, gx, gy)
+        y = rng.normal(size=len(X))
+        lat = lattice.detect(X)
+        assert (lat.gx.size, lat.gy.size) == (nx, ny)
+        Xs = snapped(lat, len(X))
+        snaps = np.abs(Xs - X).max(axis=0)
+        assert snaps.max() == lat.max_snap
+        assert np.all(snaps <= lattice.SNAP_REL * np.array([np.diff(gx).min(), np.diff(gy).min()]))
+        prob = lattice.LatticeProblem.build(lat, y[lat.order])
+        dense = _AuxProblem.build(y, sq_dists(Xs, Xs))
+        for log_gamma in (-20.0, -12.0, -4.0, -2.0, -1.0, 0.0, 1.0, 3.0):
+            theta = np.array([rng.uniform(-1.0, 0.5), log_gamma, np.log(rng.uniform(0.2, 1.0))])
+            value, grad = prob.nll_and_grad(theta, always)
+            want_value, want_grad = _nll_and_grad(dense, theta, always)
+            assert abs(value - want_value) <= 1e-12 * abs(want_value)
+            assert np.abs(grad - want_grad).max() <= 1e-10 * np.abs(want_grad).max()
+
+
+def test_the_kronecker_gradient_matches_finite_differences(rng):
+    for nx, ny in ((2, 3), (6, 4), (12, 10)):
+        prob = lattice.LatticeProblem.build(
+            lattice.detect(grid_partition(nx, ny, "g").centroids), rng.normal(size=nx * ny)
+        )
+        f = prob.nll_and_grad
+        for _ in range(6):
+            theta = rng.normal(0.0, 0.7, size=3)
+            assert grad_check(f, theta) <= 1e-5
+            value, grad = f(theta, lambda v: False)
+            assert grad is None and value == f(theta, always)[0]
+
+
+def test_a_lattice_gram_that_is_not_positive_definite_is_a_factorization_error():
+    # alpha^2 and sigma^2 underflow: D is zero, as dpotrf fails on a zero Gram
+    X = grid_partition(4, 3, "g").centroids
+    prob = lattice.LatticeProblem.build(lattice.detect(X), np.ones(12))
+    with pytest.raises(FactorizationError):
+        prob.nll_and_grad(SINGULAR_THETA, always)
+
+
+def test_detection_refuses_what_is_not_a_full_lattice():
+    X = grid_partition(6, 4, "g").centroids
+    assert lattice.detect(X).max_snap == 0.0
+    beyond = X.copy()
+    beyond[5, 0] += 3 * lattice.SNAP_REL / 6  # three times the snap tolerance
+    # an uneven axis: 1 and 1 + 5e-10 are one run beside the unit gap, but 5e-10
+    # is beyond SNAP_REL of the smallest spacing, 1e-3
+    uneven = np.array([(x, y) for y in (0.0, 1.0) for x in (0.0, 1e-3, 1.0)])
+    uneven[2, 0] += 5e-10
+    cases = {
+        "one row": grid_partition(6, 1, "r").centroids,
+        "one column": grid_partition(1, 6, "c").centroids,
+        "a point twice": np.vstack([X[:-1], X[:1]]),
+        "a cell missing": X[:-1],
+        "three dimensions": np.column_stack([X, np.zeros(len(X))]),
+        "one dimension": X[:, :1],
+        "off the grid": beyond,
+        "off an uneven grid": uneven,
+        "a nan": np.where(np.arange(24)[:, None] == 7, np.nan, X),
+    }
+    for name, points in cases.items():
+        assert lattice.detect(points) is None, name
+    within = uneven.copy()
+    within[2, 0] = 1.0 + 5e-13
+    assert 0 < lattice.detect(within).max_snap <= lattice.SNAP_REL * 1e-3
+
+
+@pytest.mark.parametrize("shape", [(8, 4), (8, 5), (16, 12)])
+def test_a_shuffled_lattice_fits_the_same_model(shape):
+    # the regions of an auxiliary in other orders: the lattice fit reads its
+    # values in row-major order, so every restart and the model keep their bits;
+    # the dense fits had no such test
+    part = grid_partition(*shape, "aux")
+    X = part.centroids
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        y = np.sin(3.0 * X[:, 0]) + np.cos(2.0 * X[:, 1]) + 0.1 * rng.normal(size=len(X))
+        model = fit_aux_gp(ArealDataset(part, y), restarts=3, seed=0)
+        gram = {"path": "lattice", "shape": list(shape), "max_snap": 0.0}
+        assert model.diagnostics["gram"] == gram
+        order = rng.permutation(len(X))
+        moved = fit_aux_gp(ArealDataset(point_partition("aux", X[order]), y[order]), restarts=3)
+        got, want = moved.to_dict(), model.to_dict()
+        assert got.pop("diagnostics")["data_sha256"] != want.pop("diagnostics")["data_sha256"]
+        assert hex_floats(got) == hex_floats(want)
+        for key in ("restart_records", "gram"):
+            assert moved.diagnostics[key] == model.diagnostics[key]
+
+
+FIT_MEDIUM_SPEC = SyntheticSpec(fine_shape=(24, 20), coarse_shape=(8, 5))
+
+
+def test_the_lattice_path_fits_the_bench_specs_as_the_dense_one_does(monkeypatch):
+    # every auxiliary of fit_medium seeds 0-19 and aux_heavy seeds 0-9, with
+    # the bench's 3 restarts: the best log-marginals of both paths agree; the
+    # 4 x 3 auxiliaries, below lattice.MIN_POINTS, take the dense path
+    detect = lattice.detect
+    for spec, seeds in ((FIT_MEDIUM_SPEC, range(20)), (AUX_HEAVY_SPEC, range(10))):
+        for seed in seeds:
+            inst = generate_synthetic(spec, seed=seed)
+            fits = []
+            for found in (detect, lambda X: None):
+                monkeypatch.setattr(lattice, "detect", found)
+                fits.append([fit_aux_gp(ds, restarts=3, seed=0) for ds in inst.aux_datasets])
+            for on_lattice, dense, ds in zip(*fits, inst.aux_datasets):
+                searched = "lattice" if len(ds.values) >= lattice.MIN_POINTS else "dense"
+                assert on_lattice.diagnostics["gram"]["path"] == searched
+                assert dense.diagnostics["gram"] == {"path": "dense"}
+                assert on_lattice.log_marginal == pytest.approx(dense.log_marginal, rel=1e-8, abs=0)
 
 
 def test_fits_from_two_threads_take_turns_and_put_the_pools_back(monkeypatch, pools_at_two):

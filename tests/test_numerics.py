@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import factor_copy, grad_check, pool_counts
+from conftest import factor_copy, grad_check, inverse, pool_counts
 from finescale import numerics
 from finescale.numerics import (
     BLAS_THREAD_VARIABLES,
@@ -16,8 +16,8 @@ from finescale.numerics import (
     FactorizationError,
     bfgs_minimize,
     cholesky_in_place,
+    eigh_in_place,
     gaussian_nll,
-    inverse,
     inverse_in_place,
     log_det,
     multistart_minimize,
@@ -369,6 +369,31 @@ def test_inverse_in_place_refuses_a_factor_it_cannot_overwrite(rng):
     for L in (np.ascontiguousarray(F.L), F.L.astype(np.float32, order="F")):
         with pytest.raises(ValueError, match="Fortran-ordered"):
             inverse_in_place(CholeskyFactor(L=L))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24, 40])
+def test_eigh_in_place_is_scipys_eigendecomposition(rng, n):
+    # dsyev's eigenvalues, ascending, with orthonormal eigenvectors in A's memory
+    M = rng.normal(size=(n, n))
+    S = M + M.T
+    A = np.array(S, order="F")
+    w = eigh_in_place(A)
+    want = scipy.linalg.eigh(S, eigvals_only=True)
+    assert np.all(np.diff(w) >= 0)
+    assert np.max(np.abs(w - want)) <= 1e-12 * np.abs(want).max()
+    assert np.max(np.abs(A.T @ A - np.eye(n))) <= 1e-12
+    assert np.max(np.abs(S @ A - A * w)) <= 1e-12 * np.abs(want).max()
+
+
+def test_eigh_in_place_refuses_what_it_cannot_decompose(rng):
+    S = np.array(_spd(rng, 4), order="F")
+    not_square, not_float64 = np.asfortranarray(S[:, :3]), S.astype(np.float32, order="F")
+    for A in (not_square, not_float64, np.ascontiguousarray(S)):
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            eigh_in_place(A)
+    S[1, 2] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigh_in_place(S)
 
 
 def test_gaussian_nll_is_both_inline_forms_bit_for_bit(rng):

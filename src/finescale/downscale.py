@@ -44,7 +44,7 @@ from finescale.numerics import (
 )
 
 
-# Rows of D2 / gamma^2 formed at a time when an objective call scales K by it.
+# Rows of D2 / gamma^2 formed at a time when a dense objective call scales K by it.
 SCALE_ROWS = 64
 
 
@@ -170,20 +170,68 @@ def build_design(posteriors: list[AuxPosterior], n_fine: int) -> DesignMatrix:
 
 
 @dataclass(frozen=True)
+class _DenseKernel:
+    """The fine kernel on any fine locations Xf, applied to H^T.
+
+    ``times`` forms each kernel one block of rows at a time
+    (``kernel.kernels_times``), so it holds no nf x nf array. A search's
+    objective holds its whole kernel: ``for_search`` adds D2, the squared
+    distances of Xf, which every thread of the search shares, and
+    ``for_thread`` K, the nf x nf array each call writes K into and its
+    gradient turns into K o D2 / gamma^2; each thread has its own. A call
+    then allocates no nf x nf array: malloc gives such arrays back to the
+    system when they are freed, and the next call faults them in again
+    (190 000 page faults, 0.4 s of a 2.4 s fit at 480 fine regions).
+    """
+
+    Xf: np.ndarray
+    H: np.ndarray
+    D2: np.ndarray | None = None
+    K: np.ndarray | None = None
+
+    @property
+    def diagnostics(self) -> dict:
+        return {"path": "dense"}
+
+    def for_search(self) -> "_DenseKernel":
+        return replace(self, D2=sq_dists(self.Xf, self.Xf))
+
+    def for_thread(self) -> "_DenseKernel":
+        return replace(self, K=np.empty_like(self.D2))
+
+    def times(self, kernels: list[SEKernelParams]) -> list[np.ndarray]:
+        """k(Xf, Xf) H^T for each kernel, from the same distance blocks."""
+        return kernels_times(kernels, self.Xf, self.H.T)
+
+    def at(self, alpha: float, gamma: float):
+        """K H^T at (alpha, gamma), and a function of no arguments that turns K
+        into E = K o D2 / gamma^2 in place and gives H E H^T. K H^T is taken
+        from row blocks of the whole K (``kernel.rows_times``), the blocks
+        ``times`` forms one at a time, so fit and refine get the same bits."""
+        K = se_from_sq_dists(alpha, gamma, self.D2, out=self.K)
+
+        def scaled() -> np.ndarray:
+            # D2 / gamma^2 formed one block of rows at a time
+            E = K
+            for i in range(0, len(E), SCALE_ROWS):
+                E[i : i + SCALE_ROWS] *= self.D2[i : i + SCALE_ROWS] / gamma**2
+            return self.H @ E @ self.H.T
+
+        return rows_times(K, self.H.T), scaled
+
+
+@dataclass(frozen=True)
 class _Problem:
     """The parameter-free parts of the second-step model, shared by fit and refine.
 
     The observations a (None when only Lambda is wanted), H, the design and
     H F, the fine locations Xf, and Sigma_s H^T (nf x nc) and H Sigma_s H^T
-    for every auxiliary. The refine also reads KHt, K H^T of the target
-    kernel it was built with, which it turns into Omega H^T in place. The
-    fit's objective reads D2, the squared distances of the fine locations,
-    and K, the nf x nf array a call writes K into and its gradient turns
-    into K o D2 / gamma^2; each thread of the fit has its own. A call then
-    allocates no nf x nf array: malloc gives such arrays back to the system
-    when they are freed, and the next call faults them in again (190 000
-    page faults, 0.4 s of a 2.4 s fit at 480 fine regions). The fit also
-    sets its ridge penalty. The refine sets none, and holds no nf x nf array.
+    for every auxiliary. ``kernel`` is the fine kernel's operator: a
+    ``lattice.LatticeKernel`` where the fine locations form a lattice, else a
+    ``_DenseKernel``; the fit's objective takes K H^T and H (K o D2 / gamma^2) H^T
+    from it alone. The refine also reads KHt, K H^T of the target kernel it
+    was built with, which it turns into Omega H^T in place. The fit also sets
+    its ridge penalty. The refine sets none, and holds no nf x nf array.
     """
 
     a: np.ndarray | None
@@ -193,9 +241,8 @@ class _Problem:
     Xf: np.ndarray
     SHt: tuple[np.ndarray, ...]
     HSH: tuple[np.ndarray, ...]
+    kernel: object  # _DenseKernel or lattice.LatticeKernel
     KHt: np.ndarray | None = None
-    D2: np.ndarray | None = None
-    K: np.ndarray | None = None
     ridge: float = 0.0
 
     @classmethod
@@ -210,8 +257,9 @@ class _Problem:
         """The problem of the inputs ``_inputs`` coerces; ``kernel`` sets KHt.
 
         Every posterior must be at the fine locations, else ValueError: then
-        one pass of ``kernels_times`` forms each auxiliary's k(Xf, Xf) H^T and
-        K H^T from the same distance blocks.
+        the fine kernel's operator forms each auxiliary's k(Xf, Xf) H^T and
+        K H^T. Fine locations that ``lattice.detect`` finds on a lattice get a
+        ``lattice.LatticeKernel``, any others a ``_DenseKernel``.
         """
         a, H, Xf = _inputs(a, amap_or_H, fine)
         for post in posteriors:
@@ -221,8 +269,12 @@ class _Problem:
                     "predict it at the fine centroids"
                 )
         design = build_design(posteriors, n_fine=Xf.shape[0])
+        from finescale import lattice  # compiled by the second step's commands alone
+
+        grid = lattice.detect(Xf)
+        fine_kernel = _DenseKernel(Xf, H) if grid is None else lattice.LatticeKernel.build(grid, H)
         kernels = [post.kernel for post in posteriors] + ([kernel] if kernel else [])
-        KMs = kernels_times(kernels, Xf, H.T)
+        KMs = fine_kernel.times(kernels)
         SHt = tuple(post.cov_times(H.T, KM) for post, KM in zip(posteriors, KMs))
         return cls(
             a=a,
@@ -232,8 +284,18 @@ class _Problem:
             Xf=Xf,
             SHt=SHt,
             HSH=tuple(H @ S for S in SHt),
+            kernel=fine_kernel,
             KHt=KMs[-1] if kernel else None,
         )
+
+    def for_search(self) -> "_Problem":
+        """This problem with what every thread of a search over it shares."""
+        return replace(self, kernel=self.kernel.for_search())
+
+    def for_thread(self, ridge: float = 0.0) -> "_Problem":
+        """A problem from ``for_search`` as one thread of the search evaluates
+        it, with its own scratch and the ridge penalty."""
+        return replace(self, kernel=self.kernel.for_thread(), ridge=ridge)
 
     def check_handed_back(self, design: DesignMatrix, H=None, Xf=None, n_posteriors=None):
         """Raise ValueError unless the design is the posteriors' own,
@@ -290,10 +352,9 @@ def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, sigma: float, KHt
     """H K H^T, Lambda = sigma^2 I + H K H^T + sum_s w_s^2 H Sigma_s H^T and
     the Cholesky factor of the jittered Lambda, from K H^T.
 
-    The one place Lambda is formed: the fit and predict_fine both factor it.
-    The fit forms K H^T from row blocks of its whole K (``kernel.rows_times``),
-    the refine from the same row blocks formed one at a time
-    (``kernel.kernels_times``), so both factor the same Lambda to the bit.
+    The one place Lambda is formed: the fit and predict_fine both factor it,
+    each from the K H^T of the same fine-kernel operator, so both factor the
+    same Lambda to the bit.
     """
     nc = prob.H.shape[0]
     HKH = prob.H @ KHt
@@ -314,14 +375,14 @@ def _neg_log_marginal(prob: _Problem, theta: np.ndarray, accept):
     Each covariance-parameter entry of the log-likelihood gradient is
     1/2 tr((p p^T - Lambda^-1) dLambda), p = Lambda^-1 (a - H F w); the
     weight entries add the mean-term contribution (H F_col)^T p. A call
-    forms only K, H K H^T, H (K o D2) H^T and nc x nc algebra.
+    takes K H^T and H (K o D2 / gamma^2) H^T from the fine-kernel operator,
+    the rest is nc x nc algebra.
     """
     S = len(prob.HSH)
     w = theta[: S + 1]
     alpha, gamma, sigma = (float(np.exp(v)) for v in theta[S + 1 :])
     nc = prob.H.shape[0]
-    K = se_from_sq_dists(alpha, gamma, prob.D2, out=prob.K)
-    KHt = rows_times(K, prob.H.T)
+    KHt, scaled = prob.kernel.at(alpha, gamma)
     HKH, _, factor = _lambda_terms(prob, w, alpha, sigma, KHt)
     nll, p = gaussian_nll(factor, prob.a - prob.HF @ w)
     if prob.ridge > 0:
@@ -341,12 +402,7 @@ def _neg_log_marginal(prob: _Problem, theta: np.ndarray, accept):
     grad[S] = float(prob.HF[:, S] @ p)  # bias: Lambda does not depend on w_0
     # log-space chain rule: d/d log(theta) = theta * d/d theta
     grad[S + 1] = trace_term(2.0 * HKH) + 2.0 * JITTER_REL * alpha**2 * identity_term
-    # K is not read again: it becomes E = K o (D2 / gamma^2) in place, with
-    # D2 / gamma^2 formed one block of rows at a time
-    E = K
-    for i in range(0, len(E), SCALE_ROWS):
-        E[i : i + SCALE_ROWS] *= prob.D2[i : i + SCALE_ROWS] / gamma**2
-    grad[S + 2] = trace_term(prob.H @ E @ prob.H.T)
+    grad[S + 2] = trace_term(scaled())
     grad[S + 3] = 2.0 * sigma**2 * (1.0 + JITTER_REL) * identity_term
     grad = -grad
     if prob.ridge > 0:
@@ -407,7 +463,7 @@ def grad_log_marginal(
     prob = assembly.problem
     a, H, Xf = _inputs(a, amap_or_H, fine_centroids)
     prob.check_handed_back(design, H, Xf, len(posteriors))
-    prob = replace(prob, a=a, D2=sq_dists(Xf, Xf))
+    prob = replace(prob, a=a).for_search().for_thread()
     theta = _pack(params.w, params.kernel, params.sigma)
     return -_neg_log_marginal(prob, theta, lambda value: True)[1]
 
@@ -442,14 +498,16 @@ def fit_downscale(
     ``multistart_minimize`` picks the winner, the restart with the lowest
     objective and the earliest one on an exact tie;
     ``diagnostics["restart_records"]`` keeps every restart and
-    ``diagnostics["workers"]`` counts the threads that ran them, each with its
-    own nf x nf scratch array. ``diagnostics["log_marginal"]`` is
-    log N(a | H F w, Lambda) at the winner, without the ridge penalty the
-    search minimized. The fit runs inside ``numerics.one_blas_thread``. Raises
+    ``diagnostics["workers"]`` counts the threads that ran them.
+    ``diagnostics["log_marginal"]`` is log N(a | H F w, Lambda) at the winner,
+    without the ridge penalty the search minimized. ``diagnostics["gram"]``
+    records the fine kernel's path (``_Problem.build``): ``{"path":
+    "lattice", "shape": [nx, ny], "max_snap": ...}``, where no nf x nf array
+    is formed, or ``{"path": "dense"}``, where each thread has its own nf x nf
+    scratch array. The fit runs inside ``numerics.one_blas_thread``. Raises
     DownscaleFitError when the warm start is not finite or every restart fails.
     """
-    prob = _Problem.build(a, posteriors, fine, amap_or_H)
-    prob = replace(prob, D2=sq_dists(prob.Xf, prob.Xf))
+    prob = _Problem.build(a, posteriors, fine, amap_or_H).for_search()
     a_vec, H, design = prob.a, prob.H, prob.design
     n_w = design.F.shape[1]
 
@@ -461,19 +519,18 @@ def fit_downscale(
         raise DownscaleFitError(
             f"non-finite warm start: the least-squares residuals have standard deviation {spread}"
         )
-    theta0 = np.concatenate([w0, warm_start(spread, prob.D2)])
+    theta0 = np.concatenate([w0, warm_start(spread, prob.Xf)])
     starts = [theta0] + random_starts(theta0, np.repeat([0.1, 0.5], [n_w, 3]), restarts, seed)
 
     def make_objective():
-        return partial(_neg_log_marginal, replace(prob, K=np.empty_like(prob.D2), ridge=ridge))
+        return partial(_neg_log_marginal, prob.for_thread(ridge))
 
     [(best, records)], workers = multistart_minimize([(make_objective, starts)], gtol=gtol)
     if best is None:
         raise DownscaleFitError("optimizer failed on all restarts")
     nll = best.objective
-    if ridge > 0:  # the winner's value without the penalty: prob's ridge is 0
-        unpenalized = replace(prob, K=np.empty_like(prob.D2))
-        nll = _neg_log_marginal(unpenalized, best.argmin, lambda value: False)[0]
+    if ridge > 0:  # the winner's value without the penalty
+        nll = _neg_log_marginal(prob.for_thread(), best.argmin, lambda value: False)[0]
     log_alpha, log_gamma, log_sigma = best.argmin[n_w:]
     diagnostics = {
         "log_marginal": float(-nll),
@@ -483,6 +540,7 @@ def fit_downscale(
         "ridge": ridge,
         "restart_records": records,
         "workers": workers,
+        "gram": prob.kernel.diagnostics,
     }
     return DownscaleParams(
         w=best.argmin[:n_w],
@@ -506,8 +564,8 @@ def predict_fine(
     With Omega = K + sum_s w_s^2 Sigma_s and V = L^-1 H Omega, where
     L L^T = Lambda: mean F w + (H Omega)^T Lambda^-1 (a - H F w), variance
     diag Omega - colsum(V o V). Only Omega H^T is formed, from K H^T and
-    each Sigma_s H^T, which one pass over row blocks of the fine distances
-    gives, so no nf x nf array is; ``Refinement.cov`` forms the covariance
+    each Sigma_s H^T, which the fine kernel's operator gives (``_Problem``),
+    so no nf x nf array is; ``Refinement.cov`` forms the covariance
     Omega - V^T V when it is read. The posteriors must be at the fine
     locations, and ``design`` must be ``build_design(posteriors, nf)``, else
     ValueError. It runs inside ``numerics.one_blas_thread``.

@@ -231,20 +231,29 @@ def data_sha256(centroids, values) -> str:
     return h.hexdigest()
 
 
-def median_pairwise_distance(D2: np.ndarray) -> float:
-    """Median distance over the pairs i < j with positive squared distance D2[i, j];
+def median_pairwise_distance(X: np.ndarray) -> float:
+    """Median distance over the pairs i < j of points X at positive distance;
     1 when there is no such pair.
 
-    The upper triangle is gathered row by row into one array and the median
-    is selected in it in place, with ``np.median``'s bits: the middle entry,
-    or the mean (a + b) / 2 of the two middle ones. ``np.median`` would
-    import numpy.ma, and index arrays would hold more than D2's bytes.
+    Each row's squared distances to the points after it are formed straight
+    into one array, with ``kernel.sq_dists``' elementwise operations in their
+    order, so no n x n array is formed. The median is selected in that array
+    in place, with ``np.median``'s bits: the middle entry, or the mean
+    (a + b) / 2 of the two middle ones. ``np.median`` would import numpy.ma.
     """
-    n = D2.shape[0]
+    X = np.asarray(X, dtype=float)
+    n = len(X)
     upper = np.empty(n * (n - 1) // 2)
+    scratch = np.empty(max(n - 1, 0))
     end = 0
     for i in range(n - 1):
-        upper[end : end + n - 1 - i] = D2[i, i + 1 :]
+        row, d = upper[end : end + n - 1 - i], scratch[: n - 1 - i]
+        np.subtract(X[i, 0], X[i + 1 :, 0], out=row)
+        row *= row
+        for k in range(1, X.shape[1]):
+            np.subtract(X[i, k], X[i + 1 :, k], out=d)
+            d *= d
+            row += d
         end += n - 1 - i
     # squared distances are >= 0, so the zeros come first in sorted order
     zeros = np.count_nonzero(upper == 0)
@@ -259,11 +268,11 @@ def median_pairwise_distance(D2: np.ndarray) -> float:
     return float(np.sqrt(median))
 
 
-def warm_start(spread: float, D2: np.ndarray) -> np.ndarray:
+def warm_start(spread: float, X: np.ndarray) -> np.ndarray:
     """The first start of both fits, (log alpha, log gamma, log sigma) for values
-    of standard deviation ``spread`` at points of squared distances D2."""
+    of standard deviation ``spread`` at the points X."""
     alpha, sigma = max(spread, 1e-3), max(0.1 * spread, 10 * SIGMA_FLOOR)
-    return np.log([alpha, median_pairwise_distance(D2), sigma])
+    return np.log([alpha, median_pairwise_distance(X), sigma])
 
 
 def random_starts(base: np.ndarray, sd, restarts: int, seed: int) -> list[np.ndarray]:
@@ -277,8 +286,8 @@ def random_starts(base: np.ndarray, sd, restarts: int, seed: int) -> list[np.nda
 class _AuxFit:
     """One auxiliary fit up to its search: the training data, the offset and
     scale that make its values the unit-variance ys, and the start points.
-    At least ``lattice.MIN_POINTS`` centroids on a lattice, ``lattice.detect``'s,
-    give it a ``lattice.LatticeProblem`` and ys in the lattice's row-major
+    At least ``lattice_aux.MIN_POINTS`` centroids on a lattice, ``lattice.detect``'s,
+    give it a ``lattice_aux.LatticeProblem`` and ys in the lattice's row-major
     order; any others keep ys in their order and their squared distances D2 from
     ``_train_sq_dists`` for the dense objective."""
 
@@ -289,7 +298,7 @@ class _AuxFit:
     ys: np.ndarray
     starts: list[np.ndarray]
     D2: np.ndarray | None = None
-    lattice: object | None = None  # a lattice.LatticeProblem
+    lattice: object | None = None  # a lattice_aux.LatticeProblem
 
     @classmethod
     def prepare(
@@ -299,9 +308,9 @@ class _AuxFit:
         y = np.asarray(data.values, dtype=float)
         if y.size < 2:
             raise AuxFitError("need at least 2 regions to fit a GP")
-        from finescale import lattice  # compiled by the fits alone
+        from finescale import lattice, lattice_aux  # lattice_aux is compiled by the fits alone
 
-        grid = lattice.detect(X) if len(X) >= lattice.MIN_POINTS else None
+        grid = lattice.detect(X) if len(X) >= lattice_aux.MIN_POINTS else None
         # a lattice fit reads its values in row-major order, so the order of its
         # regions moves no bit of it; regions given in that order keep theirs
         yr = y if grid is None else y[grid.order]
@@ -311,16 +320,14 @@ class _AuxFit:
         if scale == 0.0:
             scale = 1.0
         ys = yc / scale
-        D2 = _train_sq_dists(X)
-
-        base = warm_start(float(np.std(ys)), D2)
+        base = warm_start(float(np.std(ys)), X)
         short = base + np.array([0.0, -np.log(4.0), 0.0])  # quarter length scale
         starts = [base, short] + random_starts(base, 0.5, restarts, seed)
         fit = dict(X=X, y=y, offset=offset, scale=scale, ys=ys, starts=starts)
         if grid is None:
-            return cls(**fit, D2=D2)
-        # the warm start was all a lattice fit needed of D2: its search holds no n x n array
-        return cls(**fit, lattice=lattice.LatticeProblem.build(grid, ys))
+            return cls(**fit, D2=_train_sq_dists(X))
+        # a lattice fit forms no n x n array
+        return cls(**fit, lattice=lattice_aux.LatticeProblem.build(grid, ys))
 
     def make_objective(self):
         if self.lattice is not None:
@@ -375,10 +382,10 @@ def fit_aux_gp(
     counts the threads that ran them, and ``diagnostics["data_sha256"]``
     identifies the training data.
 
-    At least ``lattice.MIN_POINTS`` centroids that lie within
+    At least ``lattice_aux.MIN_POINTS`` centroids that lie within
     ``lattice.SNAP_REL`` of a cell's spacing of a product set gx x gy, with at
     least two values on each axis, are searched
-    on the Kronecker objective of ``finescale.lattice``, which forms no n x n
+    on the Kronecker objective of ``finescale.lattice_aux``, which forms no n x n
     array; any others on the dense one, each thread with its own
     ``_AuxProblem``. ``diagnostics["gram"]`` records which: ``{"path":
     "lattice", "shape": [nx, ny], "max_snap": ...}`` or ``{"path": "dense"}``.

@@ -24,20 +24,19 @@ def _attribute(text: str) -> str:
     return text
 
 
-def ramp_color(t: float) -> str:
-    """Hex color at normalized position t in [0, 1], quantized to 256 steps."""
-    step = min(int(np.clip(t, 0.0, 1.0) * N_RAMP_STEPS), N_RAMP_STEPS - 1)
-    u = step / (N_RAMP_STEPS - 1)
-    rgb = np.round(_LIGHT + u * (_DARK - _LIGHT)).astype(int)
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+def _ramp_colors() -> list[str]:
+    """The hex color of each of the N_RAMP_STEPS ramp steps, light to dark, in one array pass."""
+    u = np.arange(N_RAMP_STEPS) / (N_RAMP_STEPS - 1)
+    rgb = np.round(_LIGHT + u[:, None] * (_DARK - _LIGHT)).astype(int)
+    return ["#{:02x}{:02x}{:02x}".format(*c) for c in rgb.tolist()]
 
 
 def choropleth_svg(partition: Partition, values, width: int = 640) -> str:
     """Render polygons filled on a min-max-normalized sequential ramp.
 
-    The ramp steps and the vertex transform are array passes over every
-    region; ``ramp_color`` runs once per distinct step. The document is
-    joined as text, the bytes ElementTree writes for the same elements.
+    The ramp steps, their colors and the vertex transform are array passes.
+    The document is joined as text, the bytes ElementTree writes for the
+    same elements.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[0] != len(partition):
@@ -47,9 +46,8 @@ def choropleth_svg(partition: Partition, values, width: int = 640) -> str:
         norm = np.zeros_like(values) if hi == lo else (values - lo) / (hi - lo)
     if not np.isfinite(norm).all():
         raise ValueError("values must be finite, and their range too")
-    # ramp_color's step, which s / N_RAMP_STEPS gives back exactly
     steps = np.minimum((np.clip(norm, 0.0, 1.0) * N_RAMP_STEPS).astype(int), N_RAMP_STEPS - 1)
-    fills = {step: ramp_color(step / N_RAMP_STEPS) for step in set(steps.tolist())}
+    fills = _ramp_colors()
 
     rings = [ring for r in partition.regions for rings in r.geometry for ring in rings]
     vertices = np.concatenate(rings)

@@ -19,7 +19,7 @@ for _var in BLAS_THREAD_VARS:
 import numpy as np
 import pytest
 
-from finescale import numerics
+from finescale import lattice, numerics
 from finescale.downscale import DownscaleParams, build_design
 from finescale.evaluate import SyntheticSpec, grid_partition
 from finescale.geo import (
@@ -45,6 +45,28 @@ CRITERION_6_SPEC = SyntheticSpec(
     aux_gamma=0.2,
     aux_noise=0.05,
 )
+
+
+# Lattices the Kronecker paths are checked on against the dense ones, from 2 x 2 up.
+LATTICE_SHAPES = [
+    (2, 2), (3, 2), (2, 5), (5, 5), (4, 3), (8, 5), (12, 10), (16, 12), (20, 24), (24, 20)
+]
+
+
+def snapped(lat: lattice.Lattice, n: int) -> np.ndarray:
+    """The n points of the lattice lat in their input order, each on its grid values."""
+    cells = np.empty(n, dtype=np.intp)
+    cells[lat.order] = np.arange(n)
+    return np.column_stack([lat.gx[cells % lat.gx.size], lat.gy[cells // lat.gx.size]])
+
+
+def off_grid(rng, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """The product set gx x gy in a shuffled order, each coordinate moved by up
+    to half the snap tolerance: two on one grid value differ by at most it."""
+    X = np.array([(x, y) for y in gy for x in gx])
+    X = X[rng.permutation(len(X))]
+    tol = lattice.SNAP_REL * np.array([np.diff(gx).min(), np.diff(gy).min()])
+    return X + rng.uniform(-0.5, 0.5, size=X.shape) * tol
 
 
 def se_kernel(params: SEKernelParams, x, x2) -> float:

@@ -23,7 +23,7 @@ from finescale.evaluate import grid_partition
 from finescale.geo import Region, build_aggregation, load_dataset, load_partition
 from finescale.gp_aux import AuxGPModel, fit_aux_gp, predict_aux
 from finescale.kernel import SEKernelParams
-from finescale.render import choropleth_svg, ramp_color
+from finescale.render import N_RAMP_STEPS, choropleth_svg
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -31,11 +31,11 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     # through ctypes, only eval's t-test needs scipy.special, and fit and refine use
     # none of the comparison layer; a search's threads are plain threading.Threads,
     # so nothing loads concurrent.futures or its logging, and the SVG is written
-    # without ElementTree
+    # without ElementTree; the lattice paths are compiled by the commands that run them
     src = str(Path(finescale.__file__).parents[1])
     unloaded = (
-        "finescale.evaluate", "finescale.baselines",
-        "concurrent.futures", "logging", "xml.etree.ElementTree",
+        "finescale.evaluate", "finescale.baselines", "finescale.lattice",
+        "finescale.lattice_aux", "concurrent.futures", "logging", "xml.etree.ElementTree",
     )
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import finescale.cli; "
@@ -47,14 +47,16 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 def test_fit_and_refine_load_only_what_they_run(synth_dir, tmp_path):
     # relative to what `import numpy` loads: refine loads no OpenSSL (hashlib's
-    # _hashlib) and none of the fits' lattice path, and fit neither numpy.ma
-    # (np.median, np.unique) nor concurrent.futures and its logging. fit still
-    # loads OpenSSL through numpy.random's secrets.
+    # _hashlib) and neither command numpy.ma (np.median, np.unique); fit loads
+    # no concurrent.futures and its logging. fit still loads OpenSSL through
+    # numpy.random's secrets. Both load finescale.lattice: the second step
+    # detects a fine lattice in both. refine loads no finescale.lattice_aux,
+    # the auxiliary fits' eigendecomposition objective.
     src = str(Path(finescale.__file__).parents[1])
     out = tmp_path / "out"
     for command, unloaded in (
         ("fit", {"numpy.ma", "concurrent.futures", "logging"}),
-        ("refine", {"_hashlib", "finescale.lattice"}),
+        ("refine", {"_hashlib", "numpy.ma", "finescale.lattice_aux"}),
     ):
         argv = [command, *common_args(synth_dir, out)]
         if command == "refine":
@@ -70,8 +72,10 @@ def test_fit_and_refine_load_only_what_they_run(synth_dir, tmp_path):
 
 
 def test_ramp_endpoints_distinct():
-    assert ramp_color(0.0) != ramp_color(1.0)
-    assert ramp_color(0.5) not in (ramp_color(0.0), ramp_color(1.0))
+    svg = choropleth_svg(grid_partition(3, 1, "g"), np.array([0.0, 0.5, 1.0]))
+    fills = [e.get("fill") for e in ET.fromstring(svg).iter() if e.tag.endswith("path")]
+    assert len(set(fills)) == 3
+    assert fills == [ramp_color(0.0), ramp_color(0.5), ramp_color(1.0)]
 
 
 def test_svg_well_formed_one_path_per_region():
@@ -101,6 +105,15 @@ def test_svg_binary_values_hit_ramp_endpoints():
 
 # The renderer that made one ramp_color call and one transform per region and
 # ring, kept as the oracle for the array passes of choropleth_svg.
+def ramp_color(t: float) -> str:
+    """Hex color at normalized position t in [0, 1], quantized to 256 steps."""
+    step = min(int(np.clip(t, 0.0, 1.0) * N_RAMP_STEPS), N_RAMP_STEPS - 1)
+    u = step / (N_RAMP_STEPS - 1)
+    light, dark = np.array([239, 243, 255]), np.array([8, 48, 107])
+    rgb = np.round(light + u * (dark - light)).astype(int)
+    return "#{:02x}{:02x}{:02x}".format(*rgb)
+
+
 def loop_choropleth_svg(partition, values, width: int = 640) -> str:
     values = np.asarray(values, dtype=float)
     lo, hi = float(values.min()), float(values.max())
@@ -152,9 +165,7 @@ def holes_and_multipolygons() -> finescale.Partition:
     return load_partition(doc)
 
 
-def test_svg_is_the_per_region_renderer_byte_for_byte(monkeypatch):
-    import finescale.render as render
-
+def test_svg_is_the_per_region_renderer_byte_for_byte():
     rng = np.random.default_rng(0)
     grid = grid_partition(40, 30, "g")
     cases = [
@@ -164,14 +175,12 @@ def test_svg_is_the_per_region_renderer_byte_for_byte(monkeypatch):
         (holes_and_multipolygons(), np.full(3, 7.0)),
     ]
     for part, values in cases:
-        calls = []
-        real = render.ramp_color
-        monkeypatch.setattr(render, "ramp_color", lambda t: calls.append(t) or real(t))
-        svg = choropleth_svg(part, values)
-        monkeypatch.setattr(render, "ramp_color", real)
-        assert svg == loop_choropleth_svg(part, values)
-        fills = {e.get("fill") for e in ET.fromstring(svg).iter() if e.tag.endswith("path")}
-        assert len(calls) == len(fills) <= 256  # one call per distinct step
+        assert choropleth_svg(part, values) == loop_choropleth_svg(part, values)
+    # every step of the ramp, each color made in one array pass
+    ramp = np.arange(256.0)
+    assert choropleth_svg(grid, np.resize(ramp, 1200)) == loop_choropleth_svg(
+        grid, np.resize(ramp, 1200)
+    )
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             choropleth_svg(grid, np.where(np.arange(1200) == 7, bad, 0.0))
@@ -291,7 +300,7 @@ def test_fit_then_refine_round_trip(synth_dir, tmp_path):
 def test_models_json_records_the_gram_each_auxiliary_fit_searched(tmp_path, aux_grids, grams):
     # grids loaded from GeoJSON sit off their lattice by rounding, within the
     # snap tolerance: they take the lattice path, and a 1-row grid and the 4 x 3
-    # one, below lattice.MIN_POINTS, the dense one
+    # one, below lattice_aux.MIN_POINTS, the dense one
     bundle, out = tmp_path / "bundle", tmp_path / "out"
     argv = ["synth", "--out", str(bundle), "--seed", "1", "--fine-grid", "6", "5",
             "--coarse-grid", "3", "5"]
@@ -309,6 +318,40 @@ def test_models_json_records_the_gram_each_auxiliary_fit_searched(tmp_path, aux_
             continue
         assert gram["path"] == "lattice" and gram["shape"] == shape
         assert 0.0 <= gram["max_snap"] <= lattice.SNAP_REL / min(shape)
+
+
+def jitter_fine_regions(bundle, seed: int = 0) -> None:
+    """Move each fine region of the bundle by its own offset of up to 1e-3, a
+    hundredth of a cell or less: the fine centroids then form no lattice."""
+    path = bundle / "fine.geojson"
+    doc = json.loads(path.read_text())
+    rng = np.random.default_rng(seed)
+    for feature in doc["features"]:
+        shift = rng.uniform(-1e-3, 1e-3, size=2)
+        rings = feature["geometry"]["coordinates"]
+        feature["geometry"]["coordinates"] = [(np.array(r) + shift).tolist() for r in rings]
+    path.write_text(json.dumps(doc))
+
+
+def test_models_json_records_the_fine_kernel_the_second_step_searched(tmp_path):
+    # an 8 x 5 fine grid loaded from GeoJSON is a lattice within the snap
+    # tolerance; its regions moved one by one are none, and take the dense path
+    bundle = tmp_path / "bundle"
+    argv = ["synth", "--out", str(bundle), "--seed", "1", "--fine-grid", "8", "5",
+            "--coarse-grid", "4", "5"]
+    assert main(argv) == EXIT_OK
+    jitter_fine_regions(copy_bundle(bundle, tmp_path / "jittered"))
+    grams = []
+    for name in ("bundle", "jittered"):
+        out = tmp_path / f"out-{name}"
+        assert main(["fit", *common_args(tmp_path / name, out)]) == EXIT_OK
+        models = json.loads((out / "models.json").read_text())
+        grams.append(models["downscale"]["diagnostics"]["gram"])
+        assert main(["refine", *common_args(tmp_path / name, out)]) == EXIT_OK
+    on_lattice, dense = grams
+    assert on_lattice["path"] == "lattice" and on_lattice["shape"] == [8, 5]
+    assert 0.0 <= on_lattice["max_snap"] <= lattice.SNAP_REL / 8
+    assert dense == {"path": "dense"}
 
 
 def test_fit_determinism_byte_identical(synth_dir, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import tracemalloc
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     BLAS_THREAD_VARS,
+    LATTICE_SHAPES,
     always,
     factor_copy,
     grad_check,
     hex_floats,
     in_fresh_interpreter,
+    off_grid,
     point_partition,
     pool_counts,
     posterior_with_mean,
@@ -24,12 +27,14 @@ from conftest import (
     random_instance,
     random_posteriors,
     se_kernel,
+    snapped,
 )
-from finescale import downscale, gp_aux, kernel
+from finescale import downscale, gp_aux, kernel, lattice
 from finescale.downscale import (
     DesignMatrix,
     DownscaleFitError,
     DownscaleParams,
+    _DenseKernel,
     _neg_log_marginal,
     _pack,
     _Problem,
@@ -519,7 +524,7 @@ def test_fit_is_deterministic(rng):
 def prepared_objective(a, design, posteriors, H, Xf):
     prob = _Problem.build(a, posteriors, Xf, H)
     prob.check_handed_back(design)
-    prob = dataclasses.replace(prob, D2=sq_dists(Xf, Xf))
+    prob = prob.for_search().for_thread()
     return lambda theta, accept: _neg_log_marginal(prob, theta, accept)
 
 
@@ -666,21 +671,33 @@ def test_fit_restarts_match_dense_objective(monkeypatch):
         assert g["objective"] == pytest.approx(w["objective"], rel=1e-8)
 
 
-def test_fit_is_the_same_on_one_and_two_threads(search_threads):
-    # each thread scales its own nf x nf array in place
+def fine_kernel_paths(monkeypatch):
+    """"lattice", then "dense": from the second item on ``lattice.detect``
+    finds no lattice, so the second step takes the ``_DenseKernel`` on fine
+    regions that form one, as it does on off-grid regions."""
+    yield "lattice"
+    monkeypatch.setattr(lattice, "detect", lambda X: None)
+    yield "dense"
+
+
+def test_fit_is_the_same_on_one_and_two_threads(search_threads, monkeypatch):
+    # the threads share the lattice kernel; on the dense one each thread
+    # scales its own nf x nf array in place
     inst = generate_synthetic(SyntheticSpec(fine_shape=(24, 20), coarse_shape=(8, 5)), seed=1)
     amap = build_aggregation(inst.coarse, inst.fine)
     fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=1, dataset_ids=inst.aux_ids)
     posteriors = [post for _, post in fitted]
-    fits = []
-    for k in (1, 2):
-        search_threads(k)
-        params = fit_downscale(inst.a, posteriors, inst.fine, amap, restarts=3, seed=0)
-        assert params.diagnostics["workers"] == k
-        saved = params.to_dict(column_ids=inst.aux_ids + ("bias",))
-        fits.append(hex_floats([saved.pop("diagnostics")["restart_records"], saved]))
-    assert len(fits[0][0]) == 3
-    assert fits[0] == fits[1]
+    for path in fine_kernel_paths(monkeypatch):
+        fits = []
+        for k in (1, 2):
+            search_threads(k)
+            params = fit_downscale(inst.a, posteriors, inst.fine, amap, restarts=3, seed=0)
+            assert params.diagnostics["workers"] == k
+            assert params.diagnostics["gram"]["path"] == path
+            saved = params.to_dict(column_ids=inst.aux_ids + ("bias",))
+            fits.append(hex_floats([saved.pop("diagnostics")["restart_records"], saved]))
+        assert len(fits[0][0]) == 3
+        assert fits[0] == fits[1]
 
 
 def factored_lambdas(theta, a, posteriors, fine, H) -> list[np.ndarray]:
@@ -690,8 +707,7 @@ def factored_lambdas(theta, a, posteriors, fine, H) -> list[np.ndarray]:
     downscale.cholesky_in_place = lambda A: factored.append(A.copy()) or cholesky_in_place(A)
     try:
         with one_blas_thread():  # as fit_downscale runs them; predict_fine pins itself
-            prob = _Problem.build(a, posteriors, fine, H)
-            prob = dataclasses.replace(prob, D2=sq_dists(prob.Xf, prob.Xf))
+            prob = _Problem.build(a, posteriors, fine, H).for_search().for_thread()
             _neg_log_marginal(prob, theta, lambda value: False)
         design = build_design(posteriors, n_fine=len(fine))
         n_w = design.F.shape[1]
@@ -704,16 +720,21 @@ def factored_lambdas(theta, a, posteriors, fine, H) -> list[np.ndarray]:
     return factored
 
 
-def test_predict_factors_the_lambda_the_fit_factors():
+def test_predict_factors_the_lambda_the_fit_factors(monkeypatch):
+    # the fit takes K H^T from its whole K on the dense kernel, predict_fine
+    # one block of rows at a time; both from the same routine on the lattice one
     inst = generate_synthetic(SyntheticSpec(), seed=0)
     fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=1, dataset_ids=inst.aux_ids)
     posteriors = [post for _, post in fitted]
-    params = fit_downscale(inst.a, posteriors, inst.fine, inst.amap, restarts=2, seed=0)
-    theta = _pack(params.w, params.kernel, params.sigma)
-    # the objective sees the fitted floats themselves
-    assert list(np.exp(theta[-3:])) == [params.kernel.alpha, params.kernel.gamma, params.sigma]
-    fit_lambda, refine_lambda = factored_lambdas(theta, inst.a, posteriors, inst.fine, inst.amap.H)
-    assert np.array_equal(fit_lambda, refine_lambda)
+    H = inst.amap.H
+    for path in fine_kernel_paths(monkeypatch):
+        params = fit_downscale(inst.a, posteriors, inst.fine, inst.amap, restarts=2, seed=0)
+        assert params.diagnostics["gram"]["path"] == path
+        theta = _pack(params.w, params.kernel, params.sigma)
+        # the objective sees the fitted floats themselves
+        assert list(np.exp(theta[-3:])) == [params.kernel.alpha, params.kernel.gamma, params.sigma]
+        fit_lambda, refine_lambda = factored_lambdas(theta, inst.a, posteriors, inst.fine, H)
+        assert np.array_equal(fit_lambda, refine_lambda)
 
 
 def test_every_matrix_handed_to_cholesky_in_place_is_exactly_symmetric(monkeypatch):
@@ -756,18 +777,27 @@ def test_predict_fine_refuses_a_design_not_its_posteriors_own(rng):
 def lambdas_agree_at_refine_scale() -> dict[str, bool]:
     """At 1200 fine x 48 coarse regions, whether the fit and predict_fine
     factor the same Lambda to the bit, with the H of the grids and with a
-    dense row-stochastic H (one ``--hmatrix`` may give)."""
+    dense row-stochastic H (one ``--hmatrix`` may give), on the lattice
+    kernel the fine grid takes and on the dense one, which ``lattice.detect``
+    forces when it finds no lattice."""
     spec = SyntheticSpec(fine_shape=(40, 30), coarse_shape=(8, 6))
     inst = generate_synthetic(spec, seed=0)
     fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=1, dataset_ids=inst.aux_ids)
     posteriors = [post for _, post in fitted]
     theta = _pack(inst.true_w, SEKernelParams(spec.alpha, spec.gamma), spec.sigma)
-    dense = np.random.default_rng(0).uniform(0.1, 1.0, size=inst.amap.H.shape)
-    dense /= dense.sum(axis=1, keepdims=True)
-    agree = {}
-    for name, H in (("grid", inst.amap.H), ("dense", dense)):
-        fit_lambda, refine_lambda = factored_lambdas(theta, inst.a, posteriors, inst.fine, H)
-        agree[name] = bool(np.array_equal(fit_lambda, refine_lambda))
+    stochastic = np.random.default_rng(0).uniform(0.1, 1.0, size=inst.amap.H.shape)
+    stochastic /= stochastic.sum(axis=1, keepdims=True)
+    agree, detect = {}, lattice.detect
+    try:
+        for path in ("lattice", "dense"):
+            if path == "dense":
+                lattice.detect = lambda X: None
+            for name, H in (("grid", inst.amap.H), ("stochastic", stochastic)):
+                taken = _Problem.build(None, [], inst.fine, H).kernel.diagnostics["path"]
+                fit_lambda, refine_lambda = factored_lambdas(theta, inst.a, posteriors, inst.fine, H)
+                agree[f"{taken}, {name}"] = bool(np.array_equal(fit_lambda, refine_lambda))
+    finally:
+        lattice.detect = detect
     return agree
 
 
@@ -776,7 +806,10 @@ def test_predict_factors_the_lambda_the_fit_factors_at_refine_scale(threads):
     # a fresh interpreter, so that BLAS starts with this many threads
     env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, str(threads))}
     out = in_fresh_interpreter("test_downscale", "lambdas_agree_at_refine_scale", env)
-    assert out == "{'grid': True, 'dense': True}"
+    assert out == (
+        "{'lattice, grid': True, 'lattice, stochastic': True, "
+        "'dense, grid': True, 'dense, stochastic': True}"
+    )
 
 
 def both_steps_fitted() -> str:
@@ -1120,10 +1153,11 @@ def test_fit_factorization_failure_on_every_restart_is_typed(monkeypatch):
         fit_downscale(np.full(9, 4.2), [], grid_partition(3, 3, "f"), np.eye(9), restarts=2)
 
 
-def test_refine_holds_no_nf_by_nf_array():
+def test_refine_holds_no_nf_by_nf_array(monkeypatch):
     # 1200 fine x 48 coarse regions, three auxiliaries: the posteriors and
     # the refinement stay below 9 MB, under one 1200 x 1200 float64 array
-    # (11.5 MB), until the dense covariance is read
+    # (11.5 MB), until the dense covariance is read; on the lattice kernel,
+    # and on the dense one, which forms k(Xf, Xf) H^T one block of rows at a time
     spec = SyntheticSpec(fine_shape=(40, 30), coarse_shape=(8, 6))
     inst = generate_synthetic(spec, seed=0)
     models = [m for m, _ in fit_all_aux(inst.aux_datasets, inst.fine, restarts=1)]
@@ -1131,16 +1165,127 @@ def test_refine_holds_no_nf_by_nf_array():
         w=inst.true_w, kernel=SEKernelParams(spec.alpha, spec.gamma), sigma=spec.sigma
     )
     nf = len(inst.fine)
-    tracemalloc.start()
-    try:
-        posteriors = [predict_aux(model, inst.fine.centroids) for model in models]
-        design = build_design(posteriors, n_fine=nf)
-        ref = predict_fine(params, inst.a, design, posteriors, inst.amap)
-        _, refined_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        cov = ref.cov
-        _, cov_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert refined_peak < 9e6 < nf * nf * 8 < cov_peak
-    assert np.array_equal(np.diag(cov), ref.var)
+    for path in fine_kernel_paths(monkeypatch):
+        assert _Problem.build(None, [], inst.fine, inst.amap).kernel.diagnostics["path"] == path
+        tracemalloc.start()
+        try:
+            posteriors = [predict_aux(model, inst.fine.centroids) for model in models]
+            design = build_design(posteriors, n_fine=nf)
+            ref = predict_fine(params, inst.a, design, posteriors, inst.amap)
+            _, refined_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            cov = ref.cov
+            _, cov_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert refined_peak < 9e6 < nf * nf * 8 < cov_peak
+        assert np.array_equal(np.diag(cov), ref.var)
+
+
+
+def lattice_and_dense_problems(rng, nx, ny, uneven: bool, stochastic: bool):
+    """One second-step problem on a shuffled lattice moved off its grid, with
+    a membership H or a dense row-stochastic one, twice: with the
+    ``LatticeKernel`` of the points and with the ``_DenseKernel`` of the points
+    they snap to, both ready for ``_neg_log_marginal``; and its packed theta."""
+    if uneven:
+        gx, gy = np.sort(rng.uniform(size=nx)), np.sort(rng.uniform(size=ny))
+    else:
+        gx, gy = (np.arange(nx) + 0.5) / nx, (np.arange(ny) + 0.5) / ny
+    X = off_grid(rng, gx, gy)
+    lat = lattice.detect(X)
+    assert (lat.gx.size, lat.gy.size) == (nx, ny)
+    Xs = snapped(lat, len(X))
+    nf, nc = nx * ny, int(rng.integers(1, min(nx * ny, 12) + 1))
+    if stochastic:
+        H = rng.uniform(0.1, 1.0, size=(nc, nf))
+        H /= H.sum(axis=1, keepdims=True)
+    else:
+        H = random_H(rng, nc, nf)
+    posteriors = random_posteriors(rng, Xs, int(rng.integers(0, 3)))
+    prob = _Problem.build(rng.normal(size=nc), posteriors, Xs, H)
+    kernels = (lattice.LatticeKernel.build(lat, H), _DenseKernel(Xs, H))
+    probs = [dataclasses.replace(prob, kernel=k).for_search().for_thread() for k in kernels]
+    w = rng.normal(size=len(posteriors) + 1)
+    theta = np.concatenate([w, [rng.uniform(-1.0, 0.5), 0.0, np.log(rng.uniform(0.2, 1.0))]])
+    return probs, theta
+
+
+@pytest.mark.parametrize("nx, ny", LATTICE_SHAPES)
+def test_the_lattice_kernel_objective_is_the_dense_one(rng, nx, ny):
+    # cell centres and uneven spacings, shuffled and moved off the grid by up
+    # to the snap tolerance, under a membership H and a user row-stochastic one:
+    # the objective on the Kronecker operator against the dense one on the
+    # points it snapped to, from the nugget limit to a long length scale
+    for uneven in (False, True):
+        for stochastic in (False, True):
+            (on_lattice, dense), theta = lattice_and_dense_problems(rng, nx, ny, uneven, stochastic)
+            KHt, scaled = on_lattice.kernel.at(0.7, 0.3)
+            want_KHt, want_scaled = dense.kernel.at(0.7, 0.3)
+            assert np.abs(KHt - want_KHt).max() <= 1e-14 * np.abs(want_KHt).max()
+            want = want_scaled()
+            assert np.abs(scaled() - want).max() <= 1e-14 * max(np.abs(want).max(), 1e-300)
+            for log_gamma in (-20.0, -12.0, -4.0, -2.0, -1.0, 0.0, 1.0, 3.0):
+                theta[-2] = log_gamma
+                value, grad = _neg_log_marginal(on_lattice, theta, always)
+                want_value, want_grad = _neg_log_marginal(dense, theta, always)
+                assert abs(value - want_value) <= 1e-12 * abs(want_value)
+                assert np.abs(grad - want_grad).max() <= 1e-10 * np.abs(want_grad).max()
+
+
+def test_the_lattice_kernel_gradient_matches_finite_differences(rng):
+    for nx, ny in ((2, 3), (6, 4), (12, 10)):
+        for stochastic in (False, True):
+            (on_lattice, _), theta = lattice_and_dense_problems(rng, nx, ny, True, stochastic)
+            f = functools.partial(_neg_log_marginal, on_lattice)
+            for _ in range(4):
+                theta[-3:] = rng.normal(0.0, 0.7, size=3) + [0.0, -1.0, -1.0]
+                assert grad_check(f, theta) <= 1e-5
+                value, grad = f(theta, lambda v: False)
+                assert grad is None and value == f(theta, always)[0]
+
+
+def test_the_second_step_takes_the_lattice_kernel_where_the_fine_regions_form_one():
+    # any fine lattice, down to 2 x 2; a 1-row grid, or regions off a lattice, dense
+    coarse = grid_partition(2, 1, "c")
+    for shape, path in (((8, 4), "lattice"), ((2, 2), "lattice"), ((6, 1), "dense")):
+        fine = grid_partition(*shape, "f")
+        prob = _Problem.build(None, [], fine, build_aggregation(coarse, fine))
+        assert prob.kernel.diagnostics["path"] == path
+    fine = grid_partition(8, 4, "f")
+    moved = fine.centroids + np.random.default_rng(0).uniform(-1e-3, 1e-3, size=(32, 2))
+    prob = _Problem.build(None, [], moved, build_aggregation(coarse, fine).H)
+    assert prob.kernel.diagnostics == {"path": "dense"}
+
+
+def shuffled(part: Partition, order: np.ndarray) -> Partition:
+    return Partition(part.name, tuple(part.regions[i] for i in order), part.centroids[order])
+
+
+def test_shuffling_the_fine_regions_permutes_the_refinement():
+    # the fine regions of a lattice in other orders: the fit searches the same
+    # lattice and the refinement is the same, region for region, within rounding
+    inst = generate_synthetic(SyntheticSpec(fine_shape=(12, 10), coarse_shape=(4, 5)), seed=0)
+    models = [m for m, _ in fit_all_aux(inst.aux_datasets, inst.fine, restarts=1)]
+
+    def refined(fine: Partition, params=None):
+        """The second step's fit on the fine partition, and the refinement of
+        ``params`` (default: that fit's) there."""
+        posteriors = [predict_aux(m, fine.centroids) for m in models]
+        design = build_design(posteriors, n_fine=len(fine))
+        amap = build_aggregation(inst.coarse, fine)
+        fitted = fit_downscale(inst.a, posteriors, fine, amap, restarts=2)
+        return fitted, predict_fine(params or fitted, inst.a, design, posteriors, amap, fine=fine)
+
+    params, want = refined(inst.fine)
+    assert params.diagnostics["gram"] == {"path": "lattice", "shape": [12, 10], "max_snap": 0.0}
+    for seed in range(3):
+        order = np.random.default_rng(seed).permutation(len(inst.fine))
+        fitted, got = refined(shuffled(inst.fine, order), params)
+        assert fitted.diagnostics["gram"] == params.diagnostics["gram"]
+        assert fitted.diagnostics["log_marginal"] == pytest.approx(
+            params.diagnostics["log_marginal"], rel=1e-10, abs=0
+        )
+        assert np.array_equal(got.Xf, want.Xf[order])
+        assert np.abs(got.mean - want.mean[order]).max() <= 1e-12 * np.abs(want.mean).max()
+        assert np.abs(got.var - want.var[order]).max() <= 1e-12 * want.var.max()

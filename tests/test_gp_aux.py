@@ -12,17 +12,21 @@ from hypothesis import strategies as st
 from conftest import (
     BLAS_THREAD_VARS,
     CRITERION_6_SPEC,
+    LATTICE_SHAPES,
     always,
     factor_copy,
     grad_check,
     hex_floats,
     in_fresh_interpreter,
     inverse,
+    off_grid,
     point_partition,
     pool_counts,
     random_posteriors,
+    snapped,
 )
-from finescale import gp_aux, lattice, numerics
+from finescale import gp_aux, lattice, lattice_aux, numerics
+from finescale.downscale import build_design, fit_downscale, predict_fine
 from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
 from finescale.geo import ArealDataset
 from finescale.gp_aux import (
@@ -444,7 +448,7 @@ def check_fit_winners_match_dense_objective(monkeypatch, path: str):
     record is the Kronecker objective at a point its search evaluated, and a
     fresh problem gives it again to the last bit. Either way every winning
     restart takes the same BFGS path when the dense objective is swapped in."""
-    nll_and_grad = lattice.LatticeProblem.nll_and_grad
+    nll_and_grad = lattice_aux.LatticeProblem.nll_and_grad
     calls = []
 
     def recorded(prob, t, accept):
@@ -454,7 +458,7 @@ def check_fit_winners_match_dense_objective(monkeypatch, path: str):
 
     if path == "dense":
         monkeypatch.setattr(lattice, "detect", lambda X: None)
-    monkeypatch.setattr(lattice.LatticeProblem, "nll_and_grad", recorded)
+    monkeypatch.setattr(lattice_aux.LatticeProblem, "nll_and_grad", recorded)
     inst = generate_synthetic(SyntheticSpec(), seed=0)
     fitted = [fit_aux_gp(ds, restarts=3, seed=0) for ds in inst.aux_datasets]
     paths = [model.diagnostics["gram"]["path"] for model in fitted]
@@ -464,7 +468,7 @@ def check_fit_winners_match_dense_objective(monkeypatch, path: str):
     lattices = [model for model in fitted if model.diagnostics["gram"]["path"] == "lattice"]
     for model, prob in zip(lattices, problems, strict=True):
         at = {value: t for p, t, value in calls if p is prob}
-        fresh = lattice.LatticeProblem(prob.Y.copy(), prob.dx2.copy(), prob.dy2.copy(), {})
+        fresh = lattice_aux.LatticeProblem(prob.Y.copy(), prob.dx2.copy(), prob.dy2.copy(), {})
         for record in model.diagnostics["restart_records"]:
             value = record["objective"]
             assert nll_and_grad(fresh, at[value], always)[0] == value
@@ -474,7 +478,7 @@ def check_fit_winners_match_dense_objective(monkeypatch, path: str):
             return oracle(t, None, prob.ys, prob.D2, accept)
 
         monkeypatch.setattr(gp_aux, "_nll_and_grad", objective)
-        monkeypatch.setattr(lattice.LatticeProblem, "nll_and_grad", on_grid(oracle))
+        monkeypatch.setattr(lattice_aux.LatticeProblem, "nll_and_grad", on_grid(oracle))
         return [fit_aux_gp(ds, restarts=3, seed=0) for ds in inst.aux_datasets]
 
     for model, unbuffered in zip(fitted, fits_with(unbuffered_nll_and_grad)):
@@ -740,27 +744,6 @@ def test_a_pure_nugget_fit_on_a_lattice_ends_at_the_dense_fits_objective(monkeyp
     assert model.log_marginal == pytest.approx(dense.log_marginal, rel=1e-8, abs=0)
 
 
-def snapped(lat: lattice.Lattice, n: int) -> np.ndarray:
-    """The n points of the lattice lat in their input order, each on its grid values."""
-    cells = np.empty(n, dtype=np.intp)
-    cells[lat.order] = np.arange(n)
-    return np.column_stack([lat.gx[cells % lat.gx.size], lat.gy[cells // lat.gx.size]])
-
-
-def off_grid(rng, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """The product set gx x gy in a shuffled order, each coordinate moved by up
-    to half the snap tolerance: two on one grid value differ by at most it."""
-    X = np.array([(x, y) for y in gy for x in gx])
-    X = X[rng.permutation(len(X))]
-    tol = lattice.SNAP_REL * np.array([np.diff(gx).min(), np.diff(gy).min()])
-    return X + rng.uniform(-0.5, 0.5, size=X.shape) * tol
-
-
-LATTICE_SHAPES = [
-    (2, 2), (3, 2), (2, 5), (5, 5), (4, 3), (8, 5), (12, 10), (16, 12), (20, 24), (24, 20)
-]
-
-
 @pytest.mark.parametrize("nx, ny", LATTICE_SHAPES)
 def test_the_kronecker_objective_is_the_dense_one(rng, nx, ny):
     # cell centres and uneven spacings, shuffled and moved off the grid by up to
@@ -777,7 +760,7 @@ def test_the_kronecker_objective_is_the_dense_one(rng, nx, ny):
         snaps = np.abs(Xs - X).max(axis=0)
         assert snaps.max() == lat.max_snap
         assert np.all(snaps <= lattice.SNAP_REL * np.array([np.diff(gx).min(), np.diff(gy).min()]))
-        prob = lattice.LatticeProblem.build(lat, y[lat.order])
+        prob = lattice_aux.LatticeProblem.build(lat, y[lat.order])
         dense = _AuxProblem.build(y, sq_dists(Xs, Xs))
         for log_gamma in (-20.0, -12.0, -4.0, -2.0, -1.0, 0.0, 1.0, 3.0):
             theta = np.array([rng.uniform(-1.0, 0.5), log_gamma, np.log(rng.uniform(0.2, 1.0))])
@@ -789,7 +772,7 @@ def test_the_kronecker_objective_is_the_dense_one(rng, nx, ny):
 
 def test_the_kronecker_gradient_matches_finite_differences(rng):
     for nx, ny in ((2, 3), (6, 4), (12, 10)):
-        prob = lattice.LatticeProblem.build(
+        prob = lattice_aux.LatticeProblem.build(
             lattice.detect(grid_partition(nx, ny, "g").centroids), rng.normal(size=nx * ny)
         )
         f = prob.nll_and_grad
@@ -803,7 +786,7 @@ def test_the_kronecker_gradient_matches_finite_differences(rng):
 def test_a_lattice_gram_that_is_not_positive_definite_is_a_factorization_error():
     # alpha^2 and sigma^2 underflow: D is zero, as dpotrf fails on a zero Gram
     X = grid_partition(4, 3, "g").centroids
-    prob = lattice.LatticeProblem.build(lattice.detect(X), np.ones(12))
+    prob = lattice_aux.LatticeProblem.build(lattice.detect(X), np.ones(12))
     with pytest.raises(FactorizationError):
         prob.nll_and_grad(SINGULAR_THETA, always)
 
@@ -863,7 +846,9 @@ FIT_MEDIUM_SPEC = SyntheticSpec(fine_shape=(24, 20), coarse_shape=(8, 5))
 def test_the_lattice_path_fits_the_bench_specs_as_the_dense_one_does(monkeypatch):
     # every auxiliary of fit_medium seeds 0-19 and aux_heavy seeds 0-9, with
     # the bench's 3 restarts: the best log-marginals of both paths agree; the
-    # 4 x 3 auxiliaries, below lattice.MIN_POINTS, take the dense path
+    # 4 x 3 auxiliaries, below lattice_aux.MIN_POINTS, take the dense path. Then
+    # the second step on the lattice fits' posteriors, whose fine kernel is a
+    # lattice on both specs: its best log-marginal and refined means agree too
     detect = lattice.detect
     for spec, seeds in ((FIT_MEDIUM_SPEC, range(20)), (AUX_HEAVY_SPEC, range(10))):
         for seed in seeds:
@@ -873,10 +858,24 @@ def test_the_lattice_path_fits_the_bench_specs_as_the_dense_one_does(monkeypatch
                 monkeypatch.setattr(lattice, "detect", found)
                 fits.append([fit_aux_gp(ds, restarts=3, seed=0) for ds in inst.aux_datasets])
             for on_lattice, dense, ds in zip(*fits, inst.aux_datasets):
-                searched = "lattice" if len(ds.values) >= lattice.MIN_POINTS else "dense"
+                searched = "lattice" if len(ds.values) >= lattice_aux.MIN_POINTS else "dense"
                 assert on_lattice.diagnostics["gram"]["path"] == searched
                 assert dense.diagnostics["gram"] == {"path": "dense"}
                 assert on_lattice.log_marginal == pytest.approx(dense.log_marginal, rel=1e-8, abs=0)
+            posteriors = [predict_aux(model, inst.fine.centroids) for model in fits[0]]
+            design = build_design(posteriors, n_fine=len(inst.fine))
+            steps = []
+            for found in (detect, lambda X: None):
+                monkeypatch.setattr(lattice, "detect", found)
+                params = fit_downscale(inst.a, posteriors, inst.fine, inst.amap, restarts=3)
+                mean = predict_fine(params, inst.a, design, posteriors, inst.amap).mean
+                steps.append((params.diagnostics, mean))
+            (on_lattice, mean), (dense, want) = steps
+            assert on_lattice["gram"]["path"] == "lattice" and dense["gram"] == {"path": "dense"}
+            assert on_lattice["log_marginal"] == pytest.approx(
+                dense["log_marginal"], rel=1e-8, abs=0
+            )
+            assert np.abs(mean - want).max() <= 1e-8 * np.abs(want).max()
 
 
 def test_fits_from_two_threads_take_turns_and_put_the_pools_back(monkeypatch, pools_at_two):
@@ -1016,15 +1015,15 @@ def test_model_json_round_trip(rng):
 
 def test_median_pairwise_distance_degenerate():
     X1, X2 = np.array([[1.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert median_pairwise_distance(sq_dists(X1, X1)) == 1.0
-    assert median_pairwise_distance(sq_dists(X2, X2)) == 1.0
+    assert median_pairwise_distance(X1) == 1.0
+    assert median_pairwise_distance(X2) == 1.0
     X5 = np.full((5, 2), 0.3)
     assert triu_median_pairwise_distance(sq_dists(X5, X5)) == 1.0
-    assert median_pairwise_distance(sq_dists(X5, X5)) == 1.0
+    assert median_pairwise_distance(X5) == 1.0
 
 
 # The warm start's median before it was selected in place, through index
-# arrays and np.median, kept as the oracle for median_pairwise_distance.
+# arrays and np.median, kept as an oracle for median_pairwise_distance.
 def triu_median_pairwise_distance(D2: np.ndarray) -> float:
     upper = D2[np.triu_indices(D2.shape[0], k=1)]
     if upper.size == 0 or np.all(upper == 0):
@@ -1032,34 +1031,57 @@ def triu_median_pairwise_distance(D2: np.ndarray) -> float:
     return float(np.sqrt(np.median(upper[upper > 0])))
 
 
+# The warm start's median when it read the squared distances D2, before it
+# formed each row of them from the points, kept as an oracle too.
+def d2_median_pairwise_distance(D2: np.ndarray) -> float:
+    n = D2.shape[0]
+    upper = np.empty(n * (n - 1) // 2)
+    end = 0
+    for i in range(n - 1):
+        upper[end : end + n - 1 - i] = D2[i, i + 1 :]
+        end += n - 1 - i
+    zeros = np.count_nonzero(upper == 0)
+    positive = upper.size - zeros
+    if positive == 0:
+        return 1.0
+    k = zeros + (positive - 1) // 2
+    upper.partition(k)
+    median = upper[k]
+    if positive % 2 == 0:
+        median = (median + upper[k + 1 :].min()) / 2
+    return float(np.sqrt(median))
+
+
 def test_median_pairwise_distance_is_the_triu_median_bit_for_bit(rng):
     # odd and even counts of positive pairs, repeated points (zero distances)
-    # and many equal distances on a coarse grid, at scales 1e-5 to 1e4
+    # and many equal distances on a coarse grid, at scales 1e-5 to 1e4, in one
+    # to three dimensions
     parities = set()
     for _ in range(600):
         n = int(rng.integers(1, 30))
-        X = rng.normal(size=(n, 2)) * 10.0 ** int(rng.integers(-5, 5))
+        X = rng.normal(size=(n, int(rng.integers(1, 4)))) * 10.0 ** int(rng.integers(-5, 5))
         if rng.random() < 0.5:
             X = X[rng.integers(0, n, size=n)]
         if rng.random() < 0.3:
             X = np.round(X, 1)
         D2 = sq_dists(X, X)
         parities.add(int(np.count_nonzero(np.triu(D2, 1) > 0)) % 2)
-        assert median_pairwise_distance(D2).hex() == triu_median_pairwise_distance(D2).hex()
+        want = triu_median_pairwise_distance(D2).hex()
+        assert median_pairwise_distance(X).hex() == d2_median_pairwise_distance(D2).hex() == want
     assert parities == {0, 1}
 
 
 def test_median_pairwise_distance_holds_half_of_d2s_bytes(rng):
-    # the upper triangle, n(n-1)/2 floats, and one boolean mask of it at a time;
-    # the index arrays and copies held 1.5 times D2's bytes
+    # the upper triangle, n(n-1)/2 floats, one row of scratch and one boolean
+    # mask of it at a time: no n x n array
     X = rng.uniform(size=(1200, 2))
-    D2 = sq_dists(X, X)
     tracemalloc.start()
     try:
-        got = median_pairwise_distance(D2)
+        got = median_pairwise_distance(X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    D2 = sq_dists(X, X)
     assert peak <= 0.6 * D2.nbytes
     assert got == triu_median_pairwise_distance(D2)
 

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from finescale.geo import ArealDataset, Partition, json_log, json_value
+from finescale.geo import ArealDataset, InputError, Partition, json_log, json_value
 from finescale.kernel import (
     JITTER_REL,
     SEKernelParams,
@@ -160,9 +160,9 @@ def _gram(
 
 @dataclass(frozen=True)
 class _AuxProblem:
-    """One auxiliary fit's unit-variance values ys, their squared distances D2,
-    and the two n x n arrays every objective call overwrites; a fit on the
-    dense objective builds one per thread of its search.
+    """One auxiliary fit's unit-variance values ys and their squared distances
+    D2, for the dense objective; ``for_thread`` adds the two n x n arrays
+    every call of one thread's objective overwrites.
 
     K holds the kernel, then E = K o D2 / gamma^2. A, in Fortran order so
     LAPACK needs no copy, holds K + (sigma^2 + jitter) I, then its factor,
@@ -174,47 +174,50 @@ class _AuxProblem:
 
     ys: np.ndarray
     D2: np.ndarray
-    K: np.ndarray
-    A: np.ndarray
+    K: np.ndarray | None = None
+    A: np.ndarray | None = None
 
-    @classmethod
-    def build(cls, ys: np.ndarray, D2: np.ndarray) -> "_AuxProblem":
-        n = ys.size
-        return cls(ys=ys, D2=D2, K=np.empty((n, n)), A=np.empty((n, n), order="F"))
+    @property
+    def diagnostics(self) -> dict:
+        return {"path": "dense"}
 
+    def for_thread(self) -> "_AuxProblem":
+        n = self.ys.size
+        return replace(self, K=np.empty((n, n)), A=np.empty((n, n), order="F"))
 
-def _nll_and_grad(prob: _AuxProblem, theta: np.ndarray, accept):
-    """Negative log marginal over (log alpha, log gamma, log sigma), and its
-    gradient where ``accept(nll)`` is true, else None.
+    def nll_and_grad(self, theta: np.ndarray, accept):
+        """Negative log marginal over (log alpha, log gamma, log sigma), and its
+        gradient where ``accept(nll)`` is true, else None; on a problem from
+        ``for_thread``.
 
-    With beta = A^-1 y, d log L / d theta_k = 1/2 (beta^T dA_k beta - tr(A^-1 dA_k)),
-    where dA is 2 (K + jitter I), K o D2 / gamma^2 and 2 sigma^2 I; each term
-    is a quadratic form in beta and a trace against A^-1, which dpotri forms
-    in place of the factor.
-    """
-    alpha, gamma, sigma = np.exp(theta)
-    K = prob.K
-    F = cholesky_in_place(_gram(alpha, gamma, sigma, prob.D2, K, prob.A))
-    nll, beta = gaussian_nll(F, prob.ys)
-    if not accept(nll):
-        return nll, None
-    jitter = JITTER_REL * alpha**2
-    Ainv = inverse_in_place(F)
-    bb, tr = beta @ beta, np.trace(Ainv)
-    # Restarts that end on a flat ridge of the likelihood tie to the last bit,
-    # so rounding here picks the winner among them: keep the operand order.
-    dll_alpha = 2.0 * (beta @ K @ beta + jitter * bb - np.vdot(Ainv, K) - jitter * tr)
-    E = K  # K is not read again: E = K * D2 / gamma**2, in place
-    E *= prob.D2
-    E /= gamma**2
-    dll = np.array(
-        [
-            dll_alpha,
-            beta @ E @ beta - np.vdot(Ainv, E),
-            2.0 * sigma**2 * (bb - tr),
-        ]
-    )
-    return nll, -0.5 * dll
+        With beta = A^-1 y, d log L / d theta_k = 1/2 (beta^T dA_k beta - tr(A^-1 dA_k)),
+        where dA is 2 (K + jitter I), K o D2 / gamma^2 and 2 sigma^2 I; each term
+        is a quadratic form in beta and a trace against A^-1, which dpotri forms
+        in place of the factor.
+        """
+        alpha, gamma, sigma = np.exp(theta)
+        K = self.K
+        F = cholesky_in_place(_gram(alpha, gamma, sigma, self.D2, K, self.A))
+        nll, beta = gaussian_nll(F, self.ys)
+        if not accept(nll):
+            return nll, None
+        jitter = JITTER_REL * alpha**2
+        Ainv = inverse_in_place(F)
+        bb, tr = beta @ beta, np.trace(Ainv)
+        # Restarts that end on a flat ridge of the likelihood tie to the last bit,
+        # so rounding here picks the winner among them: keep the operand order.
+        dll_alpha = 2.0 * (beta @ K @ beta + jitter * bb - np.vdot(Ainv, K) - jitter * tr)
+        E = K  # K is not read again: E = K * D2 / gamma**2, in place
+        E *= self.D2
+        E /= gamma**2
+        dll = np.array(
+            [
+                dll_alpha,
+                beta @ E @ beta - np.vdot(Ainv, E),
+                2.0 * sigma**2 * (bb - tr),
+            ]
+        )
+        return nll, -0.5 * dll
 
 
 def data_sha256(centroids, values) -> str:
@@ -285,32 +288,35 @@ def random_starts(base: np.ndarray, sd, restarts: int, seed: int) -> list[np.nda
 @dataclass(frozen=True)
 class _AuxFit:
     """One auxiliary fit up to its search: the training data, the offset and
-    scale that make its values the unit-variance ys, and the start points.
-    At least ``lattice_aux.MIN_POINTS`` centroids on a lattice, ``lattice.detect``'s,
-    give it a ``lattice_aux.LatticeProblem`` and ys in the lattice's row-major
-    order; any others keep ys in their order and their squared distances D2 from
-    ``_train_sq_dists`` for the dense objective."""
+    scale that make its values unit-variance, the start points and the
+    problem its objective runs on. At least ``lattice.MIN_POINTS`` centroids
+    on a lattice, ``lattice.detect``'s, give it a ``lattice.LatticeProblem``
+    of its values in the lattice's row-major order; any others an
+    ``_AuxProblem`` of its values in their order and their squared distances
+    from ``_train_sq_dists``."""
 
+    dataset_id: str
     X: np.ndarray
     y: np.ndarray
     offset: float
     scale: float
-    ys: np.ndarray
     starts: list[np.ndarray]
-    D2: np.ndarray | None = None
-    lattice: object | None = None  # a lattice_aux.LatticeProblem
+    problem: object  # _AuxProblem or lattice.LatticeProblem
 
     @classmethod
     def prepare(
-        cls, data: ArealDataset, restarts: int, seed: int, center: bool = True
+        cls, data: ArealDataset, dataset_id: str, restarts: int, seed: int, center: bool = True
     ) -> "_AuxFit":
+        """The fit of ``data``; InputError naming ``dataset_id`` below 2 regions."""
         X = data.partition.centroids
         y = np.asarray(data.values, dtype=float)
         if y.size < 2:
-            raise AuxFitError("need at least 2 regions to fit a GP")
-        from finescale import lattice, lattice_aux  # lattice_aux is compiled by the fits alone
+            raise InputError(
+                f"dataset {dataset_id!r}: {y.size} region(s), and a GP fit needs at least 2"
+            )
+        from finescale import lattice  # so importing finescale.cli compiles no lattice code
 
-        grid = lattice.detect(X) if len(X) >= lattice_aux.MIN_POINTS else None
+        grid = lattice.detect(X) if len(X) >= lattice.MIN_POINTS else None
         # a lattice fit reads its values in row-major order, so the order of its
         # regions moves no bit of it; regions given in that order keep theirs
         yr = y if grid is None else y[grid.order]
@@ -323,19 +329,16 @@ class _AuxFit:
         base = warm_start(float(np.std(ys)), X)
         short = base + np.array([0.0, -np.log(4.0), 0.0])  # quarter length scale
         starts = [base, short] + random_starts(base, 0.5, restarts, seed)
-        fit = dict(X=X, y=y, offset=offset, scale=scale, ys=ys, starts=starts)
         if grid is None:
-            return cls(**fit, D2=_train_sq_dists(X))
-        # a lattice fit forms no n x n array
-        return cls(**fit, lattice=lattice_aux.LatticeProblem.build(grid, ys))
+            problem = _AuxProblem(ys, _train_sq_dists(X))
+        else:  # a lattice fit forms no n x n array
+            problem = lattice.LatticeProblem(grid, ys.reshape(grid.gy.size, grid.gx.size))
+        return cls(dataset_id, X, y, offset, scale, starts, problem)
 
     def make_objective(self):
-        if self.lattice is not None:
-            return self.lattice.nll_and_grad
-        prob = _AuxProblem.build(self.ys, self.D2)
-        return lambda t, accept: _nll_and_grad(prob, t, accept)
+        return self.problem.for_thread().nll_and_grad
 
-    def model(self, best, records: list[dict], workers: int, dataset_id: str) -> AuxGPModel:
+    def model(self, best, records: list[dict], workers: int) -> AuxGPModel:
         """The model of the search's best result, or AuxFitError when every start failed."""
         if best is None:
             raise AuxFitError(f"all restarts failed: {[r['error'] for r in records]}")
@@ -347,7 +350,7 @@ class _AuxFit:
         # log-marginal of the centered data in original units
         lm = -best.objective - self.y.size * np.log(scale)
         return AuxGPModel(
-            dataset_id=dataset_id,
+            dataset_id=self.dataset_id,
             params=params,
             noise_sigma=scale * float(np.exp(log_sigma)),
             train_centroids=self.X,
@@ -359,7 +362,7 @@ class _AuxFit:
                 "restart_records": records,
                 "workers": workers,
                 "data_sha256": data_sha256(self.X, self.y),
-                "gram": {"path": "dense"} if self.lattice is None else self.lattice.diagnostics,
+                "gram": self.problem.diagnostics,
             },
         )
 
@@ -380,19 +383,20 @@ def fit_aux_gp(
     random perturbations; ``diagnostics["restart_records"]`` keeps every
     start, with objectives of the unit-variance data, ``diagnostics["workers"]``
     counts the threads that ran them, and ``diagnostics["data_sha256"]``
-    identifies the training data.
+    identifies the training data. Fewer than 2 regions are an InputError.
 
-    At least ``lattice_aux.MIN_POINTS`` centroids that lie within
+    At least ``lattice.MIN_POINTS`` centroids that lie within
     ``lattice.SNAP_REL`` of a cell's spacing of a product set gx x gy, with at
-    least two values on each axis, are searched
-    on the Kronecker objective of ``finescale.lattice_aux``, which forms no n x n
-    array; any others on the dense one, each thread with its own
-    ``_AuxProblem``. ``diagnostics["gram"]`` records which: ``{"path":
-    "lattice", "shape": [nx, ny], "max_snap": ...}`` or ``{"path": "dense"}``.
+    least two values on each axis, are searched on the Kronecker objective of
+    ``lattice.LatticeProblem``, which forms no n x n array; any others on the
+    dense one, each thread with its own ``_AuxProblem.for_thread``.
+    ``diagnostics["gram"]`` records which: ``lattice.Lattice.diagnostics``,
+    ``{"path": "lattice", "shape": [nx, ny], "max_snap": ...}``, or
+    ``{"path": "dense"}``.
     """
-    fit = _AuxFit.prepare(data, restarts, seed, center)
+    fit = _AuxFit.prepare(data, dataset_id or data.partition.name, restarts, seed, center)
     [(best, records)], workers = multistart_minimize([(fit.make_objective, fit.starts)])
-    return fit.model(best, records, workers, dataset_id or data.partition.name)
+    return fit.model(best, records, workers)
 
 
 @one_blas_thread()
@@ -444,18 +448,16 @@ def fit_all_aux(
     in one ``multistart_minimize`` pool, largest fit first, so that no
     thread idles while another finishes a fit; ``diagnostics["workers"]`` of
     each model counts that pool's threads. The fits return in input order.
-    A NumericalError is re-raised as AuxFitError naming the dataset; other
-    errors propagate. Given ``dataset_ids`` must be one distinct id per
+    A dataset of fewer than 2 regions is an InputError naming it, before any
+    search. A NumericalError is re-raised as AuxFitError naming the dataset;
+    other errors propagate. Given ``dataset_ids`` must be one distinct id per
     dataset, else ValueError; the default is the partition names.
     """
     if dataset_ids is not None and not len(set(dataset_ids)) == len(dataset_ids) == len(datasets):
         raise ValueError(f"{list(dataset_ids)} for {len(datasets)} datasets: one distinct id each")
     ids = dataset_ids or [d.partition.name for d in datasets]
     order = sorted(range(len(datasets)), key=lambda i: -len(datasets[i].values))
-    fits = {}
-    for i in order:
-        with _naming(ids[i]):
-            fits[i] = _AuxFit.prepare(datasets[i], restarts, seed)
+    fits = {i: _AuxFit.prepare(datasets[i], ids[i], restarts, seed) for i in order}
     results, workers = multistart_minimize(
         [(fits[i].make_objective, fits[i].starts) for i in order]
     )
@@ -463,6 +465,6 @@ def fit_all_aux(
     fitted = [None] * len(datasets)
     for i, (best, records) in zip(order, results):
         with _naming(ids[i]):
-            model = fits.pop(i).model(best, records, workers, ids[i])
+            model = fits.pop(i).model(best, records, workers)
             fitted[i] = (model, predict_aux(model, Xf))
     return fitted

@@ -53,11 +53,9 @@ LATTICE_SHAPES = [
 ]
 
 
-def snapped(lat: lattice.Lattice, n: int) -> np.ndarray:
-    """The n points of the lattice lat in their input order, each on its grid values."""
-    cells = np.empty(n, dtype=np.intp)
-    cells[lat.order] = np.arange(n)
-    return np.column_stack([lat.gx[cells % lat.gx.size], lat.gy[cells // lat.gx.size]])
+def snapped(lat: lattice.Lattice) -> np.ndarray:
+    """The points of the lattice lat in their input order, each on its grid values."""
+    return np.column_stack([lat.gx[lat.cells % lat.gx.size], lat.gy[lat.cells // lat.gx.size]])
 
 
 def off_grid(rng, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:

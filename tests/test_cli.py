@@ -35,7 +35,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(finescale.__file__).parents[1])
     unloaded = (
         "finescale.evaluate", "finescale.baselines", "finescale.lattice",
-        "finescale.lattice_aux", "concurrent.futures", "logging", "xml.etree.ElementTree",
+        "concurrent.futures", "logging", "xml.etree.ElementTree",
     )
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import finescale.cli; "
@@ -50,13 +50,12 @@ def test_fit_and_refine_load_only_what_they_run(synth_dir, tmp_path):
     # _hashlib) and neither command numpy.ma (np.median, np.unique); fit loads
     # no concurrent.futures and its logging. fit still loads OpenSSL through
     # numpy.random's secrets. Both load finescale.lattice: the second step
-    # detects a fine lattice in both. refine loads no finescale.lattice_aux,
-    # the auxiliary fits' eigendecomposition objective.
+    # detects a fine lattice in both.
     src = str(Path(finescale.__file__).parents[1])
     out = tmp_path / "out"
     for command, unloaded in (
         ("fit", {"numpy.ma", "concurrent.futures", "logging"}),
-        ("refine", {"_hashlib", "numpy.ma", "finescale.lattice_aux"}),
+        ("refine", {"_hashlib", "numpy.ma"}),
     ):
         argv = [command, *common_args(synth_dir, out)]
         if command == "refine":
@@ -300,7 +299,7 @@ def test_fit_then_refine_round_trip(synth_dir, tmp_path):
 def test_models_json_records_the_gram_each_auxiliary_fit_searched(tmp_path, aux_grids, grams):
     # grids loaded from GeoJSON sit off their lattice by rounding, within the
     # snap tolerance: they take the lattice path, and a 1-row grid and the 4 x 3
-    # one, below lattice_aux.MIN_POINTS, the dense one
+    # one, below lattice.MIN_POINTS, the dense one
     bundle, out = tmp_path / "bundle", tmp_path / "out"
     argv = ["synth", "--out", str(bundle), "--seed", "1", "--fine-grid", "6", "5",
             "--coarse-grid", "3", "5"]
@@ -465,6 +464,28 @@ def test_synth_bad_spec_exit_2(tmp_path, capsys, grids):
     out = tmp_path / "bundle"
     assert main(["synth", "--out", str(out), *grids]) == EXIT_CONFIG
     assert "invalid synthetic spec" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "synth, command, dataset",
+    [
+        (["--aux-grid", "1", "1", "--aux-grid", "4", "3", "--weights", "1.0", "0.5"],
+         ["fit"], "aux0"),
+        (["--coarse-grid", "1", "1"], ["baseline", "--method", "gpr"], "gpr_target"),
+        (["--coarse-grid", "1", "1"], ["baseline", "--method", "sd2"], "sd2_residual"),
+    ],
+    ids=["fit-one-region-auxiliary", "gpr-one-region-target", "sd2-one-region-residuals"],
+)
+def test_a_gp_fit_on_one_region_exit_2_naming_the_dataset(tmp_path, capsys, synth, command, dataset):
+    # an input error, found before any search
+    bundle, out = tmp_path / "bundle", tmp_path / "out"
+    argv = ["synth", "--out", str(bundle), "--fine-grid", "6", "5", "--coarse-grid", "3", "5"]
+    assert main([*argv, *synth]) == EXIT_OK
+    capsys.readouterr()
+    assert main([*command, *common_args(bundle, out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dataset {dataset!r}: 1 region") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -658,6 +679,51 @@ def test_refine_binds_by_region_id_under_shuffled_partitions(synth_dir, tmp_path
     np.testing.assert_allclose(
         [perm[i] for i in ids], [plain[i] for i in ids], rtol=1e-10, atol=0.0
     )
+
+
+def shuffle_regions(bundle: Path, aid: str, rng) -> None:
+    """Put the features of the auxiliary's GeoJSON and the rows of its CSV in new orders."""
+    doc = json.loads((bundle / f"{aid}.geojson").read_text())
+    doc["features"] = [doc["features"][k] for k in rng.permutation(len(doc["features"]))]
+    (bundle / f"{aid}.geojson").write_text(json.dumps(doc))
+    header, *rows = (bundle / f"{aid}.csv").read_text().splitlines()
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    (bundle / f"{aid}.csv").write_text("\n".join([header, *rows]) + "\n")
+
+
+def test_a_lattice_auxiliarys_region_order_moves_nothing(tmp_path):
+    # aux1 (8 x 5) and aux2 (12 x 10) take the lattice fit, which reads its
+    # values in row-major order: their models keep every bit. The second step
+    # does not: predict_aux factors the dense Gram in input order
+    bundle = tmp_path / "bundle"
+    argv = ["synth", "--out", str(bundle), "--seed", "3", "--fine-grid", "24", "20",
+            "--coarse-grid", "8", "5"]
+    assert main(argv) == EXIT_OK
+    shuffled = copy_bundle(bundle, tmp_path / "shuffled")
+    rng = np.random.default_rng(0)
+    for aid in ("aux1", "aux2"):
+        shuffle_regions(shuffled, aid, rng)
+    runs = []
+    for name in ("bundle", "shuffled"):
+        out = tmp_path / f"out-{name}"
+        args = common_args(tmp_path / name, out)
+        assert main(["fit", *args]) == EXIT_OK
+        assert main(["refine", *args]) == EXIT_OK
+        runs.append((json.loads((out / "models.json").read_text()), read_refinement(out)))
+    (models, plain), (moved_models, moved) = runs
+    for model, moved_model in zip(models["aux_models"], moved_models["aux_models"], strict=True):
+        sha, moved_sha = (m["diagnostics"].pop("data_sha256") for m in (model, moved_model))
+        assert moved_model == model
+        assert (sha != moved_sha) == (model["dataset_id"] != "aux0")
+    assert [m["diagnostics"]["gram"]["path"] for m in models["aux_models"]] == [
+        "dense", "lattice", "lattice"
+    ]
+    step, moved_step = models["downscale"]["diagnostics"], moved_models["downscale"]["diagnostics"]
+    assert moved_step["iterations"] == step["iterations"]
+    assert moved_step["log_marginal"] == pytest.approx(step["log_marginal"], rel=1e-10, abs=0)
+    assert list(moved) == list(plain)
+    got, want = np.array(list(moved.values())), np.array(list(plain.values()))
+    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want).max(axis=0))
 
 
 def test_refine_covariance_matches_the_dense_oracle(synth_dir, tmp_path):

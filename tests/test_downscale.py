@@ -1195,7 +1195,7 @@ def lattice_and_dense_problems(rng, nx, ny, uneven: bool, stochastic: bool):
     X = off_grid(rng, gx, gy)
     lat = lattice.detect(X)
     assert (lat.gx.size, lat.gy.size) == (nx, ny)
-    Xs = snapped(lat, len(X))
+    Xs = snapped(lat)
     nf, nc = nx * ny, int(rng.integers(1, min(nx * ny, 12) + 1))
     if stochastic:
         H = rng.uniform(0.1, 1.0, size=(nc, nf))

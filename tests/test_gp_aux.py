@@ -3,6 +3,7 @@ import json
 import os
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,16 +26,15 @@ from conftest import (
     random_posteriors,
     snapped,
 )
-from finescale import gp_aux, lattice, lattice_aux, numerics
+from finescale import gp_aux, lattice, numerics
 from finescale.downscale import build_design, fit_downscale, predict_fine
 from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
-from finescale.geo import ArealDataset
+from finescale.geo import ArealDataset, InputError
 from finescale.gp_aux import (
     AuxFitError,
     AuxGPModel,
     _AuxFit,
     _AuxProblem,
-    _nll_and_grad,
     data_sha256,
     fit_all_aux,
     fit_aux_gp,
@@ -190,8 +190,8 @@ def test_objective_gradient_matches_finite_differences(rng):
     D2 = sq_dists(X, X)
     for _ in range(10):
         theta = rng.normal(0.0, 0.7, size=3)
-        prob = _AuxProblem.build(y, D2)
-        err = grad_check(lambda t, accept: _nll_and_grad(prob, t, accept), theta)
+        prob = _AuxProblem(y, D2).for_thread()
+        err = grad_check(lambda t, accept: prob.nll_and_grad(t, accept), theta)
         assert err <= 1e-5
 
 
@@ -258,18 +258,18 @@ def test_buffered_objective_equals_unbuffered_bit_for_bit(rng, n):
     # both inverse paths: dpotri's at log gamma = 0, the diagonal one at the nugget
     assert not factor_copy(_gram(*np.exp(thetas[0]), D2)[1]).diagonal
     assert factor_copy(_gram(*np.exp(NUGGET_THETA), D2)[1]).diagonal
-    prob = _AuxProblem.build(y, D2)  # one buffer set for every call, as in a fit
+    prob = _AuxProblem(y, D2).for_thread()  # one buffer set for every call, as in a fit
     # the buffers hold the previous call's arrays: every theta runs after
     # another one, and one runs after a theta whose factorization failed
     for t in thetas + thetas[::-1] + [SINGULAR_THETA, thetas[0]]:
         if t is SINGULAR_THETA:
             with pytest.raises(FactorizationError) as got:
-                _nll_and_grad(prob, t, always)
+                prob.nll_and_grad(t, always)
             with pytest.raises(FactorizationError) as want:
                 unbuffered_nll_and_grad(t, X, y, D2, always)
             assert str(got.value) == str(want.value)
             continue
-        got = _nll_and_grad(prob, t, always)
+        got = prob.nll_and_grad(t, always)
         want = unbuffered_nll_and_grad(t, X, y, D2, always)
         assert _bits(*got) == _bits(*want)
         assert np.array_equal(got[1], want[1])
@@ -277,7 +277,7 @@ def test_buffered_objective_equals_unbuffered_bit_for_bit(rng, n):
 
 def test_objective_computes_the_gradient_only_where_accept_holds(rng):
     X = rng.uniform(size=(30, 2))
-    fit = _AuxFit.prepare(ArealDataset(point_partition("p", X), rng.normal(size=30)), 3, 0)
+    fit = _AuxFit.prepare(ArealDataset(point_partition("p", X), rng.normal(size=30)), "p", 3, 0)
     f = fit.make_objective()
     for theta in fit.starts:
         seen = []
@@ -300,10 +300,10 @@ def test_objective_is_invariant_under_permutation(data):
     y = rng.normal(size=n)
     theta = rng.normal(0.0, 0.7, size=3)
     order = np.array(data.draw(st.permutations(range(n))))
-    value, grad = _nll_and_grad(_AuxProblem.build(y, sq_dists(X, X)), theta, always)
+    value, grad = _AuxProblem(y, sq_dists(X, X)).for_thread().nll_and_grad(theta, always)
     moved = X[order]
-    moved_value, moved_grad = _nll_and_grad(
-        _AuxProblem.build(y[order], sq_dists(moved, moved)), theta, always
+    moved_value, moved_grad = (
+        _AuxProblem(y[order], sq_dists(moved, moved)).for_thread().nll_and_grad(theta, always)
     )
     assert abs(moved_value - value) <= 1e-10 * abs(value)
     assert np.all(np.abs(moved_grad - grad) <= 1e-10 * np.abs(grad).max())
@@ -315,12 +315,12 @@ def test_objective_allocates_no_n_by_n_array():
     n = 300
     rng = np.random.default_rng(1)
     X = rng.uniform(size=(n, 2))
-    prob = _AuxProblem.build(rng.normal(size=n), sq_dists(X, X))
+    prob = _AuxProblem(rng.normal(size=n), sq_dists(X, X)).for_thread()
     theta = np.array([0.0, np.log(0.2), np.log(0.1)])
-    _nll_and_grad(prob, theta, always)
+    prob.nll_and_grad(theta, always)
     tracemalloc.start()
     try:
-        _nll_and_grad(prob, theta + 0.1, always)
+        prob.nll_and_grad(theta + 0.1, always)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -332,7 +332,7 @@ def test_an_objective_holds_two_n_by_n_arrays():
     n = 300
     rng = np.random.default_rng(5)
     X = rng.uniform(size=(n, 2))
-    fit = _AuxFit.prepare(ArealDataset(point_partition("p", X), rng.normal(size=n)), 1, 0)
+    fit = _AuxFit.prepare(ArealDataset(point_partition("p", X), rng.normal(size=n)), "p", 1, 0)
     tracemalloc.start()
     try:
         f = fit.make_objective()
@@ -349,8 +349,8 @@ def test_squared_distances_not_exactly_symmetric_are_refused_when_built(rng, mon
     data = ArealDataset(point_partition("p", X), rng.normal(size=6))
     D2 = sq_dists(X, X)
     assert np.array_equal(gp_aux._train_sq_dists(X), D2)
-    fit = _AuxFit.prepare(data, 2, 0)
-    assert np.array_equal(fit.D2, D2)
+    fit = _AuxFit.prepare(data, "p", 2, 0)
+    assert np.array_equal(fit.problem.D2, D2)
     model = fit_aux_gp(data, restarts=1)
 
     def one_ulp_off(A, B):
@@ -361,7 +361,7 @@ def test_squared_distances_not_exactly_symmetric_are_refused_when_built(rng, mon
     monkeypatch.setattr(gp_aux, "sq_dists", one_ulp_off)
     for build in (
         lambda: gp_aux._train_sq_dists(X),
-        lambda: _AuxFit.prepare(data, 2, 0),
+        lambda: _AuxFit.prepare(data, "p", 2, 0),
         lambda: predict_aux(model, X),
     ):
         with pytest.raises(ValueError, match="exactly symmetric"):
@@ -423,10 +423,15 @@ def test_objective_matches_dense_oracle(rng, n, theta):
     D2 = sq_dists(X, X)
     for _ in range(3):
         t = rng.normal(0.0, 0.7, size=3) if theta is None else np.array(theta)
-        val, grad = _nll_and_grad(_AuxProblem.build(y, D2), t, always)
+        val, grad = _AuxProblem(y, D2).for_thread().nll_and_grad(t, always)
         dense_val, dense_grad = dense_nll_and_grad(t, X, y, D2, always)
         assert val == pytest.approx(dense_val, rel=1e-10)
         assert np.max(np.abs(grad - dense_grad) / np.maximum(1.0, np.abs(dense_grad))) <= 1e-8
+
+
+def lattice_problem(lat: lattice.Lattice, values: np.ndarray) -> lattice.LatticeProblem:
+    """The lattice fit's problem of the values at lat's points, in row-major order."""
+    return lattice.LatticeProblem(lat, values.reshape(lat.gy.size, lat.gx.size))
 
 
 def on_grid(oracle):
@@ -435,7 +440,8 @@ def on_grid(oracle):
 
     def objective(prob, t, accept):
         n = prob.Y.size
-        D2 = (prob.dy2[:, None, :, None] + prob.dx2[None, :, None, :]).reshape(n, n)
+        dx2, dy2 = prob.lattice.dx2, prob.lattice.dy2
+        D2 = (dy2[:, None, :, None] + dx2[None, :, None, :]).reshape(n, n)
         return oracle(t, None, prob.Y.ravel(), D2, accept)
 
     return objective
@@ -448,7 +454,7 @@ def check_fit_winners_match_dense_objective(monkeypatch, path: str):
     record is the Kronecker objective at a point its search evaluated, and a
     fresh problem gives it again to the last bit. Either way every winning
     restart takes the same BFGS path when the dense objective is swapped in."""
-    nll_and_grad = lattice_aux.LatticeProblem.nll_and_grad
+    nll_and_grad = lattice.LatticeProblem.nll_and_grad
     calls = []
 
     def recorded(prob, t, accept):
@@ -458,7 +464,7 @@ def check_fit_winners_match_dense_objective(monkeypatch, path: str):
 
     if path == "dense":
         monkeypatch.setattr(lattice, "detect", lambda X: None)
-    monkeypatch.setattr(lattice_aux.LatticeProblem, "nll_and_grad", recorded)
+    monkeypatch.setattr(lattice.LatticeProblem, "nll_and_grad", recorded)
     inst = generate_synthetic(SyntheticSpec(), seed=0)
     fitted = [fit_aux_gp(ds, restarts=3, seed=0) for ds in inst.aux_datasets]
     paths = [model.diagnostics["gram"]["path"] for model in fitted]
@@ -468,7 +474,10 @@ def check_fit_winners_match_dense_objective(monkeypatch, path: str):
     lattices = [model for model in fitted if model.diagnostics["gram"]["path"] == "lattice"]
     for model, prob in zip(lattices, problems, strict=True):
         at = {value: t for p, t, value in calls if p is prob}
-        fresh = lattice_aux.LatticeProblem(prob.Y.copy(), prob.dx2.copy(), prob.dy2.copy(), {})
+        lat = prob.lattice
+        fresh = lattice.LatticeProblem(
+            replace(lat, dx2=lat.dx2.copy(), dy2=lat.dy2.copy()), prob.Y.copy()
+        )
         for record in model.diagnostics["restart_records"]:
             value = record["objective"]
             assert nll_and_grad(fresh, at[value], always)[0] == value
@@ -477,8 +486,8 @@ def check_fit_winners_match_dense_objective(monkeypatch, path: str):
         def objective(prob, t, accept):
             return oracle(t, None, prob.ys, prob.D2, accept)
 
-        monkeypatch.setattr(gp_aux, "_nll_and_grad", objective)
-        monkeypatch.setattr(lattice_aux.LatticeProblem, "nll_and_grad", on_grid(oracle))
+        monkeypatch.setattr(gp_aux._AuxProblem, "nll_and_grad", objective)
+        monkeypatch.setattr(lattice.LatticeProblem, "nll_and_grad", on_grid(oracle))
         return [fit_aux_gp(ds, restarts=3, seed=0) for ds in inst.aux_datasets]
 
     for model, unbuffered in zip(fitted, fits_with(unbuffered_nll_and_grad)):
@@ -512,8 +521,9 @@ def test_constant_values_fit_and_predict_constant():
 
 
 def test_fit_rejects_single_region():
+    # an input error, not a numerical one: no search runs
     part = point_partition("p", np.array([[0.5, 0.5]]))
-    with pytest.raises(AuxFitError):
+    with pytest.raises(InputError, match="dataset 'p': 1 region"):
         fit_aux_gp(ArealDataset(part, [1.0]))
 
 
@@ -595,7 +605,7 @@ def test_fit_all_aux_refuses_ids_that_are_not_one_distinct_id_per_dataset(rng, i
 def test_fit_all_aux_error_names_dataset():
     fine = grid_partition(2, 2, "f")
     bad = ArealDataset(point_partition("lonely", np.array([[0.5, 0.5]])), [1.0])
-    with pytest.raises(AuxFitError, match="lonely"):
+    with pytest.raises(InputError, match="'lonely'"):
         fit_all_aux([bad], fine)
 
 
@@ -747,7 +757,7 @@ def test_a_pure_nugget_fit_on_a_lattice_ends_at_the_dense_fits_objective(monkeyp
 @pytest.mark.parametrize("nx, ny", LATTICE_SHAPES)
 def test_the_kronecker_objective_is_the_dense_one(rng, nx, ny):
     # cell centres and uneven spacings, shuffled and moved off the grid by up to
-    # the snap tolerance: the Kronecker objective against _nll_and_grad on the
+    # the snap tolerance: the Kronecker objective against _AuxProblem.nll_and_grad on the
     # points it snapped to, from the nugget limit to a long length scale
     centres = ((np.arange(nx) + 0.5) / nx, (np.arange(ny) + 0.5) / ny)
     uneven = (np.sort(rng.uniform(size=nx)), np.sort(rng.uniform(size=ny)))
@@ -756,23 +766,48 @@ def test_the_kronecker_objective_is_the_dense_one(rng, nx, ny):
         y = rng.normal(size=len(X))
         lat = lattice.detect(X)
         assert (lat.gx.size, lat.gy.size) == (nx, ny)
-        Xs = snapped(lat, len(X))
+        Xs = snapped(lat)
         snaps = np.abs(Xs - X).max(axis=0)
         assert snaps.max() == lat.max_snap
         assert np.all(snaps <= lattice.SNAP_REL * np.array([np.diff(gx).min(), np.diff(gy).min()]))
-        prob = lattice_aux.LatticeProblem.build(lat, y[lat.order])
-        dense = _AuxProblem.build(y, sq_dists(Xs, Xs))
+        prob = lattice_problem(lat, y[lat.order])
+        dense = _AuxProblem(y, sq_dists(Xs, Xs)).for_thread()
         for log_gamma in (-20.0, -12.0, -4.0, -2.0, -1.0, 0.0, 1.0, 3.0):
             theta = np.array([rng.uniform(-1.0, 0.5), log_gamma, np.log(rng.uniform(0.2, 1.0))])
             value, grad = prob.nll_and_grad(theta, always)
-            want_value, want_grad = _nll_and_grad(dense, theta, always)
+            want_value, want_grad = dense.nll_and_grad(theta, always)
             assert abs(value - want_value) <= 1e-12 * abs(want_value)
             assert np.abs(grad - want_grad).max() <= 1e-10 * np.abs(want_grad).max()
 
 
+@pytest.mark.parametrize("nx, ny", LATTICE_SHAPES)
+def test_the_lattice_record_is_what_both_kronecker_paths_read(rng, nx, ny):
+    # shuffled and moved off the grid: cells inverts order, dx2 and dy2 are the
+    # squared differences of the grid values, and both the auxiliary fit and
+    # the second step report the lattice's own record as their gram, a fresh
+    # dict each time
+    gx, gy = np.sort(rng.uniform(size=nx)), np.sort(rng.uniform(size=ny))
+    X = off_grid(rng, gx, gy)
+    lat = lattice.detect(X)
+    n = len(X)
+    assert np.array_equal(lat.cells[lat.order], np.arange(n))
+    assert np.array_equal(lat.order[lat.cells], np.arange(n))
+    assert np.array_equal(lat.dx2, sq_dists(lat.gx[:, None], lat.gx[:, None]))
+    assert np.array_equal(lat.dy2, sq_dists(lat.gy[:, None], lat.gy[:, None]))
+    gram = {"path": "lattice", "shape": [nx, ny], "max_snap": lat.max_snap}
+    assert lat.diagnostics == gram and lat.diagnostics is not lat.diagnostics
+    fine = lattice.LatticeKernel.build(lat, rng.uniform(size=(3, n)))
+    fit = _AuxFit.prepare(ArealDataset(point_partition("p", X), rng.normal(size=n)), "p", 1, 0)
+    problems = [fine, fit.problem] if n >= lattice.MIN_POINTS else [fine]
+    for problem in problems:
+        assert problem.diagnostics == gram and problem.diagnostics is not problem.diagnostics
+    if n < lattice.MIN_POINTS:
+        assert fit.problem.diagnostics == {"path": "dense"}
+
+
 def test_the_kronecker_gradient_matches_finite_differences(rng):
     for nx, ny in ((2, 3), (6, 4), (12, 10)):
-        prob = lattice_aux.LatticeProblem.build(
+        prob = lattice_problem(
             lattice.detect(grid_partition(nx, ny, "g").centroids), rng.normal(size=nx * ny)
         )
         f = prob.nll_and_grad
@@ -786,7 +821,7 @@ def test_the_kronecker_gradient_matches_finite_differences(rng):
 def test_a_lattice_gram_that_is_not_positive_definite_is_a_factorization_error():
     # alpha^2 and sigma^2 underflow: D is zero, as dpotrf fails on a zero Gram
     X = grid_partition(4, 3, "g").centroids
-    prob = lattice_aux.LatticeProblem.build(lattice.detect(X), np.ones(12))
+    prob = lattice_problem(lattice.detect(X), np.ones(12))
     with pytest.raises(FactorizationError):
         prob.nll_and_grad(SINGULAR_THETA, always)
 
@@ -846,7 +881,7 @@ FIT_MEDIUM_SPEC = SyntheticSpec(fine_shape=(24, 20), coarse_shape=(8, 5))
 def test_the_lattice_path_fits_the_bench_specs_as_the_dense_one_does(monkeypatch):
     # every auxiliary of fit_medium seeds 0-19 and aux_heavy seeds 0-9, with
     # the bench's 3 restarts: the best log-marginals of both paths agree; the
-    # 4 x 3 auxiliaries, below lattice_aux.MIN_POINTS, take the dense path. Then
+    # 4 x 3 auxiliaries, below lattice.MIN_POINTS, take the dense path. Then
     # the second step on the lattice fits' posteriors, whose fine kernel is a
     # lattice on both specs: its best log-marginal and refined means agree too
     detect = lattice.detect
@@ -858,7 +893,7 @@ def test_the_lattice_path_fits_the_bench_specs_as_the_dense_one_does(monkeypatch
                 monkeypatch.setattr(lattice, "detect", found)
                 fits.append([fit_aux_gp(ds, restarts=3, seed=0) for ds in inst.aux_datasets])
             for on_lattice, dense, ds in zip(*fits, inst.aux_datasets):
-                searched = "lattice" if len(ds.values) >= lattice_aux.MIN_POINTS else "dense"
+                searched = "lattice" if len(ds.values) >= lattice.MIN_POINTS else "dense"
                 assert on_lattice.diagnostics["gram"]["path"] == searched
                 assert dense.diagnostics["gram"] == {"path": "dense"}
                 assert on_lattice.log_marginal == pytest.approx(dense.log_marginal, rel=1e-8, abs=0)
@@ -942,9 +977,9 @@ def test_fit_all_aux_fits_the_largest_first(monkeypatch, rng, search_threads):
     # a job's scratch arrays when it takes that job's first start
     search_threads(1)
     built = []
-    build = gp_aux._AuxProblem.build
+    for_thread = gp_aux._AuxProblem.for_thread
     monkeypatch.setattr(
-        gp_aux._AuxProblem, "build", lambda ys, D2: built.append(D2) or build(ys, D2)
+        gp_aux._AuxProblem, "for_thread", lambda prob: built.append(prob.D2) or for_thread(prob)
     )
     datasets = [
         ArealDataset(point_partition(f"p{n}", rng.uniform(size=(n, 2))), rng.normal(size=n))

@@ -193,6 +193,12 @@ class _DenseKernel:
     def diagnostics(self) -> dict:
         return {"path": "dense"}
 
+    @property
+    def flops(self) -> int:
+        """About the work of one ``at`` call: nf^2 nc for each of K H^T and H E."""
+        nc, nf = self.H.shape
+        return 2 * nf**2 * nc
+
     def for_search(self) -> "_DenseKernel":
         return replace(self, D2=sq_dists(self.Xf, self.Xf))
 
@@ -287,6 +293,11 @@ class _Problem:
             kernel=fine_kernel,
             KHt=KMs[-1] if kernel else None,
         )
+
+    @property
+    def flops(self) -> int:
+        """About the work of one objective call: the fine kernel's, and nc^3 for Lambda."""
+        return self.kernel.flops + self.H.shape[0] ** 3
 
     def for_search(self) -> "_Problem":
         """This problem with what every thread of a search over it shares."""
@@ -525,7 +536,9 @@ def fit_downscale(
     def make_objective():
         return partial(_neg_log_marginal, prob.for_thread(ridge))
 
-    [(best, records)], workers = multistart_minimize([(make_objective, starts)], gtol=gtol)
+    [(best, records)], workers = multistart_minimize(
+        [(make_objective, starts, prob.flops)], gtol=gtol
+    )
     if best is None:
         raise DownscaleFitError("optimizer failed on all restarts")
     nll = best.objective

@@ -181,6 +181,11 @@ class _AuxProblem:
     def diagnostics(self) -> dict:
         return {"path": "dense"}
 
+    @property
+    def flops(self) -> int:
+        """About the work of one call: n^3, dpotrf's n^3 / 3 and dpotri's 2 n^3 / 3."""
+        return self.ys.size**3
+
     def for_thread(self) -> "_AuxProblem":
         n = self.ys.size
         return replace(self, K=np.empty((n, n)), A=np.empty((n, n), order="F"))
@@ -338,6 +343,11 @@ class _AuxFit:
     def make_objective(self):
         return self.problem.for_thread().nll_and_grad
 
+    @property
+    def job(self) -> tuple:
+        """The fit's search, as a job of ``multistart_minimize``."""
+        return self.make_objective, self.starts, self.problem.flops
+
     def model(self, best, records: list[dict], workers: int) -> AuxGPModel:
         """The model of the search's best result, or AuxFitError when every start failed."""
         if best is None:
@@ -395,7 +405,7 @@ def fit_aux_gp(
     ``{"path": "dense"}``.
     """
     fit = _AuxFit.prepare(data, dataset_id or data.partition.name, restarts, seed, center)
-    [(best, records)], workers = multistart_minimize([(fit.make_objective, fit.starts)])
+    [(best, records)], workers = multistart_minimize([fit.job])
     return fit.model(best, records, workers)
 
 
@@ -458,9 +468,7 @@ def fit_all_aux(
     ids = dataset_ids or [d.partition.name for d in datasets]
     order = sorted(range(len(datasets)), key=lambda i: -len(datasets[i].values))
     fits = {i: _AuxFit.prepare(datasets[i], ids[i], restarts, seed) for i in order}
-    results, workers = multistart_minimize(
-        [(fits[i].make_objective, fits[i].starts) for i in order]
-    )
+    results, workers = multistart_minimize([fits[i].job for i in order])
     Xf = fine.centroids
     fitted = [None] * len(datasets)
     for i, (best, records) in zip(order, results):

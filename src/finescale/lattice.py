@@ -140,6 +140,12 @@ class LatticeKernel:
     def diagnostics(self) -> dict:
         return self.lattice.diagnostics
 
+    @property
+    def flops(self) -> int:
+        """About the work of one ``at`` call: nc nf (nx + ny) for each of K H^T and H E."""
+        nc, nf = self.Hl.shape
+        return 2 * nc * nf * (self.lattice.gx.size + self.lattice.gy.size)
+
     def for_search(self) -> "LatticeKernel":
         return self
 
@@ -192,6 +198,13 @@ class LatticeProblem:
     def diagnostics(self) -> dict:
         return self.lattice.diagnostics
 
+    @property
+    def flops(self) -> int:
+        """About the work of one call: two dsyev calls, about 9 n^3 each, and
+        the rotations of E and Y into the eigenbasis."""
+        ny, nx = self.Y.shape
+        return 11 * (nx**3 + ny**3) + nx * ny * (nx + ny)
+
     def for_thread(self) -> "LatticeProblem":
         return self
 
@@ -208,8 +221,8 @@ class LatticeProblem:
         is not positive and finite, as dpotrf fails on a Gram it cannot factor.
         """
         alpha, gamma, sigma = np.exp(theta)
-        lx, Qx, Mx = _axis(gamma, self.lattice.dx2)
-        ly, Qy, My = _axis(gamma, self.lattice.dy2)
+        dx2, dy2 = self.lattice.dx2, self.lattice.dy2
+        (lx, Qx, Kx), (ly, Qy, Ky) = _axis(gamma, dx2), _axis(gamma, dy2)
         a2, jitter = alpha**2, JITTER_REL * alpha**2
         lam = np.multiply.outer(ly, lx)
         D = a2 * lam + (sigma**2 + jitter)
@@ -222,6 +235,7 @@ class LatticeProblem:
         )
         if not accept(nll):
             return nll, None
+        Mx, My = _rotated(gamma, dx2, Qx, Kx), _rotated(gamma, dy2, Qy, Ky)
         inv_d = 1.0 / D
         bb, tr = np.vdot(B, B), inv_d.sum()
         # beta^T K beta and tr(A^-1 K), each over alpha^2
@@ -246,10 +260,21 @@ def axis_kernels(gamma: float, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return K, E
 
 
-def _axis(gamma: float, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues l and eigenvectors Q of one axis's unit-amplitude kernel on
-    squared differences d2, and M = Q^T E Q with E = K o d2 / gamma^2."""
-    K, E = axis_kernels(gamma, d2)
-    Q = K.T  # K is exactly symmetric, and K.T is Fortran-ordered, as dsyev needs
-    lam = eigh_in_place(Q)
-    return lam, Q, Q.T @ E @ Q
+def _axis(gamma: float, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Eigenvalues l and eigenvectors Q of one axis's unit-amplitude kernel K on
+    squared differences d2, and K; None for K where it is the identity, its
+    exponentials off the diagonal underflowed with gamma far below the
+    spacing: there l = 1 and Q = I, dsyev's values, without the call."""
+    K = se_from_sq_dists(1.0, gamma, d2)
+    n = len(K)
+    if np.count_nonzero(K) == n:  # the diagonal is exp(0) = 1
+        return np.ones(n), np.eye(n), None
+    Q = K.copy().T  # K is exactly symmetric, and K.T is Fortran-ordered, as dsyev needs
+    return eigh_in_place(Q), Q, K
+
+
+def _rotated(gamma: float, d2: np.ndarray, Q: np.ndarray, K: np.ndarray | None) -> np.ndarray:
+    """M = Q^T E Q, E = K o d2 / gamma^2, from what ``_axis`` gave; zero where K is the identity."""
+    if K is None:
+        return np.zeros(Q.shape)
+    return Q.T @ (K * d2 / gamma**2) @ Q

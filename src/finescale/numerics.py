@@ -13,6 +13,7 @@ from __future__ import annotations
 import ctypes
 import importlib.machinery
 import importlib.util
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -22,6 +23,8 @@ import numpy as np
 
 # Smallest noise standard deviation a fit may reach; below it the objective is +inf.
 SIGMA_FLOOR = 1e-6
+# log(SIGMA_FLOOR) as numpy computes it, so the box test has the bits it had on arrays.
+_LOG_SIGMA_FLOOR = float(np.log(SIGMA_FLOOR))
 # bfgs_minimize: the relative objective change that stops it ("ftol"), and
 # its backtracking Armijo line search.
 FTOL = 1e-10
@@ -435,6 +438,19 @@ def one_blas_thread():
                 set_(n)
 
 
+# The work of one objective call, in flops counted from the problem's shapes,
+# from which a search runs its starts on helper threads (``multistart_minimize``).
+# Below it a call is mostly Python that holds the GIL, over arrays too small
+# for the LAPACK and numpy calls that release it to cover the hand-overs, and
+# two threads take longer than one. Whole fits on one thread and on two, on a
+# 2-core VM (scripts/search_threads.py, median of 3): two took 1.05 times as
+# long at 1.7e6 flops (a 120-region dense auxiliary) and 1.17 times at 1.75e6
+# (fit_medium's second step, the largest call of the bench), and 0.71 times at
+# 7.1e6 (a 192-region dense auxiliary), 0.81 at 8.2e6 (a 40 x 30 lattice second
+# step) and 0.55-0.70 beyond. A 40 x 30 lattice auxiliary, 1.1e6, read 0.95.
+THREAD_MIN_FLOPS = 4e6
+
+
 def pool_size(n_starts: int) -> int:
     """Threads for ``n_starts`` independent searches, at most ``n_starts`` and at
     least 1: one per core this process may run on, each search on the one BLAS
@@ -458,10 +474,13 @@ def _search(f, x0: np.ndarray, gtol: float) -> tuple[OptimizeResult | None, dict
     def objective(theta, accept):
         nonlocal evaluations, gradients
         evaluations += 1
+        # on Python floats: most calls of a search fall outside the box, and
+        # three numpy reductions cost more than the test on a few floats
+        t = theta.tolist()
         if (
-            not np.all(np.isfinite(theta))
-            or theta[-1] < np.log(SIGMA_FLOOR)
-            or np.abs(theta[-3:]).max() > 20
+            not all(map(math.isfinite, t))
+            or t[-1] < _LOG_SIGMA_FLOOR
+            or max(map(abs, t[-3:])) > 20
         ):
             return np.inf, None
 
@@ -498,10 +517,13 @@ def multistart_minimize(
     jobs: list[tuple], gtol: float = 1e-6
 ) -> tuple[list[tuple[OptimizeResult | None, list[dict]]], int]:
     """Minimize with ``bfgs_minimize`` from every start point of every job, for
-    at most MAX_ITER iterations each, on ``pool_size`` threads of one BLAS thread each.
+    at most MAX_ITER iterations each, on ``pool_size`` threads of one BLAS
+    thread each where some job's objective call does at least THREAD_MIN_FLOPS
+    of work, else on the calling thread alone, with no thread started.
 
-    A job is ``(make_objective, starts)``. The threads take the (job, start)
-    pairs in order: the first job's starts, then the next job's.
+    A job is ``(make_objective, starts, flops)``, flops being about the work
+    of one objective call, from the problem's shapes. The threads take the
+    (job, start) pairs in order: the first job's starts, then the next job's.
     ``make_objective()`` returns an objective, a function of theta in
     ``bfgs_minimize``'s protocol; a thread calls it when it takes its first
     start of a job, runs that job's starts it takes on that objective and its
@@ -521,9 +543,10 @@ def multistart_minimize(
     the objective, ``feasible`` ones inside the box that computed a value,
     and ``gradients`` computed.
     """
-    tasks = [(j, i) for j, (_, starts) in enumerate(jobs) for i in range(len(starts))]
-    workers = pool_size(len(tasks))
-    outcomes = [[None] * len(starts) for _, starts in jobs]
+    tasks = [(j, i) for j, (_, starts, _) in enumerate(jobs) for i in range(len(starts))]
+    threaded = max((flops for _, _, flops in jobs), default=0) >= THREAD_MIN_FLOPS
+    workers = pool_size(len(tasks) if threaded else 1)
+    outcomes = [[None] * len(starts) for _, starts, _ in jobs]
     pending = iter(tasks)
     lock = threading.Lock()
     stop = threading.Event()
@@ -536,7 +559,7 @@ def multistart_minimize(
             if task is None:
                 return
             j, i = task
-            make_objective, starts = jobs[j]
+            make_objective, starts, _ = jobs[j]
             try:
                 if j != job:
                     f = None  # the last job's scratch goes before the next one's is made

@@ -313,10 +313,12 @@ def rng():
 @pytest.fixture
 def search_threads(monkeypatch):
     """set(k) gives a fit's search a pool of k threads: k cores, each over the
-    one BLAS thread multistart_minimize pins in the real OpenBLAS pools."""
+    one BLAS thread multistart_minimize pins in the real OpenBLAS pools, and
+    helper threads however little work an objective call does."""
 
     def set_threads(k: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        monkeypatch.setattr(numerics, "THREAD_MIN_FLOPS", 0)
 
     return set_threads
 

@@ -566,7 +566,7 @@ def fit_objective(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as m, pytest.raises(_Captured):
         m.setattr(downscale, "multistart_minimize", capture)
         fit_downscale(*args, **kwargs)
-    [(make_objective, starts)] = jobs
+    [(make_objective, starts, _)] = jobs
     return make_objective(), starts
 
 

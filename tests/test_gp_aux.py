@@ -26,10 +26,10 @@ from conftest import (
     random_posteriors,
     snapped,
 )
-from finescale import gp_aux, lattice, numerics
+from finescale import downscale, gp_aux, lattice, numerics
 from finescale.downscale import build_design, fit_downscale, predict_fine
 from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
-from finescale.geo import ArealDataset, InputError
+from finescale.geo import ArealDataset, InputError, build_aggregation
 from finescale.gp_aux import (
     AuxFitError,
     AuxGPModel,
@@ -55,6 +55,7 @@ from finescale.numerics import (
     CholeskyFactor,
     FactorizationError,
     cholesky_in_place,
+    eigh_in_place,
     log_det,
     solve,
     solve_lower,
@@ -818,6 +819,47 @@ def test_the_kronecker_gradient_matches_finite_differences(rng):
             assert grad is None and value == f(theta, always)[0]
 
 
+def dsyev_axis(gamma: float, d2: np.ndarray):
+    """``lattice._axis`` without its shortcut for the identity: dsyev on every kernel."""
+    K = se_from_sq_dists(1.0, gamma, d2)
+    Q = K.copy().T
+    return eigh_in_place(Q), Q, K
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 24])
+def test_an_identity_axis_kernel_takes_dsyevs_values_without_the_call(monkeypatch, rng, n):
+    # gamma a thousandth of the smallest spacing: every exponential off the
+    # diagonal underflows. dsyev returns -0.0 entries in Q from n = 3 on,
+    # which np.array_equal counts equal to the shortcut's +0.0
+    g = np.sort(rng.uniform(size=n))
+    d2 = sq_dists(g[:, None], g[:, None])
+    gamma = 1e-3 * np.diff(g).min()
+    want_l, want_Q, K = dsyev_axis(gamma, d2)
+    assert np.array_equal(K, np.eye(n))
+    calls = []
+    monkeypatch.setattr(lattice, "eigh_in_place", lambda A: calls.append(A) or eigh_in_place(A))
+    l, Q, identity = lattice._axis(gamma, d2)
+    assert not calls and identity is None
+    assert np.array_equal(l, want_l) and np.array_equal(Q, want_Q)
+    M = lattice._rotated(gamma, d2, Q, None)
+    assert not M.any() and np.array_equal(M, lattice._rotated(gamma, d2, want_Q, K))
+    lattice._axis(10 * np.diff(g).min(), d2)  # a kernel that is not the identity
+    assert len(calls) == 1
+
+
+def test_the_kronecker_objective_has_its_bits_with_dsyev_on_every_axis(monkeypatch, rng):
+    # an 8 x 6 lattice, its x spacing a tenth of its y spacing: from the
+    # nugget limit, where both axis kernels are the identity, through gammas
+    # where only the y one is, to a long length scale
+    X = np.array([(0.1 * x, float(y)) for y in range(6) for x in range(8)])
+    prob = lattice_problem(lattice.detect(X), rng.normal(size=48))
+    thetas = [np.array([0.3, log_gamma, -1.0]) for log_gamma in (-12.0, -5.0, -3.5, -2.0, 1.0)]
+    got = [prob.nll_and_grad(theta, always) for theta in thetas]
+    monkeypatch.setattr(lattice, "_axis", dsyev_axis)
+    want = [prob.nll_and_grad(theta, always) for theta in thetas]
+    assert hex_floats(got) == hex_floats(want)
+
+
 def test_a_lattice_gram_that_is_not_positive_definite_is_a_factorization_error():
     # alpha^2 and sigma^2 underflow: D is zero, as dpotrf fails on a zero Gram
     X = grid_partition(4, 3, "g").centroids
@@ -878,6 +920,36 @@ def test_a_shuffled_lattice_fits_the_same_model(shape):
 FIT_MEDIUM_SPEC = SyntheticSpec(fine_shape=(24, 20), coarse_shape=(8, 5))
 
 
+@pytest.mark.parametrize("cores", [2, 64])
+def test_the_bench_specs_fit_on_the_calling_thread_at_any_core_count(monkeypatch, cores):
+    # every objective call of both steps is below numerics.THREAD_MIN_FLOPS,
+    # so each search runs its starts on the calling thread whatever the cores
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    for spec in (FIT_MEDIUM_SPEC, AUX_HEAVY_SPEC):
+        inst = generate_synthetic(spec, seed=0)
+        fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=3, dataset_ids=inst.aux_ids)
+        posteriors = [post for _, post in fitted]
+        params = fit_downscale(inst.a, posteriors, inst.fine, inst.amap, restarts=3)
+        workers = [model.diagnostics["workers"] for model, _ in fitted]
+        assert workers + [params.diagnostics["workers"]] == [1] * (len(fitted) + 1)
+
+
+def test_thread_min_flops_keeps_the_pool_for_the_scales_it_speeds_up(rng):
+    # a dense auxiliary of 480 regions, and the second step on a jittered
+    # (dense) 24 x 20 fine partition over 8 x 5 and on an 80 x 60 fine lattice over 8 x 6
+    least = numerics.THREAD_MIN_FLOPS
+    X = rng.uniform(size=(480, 2))
+    assert _AuxProblem(rng.normal(size=480), sq_dists(X, X)).flops >= least
+    scales = (((24, 20), (8, 5), "dense"), ((80, 60), (8, 6), "lattice"))
+    for fine_shape, coarse_shape, path in scales:
+        fine = grid_partition(*fine_shape, "fine")
+        H = build_aggregation(grid_partition(*coarse_shape, "coarse"), fine).H
+        Xf = jittered_grid(*fine_shape, "fine").centroids if path == "dense" else fine.centroids
+        prob = downscale._Problem.build(None, [], Xf, H)
+        assert prob.kernel.diagnostics["path"] == path
+        assert prob.flops >= least
+
+
 def test_the_lattice_path_fits_the_bench_specs_as_the_dense_one_does(monkeypatch):
     # every auxiliary of fit_medium seeds 0-19 and aux_heavy seeds 0-9, with
     # the bench's 3 restarts: the best log-marginals of both paths agree; the
@@ -913,7 +985,10 @@ def test_the_lattice_path_fits_the_bench_specs_as_the_dense_one_does(monkeypatch
             assert np.abs(mean - want).max() <= 1e-8 * np.abs(want).max()
 
 
-def test_fits_from_two_threads_take_turns_and_put_the_pools_back(monkeypatch, pools_at_two):
+def test_fits_from_two_threads_take_turns_and_put_the_pools_back(
+    monkeypatch, pools_at_two, search_threads
+):
+    search_threads(2)  # each search on two threads of its own
     ds = generate_synthetic(SyntheticSpec(), seed=0).aux_datasets[-1]
     want = hex_floats(fit_aux_gp(ds, restarts=2, seed=0).to_dict())
     assert pool_counts() == [2, 2]

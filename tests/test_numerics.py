@@ -609,8 +609,9 @@ def _tilted_wells(theta, accept):
 
 
 def _minimize(make_objective, starts):
-    """multistart_minimize on the one job (make_objective, starts): best, records, workers."""
-    [(best, records)], workers = multistart_minimize([(make_objective, starts)])
+    """multistart_minimize on the one job (make_objective, starts) of no work
+    per call: best, records, workers."""
+    [(best, records)], workers = multistart_minimize([(make_objective, starts, 0)])
     return best, records, workers
 
 
@@ -690,6 +691,56 @@ def test_pool_size_is_cores_over_blas_threads(monkeypatch):
     assert pool_size(5) == 1
 
 
+def test_multistart_starts_helper_threads_only_from_thread_min_flops(monkeypatch):
+    # four cores; each job states the work of one objective call
+    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    threads = []
+
+    def f(theta, accept):
+        threads.append(threading.current_thread())  # list.append is atomic
+        return _quadratic(theta, accept)
+
+    starts = [np.full(4, float(k)) for k in range(3)]
+    least = numerics.THREAD_MIN_FLOPS
+    for flops, want in (((0, least - 1), 1), ((least - 1, least), 4), ((least,), 3)):
+        threads.clear()
+        before = threading.active_count()
+        jobs = [(lambda: f, starts, w) for w in flops]
+        results, workers = multistart_minimize(jobs)
+        n_starts = len(starts) * len(jobs)
+        assert workers == want == pool_size(n_starts if max(flops) >= least else 1)
+        assert all(r["converged"] for _, records in results for r in records)
+        if want == 1:  # no thread started: the calling thread ran every start
+            assert set(threads) == {threading.current_thread()}
+            assert threading.active_count() == before
+    assert multistart_minimize([]) == ([], 1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_the_feasibility_box_is_closed_on_its_bounds(k):
+    # sigma at its floor, or a log-parameter at +-20, is inside the box; a
+    # step past either bound, or a non-finite entry, is outside
+    def reaches(theta):
+        _, (record,), _ = _minimize(lambda: _quadratic, [theta])
+        return record["feasible"] > 0
+
+    theta = np.array([7.0, 0.0, 0.0, 0.0])
+    floor = np.log(SIGMA_FLOOR)
+    for value, inside in ((floor, True), (np.nextafter(floor, -np.inf), False)):
+        theta[-1] = value
+        assert reaches(theta) is inside
+    theta[-1] = 0.0
+    bounds = (20.0, -20.0) if k < 2 else (20.0,)  # log sigma's lower bound is the floor
+    for bound in bounds:
+        for value, inside in ((bound, True), (np.nextafter(bound, 2 * bound), False)):
+            theta[1 + k] = value
+            assert reaches(theta) is inside
+    theta[1 + k] = 0.0
+    for bad in (np.inf, -np.inf, np.nan):
+        theta[0] = bad
+        assert not reaches(theta)
+
+
 def test_one_blas_thread_pins_both_pools_and_puts_back_what_it_found(pools_at_two):
     with one_blas_thread():
         assert pool_counts() == [1, 1]
@@ -739,7 +790,7 @@ def test_multistart_programming_error_propagates_and_drops_queued_starts(search_
     for sizes in ((6,), (1, 2, 3)):
         begun.clear()
         bounds = np.cumsum((0,) + sizes)
-        jobs = [(lambda: f, starts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        jobs = [(lambda: f, starts[lo:hi], 0) for lo, hi in zip(bounds, bounds[1:])]
         with pytest.raises(TypeError, match="not a numerical failure"):
             multistart_minimize(jobs)
         # nothing begins after start 0 fails, bar the start a second worker may hold
@@ -801,7 +852,7 @@ def _stress(monkeypatch, sizes):
     made.clear()
     monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setattr(numerics, "_POOLS", ((lambda: 1, lambda n: None),))
-    jobs = [(maker(j), js) for j, js in enumerate(job_starts)]
+    jobs = [(maker(j), js, numerics.THREAD_MIN_FLOPS) for j, js in enumerate(job_starts)]
     got = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

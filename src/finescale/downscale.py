@@ -188,6 +188,7 @@ class _DenseKernel:
     H: np.ndarray
     D2: np.ndarray | None = None
     K: np.ndarray | None = None
+    lattice = None  # the fine locations form none: the warm start gathers its median
 
     @property
     def diagnostics(self) -> dict:
@@ -530,7 +531,7 @@ def fit_downscale(
         raise DownscaleFitError(
             f"non-finite warm start: the least-squares residuals have standard deviation {spread}"
         )
-    theta0 = np.concatenate([w0, warm_start(spread, prob.Xf)])
+    theta0 = np.concatenate([w0, warm_start(spread, prob.Xf, prob.kernel.lattice)])
     starts = [theta0] + random_starts(theta0, np.repeat([0.1, 0.5], [n_w, 3]), restarts, seed)
 
     def make_objective():

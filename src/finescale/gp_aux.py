@@ -90,18 +90,37 @@ class AuxGPModel:
 
 
 @dataclass(frozen=True)
+class DenseReduction:
+    """R = K*^T A^-1 K* = W^T W of a dense auxiliary fit at nf points, with
+    W = L^-1 K(X, Xf) (n x nf) and L L^T = A = K(X, X) + (sigma^2 + jitter) I."""
+
+    W: np.ndarray
+
+    def subtract_times(self, M: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out - R M in place in out, R M = W^T (W M), for an nf x m M."""
+        out -= self.W.T @ (self.W @ M)
+        return out
+
+    def matrix(self) -> np.ndarray:
+        """R as a dense nf x nf array, exactly symmetric."""
+        return self.W.T @ self.W
+
+
+@dataclass(frozen=True)
 class AuxPosterior:
     """An auxiliary GP's posterior at the locations Xf, held without an nf x nf array.
 
-    With L L^T = K(X, X) + sigma^2 I on the n training points and
-    W = L^-1 K(X, Xf) (n x nf), the covariance is
-    Sigma = k(Xf, Xf) - W^T W; var is its diagonal, clamped at zero.
+    The covariance is Sigma = k(Xf, Xf) - R, R = K*^T A^-1 K* with
+    K* = K(X, Xf) on the n training points and A their Gram; var is its
+    diagonal, clamped at zero. ``reduction`` applies R: a ``DenseReduction``,
+    or a ``lattice.LatticeReduction`` for a fit on a lattice, which holds no
+    n x nf array.
     """
 
     dataset_id: str
     mean: np.ndarray
     var: np.ndarray
-    W: np.ndarray
+    reduction: object  # DenseReduction or lattice.LatticeReduction
     kernel: SEKernelParams
     Xf: np.ndarray
 
@@ -110,17 +129,16 @@ class AuxPosterior:
         return float(np.mean(self.var))
 
     def cov_times(self, M: np.ndarray, KM: np.ndarray) -> np.ndarray:
-        """Sigma M = k(Xf, Xf) M - W^T (W M) for an nf x m M, from KM = k(Xf, Xf) M
-        as ``kernel.kernels_times`` forms it, in O(nf (n + m)) memory; KM becomes
+        """Sigma M = k(Xf, Xf) M - R M for an nf x m M, from KM = k(Xf, Xf) M
+        as ``kernel.kernels_times`` forms it, with no nf x nf array; KM becomes
         Sigma M in place."""
-        KM -= self.W.T @ (self.W @ M)
-        return KM
+        return self.reduction.subtract_times(M, KM)
 
     @property
     def cov(self) -> np.ndarray:
         """Sigma as a dense nf x nf array, exactly symmetric, formed on every read."""
         cov = cov_matrix(self.kernel, self.Xf, self.Xf)
-        cov -= self.W.T @ self.W
+        cov -= self.reduction.matrix()
         np.fill_diagonal(cov, self.var)
         return cov
 
@@ -276,10 +294,17 @@ def median_pairwise_distance(X: np.ndarray) -> float:
     return float(np.sqrt(median))
 
 
-def warm_start(spread: float, X: np.ndarray) -> np.ndarray:
+def warm_start(spread: float, X: np.ndarray, grid=None) -> np.ndarray:
     """The first start of both fits, (log alpha, log gamma, log sigma) for values
-    of standard deviation ``spread`` at the points X."""
+    of standard deviation ``spread`` at the points X. gamma is their median
+    distance: counted on ``grid``, the ``lattice.Lattice`` of X where the fit
+    found one, from ``lattice.MEDIAN_MIN_POINTS`` points on
+    (``lattice.Lattice.median_distance``), else ``median_pairwise_distance``."""
+    from finescale import lattice  # both fits have imported it
+
     alpha, sigma = max(spread, 1e-3), max(0.1 * spread, 10 * SIGMA_FLOOR)
+    if grid is not None and len(X) >= lattice.MEDIAN_MIN_POINTS:
+        return np.log([alpha, grid.median_distance(), sigma])
     return np.log([alpha, median_pairwise_distance(X), sigma])
 
 
@@ -288,6 +313,15 @@ def random_starts(base: np.ndarray, sd, restarts: int, seed: int) -> list[np.nda
     drawn from a generator seeded with ``seed``."""
     rng = np.random.default_rng(seed)
     return [base + rng.normal(0.0, sd, size=base.size) for _ in range(max(0, restarts - 1))]
+
+
+def _lattice(X: np.ndarray):
+    """The ``lattice.Lattice`` that an auxiliary on the centroids X is fitted
+    and predicted on: ``lattice.detect``'s from ``lattice.MIN_POINTS`` points
+    on; None for the dense path."""
+    from finescale import lattice  # so importing finescale.cli compiles no lattice code
+
+    return lattice.detect(X) if len(X) >= lattice.MIN_POINTS else None
 
 
 @dataclass(frozen=True)
@@ -319,9 +353,7 @@ class _AuxFit:
             raise InputError(
                 f"dataset {dataset_id!r}: {y.size} region(s), and a GP fit needs at least 2"
             )
-        from finescale import lattice  # so importing finescale.cli compiles no lattice code
-
-        grid = lattice.detect(X) if len(X) >= lattice.MIN_POINTS else None
+        grid = _lattice(X)
         # a lattice fit reads its values in row-major order, so the order of its
         # regions moves no bit of it; regions given in that order keep theirs
         yr = y if grid is None else y[grid.order]
@@ -331,12 +363,14 @@ class _AuxFit:
         if scale == 0.0:
             scale = 1.0
         ys = yc / scale
-        base = warm_start(float(np.std(ys)), X)
+        base = warm_start(float(np.std(ys)), X, grid)
         short = base + np.array([0.0, -np.log(4.0), 0.0])  # quarter length scale
         starts = [base, short] + random_starts(base, 0.5, restarts, seed)
         if grid is None:
             problem = _AuxProblem(ys, _train_sq_dists(X))
         else:  # a lattice fit forms no n x n array
+            from finescale import lattice
+
             problem = lattice.LatticeProblem(grid, ys.reshape(grid.gy.size, grid.gx.size))
         return cls(dataset_id, X, y, offset, scale, starts, problem)
 
@@ -413,25 +447,41 @@ def fit_aux_gp(
 def predict_aux(model: AuxGPModel, test_centroids) -> AuxPosterior:
     """Predictive posterior at the test centroids.
 
-    With L L^T = K + sigma^2 I and W = L^-1 K*:
-    mean = offset + K*^T (K + sigma^2 I)^-1 (y - offset)
-    var  = diag K** - colsum(W o W), clamped at zero
+    With A = K + (sigma^2 + jitter) I on the training centroids and K* their
+    kernel with the test centroids:
+    mean = offset + K*^T A^-1 (y - offset)
+    var  = diag K** - diag(K*^T A^-1 K*), clamped at zero
 
-    K + sigma^2 I is formed and factored in the memory of the training
-    distances. It runs inside ``numerics.one_blas_thread``.
+    An auxiliary that ``_AuxFit.prepare`` puts on a lattice gets them from
+    the eigenbases of its axes (``lattice.posterior``), its values read in
+    the lattice's row-major order, so the order of its regions moves no bit.
+    Any other factors A, L L^T = A, in the memory of the training distances
+    and keeps W = L^-1 K*. It runs inside ``numerics.one_blas_thread``.
     """
     Xt = np.atleast_2d(np.asarray(test_centroids, dtype=float))
     X = model.train_centroids
     yc = model.train_values - model.offset
-    D2 = _train_sq_dists(X)
-    A = _gram(model.params.alpha, model.params.gamma, model.noise_sigma, D2, D2)
-    F = cholesky_in_place(A.T)
-    Ks = cov_matrix(model.params, X, Xt)
-    mean = model.offset + Ks.T @ solve(F, yc)
-    W = solve_lower(F, Ks)
-    var = clamp_variance(model.params.alpha**2 - np.einsum("ij,ij->j", W, W), 1e-10)
+    alpha, gamma, sigma = model.params.alpha, model.params.gamma, model.noise_sigma
+    grid = _lattice(X)
+    if grid is None:
+        D2 = _train_sq_dists(X)
+        F = cholesky_in_place(_gram(alpha, gamma, sigma, D2, D2).T)
+        Ks = cov_matrix(model.params, X, Xt)
+        fit = Ks.T @ solve(F, yc)
+        W = solve_lower(F, Ks)
+        explained, reduction = np.einsum("ij,ij->j", W, W), DenseReduction(W)
+    else:
+        from finescale import lattice
+
+        Y = yc[grid.order].reshape(grid.gy.size, grid.gx.size)
+        fit, explained, reduction = lattice.posterior(grid, alpha, gamma, sigma, Y, Xt)
     return AuxPosterior(
-        dataset_id=model.dataset_id, mean=mean, var=var, W=W, kernel=model.params, Xf=Xt
+        dataset_id=model.dataset_id,
+        mean=model.offset + fit,
+        var=clamp_variance(alpha**2 - explained, 1e-10),
+        reduction=reduction,
+        kernel=model.params,
+        Xf=Xt,
     )
 
 

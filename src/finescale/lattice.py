@@ -8,8 +8,11 @@ second step K H^T and H (K o D2 / gamma^2) H^T from nx x nx and ny x ny
 factors, for the fit and the refine alike (``downscale._Problem.build``). On
 the centroids of an auxiliary of at least MIN_POINTS regions,
 ``LatticeProblem`` gives its fit's objective from two small symmetric
-eigendecompositions per call (``gp_aux._AuxFit.prepare``). Neither forms an
-n x n array; ``predict_aux`` factors the dense Gram.
+eigendecompositions per call (``gp_aux._AuxFit.prepare``), and ``posterior``
+its posterior at any points from the same eigenbases (``gp_aux.predict_aux``),
+with no n x nf array. None of them forms an n x n array. From
+MEDIAN_MIN_POINTS points on, ``Lattice.median_distance`` counts the median
+distance of both warm starts instead of gathering every pair.
 """
 
 from __future__ import annotations
@@ -35,6 +38,16 @@ SNAP_REL = 1e-9
 # restarts tie to the last bit keeps the dense path's winner.
 MIN_POINTS = 32
 
+# Both warm starts count the median distance of lattice points
+# (``Lattice.median_distance``) from this many points on, where the count costs
+# about as much as the O(n^2) gather, and gather it below. Count against gather,
+# median of 31 alternating calls on one core of a shared 2-core VM, on regular
+# axes then on irregular ones: 3.8 against 4.6 and 4.8 against 4.6 ms at
+# 24 x 20, 3.8 against 5.6 and 3.2 against 3.0 ms at 30 x 20, 2.4 against 8.5
+# and 4.7 against 9.0 ms at 40 x 30, 3.2 against 160 and 13 against 128 ms at
+# 80 x 60 (median of 5).
+MEDIAN_MIN_POINTS = 600
+
 
 @dataclass(frozen=True)
 class Lattice:
@@ -56,6 +69,56 @@ class Lattice:
     def diagnostics(self) -> dict:
         """The ``diagnostics["gram"]`` of a fit on the lattice."""
         return {"path": "lattice", "shape": [self.gx.size, self.gy.size], "max_snap": self.max_snap}
+
+    def median_distance(self) -> float:
+        """``gp_aux.median_pairwise_distance`` of the grid points, counted
+        instead of gathered: no array of the n(n-1)/2 pairs.
+
+        The squared distance of two grid points is u + v, u an entry of dx2
+        and v one of dy2, summed as ``kernel.sq_dists`` sums them. Over the
+        n^2 ordered pairs, those at most t are, for each u, a prefix of the
+        sorted v, since rounded addition is monotone: ``searchsorted`` finds
+        it, and steps of one value either way correct its rounding of t - u.
+        A pair's two orders and the n pairs of a point with itself, which sum
+        to 0, make the count over the pairs i < j exact. The k-th smallest
+        sum is the least t, bisected over the bits of non-negative floats,
+        that has more than k sums at most t; the median is then
+        ``np.median``'s over the positive sums.
+        """
+        u, u_counts = np.unique(self.dx2, return_counts=True)
+        v, v_counts = np.unique(self.dy2, return_counts=True)
+        below = np.concatenate(([0], np.cumsum(v_counts)))
+        n = self.order.size
+
+        def count(t: float) -> int:
+            """The pairs i < j at squared distance at most t."""
+            k = np.searchsorted(v, t - u, side="right")
+            while (over := (k > 0) & (u + v[k - 1] > t)).any():
+                k -= over
+            while (under := (k < v.size) & (u + v[np.minimum(k, v.size - 1)] <= t)).any():
+                k += under
+            return (int(u_counts @ below[k]) - n) // 2
+
+        def smallest(rank: int) -> float:
+            """The squared distance of the rank-th pair, from 0, in ascending order."""
+            lo, hi = 0, int(np.float64(u[-1] + v[-1]).view(np.int64))
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if count(float(np.int64(mid).view(np.float64))) > rank:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return float(np.int64(lo).view(np.float64))
+
+        zeros = count(0.0)
+        positive = n * (n - 1) // 2 - zeros
+        if positive == 0:
+            return 1.0
+        k = zeros + (positive - 1) // 2
+        median = smallest(k)
+        if positive % 2 == 0:
+            median = (median + smallest(k + 1)) / 2
+        return float(np.sqrt(median))
 
 
 def _snap_axis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
@@ -217,17 +280,13 @@ class LatticeProblem:
         Every quadratic form in beta and trace against A^-1 is then a sum over
         ny x nx arrays: K's derivative in log gamma is
         alpha^2 (K_Y (x) E_X + E_Y (x) K_X), which the eigenbasis turns into
-        alpha^2 (diag ly (x) M_X + M_Y (x) diag lx). FactorizationError where D
-        is not positive and finite, as dpotrf fails on a Gram it cannot factor.
+        alpha^2 (diag ly (x) M_X + M_Y (x) diag lx). FactorizationError from
+        ``_spectrum``.
         """
         alpha, gamma, sigma = np.exp(theta)
         dx2, dy2 = self.lattice.dx2, self.lattice.dy2
-        (lx, Qx, Kx), (ly, Qy, Ky) = _axis(gamma, dx2), _axis(gamma, dy2)
+        (lx, Qx, Kx), (ly, Qy, Ky), lam, D = _spectrum(self.lattice, alpha, gamma, sigma)
         a2, jitter = alpha**2, JITTER_REL * alpha**2
-        lam = np.multiply.outer(ly, lx)
-        D = a2 * lam + (sigma**2 + jitter)
-        if not (D.min() > 0 and np.isfinite(D.max())):
-            raise FactorizationError("the lattice Gram is not positive definite")
         Yt = Qy.T @ self.Y @ Qx
         B = Yt / D
         nll = float(
@@ -250,6 +309,75 @@ class LatticeProblem:
             ]
         )
         return nll, -0.5 * dll
+
+
+@dataclass(frozen=True)
+class LatticeReduction:
+    """R = K*^T A^-1 K* of an auxiliary fit on a lattice, at nf points, where
+    K* = K(X, Xf) and A = K + (sigma^2 + jitter) I: the posterior covariance
+    is k(Xf, Xf) - R. In the eigenbasis of A, K* is G with
+    G[(p, q), t] = Py[p, t] Px[q, t], Px = alpha Q_X^T k_X(gx, xf) (nx x nf)
+    and Py likewise, so R = G^T diag(1/D) G. ``subtract_times`` forms G one
+    block of rows at a time, ``matrix`` the whole of it when it is read."""
+
+    Py: np.ndarray
+    Px: np.ndarray
+    D: np.ndarray
+
+    def subtract_times(self, M: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out - R M in place in out, for an nf x m M: the sum over blocks
+        G_b of G's rows of G_b^T ((G_b M) / D_b), since diag(1/D) splits
+        over them. A block holds the nx rows of as many p as keep it no
+        larger than M, and of one p at least: so it adds at most one array
+        of M's size, and a wide M, whose every block costs a pass over an
+        nf x m array, takes fewer blocks."""
+        (ny, nx), nf = self.D.shape, self.Px.shape[1]
+        step = max(1, M.shape[1] // nx)
+        for p in range(0, ny, step):
+            G = (self.Py[p : p + step, None, :] * self.Px).reshape(-1, nf)
+            GM = G @ M
+            GM /= self.D[p : p + step].reshape(-1, 1)
+            out -= G.T @ GM
+        return out
+
+    def matrix(self) -> np.ndarray:
+        """R as a dense nf x nf array, exactly symmetric: W^T W with W = D^-1/2 G."""
+        n, nf = self.D.size, self.Px.shape[1]
+        W = (self.Py[:, None, :] * self.Px[None, :, :]).reshape(n, nf)
+        W /= np.sqrt(self.D).reshape(n, 1)
+        return W.T @ W
+
+
+def posterior(
+    lattice: Lattice, alpha: float, gamma: float, sigma: float, Y: np.ndarray, Xt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, LatticeReduction]:
+    """K*^T A^-1 y, diag R and R (``LatticeReduction``) at the points Xt for
+    the fit of the centred values Y, ny x nx in row-major order, on the
+    lattice: ``gp_aux.predict_aux`` on it.
+
+    With B = Q_Y^T Y Q_X / D, K*^T A^-1 y = colsum(Py o (B Px)) and
+    diag R = colsum(Py^2 o ((1/D) Px^2)). FactorizationError from ``_spectrum``.
+    """
+    (_, Qx, _), (_, Qy, _), _, D = _spectrum(lattice, alpha, gamma, sigma)
+    Px = alpha * (Qx.T @ se_from_sq_dists(1.0, gamma, sq_dists(lattice.gx[:, None], Xt[:, [0]])))
+    Py = alpha * (Qy.T @ se_from_sq_dists(1.0, gamma, sq_dists(lattice.gy[:, None], Xt[:, [1]])))
+    B = Qy.T @ Y @ Qx / D
+    fit = np.einsum("pt,pt->t", Py, B @ Px)
+    explained = np.einsum("pt,pt->t", Py * Py, (1.0 / D) @ (Px * Px))
+    return fit, explained, LatticeReduction(Py, Px, D)
+
+
+def _spectrum(lattice: Lattice, alpha: float, gamma: float, sigma: float):
+    """Each axis's ``_axis`` on the lattice, lam = ly (x) lx, and D, the
+    eigenvalues alpha^2 lam + sigma^2 + jitter of the Gram K + (sigma^2 + jitter) I
+    as an ny x nx array. FactorizationError where D is not positive and
+    finite, as dpotrf fails on a Gram it cannot factor."""
+    (lx, Qx, Kx), (ly, Qy, Ky) = _axis(gamma, lattice.dx2), _axis(gamma, lattice.dy2)
+    lam = np.multiply.outer(ly, lx)
+    D = alpha**2 * lam + (sigma**2 + JITTER_REL * alpha**2)
+    if not (D.min() > 0 and np.isfinite(D.max())):
+        raise FactorizationError("the lattice Gram is not positive definite")
+    return (lx, Qx, Kx), (ly, Qy, Ky), lam, D
 
 
 def axis_kernels(gamma: float, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -275,6 +275,12 @@ def hex_floats(obj):
     return obj
 
 
+def posterior_arrays(post: AuxPosterior) -> list[np.ndarray]:
+    """The arrays an auxiliary posterior holds: its mean, var and those of its reduction."""
+    reduction = post.reduction
+    return [post.mean, post.var, *(getattr(reduction, f.name) for f in dataclasses.fields(reduction))]
+
+
 def pool_counts() -> list[int]:
     """The thread counts of the OpenBLAS pools, numpy's and scipy's."""
     return [get() for get, _ in numerics._POOLS]

@@ -24,7 +24,7 @@ RECORD_FIELDS = {
         "dataset_id", "params", "noise_sigma", "train_centroids", "train_values", "offset",
         "scale", "log_marginal", "diagnostics",
     ],
-    "AuxPosterior": ["dataset_id", "mean", "var", "W", "kernel", "Xf"],
+    "AuxPosterior": ["dataset_id", "mean", "var", "reduction", "kernel", "Xf"],
     "DownscaleParams": ["w", "kernel", "sigma", "diagnostics"],
     "Partition": ["name", "regions", "centroids"],
     "Refinement": ["mean", "var", "V", "params", "Xf", "posteriors"],

@@ -47,7 +47,13 @@ from finescale.downscale import (
 )
 from finescale.evaluate import SyntheticSpec, generate_synthetic, grid_partition
 from finescale.geo import AggregationMap, ArealDataset, Partition, build_aggregation
-from finescale.gp_aux import AuxGPModel, AuxPosterior, fit_all_aux, predict_aux
+from finescale.gp_aux import (
+    AuxGPModel,
+    AuxPosterior,
+    DenseReduction,
+    fit_all_aux,
+    predict_aux,
+)
 from finescale.kernel import JITTER_REL, SEKernelParams, cov_matrix, se_from_sq_dists, sq_dists
 from finescale.numerics import (
     FactorizationError,
@@ -609,7 +615,10 @@ def test_objective_is_invariant_under_permutation(data):
     rows = np.array(data.draw(st.permutations(range(nc))))
     aux = data.draw(st.permutations(range(S)))
     moved = [
-        AuxPosterior(p.dataset_id, p.mean[fine], p.var[fine], p.W[:, fine], p.kernel, p.Xf[fine])
+        AuxPosterior(
+            p.dataset_id, p.mean[fine], p.var[fine], DenseReduction(p.reduction.W[:, fine]),
+            p.kernel, p.Xf[fine],
+        )
         for p in (posteriors[s] for s in aux)
     ]
     theta = pack(params)
@@ -925,7 +934,10 @@ def test_predict_is_invariant_under_permutation(data):
     params, a, design, posteriors, H, Xf = random_instance(rng, nc, nf, S)
     fine = np.array(data.draw(st.permutations(range(nf))))
     moved = [
-        AuxPosterior(p.dataset_id, p.mean[fine], p.var[fine], p.W[:, fine], p.kernel, p.Xf[fine])
+        AuxPosterior(
+            p.dataset_id, p.mean[fine], p.var[fine], DenseReduction(p.reduction.W[:, fine]),
+            p.kernel, p.Xf[fine],
+        )
         for p in posteriors
     ]
     default_rows, kernel.KERNEL_ROWS = kernel.KERNEL_ROWS, block_rows

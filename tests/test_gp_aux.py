@@ -23,6 +23,7 @@ from conftest import (
     off_grid,
     point_partition,
     pool_counts,
+    posterior_arrays,
     random_posteriors,
     snapped,
 )
@@ -164,8 +165,10 @@ def copied_predict_aux(model: AuxGPModel, Xt: np.ndarray) -> tuple[np.ndarray, .
     return mean, var, W
 
 
-def test_predict_aux_factoring_its_gram_in_place_keeps_the_bits_of_a_copy():
-    # 480 regions: predict_aux factors A through A.T, in the memory of the distances
+def test_predict_aux_factoring_its_gram_in_place_keeps_the_bits_of_a_copy(monkeypatch):
+    # 480 regions: predict_aux factors A through A.T, in the memory of the
+    # distances; the 24 x 20 grid is kept on the dense path
+    monkeypatch.setattr(lattice, "detect", lambda X: None)
     rng = np.random.default_rng(11)
     X = grid_partition(24, 20, "aux").centroids
     model = AuxGPModel(
@@ -182,7 +185,7 @@ def test_predict_aux_factoring_its_gram_in_place_keeps_the_bits_of_a_copy():
     post = predict_aux(model, Xt)
     with numerics.one_blas_thread():  # as predict_aux runs
         want = copied_predict_aux(model, Xt)
-    assert [a.tobytes() for a in (post.mean, post.var, post.W)] == [a.tobytes() for a in want]
+    assert [a.tobytes() for a in posterior_arrays(post)] == [a.tobytes() for a in want]
 
 
 def test_objective_gradient_matches_finite_differences(rng):
@@ -572,7 +575,7 @@ def test_fit_all_aux_identical_datasets_identical_results(rng):
     (m1, p1), (m2, p2) = fit_all_aux([d, d], fine, restarts=3, seed=0)
     assert m1.to_dict() == {**m2.to_dict(), "dataset_id": m1.dataset_id}
     assert np.array_equal(p1.mean, p2.mean)
-    assert np.array_equal(p1.var, p2.var) and np.array_equal(p1.W, p2.W)
+    assert hex_floats(posterior_arrays(p1)) == hex_floats(posterior_arrays(p2))
 
 
 def test_fit_all_aux_output_order_and_ids(rng):
@@ -698,7 +701,7 @@ def test_diagonal_grams_skip_lapack_and_leave_every_fit_and_posterior_as_it_was(
         fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=restarts, seed=0)
         fits.append(
             [
-                (hex_floats(model.to_dict()), [a.tobytes() for a in (post.mean, post.var, post.W)])
+                (hex_floats(model.to_dict()), [a.tobytes() for a in posterior_arrays(post)])
                 for model, post in fitted
             ]
         )
@@ -1044,7 +1047,7 @@ def test_fit_all_aux_pool_equals_one_fit_per_auxiliary(search_threads, threads):
         assert model.diagnostics["workers"] == alone.diagnostics["workers"] == threads
         assert hex_floats(model.to_dict()) == hex_floats(alone.to_dict())
         want = predict_aux(alone, inst.fine.centroids)
-        assert hex_floats([post.mean, post.var, post.W]) == hex_floats([want.mean, want.var, want.W])
+        assert hex_floats(posterior_arrays(post)) == hex_floats(posterior_arrays(want))
 
 
 def test_fit_all_aux_fits_the_largest_first(monkeypatch, rng, search_threads):
@@ -1196,6 +1199,79 @@ def test_median_pairwise_distance_holds_half_of_d2s_bytes(rng):
     assert got == triu_median_pairwise_distance(D2)
 
 
+def test_the_lattice_median_is_the_gathered_one_bit_for_bit(rng):
+    # grid points in a shuffled order: cell centres, uneven axes, axes with
+    # repeated spacings (many equal distances) and scales 1e-4 to 1e4; odd and
+    # even counts of pairs
+    parities = set()
+    for nx, ny in LATTICE_SHAPES + [(7, 3), (9, 9), (31, 2), (40, 30)]:
+        for scale in (1e-4, 1.0, 1e4):
+            steps = rng.integers(1, 3, size=nx) / 4, rng.integers(1, 3, size=ny)
+            axes = [
+                ((np.arange(nx) + 0.5) / nx, (np.arange(ny) + 0.5) / ny),
+                (np.sort(rng.uniform(size=nx)), np.sort(rng.uniform(size=ny)) * 3),
+                (np.cumsum(steps[0]), np.cumsum(steps[1])),
+            ]
+            for gx, gy in axes:
+                X = np.array([(x, y) for y in gy for x in gx]) * scale
+                lat = lattice.detect(X[rng.permutation(len(X))])
+                X = snapped(lat)
+                parities.add(len(X) * (len(X) - 1) // 2 % 2)
+                assert lat.median_distance().hex() == median_pairwise_distance(X).hex()
+    assert parities == {0, 1}
+
+
+class Searched(Exception):
+    """Raised in place of a search, with the first of the starts it was given."""
+
+
+def searched(jobs, **kwargs):
+    [(_, starts, _)] = jobs
+    raise Searched(starts[0])
+
+
+def test_the_warm_starts_count_the_median_on_a_lattice_from_the_floor(monkeypatch):
+    # an auxiliary and the second step at 24 x 25 = 600 points count it, at
+    # 24 x 20 they gather it; both ways give the same bits on grid points
+    def refused(*args):
+        raise AssertionError("the median was taken the other way")
+
+    for nx, ny in ((24, 25), (24, 20)):
+        part = grid_partition(nx, ny, "g")
+        counted = nx * ny >= lattice.MEDIAN_MIN_POINTS
+        assert counted == (ny == 25)
+        log_median = np.log(median_pairwise_distance(part.centroids))
+        amap = build_aggregation(grid_partition(4, 5, "c"), part)
+        with monkeypatch.context() as m:
+            if counted:
+                m.setattr(gp_aux, "median_pairwise_distance", refused)
+            else:
+                m.setattr(lattice.Lattice, "median_distance", refused)
+            fit = _AuxFit.prepare(ArealDataset(part, np.arange(nx * ny) % 7.0), "g", 1, 0)
+            assert fit.starts[0][1] == log_median
+            m.setattr(downscale, "multistart_minimize", searched)
+            with pytest.raises(Searched) as search:
+                fit_downscale(ArealDataset(amap.coarse, np.arange(20.0)), [], part, amap)
+            assert search.value.args[0][-2] == log_median
+    # without a lattice, as on the dense fine kernel, 600 points gather it
+    X = np.random.default_rng(0).uniform(size=(600, 2))
+    with monkeypatch.context() as m:
+        m.setattr(lattice.Lattice, "median_distance", refused)
+        assert gp_aux.warm_start(1.0, X)[1] == np.log(median_pairwise_distance(X))
+
+
+def test_the_lattice_median_holds_no_array_of_pairs():
+    # 80 x 60: the gather would hold 4800 * 4799 / 2 floats, 92 MB
+    lat = lattice.detect(grid_partition(80, 60, "g").centroids)
+    tracemalloc.start()
+    try:
+        lat.median_distance()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
+
+
 def test_sha256_is_hashlibs_digest(rng):
     # gp_aux takes sha256 from CPython's own module, not OpenSSL's
     data = rng.bytes(1 << 16)
@@ -1231,6 +1307,88 @@ def test_posterior_matches_the_dense_covariance(rng):
     [KM] = kernels_times([model.params], Xt, M)
     SM = post.cov_times(M, KM)
     assert np.max(np.abs(SM - dense @ M)) <= 1e-12 * scale * np.abs(M).sum(0).max()
+
+
+def lattice_model(X: np.ndarray, params: SEKernelParams, rng) -> AuxGPModel:
+    """A model of random values at the centroids X, with the kernel params."""
+    return AuxGPModel(
+        dataset_id="aux",
+        params=params,
+        noise_sigma=0.08,
+        train_centroids=X,
+        train_values=rng.normal(size=len(X)) + 0.4,
+        offset=0.4,
+        scale=1.0,
+        log_marginal=float("nan"),
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, gamma",
+    [((24, 20), 0.1), ((12, 10), 0.3), ((2, 16), 0.2), ((16, 2), 0.05), ((8, 6), 1e-3)],
+)
+def test_the_lattice_posterior_is_the_dense_one(monkeypatch, rng, shape, gamma):
+    # shuffled training regions, at the fine points of a lattice, at jittered
+    # (non-lattice) ones and at the training points themselves; gamma 1e-3 on
+    # an 8 x 6 grid makes both axis kernels the identity, which skips dsyev
+    nx, ny = shape
+    X = grid_partition(nx, ny, "aux").centroids
+    X = X[rng.permutation(len(X))]
+    model = lattice_model(X, SEKernelParams(1.3, gamma), rng)
+    fine = grid_partition(15, 11, "fine").centroids
+    for Xt in (fine, fine + rng.uniform(-0.02, 0.02, size=fine.shape), X):
+        post = predict_aux(model, Xt)
+        assert isinstance(post.reduction, lattice.LatticeReduction)
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "detect", lambda X: None)
+            dense = predict_aux(model, Xt)
+        assert isinstance(dense.reduction, gp_aux.DenseReduction)
+        M = rng.normal(size=(len(Xt), 5))
+        [KM] = kernels_times([model.params], Xt, M)
+        pairs = [
+            (post.mean, dense.mean),
+            (post.var, dense.var),
+            (post.cov_times(M, KM.copy()), dense.cov_times(M, KM.copy())),
+            (post.cov, dense.cov),
+        ]
+        for got, want in pairs:
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        cov = post.cov
+        assert np.array_equal(cov, cov.T) and np.array_equal(np.diag(cov), post.var)
+
+
+def test_a_shuffled_lattice_auxiliary_gives_the_same_posterior_bits(rng):
+    # the lattice posterior reads the values in row-major order
+    X = grid_partition(12, 10, "aux").centroids
+    model = lattice_model(X, SEKernelParams(0.9, 0.15), rng)
+    perm = rng.permutation(len(X))
+    moved = replace(model, train_centroids=X[perm], train_values=model.train_values[perm])
+    Xt = rng.uniform(size=(50, 2))
+    post, moved_post = predict_aux(model, Xt), predict_aux(moved, Xt)
+    assert hex_floats(posterior_arrays(moved_post)) == hex_floats(posterior_arrays(post))
+    M = rng.normal(size=(50, 3))
+    [KM] = kernels_times([model.params], Xt, M)
+    got, want = moved_post.cov_times(M, KM.copy()), post.cov_times(M, KM.copy())
+    assert hex_floats([got, moved_post.cov]) == hex_floats([want, post.cov])
+
+
+def test_the_lattice_posterior_holds_no_n_by_nf_array(rng):
+    # an 80 x 60 auxiliary at 1200 points: predict_aux and a product with an
+    # nf x 48 array, whose blocks of G are 240 x 1200, each well under one
+    # n x nf array (46 MB)
+    X = grid_partition(80, 60, "aux").centroids
+    model = lattice_model(X, SEKernelParams(1.0, 0.05), rng)
+    Xt = grid_partition(40, 30, "fine").centroids
+    M = rng.uniform(size=(1200, 48))
+    [KM] = kernels_times([model.params], Xt, M)
+    tracemalloc.start()
+    try:
+        post = predict_aux(model, Xt)
+        post.cov_times(M, KM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * len(X) * len(Xt) * 8
 
 
 def test_avg_variance_is_diagonal_mean(rng):

@@ -22,7 +22,7 @@ from finescale.geo import (
     json_log,
     json_value,
 )
-from finescale.gp_aux import AuxPosterior, random_starts, warm_start
+from finescale.gp_aux import AuxPosterior, in_search_box, random_starts, warm_start
 from finescale.kernel import (
     JITTER_REL,
     SEKernelParams,
@@ -188,7 +188,6 @@ class _DenseKernel:
     H: np.ndarray
     D2: np.ndarray | None = None
     K: np.ndarray | None = None
-    lattice = None  # the fine locations form none: the warm start gathers its median
 
     @property
     def diagnostics(self) -> dict:
@@ -282,7 +281,8 @@ class _Problem:
         fine_kernel = _DenseKernel(Xf, H) if grid is None else lattice.LatticeKernel.build(grid, H)
         kernels = [post.kernel for post in posteriors] + ([kernel] if kernel else [])
         KMs = fine_kernel.times(kernels)
-        SHt = tuple(post.cov_times(H.T, KM) for post, KM in zip(posteriors, KMs))
+        # Sigma_s H^T = k(Xf, Xf) H^T - R_s H^T, formed in place
+        SHt = tuple(post.reduction.subtract_times(H.T, KM) for post, KM in zip(posteriors, KMs))
         return cls(
             a=a,
             H=H,
@@ -517,7 +517,8 @@ def fit_downscale(
     "lattice", "shape": [nx, ny], "max_snap": ...}``, where no nf x nf array
     is formed, or ``{"path": "dense"}``, where each thread has its own nf x nf
     scratch array. The fit runs inside ``numerics.one_blas_thread``. Raises
-    DownscaleFitError when the warm start is not finite or every restart fails.
+    DownscaleFitError when the warm start is not finite or every restart fails,
+    and InputError when it is outside the search box (``gp_aux.in_search_box``).
     """
     prob = _Problem.build(a, posteriors, fine, amap_or_H).for_search()
     a_vec, H, design = prob.a, prob.H, prob.design
@@ -531,7 +532,8 @@ def fit_downscale(
         raise DownscaleFitError(
             f"non-finite warm start: the least-squares residuals have standard deviation {spread}"
         )
-    theta0 = np.concatenate([w0, warm_start(spread, prob.Xf, prob.kernel.lattice)])
+    theta0 = np.concatenate([w0, warm_start(spread, prob.Xf)])
+    in_search_box(theta0, "second step", "the target's values", "the fine centroids' coordinates")
     starts = [theta0] + random_starts(theta0, np.repeat([0.1, 0.5], [n_w, 3]), restarts, seed)
 
     def make_objective():
@@ -541,7 +543,8 @@ def fit_downscale(
         [(make_objective, starts, prob.flops)], gtol=gtol
     )
     if best is None:
-        raise DownscaleFitError("optimizer failed on all restarts")
+        errors = [r["error"] for r in records]
+        raise DownscaleFitError(f"optimizer failed on all restarts: {errors}")
     nll = best.objective
     if ridge > 0:  # the winner's value without the penalty
         nll = _neg_log_marginal(prob.for_thread(), best.argmin, lambda value: False)[0]

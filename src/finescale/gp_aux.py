@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,6 +15,7 @@ from finescale.kernel import (
     sq_dists,
 )
 from finescale.numerics import (
+    LOG_BOX,
     SIGMA_FLOOR,
     NumericalError,
     cholesky_in_place,
@@ -127,12 +127,6 @@ class AuxPosterior:
     @property
     def avg_variance(self) -> float:
         return float(np.mean(self.var))
-
-    def cov_times(self, M: np.ndarray, KM: np.ndarray) -> np.ndarray:
-        """Sigma M = k(Xf, Xf) M - R M for an nf x m M, from KM = k(Xf, Xf) M
-        as ``kernel.kernels_times`` forms it, with no nf x nf array; KM becomes
-        Sigma M in place."""
-        return self.reduction.subtract_times(M, KM)
 
     @property
     def cov(self) -> np.ndarray:
@@ -294,18 +288,31 @@ def median_pairwise_distance(X: np.ndarray) -> float:
     return float(np.sqrt(median))
 
 
-def warm_start(spread: float, X: np.ndarray, grid=None) -> np.ndarray:
+def warm_start(spread: float, X: np.ndarray) -> np.ndarray:
     """The first start of both fits, (log alpha, log gamma, log sigma) for values
     of standard deviation ``spread`` at the points X. gamma is their median
-    distance: counted on ``grid``, the ``lattice.Lattice`` of X where the fit
-    found one, from ``lattice.MEDIAN_MIN_POINTS`` points on
-    (``lattice.Lattice.median_distance``), else ``median_pairwise_distance``."""
+    distance: from ``lattice.MEDIAN_MIN_POINTS`` points on, counted on the
+    lattice ``lattice.detect`` finds X on (``lattice.Lattice.median_distance``),
+    else gathered (``median_pairwise_distance``)."""
     from finescale import lattice  # both fits have imported it
 
     alpha, sigma = max(spread, 1e-3), max(0.1 * spread, 10 * SIGMA_FLOOR)
-    if grid is not None and len(X) >= lattice.MEDIAN_MIN_POINTS:
-        return np.log([alpha, grid.median_distance(), sigma])
-    return np.log([alpha, median_pairwise_distance(X), sigma])
+    grid = lattice.detect(X) if len(X) >= lattice.MEDIAN_MIN_POINTS else None
+    median = median_pairwise_distance(X) if grid is None else grid.median_distance()
+    return np.log([alpha, median, sigma])
+
+
+def in_search_box(start: np.ndarray, where: str, values: str, coordinates: str) -> None:
+    """InputError naming ``where`` and the first of a warm start's last entries,
+    (log alpha, log gamma, log sigma), beyond +-``numerics.LOG_BOX``, since every
+    search from it fails; alpha and sigma scale with ``values``, gamma with
+    ``coordinates``."""
+    for k, name in enumerate(("alpha", "gamma", "sigma")):
+        if not abs(start[k - 3]) <= LOG_BOX:
+            raise InputError(
+                f"{where}: the warm start's log {name} is {start[k - 3]:.4g}, outside the "
+                f"search box of +-{LOG_BOX:g}: rescale {coordinates if k == 1 else values}"
+            )
 
 
 def random_starts(base: np.ndarray, sd, restarts: int, seed: int) -> list[np.ndarray]:
@@ -346,7 +353,8 @@ class _AuxFit:
     def prepare(
         cls, data: ArealDataset, dataset_id: str, restarts: int, seed: int, center: bool = True
     ) -> "_AuxFit":
-        """The fit of ``data``; InputError naming ``dataset_id`` below 2 regions."""
+        """The fit of ``data``; InputError naming ``dataset_id`` below 2 regions
+        or where its warm start lies outside the search box."""
         X = data.partition.centroids
         y = np.asarray(data.values, dtype=float)
         if y.size < 2:
@@ -363,7 +371,8 @@ class _AuxFit:
         if scale == 0.0:
             scale = 1.0
         ys = yc / scale
-        base = warm_start(float(np.std(ys)), X, grid)
+        base = warm_start(float(np.std(ys)), X)
+        in_search_box(base, f"dataset {dataset_id!r}", "its values", "its centroids' coordinates")
         short = base + np.array([0.0, -np.log(4.0), 0.0])  # quarter length scale
         starts = [base, short] + random_starts(base, 0.5, restarts, seed)
         if grid is None:
@@ -485,15 +494,6 @@ def predict_aux(model: AuxGPModel, test_centroids) -> AuxPosterior:
     )
 
 
-@contextmanager
-def _naming(dataset_id: str):
-    """Re-raise a NumericalError as AuxFitError naming the auxiliary dataset."""
-    try:
-        yield
-    except NumericalError as exc:
-        raise AuxFitError(f"auxiliary {dataset_id!r}: {exc}") from exc
-
-
 def fit_all_aux(
     datasets: list[ArealDataset],
     fine: Partition,
@@ -522,7 +522,9 @@ def fit_all_aux(
     Xf = fine.centroids
     fitted = [None] * len(datasets)
     for i, (best, records) in zip(order, results):
-        with _naming(ids[i]):
+        try:
             model = fits.pop(i).model(best, records, workers)
             fitted[i] = (model, predict_aux(model, Xf))
+        except NumericalError as exc:
+            raise AuxFitError(f"auxiliary {ids[i]!r}: {exc}") from exc
     return fitted

@@ -38,18 +38,19 @@ class SEKernelParams:
         return cls(alpha=float(np.exp(log_alpha)), gamma=float(np.exp(log_gamma)))
 
 
-def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, |A| x |B|."""
+def sq_dists(A: np.ndarray, B: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Pairwise squared Euclidean distances, |A| x |B|, into ``out`` with the
+    further coordinates' squares in ``scratch`` where given (|A| x |B| each)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"points of dimension {A.shape[1]} and {B.shape[1]}")
     # Squared column differences summed in place: at most two |A| x |B| arrays
     # for 2-D points, and bit for bit the sums over the (|A|, |B|, 2) differences.
-    D2 = np.subtract.outer(A[:, 0], B[:, 0])
+    D2 = np.subtract.outer(A[:, 0], B[:, 0], out=out)
     D2 *= D2
     for k in range(1, A.shape[1]):
-        d = np.subtract.outer(A[:, k], B[:, k])
+        d = np.subtract.outer(A[:, k], B[:, k], out=scratch)
         d *= d
         D2 += d
     return D2
@@ -89,11 +90,9 @@ def _se_from_exponent(alpha: float, E: np.ndarray, underflows: bool) -> np.ndarr
 
 def cov_matrix(params: SEKernelParams, A, B) -> np.ndarray:
     """Covariance matrix with entry (i, j) = alpha^2 exp(-||A[i] - B[j]||^2 / (2 gamma^2))."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        raise ValueError("centroid lists must be nonempty")
     D2 = sq_dists(A, B)
+    if D2.size == 0:
+        raise ValueError("centroid lists must be nonempty")
     return se_from_sq_dists(params.alpha, params.gamma, D2, out=D2)
 
 
@@ -115,8 +114,8 @@ def kernels_times(kernels: list[SEKernelParams], X: np.ndarray, M: np.ndarray) -
     """k(X, X) M for each kernel, with no |X| x |X| array.
 
     The pass holds two KERNEL_ROWS x |X| buffers. For each block of rows the
-    first gets -0.5 times the squared distances, formed as ``sq_dists`` forms
-    them with the second as its scratch, and their minimum. Each kernel's
+    first gets -0.5 times the squared distances, which ``sq_dists`` forms
+    with the second as its scratch, and their minimum. Each kernel's
     exponents are then that block divided by gamma^2 into the second buffer,
     which ``_se_from_exponent`` turns into the kernel block multiplied by M.
     Division by a positive number keeps the order of its rounded results, so
@@ -132,13 +131,8 @@ def kernels_times(kernels: list[SEKernelParams], X: np.ndarray, M: np.ndarray) -
     half_d2, buffer = np.empty((2, min(KERNEL_ROWS, n), n))
     for i in range(0, n, KERNEL_ROWS):
         block = X[i : i + KERNEL_ROWS]
-        A, E = half_d2[: len(block)], buffer[: len(block)]
-        np.subtract.outer(block[:, 0], X[:, 0], out=A)
-        A *= A
-        for k in range(1, X.shape[1]):
-            np.subtract.outer(block[:, k], X[:, k], out=E)
-            E *= E
-            A += E
+        E = buffer[: len(block)]
+        A = sq_dists(block, X, out=half_d2[: len(block)], scratch=E)
         A *= -0.5
         lowest = A.min()
         for params, out in zip(kernels, outs):

@@ -25,6 +25,8 @@ import numpy as np
 SIGMA_FLOOR = 1e-6
 # log(SIGMA_FLOOR) as numpy computes it, so the box test has the bits it had on arrays.
 _LOG_SIGMA_FLOOR = float(np.log(SIGMA_FLOOR))
+# A search's objective is +inf where log alpha, log gamma or log sigma is beyond +-LOG_BOX.
+LOG_BOX = 20.0
 # bfgs_minimize: the relative objective change that stops it ("ftol"), and
 # its backtracking Armijo line search.
 FTOL = 1e-10
@@ -480,7 +482,7 @@ def _search(f, x0: np.ndarray, gtol: float) -> tuple[OptimizeResult | None, dict
         if (
             not all(map(math.isfinite, t))
             or t[-1] < _LOG_SIGMA_FLOOR
-            or max(map(abs, t[-3:])) > 20
+            or max(map(abs, t[-3:])) > LOG_BOX
         ):
             return np.inf, None
 
@@ -530,7 +532,7 @@ def multistart_minimize(
     scratch arrays, and drops them when it moves on.
     The last three entries of theta are (log alpha, log gamma, log sigma).
     The objective is +inf outside the feasibility box (a non-finite theta,
-    one of those log-parameters beyond +-20, or sigma below SIGMA_FLOOR) and
+    one of those log-parameters beyond +-LOG_BOX, or sigma below SIGMA_FLOOR) and
     where it raises FactorizationError, in its value or its gradient. A start
     whose search raises OptimizationError is skipped; any other error
     propagates, and no start of any job begins after it.

@@ -7,6 +7,7 @@ import numpy as np
 from finescale.geo import Partition
 
 N_RAMP_STEPS = 256
+WIDTH = 640  # of the SVG in pixels; its height keeps the partition's aspect ratio
 # single-hue blue ramp endpoints (light -> dark)
 _LIGHT = np.array([239, 243, 255])
 _DARK = np.array([8, 48, 107])
@@ -24,14 +25,7 @@ def _attribute(text: str) -> str:
     return text
 
 
-def _ramp_colors() -> list[str]:
-    """The hex color of each of the N_RAMP_STEPS ramp steps, light to dark, in one array pass."""
-    u = np.arange(N_RAMP_STEPS) / (N_RAMP_STEPS - 1)
-    rgb = np.round(_LIGHT + u[:, None] * (_DARK - _LIGHT)).astype(int)
-    return ["#{:02x}{:02x}{:02x}".format(*c) for c in rgb.tolist()]
-
-
-def choropleth_svg(partition: Partition, values, width: int = 640) -> str:
+def choropleth_svg(partition: Partition, values) -> str:
     """Render polygons filled on a min-max-normalized sequential ramp.
 
     The ramp steps, their colors and the vertex transform are array passes.
@@ -47,15 +41,17 @@ def choropleth_svg(partition: Partition, values, width: int = 640) -> str:
     if not np.isfinite(norm).all():
         raise ValueError("values must be finite, and their range too")
     steps = np.minimum((np.clip(norm, 0.0, 1.0) * N_RAMP_STEPS).astype(int), N_RAMP_STEPS - 1)
-    fills = _ramp_colors()
+    u = np.arange(N_RAMP_STEPS) / (N_RAMP_STEPS - 1)  # each ramp step's color, light to dark
+    rgb = np.round(_LIGHT + u[:, None] * (_DARK - _LIGHT)).astype(int)
+    fills = ["#{:02x}{:02x}{:02x}".format(*c) for c in rgb.tolist()]
 
     rings = [ring for r in partition.regions for rings in r.geometry for ring in rings]
     vertices = np.concatenate(rings)
     (x0, y0), (x1, y1) = vertices.min(axis=0).tolist(), vertices.max(axis=0).tolist()
     span_x = (x1 - x0) or 1.0
     span_y = (y1 - y0) or 1.0
-    height = int(round(width * span_y / span_x))
-    sx = width / span_x
+    height = int(round(WIDTH * span_y / span_x))
+    sx = WIDTH / span_x
     sy = -height / span_y  # flip: SVG y grows downward
     scale, shift = np.array([sx, sy]), np.array([-x0 * sx, height - y0 * sy])
     points = [f"{x:.4f},{y:.4f}" for x, y in (vertices * scale + shift).tolist()]
@@ -64,8 +60,8 @@ def choropleth_svg(partition: Partition, values, width: int = 640) -> str:
 
     head = (
         "<?xml version='1.0' encoding='utf-8'?>\n"
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{WIDTH}" '
+        f'height="{height}" viewBox="0 0 {WIDTH} {height}">'
     )
     paths, first = [head], 0
     for region, step in zip(partition.regions, steps.tolist()):

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,7 +16,7 @@ import pytest
 import finescale
 from conftest import BLAS_THREAD_VARS, save_aggregation_csv
 from test_downscale import dense_predict_fine
-from finescale import evaluate, lattice
+from finescale import downscale, evaluate, gp_aux, lattice
 from finescale.baselines import gpr_baseline
 from finescale.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from finescale.downscale import DownscaleParams, build_design
@@ -560,14 +561,26 @@ def test_refine_refuses_a_repeated_aux_model_or_a_weight_of_no_column_exit_2(
         assert str(path) in err and repr(key) in err, err
 
 
+def scale_target(bundle: Path, factor: float) -> None:
+    lines = (bundle / "target.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    scaled = [f"{rid},{float(value) * factor!r}" for rid, value in rows]
+    (bundle / "target.csv").write_text("\n".join([lines[0], *scaled]) + "\n")
+
+
+def scale_coordinates(path: Path, factor: float) -> None:
+    doc = json.loads(path.read_text())
+    for feature in doc["features"]:
+        geometry = feature["geometry"]
+        geometry["coordinates"] = (np.asarray(geometry["coordinates"]) * factor).tolist()
+    path.write_text(json.dumps(doc))
+
+
 def test_second_step_fit_failure_exit_1(synth_dir, tmp_path, capsys):
     # the least-squares residuals of a target this large overflow in their spread,
     # so the second step has no finite warm start
     bundle = copy_bundle(synth_dir, tmp_path / "bundle")
-    lines = (bundle / "target.csv").read_text().splitlines()
-    rows = [line.split(",") for line in lines[1:]]
-    scaled = [f"{rid},{float(value) * 1e160!r}" for rid, value in rows]
-    (bundle / "target.csv").write_text("\n".join([lines[0], *scaled]) + "\n")
+    scale_target(bundle, 1e160)
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -575,6 +588,48 @@ def test_second_step_fit_failure_exit_1(synth_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical error: non-finite warm start") and err.count("\n") == 1
     assert not (out / "models.json").exists()
+
+
+@pytest.mark.parametrize(
+    "scale, message",
+    [
+        (lambda b: scale_target(b, 1e10),
+         r"error: second step: the warm start's log alpha is 2\d\.\d+, outside the search box "
+         r"of \+-20: rescale the target's values$"),
+        (lambda b: scale_coordinates(b / "aux1.geojson", 1e10),
+         r"error: dataset 'aux1': the warm start's log gamma is 2\d\.\d+, outside the search "
+         r"box of \+-20: rescale its centroids' coordinates$"),
+    ],
+    ids=["target-values", "auxiliary-coordinates"],
+)
+def test_a_warm_start_outside_the_search_box_exit_2_naming_it(
+    synth_dir, tmp_path, capsys, scale, message
+):
+    # every search from such a start fails at its first point: an input
+    # error, found before any search, not "all restarts failed"
+    bundle, out = copy_bundle(synth_dir, tmp_path / "bundle"), tmp_path / "out"
+    scale(bundle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", *common_args(bundle, out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.match(message, err) and err.count("\n") == 1, err
+    assert not (out / "models.json").exists()
+
+
+def test_the_search_box_check_moves_no_byte_of_a_fit_inside_it(synth_dir, tmp_path, monkeypatch):
+    # the check only reads the warm starts: without it, the same files
+    written = []
+    for checked in (True, False):
+        if not checked:
+            monkeypatch.setattr(gp_aux, "in_search_box", lambda *args: None)
+            monkeypatch.setattr(downscale, "in_search_box", lambda *args: None)
+        out = tmp_path / f"out{checked}"
+        assert main(["fit", *common_args(synth_dir, out)]) == EXIT_OK
+        assert main(["refine", *common_args(synth_dir, out)]) == EXIT_OK
+        names = ("models.json", "refinement.csv", "refinement.svg")
+        written.append([(out / name).read_bytes() for name in names])
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize(

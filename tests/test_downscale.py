@@ -1161,8 +1161,11 @@ def test_fit_factorization_failure_on_every_restart_is_typed(monkeypatch):
         raise FactorizationError("not positive definite")
 
     monkeypatch.setattr(downscale, "cholesky_in_place", not_pd)
-    with pytest.raises(DownscaleFitError, match="all restarts"):
+    with pytest.raises(DownscaleFitError) as raised:
         fit_downscale(np.full(9, 4.2), [], grid_partition(3, 3, "f"), np.eye(9), restarts=2)
+    # each start's error, as an auxiliary's AuxFitError lists them
+    errors = ["non-finite objective or gradient at initial point"] * 2
+    assert str(raised.value) == f"optimizer failed on all restarts: {errors}"
 
 
 def test_refine_holds_no_nf_by_nf_array(monkeypatch):

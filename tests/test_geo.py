@@ -604,7 +604,8 @@ def test_rings_closed_per_length_are_the_per_ring_oracle_bit_for_bit(doc):
     # position size: each ring and centroid keeps the per-ring closer's bits,
     # and a malformed document its first error, type and message
     want = feature_by_feature(doc)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         warnings.simplefilter("error", RuntimeWarning)  # no floating-point warning
         if isinstance(want, Exception):
             with pytest.raises(type(want)) as raised:
@@ -613,6 +614,12 @@ def test_rings_closed_per_length_are_the_per_ring_oracle_bit_for_bit(doc):
             return
         part = load_partition(doc)
     geometries, centroids = want
+    # random centroids may land in the degree box, and then only there the
+    # load warns that they look like lon/lat
+    x, y = np.abs(centroids).T
+    lonlat = bool((x <= 180).all() and (y <= 90).all() and max(x.max(), y.max()) > 45)
+    warned = [(w.category, "lon/lat" in str(w.message)) for w in caught]
+    assert warned == [(UserWarning, True)] * lonlat
     assert np.array_equal(part.centroids, centroids)
     for region, geometry in zip(part.regions, geometries):
         assert [len(rings) for rings in region.geometry] == [len(rings) for rings in geometry]

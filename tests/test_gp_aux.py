@@ -1253,7 +1253,9 @@ def test_the_warm_starts_count_the_median_on_a_lattice_from_the_floor(monkeypatc
             with pytest.raises(Searched) as search:
                 fit_downscale(ArealDataset(amap.coarse, np.arange(20.0)), [], part, amap)
             assert search.value.args[0][-2] == log_median
-    # without a lattice, as on the dense fine kernel, 600 points gather it
+            # warm_start finds the lattice itself
+            assert gp_aux.warm_start(1.0, part.centroids)[1] == log_median
+    # 600 points on no lattice gather it
     X = np.random.default_rng(0).uniform(size=(600, 2))
     with monkeypatch.context() as m:
         m.setattr(lattice.Lattice, "median_distance", refused)
@@ -1289,7 +1291,7 @@ def test_sha256_is_hashlibs_digest(rng):
 
 
 def test_posterior_matches_the_dense_covariance(rng):
-    # Sigma = K** - K*^T A^-1 K*, formed densely, against var, cov and cov_times
+    # Sigma = K** - K*^T A^-1 K*, formed densely, against var, cov and K M - R M
     X = rng.uniform(size=(9, 2))
     model = fit_aux_gp(ArealDataset(point_partition("p", X), rng.normal(size=9)), restarts=2)
     Xt = rng.uniform(-0.5, 1.5, size=(70, 2))
@@ -1305,7 +1307,7 @@ def test_posterior_matches_the_dense_covariance(rng):
     assert np.max(np.abs(cov - dense)) <= 1e-12 * scale
     M = rng.normal(size=(70, 3))
     [KM] = kernels_times([model.params], Xt, M)
-    SM = post.cov_times(M, KM)
+    SM = post.reduction.subtract_times(M, KM)
     assert np.max(np.abs(SM - dense @ M)) <= 1e-12 * scale * np.abs(M).sum(0).max()
 
 
@@ -1348,7 +1350,10 @@ def test_the_lattice_posterior_is_the_dense_one(monkeypatch, rng, shape, gamma):
         pairs = [
             (post.mean, dense.mean),
             (post.var, dense.var),
-            (post.cov_times(M, KM.copy()), dense.cov_times(M, KM.copy())),
+            (
+                post.reduction.subtract_times(M, KM.copy()),
+                dense.reduction.subtract_times(M, KM.copy()),
+            ),
             (post.cov, dense.cov),
         ]
         for got, want in pairs:
@@ -1368,7 +1373,8 @@ def test_a_shuffled_lattice_auxiliary_gives_the_same_posterior_bits(rng):
     assert hex_floats(posterior_arrays(moved_post)) == hex_floats(posterior_arrays(post))
     M = rng.normal(size=(50, 3))
     [KM] = kernels_times([model.params], Xt, M)
-    got, want = moved_post.cov_times(M, KM.copy()), post.cov_times(M, KM.copy())
+    got = moved_post.reduction.subtract_times(M, KM.copy())
+    want = post.reduction.subtract_times(M, KM.copy())
     assert hex_floats([got, moved_post.cov]) == hex_floats([want, post.cov])
 
 
@@ -1384,7 +1390,7 @@ def test_the_lattice_posterior_holds_no_n_by_nf_array(rng):
     tracemalloc.start()
     try:
         post = predict_aux(model, Xt)
-        post.cov_times(M, KM)
+        post.reduction.subtract_times(M, KM)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -213,6 +213,19 @@ def test_sq_dists_of_a_point_set_with_itself_equals_its_transpose_bit_for_bit(po
     assert D2.tobytes() == D2.T.tobytes()
 
 
+def test_sq_dists_into_given_arrays_returns_out_with_the_same_bits():
+    # into views of larger buffers, as kernels_times passes them; 1-D points
+    # leave the scratch unread
+    rng = np.random.default_rng(4)
+    out, scratch = np.full((2, 9, 13), np.nan)
+    for d in (1, 2, 3):
+        A, B = rng.uniform(-3.0, 3.0, size=(7, d)), rng.uniform(-3.0, 3.0, size=(13, d))
+        into = out[:7]
+        assert sq_dists(A, B, out=into, scratch=scratch[:7]) is into
+        assert into.tobytes() == sq_dists(A, B).tobytes()
+        assert np.isnan(out[7:]).all() and np.isnan(scratch[7:]).all()
+
+
 def test_sq_dists_rejects_mismatched_dimensions():
     with pytest.raises(ValueError, match="dimension"):
         sq_dists(np.zeros((3, 2)), np.zeros((4, 3)))

@@ -231,13 +231,14 @@ class _Problem:
     """The parameter-free parts of the second-step model, shared by fit and refine.
 
     The observations a (None when only Lambda is wanted), H, the design and
-    H F, the fine locations Xf, and Sigma_s H^T (nf x nc) and H Sigma_s H^T
-    for every auxiliary. ``kernel`` is the fine kernel's operator: a
-    ``lattice.LatticeKernel`` where the fine locations form a lattice, else a
-    ``_DenseKernel``; the fit's objective takes K H^T and H (K o D2 / gamma^2) H^T
-    from it alone. The refine also reads KHt, K H^T of the target kernel it
-    was built with, which it turns into Omega H^T in place. The fit also sets
-    its ridge penalty. The refine sets none, and holds no nf x nf array.
+    H F, the fine locations Xf, and H Sigma_s H^T for every auxiliary, the
+    only way the fit reads Sigma_s. ``kernel`` is the fine kernel's operator:
+    a ``lattice.LatticeKernel`` where the fine locations form a lattice, else
+    a ``_DenseKernel``; the fit's objective takes K H^T and
+    H (K o D2 / gamma^2) H^T from it alone. The refine also reads HKH and
+    OmHt, H K H^T and Omega H^T at the parameters it was built with. The fit
+    also sets its ridge penalty. The refine sets none, and holds no nf x nf
+    array.
     """
 
     a: np.ndarray | None
@@ -245,10 +246,10 @@ class _Problem:
     design: DesignMatrix
     HF: np.ndarray
     Xf: np.ndarray
-    SHt: tuple[np.ndarray, ...]
     HSH: tuple[np.ndarray, ...]
     kernel: object  # _DenseKernel or lattice.LatticeKernel
-    KHt: np.ndarray | None = None
+    HKH: np.ndarray | None = None
+    OmHt: np.ndarray | None = None
     ridge: float = 0.0
 
     @classmethod
@@ -258,14 +259,17 @@ class _Problem:
         posteriors: list[AuxPosterior],
         fine: Partition | np.ndarray | None,
         amap_or_H,
-        kernel: SEKernelParams | None = None,
+        params: DownscaleParams | None = None,
     ) -> "_Problem":
-        """The problem of the inputs ``_inputs`` coerces; ``kernel`` sets KHt.
+        """The problem of the inputs ``_inputs`` coerces; ``params`` sets HKH and OmHt.
 
         Every posterior must be at the fine locations, else ValueError: then
         the fine kernel's operator forms each auxiliary's k(Xf, Xf) H^T and
         K H^T. Fine locations that ``lattice.detect`` finds on a lattice get a
-        ``lattice.LatticeKernel``, any others a ``_DenseKernel``.
+        ``lattice.LatticeKernel``, any others a ``_DenseKernel``. Each
+        Sigma_s H^T (nf x nc) is formed, read into H Sigma_s H^T and, with
+        ``params``, added into Omega H^T as w_s^2 Sigma_s H^T, and let go
+        before the next: on a lattice no two are held at once.
         """
         a, H, Xf = _inputs(a, amap_or_H, fine)
         for post in posteriors:
@@ -279,20 +283,31 @@ class _Problem:
 
         grid = lattice.detect(Xf)
         fine_kernel = _DenseKernel(Xf, H) if grid is None else lattice.LatticeKernel.build(grid, H)
-        kernels = [post.kernel for post in posteriors] + ([kernel] if kernel else [])
-        KMs = fine_kernel.times(kernels)
-        # Sigma_s H^T = k(Xf, Xf) H^T - R_s H^T, formed in place
-        SHt = tuple(post.reduction.subtract_times(H.T, KM) for post, KM in zip(posteriors, KMs))
+        targets = [] if params is None else [params.kernel]
+        KMs = iter(fine_kernel.times(targets + [post.kernel for post in posteriors]))
+        HKH = OmHt = None
+        if params is not None:
+            OmHt = next(KMs)  # K H^T, which becomes Omega H^T in place
+            HKH = H @ OmHt
+        HSH = []
+        for s, post in enumerate(posteriors):
+            # Sigma_s H^T = k(Xf, Xf) H^T - R_s H^T, formed in place
+            SHt = post.reduction.subtract_times(H.T, next(KMs))
+            HSH.append(H @ SHt)
+            if OmHt is not None:
+                SHt *= params.w[s] ** 2
+                OmHt += SHt
+            del SHt  # else held while the next one is formed
         return cls(
             a=a,
             H=H,
             design=design,
             HF=H @ design.F,
             Xf=Xf,
-            SHt=SHt,
-            HSH=tuple(H @ S for S in SHt),
+            HSH=tuple(HSH),
             kernel=fine_kernel,
-            KHt=KMs[-1] if kernel else None,
+            HKH=HKH,
+            OmHt=OmHt,
         )
 
     @property
@@ -360,23 +375,22 @@ def _inputs(
     return a, H, Xf
 
 
-def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, sigma: float, KHt: np.ndarray):
-    """H K H^T, Lambda = sigma^2 I + H K H^T + sum_s w_s^2 H Sigma_s H^T and
-    the Cholesky factor of the jittered Lambda, from K H^T.
+def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, sigma: float, HKH: np.ndarray):
+    """Lambda = sigma^2 I + H K H^T + sum_s w_s^2 H Sigma_s H^T and the
+    Cholesky factor of the jittered Lambda, from H K H^T.
 
     The one place Lambda is formed: the fit and predict_fine both factor it,
     each from the K H^T of the same fine-kernel operator, so both factor the
     same Lambda to the bit.
     """
     nc = prob.H.shape[0]
-    HKH = prob.H @ KHt
     Lam = sigma**2 * np.eye(nc) + HKH
     for s, HSH in enumerate(prob.HSH):
         Lam = Lam + w[s] ** 2 * HSH
     Lam = 0.5 * (Lam + Lam.T)  # exactly symmetric: IEEE addition commutes
     # a new C-ordered array, factored in its own memory as its transpose
     factor = cholesky_in_place((Lam + JITTER_REL * (sigma**2 + alpha**2) * np.eye(nc)).T)
-    return HKH, Lam, factor
+    return Lam, factor
 
 
 def _neg_log_marginal(prob: _Problem, theta: np.ndarray, accept):
@@ -395,7 +409,9 @@ def _neg_log_marginal(prob: _Problem, theta: np.ndarray, accept):
     alpha, gamma, sigma = (float(np.exp(v)) for v in theta[S + 1 :])
     nc = prob.H.shape[0]
     KHt, scaled = prob.kernel.at(alpha, gamma)
-    HKH, _, factor = _lambda_terms(prob, w, alpha, sigma, KHt)
+    HKH = prob.H @ KHt
+    del KHt  # an nf x nc array the rest of the call does not read
+    _, factor = _lambda_terms(prob, w, alpha, sigma, HKH)
     nll, p = gaussian_nll(factor, prob.a - prob.HF @ w)
     if prob.ridge > 0:
         nll += prob.ridge * float(w[:S] @ w[:S])
@@ -436,9 +452,8 @@ def assemble_lambda(
     amap_or_H,
 ) -> LambdaAssembly:
     """Lambda = sigma^2 I + H Omega H^T, Omega = K + sum_s w_s^2 Sigma_s, as the fit forms it."""
-    kernel = params.kernel
-    prob = _Problem.build(None, posteriors, fine_centroids, amap_or_H, kernel=kernel)
-    _, Lam, factor = _lambda_terms(prob, params.w, kernel.alpha, params.sigma, prob.KHt)
+    prob = _Problem.build(None, posteriors, fine_centroids, amap_or_H, params)
+    Lam, factor = _lambda_terms(prob, params.w, params.kernel.alpha, params.sigma, prob.HKH)
     return LambdaAssembly(Lambda=Lam, factor=factor, problem=prob)
 
 
@@ -581,20 +596,18 @@ def predict_fine(
     With Omega = K + sum_s w_s^2 Sigma_s and V = L^-1 H Omega, where
     L L^T = Lambda: mean F w + (H Omega)^T Lambda^-1 (a - H F w), variance
     diag Omega - colsum(V o V). Only Omega H^T is formed, from K H^T and
-    each Sigma_s H^T, which the fine kernel's operator gives (``_Problem``),
-    so no nf x nf array is; ``Refinement.cov`` forms the covariance
-    Omega - V^T V when it is read. The posteriors must be at the fine
+    each Sigma_s H^T in turn (``_Problem.build``), so no nf x nf array is;
+    ``Refinement.cov`` forms the covariance Omega - V^T V when it is read. The posteriors must be at the fine
     locations, and ``design`` must be ``build_design(posteriors, nf)``, else
     ValueError. It runs inside ``numerics.one_blas_thread``.
     """
     w, kernel = params.w, params.kernel
-    prob = _Problem.build(a, posteriors, fine, amap_or_H, kernel=kernel)
+    prob = _Problem.build(a, posteriors, fine, amap_or_H, params)
     prob.check_handed_back(design)
-    OmHt = prob.KHt
-    _, _, factor = _lambda_terms(prob, w, kernel.alpha, params.sigma, OmHt)
+    OmHt = prob.OmHt
+    _, factor = _lambda_terms(prob, w, kernel.alpha, params.sigma, prob.HKH)
     var = np.full(len(prob.Xf), kernel.alpha**2)  # the diagonal of K
     for s, post in enumerate(posteriors):
-        OmHt += w[s] ** 2 * prob.SHt[s]  # K H^T becomes Omega H^T
         var += w[s] ** 2 * post.var
     m0 = design.F @ w
     mean = m0 + OmHt @ solve(factor, prob.a - prob.H @ m0)

@@ -215,9 +215,10 @@ class LatticeKernel:
     def for_thread(self) -> "LatticeKernel":
         return self
 
-    def times(self, kernels) -> list[np.ndarray]:
-        """k(Xf, Xf) H^T for each SEKernelParams, by the routine the fit's objective runs."""
-        return [self.at(params.alpha, params.gamma)[0] for params in kernels]
+    def times(self, kernels):
+        """k(Xf, Xf) H^T for each SEKernelParams, by the routine the fit's
+        objective runs, formed one at a time as they are read."""
+        return (self.at(params.alpha, params.gamma)[0] for params in kernels)
 
     def at(self, alpha: float, gamma: float):
         """K H^T at (alpha, gamma), and a function of no arguments that gives

@@ -1197,6 +1197,50 @@ def test_refine_holds_no_nf_by_nf_array(monkeypatch):
         assert np.array_equal(np.diag(cov), ref.var)
 
 
+@pytest.fixture(scope="module")
+def lattice_instance_40x30():
+    """A 40 x 30 fine lattice over 8 x 6 coarse regions, with five random
+    posteriors at its centroids and the size of one nf x nc float64 array."""
+    inst = generate_synthetic(SyntheticSpec(fine_shape=(40, 30), coarse_shape=(8, 6)), seed=0)
+    posteriors = random_posteriors(np.random.default_rng(5), inst.fine.centroids, 5)
+    return inst, posteriors, inst.amap.H.size * 8
+
+
+@pytest.mark.parametrize("n_aux", [1, 2, 5])
+def test_the_fits_problem_holds_no_nf_by_nc_array(lattice_instance_40x30, n_aux):
+    # the fit reads each Sigma_s H^T only through H Sigma_s H^T: built as
+    # fit_downscale builds it, the problem keeps less than one nf x nc array
+    inst, posteriors, array = lattice_instance_40x30
+    tracemalloc.start()
+    try:
+        prob = _Problem.build(inst.a, posteriors[:n_aux], inst.fine, inst.amap).for_search()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert prob.kernel.diagnostics["path"] == "lattice"
+    assert held < array
+
+
+def test_predict_fine_forms_one_sigma_h_at_a_time(lattice_instance_40x30):
+    # refine adds each w_s^2 Sigma_s H^T into Omega H^T and lets it go before
+    # the next is formed: three more auxiliaries add under half an nf x nc
+    # array to the peak
+    inst, posteriors, array = lattice_instance_40x30
+    peaks = []
+    for n_aux in (2, 5):
+        params = DownscaleParams(
+            w=np.linspace(0.5, 1.5, n_aux + 1), kernel=SEKernelParams(1.0, 0.2), sigma=0.3
+        )
+        design = build_design(posteriors[:n_aux], n_fine=len(inst.fine))
+        tracemalloc.start()
+        try:
+            predict_fine(params, inst.a, design, posteriors[:n_aux], inst.amap)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.5 * array
+
+
 
 def lattice_and_dense_problems(rng, nx, ny, uneven: bool, stochastic: bool):
     """One second-step problem on a shuffled lattice moved off its grid, with

@@ -324,6 +324,21 @@ def collinear_ring(rng, center, n: int) -> np.ndarray:
 REGION_KINDS = ["polygon", "holes", "multi", "collinear_hole", "collinear_part", "degenerate"]
 
 
+def load_warning_only_on_lonlat(doc) -> Partition:
+    """load_partition(doc), which must warn that the coordinates look like
+    lon/lat exactly where its centroids lie in the degree box, as random
+    centroids may, and warn nothing else; a floating-point warning raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        part = load_partition(doc)
+    x, y = np.abs(part.centroids).T
+    lonlat = bool((x <= 180).all() and (y <= 90).all() and max(x.max(), y.max()) > 45)
+    warned = [(w.category, "lon/lat" in str(w.message)) for w in caught]
+    assert warned == [(UserWarning, True)] * lonlat
+    return part
+
+
 @st.composite
 def partition_documents(draw, degenerate: bool = True):
     """A FeatureCollection of 1 to 12 regions of the kinds in REGION_KINDS,
@@ -377,7 +392,7 @@ def test_load_partition_centroids_are_the_per_region_oracle_bit_for_bit(doc):
         with pytest.raises(GeoValidationError, match=f"region '{first_bad}': degenerate"):
             load_partition(doc)
         return
-    part = load_partition(doc)
+    part = load_warning_only_on_lonlat(doc)
     assert np.array_equal(part.centroids, np.array(want))
 
 
@@ -386,7 +401,7 @@ def test_load_partition_centroids_are_the_per_region_oracle_bit_for_bit(doc):
 def test_shuffled_features_permute_the_centroids_bit_for_bit(doc, data):
     order = data.draw(st.permutations(range(len(doc["features"]))))
     shuffled = collection(*(doc["features"][k] for k in order))
-    part, moved = load_partition(doc), load_partition(shuffled)
+    part, moved = load_warning_only_on_lonlat(doc), load_warning_only_on_lonlat(shuffled)
     assert moved.ids == [part.ids[k] for k in order]
     assert np.array_equal(moved.centroids, part.centroids[list(order)])
 
@@ -604,22 +619,13 @@ def test_rings_closed_per_length_are_the_per_ring_oracle_bit_for_bit(doc):
     # position size: each ring and centroid keeps the per-ring closer's bits,
     # and a malformed document its first error, type and message
     want = feature_by_feature(doc)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        warnings.simplefilter("error", RuntimeWarning)  # no floating-point warning
-        if isinstance(want, Exception):
-            with pytest.raises(type(want)) as raised:
-                load_partition(doc)
-            assert str(raised.value) == str(want)
-            return
-        part = load_partition(doc)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as raised:
+            load_warning_only_on_lonlat(doc)
+        assert str(raised.value) == str(want)
+        return
+    part = load_warning_only_on_lonlat(doc)
     geometries, centroids = want
-    # random centroids may land in the degree box, and then only there the
-    # load warns that they look like lon/lat
-    x, y = np.abs(centroids).T
-    lonlat = bool((x <= 180).all() and (y <= 90).all() and max(x.max(), y.max()) > 45)
-    warned = [(w.category, "lon/lat" in str(w.message)) for w in caught]
-    assert warned == [(UserWarning, True)] * lonlat
     assert np.array_equal(part.centroids, centroids)
     for region, geometry in zip(part.regions, geometries):
         assert [len(rings) for rings in region.geometry] == [len(rings) for rings in geometry]

@@ -665,6 +665,46 @@ def test_multistart_skips_infeasible_and_unfactorizable_starts():
     assert all(r["feasible"] == r["gradients"] == 0 for r in records)
 
 
+@pytest.mark.parametrize(
+    "k, slope, edge",
+    [(-3, -1.0, numerics.LOG_BOX), (-2, 1.0, -numerics.LOG_BOX), (-1, 1.0, np.log(SIGMA_FLOOR))],
+)
+def test_a_search_that_slides_to_the_box_edge_stops_on_bound(k, slope, edge):
+    # the objective falls linearly toward the edge in one log parameter: log
+    # alpha up to +LOG_BOX, log gamma down to -LOG_BOX, log sigma to the floor
+    def f(theta, accept):
+        value = slope * float(theta[k])
+        grad = np.zeros_like(theta)
+        grad[k] = slope
+        return value, (grad if accept(value) else None)
+
+    def boxed(theta, accept):
+        t = theta[-3:]
+        if t[-1] < np.log(SIGMA_FLOOR) or np.abs(t).max() > numerics.LOG_BOX:
+            return np.inf, None
+        return f(theta, accept)
+
+    x0 = np.zeros(4)
+    best, [record], _ = _minimize(lambda: f, [x0])
+    assert abs(best.argmin[k] - edge) <= numerics.BOUND_TOL
+    assert best.stop == record["stop"] == "bound"
+    assert not best.converged and not record["converged"]
+    # only the label moves: bfgs_minimize on the boxed objective ends at the same point
+    plain = bfgs_minimize(boxed, x0)
+    assert plain.stop in ("ftol", "line_search")
+    assert np.array_equal(plain.argmin, best.argmin) and plain.objective == best.objective
+
+
+def test_a_search_that_stops_inside_the_box_keeps_its_stop():
+    # an ftol stop with every log parameter at 0, far inside the box
+    def f(theta, accept):
+        value, grad = _linear_on_large_offset(theta[:1], accept)
+        return value, (None if grad is None else np.concatenate([grad, np.zeros(3)]))
+
+    best, [record], _ = _minimize(lambda: f, [np.zeros(4)])
+    assert best.stop == record["stop"] == "ftol"
+
+
 def test_pool_size_is_cores_over_blas_threads(monkeypatch):
     monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     # with the OpenBLAS pools, a search runs on the one BLAS thread

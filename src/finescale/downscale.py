@@ -10,7 +10,6 @@ Omega = K + sum_s w_s^2 Sigma_s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -228,17 +227,17 @@ class _DenseKernel:
 
 @dataclass(frozen=True)
 class _Problem:
-    """The parameter-free parts of the second-step model, shared by fit and refine.
+    """The second-step model N(a | H F w, Lambda), which the fit searches, the
+    refine conditions on and ``assemble_lambda`` returns.
 
     The observations a (None when only Lambda is wanted), H, the design and
     H F, the fine locations Xf, and H Sigma_s H^T for every auxiliary, the
     only way the fit reads Sigma_s. ``kernel`` is the fine kernel's operator:
     a ``lattice.LatticeKernel`` where the fine locations form a lattice, else
-    a ``_DenseKernel``; the fit's objective takes K H^T and
-    H (K o D2 / gamma^2) H^T from it alone. The refine also reads HKH and
-    OmHt, H K H^T and Omega H^T at the parameters it was built with. The fit
-    also sets its ridge penalty. The refine sets none, and holds no nf x nf
-    array.
+    a ``_DenseKernel``; ``nll_and_grad`` takes K H^T and
+    H (K o D2 / gamma^2) H^T from it alone. Built at ``params`` (the refine),
+    it holds Lambda, its factor and OmHt = Omega H^T at them, and no nf x nf
+    array; built at none (the fit), it holds the ridge penalty.
     """
 
     a: np.ndarray | None
@@ -248,7 +247,9 @@ class _Problem:
     Xf: np.ndarray
     HSH: tuple[np.ndarray, ...]
     kernel: object  # _DenseKernel or lattice.LatticeKernel
-    HKH: np.ndarray | None = None
+    params: DownscaleParams | None = None
+    Lambda: np.ndarray | None = None
+    factor: object = None  # CholeskyFactor
     OmHt: np.ndarray | None = None
     ridge: float = 0.0
 
@@ -261,7 +262,7 @@ class _Problem:
         amap_or_H,
         params: DownscaleParams | None = None,
     ) -> "_Problem":
-        """The problem of the inputs ``_inputs`` coerces; ``params`` sets HKH and OmHt.
+        """The problem of the inputs ``_inputs`` coerces, at ``params`` when given.
 
         Every posterior must be at the fine locations, else ValueError: then
         the fine kernel's operator forms each auxiliary's k(Xf, Xf) H^T and
@@ -269,7 +270,8 @@ class _Problem:
         ``lattice.LatticeKernel``, any others a ``_DenseKernel``. Each
         Sigma_s H^T (nf x nc) is formed, read into H Sigma_s H^T and, with
         ``params``, added into Omega H^T as w_s^2 Sigma_s H^T, and let go
-        before the next: on a lattice no two are held at once.
+        before the next: on a lattice no two are held at once. Then
+        ``_lambda_terms`` forms Lambda and its factor at ``params``.
         """
         a, H, Xf = _inputs(a, amap_or_H, fine)
         for post in posteriors:
@@ -298,36 +300,75 @@ class _Problem:
                 SHt *= params.w[s] ** 2
                 OmHt += SHt
             del SHt  # else held while the next one is formed
-        return cls(
-            a=a,
-            H=H,
-            design=design,
-            HF=H @ design.F,
-            Xf=Xf,
-            HSH=tuple(HSH),
-            kernel=fine_kernel,
-            HKH=HKH,
-            OmHt=OmHt,
-        )
+        Lam = factor = None
+        if params is not None:
+            Lam, factor = _lambda_terms(HSH, params.w, params.kernel.alpha, params.sigma, HKH)
+        return cls(a=a, H=H, design=design, HF=H @ design.F, Xf=Xf, HSH=tuple(HSH),
+                   kernel=fine_kernel, params=params, Lambda=Lam, factor=factor, OmHt=OmHt)
 
     @property
     def flops(self) -> int:
         """About the work of one objective call: the fine kernel's, and nc^3 for Lambda."""
         return self.kernel.flops + self.H.shape[0] ** 3
 
-    def for_search(self) -> "_Problem":
-        """This problem with what every thread of a search over it shares."""
-        return replace(self, kernel=self.kernel.for_search())
+    def for_search(self, ridge: float = 0.0) -> "_Problem":
+        """This problem with what every thread of a search shares, and its ridge penalty."""
+        return replace(self, kernel=self.kernel.for_search(), ridge=ridge)
 
-    def for_thread(self, ridge: float = 0.0) -> "_Problem":
-        """A problem from ``for_search`` as one thread of the search evaluates
-        it, with its own scratch and the ridge penalty."""
-        return replace(self, kernel=self.kernel.for_thread(), ridge=ridge)
+    def for_thread(self) -> "_Problem":
+        """A problem from ``for_search`` with one search thread's own scratch."""
+        return replace(self, kernel=self.kernel.for_thread())
 
-    def check_handed_back(self, design: DesignMatrix, H=None, Xf=None, n_posteriors=None):
+    def nll_and_grad(self, theta: np.ndarray, accept):
+        """-log N(a | H F w, Lambda) at the packed theta, plus the ridge penalty
+        ridge * |w_1..w_S|^2 when ``ridge`` is positive, and its gradient
+        where ``accept`` of that value is true, else None; on a problem from
+        ``for_thread``.
+
+        Each covariance-parameter entry of the log-likelihood gradient is
+        1/2 tr((p p^T - Lambda^-1) dLambda), p = Lambda^-1 (a - H F w); the
+        weight entries add the mean-term contribution (H F_col)^T p. A call
+        takes K H^T and H (K o D2 / gamma^2) H^T from the fine-kernel operator,
+        the rest is nc x nc algebra.
+        """
+        S = len(self.HSH)
+        w = theta[: S + 1]
+        alpha, gamma, sigma = (float(np.exp(v)) for v in theta[S + 1 :])
+        nc = self.H.shape[0]
+        KHt, scaled = self.kernel.at(alpha, gamma)
+        HKH = self.H @ KHt
+        del KHt  # an nf x nc array the rest of the call does not read
+        _, factor = _lambda_terms(self.HSH, w, alpha, sigma, HKH)
+        nll, p = gaussian_nll(factor, self.a - self.HF @ w)
+        if self.ridge > 0:
+            nll += self.ridge * float(w[:S] @ w[:S])
+        if not accept(nll):
+            return nll, None
+        Linv = solve(factor, np.eye(nc))
+
+        def trace_term(dLam: np.ndarray) -> float:
+            return 0.5 * (float(p @ dLam @ p) - float(np.sum(Linv * dLam)))
+
+        # trace_term(c I), without forming the identity
+        identity_term = 0.5 * (float(p @ p) - float(np.trace(Linv)))
+        grad = np.empty(S + 4)
+        for s in range(S):
+            grad[s] = float(self.HF[:, s] @ p) + trace_term(2.0 * w[s] * self.HSH[s])
+        grad[S] = float(self.HF[:, S] @ p)  # bias: Lambda does not depend on w_0
+        # log-space chain rule: d/d log(theta) = theta * d/d theta
+        grad[S + 1] = trace_term(2.0 * HKH) + 2.0 * JITTER_REL * alpha**2 * identity_term
+        grad[S + 2] = trace_term(scaled())
+        grad[S + 3] = 2.0 * sigma**2 * (1.0 + JITTER_REL) * identity_term
+        grad = -grad
+        if self.ridge > 0:
+            grad[:S] += 2 * self.ridge * w[:S]
+        return nll, grad
+
+    def check_handed_back(self, design, H=None, Xf=None, n_posteriors=None, params=None):
         """Raise ValueError unless the design is the posteriors' own,
-        ``build_design(posteriors, nf)``, and H, the fine locations and the
-        number of posteriors, where given, are those this problem was built from."""
+        ``build_design(posteriors, nf)``, and H, the fine locations, the
+        number of posteriors and the parameters, where given, are those this
+        problem was built from."""
         own = self.design
         if design.column_ids != own.column_ids or not np.array_equal(design.F, own.F):
             raise ValueError(f"design {design.column_ids} is not the posteriors' own")
@@ -339,6 +380,10 @@ class _Problem:
             raise ValueError(
                 f"{n_posteriors} posteriors for an assembly built from {len(self.HSH)}"
             )
+        at = self.params
+        if params is not None and not (at is not None and np.array_equal(params.w, at.w)
+                                       and (params.kernel, params.sigma) == (at.kernel, at.sigma)):
+            raise ValueError("params are not the ones the assembly was built at")
 
 
 def _inputs(
@@ -375,74 +420,22 @@ def _inputs(
     return a, H, Xf
 
 
-def _lambda_terms(prob: _Problem, w: np.ndarray, alpha: float, sigma: float, HKH: np.ndarray):
+def _lambda_terms(HSH, w: np.ndarray, alpha: float, sigma: float, HKH: np.ndarray):
     """Lambda = sigma^2 I + H K H^T + sum_s w_s^2 H Sigma_s H^T and the
-    Cholesky factor of the jittered Lambda, from H K H^T.
+    Cholesky factor of the jittered Lambda, from H K H^T and each H Sigma_s H^T.
 
     The one place Lambda is formed: the fit and predict_fine both factor it,
     each from the K H^T of the same fine-kernel operator, so both factor the
     same Lambda to the bit.
     """
-    nc = prob.H.shape[0]
+    nc = HKH.shape[0]
     Lam = sigma**2 * np.eye(nc) + HKH
-    for s, HSH in enumerate(prob.HSH):
-        Lam = Lam + w[s] ** 2 * HSH
+    for s, HSH_s in enumerate(HSH):
+        Lam = Lam + w[s] ** 2 * HSH_s
     Lam = 0.5 * (Lam + Lam.T)  # exactly symmetric: IEEE addition commutes
     # a new C-ordered array, factored in its own memory as its transpose
     factor = cholesky_in_place((Lam + JITTER_REL * (sigma**2 + alpha**2) * np.eye(nc)).T)
     return Lam, factor
-
-
-def _neg_log_marginal(prob: _Problem, theta: np.ndarray, accept):
-    """-log N(a | H F w, Lambda) at the packed theta, plus the ridge penalty
-    ridge * |w_1..w_S|^2 when ``prob.ridge`` is positive, and its gradient
-    where ``accept`` of that value is true, else None.
-
-    Each covariance-parameter entry of the log-likelihood gradient is
-    1/2 tr((p p^T - Lambda^-1) dLambda), p = Lambda^-1 (a - H F w); the
-    weight entries add the mean-term contribution (H F_col)^T p. A call
-    takes K H^T and H (K o D2 / gamma^2) H^T from the fine-kernel operator,
-    the rest is nc x nc algebra.
-    """
-    S = len(prob.HSH)
-    w = theta[: S + 1]
-    alpha, gamma, sigma = (float(np.exp(v)) for v in theta[S + 1 :])
-    nc = prob.H.shape[0]
-    KHt, scaled = prob.kernel.at(alpha, gamma)
-    HKH = prob.H @ KHt
-    del KHt  # an nf x nc array the rest of the call does not read
-    _, factor = _lambda_terms(prob, w, alpha, sigma, HKH)
-    nll, p = gaussian_nll(factor, prob.a - prob.HF @ w)
-    if prob.ridge > 0:
-        nll += prob.ridge * float(w[:S] @ w[:S])
-    if not accept(nll):
-        return nll, None
-    Linv = solve(factor, np.eye(nc))
-
-    def trace_term(dLam: np.ndarray) -> float:
-        return 0.5 * (float(p @ dLam @ p) - float(np.sum(Linv * dLam)))
-
-    # trace_term(c I), without forming the identity
-    identity_term = 0.5 * (float(p @ p) - float(np.trace(Linv)))
-    grad = np.empty(S + 4)
-    for s in range(S):
-        grad[s] = float(prob.HF[:, s] @ p) + trace_term(2.0 * w[s] * prob.HSH[s])
-    grad[S] = float(prob.HF[:, S] @ p)  # bias: Lambda does not depend on w_0
-    # log-space chain rule: d/d log(theta) = theta * d/d theta
-    grad[S + 1] = trace_term(2.0 * HKH) + 2.0 * JITTER_REL * alpha**2 * identity_term
-    grad[S + 2] = trace_term(scaled())
-    grad[S + 3] = 2.0 * sigma**2 * (1.0 + JITTER_REL) * identity_term
-    grad = -grad
-    if prob.ridge > 0:
-        grad[:S] += 2 * prob.ridge * w[:S]
-    return nll, grad
-
-
-@dataclass(frozen=True)
-class LambdaAssembly:
-    Lambda: np.ndarray
-    factor: object  # CholeskyFactor
-    problem: _Problem
 
 
 def assemble_lambda(
@@ -450,26 +443,24 @@ def assemble_lambda(
     posteriors: list[AuxPosterior],
     fine_centroids: np.ndarray,
     amap_or_H,
-) -> LambdaAssembly:
-    """Lambda = sigma^2 I + H Omega H^T, Omega = K + sum_s w_s^2 Sigma_s, as the fit forms it."""
-    prob = _Problem.build(None, posteriors, fine_centroids, amap_or_H, params)
-    Lam, factor = _lambda_terms(prob, params.w, params.kernel.alpha, params.sigma, prob.HKH)
-    return LambdaAssembly(Lambda=Lam, factor=factor, problem=prob)
+) -> _Problem:
+    """The second-step problem at ``params``: ``Lambda`` = sigma^2 I + H Omega H^T,
+    Omega = K + sum_s w_s^2 Sigma_s, and its ``factor``, both as the fit forms them."""
+    return _Problem.build(None, posteriors, fine_centroids, amap_or_H, params)
 
 
 def log_marginal(
     params: DownscaleParams,
     a: np.ndarray,
     design: DesignMatrix,
-    assembly: LambdaAssembly,
+    assembly: _Problem,
     H: np.ndarray,
 ) -> float:
-    """log N(a | H F w, Lambda) on the assembly's Lambda, H and design; others raise ValueError."""
-    prob = assembly.problem
-    a, H, _ = _inputs(a, H, prob.Xf)
-    prob.check_handed_back(design, H)
-    r = a - H @ (design.F @ params.w)
-    return -gaussian_nll(assembly.factor, r)[0]
+    """log N(a | H F w, Lambda) on the assembly's factor; params, H or a design
+    other than the assembly's raise ValueError."""
+    a, H, _ = _inputs(a, H, assembly.Xf)
+    assembly.check_handed_back(design, H, params=params)
+    return -gaussian_nll(assembly.factor, a - H @ (design.F @ params.w))[0]
 
 
 def grad_log_marginal(
@@ -479,24 +470,20 @@ def grad_log_marginal(
     posteriors: list[AuxPosterior],
     amap_or_H,
     fine_centroids: np.ndarray,
-    assembly: LambdaAssembly,
+    assembly: _Problem,
 ) -> np.ndarray:
     """Analytic gradient over (w_1..w_S, w_0, log alpha, log gamma, log sigma),
-    the fit's objective gradient negated, on the assembly's problem.
+    the fit's objective gradient negated, on the assembly.
 
-    The design, H, the fine locations and the number of posteriors must be
-    those the assembly was built from, else ValueError.
+    The params, design, H, the fine locations and the number of posteriors
+    must be those the assembly was built from, else ValueError.
     """
-    prob = assembly.problem
     a, H, Xf = _inputs(a, amap_or_H, fine_centroids)
-    prob.check_handed_back(design, H, Xf, len(posteriors))
-    prob = replace(prob, a=a).for_search().for_thread()
-    theta = _pack(params.w, params.kernel, params.sigma)
-    return -_neg_log_marginal(prob, theta, lambda value: True)[1]
-
-
-def _pack(w: np.ndarray, kernel: SEKernelParams, sigma: float) -> np.ndarray:
-    return np.concatenate([w, [np.log(kernel.alpha), np.log(kernel.gamma), np.log(sigma)]])
+    assembly.check_handed_back(design, H, Xf, len(posteriors), params)
+    prob = replace(assembly, a=a).for_search().for_thread()
+    w, kernel = params.w, params.kernel
+    theta = np.concatenate([w, [np.log(kernel.alpha), np.log(kernel.gamma), np.log(params.sigma)]])
+    return -prob.nll_and_grad(theta, lambda value: True)[1]
 
 
 def lstsq_warm_start(a: np.ndarray, design: DesignMatrix, H: np.ndarray) -> np.ndarray:
@@ -535,7 +522,7 @@ def fit_downscale(
     DownscaleFitError when the warm start is not finite or every restart fails,
     and InputError when it is outside the search box (``gp_aux.in_search_box``).
     """
-    prob = _Problem.build(a, posteriors, fine, amap_or_H).for_search()
+    prob = _Problem.build(a, posteriors, fine, amap_or_H).for_search(ridge)
     a_vec, H, design = prob.a, prob.H, prob.design
     n_w = design.F.shape[1]
 
@@ -551,18 +538,15 @@ def fit_downscale(
     in_search_box(theta0, "second step", "the target's values", "the fine centroids' coordinates")
     starts = [theta0] + random_starts(theta0, np.repeat([0.1, 0.5], [n_w, 3]), restarts, seed)
 
-    def make_objective():
-        return partial(_neg_log_marginal, prob.for_thread(ridge))
-
     [(best, records)], workers = multistart_minimize(
-        [(make_objective, starts, prob.flops)], gtol=gtol
+        [(lambda: prob.for_thread().nll_and_grad, starts, prob.flops)], gtol=gtol
     )
     if best is None:
         errors = [r["error"] for r in records]
         raise DownscaleFitError(f"optimizer failed on all restarts: {errors}")
     nll = best.objective
     if ridge > 0:  # the winner's value without the penalty
-        nll = _neg_log_marginal(prob.for_thread(), best.argmin, lambda value: False)[0]
+        nll = replace(prob, ridge=0.0).for_thread().nll_and_grad(best.argmin, lambda v: False)[0]
     log_alpha, log_gamma, log_sigma = best.argmin[n_w:]
     diagnostics = {
         "log_marginal": float(-nll),
@@ -595,23 +579,24 @@ def predict_fine(
 
     With Omega = K + sum_s w_s^2 Sigma_s and V = L^-1 H Omega, where
     L L^T = Lambda: mean F w + (H Omega)^T Lambda^-1 (a - H F w), variance
-    diag Omega - colsum(V o V). Only Omega H^T is formed, from K H^T and
-    each Sigma_s H^T in turn (``_Problem.build``), so no nf x nf array is;
-    ``Refinement.cov`` forms the covariance Omega - V^T V when it is read. The posteriors must be at the fine
-    locations, and ``design`` must be ``build_design(posteriors, nf)``, else
-    ValueError. It runs inside ``numerics.one_blas_thread``.
+    diag Omega - colsum(V o V), read from the problem built at ``params``:
+    Omega H^T, formed from K H^T and each Sigma_s H^T in turn, and the factor
+    of Lambda (``_Problem.build``). So no nf x nf array is formed;
+    ``Refinement.cov`` forms the covariance Omega - V^T V when it is read. The
+    posteriors must be at the fine locations, and ``design`` must be
+    ``build_design(posteriors, nf)``, else ValueError. It runs inside
+    ``numerics.one_blas_thread``.
     """
     w, kernel = params.w, params.kernel
     prob = _Problem.build(a, posteriors, fine, amap_or_H, params)
     prob.check_handed_back(design)
     OmHt = prob.OmHt
-    _, factor = _lambda_terms(prob, w, kernel.alpha, params.sigma, prob.HKH)
     var = np.full(len(prob.Xf), kernel.alpha**2)  # the diagonal of K
     for s, post in enumerate(posteriors):
         var += w[s] ** 2 * post.var
     m0 = design.F @ w
-    mean = m0 + OmHt @ solve(factor, prob.a - prob.H @ m0)
-    V = solve_lower(factor, OmHt.T)
+    mean = m0 + OmHt @ solve(prob.factor, prob.a - prob.H @ m0)
+    V = solve_lower(prob.factor, OmHt.T)
     var -= np.einsum("ij,ij->j", V, V)
     clamp_variance(var, 1e-8)
     return Refinement(

@@ -53,6 +53,18 @@ class AuxGPModel:
     log_marginal: float
     diagnostics: dict = field(default_factory=dict, compare=False)
 
+    def __post_init__(self):
+        # checked as Partition and ArealDataset check theirs; a float array is not copied
+        X = np.asarray(self.train_centroids, dtype=float)
+        y = np.asarray(self.train_values, dtype=float)
+        object.__setattr__(self, "train_centroids", X)
+        object.__setattr__(self, "train_values", y)
+        if not (X.ndim == 2 and len(X) > 0 and y.shape == X.shape[:1] and np.isfinite(X).all()
+                and np.isfinite(y).all() and np.isfinite(self.offset)
+                and 0 <= self.noise_sigma < np.inf):
+            raise InputError(f"aux model {self.dataset_id!r}: needs finite 2-D centroids, one "
+                             "finite value each, a finite offset and a finite noise sigma >= 0")
+
     def to_dict(self) -> dict:
         return {
             "dataset_id": self.dataset_id,
@@ -80,8 +92,8 @@ class AuxGPModel:
                 json_log(d, "log_alpha", where), json_log(d, "log_gamma", where)
             ),
             noise_sigma=float(np.exp(json_log(d, "log_sigma", where))),
-            train_centroids=np.asarray(train_centroids, dtype=float),
-            train_values=np.asarray(train_values, dtype=float),
+            train_centroids=train_centroids,
+            train_values=train_values,
             offset=json_value(d, "offset", float, where),
             scale=json_value(d, "scale", float, where),
             log_marginal=json_value(d, "log_marginal", float, where),
@@ -383,13 +395,10 @@ class _AuxFit:
             problem = lattice.LatticeProblem(grid, ys.reshape(grid.gy.size, grid.gx.size))
         return cls(dataset_id, X, y, offset, scale, starts, problem)
 
-    def make_objective(self):
-        return self.problem.for_thread().nll_and_grad
-
     @property
     def job(self) -> tuple:
         """The fit's search, as a job of ``multistart_minimize``."""
-        return self.make_objective, self.starts, self.problem.flops
+        return lambda: self.problem.for_thread().nll_and_grad, self.starts, self.problem.flops
 
     def model(self, best, records: list[dict], workers: int) -> AuxGPModel:
         """The model of the search's best result, or AuxFitError when every start failed."""
@@ -465,10 +474,14 @@ def predict_aux(model: AuxGPModel, test_centroids) -> AuxPosterior:
     the eigenbases of its axes (``lattice.posterior``), its values read in
     the lattice's row-major order, so the order of its regions moves no bit.
     Any other factors A, L L^T = A, in the memory of the training distances
-    and keeps W = L^-1 K*. It runs inside ``numerics.one_blas_thread``.
+    and keeps W = L^-1 K*. Either refuses test centroids of another column
+    count (InputError). It runs inside ``numerics.one_blas_thread``.
     """
     Xt = np.atleast_2d(np.asarray(test_centroids, dtype=float))
     X = model.train_centroids
+    if Xt.ndim != 2 or Xt.shape[1] != X.shape[1]:
+        raise InputError(f"aux model {model.dataset_id!r}: test points of shape {Xt.shape} "
+                         f"for centroids of {X.shape[1]} columns")
     yc = model.train_values - model.offset
     alpha, gamma, sigma = model.params.alpha, model.params.gamma, model.noise_sigma
     grid = _lattice(X)

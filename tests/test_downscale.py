@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import os
 import tracemalloc
@@ -35,8 +34,6 @@ from finescale.downscale import (
     DownscaleFitError,
     DownscaleParams,
     _DenseKernel,
-    _neg_log_marginal,
-    _pack,
     _Problem,
     assemble_lambda,
     build_design,
@@ -531,7 +528,7 @@ def prepared_objective(a, design, posteriors, H, Xf):
     prob = _Problem.build(a, posteriors, Xf, H)
     prob.check_handed_back(design)
     prob = prob.for_search().for_thread()
-    return lambda theta, accept: _neg_log_marginal(prob, theta, accept)
+    return prob.nll_and_grad
 
 
 @pytest.mark.parametrize("S", [0, 1, 3])
@@ -583,6 +580,9 @@ def test_objective_computes_the_gradient_only_where_accept_holds(rng, monkeypatc
     a = rng.normal(size=len(coarse)) + 3.0
     plain, starts = fit_objective(monkeypatch, a, posteriors, fine, amap, restarts=3)
     ridged, _ = fit_objective(monkeypatch, a, posteriors, fine, amap, restarts=3, ridge=0.5)
+    # the job's objective is the method of the fit's problem, which holds the ridge
+    assert plain.__func__ is ridged.__func__ is _Problem.nll_and_grad
+    assert (plain.__self__.ridge, ridged.__self__.ridge) == (0.0, 0.5)
     for theta in starts:
         values = {}
         for name, f in (("plain", plain), ("ridged", ridged)):
@@ -655,6 +655,48 @@ def test_log_marginal_refuses_an_h_the_assembly_was_not_built_from(rng):
         log_marginal(params, a, design, assembly, H[::-1])
 
 
+def test_log_marginal_and_its_gradient_refuse_params_the_assembly_was_not_built_at(rng):
+    # log_marginal answered -7.9499, its value at the assembly's own params,
+    # for sigma doubled, where the log-marginal is -8.5889
+    params, a, design, posteriors, H, Xf = random_instance(rng, 5, 20, 2)
+    assembly = assemble_lambda(params, posteriors, Xf, H)
+    doubled = dataclasses.replace(params, sigma=2 * params.sigma)
+    at_doubled = assemble_lambda(doubled, posteriors, Xf, H)
+    assert log_marginal(doubled, a, design, at_doubled, H) == pytest.approx(-8.588882704847675)
+    moved_w = dataclasses.replace(params, w=params.w + np.array([0.0, 0.0, 1e-12]))
+    other_kernel = dataclasses.replace(
+        params, kernel=SEKernelParams(params.kernel.alpha, 2 * params.kernel.gamma)
+    )
+    match = "params are not the ones the assembly was built at"
+    for other in (doubled, moved_w, other_kernel):
+        with pytest.raises(ValueError, match=match):
+            log_marginal(other, a, design, assembly, H)
+        with pytest.raises(ValueError, match=match):
+            grad_log_marginal(other, a, design, posteriors, H, Xf, assembly)
+    # equal params in another record are the assembly's own
+    same = DownscaleParams(w=params.w.copy(), kernel=params.kernel, sigma=params.sigma)
+    assert log_marginal(same, a, design, assembly, H) == log_marginal(
+        params, a, design, assembly, H
+    )
+
+
+def test_predict_fine_solves_on_the_factor_assemble_lambda_holds(rng, monkeypatch):
+    # one second-step problem: assemble_lambda returns the one predict_fine
+    # builds at the same params, whose factor it reads rather than forms again
+    params, a, design, posteriors, H, Xf = random_instance(rng, 4, 12, 2)
+    assembly = assemble_lambda(params, posteriors, Xf, H)
+    assert isinstance(assembly, _Problem) and assembly.params is params
+    factors = []
+    for name in ("solve", "solve_lower"):
+        solver = getattr(downscale, name)
+        monkeypatch.setattr(
+            downscale, name, lambda F, b, f=solver: factors.append(F.L.copy()) or f(F, b)
+        )
+    predict_fine(params, a, design, posteriors, H, fine=Xf)
+    assert len(factors) == 2
+    assert all(np.array_equal(L, assembly.factor.L) for L in factors)
+
+
 def test_fit_restarts_match_dense_objective(monkeypatch):
     # 24x20 fine / 8x5 coarse: every restart takes the same BFGS path when
     # the prepared objective is swapped for the dense oracle
@@ -668,7 +710,7 @@ def test_fit_restarts_match_dense_objective(monkeypatch):
     dense = neg_log_marginal_objective(
         inst.a.values, design, posteriors, amap.H, inst.fine.centroids
     )
-    monkeypatch.setattr(downscale, "_neg_log_marginal", lambda prob, *args: dense(*args))
+    monkeypatch.setattr(_Problem, "nll_and_grad", lambda prob, *args: dense(*args))
     oracle = fit_downscale(inst.a, posteriors, inst.fine, amap, restarts=3, seed=0)
 
     got = prepared.diagnostics["restart_records"]
@@ -717,7 +759,7 @@ def factored_lambdas(theta, a, posteriors, fine, H) -> list[np.ndarray]:
     try:
         with one_blas_thread():  # as fit_downscale runs them; predict_fine pins itself
             prob = _Problem.build(a, posteriors, fine, H).for_search().for_thread()
-            _neg_log_marginal(prob, theta, lambda value: False)
+            prob.nll_and_grad(theta, lambda value: False)
         design = build_design(posteriors, n_fine=len(fine))
         n_w = design.F.shape[1]
         params = DownscaleParams(
@@ -739,7 +781,7 @@ def test_predict_factors_the_lambda_the_fit_factors(monkeypatch):
     for path in fine_kernel_paths(monkeypatch):
         params = fit_downscale(inst.a, posteriors, inst.fine, inst.amap, restarts=2, seed=0)
         assert params.diagnostics["gram"]["path"] == path
-        theta = _pack(params.w, params.kernel, params.sigma)
+        theta = pack(params)
         # the objective sees the fitted floats themselves
         assert list(np.exp(theta[-3:])) == [params.kernel.alpha, params.kernel.gamma, params.sigma]
         fit_lambda, refine_lambda = factored_lambdas(theta, inst.a, posteriors, inst.fine, H)
@@ -793,7 +835,8 @@ def lambdas_agree_at_refine_scale() -> dict[str, bool]:
     inst = generate_synthetic(spec, seed=0)
     fitted = fit_all_aux(inst.aux_datasets, inst.fine, restarts=1, dataset_ids=inst.aux_ids)
     posteriors = [post for _, post in fitted]
-    theta = _pack(inst.true_w, SEKernelParams(spec.alpha, spec.gamma), spec.sigma)
+    kernel = SEKernelParams(spec.alpha, spec.gamma)
+    theta = pack(DownscaleParams(w=inst.true_w, kernel=kernel, sigma=spec.sigma))
     stochastic = np.random.default_rng(0).uniform(0.1, 1.0, size=inst.amap.H.shape)
     stochastic /= stochastic.sum(axis=1, keepdims=True)
     agree, detect = {}, lattice.detect
@@ -1246,7 +1289,7 @@ def lattice_and_dense_problems(rng, nx, ny, uneven: bool, stochastic: bool):
     """One second-step problem on a shuffled lattice moved off its grid, with
     a membership H or a dense row-stochastic one, twice: with the
     ``LatticeKernel`` of the points and with the ``_DenseKernel`` of the points
-    they snap to, both ready for ``_neg_log_marginal``; and its packed theta."""
+    they snap to, both ready for ``_Problem.nll_and_grad``; and its packed theta."""
     if uneven:
         gx, gy = np.sort(rng.uniform(size=nx)), np.sort(rng.uniform(size=ny))
     else:
@@ -1286,8 +1329,8 @@ def test_the_lattice_kernel_objective_is_the_dense_one(rng, nx, ny):
             assert np.abs(scaled() - want).max() <= 1e-14 * max(np.abs(want).max(), 1e-300)
             for log_gamma in (-20.0, -12.0, -4.0, -2.0, -1.0, 0.0, 1.0, 3.0):
                 theta[-2] = log_gamma
-                value, grad = _neg_log_marginal(on_lattice, theta, always)
-                want_value, want_grad = _neg_log_marginal(dense, theta, always)
+                value, grad = on_lattice.nll_and_grad(theta, always)
+                want_value, want_grad = dense.nll_and_grad(theta, always)
                 assert abs(value - want_value) <= 1e-12 * abs(want_value)
                 assert np.abs(grad - want_grad).max() <= 1e-10 * np.abs(want_grad).max()
 
@@ -1296,7 +1339,7 @@ def test_the_lattice_kernel_gradient_matches_finite_differences(rng):
     for nx, ny in ((2, 3), (6, 4), (12, 10)):
         for stochastic in (False, True):
             (on_lattice, _), theta = lattice_and_dense_problems(rng, nx, ny, True, stochastic)
-            f = functools.partial(_neg_log_marginal, on_lattice)
+            f = on_lattice.nll_and_grad
             for _ in range(4):
                 theta[-3:] = rng.normal(0.0, 0.7, size=3) + [0.0, -1.0, -1.0]
                 assert grad_check(f, theta) <= 1e-5

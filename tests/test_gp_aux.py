@@ -188,6 +188,41 @@ def test_predict_aux_factoring_its_gram_in_place_keeps_the_bits_of_a_copy(monkey
     assert [a.tobytes() for a in posterior_arrays(post)] == [a.tobytes() for a in want]
 
 
+@pytest.mark.parametrize(
+    "shape, path", [((4, 3), "dense"), ((8, 5), "lattice")], ids=["dense", "lattice"]
+)
+def test_an_aux_model_refuses_data_it_cannot_be_predicted_from(rng, shape, path):
+    # on a lattice, test points of 3 columns were predicted from the first two
+    # and one training value more was dropped, where the dense path refused both
+    X = grid_partition(*shape, "aux").centroids
+    y = rng.normal(size=len(X))
+    model = AuxGPModel(
+        dataset_id="aux", params=SEKernelParams(1.0, 0.3), noise_sigma=0.1,
+        train_centroids=X, train_values=y, offset=0.0, scale=1.0, log_marginal=0.0,
+    )
+    assert model.train_centroids is X and model.train_values is y  # not copied
+    assert (gp_aux._lattice(X) is None) == (path == "dense")
+    Xt = rng.uniform(size=(5, 2))
+    predict_aux(model, Xt)
+    nan_first = np.where(np.arange(len(y)) == 0, np.nan, y)
+    refused = [
+        lambda: predict_aux(model, np.c_[Xt, Xt[:, :1]]),
+        lambda: predict_aux(model, Xt[:, :1]),
+        lambda: replace(model, train_values=np.append(y, 0.0)),
+        lambda: replace(model, train_values=y[:-1]),
+        lambda: replace(model, train_values=nan_first),
+        lambda: replace(model, train_centroids=X[:, 0]),
+        lambda: replace(model, train_centroids=X[:0], train_values=y[:0]),
+        lambda: replace(model, offset=float("inf")),
+        lambda: replace(model, noise_sigma=-0.1),
+        lambda: replace(model, noise_sigma=float("nan")),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="aux model 'aux'"):
+            call()
+    assert replace(model, noise_sigma=0.0).noise_sigma == 0.0
+
+
 def test_objective_gradient_matches_finite_differences(rng):
     X = rng.uniform(size=(8, 2))
     y = rng.normal(size=8)
@@ -282,7 +317,8 @@ def test_buffered_objective_equals_unbuffered_bit_for_bit(rng, n):
 def test_objective_computes_the_gradient_only_where_accept_holds(rng):
     X = rng.uniform(size=(30, 2))
     fit = _AuxFit.prepare(ArealDataset(point_partition("p", X), rng.normal(size=30)), "p", 3, 0)
-    f = fit.make_objective()
+    f = fit.job[0]()
+    assert f.__func__ is _AuxProblem.nll_and_grad  # on a copy of the fit's own problem
     for theta in fit.starts:
         seen = []
         rejected, grad = f(theta, lambda value: seen.append(value) or False)
@@ -339,7 +375,7 @@ def test_an_objective_holds_two_n_by_n_arrays():
     fit = _AuxFit.prepare(ArealDataset(point_partition("p", X), rng.normal(size=n)), "p", 1, 0)
     tracemalloc.start()
     try:
-        f = fit.make_objective()
+        f = fit.job[0]()
         f(fit.starts[0], always)  # warm-up
         held, _ = tracemalloc.get_traced_memory()
     finally:
